@@ -1,6 +1,7 @@
 package synscan
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -50,7 +51,7 @@ func TestFacadeArchiveSkipCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer strict.Close()
-	if err := strict.Scans(ArchiveFilter{}, func(*Scan, Origin) {}); err == nil {
+	if err := strict.Query(context.Background(), &ArchiveFilter{}, func(*Scan, *Origin) {}); err == nil {
 		t.Fatal("default reader must fail on a corrupt block")
 	}
 
@@ -60,7 +61,7 @@ func TestFacadeArchiveSkipCorrupt(t *testing.T) {
 	}
 	defer rd.Close()
 	n := 0
-	if err := rd.Scans(ArchiveFilter{}, func(*Scan, Origin) { n++ }); err != nil {
+	if err := rd.Query(context.Background(), &ArchiveFilter{}, func(*Scan, *Origin) { n++ }); err != nil {
 		t.Fatalf("skip-corrupt reader errored: %v", err)
 	}
 	if rd.CorruptBlocks() != 1 {

@@ -8,6 +8,7 @@ package synscan
 // the design choices called out in DESIGN.md.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -565,7 +566,7 @@ func BenchmarkSegmentStoreQuery(b *testing.B) {
 		v := cat.View()
 		n := 0
 		for j := 0; j < v.Len(); j++ {
-			err := v.Reader(j).Scans(archive.Filter{}, func(*core.Scan, enrich.Origin) { n++ })
+			err := v.Reader(j).Query(context.Background(), &archive.Filter{}, func(*core.Scan, *enrich.Origin) { n++ })
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -127,9 +128,9 @@ func TestLegacyTablesParity(t *testing.T) {
 
 	var scans []*core.Scan
 	var origins []enrich.Origin
-	if err := rd.Scans(archive.Filter{}, func(sc *core.Scan, o enrich.Origin) {
+	if err := rd.Query(context.Background(), &archive.Filter{}, func(sc *core.Scan, o *enrich.Origin) {
 		scans = append(scans, sc)
-		origins = append(origins, o)
+		origins = append(origins, *o)
 	}); err != nil {
 		t.Fatal(err)
 	}

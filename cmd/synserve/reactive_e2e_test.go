@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -116,7 +117,7 @@ func TestReactiveEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var decoded []*core.Scan
-	err = rd.Scans(archive.Filter{}, func(sc *core.Scan, _ enrich.Origin) {
+	err = rd.Query(context.Background(), &archive.Filter{}, func(sc *core.Scan, _ *enrich.Origin) {
 		c := *sc
 		decoded = append(decoded, &c)
 	})

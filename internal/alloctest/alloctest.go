@@ -6,10 +6,9 @@
 // testing.AllocsPerRun uses and fails the ordinary `go test ./...` run the
 // moment a change makes a gated path allocate past its budget.
 //
-// Measure is usable outside tests (cmd/synbench reports the same numbers as
-// alloc_* fields), and every Check appends a JSON line to the file named by
-// the ALLOCTEST_REPORT environment variable so CI can collect the budget
-// report as an artifact.
+// Measure is usable outside tests, and every Check appends a JSON line to the
+// file named by the ALLOCTEST_REPORT environment variable so CI can collect
+// the budget report as an artifact.
 package alloctest
 
 import (
@@ -40,7 +39,7 @@ type Result struct {
 // the measurement to one OS thread's view by forcing GOMAXPROCS(1), so other
 // goroutines' allocations do not leak into the count; unlike it, Measure
 // also reports bytes (runtime.MemStats.TotalAlloc delta) from the same run
-// and needs no *testing.T, so cmd/synbench can emit the identical numbers.
+// and needs no *testing.T.
 func Measure(rounds int, fn func()) (allocsPerOp, bytesPerOp float64) {
 	if rounds < 1 {
 		rounds = 1

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/synscan/synscan/internal/archive"
@@ -60,9 +61,13 @@ func CollectArchive(rd *archive.Reader, year int) (*YearData, error) {
 		InstPacketsPerPort: stats.NewCounter[uint16](),
 		Weeks:              prof.Days / 7,
 	}
-	err = rd.Scans(archive.Filter{Years: []int{year}}, func(sc *core.Scan, o enrich.Origin) {
+	err = rd.Query(context.Background(), &archive.Filter{Years: []int{year}}, func(sc *core.Scan, o *enrich.Origin) {
 		yd.Scans = append(yd.Scans, sc)
-		yd.ScanOrigins = append(yd.ScanOrigins, o)
+		var origin enrich.Origin // stays zero for an archive without origins
+		if o != nil {
+			origin = *o
+		}
+		yd.ScanOrigins = append(yd.ScanOrigins, origin)
 	})
 	if err != nil {
 		return nil, err

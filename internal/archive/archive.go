@@ -137,28 +137,30 @@ func (z *ZoneMap) MayContainPort(p uint16) bool {
 	return z.PortsFP&portBit(p) != 0
 }
 
-// yearOf returns the UTC calendar year of a nanosecond timestamp.
-func yearOf(ns int64) int {
+// YearOf returns the UTC calendar year of a nanosecond timestamp: the year a
+// scan's start time is filed, filtered and grouped under.
+func YearOf(ns int64) int {
 	return time.Unix(0, ns).UTC().Year()
 }
 
-// yearCache memoizes one calendar year's nanosecond boundaries so the write
-// path's per-record year lookup is a two-comparison range check instead of a
-// time.Unix breakdown. Consecutive records overwhelmingly share a year (a
-// block spans minutes of record time; years change once per ~31.5M seconds),
-// so the slow path runs a handful of times per archive. Not safe for
-// concurrent use — each Writer owns one.
-type yearCache struct {
+// YearCache memoizes one calendar year's nanosecond boundaries so a
+// per-record year lookup — the writer's zone maps, the query executor's year
+// grouping — is a two-comparison range check instead of a time.Unix
+// breakdown. Consecutive records overwhelmingly share a year (a block spans
+// minutes of record time; years change once per ~31.5M seconds), so the slow
+// path runs a handful of times per archive. The zero value is ready. Not safe
+// for concurrent use — each Writer and each query Executor owns one.
+type YearCache struct {
 	lo, hi int64 // [lo, hi) bounds the cached year; hi == 0 means empty
 	y      uint16
 }
 
-// year returns uint16(yearOf(ns)), consulting the cached boundaries first.
-func (c *yearCache) year(ns int64) uint16 {
+// Year returns uint16(YearOf(ns)), consulting the cached boundaries first.
+func (c *YearCache) Year(ns int64) uint16 {
 	if c.hi != 0 && ns >= c.lo && ns < c.hi {
 		return c.y
 	}
-	y := yearOf(ns)
+	y := YearOf(ns)
 	// Years whose full [Jan 1, next Jan 1) span fits in int64 nanoseconds
 	// are cacheable; the extremes (outside 1678–2261) fall back to the
 	// direct computation every time, which only synthetic inputs hit.
@@ -182,7 +184,7 @@ func (z *ZoneMap) reset() {
 }
 
 // observe folds one record into the zone map. y must be the record's UTC
-// start year (the caller's yearCache supplies it without a per-record
+// start year (the caller's YearCache supplies it without a per-record
 // time.Unix breakdown — this is the ingest hot path).
 func (z *ZoneMap) observe(sc *core.Scan, y uint16) {
 	z.Scans++
@@ -309,148 +311,129 @@ func appendRecord(b []byte, sc *core.Scan, o *enrich.Origin, prevStart int64) []
 	return b
 }
 
-// decodeRecord is the inverse of appendRecord. It decodes one record from
-// b into sc (and o when withOrigin), returning the remaining bytes and the
-// record's start time for the next delta.
-func decodeRecord(b []byte, sc *core.Scan, o *enrich.Origin, withOrigin, withPhases bool, prevStart int64) ([]byte, int64, error) {
-	delta, b, err := readUvarint(b)
-	if err != nil {
-		return nil, 0, err
+// recordDecoder is what decodeRecord needs beyond the record's bytes: the
+// file's record layout, where kept ports and payload go and which of them the
+// query reads (sl), and the string table (in).
+type recordDecoder struct {
+	origins, phases bool
+	sl              *slabs
+	in              *interner
+}
+
+// decodeRecord is the inverse of appendRecord. It decodes the record at
+// b[i:] into sc and, when o is non-nil, its origin into o, returning the
+// index of the next record and this record's start time for the next delta.
+// Every byte is parsed and checked whatever d.sl.fields says; parts outside
+// it are just not stored. Ports and payload are lent from the arenas: the
+// caller commits them (arena.keep) if it keeps the record.
+func (d *recordDecoder) decodeRecord(b []byte, i int, sc *core.Scan, o *enrich.Origin, prevStart int64) (int, int64, error) {
+	*sc = core.Scan{}
+	delta, i := uvarint(b, i)
+	durU, i := uvarint(b, i)
+	if i < 0 || len(b)-i < 4 {
+		return 0, 0, ErrCorrupt
 	}
 	sc.Start = prevStart + unzigzag(delta)
-	durU, b, err := readUvarint(b)
-	if err != nil {
-		return nil, 0, err
-	}
 	sc.End = sc.Start + int64(durU)
-	if len(b) < 4 {
-		return nil, 0, ErrCorrupt
-	}
-	sc.Src = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if sc.Packets, b, err = readUvarint(b); err != nil {
-		return nil, 0, err
-	}
-	dsts, b, err := readUvarint(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	if dsts > math.MaxInt32 {
-		return nil, 0, ErrCorrupt
+	sc.Src = binary.BigEndian.Uint32(b[i:])
+	i += 4
+	sc.Packets, i = uvarint(b, i)
+	dsts, i := uvarint(b, i)
+	nPorts, i := uvarint(b, i)
+	if i < 0 || dsts > math.MaxInt32 || nPorts > 65536 {
+		return 0, 0, ErrCorrupt
 	}
 	sc.DistinctDsts = int(dsts)
-	nPorts, b, err := readUvarint(b)
-	if err != nil {
-		return nil, 0, err
+	keepPorts := d.sl.fields&FieldPorts != 0
+	if keepPorts {
+		sc.Ports = d.sl.ports.take(int(nPorts))
 	}
-	if nPorts > 65536 {
-		return nil, 0, ErrCorrupt
-	}
-	sc.Ports = make([]uint16, nPorts)
-	var prev uint64
-	for i := range sc.Ports {
-		d, rest, err := readUvarint(b)
-		if err != nil {
-			return nil, 0, err
+	var port uint64
+	for p := 0; p < int(nPorts); p++ {
+		var delta uint64
+		if i < len(b) && b[i] < 0x80 { // nearly every port delta is one byte
+			delta = uint64(b[i])
+			i++
+		} else if delta, i = uvarint(b, i); i < 0 {
+			return 0, 0, ErrCorrupt
 		}
-		b = rest
-		if i == 0 {
-			prev = d
+		if p == 0 {
+			port = delta
 		} else {
-			prev += d
+			port += delta
 		}
-		if prev > math.MaxUint16 {
-			return nil, 0, ErrCorrupt
+		if port > math.MaxUint16 {
+			return 0, 0, ErrCorrupt
 		}
-		sc.Ports[i] = uint16(prev)
+		if keepPorts {
+			sc.Ports[p] = uint16(port)
+		}
 	}
-	if len(b) < 1+8+8 {
-		return nil, 0, ErrCorrupt
+	if len(b)-i < 1+8+8 {
+		return 0, 0, ErrCorrupt
 	}
-	sc.Tool = tools.Tool(b[0] & 0x3f)
-	sc.Qualified = b[0]&0x80 != 0
-	sc.RatePPS = math.Float64frombits(binary.BigEndian.Uint64(b[1:9]))
-	sc.Coverage = math.Float64frombits(binary.BigEndian.Uint64(b[9:17]))
-	b = b[17:]
-	sc.TwoPhase, sc.ISN, sc.LinkedDsts = false, fingerprint.ISNUnknown, 0
-	sc.HandshakePackets, sc.PayloadBytes, sc.Payload = 0, 0, nil
+	sc.Tool = tools.Tool(b[i] & 0x3f)
+	sc.Qualified = b[i]&0x80 != 0
+	sc.RatePPS = math.Float64frombits(binary.BigEndian.Uint64(b[i+1:]))
+	sc.Coverage = math.Float64frombits(binary.BigEndian.Uint64(b[i+9:]))
+	i += 17
 	sc.ScoutPackets = sc.Packets
-	if withPhases {
-		if len(b) < 1 {
-			return nil, 0, ErrCorrupt
+	if d.phases {
+		if i >= len(b) {
+			return 0, 0, ErrCorrupt
 		}
-		ph := b[0]
-		b = b[1:]
+		ph := b[i]
+		i++
 		sc.TwoPhase = ph&0x01 != 0
 		sc.ISN = fingerprint.ISNClass(ph >> 1 & 0x03)
-		linked, rest, err := readUvarint(b)
-		if err != nil {
-			return nil, 0, err
-		}
-		b = rest
-		if linked > math.MaxInt32 {
-			return nil, 0, ErrCorrupt
+		var linked uint64
+		linked, i = uvarint(b, i)
+		sc.HandshakePackets, i = uvarint(b, i)
+		sc.PayloadBytes, i = uvarint(b, i)
+		if i < 0 || linked > math.MaxInt32 || sc.HandshakePackets > sc.Packets {
+			return 0, 0, ErrCorrupt
 		}
 		sc.LinkedDsts = int(linked)
-		if sc.HandshakePackets, b, err = readUvarint(b); err != nil {
-			return nil, 0, err
-		}
-		if sc.HandshakePackets > sc.Packets {
-			return nil, 0, ErrCorrupt
-		}
 		sc.ScoutPackets = sc.Packets - sc.HandshakePackets
-		if sc.PayloadBytes, b, err = readUvarint(b); err != nil {
-			return nil, 0, err
-		}
 		if ph&0x08 != 0 {
-			if len(b) < 1 {
-				return nil, 0, ErrCorrupt
+			if i >= len(b) {
+				return 0, 0, ErrCorrupt
 			}
-			n := int(b[0])
-			b = b[1:]
-			if n == 0 || n > len(b) {
-				return nil, 0, ErrCorrupt
+			n := int(b[i])
+			i++
+			if n == 0 || n > len(b)-i {
+				return 0, 0, ErrCorrupt
 			}
-			sc.Payload = append([]byte(nil), b[:n]...)
-			b = b[n:]
+			if d.sl.fields&FieldPayload != 0 {
+				sc.Payload = d.sl.payload.take(n)
+				copy(sc.Payload, b[i:])
+			}
+			i += n
 		}
 	}
-	if withOrigin {
-		var s string
-		if s, b, err = readString(b); err != nil {
-			return nil, 0, err
+	if d.origins {
+		var country, org []byte
+		var asn, orgID uint64
+		country, i = lenPrefixed(b, i)
+		asn, i = uvarint(b, i)
+		if i < 0 || i >= len(b) || asn > math.MaxUint32 {
+			return 0, 0, ErrCorrupt
 		}
-		o.Country = s
-		asn, rest, err := readUvarint(b)
-		if err != nil {
-			return nil, 0, err
+		typ := inetmodel.ScannerType(b[i])
+		orgID, i = uvarint(b, i+1)
+		id := unzigzag(orgID)
+		org, i = lenPrefixed(b, i)
+		if i < 0 || id < math.MinInt16 || id > math.MaxInt16 {
+			return 0, 0, ErrCorrupt
 		}
-		b = rest
-		if asn > math.MaxUint32 {
-			return nil, 0, ErrCorrupt
+		if o != nil {
+			*o = enrich.Origin{
+				Country: d.in.intern(country), ASN: uint32(asn), Type: typ,
+				OrgID: int16(id), OrgName: d.in.intern(org),
+			}
 		}
-		o.ASN = uint32(asn)
-		if len(b) < 1 {
-			return nil, 0, ErrCorrupt
-		}
-		o.Type = inetmodel.ScannerType(b[0])
-		b = b[1:]
-		org, rest, err := readUvarint(b)
-		if err != nil {
-			return nil, 0, err
-		}
-		b = rest
-		id := unzigzag(org)
-		if id < math.MinInt16 || id > math.MaxInt16 {
-			return nil, 0, ErrCorrupt
-		}
-		o.OrgID = int16(id)
-		if s, b, err = readString(b); err != nil {
-			return nil, 0, err
-		}
-		o.OrgName = s
 	}
-	return b, sc.Start, nil
+	return i, sc.Start, nil
 }
 
 // zigzag maps signed values to unsigned varint-friendly ones.
@@ -458,13 +441,36 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// readUvarint consumes one uvarint from b.
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, ErrCorrupt
+// uvarint reads one uvarint at b[i:] and returns it with the index after it.
+// A negative index — passed in or returned — means the input was malformed
+// (more than ten bytes, or a tenth byte above 1: binary.Uvarint's overflow
+// rule) or ran out; it is sticky, so a run of reads needs one check at its
+// end. It works on the index rather than re-slicing b, which is most of its
+// edge over binary.Uvarint on this path's one- to five-byte values.
+func uvarint(b []byte, i int) (uint64, int) {
+	if uint(i) >= uint(len(b)) { // also a negative i
+		return 0, -1
 	}
-	return v, b[n:], nil
+	c := b[i]
+	if c < 0x80 {
+		return uint64(c), i + 1
+	}
+	v := uint64(c & 0x7f)
+	for shift := uint(7); shift < 64; shift += 7 {
+		i++
+		if i >= len(b) {
+			return 0, -1
+		}
+		c = b[i]
+		if c < 0x80 {
+			if shift == 63 && c > 1 {
+				return 0, -1
+			}
+			return v | uint64(c)<<shift, i + 1
+		}
+		v |= uint64(c&0x7f) << shift
+	}
+	return 0, -1
 }
 
 // appendString appends a uvarint-length-prefixed string.
@@ -473,16 +479,14 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// readString consumes one length-prefixed string from b.
-func readString(b []byte) (string, []byte, error) {
-	n, b, err := readUvarint(b)
-	if err != nil {
-		return "", nil, err
+// lenPrefixed reads one uvarint-length-prefixed string at b[i:], as a view of
+// b, with uvarint's index convention.
+func lenPrefixed(b []byte, i int) ([]byte, int) {
+	n, i := uvarint(b, i)
+	if i < 0 || n > uint64(len(b)-i) {
+		return nil, -1
 	}
-	if n > uint64(len(b)) {
-		return "", nil, ErrCorrupt
-	}
-	return string(b[:n]), b[n:], nil
+	return b[i : i+int(n)], i + int(n)
 }
 
 // header builds the 12-byte file header.

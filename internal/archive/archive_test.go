@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -125,9 +126,14 @@ func TestRoundTrip(t *testing.T) {
 			}
 			var gotScans []*core.Scan
 			var gotOrigins []enrich.Origin
-			if err := r.Scans(Filter{}, func(sc *core.Scan, o enrich.Origin) {
+			if err := scan(t, r, context.Background(), &Filter{}, func(sc *core.Scan, o *enrich.Origin) {
 				gotScans = append(gotScans, sc)
-				gotOrigins = append(gotOrigins, o)
+				if (o != nil) != withOrigins {
+					t.Fatalf("origin %v from an archive with origins=%v", o, withOrigins)
+				}
+				if o != nil {
+					gotOrigins = append(gotOrigins, *o)
+				}
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +185,7 @@ func TestFilterMatchesLinearScan(t *testing.T) {
 			}
 		}
 		var got []*core.Scan
-		if err := r.Scans(f, func(sc *core.Scan, _ enrich.Origin) {
+		if err := scan(t, r, context.Background(), &f, func(sc *core.Scan, _ *enrich.Origin) {
 			got = append(got, sc)
 		}); err != nil {
 			t.Fatalf("filter %d: %v", fi, err)
@@ -211,8 +217,8 @@ func TestZoneMapPruning(t *testing.T) {
 	r.SetMetrics(reg)
 
 	n := 0
-	if err := r.Scans(Filter{Years: []int{2020}, Tools: []tools.Tool{tools.ToolZMap}},
-		func(sc *core.Scan, _ enrich.Origin) { n++ }); err != nil {
+	if err := scan(t, r, context.Background(), &Filter{Years: []int{2020}, Tools: []tools.Tool{tools.ToolZMap}},
+		func(sc *core.Scan, _ *enrich.Origin) { n++ }); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -295,7 +301,7 @@ func TestCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Scans(Filter{}, func(*core.Scan, enrich.Origin) {}); err == nil {
+		if err := scan(t, r, context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) {}); err == nil {
 			t.Fatal("want block decode error")
 		}
 	})
@@ -308,7 +314,7 @@ func TestEmptyArchive(t *testing.T) {
 	if r.NumBlocks() != 0 || r.NumScans() != 0 {
 		t.Fatalf("blocks %d scans %d", r.NumBlocks(), r.NumScans())
 	}
-	if err := r.Scans(Filter{}, func(*core.Scan, enrich.Origin) {
+	if err := scan(t, r, context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) {
 		t.Fatal("emit on empty archive")
 	}); err != nil {
 		t.Fatal(err)
@@ -348,7 +354,7 @@ func BenchmarkArchiveQuery(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			n := 0
-			if err := r.Scans(Filter{}, func(*core.Scan, enrich.Origin) { n++ }); err != nil {
+			if err := r.Query(context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -358,7 +364,7 @@ func BenchmarkArchiveQuery(b *testing.B) {
 		f := Filter{Years: []int{2020}, Tools: []tools.Tool{tools.ToolZMap}}
 		for i := 0; i < b.N; i++ {
 			n := 0
-			if err := r.Scans(f, func(*core.Scan, enrich.Origin) { n++ }); err != nil {
+			if err := r.Query(context.Background(), &f, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -326,12 +326,16 @@ func (c *Compactor) merge(inputs []SegmentMeta, outSeq uint64) (SegmentMeta, err
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		var addErr error
-		err = rd.ScansContext(ctx, Filter{}, func(sc *core.Scan, o enrich.Origin) {
+		err = rd.Query(ctx, &Filter{}, func(sc *core.Scan, o *enrich.Origin) {
 			if addErr != nil {
 				return
 			}
 			if c.sw.cfg.Origins {
-				addErr = w.AddWithOrigin(sc, o)
+				var origin enrich.Origin // zero for an input written without origins
+				if o != nil {
+					origin = *o
+				}
+				addErr = w.AddWithOrigin(sc, origin)
 			} else {
 				addErr = w.Add(sc)
 			}

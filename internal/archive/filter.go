@@ -8,19 +8,24 @@ import (
 )
 
 // Predicate is the reader's pushdown contract: anything that can (a) prove
-// from a zone map alone that no scan in a block matches, and (b) decide a
-// decoded scan. Reader.Query evaluates MatchBlock once per block — false
+// from a zone map alone that no scan in a block matches, (b) decide a
+// decoded scan, and (c) say which variable-size record parts anyone
+// downstream reads. Reader.Query evaluates MatchBlock once per block — false
 // skips the block without decompressing it — and Match once per decoded
 // record. MatchBlock must be conservative: it may return true for a block
 // with no matching scans (the decode filters them), but must never return
-// false for a block containing one. Match receives the record's origin when
-// the archive carries origins (see Reader.HasOrigins), nil otherwise.
+// false for a block containing one. Fields is the projection: it must cover
+// what Match itself reads and what the consumer of emitted scans reads;
+// parts outside it are parsed but not stored (see Fields). Match receives the
+// record's origin when the archive carries origins (see Reader.HasOrigins)
+// and Fields includes FieldOrigin, nil otherwise.
 //
 // Filter is the fixed-form conjunction implementation; internal/query
 // compiles arbitrary filter ASTs into Predicates.
 type Predicate interface {
 	MatchBlock(z *ZoneMap) bool
 	Match(sc *core.Scan, o *enrich.Origin) bool
+	Fields() Fields
 }
 
 // Filter is a conjunction of predicates over archived scans. The zero value
@@ -45,6 +50,10 @@ type Filter struct {
 	QualifiedOnly bool
 }
 
+// Fields implements Predicate: a Filter says nothing about its consumer, so
+// the decode is full.
+func (f *Filter) Fields() Fields { return AllFields }
+
 // Match implements Predicate; a Filter never inspects origins.
 func (f *Filter) Match(sc *core.Scan, _ *enrich.Origin) bool { return f.MatchScan(sc) }
 
@@ -63,7 +72,7 @@ func (f *Filter) MatchScan(sc *core.Scan) bool {
 		return false
 	}
 	if len(f.Years) > 0 {
-		y := yearOf(sc.Start)
+		y := YearOf(sc.Start)
 		ok := false
 		for _, want := range f.Years {
 			if y == want {

@@ -18,9 +18,9 @@ import (
 )
 
 // Reader queries an archive file. It parses the footer index once at open;
-// Scans then decompresses only the blocks a Filter cannot prune, on a
+// Query then decompresses only the blocks a Predicate cannot prune, on a
 // worker pool, and streams decoded scans to the caller in file order.
-// A Reader is safe for concurrent Scans calls (each call owns its pool).
+// A Reader is safe for concurrent Query calls (each call owns its pool).
 type Reader struct {
 	ra          io.ReaderAt
 	size        int64
@@ -53,7 +53,7 @@ type ReaderOption func(*Reader)
 // of failing the whole query. Skipped blocks are counted in CorruptBlocks
 // and the faults.archive.corrupt_blocks metric; every intact block still
 // streams, in order. The default (without this option) is fail-fast: any
-// damaged block aborts Scans with an error.
+// damaged block aborts Query with an error.
 func WithSkipCorrupt() ReaderOption {
 	return func(r *Reader) { r.skipCorrupt = true }
 }
@@ -178,8 +178,8 @@ func (r *Reader) Blocks() []ZoneMap {
 	return out
 }
 
-// SetWorkers bounds the decode pool for subsequent Scans calls (minimum 1;
-// the default is GOMAXPROCS). Not safe concurrently with Scans.
+// SetWorkers bounds the decode pool for subsequent Query calls (minimum 1;
+// the default is GOMAXPROCS). Not safe concurrently with Query.
 func (r *Reader) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -202,56 +202,48 @@ func (r *Reader) SetMetrics(reg *obs.Registry) {
 }
 
 // CorruptBlocks returns the number of damaged blocks skipped so far by a
-// WithSkipCorrupt reader, cumulative across Scans calls (a block damaged on
+// WithSkipCorrupt reader, cumulative across Query calls (a block damaged on
 // disk is counted once per query that decodes it).
 func (r *Reader) CorruptBlocks() uint64 { return r.corrupt.Load() }
 
-// blockScans is one decoded block: scans and (when the file has them)
-// parallel origins. corrupt marks a damaged block a WithSkipCorrupt reader
+// blockScans is one decoded block: the kept records as runs of slab memory,
+// in record order. corrupt marks a damaged block a WithSkipCorrupt reader
 // converted into a counted skip.
 type blockScans struct {
-	scans   []*core.Scan
-	origins []enrich.Origin
+	runs    []run
 	corrupt bool
 	err     error
 }
 
-// Scans streams every scan matching f to emit, in file order (block order,
-// record order within a block — i.e. the order scans were archived in).
-// Blocks whose zone map excludes f are skipped without decompression; the
-// surviving blocks are decoded on a worker pool while emit runs on the
-// calling goroutine. The origin is the zero Origin when the archive carries
-// none (see HasOrigins). Damaged blocks abort with an error unless the
-// reader was opened WithSkipCorrupt (see CorruptBlocks).
-func (r *Reader) Scans(f Filter, emit func(sc *core.Scan, o enrich.Origin)) error {
-	return r.ScansContext(context.Background(), f, emit)
-}
-
-// ScansContext is Scans with cancellation: the query stops decoding and
-// returns ctx.Err() as soon as the context is done, between blocks. Emitted
-// scans up to that point are valid.
-func (r *Reader) ScansContext(ctx context.Context, f Filter, emit func(sc *core.Scan, o enrich.Origin)) error {
-	return r.Query(ctx, &f, emit)
-}
-
-// Query streams every scan matching p to emit, in file order, under full
-// predicate pushdown: blocks whose zone map p.MatchBlock excludes are
-// skipped without decompression, surviving blocks are decoded on a worker
-// pool, and p.Match drops non-matching records before they reach emit (with
-// the record's origin when the archive carries origins, nil otherwise; the
-// emit callback still receives the zero Origin value in that case). This is
-// the generalized form of Scans/ScansContext — a Filter is one Predicate —
-// and the execution surface internal/query compiles its ASTs onto.
-func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan, o enrich.Origin)) error {
+// Query streams every scan matching p to emit, in file order (block order,
+// record order within a block — i.e. the order scans were archived in),
+// under full predicate pushdown: blocks whose zone map p.MatchBlock excludes
+// are skipped without decompression, surviving blocks are decoded on a
+// worker pool while emit runs on the calling goroutine, and p.Match drops
+// non-matching records before they reach emit. It is the one way to scan an
+// archive: a Filter is one Predicate (pass &Filter{} for everything),
+// internal/query compiles its ASTs into others.
+//
+// emit receives pointers into the query's own decode slabs: they stay valid
+// for as long as the caller holds them and are never reused, so keeping a
+// scan is free but pins the slab chunk it sits in (see slabs). The origin is
+// nil when the archive carries none (see HasOrigins) or p.Fields leaves it
+// out; Scan.Ports and Scan.Payload are likewise nil unless p.Fields names
+// them.
+//
+// The query stops decoding and returns ctx.Err() as soon as the context is
+// done, between blocks; scans emitted up to that point are valid. Damaged
+// blocks abort with an error unless the reader was opened WithSkipCorrupt
+// (see CorruptBlocks).
+func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan, o *enrich.Origin)) error {
 	// Predicate pushdown over the zone maps.
 	var live []int
 	for i := range r.index {
 		if p.MatchBlock(&r.index[i]) {
 			live = append(live, i)
-		} else {
-			r.mSkipped.Inc()
 		}
 	}
+	r.mSkipped.Add(uint64(len(r.index) - len(live)))
 	r.mScanned.Add(uint64(len(live)))
 	if len(live) == 0 {
 		return nil
@@ -274,17 +266,19 @@ func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan
 	}
 	close(jobs)
 
+	fields := p.Fields()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sl := newSlabs(fields)
 			for j := range jobs {
 				if err := ctx.Err(); err != nil {
 					results[j] <- blockScans{err: err}
 					continue
 				}
-				results[j] <- r.decodeBlock(&r.index[live[j]], p)
+				results[j] <- r.decodeBlock(&r.index[live[j]], p, sl)
 			}
 		}()
 	}
@@ -300,12 +294,14 @@ func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for i, sc := range res.scans {
-			var o enrich.Origin
-			if res.origins != nil {
-				o = res.origins[i]
+		for _, run := range res.runs {
+			for i := range run.scans {
+				var o *enrich.Origin
+				if run.origins != nil {
+					o = &run.origins[i]
+				}
+				emit(&run.scans[i], o)
 			}
-			emit(sc, o)
 		}
 	}
 	return nil
@@ -323,18 +319,20 @@ func (r *Reader) fail(err error) blockScans {
 }
 
 // blockScratch bundles the per-block scratch a decode cycles through: the
-// compressed read buffer, the decompressed raw buffer, and a reusable-state
+// compressed read buffer, the decompressed raw buffer, a reusable-state
 // DEFLATE decoder (internal/inflate keeps its Huffman tables across blocks,
 // so a warmed scratch decompresses without allocating — compress/flate
-// rebuilds its link tables per stream even when Reset). The unit lives in
-// scratchPool; decodeRecord copies every byte it keeps (ports, payload,
-// strings), so nothing decoded from a scratch — including the scans a
-// CatalogView query hands out — aliases it after release. That invariant is
-// pinned by TestPoolPoisoning.
+// rebuilds its link tables per stream even when Reset) and the origin-string
+// table. The unit lives in scratchPool; everything decodeRecord keeps is
+// decoded or copied into the query's own slabs (ports, payload) or is an
+// immutable interned string, so nothing decoded from a scratch — including
+// the scans a CatalogView query hands out — aliases it after release. That
+// invariant is pinned by TestPoolPoisoning.
 type blockScratch struct {
-	comp []byte
-	raw  []byte
-	inf  inflate.Decoder
+	comp    []byte
+	raw     []byte
+	inf     inflate.Decoder
+	strings interner
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
@@ -414,8 +412,8 @@ func (r *Reader) readBlock(z *ZoneMap, s *blockScratch) error {
 // RawBlock reads, checksums and decompresses block i, handing the raw record
 // bytes to visit. The slice is pool-owned scratch, valid only for the
 // duration of the call — visit must copy anything it keeps. It exposes the
-// pooled read path without the per-record decode allocations on top, for the
-// allocation harness (cmd/synbench, the alloctest budgets).
+// pooled read path without the record decode on top, for the benchmark's
+// stage ledger and the alloctest budgets.
 func (r *Reader) RawBlock(i int, visit func(raw []byte) error) error {
 	if i < 0 || i >= len(r.index) {
 		return fmt.Errorf("archive: block %d out of range [0,%d)", i, len(r.index))
@@ -428,10 +426,12 @@ func (r *Reader) RawBlock(i int, visit func(raw []byte) error) error {
 	return visit(s.raw)
 }
 
-// decodeBlock reads, checksums, decompresses and decodes one block, keeping
-// only scans matching p. All scratch comes from (and returns to) the block
-// pool; the decoded scans copy every byte they keep, so they outlive it.
-func (r *Reader) decodeBlock(z *ZoneMap, p Predicate) blockScans {
+// decodeBlock reads, checksums, decompresses and decodes one block into sl,
+// keeping only scans matching p. Read scratch comes from (and returns to) the
+// block pool; a record decodes in place into the slabs' tail slot and only a
+// match commits the slot, so memory is consumed per kept record, not per
+// record examined.
+func (r *Reader) decodeBlock(z *ZoneMap, p Predicate, sl *slabs) blockScans {
 	s := scratchPool.Get().(*blockScratch)
 	defer s.release()
 	if err := r.readBlock(z, s); err != nil {
@@ -444,36 +444,46 @@ func (r *Reader) decodeBlock(z *ZoneMap, p Predicate) blockScans {
 		return r.fail(fmt.Errorf("%w: block at %d: %d scans in %d bytes",
 			ErrCorrupt, z.Offset, z.Scans, len(raw)))
 	}
-	out := blockScans{scans: make([]*core.Scan, 0, z.Scans)}
-	if r.origins {
-		out.origins = make([]enrich.Origin, 0, z.Scans)
-	}
+	dec := recordDecoder{origins: r.origins, phases: r.phases, sl: sl, in: &s.strings}
+	withOrigin := r.origins && sl.fields&FieldOrigin != 0
+	var out blockScans
+	// The open run is the slab chunk's tail from start; it closes when the
+	// chunk fills and at the end of the block.
+	start := len(sl.scans.chunk)
 	var prev int64
-	b := raw
+	var matched uint64
+	at := 0 // index of the next record in raw
 	for i := uint32(0); i < z.Scans; i++ {
-		sc := new(core.Scan)
-		var o enrich.Origin
+		if len(sl.scans.chunk) == cap(sl.scans.chunk) {
+			out.runs = sl.appendRun(out.runs, start, withOrigin)
+			start = 0 // the take below opens a new chunk
+		}
+		sc := &sl.scans.take(1)[0]
+		var o *enrich.Origin
+		if withOrigin {
+			o = &sl.origins.take(1)[0]
+		}
 		var err error
-		b, prev, err = decodeRecord(b, sc, &o, r.origins, r.phases, prev)
+		at, prev, err = dec.decodeRecord(raw, at, sc, o, prev)
 		if err != nil {
 			return r.fail(fmt.Errorf("archive: block at %d, record %d: %w", z.Offset, i, err))
 		}
-		r.mDecoded.Inc()
-		var op *enrich.Origin
-		if r.origins {
-			op = &o
-		}
-		if !p.Match(sc, op) {
+		if !p.Match(sc, o) {
 			continue
 		}
-		r.mMatched.Inc()
-		out.scans = append(out.scans, sc)
-		if r.origins {
-			out.origins = append(out.origins, o)
+		matched++
+		sl.scans.keep(1)
+		if withOrigin {
+			sl.origins.keep(1)
 		}
+		sl.ports.keep(len(sc.Ports))
+		sl.payload.keep(len(sc.Payload))
 	}
-	if len(b) != 0 {
-		return r.fail(fmt.Errorf("%w: block at %d: %d trailing bytes", ErrCorrupt, z.Offset, len(b)))
+	if at != len(raw) {
+		return r.fail(fmt.Errorf("%w: block at %d: %d trailing bytes", ErrCorrupt, z.Offset, len(raw)-at))
 	}
+	out.runs = sl.appendRun(out.runs, start, withOrigin)
+	r.mDecoded.Add(uint64(z.Scans))
+	r.mMatched.Add(matched)
 	return out
 }

@@ -42,7 +42,7 @@ func viewScans(t testing.TB, v *CatalogView) []*core.Scan {
 	t.Helper()
 	var out []*core.Scan
 	for i := 0; i < v.Len(); i++ {
-		if err := v.Reader(i).Scans(Filter{}, func(sc *core.Scan, _ enrich.Origin) {
+		if err := v.Reader(i).Query(context.Background(), &Filter{}, func(sc *core.Scan, _ *enrich.Origin) {
 			out = append(out, sc)
 		}); err != nil {
 			t.Fatalf("segment %s: %v", v.Name(i), err)
@@ -143,7 +143,7 @@ func TestSegmentStoreEquivalence(t *testing.T) {
 	scans, origins := testScans(3000, 3)
 	single := writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, BlockBytes: 4 << 10})
 	var want []*core.Scan
-	if err := openArchive(t, single).Scans(Filter{}, func(sc *core.Scan, _ enrich.Origin) {
+	if err := scan(t, openArchive(t, single), context.Background(), &Filter{}, func(sc *core.Scan, _ *enrich.Origin) {
 		want = append(want, sc)
 	}); err != nil {
 		t.Fatal(err)
@@ -734,7 +734,7 @@ func TestConcurrentDiscoveryDuringQueries(t *testing.T) {
 				v := cat.View()
 				n := 0
 				for i := 0; i < v.Len(); i++ {
-					if err := v.Reader(i).Scans(Filter{}, func(*core.Scan, enrich.Origin) { n++ }); err != nil {
+					if err := v.Reader(i).Query(context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
 						t.Errorf("query over %s: %v", v.Name(i), err)
 					}
 				}
@@ -802,7 +802,7 @@ func TestSegmentNameRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkYearLookup quantifies the yearCache win on the ingest hot path:
+// BenchmarkYearLookup quantifies the YearCache win on the ingest hot path:
 // the cached range check versus the time.Unix breakdown it replaced.
 func BenchmarkYearLookup(b *testing.B) {
 	scans, _ := testScans(4096, 71)
@@ -817,16 +817,16 @@ func BenchmarkYearLookup(b *testing.B) {
 		b.ReportAllocs()
 		var sink int
 		for i := 0; i < b.N; i++ {
-			sink += yearOf(starts[i%len(starts)])
+			sink += YearOf(starts[i%len(starts)])
 		}
 		_ = sink
 	})
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
-		var c yearCache
+		var c YearCache
 		var sink uint16
 		for i := 0; i < b.N; i++ {
-			sink += c.year(starts[i%len(starts)])
+			sink += c.Year(starts[i%len(starts)])
 		}
 		_ = sink
 	})

@@ -44,7 +44,7 @@ type Writer struct {
 	off      uint64 // bytes written so far (= next block offset)
 	buf      []byte // current block's uncompressed payload
 	zone     ZoneMap
-	years    yearCache
+	years    YearCache
 	prev     int64 // previous record's start time within the block
 	index    []ZoneMap
 	scratch  bytes.Buffer
@@ -138,7 +138,7 @@ func (w *Writer) add(sc *core.Scan, o *enrich.Origin) error {
 	}
 	w.buf = appendRecord(w.buf, sc, o, w.prev)
 	w.prev = sc.Start
-	w.zone.observe(sc, w.years.year(sc.Start))
+	w.zone.observe(sc, w.years.Year(sc.Start))
 	if w.nScans == 0 || sc.Start < w.minStart {
 		w.minStart = sc.Start
 	}

@@ -3,12 +3,15 @@
 //
 // The standard library's compress/flate allocates its Huffman overflow link
 // tables on every dynamic-Huffman stream — ~17 allocations per archive
-// block, even with the flate.Reader itself pooled and Reset. This decoder
-// exists to close that gap: all decode state (the flat Huffman lookup
-// tables, the scratch code-length array) lives in the Decoder and is reused
+// block, even with the flate.Reader itself pooled and Reset — and moves one
+// symbol at a time through a byte-at-a-time bit reader. This decoder exists
+// to close both gaps: all decode state lives in the Decoder and is reused
 // across streams, so a warmed Decoder performs zero heap allocations per
-// block. That is what makes the "archive-block-read" allocation budget
-// (internal/alloctest) hold.
+// block (the "archive-block-read" budget in internal/alloctest), and the
+// block loop keeps its bit buffer, input position and output index in
+// registers, refills eight bytes at a time, reads length/distance base and
+// extra-bit counts straight out of the table entry, and writes by index into
+// an output sized once.
 //
 // Scope is deliberately narrow: whole-buffer decompression of a complete
 // DEFLATE stream into an append-target, with an output limit. No streaming,
@@ -19,8 +22,10 @@
 package inflate
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/bits"
+	"slices"
 )
 
 var (
@@ -33,47 +38,102 @@ var (
 // maxCodeLen is the longest Huffman code DEFLATE permits.
 const maxCodeLen = 15
 
-// table is one canonical Huffman decode table: a flat lookup sized 1<<max
-// (max = longest code in use), indexed by the next max input bits in stream
-// (LSB-first) order. Entries pack symbol<<4 | codeLength; 0 marks a bit
-// pattern no code covers (possible in the degenerate incomplete codings
-// DEFLATE allows — hitting one during decode is ErrCorrupt). The entries
-// backing array is retained across builds; steady-state rebuilds allocate
-// nothing.
-type table struct {
-	entries []uint16
-	mask    uint32
-	max     uint
+// A table entry says everything the block loop needs about one decoded
+// symbol, so the loop never consults a second array:
+//
+//	bits 0..4    bits to consume: the code's length plus its extra bits
+//	bits 5..8    the code's length alone
+//	bits 9..12   entry kind (one of the flags below; none set = no such code)
+//	bits 16..31  literal byte, length or distance base, or subtable offset
+//
+// For a link entry bits 0..4 hold the subtable's index width instead.
+const (
+	flagLiteral = 1 << 9  // value is an output byte
+	flagEnd     = 1 << 10 // end of block
+	flagBase    = 1 << 11 // value is a length/distance base; extra bits follow the code
+	flagLink    = 1 << 12 // codes with this prefix are longer than the primary index
+
+	totMask   = 31
+	lenShift  = 5
+	valShift  = 16
+	litBits   = 10 // primary index widths: codes up to this long resolve in one lookup
+	distBits  = 8
+	clenBits  = 7 // the code-length alphabet's codes are at most 7 bits: never links
+	litSyms   = 288
+	distSyms  = 32
+	clenSyms  = 19
+	refillMin = 48 // a length code, its extra bits, a distance code and its extra bits: 15+5+15+13
+)
+
+// Length and distance code expansion (RFC 1951 §3.2.5).
+var (
+	lenBase = [29]uint16{3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31,
+		35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258}
+	lenExtra = [29]uint8{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2,
+		3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0}
+	distBase = [30]uint16{1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193,
+		257, 385, 513, 769, 1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577}
+	distExtra = [30]uint8{0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6,
+		7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13}
+	// clenOrder is the transmission order of the code-length code lengths.
+	clenOrder = [19]uint8{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
+)
+
+// Per-alphabet entry templates: everything of a symbol's entry except its
+// code length, which build adds. Symbols the format reserves (literal/length
+// 286–287, distance 30–31) keep a zero template and decode as corrupt.
+var (
+	litTemplate  [litSyms]uint32
+	distTemplate [distSyms]uint32
+	clenTemplate [clenSyms]uint32
+)
+
+func init() {
+	for s := 0; s < 256; s++ {
+		litTemplate[s] = flagLiteral | uint32(s)<<valShift
+	}
+	litTemplate[256] = flagEnd
+	for i, base := range lenBase {
+		litTemplate[257+i] = flagBase | uint32(base)<<valShift | uint32(lenExtra[i])
+	}
+	for i, base := range distBase {
+		distTemplate[i] = flagBase | uint32(base)<<valShift | uint32(distExtra[i])
+	}
+	for s := range clenTemplate {
+		clenTemplate[s] = flagLiteral | uint32(s)<<valShift
+	}
 }
 
-// build constructs the canonical code table for the given per-symbol code
-// lengths (0 = symbol absent). Over-subscribed codings are rejected;
-// incomplete codings are permitted (their gaps error at decode time), which
-// matches the degenerate single-code streams compress/flate emits.
-func (t *table) build(lengths []byte) error {
+// table is one canonical Huffman decode table in two levels: a primary array
+// indexed by the next primary input bits in stream (LSB-first) order, and,
+// for codes longer than that, subtables of 1<<(max-primary) entries reached
+// through a link entry. A dynamic block therefore rebuilds a few kilobytes,
+// not a flat 1<<15 array. The backing array is sized for the worst case on
+// first use and retained; rebuilds allocate nothing.
+type table struct {
+	entries []uint32
+}
+
+// build constructs the table for the given per-symbol code lengths (0 =
+// symbol absent); templates parallels lengths. Over-subscribed codings are
+// rejected; incomplete codings are permitted (their gaps error at decode
+// time), which matches the degenerate single-code streams compress/flate
+// emits.
+func (t *table) build(lengths []byte, templates []uint32, primary uint) error {
 	var count [maxCodeLen + 1]int
-	max := 0
+	max := uint(0)
 	for _, n := range lengths {
-		if n == 0 {
-			continue
-		}
 		count[n]++
-		if int(n) > max {
-			max = int(n)
+		if uint(n) > max {
+			max = uint(n)
 		}
 	}
-	if max == 0 {
-		// No codes at all. Keep a 1-entry invalid table: any decode errors.
-		t.entries = append(t.entries[:0], 0, 0)
-		t.mask = 1
-		t.max = 1
-		return nil
-	}
+	count[0] = 0
 	// Over-subscription check and canonical first-code computation.
 	left := 1
 	var next [maxCodeLen + 1]int
 	code := 0
-	for n := 1; n <= max; n++ {
+	for n := uint(1); n <= maxCodeLen; n++ {
 		left <<= 1
 		left -= count[n]
 		if left < 0 {
@@ -83,28 +143,46 @@ func (t *table) build(lengths []byte) error {
 		next[n] = code
 	}
 
-	size := 1 << max
-	if cap(t.entries) < size {
-		t.entries = make([]uint16, size)
-	} else {
-		t.entries = t.entries[:size]
-		clear(t.entries)
+	psize := 1 << primary
+	if t.entries == nil {
+		// Every long code could in principle sit under a prefix of its own.
+		t.entries = make([]uint32, psize+len(templates)<<(maxCodeLen-primary))
 	}
-	t.mask = uint32(size - 1)
-	t.max = uint(max)
-	for sym, n := range lengths {
-		if n == 0 {
+	// Zero reads as "no such code": what the fill leaves of an incomplete
+	// coding, and the mark of a prefix that has no subtable yet.
+	clear(t.entries[:psize])
+	used := psize
+	for sym, nb := range lengths {
+		if nb == 0 {
 			continue
 		}
+		n := uint(nb)
 		c := next[n]
 		next[n]++
-		// Codes are MSB-first; the bit stream arrives LSB-first, so the
-		// table is indexed by the bit-reversed code, replicated across
-		// every possible suffix.
+		// Codes are MSB-first; the bit stream arrives LSB-first, so an
+		// entry sits at the bit-reversed code, replicated across every
+		// possible suffix.
 		rev := int(bits.Reverse16(uint16(c)) >> (16 - n))
-		e := uint16(sym)<<4 | uint16(n)
-		for i := rev; i < size; i += 1 << n {
-			t.entries[i] = e
+		e := templates[sym]
+		if e != 0 {
+			e += uint32(n) | uint32(n)<<lenShift
+		}
+		if n <= primary {
+			for i := rev; i < psize; i += 1 << n {
+				t.entries[i] = e
+			}
+			continue
+		}
+		sub := max - primary
+		link := &t.entries[rev&(psize-1)]
+		if *link == 0 {
+			*link = flagLink | uint32(used)<<valShift | uint32(sub)
+			clear(t.entries[used : used+1<<sub])
+			used += 1 << sub
+		}
+		off := int(*link >> valShift)
+		for i := rev >> primary; i < 1<<sub; i += 1 << (n - primary) {
+			t.entries[off+i] = e
 		}
 	}
 	return nil
@@ -123,7 +201,7 @@ type Decoder struct {
 	fixedLit, fixedDst table
 	fixedBuilt         bool
 
-	lens [288 + 32]byte
+	lens [litSyms + distSyms]byte
 }
 
 // fill tops up the bit buffer from the source (LSB-first).
@@ -149,38 +227,24 @@ func (d *Decoder) getBits(n uint) (uint32, error) {
 	return v, nil
 }
 
-// decodeSym consumes one Huffman-coded symbol via t.
-func (d *Decoder) decodeSym(t *table) (uint32, error) {
-	if d.nbits < t.max {
+// clenSym consumes one symbol of the code-length alphabet.
+func (d *Decoder) clenSym() (uint32, error) {
+	if d.nbits < clenBits {
 		d.fill()
 	}
-	e := t.entries[uint32(d.bitbuf)&t.mask]
-	n := uint(e & 0xf)
+	e := d.clen.entries[uint32(d.bitbuf)&(1<<clenBits-1)]
+	n := uint(e & totMask)
 	if n == 0 || n > d.nbits {
 		return 0, ErrCorrupt
 	}
 	d.bitbuf >>= n
 	d.nbits -= n
-	return uint32(e >> 4), nil
+	return e >> valShift, nil
 }
-
-// Length and distance code expansion (RFC 1951 §3.2.5).
-var (
-	lenBase = [29]uint16{3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31,
-		35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258}
-	lenExtra = [29]uint8{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2,
-		3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0}
-	distBase = [30]uint16{1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193,
-		257, 385, 513, 769, 1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577}
-	distExtra = [30]uint8{0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6,
-		7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13}
-	// clenOrder is the transmission order of the code-length code lengths.
-	clenOrder = [19]uint8{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
-)
 
 // buildFixed constructs the fixed-Huffman tables (§3.2.6) once per Decoder.
 func (d *Decoder) buildFixed() error {
-	var lit [288]byte
+	var lit [litSyms]byte
 	for i := range lit {
 		switch {
 		case i < 144:
@@ -193,14 +257,14 @@ func (d *Decoder) buildFixed() error {
 			lit[i] = 8
 		}
 	}
-	if err := d.fixedLit.build(lit[:]); err != nil {
+	if err := d.fixedLit.build(lit[:], litTemplate[:], litBits); err != nil {
 		return err
 	}
-	var dst [32]byte
+	var dst [distSyms]byte
 	for i := range dst {
 		dst[i] = 5
 	}
-	if err := d.fixedDst.build(dst[:]); err != nil {
+	if err := d.fixedDst.build(dst[:], distTemplate[:], distBits); err != nil {
 		return err
 	}
 	d.fixedBuilt = true
@@ -226,7 +290,7 @@ func (d *Decoder) readDynamicHeader() error {
 	if nlit > 286 || ndist > 30 {
 		return ErrCorrupt
 	}
-	var clens [19]byte
+	var clens [clenSyms]byte
 	for i := 0; i < nclen; i++ {
 		v, err := d.getBits(3)
 		if err != nil {
@@ -234,7 +298,7 @@ func (d *Decoder) readDynamicHeader() error {
 		}
 		clens[clenOrder[i]] = byte(v)
 	}
-	if err := d.clen.build(clens[:]); err != nil {
+	if err := d.clen.build(clens[:], clenTemplate[:], clenBits); err != nil {
 		return err
 	}
 	// Literal/length and distance code lengths share one run-length coded
@@ -242,7 +306,7 @@ func (d *Decoder) readDynamicHeader() error {
 	total := nlit + ndist
 	lens := d.lens[:total]
 	for i := 0; i < total; {
-		sym, err := d.decodeSym(&d.clen)
+		sym, err := d.clenSym()
 		if err != nil {
 			return err
 		}
@@ -267,7 +331,7 @@ func (d *Decoder) readDynamicHeader() error {
 				lens[i] = prev
 				i++
 			}
-		case sym == 17 || sym == 18:
+		default: // 17, 18: a run of zeros
 			bitsN, base := uint(3), 3
 			if sym == 18 {
 				bitsN, base = 7, 11
@@ -280,79 +344,169 @@ func (d *Decoder) readDynamicHeader() error {
 			if i+n > total {
 				return ErrCorrupt
 			}
-			for j := 0; j < n; j++ {
-				lens[i] = 0
-				i++
-			}
-		default:
-			return ErrCorrupt
+			clear(lens[i : i+n])
+			i += n
 		}
 	}
-	if err := d.litlen.build(lens[:nlit]); err != nil {
+	if err := d.litlen.build(lens[:nlit], litTemplate[:], litBits); err != nil {
 		return err
 	}
-	return d.dist.build(lens[nlit : nlit+ndist])
+	return d.dist.build(lens[nlit:nlit+ndist], distTemplate[:], distBits)
 }
 
-// inflateBlock decodes one Huffman-compressed block body into dst.
-func (d *Decoder) inflateBlock(dst []byte, lit, dist *table, origin, limit int) ([]byte, error) {
+// grow returns out with room for need more bytes after op, its length
+// stretched to its capacity so the block loop can write by index.
+func grow(out []byte, op, need int) []byte {
+	out = slices.Grow(out[:op], need)
+	return out[:cap(out)]
+}
+
+// inflateBlock decodes one Huffman-compressed block body into out at index
+// op, returning the (possibly reallocated) buffer and the new index. out has
+// its length stretched to its capacity; bytes at and beyond op are scratch.
+// Bit buffer, input position and output index live in locals for the whole
+// block and are stored back on every exit.
+func (d *Decoder) inflateBlock(out []byte, op int, lit, dist *table, origin, limit int) ([]byte, int, error) {
+	src, pos := d.src, d.pos
+	b, nb := d.bitbuf, int(d.nbits)
+	litTab, distTab := lit.entries, dist.entries
+	// The bounds the loop checks on the way: output is writable below lim.
+	lim := min(len(out), limit)
+	var err error
 	for {
-		sym, err := d.decodeSym(lit)
-		if err != nil {
-			return dst, err
-		}
-		if sym < 256 {
-			if len(dst) >= limit {
-				return dst, ErrTooLarge
+		if nb < refillMin {
+			if pos+8 <= len(src) {
+				// Bits above nb are either zero or already the stream's next
+				// bits, so OR-ing the same bytes in again is harmless.
+				b |= binary.LittleEndian.Uint64(src[pos:]) << uint(nb)
+				pos += (63 - nb) >> 3
+				nb |= 56
+			} else {
+				for nb <= 56 && pos < len(src) {
+					b |= uint64(src[pos]) << uint(nb)
+					pos++
+					nb += 8
+				}
 			}
-			dst = append(dst, byte(sym))
+		}
+		e := litTab[uint32(b)&(1<<litBits-1)]
+		if e&flagLink != 0 {
+			e = litTab[e>>valShift+uint32(b>>litBits)&(1<<(e&totMask)-1)]
+		}
+		tot := int(e & totMask)
+		if nb -= tot; nb < 0 {
+			err = ErrCorrupt // the stream ends inside a symbol
+			break
+		}
+		if e&flagLiteral != 0 {
+			b >>= uint(tot)
+			if op >= lim {
+				if op >= limit {
+					err = ErrTooLarge
+					break
+				}
+				out = grow(out, op, 1)
+				lim = min(len(out), limit)
+			}
+			out[op] = byte(e >> valShift)
+			op++
 			continue
 		}
-		if sym == 256 {
-			return dst, nil // end of block
-		}
-		if sym > 285 {
-			return dst, ErrCorrupt
-		}
-		li := sym - 257
-		length := int(lenBase[li])
-		if e := uint(lenExtra[li]); e > 0 {
-			x, err := d.getBits(e)
-			if err != nil {
-				return dst, err
+		if e&flagBase == 0 {
+			if e&flagEnd != 0 {
+				b >>= uint(tot)
+			} else {
+				err = ErrCorrupt // a bit pattern no code covers, or a reserved symbol
 			}
-			length += int(x)
+			break
 		}
-		dsym, err := d.decodeSym(dist)
-		if err != nil {
-			return dst, err
+		length := int(e>>valShift) + int(uint32(b)&(1<<uint(tot)-1)>>(e>>lenShift&15))
+		b >>= uint(tot)
+
+		e = distTab[uint32(b)&(1<<distBits-1)]
+		if e&flagLink != 0 {
+			e = distTab[e>>valShift+uint32(b>>distBits)&(1<<(e&totMask)-1)]
 		}
-		if dsym > 29 {
-			return dst, ErrCorrupt
+		tot = int(e & totMask)
+		if nb -= tot; nb < 0 || e&flagBase == 0 {
+			err = ErrCorrupt
+			break
 		}
-		distance := int(distBase[dsym])
-		if e := uint(distExtra[dsym]); e > 0 {
-			x, err := d.getBits(e)
-			if err != nil {
-				return dst, err
+		distance := int(e>>valShift) + int(uint32(b)&(1<<uint(tot)-1)>>(e>>lenShift&15))
+		b >>= uint(tot)
+
+		if distance > op-origin {
+			err = ErrCorrupt // reference before the stream's start
+			break
+		}
+		if op+length > lim {
+			if op+length > limit {
+				err = ErrTooLarge
+				break
 			}
-			distance += int(x)
+			out = grow(out, op, length)
+			lim = min(len(out), limit)
 		}
-		if distance > len(dst)-origin {
-			return dst, ErrCorrupt // reference before the stream's start
-		}
-		if len(dst)+length > limit {
-			return dst, ErrTooLarge
-		}
-		p := len(dst) - distance
+		end := op + length
 		if distance >= length {
-			dst = append(dst, dst[p:p+length]...)
-		} else {
-			for j := 0; j < length; j++ {
-				dst = append(dst, dst[p+j])
-			}
+			copy(out[op:end], out[op-distance:])
+			op = end
+			continue
+		}
+		// Overlapping match: the pattern repeats, doubling what each copy
+		// can take.
+		for p := op - distance; op < end; {
+			op += copy(out[op:end], out[p:op])
 		}
 	}
+	if nb < 0 {
+		nb = 0
+	}
+	d.pos, d.bitbuf, d.nbits = pos, b, uint(nb)
+	return out, op, err
+}
+
+// stored copies one stored block (§3.2.4) into out at op.
+func (d *Decoder) stored(out []byte, op, limit int) ([]byte, int, error) {
+	// Discard bits to the byte boundary, then LEN/~LEN.
+	skip := d.nbits & 7
+	d.bitbuf >>= skip
+	d.nbits -= skip
+	ln, err := d.getBits(16)
+	if err != nil {
+		return out, op, err
+	}
+	nln, err := d.getBits(16)
+	if err != nil {
+		return out, op, err
+	}
+	if uint16(ln) != ^uint16(nln) {
+		return out, op, ErrCorrupt
+	}
+	n := int(ln)
+	if op+n > limit {
+		return out, op, ErrTooLarge
+	}
+	if op+n > len(out) {
+		out = grow(out, op, n)
+	}
+	// Whole bytes still in the bit buffer come first; the buffer is then
+	// empty, so whatever sat above its counted bits goes with it.
+	for ; n > 0 && d.nbits >= 8; n-- {
+		out[op] = byte(d.bitbuf)
+		op++
+		d.bitbuf >>= 8
+		d.nbits -= 8
+	}
+	if n > 0 {
+		d.bitbuf, d.nbits = 0, 0
+		if d.pos+n > len(d.src) {
+			return out, op, ErrCorrupt
+		}
+		op += copy(out[op:op+n], d.src[d.pos:])
+		d.pos += n
+	}
+	return out, op, nil
 }
 
 // AppendDecode decompresses the complete DEFLATE stream in src, appending
@@ -360,7 +514,9 @@ func (d *Decoder) inflateBlock(dst []byte, lit, dist *table, origin, limit int) 
 // ErrTooLarge as soon as the output would exceed limit bytes total (len of
 // the returned slice, including what dst already held). On error the
 // returned slice holds the output produced so far. Bytes in src beyond the
-// final block are ignored, matching compress/flate.
+// final block are ignored, matching compress/flate. dst's spare capacity is
+// scratch: the decoder writes into it directly and grows it only when the
+// stream outruns it.
 func (d *Decoder) AppendDecode(dst, src []byte, limit int) ([]byte, error) {
 	d.src = src
 	d.pos = 0
@@ -368,70 +524,35 @@ func (d *Decoder) AppendDecode(dst, src []byte, limit int) ([]byte, error) {
 	d.nbits = 0
 	defer func() { d.src = nil }()
 	origin := len(dst)
+	out, op := dst[:cap(dst)], origin
 	for {
 		bfinal, err := d.getBits(1)
 		if err != nil {
-			return dst, err
+			return out[:op], err
 		}
 		btype, err := d.getBits(2)
 		if err != nil {
-			return dst, err
+			return out[:op], err
 		}
 		switch btype {
-		case 0: // stored
-			// Discard bits to the byte boundary, then LEN/~LEN.
-			skip := d.nbits & 7
-			d.bitbuf >>= skip
-			d.nbits -= skip
-			ln, err := d.getBits(16)
-			if err != nil {
-				return dst, err
-			}
-			nln, err := d.getBits(16)
-			if err != nil {
-				return dst, err
-			}
-			if uint16(ln) != ^uint16(nln) {
-				return dst, ErrCorrupt
-			}
-			n := int(ln)
-			if len(dst)+n > limit {
-				return dst, ErrTooLarge
-			}
-			for n > 0 && d.nbits >= 8 {
-				dst = append(dst, byte(d.bitbuf))
-				d.bitbuf >>= 8
-				d.nbits -= 8
-				n--
-			}
-			if n > 0 {
-				if d.pos+n > len(d.src) {
-					return dst, ErrCorrupt
-				}
-				dst = append(dst, d.src[d.pos:d.pos+n]...)
-				d.pos += n
-			}
-		case 1: // fixed Huffman
+		case 0:
+			out, op, err = d.stored(out, op, limit)
+		case 1:
 			if !d.fixedBuilt {
 				if err := d.buildFixed(); err != nil {
-					return dst, err
+					return out[:op], err
 				}
 			}
-			if dst, err = d.inflateBlock(dst, &d.fixedLit, &d.fixedDst, origin, limit); err != nil {
-				return dst, err
-			}
-		case 2: // dynamic Huffman
-			if err := d.readDynamicHeader(); err != nil {
-				return dst, err
-			}
-			if dst, err = d.inflateBlock(dst, &d.litlen, &d.dist, origin, limit); err != nil {
-				return dst, err
+			out, op, err = d.inflateBlock(out, op, &d.fixedLit, &d.fixedDst, origin, limit)
+		case 2:
+			if err = d.readDynamicHeader(); err == nil {
+				out, op, err = d.inflateBlock(out, op, &d.litlen, &d.dist, origin, limit)
 			}
 		default:
-			return dst, ErrCorrupt
+			err = ErrCorrupt
 		}
-		if bfinal == 1 {
-			return dst, nil
+		if err != nil || bfinal == 1 {
+			return out[:op], err
 		}
 	}
 }

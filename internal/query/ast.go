@@ -45,6 +45,8 @@ type Expr interface {
 	appendKey(b []byte) []byte
 	// validate rejects malformed nodes with a client error.
 	validate() error
+	// reads names the variable-size record parts match touches.
+	reads() archive.Fields
 }
 
 func exprKey(e Expr) string { return string(e.appendKey(nil)) }
@@ -207,6 +209,18 @@ func (e *andExpr) validate() error { return validateKids("and", e.kids) }
 func (e *orExpr) validate() error  { return validateKids("or", e.kids) }
 func (e *notExpr) validate() error { return e.kid.validate() }
 
+func kidsRead(kids []Expr) archive.Fields {
+	var fs archive.Fields
+	for _, k := range kids {
+		fs |= k.reads()
+	}
+	return fs
+}
+
+func (e *andExpr) reads() archive.Fields { return kidsRead(e.kids) }
+func (e *orExpr) reads() archive.Fields  { return kidsRead(e.kids) }
+func (e *notExpr) reads() archive.Fields { return e.kid.reads() }
+
 // ---- set-membership leaves ----
 
 // inExpr matches scans whose field value is in the set. For FieldPort the
@@ -285,7 +299,7 @@ func OrgIn(names ...string) Expr {
 func (e *inExpr) match(sc *core.Scan, o *enrich.Origin) bool {
 	switch e.field {
 	case FieldYear:
-		return containsInt(e.ints, uint64(uint16(yearOf(sc.Start))))
+		return containsInt(e.ints, uint64(uint16(archive.YearOf(sc.Start))))
 	case FieldTool:
 		return containsInt(e.ints, uint64(sc.Tool))
 	case FieldPort:
@@ -464,6 +478,8 @@ func (e *inExpr) validate() error {
 	return nil
 }
 
+func (e *inExpr) reads() archive.Fields { return e.field.reads() }
+
 // ---- qualified flag ----
 
 type qualExpr struct{ want bool }
@@ -492,6 +508,8 @@ func (e *qualExpr) appendKey(b []byte) []byte {
 }
 
 func (e *qualExpr) validate() error { return nil }
+
+func (e *qualExpr) reads() archive.Fields { return 0 }
 
 // ---- two-phase flag ----
 
@@ -527,6 +545,8 @@ func (e *twoPhaseExpr) appendKey(b []byte) []byte {
 
 func (e *twoPhaseExpr) validate() error { return nil }
 
+func (e *twoPhaseExpr) reads() archive.Fields { return 0 }
+
 // ---- source prefix ----
 
 type prefixExpr struct{ pfx inetmodel.Prefix }
@@ -556,6 +576,8 @@ func (e *prefixExpr) validate() error {
 	}
 	return nil
 }
+
+func (e *prefixExpr) reads() archive.Fields { return 0 }
 
 // ---- time range ----
 
@@ -613,6 +635,8 @@ func (e *timeExpr) validate() error {
 	}
 	return nil
 }
+
+func (e *timeExpr) reads() archive.Fields { return 0 }
 
 // ---- numeric range ----
 
@@ -687,6 +711,8 @@ func (e *rangeExpr) validate() error {
 	}
 	return nil
 }
+
+func (e *rangeExpr) reads() archive.Fields { return e.field.reads() }
 
 // exprDepth returns the tree depth, for the parser's nesting cap.
 func exprDepth(e Expr) int {

@@ -1,9 +1,13 @@
 package query
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 
+	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/sketch"
@@ -34,6 +38,11 @@ func topKCapacity(k int) int {
 // ever materialized; per-group state is counters, a distinct set or sketch,
 // a bounded heavy-hitter tracker, or a float64 quantile sample.
 //
+// A group is identified by a packed fixed-size key (see groupKey), found
+// through one hash table from key to group number (see groupOf), and its
+// aggregate states sit in one flat slice — observing a scan into groups that
+// already exist allocates nothing, however many ports it fans out over.
+//
 // Not safe for concurrent use; run one Executor per goroutine and Merge.
 type Executor struct {
 	q   *Query
@@ -45,27 +54,62 @@ type Executor struct {
 
 	// Aggregate mode.
 	matched uint64
-	groups  map[string]*group
-	order   []string // group keys in first-seen stream order
+	portAt  int        // index of FieldPort in q.GroupBy, or -1
+	slots   []int32    // the group table: group number + 1 by key hash, 0 = empty
+	keys    []groupKey // by group number: first-seen stream order
+	aggs    []aggState // group g's aggregate i at g*len(q.Aggs)+i
+	dict    dictionary // country/org coordinates
+	years   archive.YearCache
 }
 
-// group is one group-by bucket's accumulated state.
-type group struct {
-	coords []coord
-	aggs   []aggState
+// groupKey packs up to maxGroupBy coordinates of at most 32 bits each, two
+// per word, in group_by order: years, tools, ports, flags, ISN classes, ASNs
+// and scanner types are their own values, country and organization names are
+// ids in the executor's dictionary. A fixed-size comparable value: it is
+// hashed and compared as it stands, and nothing is rendered until Finish.
+type groupKey [(maxGroupBy + 1) / 2]uint64
+
+func (k *groupKey) set(i int, v uint32) {
+	shift := uint(i&1) * 32
+	k[i>>1] = k[i>>1]&^(0xffffffff<<shift) | uint64(v)<<shift
 }
 
-// coord is one group-key coordinate: num for integer-keyed fields, str for
-// country/org.
-type coord struct {
-	num uint64
-	str string
+func (k *groupKey) get(i int) uint32 { return uint32(k[i>>1] >> (uint(i&1) * 32)) }
+
+// hash spreads a key over 64 bits, the top ones best (Fibonacci hashing):
+// keys are small integers side by side, a sweep's ports consecutive ones.
+func (k *groupKey) hash() uint64 {
+	return (k[0] ^ bits.RotateLeft64(k[1]*0xff51afd7ed558ccd, 32)) * 0x9e3779b97f4a7c15
 }
 
+// dictionary numbers the distinct strings an executor has grouped by. Ids are
+// private to one executor; Merge translates the other side's.
+type dictionary struct {
+	ids  map[string]uint32
+	strs []string
+}
+
+func (d *dictionary) id(s string) uint32 {
+	if id, ok := d.ids[s]; ok {
+		return id
+	}
+	if d.ids == nil {
+		d.ids = make(map[string]uint32)
+	}
+	id := uint32(len(d.strs))
+	d.ids[s] = id
+	d.strs = append(d.strs, s)
+	return id
+}
+
+// aggState is one aggregate of one group.
 type aggState struct {
-	count   uint64
-	sumI    uint64
-	sumF    float64
+	n   uint64  // count, or the exact integer sum
+	f   float64 // float sum
+	ext *aggExt // set, sketch or samples, by operator; nil until first use
+}
+
+type aggExt struct {
 	set     map[uint64]struct{}
 	hll     *sketch.HyperLogLog
 	topk    *sketch.TopK
@@ -81,14 +125,19 @@ type ScanRec struct {
 
 // NewExecutor builds a partial executor for a validated query.
 func NewExecutor(q *Query) *Executor {
-	e := &Executor{q: q}
+	e := &Executor{q: q, portAt: -1}
 	if q.SelectMode() {
 		e.selLimit = q.Limit
 		if e.selLimit == 0 {
 			e.selLimit = defaultSelectLimit
 		}
-	} else {
-		e.groups = make(map[string]*group)
+		return e
+	}
+	e.slots = make([]int32, minGroupSlots)
+	for i, f := range q.GroupBy {
+		if f == FieldPort {
+			e.portAt = i
+		}
 	}
 	return e
 }
@@ -112,154 +161,207 @@ func (e *Executor) Observe(sc *core.Scan, o *enrich.Origin) {
 		}
 		return
 	}
-	// Group coordinates; FieldPort explodes one row per targeted port, and
-	// packet sums are then split evenly across the port rows (integer
-	// division, matching the exact per-port packet tables).
-	portSplit := 1
-	var rows [][]coord
-	if len(e.q.GroupBy) == 0 {
-		rows = globalRow
-	} else {
-		rows = e.coordRows(sc, o)
-		if rows == nil {
+	var key groupKey
+	for i, f := range e.q.GroupBy {
+		if f.needsOrigin() && o == nil {
 			return // an origin group-by over an origin-less scan
 		}
-		for _, f := range e.q.GroupBy {
-			if f == FieldPort {
-				portSplit = len(sc.Ports)
-			}
-		}
-	}
-	for _, coords := range rows {
-		g, ok := e.groups[coordKey(coords)]
-		if !ok {
-			if len(e.groups) >= maxGroups {
-				e.err = errf("query exceeds %d groups; add a filter or coarser grouping", maxGroups)
-				return
-			}
-			g = &group{coords: coords, aggs: make([]aggState, len(e.q.Aggs))}
-			key := coordKey(coords)
-			e.groups[key] = g
-			e.order = append(e.order, key)
-		}
-		for i := range e.q.Aggs {
-			observeAgg(&e.q.Aggs[i], &g.aggs[i], sc, o, portSplit)
-		}
-	}
-}
-
-// globalRow is the single empty-key row of an ungrouped aggregate query.
-var globalRow = [][]coord{{}}
-
-// coordRows builds the group-key rows for one scan: the cross product of
-// each group field's coordinates (only FieldPort yields more than one).
-// nil means the scan has no coordinate for some field and contributes no row.
-func (e *Executor) coordRows(sc *core.Scan, o *enrich.Origin) [][]coord {
-	base := make([]coord, len(e.q.GroupBy))
-	portAt := -1
-	for i, f := range e.q.GroupBy {
+		var c uint32
 		switch f {
-		case FieldPort:
-			portAt = i
-			if len(sc.Ports) == 0 {
-				return nil
-			}
 		case FieldYear:
-			base[i] = coord{num: uint64(uint16(yearOf(sc.Start)))}
+			c = uint32(e.years.Year(sc.Start))
 		case FieldTool:
-			base[i] = coord{num: uint64(sc.Tool)}
+			c = uint32(sc.Tool)
 		case FieldQualified:
-			if sc.Qualified {
-				base[i] = coord{num: 1}
-			}
+			c = boolCoord(sc.Qualified)
 		case FieldTwoPhase:
-			if sc.TwoPhase {
-				base[i] = coord{num: 1}
-			}
+			c = boolCoord(sc.TwoPhase)
 		case FieldISN:
-			base[i] = coord{num: uint64(sc.ISN)}
+			c = uint32(sc.ISN)
 		case FieldCountry:
-			if o == nil {
-				return nil
-			}
-			base[i] = coord{str: o.Country}
+			c = e.dict.id(o.Country)
 		case FieldASN:
-			if o == nil {
-				return nil
-			}
-			base[i] = coord{num: uint64(o.ASN)}
+			c = o.ASN
 		case FieldType:
-			if o == nil {
-				return nil
-			}
-			base[i] = coord{num: uint64(o.Type)}
+			c = uint32(o.Type)
 		case FieldOrg:
-			if o == nil {
-				return nil
-			}
-			base[i] = coord{str: o.OrgName}
+			c = e.dict.id(o.OrgName)
+		}
+		key.set(i, c)
+	}
+	if e.portAt < 0 {
+		e.observeRow(key, sc, o, 1)
+		return
+	}
+	// FieldPort explodes one row per targeted port — the same key with one
+	// coordinate rewritten — and packet sums are then split evenly across the
+	// port rows (integer division, matching the exact per-port packet tables).
+	for _, p := range sc.Ports {
+		key.set(e.portAt, uint32(p))
+		if !e.observeRow(key, sc, o, len(sc.Ports)) {
+			return
 		}
 	}
-	if portAt < 0 {
-		return [][]coord{base}
-	}
-	rows := make([][]coord, 0, len(sc.Ports))
-	for _, p := range sc.Ports {
-		row := make([]coord, len(base))
-		copy(row, base)
-		row[portAt] = coord{num: uint64(p)}
-		rows = append(rows, row)
-	}
-	return rows
 }
 
-// coordKey encodes coordinates as a map key.
-func coordKey(coords []coord) string {
-	b := make([]byte, 0, 16)
-	for _, c := range coords {
-		b = strconv.AppendUint(b, c.num, 16)
-		b = append(b, '\x00')
-		b = append(b, c.str...)
-		b = append(b, '\x00')
+func boolCoord(b bool) uint32 {
+	if b {
+		return 1
 	}
-	return string(b)
+	return 0
+}
+
+// minGroupSlots is the group table's initial size; sizes are powers of two.
+const minGroupSlots = 16
+
+// slotOf probes for key: the slot holding its group, or the empty slot where
+// it belongs. The table is open-addressed with linear probing and at most
+// half full, and holds only group numbers — the keys stay in e.keys, which a
+// sweep's consecutive ports walk in order once their groups exist. Against
+// a map[groupKey]int32 this is one random memory access per row instead of
+// three, on the per-(scan, port) path that dominates port-grouped queries.
+func (e *Executor) slotOf(key groupKey) int {
+	mask := len(e.slots) - 1
+	i := int(key.hash() >> uint(64-bits.Len(uint(mask))))
+	for {
+		g := e.slots[i]
+		if g == 0 || e.keys[g-1] == key {
+			return i
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// groupOf returns key's group number, opening the group if it is new; false
+// means the group cap was hit and e.err is set.
+func (e *Executor) groupOf(key groupKey) (int, bool) {
+	slot := e.slotOf(key)
+	if g := e.slots[slot]; g != 0 {
+		return int(g - 1), true
+	}
+	if len(e.keys) >= maxGroups {
+		e.err = errf("query exceeds %d groups; add a filter or coarser grouping", maxGroups)
+		return 0, false
+	}
+	g, n := len(e.keys), len(e.q.Aggs)
+	if 2*(g+1) > len(e.slots) {
+		// Keys and states grow in step with the table, to exactly the groups
+		// it can hold, so a growing executor copies each of them once per
+		// doubling and never between.
+		e.slots = make([]int32, 2*len(e.slots))
+		for g, k := range e.keys {
+			e.slots[e.slotOf(k)] = int32(g + 1)
+		}
+		slot = e.slotOf(key)
+		room := len(e.slots)/2 - g
+		e.keys = slices.Grow(e.keys, room)
+		e.aggs = slices.Grow(e.aggs, room*n)
+	}
+	e.slots[slot] = int32(g + 1)
+	e.keys = append(e.keys, key)
+	for i := 0; i < n; i++ {
+		e.aggs = append(e.aggs, aggState{})
+	}
+	return g, true
+}
+
+// observeRow folds one scan row into key's group.
+func (e *Executor) observeRow(key groupKey, sc *core.Scan, o *enrich.Origin, portSplit int) bool {
+	g, ok := e.groupOf(key)
+	if !ok {
+		return false
+	}
+	n := len(e.q.Aggs)
+	states := e.aggs[g*n : g*n+n]
+	for i := range states {
+		e.observeAgg(&e.q.Aggs[i], &states[i], sc, o, portSplit)
+	}
+	return true
 }
 
 // observeAgg folds one scan row into one aggregate's state.
-func observeAgg(a *Agg, st *aggState, sc *core.Scan, o *enrich.Origin, portSplit int) {
+func (e *Executor) observeAgg(a *Agg, st *aggState, sc *core.Scan, o *enrich.Origin, portSplit int) {
 	switch a.Op {
 	case OpCount:
-		st.count++
+		st.n++
 	case OpSum:
 		if a.Field.integerValued() {
-			st.sumI += intValue(a.Field, sc, portSplit)
+			st.n += intValue(a.Field, sc, portSplit)
 		} else {
-			st.sumF += numValue(a.Field, sc, portSplit)
-		}
-	case OpCountDistinct:
-		if st.set == nil {
-			st.set = make(map[uint64]struct{})
-		}
-		for _, k := range keyValues(a.Field, sc, o, nil) {
-			st.set[k] = struct{}{}
-		}
-	case OpApproxDistinct:
-		if st.hll == nil {
-			st.hll = sketch.NewHyperLogLog()
-		}
-		for _, k := range keyValues(a.Field, sc, o, nil) {
-			st.hll.Add(k)
-		}
-	case OpTopK:
-		if st.topk == nil {
-			st.topk = sketch.NewTopK(topKCapacity(a.K))
-		}
-		for _, k := range keyValues(a.Field, sc, o, nil) {
-			st.topk.Add(k)
+			st.f += numValue(a.Field, sc, portSplit)
 		}
 	case OpQuantile:
-		st.samples = append(st.samples, numValue(a.Field, sc, portSplit))
+		if st.ext == nil {
+			st.ext = &aggExt{}
+		}
+		samples := st.ext.samples
+		if len(samples) == cap(samples) {
+			// Double. append grows a large slice by a quarter at a time,
+			// which for a decade-sized group allocates five times its
+			// final size in all; doubling allocates twice.
+			samples = slices.Grow(samples, max(len(samples), 16))
+		}
+		st.ext.samples = append(samples, numValue(a.Field, sc, portSplit))
+	default: // keyed: count_distinct, approx_distinct, top_k
+		if st.ext == nil {
+			st.ext = &aggExt{}
+			switch a.Op {
+			case OpCountDistinct:
+				st.ext.set = make(map[uint64]struct{})
+			case OpApproxDistinct:
+				st.ext.hll = sketch.NewHyperLogLog()
+			case OpTopK:
+				st.ext.topk = sketch.NewTopK(topKCapacity(a.K))
+			}
+		}
+		if a.Field == FieldPort {
+			for _, p := range sc.Ports {
+				st.ext.addKey(a.Op, uint64(p))
+			}
+		} else if k, ok := e.keyValue(a.Field, sc, o); ok {
+			st.ext.addKey(a.Op, k)
+		}
 	}
+}
+
+func (x *aggExt) addKey(op AggOp, k uint64) {
+	switch op {
+	case OpCountDistinct:
+		x.set[k] = struct{}{}
+	case OpApproxDistinct:
+		x.hll.Add(k)
+	case OpTopK:
+		x.topk.Add(k)
+	}
+}
+
+// keyValue is a single-valued field's distinct/top-k key for one scan
+// (FieldPort, one key per targeted port, is the caller's loop). String-valued
+// fields hash through FNV-1a (stable across processes) for sketch keying.
+// false means the scan has no value: an origin field without an origin.
+func (e *Executor) keyValue(f Field, sc *core.Scan, o *enrich.Origin) (uint64, bool) {
+	if f.needsOrigin() && o == nil {
+		return 0, false
+	}
+	switch f {
+	case FieldSrc:
+		return uint64(sc.Src), true
+	case FieldYear:
+		return uint64(e.years.Year(sc.Start)), true
+	case FieldTool:
+		return uint64(sc.Tool), true
+	case FieldISN:
+		return uint64(sc.ISN), true
+	case FieldASN:
+		return uint64(o.ASN), true
+	case FieldType:
+		return uint64(o.Type), true
+	case FieldCountry:
+		return hashString(o.Country), true
+	case FieldOrg:
+		return hashString(o.OrgName), true
+	}
+	return 0, false
 }
 
 // Merge folds another partial (built from the same Query) into e, in stream
@@ -285,54 +387,51 @@ func (e *Executor) Merge(o *Executor) {
 		}
 		return
 	}
-	for _, key := range o.order {
-		og := o.groups[key]
-		g, ok := e.groups[key]
-		if !ok {
-			if len(e.groups) >= maxGroups {
-				e.err = errf("query exceeds %d groups; add a filter or coarser grouping", maxGroups)
-				return
+	// The two dictionaries numbered their strings independently: translate
+	// o's ids into e's once, then re-key o's groups through the table.
+	remap := make([]uint32, len(o.dict.strs))
+	for id, s := range o.dict.strs {
+		remap[id] = e.dict.id(s)
+	}
+	n := len(e.q.Aggs)
+	for og, key := range o.keys {
+		for i, f := range e.q.GroupBy {
+			if f.stringValued() {
+				key.set(i, remap[key.get(i)])
 			}
-			e.groups[key] = og
-			e.order = append(e.order, key)
-			continue
 		}
-		for i := range e.q.Aggs {
-			mergeAgg(&e.q.Aggs[i], &g.aggs[i], &og.aggs[i])
+		g, ok := e.groupOf(key)
+		if !ok {
+			return
+		}
+		for i := 0; i < n; i++ {
+			mergeAgg(&e.aggs[g*n+i], &o.aggs[og*n+i])
 		}
 	}
 }
 
-func mergeAgg(a *Agg, dst, src *aggState) {
-	switch a.Op {
-	case OpCount:
-		dst.count += src.count
-	case OpSum:
-		dst.sumI += src.sumI
-		dst.sumF += src.sumF
-	case OpCountDistinct:
-		if dst.set == nil {
-			dst.set = src.set
-		} else {
-			for k := range src.set {
-				dst.set[k] = struct{}{}
-			}
-		}
-	case OpApproxDistinct:
-		if dst.hll == nil {
-			dst.hll = src.hll
-		} else if src.hll != nil {
-			dst.hll.Merge(src.hll)
-		}
-	case OpTopK:
-		if dst.topk == nil {
-			dst.topk = src.topk
-		} else if src.topk != nil {
-			dst.topk.Merge(src.topk)
-		}
-	case OpQuantile:
-		dst.samples = append(dst.samples, src.samples...)
+// mergeAgg folds src into dst, which may be a group's just-opened zero state.
+func mergeAgg(dst, src *aggState) {
+	dst.n += src.n
+	dst.f += src.f
+	if src.ext == nil {
+		return
 	}
+	if dst.ext == nil {
+		dst.ext = src.ext
+		return
+	}
+	d, s := dst.ext, src.ext
+	for k := range s.set {
+		d.set[k] = struct{}{}
+	}
+	if s.hll != nil {
+		d.hll.Merge(s.hll)
+	}
+	if s.topk != nil {
+		d.topk.Merge(s.topk)
+	}
+	d.samples = append(d.samples, s.samples...)
 }
 
 // KeyVal is one rendered group-key coordinate.
@@ -375,30 +474,6 @@ type AggValue struct {
 	Vals []float64 `json:"vals,omitempty"`
 }
 
-// scalar returns the value rows sort by under OrderDefault.
-func (v *AggValue) scalar() float64 {
-	switch v.Op {
-	case OpSum:
-		if v.IsInt {
-			return float64(v.Int)
-		}
-		return v.Float
-	case OpQuantile:
-		if len(v.Vals) > 0 {
-			return v.Vals[0]
-		}
-		return 0
-	case OpTopK:
-		var t uint64
-		for _, it := range v.Top {
-			t += it.Count
-		}
-		return float64(t)
-	default:
-		return float64(v.Count)
-	}
-}
-
 // Row is one result row of an aggregate query.
 type Row struct {
 	// Key holds one entry per group_by field (empty for the global group).
@@ -424,6 +499,11 @@ type Result struct {
 
 // Finish renders the accumulated state. The executor must not be used
 // afterwards.
+//
+// Rows are ordered before they exist: group numbers are sorted by (first
+// aggregate's scalar descending, coordinates ascending) or by coordinates
+// alone — a total order either way, distinct groups having distinct
+// coordinates — and only the rows that survive the limit are rendered.
 func (e *Executor) Finish() (*Result, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -434,64 +514,153 @@ func (e *Executor) Finish() (*Result, error) {
 		res.Truncated = uint64(len(e.scans)) < e.matched
 		return res, nil
 	}
-	res.TotalRows = len(e.order)
-	res.Rows = make([]Row, 0, len(e.order))
-	for _, key := range e.order {
-		g := e.groups[key]
-		row := Row{Key: make([]KeyVal, len(e.q.GroupBy)), Aggs: make([]AggValue, len(e.q.Aggs))}
-		for i, f := range e.q.GroupBy {
-			row.Key[i] = renderCoord(f, g.coords[i])
-		}
-		for i := range e.q.Aggs {
-			row.Aggs[i] = finishAgg(&e.q.Aggs[i], &g.aggs[i])
-		}
-		res.Rows = append(res.Rows, row)
+	n := len(e.q.Aggs)
+	order := make([]int32, len(e.keys))
+	for g := range order {
+		order[g] = int32(g)
 	}
-	e.sortRows(res.Rows)
-	if e.q.Limit > 0 && len(res.Rows) > e.q.Limit {
-		res.Rows = res.Rows[:e.q.Limit]
+	before := func(a, b int32) int { return e.compareKeys(e.keys[a], e.keys[b]) }
+	if e.q.Order != OrderKey && n > 0 {
+		scalars := make([]float64, len(e.keys))
+		for g := range scalars {
+			scalars[g] = scalar(&e.q.Aggs[0], &e.aggs[g*n])
+		}
+		before = func(a, b int32) int {
+			if c := cmp.Compare(scalars[b], scalars[a]); c != 0 {
+				return c
+			}
+			return e.compareKeys(e.keys[a], e.keys[b])
+		}
+	}
+	res.TotalRows = len(order)
+	limit := len(order)
+	if e.q.Limit > 0 && e.q.Limit < limit {
+		limit = e.q.Limit
+	}
+	order = firstSorted(order, limit, before)
+	res.Rows = make([]Row, len(order))
+	for r, g := range order {
+		row := Row{Key: make([]KeyVal, len(e.q.GroupBy)), Aggs: make([]AggValue, n)}
+		for i, f := range e.q.GroupBy {
+			row.Key[i] = e.renderCoord(f, e.keys[g].get(i))
+		}
+		for i := range row.Aggs {
+			row.Aggs[i] = finishAgg(&e.q.Aggs[i], &e.aggs[int(g)*n+i])
+		}
+		res.Rows[r] = row
 	}
 	return res, nil
 }
 
-func renderCoord(f Field, c coord) KeyVal {
-	kv := KeyVal{Field: f, Num: c.num, Str: c.str}
+// firstSorted returns the n elements of xs that sort first under cmp, sorted:
+// xs[:n] of a fully sorted xs, without sorting the rest. It keeps a max-heap
+// of the n best seen so far in xs[:n] and lets each later element displace
+// the heap's worst, so a top-10 of 65 536 groups costs one comparison per
+// group and a ten-element sort.
+func firstSorted(xs []int32, n int, cmp func(a, b int32) int) []int32 {
+	h := xs[:n]
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= n {
+				return
+			}
+			if c+1 < n && cmp(h[c+1], h[c]) > 0 {
+				c++
+			}
+			if cmp(h[c], h[i]) <= 0 {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	if n < len(xs) {
+		for i := n/2 - 1; i >= 0; i-- {
+			down(i)
+		}
+		for _, x := range xs[n:] {
+			if cmp(x, h[0]) < 0 {
+				h[0] = x
+				down(0)
+			}
+		}
+	}
+	slices.SortFunc(h, cmp)
+	return h
+}
+
+func (e *Executor) renderCoord(f Field, c uint32) KeyVal {
+	kv := KeyVal{Field: f, Num: uint64(c)}
 	switch f {
 	case FieldCountry, FieldOrg:
-		// Str already holds the value.
+		kv.Num, kv.Str = 0, e.dict.strs[c]
 	case FieldQualified, FieldTwoPhase:
-		if c.num != 0 {
-			kv.Str = "true"
-		} else {
-			kv.Str = "false"
-		}
+		kv.Str = strconv.FormatBool(c != 0)
 	default:
-		kv.Str = renderKey(f, c.num)
+		kv.Str = renderKey(f, uint64(c))
 	}
 	return kv
+}
+
+// sortedSamples sorts a quantile aggregate's samples in place (a repeat
+// call finds them sorted, which the sort detects in one pass).
+func (st *aggState) sortedSamples() []float64 {
+	if st.ext == nil {
+		return nil
+	}
+	sort.Float64s(st.ext.samples)
+	return st.ext.samples
+}
+
+// scalar is the value OrderDefault ranks a group by: its first aggregate as
+// one number (a sum, a count, the first requested quantile, the total of the
+// top-k counts).
+func scalar(a *Agg, st *aggState) float64 {
+	switch a.Op {
+	case OpSum:
+		if a.Field.integerValued() {
+			return float64(st.n)
+		}
+		return st.f
+	case OpQuantile:
+		return stats.QuantileSorted(st.sortedSamples(), a.Qs[0])
+	case OpTopK:
+		var t uint64
+		if st.ext != nil {
+			for _, it := range st.ext.topk.Top(a.K) {
+				t += it.Count
+			}
+		}
+		return float64(t)
+	default:
+		return float64(finishAgg(a, st).Count)
+	}
 }
 
 func finishAgg(a *Agg, st *aggState) AggValue {
 	v := AggValue{Op: a.Op, Field: a.Field}
 	switch a.Op {
 	case OpCount:
-		v.Count = st.count
+		v.Count = st.n
 	case OpSum:
 		if a.Field.integerValued() {
-			v.Int = st.sumI
+			v.Int = st.n
 			v.IsInt = true
 		} else {
-			v.Float = st.sumF
+			v.Float = st.f
 		}
 	case OpCountDistinct:
-		v.Count = uint64(len(st.set))
+		if st.ext != nil {
+			v.Count = uint64(len(st.ext.set))
+		}
 	case OpApproxDistinct:
-		if st.hll != nil {
-			v.Count = st.hll.Estimate()
+		if st.ext != nil {
+			v.Count = st.ext.hll.Estimate()
 		}
 	case OpTopK:
-		if st.topk != nil {
-			for _, it := range st.topk.Top(a.K) {
+		if st.ext != nil {
+			for _, it := range st.ext.topk.Top(a.K) {
 				v.Top = append(v.Top, TopItem{
 					Key: renderKey(a.Field, it.Key), Num: it.Key,
 					Count: it.Count, Err: it.Err,
@@ -504,57 +673,26 @@ func finishAgg(a *Agg, st *aggState) AggValue {
 		// One sort serves every requested quantile; the shared stats
 		// interpolation keeps the engine bit-identical with the batch
 		// analyses.
-		sort.Float64s(st.samples)
+		samples := st.sortedSamples()
 		for i, q := range a.Qs {
-			v.Vals[i] = stats.QuantileSorted(st.samples, q)
+			v.Vals[i] = stats.QuantileSorted(samples, q)
 		}
 	}
 	return v
 }
 
-func (e *Executor) sortRows(rows []Row) {
-	if e.q.Order == OrderKey || len(e.q.Aggs) == 0 {
-		sort.SliceStable(rows, func(i, j int) bool {
-			return compareKeys(rows[i].Key, rows[j].Key) < 0
-		})
-		return
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i].Aggs[0].scalar(), rows[j].Aggs[0].scalar()
-		if a != b {
-			return a > b
+// compareKeys orders group keys: numeric coordinates by value, string
+// coordinates lexically, coordinate by coordinate.
+func (e *Executor) compareKeys(a, b groupKey) int {
+	for i, f := range e.q.GroupBy {
+		ca, cb := a.get(i), b.get(i)
+		if ca == cb {
+			continue
 		}
-		return compareKeys(rows[i].Key, rows[j].Key) < 0
-	})
-}
-
-// compareKeys orders group keys: numeric fields by value, string fields
-// lexically, field by field.
-func compareKeys(a, b []KeyVal) int {
-	for i := range a {
-		if i >= len(b) {
-			return 1
+		if f.stringValued() {
+			return cmp.Compare(e.dict.strs[ca], e.dict.strs[cb])
 		}
-		av, bv := a[i], b[i]
-		switch av.Field {
-		case FieldCountry, FieldOrg:
-			if av.Str != bv.Str {
-				if av.Str < bv.Str {
-					return -1
-				}
-				return 1
-			}
-		default:
-			if av.Num != bv.Num {
-				if av.Num < bv.Num {
-					return -1
-				}
-				return 1
-			}
-		}
-	}
-	if len(a) < len(b) {
-		return -1
+		return cmp.Compare(ca, cb)
 	}
 	return 0
 }

@@ -3,11 +3,9 @@ package query
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"time"
 
+	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/core"
-	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/fingerprint"
 	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/tools"
@@ -170,8 +168,21 @@ func (f Field) needsOrigin() bool {
 	return false
 }
 
-// yearOf returns the UTC calendar year of a nanosecond timestamp.
-func yearOf(ns int64) int { return time.Unix(0, ns).UTC().Year() }
+// stringValued reports whether f's values are strings: grouped by dictionary
+// id, ordered lexically, hashed for sketch keys.
+func (f Field) stringValued() bool { return f == FieldCountry || f == FieldOrg }
+
+// reads names the variable-size record parts evaluating f touches, for the
+// reader's projected decode.
+func (f Field) reads() archive.Fields {
+	switch {
+	case f == FieldPort || f == FieldNPorts:
+		return archive.FieldPorts
+	case f.needsOrigin():
+		return archive.FieldOrigin
+	}
+	return 0
+}
 
 // numValue extracts f's numeric value from one scan. portSplit is the
 // scan's port-row divisor under port grouping: packets are split evenly
@@ -247,52 +258,13 @@ func intValue(f Field, sc *core.Scan, portSplit int) uint64 {
 	return 0
 }
 
-// keyValues appends f's distinct/top-k key(s) for one scan to dst. Port
-// contributes one key per targeted port; string-valued fields hash through
-// FNV-1a (stable across processes) for sketch keying.
-func keyValues(f Field, sc *core.Scan, o *enrich.Origin, dst []uint64) []uint64 {
-	switch f {
-	case FieldSrc:
-		return append(dst, uint64(sc.Src))
-	case FieldPort:
-		for _, p := range sc.Ports {
-			dst = append(dst, uint64(p))
-		}
-		return dst
-	case FieldYear:
-		return append(dst, uint64(yearOf(sc.Start)))
-	case FieldTool:
-		return append(dst, uint64(sc.Tool))
-	case FieldISN:
-		return append(dst, uint64(sc.ISN))
-	case FieldASN:
-		if o == nil {
-			return dst
-		}
-		return append(dst, uint64(o.ASN))
-	case FieldType:
-		if o == nil {
-			return dst
-		}
-		return append(dst, uint64(o.Type))
-	case FieldCountry:
-		if o == nil {
-			return dst
-		}
-		return append(dst, hashString(o.Country))
-	case FieldOrg:
-		if o == nil {
-			return dst
-		}
-		return append(dst, hashString(o.OrgName))
-	}
-	return dst
-}
-
+// hashString is 64-bit FNV-1a.
 func hashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }
 
 // renderKey formats an integer-keyed field value for display (top-k items,

@@ -97,9 +97,11 @@ func materializedRun(t *testing.T, q *Query, rd *archive.Reader) *Result {
 	t.Helper()
 	var scans []*core.Scan
 	var origins []enrich.Origin
-	err := rd.Scans(archive.Filter{}, func(sc *core.Scan, o enrich.Origin) {
+	err := rd.Query(context.Background(), &archive.Filter{}, func(sc *core.Scan, o *enrich.Origin) {
 		scans = append(scans, sc)
-		origins = append(origins, o)
+		if o != nil {
+			origins = append(origins, *o)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -354,14 +354,37 @@ func (q *Query) NeedsOrigin() bool {
 	return false
 }
 
-// predicate compiles the query's filter for the archive reader: the planner
-// step. The returned Predicate carries the filter tree's zone-map pushdown
-// (Expr.matchBlock), so the reader skips blocks no scan of which can match
-// without decompressing them. A nil Where matches everything.
-type predicate struct{ where Expr }
+// predicate compiles the query for the archive reader: the planner step. It
+// carries the filter tree's zone-map pushdown (Expr.matchBlock), so the
+// reader skips blocks no scan of which can match without decompressing them,
+// and the projection — which variable-size record parts the filter, the
+// grouping and the aggregates read — so the decoder stores nothing else. A
+// nil Where matches everything.
+type predicate struct {
+	where  Expr
+	fields archive.Fields
+}
 
 // Predicate returns the compiled pushdown predicate for q.
-func (q *Query) Predicate() archive.Predicate { return &predicate{where: q.Where} }
+func (q *Query) Predicate() archive.Predicate {
+	p := &predicate{where: q.Where}
+	if q.SelectMode() {
+		p.fields = archive.AllFields // the rows are the scans themselves
+		return p
+	}
+	if q.Where != nil {
+		p.fields = q.Where.reads()
+	}
+	for _, f := range q.GroupBy {
+		p.fields |= f.reads()
+	}
+	for _, a := range q.Aggs {
+		p.fields |= a.Field.reads()
+	}
+	return p
+}
+
+func (p *predicate) Fields() archive.Fields { return p.fields }
 
 func (p *predicate) MatchBlock(z *archive.ZoneMap) bool {
 	if p.where == nil {

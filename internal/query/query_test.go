@@ -285,7 +285,7 @@ func TestSelectMode(t *testing.T) {
 	}
 	var want uint64
 	for _, sc := range scans {
-		if yearOf(sc.Start) == 2020 {
+		if archive.YearOf(sc.Start) == 2020 {
 			want++
 		}
 	}
@@ -296,8 +296,8 @@ func TestSelectMode(t *testing.T) {
 		t.Fatalf("returned %d truncated=%v", len(res.Scans), res.Truncated)
 	}
 	for _, rec := range res.Scans {
-		if yearOf(rec.Scan.Start) != 2020 {
-			t.Fatalf("filter leaked year %d", yearOf(rec.Scan.Start))
+		if archive.YearOf(rec.Scan.Start) != 2020 {
+			t.Fatalf("filter leaked year %d", archive.YearOf(rec.Scan.Start))
 		}
 		if rec.Origin == nil {
 			t.Fatal("origin lost in select mode")
@@ -604,7 +604,7 @@ func TestZoneMapPruning(t *testing.T) {
 	}
 	var want uint64
 	for _, sc := range scans {
-		if yearOf(sc.Start) == 2016 {
+		if archive.YearOf(sc.Start) == 2016 {
 			want++
 		}
 	}

@@ -10,26 +10,20 @@ import (
 
 // Source is anything the engine can execute a query against under predicate
 // pushdown: it streams every scan matching p to emit, in its own stable
-// order, with the scan's origin when it has one (nil otherwise).
+// order, with the scan's origin when it has one and p.Fields asks for it
+// (nil otherwise).
 type Source interface {
 	Query(ctx context.Context, p archive.Predicate, emit func(sc *core.Scan, o *enrich.Origin)) error
 }
 
 // ReaderSource adapts an archive reader: the predicate's zone-map pushdown
-// skips blocks without decompressing them, and scans stream in file order.
+// skips blocks without decompressing them, its projection keeps the decoder
+// from storing what the query does not read, and scans stream in file order.
 type ReaderSource struct{ R *archive.Reader }
 
 // Query implements Source.
 func (s ReaderSource) Query(ctx context.Context, p archive.Predicate, emit func(sc *core.Scan, o *enrich.Origin)) error {
-	hasOrigins := s.R.HasOrigins()
-	return s.R.Query(ctx, p, func(sc *core.Scan, o enrich.Origin) {
-		var op *enrich.Origin
-		if hasOrigins {
-			oc := o
-			op = &oc
-		}
-		emit(sc, op)
-	})
+	return s.R.Query(ctx, p, emit)
 }
 
 // ViewSource adapts a catalog view: each pinned segment streams in manifest

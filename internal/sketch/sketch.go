@@ -10,7 +10,11 @@
 // quantify the trade.
 package sketch
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // hll precision: 2^14 registers = 16 KiB, standard error ~0.81%.
 const (
@@ -88,16 +92,24 @@ func (h *HyperLogLog) Merge(other *HyperLogLog) {
 // counter is reassigned to it and its old count becomes the new key's error
 // bound. Every true heavy hitter with frequency > N/K is guaranteed to be
 // tracked.
+//
+// Counters live by value in ents, in slots that never move; heap is a
+// min-heap of slot numbers ordered by (count, key), so the eviction victim —
+// the smallest count, smallest key among equals — is heap[0], and an Add
+// costs a map lookup and at most log K array swaps.
 type TopK struct {
-	k      int
-	counts map[uint64]*tkEntry
-	total  uint64
+	k     int
+	slot  map[uint64]int32 // key → index into ents
+	ents  []tkEntry
+	heap  []int32
+	total uint64
 }
 
 type tkEntry struct {
 	key   uint64
 	count uint64
 	err   uint64
+	pos   int32 // index of this slot in heap
 }
 
 // NewTopK creates a tracker with capacity k (clamped to >= 1).
@@ -105,30 +117,77 @@ func NewTopK(k int) *TopK {
 	if k < 1 {
 		k = 1
 	}
-	return &TopK{k: k, counts: make(map[uint64]*tkEntry, k)}
+	return &TopK{k: k, slot: make(map[uint64]int32, k)}
+}
+
+// less orders two slots by (count, key) ascending.
+func (t *TopK) less(a, b int32) bool {
+	ea, eb := &t.ents[a], &t.ents[b]
+	if ea.count != eb.count {
+		return ea.count < eb.count
+	}
+	return ea.key < eb.key
+}
+
+// down restores the heap below position i after the slot there grew.
+func (t *TopK) down(i int) {
+	h := t.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && t.less(h[c+1], h[c]) {
+			c++
+		}
+		if !t.less(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		t.ents[h[i]].pos = int32(i)
+		t.ents[h[c]].pos = int32(c)
+		i = c
+	}
+}
+
+// up restores the heap above position i after a slot was appended there.
+func (t *TopK) up(i int) {
+	h := t.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.less(h[i], h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		t.ents[h[i]].pos = int32(i)
+		t.ents[h[p]].pos = int32(p)
+		i = p
+	}
 }
 
 // Add records one occurrence of key.
 func (t *TopK) Add(key uint64) {
 	t.total++
-	if e, ok := t.counts[key]; ok {
-		e.count++
+	if s, ok := t.slot[key]; ok {
+		t.ents[s].count++
+		t.down(int(t.ents[s].pos))
 		return
 	}
-	if len(t.counts) < t.k {
-		t.counts[key] = &tkEntry{key: key, count: 1}
+	if len(t.ents) < t.k {
+		s := int32(len(t.ents))
+		t.ents = append(t.ents, tkEntry{key: key, count: 1, pos: s})
+		t.heap = append(t.heap, s)
+		t.slot[key] = s
+		t.up(int(s))
 		return
 	}
-	// Evict the minimum counter.
-	var min *tkEntry
-	for _, e := range t.counts {
-		if min == nil || e.count < min.count ||
-			(e.count == min.count && e.key < min.key) {
-			min = e
-		}
-	}
-	delete(t.counts, min.key)
-	t.counts[key] = &tkEntry{key: key, count: min.count + 1, err: min.count}
+	// Reassign the minimum counter.
+	s := t.heap[0]
+	e := &t.ents[s]
+	delete(t.slot, e.key)
+	t.slot[key] = s
+	e.key, e.count, e.err = key, e.count+1, e.count
+	t.down(0)
 }
 
 // Merge folds another tracker into t, combining partial summaries computed
@@ -145,51 +204,47 @@ func (t *TopK) Merge(o *TopK) {
 	t.total += o.total
 	tFloor := t.evictFloor()
 	oFloor := o.evictFloor()
-	merged := make(map[uint64]*tkEntry, len(t.counts)+len(o.counts))
-	for k, e := range t.counts {
-		m := &tkEntry{key: k, count: e.count, err: e.err}
-		if oe, ok := o.counts[k]; ok {
-			m.count += oe.count
-			m.err += oe.err
+	merged := make([]tkEntry, 0, len(t.ents)+len(o.ents))
+	for _, e := range t.ents {
+		if s, ok := o.slot[e.key]; ok {
+			e.count += o.ents[s].count
+			e.err += o.ents[s].err
 		} else {
-			m.count += oFloor
-			m.err += oFloor
+			e.count += oFloor
+			e.err += oFloor
 		}
-		merged[k] = m
+		merged = append(merged, e)
 	}
-	for k, oe := range o.counts {
-		if _, ok := merged[k]; ok {
-			continue
+	for _, oe := range o.ents {
+		if _, ok := t.slot[oe.key]; !ok {
+			merged = append(merged, tkEntry{key: oe.key, count: oe.count + tFloor, err: oe.err + tFloor})
 		}
-		merged[k] = &tkEntry{key: k, count: oe.count + tFloor, err: oe.err + tFloor}
 	}
 	if len(merged) > t.k {
 		// Keep the k largest (ties broken by key ascending, matching Top).
-		items := make([]Item, 0, len(merged))
-		for _, e := range merged {
-			items = append(items, Item{e.key, e.count, e.err})
-		}
-		sortItems(items)
-		for _, it := range items[t.k:] {
-			delete(merged, it.Key)
-		}
+		slices.SortFunc(merged, func(a, b tkEntry) int { return compareItems(a.item(), b.item()) })
+		merged = merged[:t.k]
 	}
-	t.counts = merged
+	t.ents = merged
+	t.heap = t.heap[:0]
+	clear(t.slot)
+	for i := range t.ents {
+		t.ents[i].pos = int32(i)
+		t.heap = append(t.heap, int32(i))
+		t.slot[t.ents[i].key] = int32(i)
+	}
+	for i := len(t.heap)/2 - 1; i >= 0; i-- {
+		t.down(i)
+	}
 }
 
 // evictFloor is the count any untracked key could have accumulated: the
 // minimum tracked count once the tracker has reached capacity, zero before.
 func (t *TopK) evictFloor() uint64 {
-	if len(t.counts) < t.k {
+	if len(t.ents) < t.k {
 		return 0
 	}
-	var min uint64 = math.MaxUint64
-	for _, e := range t.counts {
-		if e.count < min {
-			min = e.count
-		}
-	}
-	return min
+	return t.ents[t.heap[0]].count
 }
 
 // Item is one tracked heavy hitter.
@@ -201,14 +256,24 @@ type Item struct {
 	Err uint64
 }
 
+func (e tkEntry) item() Item { return Item{e.key, e.count, e.err} }
+
+// compareItems orders by estimated count descending, ties by key ascending.
+func compareItems(a, b Item) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	return cmp.Compare(a.Key, b.Key)
+}
+
 // Top returns up to n tracked items, by estimated count descending
 // (ties broken by key for determinism).
 func (t *TopK) Top(n int) []Item {
-	items := make([]Item, 0, len(t.counts))
-	for _, e := range t.counts {
-		items = append(items, Item{e.key, e.count, e.err})
+	items := make([]Item, len(t.ents))
+	for i, e := range t.ents {
+		items[i] = e.item()
 	}
-	sortItems(items)
+	slices.SortFunc(items, compareItems)
 	if n > len(items) {
 		n = len(items)
 	}
@@ -217,16 +282,3 @@ func (t *TopK) Top(n int) []Item {
 
 // Total returns the number of Add calls.
 func (t *TopK) Total() uint64 { return t.total }
-
-func sortItems(items []Item) {
-	// Insertion-friendly sizes; simple sort keeps the package stdlib-lean.
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0; j-- {
-			a, b := items[j-1], items[j]
-			if a.Count > b.Count || (a.Count == b.Count && a.Key <= b.Key) {
-				break
-			}
-			items[j-1], items[j] = b, a
-		}
-	}
-}

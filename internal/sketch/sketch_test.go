@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -255,5 +256,102 @@ func BenchmarkTopKAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tk.Add(keys[i&65535])
+	}
+}
+
+// linearTopK is the reference Space-Saving tracker: the eviction victim is
+// found by a scan over every counter for the smallest (count, key). TopK must
+// pick the same victim through its heap, so the two agree item for item on
+// any stream.
+type linearTopK struct {
+	k     int
+	index map[uint64]int
+	items []Item
+}
+
+func (t *linearTopK) add(key uint64) {
+	if i, ok := t.index[key]; ok {
+		t.items[i].Count++
+		return
+	}
+	if len(t.items) < t.k {
+		t.index[key] = len(t.items)
+		t.items = append(t.items, Item{Key: key, Count: 1})
+		return
+	}
+	min := 0
+	for i, e := range t.items {
+		if m := t.items[min]; e.Count < m.Count || (e.Count == m.Count && e.Key < m.Key) {
+			min = i
+		}
+	}
+	old := t.items[min]
+	delete(t.index, old.Key)
+	t.index[key] = min
+	t.items[min] = Item{Key: key, Count: old.Count + 1, Err: old.Count}
+}
+
+func (t *linearTopK) top() []Item {
+	items := append([]Item(nil), t.items...)
+	sort.Slice(items, func(i, j int) bool {
+		if items[i].Count != items[j].Count {
+			return items[i].Count > items[j].Count
+		}
+		return items[i].Key < items[j].Key
+	})
+	return items
+}
+
+// sweepStream is the decade store's worst case for a port tracker: sweeps of
+// 10 000 consecutive ports, each starting somewhere else, over a tracker that
+// holds 4096.
+func sweepStream(sweeps, ports int) []uint64 {
+	r := rng.New(7)
+	keys := make([]uint64, 0, sweeps*ports)
+	for s := 0; s < sweeps; s++ {
+		base := r.Intn(65536 - ports)
+		for p := 0; p < ports; p++ {
+			keys = append(keys, uint64(base+p))
+		}
+	}
+	return keys
+}
+
+func TestTopKMatchesLinearScanEviction(t *testing.T) {
+	keys := sweepStream(23, 10000)
+	tk := NewTopK(4096)
+	ref := &linearTopK{k: 4096, index: map[uint64]int{}}
+	for _, k := range keys {
+		tk.Add(k)
+		ref.add(k)
+	}
+	got, want := tk.Top(4096), ref.top()
+	if len(got) != len(want) {
+		t.Fatalf("%d items tracked, reference tracks %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("item %d: %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	if tk.Total() != uint64(len(keys)) {
+		t.Fatalf("total = %d, want %d", tk.Total(), len(keys))
+	}
+}
+
+// BenchmarkTopKSweep is one 10 000-port sweep into a saturated capacity-4096
+// tracker: every key is new, so every Add evicts.
+func BenchmarkTopKSweep(b *testing.B) {
+	keys := sweepStream(23, 10000)
+	tk := NewTopK(4096)
+	for _, k := range keys {
+		tk.Add(k)
+	}
+	sweep := keys[:10000]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range sweep {
+			tk.Add(k + uint64(i&1)*70000)
+		}
 	}
 }
