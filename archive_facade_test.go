@@ -51,7 +51,7 @@ func TestFacadeArchiveSkipCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer strict.Close()
-	if err := strict.Query(context.Background(), &ArchiveFilter{}, func(*Scan, *Origin) {}); err == nil {
+	if err := strict.Query(context.Background(), AllScans, func(*Scan, *Origin) {}); err == nil {
 		t.Fatal("default reader must fail on a corrupt block")
 	}
 
@@ -61,7 +61,7 @@ func TestFacadeArchiveSkipCorrupt(t *testing.T) {
 	}
 	defer rd.Close()
 	n := 0
-	if err := rd.Query(context.Background(), &ArchiveFilter{}, func(*Scan, *Origin) { n++ }); err != nil {
+	if err := rd.Query(context.Background(), AllScans, func(*Scan, *Origin) { n++ }); err != nil {
 		t.Fatalf("skip-corrupt reader errored: %v", err)
 	}
 	if rd.CorruptBlocks() != 1 {

@@ -88,6 +88,22 @@ func TestCLIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("synalyze spool: %v\n%s", err, outSpool)
 	}
+	// -telescope overrides the spool header exactly when it is given,
+	// whatever its value — the flag's own default, 4096, included.
+	outSame, err := exec.Command(synalyze, "-telescope", "2048", spoolPath).CombinedOutput()
+	if err != nil {
+		t.Fatalf("synalyze -telescope 2048 spool: %v\n%s", err, outSame)
+	}
+	if string(outSame) != string(outSpool) {
+		t.Fatalf("-telescope 2048 on a 2048 spool changed the report:\n%s\nvs\n%s", outSame, outSpool)
+	}
+	outOver, err := exec.Command(synalyze, "-telescope", "4096", spoolPath).CombinedOutput()
+	if err != nil {
+		t.Fatalf("synalyze -telescope 4096 spool: %v\n%s", err, outOver)
+	}
+	if string(outOver) == string(outSpool) {
+		t.Fatal("explicit -telescope 4096 was overridden by the spool header's 2048")
+	}
 	// Same capture, same analysis: the qualified-campaign line must match
 	// the pcap run's.
 	lineOf := func(s, prefix string) string {

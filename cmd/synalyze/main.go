@@ -88,29 +88,59 @@ func main() {
 	isSpool := [4]byte(magic) == flowlog.Magic
 	isNG := [4]byte(magic) == pcapng.Magic
 
-	var pcapR *pcap.Reader
-	var spoolR *flowlog.Reader
-	var ngR *pcapng.Reader
+	// next reads the capture's next record into p, whatever the format;
+	// decoded is false for a frame that does not parse as a probe. One
+	// Decoder and one Probe serve the whole replay: Decode reuses the probe's
+	// payload backing, so the replay loop runs allocation-free (the detector
+	// copies anything it keeps past the call).
+	var next func(p *packet.Probe) (decoded bool, err error)
+	var dec packet.Decoder
+	mTruncated := reg.Counter("pcap.records.truncated")
 	switch {
 	case isSpool:
-		spoolR, err = flowlog.NewReader(br)
+		spoolR, err := flowlog.NewReader(br)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// The spool header records the telescope size; honor it unless the
-		// operator overrides explicitly.
-		if spoolR.TelescopeSize() > 0 && *telSize == 4096 {
+		// operator gave -telescope explicitly (whatever the value).
+		telGiven := false
+		flag.Visit(func(f *flag.Flag) { telGiven = telGiven || f.Name == "telescope" })
+		if spoolR.TelescopeSize() > 0 && !telGiven {
 			*telSize = spoolR.TelescopeSize()
 		}
+		next = func(p *packet.Probe) (bool, error) { return true, spoolR.Next(p) }
 	case isNG:
-		ngR, err = pcapng.NewReader(br)
+		ngR, err := pcapng.NewReader(br)
 		if err != nil {
 			log.Fatal(err)
 		}
+		next = func(p *packet.Probe) (bool, error) {
+			ts, data, _, err := ngR.Next()
+			if err != nil || dec.Decode(data, p) != nil {
+				return false, err
+			}
+			p.Time = ts
+			return true, nil
+		}
 	default:
-		pcapR, err = pcap.NewReader(br)
+		pcapR, err := pcap.NewReader(br)
 		if err != nil {
 			log.Fatal(err)
+		}
+		next = func(p *packet.Probe) (bool, error) {
+			rec, err := pcapR.Next()
+			if err != nil {
+				return false, err
+			}
+			if rec.Truncated() {
+				mTruncated.Inc()
+			}
+			if dec.Decode(rec.Data, p) != nil {
+				return false, nil
+			}
+			p.Time = rec.Time
+			return true, nil
 		}
 	}
 
@@ -157,99 +187,41 @@ func main() {
 	mAccepted := reg.Counter("telescope.packets.accepted")
 	mNotSYN := reg.Counter("telescope.drop.not_syn")
 	mUnparsed := reg.Counter("telescope.drop.unparsed")
-	mTruncated := reg.Counter("pcap.records.truncated")
 
 	packetsPerPort := stats.NewCounter[uint16]()
 	var total, parsed, syn, phase2 uint64
-	// One Decoder and one Probe for the whole replay: Decode reuses the
-	// probe's payload backing, so the frame loops below run allocation-free
-	// (the detector copies anything it keeps past the call).
-	var dec packet.Decoder
 	var p packet.Probe
-	ingest := func() {
-		if p.IsSYN() {
+	replaySpan := obs.StartSpan(reg.Histogram("replay.read_ns"))
+	for {
+		decoded, err := next(&p)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		total++
+		if !decoded {
+			mUnparsed.Inc()
+			continue
+		}
+		parsed++
+		// The replay ingress filter: a passive capture is SYN-only; a
+		// reactive capture (-reactive) also carries the phase-two segments
+		// the responder admitted, which the detector links into two-phase
+		// campaigns. SYN-ACK backscatter stays dropped either way.
+		switch {
+		case p.IsSYN():
 			syn++
-		} else {
+		case *reactiveMode && p.IsTCP() && !p.IsSYNACK():
 			phase2++
+		default:
+			mNotSYN.Inc()
+			continue
 		}
 		mAccepted.Inc()
 		packetsPerPort.Inc(p.DstPort)
 		det.Ingest(&p)
-	}
-	// The replay ingress filter: a passive capture is SYN-only; a reactive
-	// capture (-reactive) also carries the phase-two segments the responder
-	// admitted, which the detector links into two-phase campaigns. SYN-ACK
-	// backscatter stays dropped either way.
-	admit := func() bool {
-		if p.IsSYN() {
-			return true
-		}
-		return *reactiveMode && p.IsTCP() && !p.IsSYNACK()
-	}
-	replaySpan := obs.StartSpan(reg.Histogram("replay.read_ns"))
-	switch {
-	case isSpool:
-		for {
-			if err := spoolR.Next(&p); err == io.EOF {
-				break
-			} else if err != nil {
-				log.Fatal(err)
-			}
-			total++
-			parsed++
-			if admit() {
-				ingest()
-			} else {
-				mNotSYN.Inc()
-			}
-		}
-	case isNG:
-		for {
-			ts, data, _, err := ngR.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
-			total++
-			if err := dec.Decode(data, &p); err != nil {
-				mUnparsed.Inc()
-				continue
-			}
-			parsed++
-			if !admit() {
-				mNotSYN.Inc()
-				continue
-			}
-			p.Time = ts
-			ingest()
-		}
-	default:
-		for {
-			rec, err := pcapR.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
-			total++
-			if rec.Truncated() {
-				mTruncated.Inc()
-			}
-			if err := dec.Decode(rec.Data, &p); err != nil {
-				mUnparsed.Inc()
-				continue
-			}
-			parsed++
-			if !admit() {
-				mNotSYN.Inc()
-				continue
-			}
-			p.Time = rec.Time
-			ingest()
-		}
 	}
 	replaySpan.End()
 

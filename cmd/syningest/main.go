@@ -136,7 +136,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if spool.TelescopeSize() > 0 && *telSize == 4096 {
+	// The spool header records the telescope size; honor it unless the
+	// operator gave -telescope explicitly (whatever the value).
+	telGiven := false
+	flag.Visit(func(f *flag.Flag) { telGiven = telGiven || f.Name == "telescope" })
+	if spool.TelescopeSize() > 0 && !telGiven {
 		*telSize = spool.TelescopeSize()
 	}
 

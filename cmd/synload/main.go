@@ -8,10 +8,11 @@
 //
 //   - -addr http://host:port points the fleet at an already-running server.
 //   - Without -addr, synload self-serves: it writes a deterministic fixture
-//     archive (-fixture scans, -seed), builds ./cmd/synserve (or uses
-//     -synserve BIN), starts it on a loopback port, runs the fleet against
-//     it, and shuts it down. -serve-args appends raw flags to the server
-//     command line (e.g. -serve-args="-max-inflight 4" to force overload).
+//     archive (-fixture scans, -seed) to a temp dir, serves it in-process
+//     through internal/serve on a loopback port with synserve's default
+//     settings, runs the fleet against it, and shuts it down. To load a
+//     differently configured server (say -max-inflight 4, to force
+//     overload), start synserve yourself and point -addr at it.
 //
 // The mix (-mix standard|hot) replays production-shaped traffic: cached and
 // cache-busting reads, pushdown-pruned and full-scan POST /v1/query
@@ -30,34 +31,39 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"strings"
+	"runtime"
 	"syscall"
 	"time"
 
 	"github.com/synscan/synscan/internal/loadgen"
+	"github.com/synscan/synscan/internal/obs"
+	"github.com/synscan/synscan/internal/serve"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("synload: ")
+	// run returns before the process exits, so its deferred cleanup (the
+	// self-served fixture's temp dir) happens on failure too.
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
 
+func run() error {
 	addr := flag.String("addr", "", "target base URL (e.g. http://127.0.0.1:8080); empty = self-serve a fixture")
 	fixture := flag.Int("fixture", 20000, "scans in the self-served fixture archive")
-	store := flag.String("store", "", "serve this existing archive/store instead of generating a fixture")
-	synserve := flag.String("synserve", "", "prebuilt synserve binary (default: go build ./cmd/synserve)")
-	serveArgs := flag.String("serve-args", "", "extra flags appended to the synserve command line")
+	store := flag.String("store", "", "self-serve this existing archive/store instead of generating a fixture")
 	clients := flag.Int("clients", 1000, "concurrent clients in the fleet")
 	requests := flag.Uint64("requests", 0, "total request budget (0 = run for -duration)")
 	duration := flag.Duration("duration", 10*time.Second, "wall deadline when -requests is 0")
@@ -78,7 +84,7 @@ func main() {
 	case "hot":
 		mix = loadgen.HotMix()
 	default:
-		log.Fatalf("unknown -mix %q (want standard or hot)", *mixName)
+		return fmt.Errorf("unknown -mix %q (want standard or hot)", *mixName)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -87,14 +93,12 @@ func main() {
 	base := *addr
 	var statsURL string
 	if base == "" {
-		srv, err := startServer(ctx, *store, *fixture, *seed, *synserve, *serveArgs)
+		selfBase, stopServer, err := selfServe(ctx, *store, *fixture, *seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer srv.stop()
-		base = srv.base
-		statsURL = base + "/v1/stats"
-		log.Printf("self-serving %s at %s", srv.target, base)
+		defer stopServer()
+		base, statsURL = selfBase, selfBase+"/v1/stats"
 	}
 
 	reqs := *requests
@@ -115,7 +119,7 @@ func main() {
 		Seed:     *seed,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	fmt.Printf("requests   %d in %.2fs (%.1f rps)\n", res.Requests, res.Duration, res.Throughput)
@@ -134,10 +138,10 @@ func main() {
 	if *out != "" {
 		b, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("wrote %s", *out)
 	}
@@ -149,81 +153,65 @@ func main() {
 		MinThroughput:  *sloRPS,
 	}
 	if err := res.Check(slo); err != nil {
-		log.Printf("SLO FAIL:\n%v", err)
-		os.Exit(1)
+		return fmt.Errorf("SLO FAIL:\n%v", err)
 	}
 	if slo != (loadgen.SLO{}) {
 		log.Print("SLO PASS")
 	}
+	return nil
 }
 
-// child is a self-served synserve process.
-type child struct {
-	cmd    *exec.Cmd
-	base   string
-	target string
-}
-
-func (c *child) stop() {
-	c.cmd.Process.Signal(os.Interrupt)
-	c.cmd.Wait()
-}
-
-// startServer builds (if needed) and launches synserve over the target
-// store — an existing path or a freshly written fixture archive — and waits
-// for it to report its listen address.
-func startServer(ctx context.Context, store string, fixture int, seed uint64, bin, extraArgs string) (*child, error) {
-	tmp, err := os.MkdirTemp("", "synload")
-	if err != nil {
-		return nil, err
-	}
-	// tmp holds the fixture and possibly the binary; it leaks only until
-	// process exit on early error, and the OS tempdir reaps it.
-
-	target := store
+// selfServe serves the target store — an existing path or, when target is
+// empty, a fixture archive freshly written to a temp dir — in this process
+// on a loopback port, under synserve's default settings. Canceling ctx
+// drains the server; stop does that too, then waits for Serve, removes the
+// temp dir and reports how Serve ended.
+func selfServe(ctx context.Context, target string, fixture int, seed uint64) (base string, stop func() error, err error) {
+	tmp := ""
+	defer func() {
+		if err != nil {
+			os.RemoveAll(tmp)
+		}
+	}()
 	if target == "" {
+		if tmp, err = os.MkdirTemp("", "synload"); err != nil {
+			return "", nil, err
+		}
 		target = filepath.Join(tmp, "fixture.syna")
-		if err := loadgen.WriteFixtureArchive(target, fixture, seed); err != nil {
-			return nil, fmt.Errorf("writing fixture: %w", err)
+		if err = loadgen.WriteFixtureArchive(target, fixture, seed); err != nil {
+			return "", nil, fmt.Errorf("writing fixture: %w", err)
 		}
 		log.Printf("wrote fixture archive: %d scans", fixture)
 	}
-	if bin == "" {
-		bin = filepath.Join(tmp, "synserve")
-		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/synserve").CombinedOutput(); err != nil {
-			return nil, fmt.Errorf("building synserve (run from the repo root or pass -synserve): %v\n%s", err, out)
-		}
-	}
-
-	args := []string{"-addr", "127.0.0.1:0"}
-	if extraArgs != "" {
-		args = append(args, strings.Fields(extraArgs)...)
-	}
-	args = append(args, target)
-	cmd := exec.CommandContext(ctx, bin, args...)
-	stderr, err := cmd.StderrPipe()
+	srv, err := serve.Open([]string{target}, serve.Config{
+		Workers:     1,
+		CacheBytes:  64 << 20,
+		MaxInflight: 2 * runtime.GOMAXPROCS(0),
+		RetryAfter:  time.Second,
+		Timeout:     30 * time.Second,
+		SkipCorrupt: true,
+		Rescan:      2 * time.Second,
+	}, obs.NewRegistry())
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		srv.Close()
+		return "", nil, err
 	}
-
-	sc := bufio.NewScanner(stderr)
-	var base string
-	for sc.Scan() {
-		if line := sc.Text(); strings.Contains(line, "serving on ") {
-			base = strings.TrimSpace(line[strings.Index(line, "serving on ")+len("serving on "):])
-			break
-		}
-	}
-	if base == "" {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, fmt.Errorf("synserve never reported its address")
-	}
-	go io.Copy(io.Discard, stderr)
-	return &child{cmd: cmd, base: base, target: target}, nil
+	ctx, cancel := context.WithCancel(ctx)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	base = "http://" + ln.Addr().String()
+	log.Printf("self-serving %s at %s", target, base)
+	return base, func() error {
+		cancel()
+		err := <-served
+		srv.Close()
+		os.RemoveAll(tmp)
+		return err
+	}, nil
 }
 
 // reportServerCounters fetches /v1/stats and prints the server.* hardening

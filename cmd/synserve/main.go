@@ -1,8 +1,9 @@
-// Command synserve serves campaign archives over HTTP. It loads archive
-// files written by synalyze -archive or syneval -archive-out, and/or live
-// segment store directories written by syningest, and exposes their scans
-// through a small JSON API:
+// Command synserve serves campaign archives over HTTP: flag wiring around
+// internal/serve. It loads archive files written by synalyze -archive or
+// syneval -archive-out, and/or live segment store directories written by
+// syningest, and exposes their scans through a small JSON API:
 //
+//	POST /v1/query   {"where": ..., "group_by": [...], "aggs": [...]}
 //	GET /v1/scans?year=2022&tool=zmap&port=443&limit=100
 //	GET /v1/tables/ports?year=2022&top=10
 //	GET /v1/tables/tools?qualified=true
@@ -10,31 +11,29 @@
 //	GET /v1/stats
 //
 // Filter parameters (year, tool, port, src, minrate, maxrate, qualified)
-// are shared by every query endpoint; year/tool/port accept repeated or
+// are shared by every GET query endpoint; year/tool/port accept repeated or
 // comma-separated values. Zone-map pruning applies per query, and results
 // are cached in a byte-bounded LRU (-cache-bytes) keyed on the
-// canonicalized query string. SIGINT or SIGTERM drains: new requests get
-// 503 + Retry-After while in-flight ones finish.
+// canonicalized query. SIGINT or SIGTERM drains: new requests get 503 +
+// Retry-After while in-flight ones finish.
 //
-// The server is hardened for concurrent fleets: identical cache-missing
-// queries collapse into one execution (singleflight), at most -max-inflight
-// scans run at once with the excess fast-failed as 429 + Retry-After, and
-// scan lists longer than -stream-above rows stream as chunked JSON instead
-// of buffering. Each behaviour is observable via server.* counters and
-// gauges at /v1/stats; cmd/synload is the matching load harness.
+// Identical cache-missing queries collapse into one execution
+// (singleflight), at most -max-inflight scans run at once with the excess
+// fast-failed as 429 + Retry-After, and scan lists longer than -stream-above
+// rows stream as chunked JSON. Each behaviour is observable via server.*
+// counters and gauges at /v1/stats; cmd/synload is the matching load harness.
 //
 // Archives are opened skip-corrupt by default (-skip-corrupt=false to fail
 // fast instead): checksum-failed blocks are skipped and counted, and every
 // query response carries "degraded": true once any block was lost. -timeout
-// bounds each query; an expired deadline returns 504 with a JSON error
-// body.
+// bounds each query; an expired deadline returns 504 with a JSON error body.
 //
 // A directory argument is served as a live segment store: its manifest is
 // re-read every -rescan interval, so segments sealed by a concurrently
 // running syningest (and compactions merging them) become queryable without
 // a restart. Result-cache entries are keyed on the store generation and
-// invalidate automatically when the segment set changes; degraded responses
-// are never cached.
+// invalidate when the segment set changes; degraded responses are never
+// cached.
 //
 // Usage:
 //
@@ -47,44 +46,39 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
 	"syscall"
 	"time"
 
-	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/obs"
+	"github.com/synscan/synscan/internal/serve"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("synserve: ")
 
+	var cfg serve.Config
 	addr := flag.String("addr", "localhost:8080", "listen address")
-	workers := flag.Int("workers", 1, "block-decode workers per query; >1 decompresses surviving blocks in parallel")
-	cacheSize := flag.Int("cache", 128, "result-cache capacity in responses (0 disables caching)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache capacity in body bytes (0 = unbounded)")
-	maxInflight := flag.Int("max-inflight", 2*runtime.GOMAXPROCS(0), "max concurrently executing archive scans; excess requests get 429 + Retry-After (0 = unbounded)")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
-	streamAbove := flag.Int("stream-above", defaultStreamAbove, "stream scan-list responses longer than this many scans as chunked JSON (-1 = never stream)")
-	queryTimeout := flag.Duration("timeout", 30*time.Second, "per-query deadline; expired queries return 504 (0 = no deadline)")
-	skipCorrupt := flag.Bool("skip-corrupt", true, "skip checksum-failed archive blocks instead of failing the query; responses carry degraded=true")
-	rescan := flag.Duration("rescan", 2*time.Second, "poll interval for discovering newly sealed segments in store directories (0 = only at startup)")
+	flag.IntVar(&cfg.Workers, "workers", 1, "block-decode workers per query; >1 decompresses surviving blocks in parallel")
+	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", 64<<20, "result-cache capacity in body bytes (0 disables caching)")
+	flag.IntVar(&cfg.MaxInflight, "max-inflight", 2*runtime.GOMAXPROCS(0), "max concurrently executing archive scans; excess requests get 429 + Retry-After (0 = unbounded)")
+	flag.DurationVar(&cfg.RetryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 responses")
+	flag.IntVar(&cfg.StreamAbove, "stream-above", 4096, "stream scan-list responses longer than this many scans as chunked JSON (-1 = never stream)")
+	flag.DurationVar(&cfg.Timeout, "timeout", 30*time.Second, "per-query deadline; expired queries return 504 (0 = no deadline)")
+	flag.BoolVar(&cfg.SkipCorrupt, "skip-corrupt", true, "skip checksum-failed archive blocks instead of failing the query; responses carry degraded=true")
+	flag.DurationVar(&cfg.Rescan, "rescan", 2*time.Second, "poll interval for discovering newly sealed segments in store directories (0 = only at startup)")
 	metricsEvery := flag.Duration("metrics-interval", 0, "periodically dump metrics to stderr at this interval (0 = off)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	if *workers < 1 {
-		log.Fatalf("-workers must be at least 1, got %d", *workers)
-	}
-	if *cacheSize < 0 {
-		log.Fatalf("-cache must be at least 0, got %d", *cacheSize)
+	if cfg.Workers < 1 {
+		log.Fatalf("-workers must be at least 1, got %d", cfg.Workers)
 	}
 	if flag.NArg() < 1 {
 		log.Fatal("usage: synserve [flags] archive.syna|storedir [more...]")
@@ -99,124 +93,22 @@ func main() {
 	reg := obs.NewRegistry()
 	defer obs.StartDump(reg, os.Stderr, *metricsEvery)()
 
-	var opts []archive.ReaderOption
-	if *skipCorrupt {
-		opts = append(opts, archive.WithSkipCorrupt())
+	srv, err := serve.Open(flag.Args(), cfg, reg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var paths, dirs []string
-	var readers []*archive.Reader
-	var catalogs []*archive.Catalog
-	for _, arg := range flag.Args() {
-		if fi, err := os.Stat(arg); err == nil && fi.IsDir() {
-			cat, err := archive.OpenCatalog(arg, archive.CatalogConfig{
-				SkipCorrupt: *skipCorrupt, Workers: *workers, Metrics: reg,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer cat.Close()
-			v := cat.View()
-			log.Printf("opened store %s: %d segments, %d scans, generation %d",
-				arg, v.Len(), v.NumScans(), v.Generation())
-			v.Release()
-			dirs = append(dirs, arg)
-			catalogs = append(catalogs, cat)
-			continue
-		}
-		rd, err := archive.Open(arg, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer rd.Close()
-		rd.SetWorkers(*workers)
-		rd.SetMetrics(reg)
-		log.Printf("loaded %s: %d blocks, %d scans, telescope %d, origins=%v",
-			arg, rd.NumBlocks(), rd.NumScans(), rd.TelescopeSize(), rd.HasOrigins())
-		paths = append(paths, arg)
-		readers = append(readers, rd)
-	}
-
-	srv := newServer(paths, readers, dirs, catalogs, serverConfig{
-		cacheEntries: *cacheSize,
-		cacheBytes:   *cacheBytes,
-		timeout:      *queryTimeout,
-		maxInflight:  *maxInflight,
-		retryAfter:   *retryAfter,
-		streamAbove:  *streamAbove,
-	}, reg)
+	defer srv.Close()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if len(catalogs) > 0 && *rescan > 0 {
-		go rescanLoop(ctx, dirs, catalogs, *rescan)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("serving on http://%s", ln.Addr())
-	if err := serve(ctx, ln, srv); err != nil {
+	if err := srv.Serve(ctx, ln); err != nil {
 		log.Fatal(err)
 	}
 	log.Print("shut down cleanly")
-}
-
-// rescanLoop polls every store's manifest until ctx is done, logging
-// discoveries. Refresh failures (a manifest swap caught mid-read never
-// happens — the write is atomic — but a permission or I/O error can) are
-// logged and retried next tick; the last good segment set keeps serving.
-func rescanLoop(ctx context.Context, dirs []string, catalogs []*archive.Catalog, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			for i, cat := range catalogs {
-				changed, err := cat.Refresh()
-				if err != nil {
-					log.Printf("rescan %s: %v", dirs[i], err)
-					continue
-				}
-				if changed {
-					v := cat.View()
-					log.Printf("store %s: now %d segments, %d scans, generation %d",
-						dirs[i], v.Len(), v.NumScans(), v.Generation())
-					v.Release()
-				}
-			}
-		}
-	}
-}
-
-// shutdownTimeout bounds the in-flight request drain after a signal.
-const shutdownTimeout = 10 * time.Second
-
-// serve runs srv on ln until ctx is canceled, then drains gracefully: the
-// server stops admitting (new requests get 503 + Connection: close, so
-// keep-alive clients move off), the listener closes, and in-flight requests
-// get up to shutdownTimeout to finish before the process exits 0.
-func serve(ctx context.Context, ln net.Listener, srv *server) error {
-	hs := &http.Server{Handler: srv.handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	srv.startDrain()
-	hs.SetKeepAlivesEnabled(false)
-	sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return err
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
 }

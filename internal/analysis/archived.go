@@ -8,6 +8,7 @@ import (
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/inetmodel"
+	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/stats"
 	"github.com/synscan/synscan/internal/workload"
 )
@@ -61,7 +62,8 @@ func CollectArchive(rd *archive.Reader, year int) (*YearData, error) {
 		InstPacketsPerPort: stats.NewCounter[uint16](),
 		Weeks:              prof.Days / 7,
 	}
-	err = rd.Query(context.Background(), &archive.Filter{Years: []int{year}}, func(sc *core.Scan, o *enrich.Origin) {
+	inYear := (&query.Query{Where: query.YearIn(year)}).Predicate()
+	err = rd.Query(context.Background(), inYear, func(sc *core.Scan, o *enrich.Origin) {
 		yd.Scans = append(yd.Scans, sc)
 		var origin enrich.Origin // stays zero for an archive without origins
 		if o != nil {

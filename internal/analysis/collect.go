@@ -129,6 +129,19 @@ func CollectWorkers(s *workload.Scenario, workers int) *YearData {
 // CollectWith simulates the scenario and gathers all aggregates in one
 // streaming pass, with sharding and observability per cc.
 func CollectWith(s *workload.Scenario, cc CollectConfig) *YearData {
+	return collect(s, cc, func(accept func(*packet.Probe)) {
+		s.Run(func(p *packet.Probe) {
+			if s.Telescope.Observe(p) == telescope.Accepted {
+				accept(p)
+			}
+		})
+	})
+}
+
+// collect is the one collection pass behind CollectWith and CollectReactive.
+// run replays the scenario through whichever telescope the caller uses,
+// handing accept every probe that telescope's ingress decision accepted.
+func collect(s *workload.Scenario, cc CollectConfig, run func(accept func(*packet.Probe))) *YearData {
 	yd := &YearData{
 		Year:               s.Profile.Year,
 		Days:               s.Profile.Days,
@@ -167,10 +180,7 @@ func CollectWith(s *workload.Scenario, cc CollectConfig) *YearData {
 	day := int64(24 * 3600 * 1e9)
 
 	runSpan := obs.StartSpan(reg.Histogram("collect.run_ns"))
-	s.Run(func(p *packet.Probe) {
-		if s.Telescope.Observe(p) != telescope.Accepted {
-			return
-		}
+	run(func(p *packet.Probe) {
 		yd.accept(s, p, srcPort, weekSrc)
 		det.Ingest(p)
 	})
@@ -199,9 +209,8 @@ func CollectWith(s *workload.Scenario, cc CollectConfig) *YearData {
 	return yd
 }
 
-// accept folds one telescope-accepted probe into every per-packet aggregate
-// (detector ingest is the caller's job, since the reactive path gates it
-// differently). srcPort and weekSrc are the caller-owned dedup sets.
+// accept folds one telescope-accepted probe into every per-packet aggregate.
+// srcPort and weekSrc are the caller-owned dedup sets.
 func (yd *YearData) accept(s *workload.Scenario, p *packet.Probe, srcPort, weekSrc map[uint64]struct{}) {
 	day := int64(24 * 3600 * 1e9)
 	yd.AcceptedPackets++

@@ -1,14 +1,9 @@
 package analysis
 
 import (
-	"github.com/synscan/synscan/internal/core"
-	"github.com/synscan/synscan/internal/enrich"
-	"github.com/synscan/synscan/internal/inetmodel"
-	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/packet"
 	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/reactive"
-	"github.com/synscan/synscan/internal/stats"
 	"github.com/synscan/synscan/internal/telescope"
 	"github.com/synscan/synscan/internal/tools"
 	"github.com/synscan/synscan/internal/workload"
@@ -32,69 +27,18 @@ type ReactiveData struct {
 // Aggregates gate on the responder's effective ingress decision, so drop
 // accounting stays truthful and phase-two segments count exactly once.
 func CollectReactive(s *workload.Scenario, pol reactive.Policy, cc CollectConfig) *ReactiveData {
-	yd := &YearData{
-		Year:               s.Profile.Year,
-		Days:               s.Profile.Days,
-		TelescopeSize:      s.Telescope.Size(),
-		Start:              s.Start,
-		PacketsPerDay:      make([]uint64, s.Profile.Days+1),
-		PacketsPerPort:     stats.NewCounter[uint16](),
-		SourcesPerPort:     stats.NewCounter[uint16](),
-		PortsPerSource:     make(map[uint32]int),
-		PacketsPerToolPort: stats.NewCounter[ToolPort](),
-		WeeklySources:      stats.NewCounter[BlockWeek](),
-		WeeklyPackets:      stats.NewCounter[BlockWeek](),
-		WeeklyScans:        stats.NewCounter[BlockWeek](),
-		CountryPackets:     stats.NewCounter[PortCountry](),
-		InstPacketsPerPort: stats.NewCounter[uint16](),
-		Weeks:              s.Profile.Days / 7,
-		reg:                s.Registry,
-	}
-	reg := cc.Metrics
-	en := enrich.New(s.Registry)
-	en.SetMetrics(reg)
-	s.Telescope.SetMetrics(reg)
 	rt := reactive.New(s.Telescope, pol)
-	rt.SetMetrics(reg)
-
-	collect := func(sc *core.Scan) {
-		yd.Scans = append(yd.Scans, sc)
-		yd.ScanOrigins = append(yd.ScanOrigins, en.Origin(sc.Src))
-	}
-	det := core.NewDetector(s.DetectorConfig, collect,
-		core.WithWorkers(cc.Workers), core.WithMetrics(reg))
-
-	srcPort := make(map[uint64]struct{})
-	weekSrc := make(map[uint64]struct{})
-	day := int64(24 * 3600 * 1e9)
-
-	runSpan := obs.StartSpan(reg.Histogram("collect.run_ns"))
-	sum := s.RunReactive(rt, func(p *packet.Probe, d reactive.Disposition) {
-		if d.Reason != telescope.Accepted {
-			return
-		}
-		yd.accept(s, p, srcPort, weekSrc)
-		det.Ingest(p)
+	rt.SetMetrics(cc.Metrics)
+	rd := &ReactiveData{}
+	rd.YearData = collect(s, cc, func(accept func(*packet.Probe)) {
+		rd.Workload = s.RunReactive(rt, func(p *packet.Probe, d reactive.Disposition) {
+			if d.Reason == telescope.Accepted {
+				accept(p)
+			}
+		})
 	})
-	runSpan.End()
-
-	flushSpan := obs.StartSpan(reg.Histogram("collect.flush_ns"))
-	det.FlushAll()
-	flushSpan.End()
-
-	yd.DistinctSources = len(yd.PortsPerSource)
-	yd.TelescopeStats = s.Telescope.Stats()
-	for _, sc := range yd.Scans {
-		if !sc.Qualified {
-			continue
-		}
-		week := uint8(int((sc.Start - s.Start) / (7 * day)))
-		yd.WeeklyScans.Inc(BlockWeek{inetmodel.Block16(sc.Src), week})
-	}
-	if reg != nil {
-		yd.PipelineStats = reg.Snapshot()
-	}
-	return &ReactiveData{YearData: yd, Responder: rt.Stats(), Workload: sum}
+	rd.Responder = rt.Stats()
+	return rd
 }
 
 // TwoPhaseRow is one tool's row of the two-phase share table.

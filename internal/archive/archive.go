@@ -34,7 +34,7 @@
 // width. Each block's zone map carries min/max start time, min/max year,
 // a tool bitmap, a 64-bit port-set fingerprint and the source-address range,
 // letting a Reader prove "no scan in this block can match" and skip the
-// block without decompressing it (predicate pushdown; see Filter).
+// block without decompressing it (predicate pushdown; see Predicate).
 //
 // The flags bit 0 records whether scans carry their enrichment Origin: the
 // simulation path archives origins (it owns the registry), the replay path

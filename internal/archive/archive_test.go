@@ -126,7 +126,7 @@ func TestRoundTrip(t *testing.T) {
 			}
 			var gotScans []*core.Scan
 			var gotOrigins []enrich.Origin
-			if err := scan(t, r, context.Background(), &Filter{}, func(sc *core.Scan, o *enrich.Origin) {
+			if err := scan(t, r, context.Background(), All, func(sc *core.Scan, o *enrich.Origin) {
 				gotScans = append(gotScans, sc)
 				if (o != nil) != withOrigins {
 					t.Fatalf("origin %v from an archive with origins=%v", o, withOrigins)
@@ -301,7 +301,7 @@ func TestCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := scan(t, r, context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) {}); err == nil {
+		if err := scan(t, r, context.Background(), All, func(*core.Scan, *enrich.Origin) {}); err == nil {
 			t.Fatal("want block decode error")
 		}
 	})
@@ -314,7 +314,7 @@ func TestEmptyArchive(t *testing.T) {
 	if r.NumBlocks() != 0 || r.NumScans() != 0 {
 		t.Fatalf("blocks %d scans %d", r.NumBlocks(), r.NumScans())
 	}
-	if err := scan(t, r, context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) {
+	if err := scan(t, r, context.Background(), All, func(*core.Scan, *enrich.Origin) {
 		t.Fatal("emit on empty archive")
 	}); err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func BenchmarkArchiveQuery(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			n := 0
-			if err := r.Query(context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
+			if err := r.Query(context.Background(), All, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -326,7 +326,7 @@ func (c *Compactor) merge(inputs []SegmentMeta, outSeq uint64) (SegmentMeta, err
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		var addErr error
-		err = rd.Query(ctx, &Filter{}, func(sc *core.Scan, o *enrich.Origin) {
+		err = rd.Query(ctx, All, func(sc *core.Scan, o *enrich.Origin) {
 			if addErr != nil {
 				return
 			}

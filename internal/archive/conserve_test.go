@@ -88,7 +88,7 @@ func TestReaderConservation(t *testing.T) {
 	data := writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, Origins: true, BlockBytes: 8 << 10})
 	pfx := inetmodel.Prefix{Base: 0x40000000, Bits: 3}
 	preds := map[string]Predicate{
-		"all":       &Filter{},
+		"all":       All,
 		"selective": &Filter{Years: []int{2019}, Tools: []tools.Tool{tools.Tool(2)}, QualifiedOnly: true},
 		"prefix":    &Filter{SrcPrefix: &pfx, MinRate: 4000},
 		"nothing":   &Filter{Years: []int{1999}},
@@ -111,7 +111,7 @@ func TestReaderConservation(t *testing.T) {
 	for _, i := range []int{1, len(zones) - 2} {
 		bad[int(zones[i].Offset)+blockCRCLen+3] ^= 0xff
 	}
-	if err := scan(t, openArchive(t, bad), context.Background(), &Filter{}, noop); err == nil {
+	if err := scan(t, openArchive(t, bad), context.Background(), All, noop); err == nil {
 		t.Fatal("strict reader read damaged blocks without error")
 	}
 	for _, workers := range []int{1, 4} {

@@ -7,28 +7,11 @@ import (
 	"github.com/synscan/synscan/internal/tools"
 )
 
-// Predicate is the reader's pushdown contract: anything that can (a) prove
-// from a zone map alone that no scan in a block matches, (b) decide a
-// decoded scan, and (c) say which variable-size record parts anyone
-// downstream reads. Reader.Query evaluates MatchBlock once per block — false
-// skips the block without decompressing it — and Match once per decoded
-// record. MatchBlock must be conservative: it may return true for a block
-// with no matching scans (the decode filters them), but must never return
-// false for a block containing one. Fields is the projection: it must cover
-// what Match itself reads and what the consumer of emitted scans reads;
-// parts outside it are parsed but not stored (see Fields). Match receives the
-// record's origin when the archive carries origins (see Reader.HasOrigins)
-// and Fields includes FieldOrigin, nil otherwise.
+// Filter is this package's selective test predicate: the fixed-form
+// conjunction the archive tests pin zone-map pruning with (they cannot
+// import internal/query, whose compiled ASTs are the production Predicates).
 //
-// Filter is the fixed-form conjunction implementation; internal/query
-// compiles arbitrary filter ASTs into Predicates.
-type Predicate interface {
-	MatchBlock(z *ZoneMap) bool
-	Match(sc *core.Scan, o *enrich.Origin) bool
-	Fields() Fields
-}
-
-// Filter is a conjunction of predicates over archived scans. The zero value
+// It is a conjunction of predicates over archived scans. The zero value
 // matches everything. Each populated field both narrows the per-scan match
 // and, where the zone maps carry enough information, lets the reader skip
 // whole blocks without decompressing them (MatchBlock).

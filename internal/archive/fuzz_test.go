@@ -58,7 +58,7 @@ func FuzzReader(f *testing.F) {
 				continue
 			}
 			n := 0
-			_ = r.Query(context.Background(), &Filter{}, func(sc *core.Scan, _ *enrich.Origin) {
+			_ = r.Query(context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
 				n++
 				if n > 1<<20 {
 					t.Fatal("unbounded emit")

@@ -56,7 +56,7 @@ func TestPoolPoisoning(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				for i := 0; i < v2.Len(); i++ {
-					if err := v2.Reader(i).Query(context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) {}); err != nil {
+					if err := v2.Reader(i).Query(context.Background(), All, func(*core.Scan, *enrich.Origin) {}); err != nil {
 						errc <- fmt.Errorf("segment %s: %w", v2.Name(i), err)
 						return
 					}

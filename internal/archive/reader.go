@@ -221,8 +221,8 @@ type blockScans struct {
 // are skipped without decompression, surviving blocks are decoded on a
 // worker pool while emit runs on the calling goroutine, and p.Match drops
 // non-matching records before they reach emit. It is the one way to scan an
-// archive: a Filter is one Predicate (pass &Filter{} for everything),
-// internal/query compiles its ASTs into others.
+// archive: All is the Predicate for everything, internal/query compiles its
+// ASTs into selective ones.
 //
 // emit receives pointers into the query's own decode slabs: they stay valid
 // for as long as the caller holds them and are never reused, so keeping a
@@ -323,7 +323,7 @@ func (r *Reader) fail(err error) blockScans {
 // DEFLATE decoder (internal/inflate keeps its Huffman tables across blocks,
 // so a warmed scratch decompresses without allocating — compress/flate
 // rebuilds its link tables per stream even when Reset) and the origin-string
-// table. The unit lives in scratchPool; everything decodeRecord keeps is
+// table. Idle units wait in scratchFree; everything decodeRecord keeps is
 // decoded or copied into the query's own slabs (ports, payload) or is an
 // immutable interned string, so nothing decoded from a scratch — including
 // the scans a CatalogView query hands out — aliases it after release. That
@@ -335,14 +335,30 @@ type blockScratch struct {
 	strings interner
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+// scratchFree is the free list of idle scratches, one per processor at most:
+// a burst of concurrent queries allocates the extra units it needs and drops
+// them afterwards. It is a plain bounded list rather than a sync.Pool because
+// the collector empties a pool, and a scratch is ~0.5 MB of buffers and
+// tables: what a query allocated then depended on where the last collection
+// fell, not on the query.
+var scratchFree = make(chan *blockScratch, runtime.GOMAXPROCS(0))
+
+func getScratch() *blockScratch {
+	select {
+	case s := <-scratchFree:
+		return s
+	default:
+		return new(blockScratch)
+	}
+}
 
 // poisonScratch, when set (by tests only), scribbles every scratch buffer as
-// it returns to the pool so any decoded state still aliasing pooled memory
+// it returns to the free list so any decoded state still aliasing its memory
 // fails loudly instead of silently going stale.
 var poisonScratch atomic.Bool
 
-// release returns the scratch to the pool.
+// release returns the scratch to the free list, or to the collector when the
+// list is full.
 func (s *blockScratch) release() {
 	if poisonScratch.Load() {
 		comp := s.comp[:cap(s.comp)]
@@ -354,8 +370,16 @@ func (s *blockScratch) release() {
 			raw[i] = 0xdb
 		}
 	}
-	scratchPool.Put(s)
+	select {
+	case scratchFree <- s:
+	default:
+	}
 }
+
+// scratchCap rounds a scratch buffer's size up to the next 64 KiB. Blocks
+// differ in length by a record or so; sized exactly, a buffer would be
+// reallocated for every block a little longer than the longest before it.
+func scratchCap(n int) int { return (n + 1<<16 - 1) &^ (1<<16 - 1) }
 
 // readBlock fills s with block z: the compressed bytes (checksum verified for
 // version ≥ 2) in s.comp and the decompressed record bytes in s.raw. The
@@ -366,7 +390,7 @@ func (r *Reader) readBlock(z *ZoneMap, s *blockScratch) error {
 		n += blockCRCLen
 	}
 	if cap(s.comp) < n {
-		s.comp = make([]byte, n)
+		s.comp = make([]byte, scratchCap(n))
 	}
 	blk := s.comp[:n]
 	if _, err := r.ra.ReadAt(blk, int64(z.Offset)); err != nil {
@@ -390,7 +414,7 @@ func (r *Reader) readBlock(z *ZoneMap, s *blockScratch) error {
 	sp := obs.StartSpan(r.mDecompress)
 	raw := s.raw[:0]
 	if cap(raw) < rawCap {
-		raw = make([]byte, 0, rawCap)
+		raw = make([]byte, 0, scratchCap(rawCap))
 	}
 	// Decompress with the output capped at RawLen+1 bytes (like the io.Copy
 	// + LimitReader regime this replaces): one extra byte proves an overlong
@@ -418,7 +442,7 @@ func (r *Reader) RawBlock(i int, visit func(raw []byte) error) error {
 	if i < 0 || i >= len(r.index) {
 		return fmt.Errorf("archive: block %d out of range [0,%d)", i, len(r.index))
 	}
-	s := scratchPool.Get().(*blockScratch)
+	s := getScratch()
 	defer s.release()
 	if err := r.readBlock(&r.index[i], s); err != nil {
 		return err
@@ -432,7 +456,7 @@ func (r *Reader) RawBlock(i int, visit func(raw []byte) error) error {
 // match commits the slot, so memory is consumed per kept record, not per
 // record examined.
 func (r *Reader) decodeBlock(z *ZoneMap, p Predicate, sl *slabs) blockScans {
-	s := scratchPool.Get().(*blockScratch)
+	s := getScratch()
 	defer s.release()
 	if err := r.readBlock(z, s); err != nil {
 		return r.fail(err)

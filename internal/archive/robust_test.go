@@ -59,7 +59,7 @@ func TestVersion1Compat(t *testing.T) {
 	}
 	r := openArchive(t, v1)
 	var got []*core.Scan
-	if err := scan(t, r, context.Background(), &Filter{}, func(sc *core.Scan, _ *enrich.Origin) {
+	if err := scan(t, r, context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
 		got = append(got, sc)
 	}); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestSkipCorrupt(t *testing.T) {
 		damaged[i] = true
 	}
 
-	if err := scan(t, openArchive(t, bad), context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) {}); err == nil {
+	if err := scan(t, openArchive(t, bad), context.Background(), All, func(*core.Scan, *enrich.Origin) {}); err == nil {
 		t.Fatal("default reader must fail fast on damaged blocks")
 	}
 
@@ -108,7 +108,7 @@ func TestSkipCorrupt(t *testing.T) {
 	}
 	r.SetMetrics(reg)
 	var got []*core.Scan
-	if err := scan(t, r, context.Background(), &Filter{}, func(sc *core.Scan, _ *enrich.Origin) {
+	if err := scan(t, r, context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
 		got = append(got, sc)
 	}); err != nil {
 		t.Fatalf("degraded read failed: %v", err)
@@ -158,18 +158,18 @@ func TestScansContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := scan(t, r, ctx, &Filter{}, func(*core.Scan, *enrich.Origin) {}); !errors.Is(err, context.Canceled) {
+	if err := scan(t, r, ctx, All, func(*core.Scan, *enrich.Origin) {}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel2()
-	if err := scan(t, r, expired, &Filter{}, func(*core.Scan, *enrich.Origin) {}); !errors.Is(err, context.DeadlineExceeded) {
+	if err := scan(t, r, expired, All, func(*core.Scan, *enrich.Origin) {}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
 
 	n := 0
-	if err := scan(t, r, context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
+	if err := scan(t, r, context.Background(), All, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
 		t.Fatal(err)
 	}
 	if n != len(scans) {
@@ -197,7 +197,7 @@ func TestEmptyArchiveFile(t *testing.T) {
 	if r.NumBlocks() != 0 || r.NumScans() != 0 || r.TelescopeSize() != 64 {
 		t.Fatalf("blocks %d scans %d telescope %d", r.NumBlocks(), r.NumScans(), r.TelescopeSize())
 	}
-	if err := scan(t, r, context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) {
+	if err := scan(t, r, context.Background(), All, func(*core.Scan, *enrich.Origin) {
 		t.Fatal("emit on empty archive")
 	}); err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestWriterCloseIdempotent(t *testing.T) {
 	}
 	r := openArchive(t, buf.Bytes())
 	n := 0
-	if err := scan(t, r, context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
+	if err := scan(t, r, context.Background(), All, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
 		t.Fatal(err)
 	}
 	if n != len(scans) {

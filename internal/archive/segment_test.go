@@ -42,7 +42,7 @@ func viewScans(t testing.TB, v *CatalogView) []*core.Scan {
 	t.Helper()
 	var out []*core.Scan
 	for i := 0; i < v.Len(); i++ {
-		if err := v.Reader(i).Query(context.Background(), &Filter{}, func(sc *core.Scan, _ *enrich.Origin) {
+		if err := v.Reader(i).Query(context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
 			out = append(out, sc)
 		}); err != nil {
 			t.Fatalf("segment %s: %v", v.Name(i), err)
@@ -143,7 +143,7 @@ func TestSegmentStoreEquivalence(t *testing.T) {
 	scans, origins := testScans(3000, 3)
 	single := writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, BlockBytes: 4 << 10})
 	var want []*core.Scan
-	if err := scan(t, openArchive(t, single), context.Background(), &Filter{}, func(sc *core.Scan, _ *enrich.Origin) {
+	if err := scan(t, openArchive(t, single), context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
 		want = append(want, sc)
 	}); err != nil {
 		t.Fatal(err)
@@ -734,7 +734,7 @@ func TestConcurrentDiscoveryDuringQueries(t *testing.T) {
 				v := cat.View()
 				n := 0
 				for i := 0; i < v.Len(); i++ {
-					if err := v.Reader(i).Query(context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
+					if err := v.Reader(i).Query(context.Background(), All, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
 						t.Errorf("query over %s: %v", v.Name(i), err)
 					}
 				}

@@ -79,7 +79,7 @@ func TestSlabAliasing(t *testing.T) {
 			t.Fatalf("workers=%d: kept %d scans, want %d", workers, len(kept), want)
 		}
 		// Churn the pool once more, through a second query's slabs.
-		if err := scan(t, r, context.Background(), &Filter{}, func(*core.Scan, *enrich.Origin) {}); err != nil {
+		if err := scan(t, r, context.Background(), All, func(*core.Scan, *enrich.Origin) {}); err != nil {
 			t.Fatal(err)
 		}
 		for i, sc := range kept {
@@ -137,7 +137,7 @@ func TestProjectedDecode(t *testing.T) {
 			t.Fatalf("fields=%03b: %d scans, want %d", fields, i, len(scans))
 		}
 	}
-	if f := (&Filter{}).Fields(); f != AllFields {
+	if f := (All).Fields(); f != AllFields {
 		t.Fatalf("Filter projects %03b, want everything", f)
 	}
 }
@@ -145,13 +145,9 @@ func TestProjectedDecode(t *testing.T) {
 // TestAllocBudgetBlockDecode is the enforced budget for decoding a block's
 // records on top of the pooled read: at most 6 allocations per block in
 // steady state, whether a block holds a hundred records or eight hundred —
-// slab and arena chunks amortized over the records they hold, the block's
-// run list, sync.Pool misses — where the per-record decode this replaces
-// made five per record. Reported under "archive-block-decode".
+// slab and arena chunks amortized over the records they hold and the block's
+// run list — where the per-record decode this replaces made five per record. Reported under "archive-block-decode".
 func TestAllocBudgetBlockDecode(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop scratch at random")
-	}
 	scans, origins := testScans(16000, 47)
 	for _, blockBytes := range []int{8 << 10, 64 << 10} {
 		data := writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, Origins: true, BlockBytes: blockBytes})
@@ -160,7 +156,7 @@ func TestAllocBudgetBlockDecode(t *testing.T) {
 		perBlock := len(scans) / blocks
 		// One worker's slabs, as long-lived as a full scan's.
 		sl := newSlabs(AllFields)
-		p := &Filter{}
+		p := All
 		i := 0
 		alloctest.Check(t, "archive-block-decode", 6, func() {
 			if res := r.decodeBlock(&r.index[i%blocks], p, sl); res.err != nil {

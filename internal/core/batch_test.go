@@ -124,7 +124,7 @@ func TestShardedBatchDifferential(t *testing.T) {
 		refSorted := canonicalScans(perProbe)
 
 		var scans []*Scan
-		sd := NewShardedDetector(scfg, func(s *Scan) { scans = append(scans, s) })
+		sd := newShardedDetector(scfg, func(s *Scan) { scans = append(scans, s) }, nil)
 		for off := 0; off < len(stream); off += 100 {
 			end := off + 100
 			if end > len(stream) {
@@ -179,7 +179,7 @@ func TestShardedIngestCopiesPayload(t *testing.T) {
 
 	// Reference run: stable payload buffers.
 	var ref []*Scan
-	rd := NewShardedDetector(cfg, func(s *Scan) { ref = append(ref, s) })
+	rd := newShardedDetector(cfg, func(s *Scan) { ref = append(ref, s) }, nil)
 	for i := 0; i < n; i++ {
 		p := packet.Probe{Time: int64(i) * int64(time.Millisecond), Src: 1,
 			Dst: uint32(0x0a000000 + i), DstPort: 80}
@@ -196,7 +196,7 @@ func TestShardedIngestCopiesPayload(t *testing.T) {
 	// Decoder-shaped run: one probe, one payload buffer, scribbled after
 	// every Ingest the way the next Decode would overwrite it.
 	var got []*Scan
-	sd := NewShardedDetector(cfg, func(s *Scan) { got = append(got, s) })
+	sd := newShardedDetector(cfg, func(s *Scan) { got = append(got, s) }, nil)
 	var p packet.Probe
 	buf := make([]byte, 0, 64)
 	for i := 0; i < n; i++ {

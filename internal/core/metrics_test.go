@@ -167,7 +167,7 @@ func TestNewDetectorOptionEquivalence(t *testing.T) {
 		return NewDetector(cfg, emit, WithWorkers(3))
 	})
 	viaWrapper := run(func(emit func(*Scan)) Ingester {
-		return NewShardedDetector(ShardedConfig{Config: cfg, Workers: 3}, emit)
+		return newShardedDetector(ShardedConfig{Config: cfg, Workers: 3}, emit, nil)
 	})
 	sequential := run(func(emit func(*Scan)) Ingester {
 		return NewDetector(cfg, emit)

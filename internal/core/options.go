@@ -2,9 +2,7 @@ package core
 
 import "github.com/synscan/synscan/internal/obs"
 
-// Option configures NewDetector. The options surface replaces the previous
-// pattern of every call site switching between NewDetector and
-// NewShardedDetector on a worker count: construction is one call and the
+// Option configures NewDetector: construction is one call and the
 // sharding/observability choices are orthogonal options.
 type Option func(*options)
 

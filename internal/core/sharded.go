@@ -25,7 +25,7 @@ const (
 
 // ShardedConfig parameterizes a ShardedDetector. The embedded Config is the
 // per-shard detector configuration; the zero value of every sharding knob is
-// completed with a sensible default by NewShardedDetector.
+// completed with a sensible default at construction.
 type ShardedConfig struct {
 	Config
 
@@ -127,18 +127,10 @@ type shardedMetrics struct {
 	mergeNS      *obs.Histogram // wall time of the FlushAll merge
 }
 
-// NewShardedDetector starts cfg.Workers shard goroutines and returns the
+// newShardedDetector starts cfg.Workers shard goroutines and returns the
 // router. emit is called for every closed flow, from the goroutine that
 // calls FlushAll. Zero sharding knobs get defaults; the embedded Config is
-// defaulted exactly like NewDetector.
-//
-// Deprecated: use NewDetector with WithWorkers (and WithMetrics for
-// observability); this wrapper remains for callers that need the
-// non-default sharding knobs of ShardedConfig.
-func NewShardedDetector(cfg ShardedConfig, emit func(*Scan)) *ShardedDetector {
-	return newShardedDetector(cfg, emit, nil)
-}
-
+// defaulted exactly like the sequential detector's.
 func newShardedDetector(cfg ShardedConfig, emit func(*Scan), reg *obs.Registry) *ShardedDetector {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)

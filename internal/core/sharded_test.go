@@ -70,7 +70,7 @@ func runSequential(t *testing.T, cfg Config, stream []packet.Probe) ([]*Scan, [3
 func runSharded(t *testing.T, cfg ShardedConfig, stream []packet.Probe) (*ShardedDetector, []*Scan) {
 	t.Helper()
 	var scans []*Scan
-	sd := NewShardedDetector(cfg, func(s *Scan) { scans = append(scans, s) })
+	sd := newShardedDetector(cfg, func(s *Scan) { scans = append(scans, s) }, nil)
 	for i := range stream {
 		p := stream[i] // copy: Ingest may retain batches past the call
 		sd.Ingest(&p)
@@ -153,12 +153,12 @@ func TestShardedSingleWorkerBitIdentical(t *testing.T) {
 // silent must still close its flows as the rest of the stream advances —
 // without waiting for FlushAll.
 func TestShardedWatermarkExpiresIdleShard(t *testing.T) {
-	sd := NewShardedDetector(ShardedConfig{
+	sd := newShardedDetector(ShardedConfig{
 		Config:            Config{TelescopeSize: testTelescopeSize},
 		Workers:           4,
 		BatchSize:         1, // every probe ships immediately
 		WatermarkInterval: int64(5 * time.Minute),
-	}, nil)
+	}, nil, nil)
 	// One probe from the idle source, then a long stream of probes from a
 	// source on a different shard marching time past the expiry window.
 	idle := uint32(1)
@@ -199,11 +199,11 @@ func TestShardedConcurrentIngest(t *testing.T) {
 	const producers = 4
 	const perProducer = 4000
 	var scans []*Scan
-	sd := NewShardedDetector(ShardedConfig{
+	sd := newShardedDetector(ShardedConfig{
 		Config:    Config{TelescopeSize: testTelescopeSize},
 		Workers:   4,
 		BatchSize: 32,
-	}, func(s *Scan) { scans = append(scans, s) })
+	}, func(s *Scan) { scans = append(scans, s) }, nil)
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -264,7 +264,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 
 // TestShardedIngestAfterFlushPanics pins the terminal contract of FlushAll.
 func TestShardedIngestAfterFlushPanics(t *testing.T) {
-	sd := NewShardedDetector(ShardedConfig{Config: Config{TelescopeSize: 10}, Workers: 2}, nil)
+	sd := newShardedDetector(ShardedConfig{Config: Config{TelescopeSize: 10}, Workers: 2}, nil, nil)
 	sd.FlushAll()
 	sd.FlushAll() // second flush is a no-op, not a panic
 	defer func() {
@@ -278,7 +278,7 @@ func TestShardedIngestAfterFlushPanics(t *testing.T) {
 
 // TestShardedDefaults checks the zero-config completion.
 func TestShardedDefaults(t *testing.T) {
-	sd := NewShardedDetector(ShardedConfig{Config: Config{TelescopeSize: 10}}, nil)
+	sd := newShardedDetector(ShardedConfig{Config: Config{TelescopeSize: 10}}, nil, nil)
 	if sd.Workers() < 1 {
 		t.Fatalf("Workers = %d", sd.Workers())
 	}

@@ -201,7 +201,7 @@ func TestFixtureArchive(t *testing.T) {
 	}
 	var got uint64
 	years := map[int]bool{}
-	err = rd.Query(context.Background(), &archive.Filter{}, func(sc *core.Scan, _ *enrich.Origin) {
+	err = rd.Query(context.Background(), archive.All, func(sc *core.Scan, _ *enrich.Origin) {
 		got++
 		years[time.Unix(0, sc.Start).UTC().Year()] = true
 	})

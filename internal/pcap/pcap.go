@@ -383,13 +383,3 @@ func (r *Reader) addSkipped(n int) {
 	r.skipped += uint64(n)
 	r.mSkipped.Add(uint64(n))
 }
-
-// NextRaw is the positional form of Next, retained for callers of the
-// pre-Record API.
-//
-// Deprecated: use Next, whose Record return makes truncation detection
-// (Record.Truncated) explicit instead of an origLen-vs-len comparison.
-func (r *Reader) NextRaw() (tsNanos int64, data []byte, origLen uint32, err error) {
-	rec, err := r.Next()
-	return rec.Time, rec.Data, rec.OrigLen, err
-}

@@ -277,10 +277,11 @@ func TestReaderLittleEndianMicro(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, _, _, err := r.NextRaw()
+	rec, err := r.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := rec.Time
 	if want := int64(7)*1e9 + 123*1e3; ts != want {
 		t.Fatalf("ts = %d, want %d", ts, want)
 	}
@@ -337,10 +338,12 @@ func TestReaderBufferReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, first, _, _ := r.NextRaw()
+	rec, _ := r.Next()
+	first := rec.Data
 	saved := make([]byte, len(first))
 	copy(saved, first)
-	_, second, _, _ := r.NextRaw()
+	rec, _ = r.Next()
+	second := rec.Data
 	if bytes.Equal(first, saved) && &first[0] != &second[0] {
 		// Buffer may or may not alias depending on capacity growth; the
 		// documented contract is only that callers must copy. Just verify

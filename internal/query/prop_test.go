@@ -97,7 +97,7 @@ func materializedRun(t *testing.T, q *Query, rd *archive.Reader) *Result {
 	t.Helper()
 	var scans []*core.Scan
 	var origins []enrich.Origin
-	err := rd.Query(context.Background(), &archive.Filter{}, func(sc *core.Scan, o *enrich.Origin) {
+	err := rd.Query(context.Background(), archive.All, func(sc *core.Scan, o *enrich.Origin) {
 		scans = append(scans, sc)
 		if o != nil {
 			origins = append(origins, *o)

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"container/list"
@@ -11,17 +11,15 @@ type cacheEntry struct {
 	body []byte
 }
 
-// lruCache is an LRU over canonicalized query keys, bounded two ways: by
-// entry count and — so a handful of huge scan-list responses cannot blow the
-// process's memory — by total body bytes. Bodies larger than maxEntry are
-// never stored at all: one response worth a whole cache generation would
-// evict everything else for a single key's benefit. The cached value is the
-// fully rendered JSON body, so a hit costs one map lookup and one write —
-// no filter evaluation, no block decompression. A nil *lruCache (capacity 0)
-// never hits and never stores.
+// lruCache is an LRU over canonicalized query keys, bounded by total body
+// bytes, so a handful of huge scan-list responses cannot blow the process's
+// memory. Bodies larger than maxEntry are never stored at all: one response
+// worth a whole cache generation would evict everything else for a single
+// key's benefit. The cached value is the fully rendered JSON body, so a hit
+// costs one map lookup and one write — no filter evaluation, no block
+// decompression. A nil *lruCache (budget 0) never hits and never stores.
 type lruCache struct {
 	mu       sync.Mutex
-	cap      int
 	maxBytes int64
 	maxEntry int64
 	bytes    int64
@@ -29,27 +27,24 @@ type lruCache struct {
 	items    map[string]*list.Element
 }
 
-// newLRU builds a cache holding at most capacity responses and (when
-// maxBytes > 0) at most maxBytes of body data, whichever bound bites first.
-func newLRU(capacity int, maxBytes int64) *lruCache {
-	if capacity <= 0 {
+// newLRU builds a cache holding at most maxBytes of body data; a budget of 0
+// or less means no cache.
+func newLRU(maxBytes int64) *lruCache {
+	if maxBytes <= 0 {
 		return nil
 	}
-	c := &lruCache{
-		cap:      capacity,
+	// One entry may take at most an eighth of the budget, so the cache
+	// always holds a handful of entries even when bodies run large.
+	maxEntry := maxBytes / 8
+	if maxEntry < 1 {
+		maxEntry = 1
+	}
+	return &lruCache{
 		maxBytes: maxBytes,
+		maxEntry: maxEntry,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element, capacity),
+		items:    make(map[string]*list.Element),
 	}
-	if maxBytes > 0 {
-		// One entry may take at most an eighth of the budget, so the cache
-		// always holds a handful of entries even when bodies run large.
-		c.maxEntry = maxBytes / 8
-		if c.maxEntry < 1 {
-			c.maxEntry = 1
-		}
-	}
-	return c
 }
 
 func (c *lruCache) get(key string) ([]byte, bool) {
@@ -70,7 +65,7 @@ func (c *lruCache) put(key string, body []byte) {
 	if c == nil {
 		return
 	}
-	if c.maxEntry > 0 && int64(len(body)) > c.maxEntry {
+	if int64(len(body)) > c.maxEntry {
 		return
 	}
 	c.mu.Lock()
@@ -84,7 +79,7 @@ func (c *lruCache) put(key string, body []byte) {
 		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
 		c.bytes += int64(len(body))
 	}
-	for c.ll.Len() > c.cap || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
+	for c.bytes > c.maxBytes {
 		el := c.ll.Back()
 		c.ll.Remove(el)
 		e := el.Value.(*cacheEntry)
@@ -113,8 +108,8 @@ func (c *lruCache) bytesUsed() int64 {
 	return c.bytes
 }
 
-// entryCap reports the largest body this cache will store (0 = no per-entry
-// bound). Streaming responses use it to cap their cache tee buffer.
+// entryCap reports the largest body this cache will store (0 = no cache).
+// Streaming responses use it to cap their cache tee buffer.
 func (c *lruCache) entryCap() int64 {
 	if c == nil {
 		return 0

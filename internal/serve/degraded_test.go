@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"encoding/json"
@@ -23,8 +23,8 @@ func TestQueryTimeout504(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rd.Close() })
-	srv := newServer([]string{path}, []*archive.Reader{rd}, nil, nil, serverConfig{timeout: time.Nanosecond}, obs.NewRegistry())
-	ts := httptest.NewServer(srv.handler())
+	srv := newServer([]source{&file{path: path, rd: rd}}, Config{Timeout: time.Nanosecond}, obs.NewRegistry())
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	resp, err := http.Get(ts.URL + "/v1/scans")
@@ -94,8 +94,8 @@ func TestDegradedQuery(t *testing.T) {
 	}
 	t.Cleanup(func() { rd.Close() })
 	rd.SetMetrics(reg)
-	srv := newServer([]string{path}, []*archive.Reader{rd}, nil, nil, serverConfig{timeout: 30 * time.Second}, reg)
-	ts := httptest.NewServer(srv.handler())
+	srv := newServer([]source{&file{path: path, rd: rd}}, Config{Timeout: 30 * time.Second}, reg)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	var res struct {

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -22,7 +22,7 @@ import (
 // given config and an installable exec hook, returning the test server and
 // registry. The hook (when used) runs in flight leaders after admission and
 // before the engine walk — the seam every overload test here pivots on.
-func hardenedServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server, *obs.Registry) {
+func hardenedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *obs.Registry) {
 	t.Helper()
 	path, _ := testArchive(t, false)
 	rd, err := archive.Open(path)
@@ -31,8 +31,8 @@ func hardenedServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server, 
 	}
 	t.Cleanup(func() { rd.Close() })
 	reg := obs.NewRegistry()
-	srv := newServer([]string{path}, []*archive.Reader{rd}, nil, nil, cfg, reg)
-	ts := httptest.NewServer(srv.handler())
+	srv := newServer([]source{&file{path: path, rd: rd}}, cfg, reg)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, reg
 }
@@ -57,7 +57,7 @@ func waitCounter(t *testing.T, reg *obs.Registry, name string, want uint64) {
 // admitted scan), the singleflight counters, and the X-Cache header split.
 func TestSingleflightCollapse(t *testing.T) {
 	const n = 8
-	srv, ts, reg := hardenedServer(t, serverConfig{cacheEntries: 32, timeout: 30 * time.Second})
+	srv, ts, reg := hardenedServer(t, Config{CacheBytes: 64 << 20, Timeout: 30 * time.Second})
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -144,9 +144,9 @@ func TestSingleflightCollapse(t *testing.T) {
 // bounced immediately with 429 + Retry-After while the first is running —
 // and succeeds once the slot frees.
 func TestAdmissionControl429(t *testing.T) {
-	srv, ts, reg := hardenedServer(t, serverConfig{
-		cacheEntries: 32, timeout: 30 * time.Second,
-		maxInflight: 1, retryAfter: 2 * time.Second,
+	srv, ts, reg := hardenedServer(t, Config{
+		CacheBytes: 64 << 20, Timeout: 30 * time.Second,
+		MaxInflight: 1, RetryAfter: 2 * time.Second,
 	})
 
 	entered := make(chan struct{})
@@ -227,8 +227,8 @@ type scanListBody struct {
 // content as the one-shot marshaled body, so clients cannot tell the paths
 // apart except by transfer encoding.
 func TestStreamedScanList(t *testing.T) {
-	_, streamTS, streamReg := hardenedServer(t, serverConfig{cacheEntries: 32, streamAbove: 10})
-	_, plainTS, _ := hardenedServer(t, serverConfig{cacheEntries: 32, streamAbove: -1})
+	_, streamTS, streamReg := hardenedServer(t, Config{CacheBytes: 64 << 20, StreamAbove: 10})
+	_, plainTS, _ := hardenedServer(t, Config{CacheBytes: 64 << 20, StreamAbove: -1})
 
 	get := func(ts *httptest.Server) (*http.Response, scanListBody) {
 		resp, err := http.Get(ts.URL + "/v1/scans?limit=100")
@@ -287,7 +287,7 @@ func TestStreamedScanList(t *testing.T) {
 // with 503 + Connection: close + Retry-After, while a request already in
 // flight runs to completion — the SIGTERM drain contract.
 func TestDrainRefusesNewRequests(t *testing.T) {
-	srv, ts, reg := hardenedServer(t, serverConfig{cacheEntries: 32, timeout: 30 * time.Second})
+	srv, ts, reg := hardenedServer(t, Config{CacheBytes: 64 << 20, Timeout: 30 * time.Second})
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -346,7 +346,7 @@ func TestDrainRefusesNewRequests(t *testing.T) {
 // process goroutine count settles back to its baseline — nothing keeps
 // decoding blocks for a response that was already written.
 func TestTimeoutGoroutineCleanup(t *testing.T) {
-	_, ts, _ := hardenedServer(t, serverConfig{cacheEntries: 32, timeout: time.Nanosecond})
+	_, ts, _ := hardenedServer(t, Config{CacheBytes: 64 << 20, Timeout: time.Nanosecond})
 
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
@@ -384,7 +384,7 @@ func TestTimeoutGoroutineCleanup(t *testing.T) {
 // the bound, and the gauge reports it.
 func TestCacheByteBound(t *testing.T) {
 	const maxBytes = 4096 // per-entry cap: 512 bytes
-	_, ts, reg := hardenedServer(t, serverConfig{cacheEntries: 100, cacheBytes: maxBytes, streamAbove: -1})
+	_, ts, reg := hardenedServer(t, Config{CacheBytes: maxBytes, StreamAbove: -1})
 
 	// A big scan list blows the per-entry cap: both fetches miss.
 	big := ts.URL + "/v1/scans?limit=50"
@@ -445,10 +445,10 @@ func TestCacheByteBound(t *testing.T) {
 	}
 }
 
-// TestLRUByteAccounting unit-tests the byte bound directly: eviction by
-// bytes with the entry count still roomy, and replacement accounting.
+// TestLRUByteAccounting unit-tests the byte bound directly: the per-entry
+// cap, eviction by bytes, and replacement accounting.
 func TestLRUByteAccounting(t *testing.T) {
-	c := newLRU(100, 1000) // per-entry cap 125
+	c := newLRU(1000) // per-entry cap 125
 	if c.entryCap() != 125 {
 		t.Fatalf("entryCap = %d, want 125", c.entryCap())
 	}
@@ -507,8 +507,8 @@ func TestConcurrentCacheRescanCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cat.Close()
-	srv := newServer(nil, nil, []string{dir}, []*archive.Catalog{cat}, serverConfig{cacheEntries: 32}, reg)
-	ts := httptest.NewServer(srv.handler())
+	srv := newServer([]source{&store{dir: dir, cat: cat}}, Config{CacheBytes: 64 << 20}, reg)
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	// Writer: seal 4 more 50-scan segments, refreshing after each, then

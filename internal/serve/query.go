@@ -1,7 +1,6 @@
-package main
+package serve
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"net/url"
@@ -13,7 +12,6 @@ import (
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/fingerprint"
 	"github.com/synscan/synscan/internal/inetmodel"
-	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/tools"
 )
@@ -23,109 +21,42 @@ import (
 // the JSON decoder.
 const maxQueryBody = 1 << 20
 
-// querySources adapts the request's frozen source set for the query engine:
-// static single-file readers first, then each live store's pinned view, the
-// same order the legacy streaming walk used, so select-mode row order is
-// unchanged across the rewiring.
-func (src *sources) querySources() []query.Source {
-	out := make([]query.Source, 0, len(src.s.readers)+len(src.views))
-	for _, rd := range src.s.readers {
-		out = append(out, query.ReaderSource{R: rd})
-	}
-	for _, v := range src.views {
-		out = append(out, query.ViewSource{V: v})
-	}
-	return out
-}
-
-// runQuery executes a validated query against the request's sources through
-// the engine: one streaming partial per source under zone-map pushdown,
-// merged in source order. Every endpoint — POST /v1/query and the legacy GET
-// surfaces — funnels through here (inside a singleflight leader), so
-// pushdown, deadline abort, degraded reads and the query.* metrics behave
-// identically everywhere.
-func (src *sources) runQuery(ctx context.Context, q *query.Query) (*query.Result, error) {
-	s := src.s
-	sp := obs.StartSpan(s.mQueryExec)
-	defer sp.End()
-	srcs := src.querySources()
-	res, err := query.Run(ctx, q, srcs...)
+// compileBody parses the JSON body of POST /v1/query, the typed-AST
+// analytical endpoint; any malformed or over-cap request is a 400.
+func compileBody(_ *sources, r *http.Request) (*query.Query, renderFunc, error) {
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		return nil, err
-	}
-	s.mQueryPartials.Add(uint64(len(srcs)))
-	if q.SelectMode() {
-		s.mQueryRows.Add(uint64(len(res.Scans)))
-	} else {
-		s.mQueryRows.Add(uint64(len(res.Rows)))
-	}
-	return res, nil
-}
-
-// handleQuery serves POST /v1/query: the typed-AST analytical endpoint. The
-// JSON body parses into a query (any malformed or over-cap request is a 400),
-// which is canonicalized so semantically identical requests share one
-// generation-keyed cache entry — and one singleflight — then executed through
-// the shared hardened path with the same admission, deadline and
-// degraded-read semantics as every other endpoint.
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	sp := obs.StartSpan(s.mLatency)
-	defer sp.End()
-	s.mRequests.Inc()
-	s.mQueryRequests.Inc()
-	if r.Method != http.MethodPost {
-		s.mErrors.Inc()
-		writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed (POST a JSON query)")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
-	if err != nil {
-		s.mErrors.Inc()
-		s.mQueryParseErrors.Inc()
-		writeJSONError(w, http.StatusBadRequest, "read request body: "+err.Error())
-		return
+		return nil, nil, badRequest("read request body: %v", err)
 	}
 	q, err := query.Parse(body)
 	if err != nil {
-		s.mErrors.Inc()
-		s.mQueryParseErrors.Inc()
-		writeJSONError(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, nil, err
 	}
-	q = q.Canonicalize()
-
-	src := s.acquire()
-	defer src.release()
-	if q.NeedsOrigin() && !src.hasOrigins() {
-		s.mErrors.Inc()
-		writeJSONError(w, http.StatusBadRequest,
-			"query needs origins, but no loaded archive carries them (write one with syneval -archive-out)")
-		return
+	if q.SelectMode() {
+		return q, renderScans, nil
 	}
-	key := src.genToken() + "/v1/query?" + q.Key()
-	render := func(res *query.Result, degraded bool) (any, error) {
-		return renderResult(q, res, degraded), nil
-	}
-	s.execute(w, r, src, q, key, render)
+	return q, renderRows, nil
 }
 
-// renderResult shapes an engine result for the /v1/query wire form: select
-// mode mirrors /v1/scans (matched/returned/truncated/scans), aggregate mode
-// returns the sorted rows with their group keys and per-aggregate values.
-func renderResult(q *query.Query, res *query.Result, degraded bool) map[string]any {
-	if q.SelectMode() {
-		scans := make([]scanJSON, 0, len(res.Scans))
-		for _, rec := range res.Scans {
-			scans = append(scans, toScanJSON(rec.Scan, rec.Origin))
-		}
-		return map[string]any{
-			"matched":   res.Matched,
-			"returned":  len(scans),
-			"truncated": res.Truncated,
-			"degraded":  degraded,
-			"scans":     scans,
-		}
+// renderScans is the select-mode wire form, shared by /v1/query and
+// /v1/scans: matched/returned/truncated and the scans themselves.
+func renderScans(res *query.Result, degraded bool) any {
+	scans := make([]scanJSON, 0, len(res.Scans))
+	for _, rec := range res.Scans {
+		scans = append(scans, toScanJSON(rec.Scan, rec.Origin))
 	}
+	return map[string]any{
+		"matched":   res.Matched,
+		"returned":  len(scans),
+		"truncated": res.Truncated,
+		"degraded":  degraded,
+		"scans":     scans,
+	}
+}
+
+// renderRows is /v1/query's aggregate-mode wire form: the sorted rows with
+// their group keys and per-aggregate values.
+func renderRows(res *query.Result, degraded bool) any {
 	rows := res.Rows
 	if rows == nil {
 		rows = []query.Row{}
@@ -250,15 +181,17 @@ func filterExpr(vals url.Values) (query.Expr, error) {
 	}
 }
 
-// compileFunc turns one legacy endpoint's URL parameters into an engine query
-// plus the renderer for its historical wire shape. Compilation happens before
-// the cache lookup: the canonicalized query IS the cache key, so any two
-// parameterizations that mean the same thing (list order, comma vs repeated
-// params, a defaulted limit spelled out) share one entry.
-type compileFunc func(src *sources, vals url.Values) (*query.Query, renderFunc, error)
+// compileFunc turns one endpoint's request — a JSON body, or a legacy
+// endpoint's URL parameters — into an engine query plus the renderer for its
+// wire shape. Compilation happens before the cache lookup: the canonicalized
+// query IS the cache key, so any two requests that mean the same thing (list
+// order, comma vs repeated params, a defaulted limit spelled out) share one
+// entry.
+type compileFunc func(src *sources, r *http.Request) (*query.Query, renderFunc, error)
 
 // compileScans maps /v1/scans onto a select-mode query (limit default 1000).
-func compileScans(src *sources, vals url.Values) (*query.Query, renderFunc, error) {
+func compileScans(src *sources, r *http.Request) (*query.Query, renderFunc, error) {
+	vals := r.URL.Query()
 	where, err := filterExpr(vals)
 	if err != nil {
 		return nil, nil, err
@@ -269,27 +202,14 @@ func compileScans(src *sources, vals url.Values) (*query.Query, renderFunc, erro
 			return nil, nil, badRequest("invalid limit %q (want a positive integer)", v)
 		}
 	}
-	q := &query.Query{Where: where, Limit: limit}
-	render := func(res *query.Result, degraded bool) (any, error) {
-		scans := make([]scanJSON, 0, len(res.Scans))
-		for _, rec := range res.Scans {
-			scans = append(scans, toScanJSON(rec.Scan, rec.Origin))
-		}
-		return map[string]any{
-			"matched":   res.Matched,
-			"returned":  len(scans),
-			"truncated": res.Truncated,
-			"degraded":  degraded,
-			"scans":     scans,
-		}, nil
-	}
-	return q, render, nil
+	return &query.Query{Where: where, Limit: limit}, renderScans, nil
 }
 
 // compilePorts maps /v1/tables/ports onto group-by-port with count and the
 // split packet sum; the engine's default ordering (count descending, port
 // ascending) and row limit reproduce the historical ranking exactly.
-func compilePorts(src *sources, vals url.Values) (*query.Query, renderFunc, error) {
+func compilePorts(src *sources, r *http.Request) (*query.Query, renderFunc, error) {
+	vals := r.URL.Query()
 	where, err := filterExpr(vals)
 	if err != nil {
 		return nil, nil, err
@@ -309,7 +229,7 @@ func compilePorts(src *sources, vals url.Values) (*query.Query, renderFunc, erro
 		},
 		Limit: top,
 	}
-	render := func(res *query.Result, degraded bool) (any, error) {
+	render := func(res *query.Result, degraded bool) any {
 		rows := make([]portRow, 0, len(res.Rows))
 		for _, r := range res.Rows {
 			share := 0.0
@@ -323,7 +243,7 @@ func compilePorts(src *sources, vals url.Values) (*query.Query, renderFunc, erro
 				Share:   share,
 			})
 		}
-		return map[string]any{"total_scans": res.Matched, "ports": rows, "degraded": degraded}, nil
+		return map[string]any{"total_scans": res.Matched, "ports": rows, "degraded": degraded}
 	}
 	return q, render, nil
 }
@@ -332,7 +252,8 @@ func compilePorts(src *sources, vals url.Values) (*query.Query, renderFunc, erro
 // qualified tally (an exact 0/1 integer sum); the renderer walks the
 // canonical tool display order, skipping tools with no scans, as the
 // hand-rolled tally always did.
-func compileTools(src *sources, vals url.Values) (*query.Query, renderFunc, error) {
+func compileTools(src *sources, r *http.Request) (*query.Query, renderFunc, error) {
+	vals := r.URL.Query()
 	where, err := filterExpr(vals)
 	if err != nil {
 		return nil, nil, err
@@ -346,7 +267,7 @@ func compileTools(src *sources, vals url.Values) (*query.Query, renderFunc, erro
 		},
 		Order: query.OrderKey,
 	}
-	render := func(res *query.Result, degraded bool) (any, error) {
+	render := func(res *query.Result, degraded bool) any {
 		scans := make([]uint64, tools.NumTools())
 		qualified := make([]uint64, tools.NumTools())
 		for _, r := range res.Rows {
@@ -364,7 +285,7 @@ func compileTools(src *sources, vals url.Values) (*query.Query, renderFunc, erro
 				Share: float64(scans[t]) / float64(res.Matched),
 			})
 		}
-		return map[string]any{"total_scans": res.Matched, "tools": rows, "degraded": degraded}, nil
+		return map[string]any{"total_scans": res.Matched, "tools": rows, "degraded": degraded}
 	}
 	return q, render, nil
 }
@@ -374,7 +295,8 @@ func compileTools(src *sources, vals url.Values) (*query.Query, renderFunc, erro
 // legacy table sorts by scans descending with ties broken by the type NAME
 // (a string comparison), which differs from the engine's numeric-key
 // tiebreak, so the renderer re-sorts.
-func compileOrigins(src *sources, vals url.Values) (*query.Query, renderFunc, error) {
+func compileOrigins(src *sources, r *http.Request) (*query.Query, renderFunc, error) {
+	vals := r.URL.Query()
 	if !src.hasOrigins() {
 		return nil, nil, badRequest("no loaded archive carries origins (write one with syneval -archive-out)")
 	}
@@ -392,7 +314,7 @@ func compileOrigins(src *sources, vals url.Values) (*query.Query, renderFunc, er
 		},
 		Order: query.OrderKey,
 	}
-	render := func(res *query.Result, degraded bool) (any, error) {
+	render := func(res *query.Result, degraded bool) any {
 		rows := []originRow{}
 		for _, r := range res.Rows {
 			rows = append(rows, originRow{
@@ -408,7 +330,7 @@ func compileOrigins(src *sources, vals url.Values) (*query.Query, renderFunc, er
 			}
 			return rows[i].Type < rows[j].Type
 		})
-		return map[string]any{"types": rows, "degraded": degraded}, nil
+		return map[string]any{"types": rows, "degraded": degraded}
 	}
 	return q, render, nil
 }

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -128,7 +128,7 @@ func TestLegacyTablesParity(t *testing.T) {
 
 	var scans []*core.Scan
 	var origins []enrich.Origin
-	if err := rd.Query(context.Background(), &archive.Filter{}, func(sc *core.Scan, o *enrich.Origin) {
+	if err := rd.Query(context.Background(), archive.All, func(sc *core.Scan, o *enrich.Origin) {
 		scans = append(scans, sc)
 		origins = append(origins, *o)
 	}); err != nil {

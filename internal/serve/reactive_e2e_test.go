@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -117,7 +117,7 @@ func TestReactiveEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var decoded []*core.Scan
-	err = rd.Query(context.Background(), &archive.Filter{}, func(sc *core.Scan, _ *enrich.Origin) {
+	err = rd.Query(context.Background(), archive.All, func(sc *core.Scan, _ *enrich.Origin) {
 		c := *sc
 		decoded = append(decoded, &c)
 	})
@@ -133,8 +133,8 @@ func TestReactiveEndToEnd(t *testing.T) {
 
 	// Query surface: the archived campaigns answer a two_phase filter over
 	// POST /v1/query with exactly the linked set, reactive attributes intact.
-	srv := newServer([]string{"mem"}, []*archive.Reader{rd}, nil, nil, serverConfig{cacheEntries: 32}, nil)
-	ts := httptest.NewServer(srv.handler())
+	srv := newServer([]source{&file{path: "mem", rd: rd}}, Config{CacheBytes: 64 << 20}, nil)
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	resp, body := postQuery(t, ts.URL, `{

@@ -1,48 +1,58 @@
-package main
+// Package serve is the HTTP query service over campaign archives and live
+// segment stores: cmd/synserve wires flags onto it, cmd/synload and tests
+// run it in-process.
+package serve
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
-	"net/url"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/tools"
 )
 
-// serverConfig collects the serving-side tunables.
-type serverConfig struct {
-	// cacheEntries caps the result cache by response count (0 disables it).
-	cacheEntries int
-	// cacheBytes caps the result cache by total body bytes (0 = unbounded).
-	cacheBytes int64
-	// timeout bounds each query's archive walk; 0 means no deadline. An
+// Config collects the serving-side tunables; cmd/synserve maps one flag onto
+// each field.
+type Config struct {
+	// CacheBytes is the result cache's budget in body bytes; 0 disables
+	// caching. One entry may take at most an eighth of it.
+	CacheBytes int64
+	// Timeout bounds each query's archive walk; 0 means no deadline. An
 	// expired deadline surfaces as 504 with a JSON error body rather than a
 	// half-written response, because the walk is aborted before rendering.
-	timeout time.Duration
-	// maxInflight bounds concurrently executing archive scans; excess
+	Timeout time.Duration
+	// MaxInflight bounds concurrently executing archive scans; excess
 	// cache-missing requests fast-fail 429 + Retry-After (0 = unbounded).
-	maxInflight int
-	// retryAfter is the hint sent with 429/503 responses.
-	retryAfter time.Duration
-	// streamAbove: select-mode responses with more scans than this are
+	MaxInflight int
+	// RetryAfter is the hint sent with 429/503 responses.
+	RetryAfter time.Duration
+	// StreamAbove: select-mode responses with more scans than this are
 	// written incrementally (chunked) instead of marshaled into one body;
 	// negative disables streaming, 0 picks the default.
-	streamAbove int
+	StreamAbove int
+	// Workers is the number of block-decode workers per query (Open only).
+	Workers int
+	// SkipCorrupt opens archives so that checksum-failed blocks are skipped
+	// and counted instead of failing the query (Open only).
+	SkipCorrupt bool
+	// Rescan is the poll interval at which Serve re-reads store manifests
+	// for newly sealed segments; 0 looks only at Open.
+	Rescan time.Duration
 }
 
 // defaultStreamAbove is the scan-list length past which responses stream.
 const defaultStreamAbove = 4096
 
-// server answers queries over campaign archives: static sealed files and/or
+// Server answers queries over campaign archives: static sealed files and/or
 // live segment stores (directories written by syningest, polled for newly
 // sealed segments). Every analytical endpoint — POST /v1/query and the
 // deprecated fixed-parameter GET surfaces — compiles to one internal/query
@@ -55,14 +65,15 @@ const defaultStreamAbove = 4096
 // request share one entry and cached bodies die with the segment set they
 // were computed from; /v1/stats is always computed live (it exposes the
 // moving metric counters, including the cache's own hit/miss tallies).
-type server struct {
-	paths    []string
-	readers  []*archive.Reader
-	dirs     []string
-	catalogs []*archive.Catalog
-	cache    *lruCache
-	reg      *obs.Registry
-	timeout  time.Duration
+type Server struct {
+	// srcs lists static files before live stores, whatever order they
+	// were named in: that is the query order, so it fixes select-mode row
+	// order and the archives / stores arrays of /v1/stats.
+	srcs    []source
+	cache   *lruCache
+	reg     *obs.Registry
+	timeout time.Duration
+	rescan  time.Duration
 
 	flights     flightGroup
 	adm         *admission
@@ -90,21 +101,41 @@ type server struct {
 	mQueryExec                        *obs.Histogram
 }
 
-func newServer(paths []string, readers []*archive.Reader, dirs []string, catalogs []*archive.Catalog, cfg serverConfig, reg *obs.Registry) *server {
-	if cfg.streamAbove == 0 {
-		cfg.streamAbove = defaultStreamAbove
+// Open opens every argument — a directory as a live segment store, anything
+// else as a sealed archive file — and returns a server over them. On error
+// nothing stays open.
+func Open(args []string, cfg Config, reg *obs.Registry) (*Server, error) {
+	var files, stores []source
+	for _, arg := range args {
+		src, err := openSource(arg, cfg, reg)
+		if err != nil {
+			for _, o := range append(files, stores...) {
+				o.close()
+			}
+			return nil, err
+		}
+		if _, ok := src.(*store); ok {
+			stores = append(stores, src)
+		} else {
+			files = append(files, src)
+		}
 	}
-	s := &server{
-		paths:    paths,
-		readers:  readers,
-		dirs:     dirs,
-		catalogs: catalogs,
-		cache:    newLRU(cfg.cacheEntries, cfg.cacheBytes),
-		reg:      reg,
-		timeout:  cfg.timeout,
+	return newServer(append(files, stores...), cfg, reg), nil
+}
 
-		adm:         newAdmission(cfg.maxInflight, cfg.retryAfter),
-		streamAbove: cfg.streamAbove,
+func newServer(srcs []source, cfg Config, reg *obs.Registry) *Server {
+	if cfg.StreamAbove == 0 {
+		cfg.StreamAbove = defaultStreamAbove
+	}
+	s := &Server{
+		srcs:    srcs,
+		cache:   newLRU(cfg.CacheBytes),
+		reg:     reg,
+		timeout: cfg.Timeout,
+		rescan:  cfg.Rescan,
+
+		adm:         newAdmission(cfg.MaxInflight, cfg.RetryAfter),
+		streamAbove: cfg.StreamAbove,
 
 		mRequests: reg.Counter("synserve.http.requests"),
 		mErrors:   reg.Counter("synserve.http.errors"),
@@ -131,18 +162,26 @@ func newServer(paths []string, readers []*archive.Reader, dirs []string, catalog
 	return s
 }
 
+// Close closes every archive and store the server was opened over.
+func (s *Server) Close() {
+	for _, src := range s.srcs {
+		src.close()
+	}
+}
+
 // startDrain flips the server into draining mode: every new request is
 // refused with 503 + Retry-After while already-admitted work finishes.
-func (s *server) startDrain() { s.draining.Store(true) }
+func (s *Server) startDrain() { s.draining.Store(true) }
 
-func (s *server) handler() http.Handler {
+// Handler returns the server's HTTP API.
+func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/query", s.handleQuery)
-	mux.HandleFunc("/v1/scans", s.queryEndpoint("/v1/scans", compileScans))
-	mux.HandleFunc("/v1/tables/ports", s.queryEndpoint("/v1/tables/ports", compilePorts))
-	mux.HandleFunc("/v1/tables/tools", s.queryEndpoint("/v1/tables/tools", compileTools))
-	mux.HandleFunc("/v1/tables/origins", s.queryEndpoint("/v1/tables/origins", compileOrigins))
-	mux.HandleFunc("/v1/stats", s.endpoint(s.handleStats))
+	mux.HandleFunc("/v1/query", s.queryRoute(http.MethodPost, "/v1/query", compileBody))
+	mux.HandleFunc("/v1/scans", s.queryRoute(http.MethodGet, "/v1/scans", compileScans))
+	mux.HandleFunc("/v1/tables/ports", s.queryRoute(http.MethodGet, "/v1/tables/ports", compilePorts))
+	mux.HandleFunc("/v1/tables/tools", s.queryRoute(http.MethodGet, "/v1/tables/tools", compileTools))
+	mux.HandleFunc("/v1/tables/origins", s.queryRoute(http.MethodGet, "/v1/tables/origins", compileOrigins))
+	mux.HandleFunc("/v1/stats", s.route(http.MethodGet, s.handleStats))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			s.mDrainRefused.Inc()
@@ -153,6 +192,65 @@ func (s *server) handler() http.Handler {
 		}
 		mux.ServeHTTP(w, r)
 	})
+}
+
+// shutdownTimeout bounds the in-flight request drain after ctx is canceled.
+const shutdownTimeout = 10 * time.Second
+
+// Serve runs the server on ln until ctx is canceled, re-reading every
+// store's manifest each Config.Rescan meanwhile, then drains gracefully: the
+// server stops admitting (new requests get 503 + Connection: close, so
+// keep-alive clients move off), the listener closes, and in-flight requests
+// get up to shutdownTimeout to finish. A drain that completes returns nil.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	ctx, cancel := context.WithCancel(ctx)
+	rescanned := make(chan struct{})
+	go func() {
+		defer close(rescanned)
+		s.rescanLoop(ctx)
+	}()
+	// Close may follow Serve, so the rescan loop must be out of the
+	// catalogs before Serve returns.
+	defer func() { cancel(); <-rescanned }()
+
+	hs := &http.Server{Handler: s.Handler()}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	s.startDrain()
+	hs.SetKeepAlivesEnabled(false)
+	sctx, scancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer scancel()
+	if err := hs.Shutdown(sctx); err != nil {
+		return err
+	}
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
+}
+
+// rescanLoop refreshes every source each Config.Rescan until ctx is done.
+func (s *Server) rescanLoop(ctx context.Context) {
+	if s.rescan <= 0 {
+		return
+	}
+	t := time.NewTicker(s.rescan)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			for _, src := range s.srcs {
+				src.refresh()
+			}
+		}
+	}
 }
 
 // httpError carries a status code through the handler's error return.
@@ -195,7 +293,7 @@ func errCode(err error) int {
 // writeError renders err with its mapped status, attaching the Retry-After
 // hint to backpressure statuses so well-behaved clients (the facade's
 // retrying Client among them) know when to come back.
-func (s *server) writeError(w http.ResponseWriter, err error) {
+func (s *Server) writeError(w http.ResponseWriter, err error) {
 	code := errCode(err)
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", s.adm.retryAfterHeader())
@@ -205,42 +303,63 @@ func (s *server) writeError(w http.ResponseWriter, err error) {
 
 // renderFunc shapes an engine result into one endpoint's response body.
 // degraded is the flight's view of source health, captured after the walk.
-type renderFunc func(res *query.Result, degraded bool) (any, error)
+type renderFunc func(res *query.Result, degraded bool) any
 
-// queryEndpoint wraps a deprecated fixed-parameter GET endpoint whose
-// parameters compile into an engine query: method filtering,
-// instrumentation, compile → canonicalize → generation-keyed cache lookup →
-// the shared hardened execution path → historical response rendering. The
-// cache key is the canonicalized compiled query, not the raw URL, so every
-// spelling of the same request (parameter order, comma vs repeated lists, a
-// default spelled out) shares one entry — and shares its execution path
-// (singleflight, admission, deadline) with POST /v1/query.
-func (s *server) queryEndpoint(path string, compile compileFunc) http.HandlerFunc {
+// route wraps every endpoint's handler with what they all share: the
+// latency span, the request and error counters, the method check, the
+// request-body bound, source pinning for the life of the request, and JSON
+// error rendering of whatever h returns.
+func (s *Server) route(method string, h func(w http.ResponseWriter, r *http.Request, src *sources) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sp := obs.StartSpan(s.mLatency)
 		defer sp.End()
 		s.mRequests.Inc()
-		s.mQueryRequests.Inc()
-		if r.Method != http.MethodGet {
+		if r.Method != method {
 			s.mErrors.Inc()
-			writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
+			msg := "method not allowed"
+			if method == http.MethodPost {
+				msg += " (POST a JSON query)"
+			}
+			writeJSONError(w, http.StatusMethodNotAllowed, msg)
 			return
 		}
+		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
 		src := s.acquire()
 		defer src.release()
-		q, render, err := compile(src, r.URL.Query())
+		if err := h(w, r, src); err != nil {
+			s.mErrors.Inc()
+			s.writeError(w, err)
+		}
+	}
+}
+
+// queryRoute is the route of an endpoint that compiles into an engine query
+// — POST /v1/query from its JSON body, the deprecated fixed-parameter GET
+// endpoints from their URL: compile → canonicalize → generation-keyed cache
+// lookup → the shared hardened execution path → the endpoint's rendering.
+// The cache key is the canonicalized compiled query, not the raw request, so
+// every spelling of the same request (parameter order, comma vs repeated
+// lists, a default spelled out) shares one entry, one singleflight, one
+// admission slot and one deadline.
+func (s *Server) queryRoute(method, path string, compile compileFunc) http.HandlerFunc {
+	h := s.route(method, func(w http.ResponseWriter, r *http.Request, src *sources) error {
+		q, render, err := compile(src, r)
 		if err == nil {
 			q = q.Canonicalize()
 			err = q.Validate()
 		}
 		if err != nil {
-			s.mErrors.Inc()
 			s.mQueryParseErrors.Inc()
-			writeJSONError(w, errCode(err), err.Error())
-			return
+			return err
 		}
-		key := src.genToken() + path + "?" + q.Key()
-		s.execute(w, r, src, q, key, render)
+		if q.NeedsOrigin() && !src.hasOrigins() {
+			return badRequest("query needs origins, but no loaded archive carries them (write one with syneval -archive-out)")
+		}
+		return s.execute(w, r, src, q, src.genToken()+path+"?"+q.Key(), render)
+	})
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.mQueryRequests.Inc()
+		h(w, r)
 	}
 }
 
@@ -255,11 +374,11 @@ func (s *server) queryEndpoint(path string, compile compileFunc) http.HandlerFun
 // request (followers may outlive the leader's client) but canceled when the
 // last attached request disconnects, so abandoned scans stop instead of
 // running to completion.
-func (s *server) execute(w http.ResponseWriter, r *http.Request, src *sources, q *query.Query, key string, render renderFunc) {
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, src *sources, q *query.Query, key string, render renderFunc) error {
 	if body, ok := s.cache.get(key); ok {
 		s.mHits.Inc()
 		writeJSON(w, body, "hit")
-		return
+		return nil
 	}
 	s.mMisses.Inc()
 
@@ -277,32 +396,21 @@ func (s *server) execute(w http.ResponseWriter, r *http.Request, src *sources, q
 			// The client is gone; detach (possibly canceling the flight if
 			// we were the last waiter) and write nothing.
 			f.leave()
-			return
+			return nil
 		}
 	}
 	if f.err != nil {
-		s.mErrors.Inc()
-		s.writeError(w, f.err)
-		return
+		return f.err
 	}
 
 	if q.SelectMode() && s.streamAbove >= 0 && len(f.res.Scans) > s.streamAbove {
 		s.streamScans(w, key, f.res, f.degraded, cacheState)
-		return
+		return nil
 	}
-	out, err := render(f.res, f.degraded)
+	body, err := marshalBody(render(f.res, f.degraded))
 	if err != nil {
-		s.mErrors.Inc()
-		s.writeError(w, err)
-		return
+		return err
 	}
-	body, err := json.Marshal(out)
-	if err != nil {
-		s.mErrors.Inc()
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	body = append(body, '\n')
 	// A degraded body (corrupt blocks skipped, a segment unreadable) is
 	// never cached: the damage may heal — or be discovered — without a
 	// generation bump, and a cached incomplete result would outlive both.
@@ -312,11 +420,12 @@ func (s *server) execute(w http.ResponseWriter, r *http.Request, src *sources, q
 		s.cache.put(key, body)
 	}
 	writeJSON(w, body, cacheState)
+	return nil
 }
 
 // runFlight is the leader's half of execute: admission control, the engine
 // run under the per-query deadline, and publishing the shared outcome.
-func (s *server) runFlight(reqCtx context.Context, src *sources, q *query.Query, key string, f *flight) {
+func (s *Server) runFlight(reqCtx context.Context, src *sources, q *query.Query, key string, f *flight) {
 	if !s.adm.tryAcquire() {
 		s.mRejected.Inc()
 		s.flights.finish(key, f, nil, false, errOverloaded)
@@ -357,12 +466,8 @@ func (s *server) runFlight(reqCtx context.Context, src *sources, q *query.Query,
 }
 
 // streamFlushEvery is the record interval between chunked flushes of a
-// streamed scan list; defaultStreamTeeCap bounds the cache-fill copy of a
-// streamed body when the cache itself has no byte budget.
-const (
-	streamFlushEvery    = 512
-	defaultStreamTeeCap = 8 << 20
-)
+// streamed scan list.
+const streamFlushEvery = 512
 
 // streamScans renders a large select-mode response incrementally: scans are
 // encoded one by one straight into the response writer and flushed in
@@ -371,17 +476,11 @@ const (
 // buffer capped at the cache's per-entry bound still captures bodies small
 // enough to cache; past the cap the tee stops buffering, making the
 // per-request memory bound unconditional.
-func (s *server) streamScans(w http.ResponseWriter, key string, res *query.Result, degraded bool, cacheState string) {
+func (s *Server) streamScans(w http.ResponseWriter, key string, res *query.Result, degraded bool, cacheState string) {
 	s.mStreamed.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cacheState)
-	capBytes := s.cache.entryCap()
-	if capBytes == 0 && s.cache != nil {
-		// Byte-unbounded cache: still bound the tee, so one huge streamed
-		// body cannot hold a full copy in memory just to maybe cache it.
-		capBytes = defaultStreamTeeCap
-	}
-	tee := newCapTee(w, capBytes)
+	tee := newCapTee(w, s.cache.entryCap())
 	fmt.Fprintf(tee, `{"matched":%d,"returned":%d,"truncated":%t,"degraded":%t,"scans":[`,
 		res.Matched, len(res.Scans), res.Truncated, degraded)
 	fl, _ := w.(http.Flusher)
@@ -446,42 +545,13 @@ func (t *capTee) buffered() ([]byte, bool) {
 	return t.buf, true
 }
 
-// endpoint wraps a live (uncached, engine-less) handler — /v1/stats — with
-// method filtering, instrumentation, source acquisition, the per-query
-// deadline and JSON rendering.
-func (s *server) endpoint(h func(ctx context.Context, src *sources, q url.Values) (any, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sp := obs.StartSpan(s.mLatency)
-		defer sp.End()
-		s.mRequests.Inc()
-		if r.Method != http.MethodGet {
-			s.mErrors.Inc()
-			writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
-			return
-		}
-		src := s.acquire()
-		defer src.release()
-		ctx := r.Context()
-		if s.timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.timeout)
-			defer cancel()
-		}
-		res, err := h(ctx, src, r.URL.Query())
-		if err != nil {
-			s.mErrors.Inc()
-			s.writeError(w, err)
-			return
-		}
-		body, err := json.Marshal(res)
-		if err != nil {
-			s.mErrors.Inc()
-			writeJSONError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		body = append(body, '\n')
-		writeJSON(w, body, "miss")
+// marshalBody renders a response value as one newline-terminated JSON body.
+func marshalBody(out any) ([]byte, error) {
+	body, err := json.Marshal(out)
+	if err != nil {
+		return nil, err
 	}
+	return append(body, '\n'), nil
 }
 
 func writeJSON(w http.ResponseWriter, body []byte, cache string) {
@@ -607,37 +677,19 @@ type storeInfo struct {
 // metrics snapshot (request/error counts, cache hits/misses, blocks scanned
 // vs pruned, segment discovery/compaction counters, the server.* hardening
 // family). Never cached: the counters move with every request.
-func (s *server) handleStats(_ context.Context, src *sources, _ url.Values) (any, error) {
-	infos := make([]archiveInfo, 0, len(s.readers))
-	for i, rd := range s.readers {
-		minY, maxY := 0, 0
-		for _, z := range rd.Blocks() {
-			if minY == 0 || int(z.MinYear) < minY {
-				minY = int(z.MinYear)
-			}
-			if int(z.MaxYear) > maxY {
-				maxY = int(z.MaxYear)
-			}
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, src *sources) error {
+	archives, stores := []archiveInfo{}, []storeInfo{}
+	for _, p := range src.pins {
+		switch info := p.info().(type) {
+		case archiveInfo:
+			archives = append(archives, info)
+		case storeInfo:
+			stores = append(stores, info)
 		}
-		infos = append(infos, archiveInfo{
-			Path: s.paths[i], Blocks: rd.NumBlocks(), Scans: rd.NumScans(),
-			TelescopeSize: rd.TelescopeSize(), Origins: rd.HasOrigins(),
-			MinYear: minY, MaxYear: maxY,
-		})
-	}
-	stores := make([]storeInfo, 0, len(src.views))
-	for i, v := range src.views {
-		stores = append(stores, storeInfo{
-			Dir:        s.dirs[i],
-			Generation: v.Generation(),
-			Segments:   v.Len(),
-			Scans:      v.NumScans(),
-			Unreadable: v.Missing(),
-		})
 	}
 	snap := s.reg.Snapshot()
-	return map[string]any{
-		"archives":      infos,
+	body, err := marshalBody(map[string]any{
+		"archives":      archives,
 		"stores":        stores,
 		"cache_entries": s.cache.len(),
 		"cache_bytes":   s.cache.bytesUsed(),
@@ -645,5 +697,10 @@ func (s *server) handleStats(_ context.Context, src *sources, _ url.Values) (any
 		"degraded":      src.degraded(),
 		"faults":        snap.CountersWithPrefix("faults."),
 		"metrics":       snap,
-	}, nil
+	})
+	if err != nil {
+		return err
+	}
+	writeJSON(w, body, "miss")
+	return nil
 }

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"context"
@@ -88,8 +88,8 @@ func testServer(t *testing.T, origins bool) (*httptest.Server, *obs.Registry, in
 	t.Cleanup(func() { rd.Close() })
 	reg := obs.NewRegistry()
 	rd.SetMetrics(reg)
-	srv := newServer([]string{path}, []*archive.Reader{rd}, nil, nil, serverConfig{cacheEntries: 32}, reg)
-	ts := httptest.NewServer(srv.handler())
+	srv := newServer([]source{&file{path: path, rd: rd}}, Config{CacheBytes: 64 << 20}, reg)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, reg, n
 }
@@ -368,7 +368,7 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	srv := newServer([]string{path}, []*archive.Reader{rd}, nil, nil, serverConfig{cacheEntries: 8}, obs.NewRegistry())
+	srv := newServer([]source{&file{path: path, rd: rd}}, Config{CacheBytes: 64 << 20}, obs.NewRegistry())
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -378,7 +378,7 @@ func TestGracefulShutdown(t *testing.T) {
 	defer stop()
 
 	done := make(chan error, 1)
-	go func() { done <- serve(ctx, ln, srv) }()
+	go func() { done <- srv.Serve(ctx, ln) }()
 
 	resp, err := http.Get("http://" + ln.Addr().String() + "/v1/stats")
 	if err != nil {

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"io"
@@ -71,8 +71,8 @@ func TestSegmentStoreServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cat.Close()
-	srv := newServer(nil, nil, []string{dir}, []*archive.Catalog{cat}, serverConfig{cacheEntries: 32}, reg)
-	ts := httptest.NewServer(srv.handler())
+	srv := newServer([]source{&store{dir: dir, cat: cat}}, Config{CacheBytes: 64 << 20}, reg)
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	var res struct {
@@ -159,8 +159,8 @@ func TestDegradedResponsesNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rd.Close() })
-	srv := newServer([]string{path}, []*archive.Reader{rd}, nil, nil, serverConfig{cacheEntries: 32}, obs.NewRegistry())
-	ts := httptest.NewServer(srv.handler())
+	srv := newServer([]source{&file{path: path, rd: rd}}, Config{CacheBytes: 64 << 20}, obs.NewRegistry())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	var res struct {
@@ -195,8 +195,8 @@ func TestEmptyStoreServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cat.Close()
-	srv := newServer(nil, nil, []string{dir}, []*archive.Catalog{cat}, serverConfig{cacheEntries: 8}, obs.NewRegistry())
-	ts := httptest.NewServer(srv.handler())
+	srv := newServer([]source{&store{dir: dir, cat: cat}}, Config{CacheBytes: 64 << 20}, obs.NewRegistry())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	var res struct {

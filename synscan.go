@@ -276,12 +276,13 @@ type (
 	ArchiveWriterConfig = archive.WriterConfig
 	// ArchiveReader queries an archive with zone-map predicate pushdown.
 	ArchiveReader = archive.Reader
-	// ArchiveFilter selects scans by year, tool, port, source prefix,
-	// rate, or qualification; its zero value matches everything.
-	ArchiveFilter = archive.Filter
 	// ArchiveReaderOption configures OpenArchive (see WithSkipCorrupt).
 	ArchiveReaderOption = archive.ReaderOption
 )
+
+// AllScans is the ArchiveReader.Query predicate that matches every scan; a
+// selective read passes a Query's Predicate() instead.
+var AllScans = archive.All
 
 // WithSkipCorrupt opens an archive in degraded mode: blocks failing their
 // checksum are skipped and counted (ArchiveReader.CorruptBlocks) instead of
