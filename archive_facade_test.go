@@ -19,7 +19,7 @@ func TestFacadeArchiveSkipCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ArchiveYear(w, yd); err != nil {
+	if err := ArchiveYear(w, &yd.Campaigns); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -158,7 +158,7 @@ func BenchmarkFigure5(b *testing.B) {
 	benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rows := TypeMixByPort(benchByYear[2022], 15); len(rows) == 0 {
+		if rows := TypeMixByPort(&benchByYear[2022].Campaigns, 15); len(rows) == 0 {
 			b.Fatal("no rows")
 		}
 	}
@@ -168,7 +168,7 @@ func BenchmarkFigure6(b *testing.B) {
 	benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := Recurrence([]*YearData{benchByYear[2022]})
+		res := Recurrence([]*Campaigns{&benchByYear[2022].Campaigns})
 		if len(res.ScansPerSource) == 0 {
 			b.Fatal("no recurrence data")
 		}
@@ -179,7 +179,7 @@ func BenchmarkFigure7(b *testing.B) {
 	benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rows := SpeedAndCoverage(benchByYear[2022]); len(rows) == 0 {
+		if rows := SpeedAndCoverage(&benchByYear[2022].Campaigns); len(rows) == 0 {
 			b.Fatal("no rows")
 		}
 	}
@@ -228,7 +228,7 @@ func BenchmarkSec52(b *testing.B) {
 	benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := VerticalScans(benchByYear[2020]); r.LargestPortCount == 0 {
+		if r := VerticalScans(&benchByYear[2020].Campaigns); r.LargestPortCount == 0 {
 			b.Fatal("no verticals")
 		}
 	}
@@ -238,7 +238,7 @@ func BenchmarkSec63(b *testing.B) {
 	benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := ToolSpeeds(benchByYear[2020]); len(r.MedianPPS) == 0 {
+		if r := ToolSpeeds(&benchByYear[2020].Campaigns); len(r.MedianPPS) == 0 {
 			b.Fatal("no speeds")
 		}
 	}
@@ -248,7 +248,7 @@ func BenchmarkSec64(b *testing.B) {
 	benchData(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := CoverageModes(benchByYear[2024], ToolZMap); len(r.Coverages) == 0 {
+		if r := CoverageModes(&benchByYear[2024].Campaigns, ToolZMap); len(r.Coverages) == 0 {
 			b.Fatal("no coverages")
 		}
 	}

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/synscan/synscan/internal/analysis"
@@ -37,7 +37,7 @@ func main() {
 	scale := flag.Float64("scale", 0.002, "volume scale relative to the paper")
 	telSize := flag.Int("telescope", 4096, "monitored address count")
 	workers := flag.Int("workers", 1, "campaign-detector shards per year; >1 runs detection on that many goroutines")
-	archiveIn := flag.String("archive", "", "read detected campaigns from this archive instead of re-simulating (scan-level experiments only)")
+	archiveIn := flag.String("archive", "", "read detected campaigns from this archive instead of re-simulating (scan-level experiments only: "+strings.Join(scanLevel, ",")+")")
 	archiveOut := flag.String("archive-out", "", "persist the simulated decade's detected campaigns (with origins) to this archive file")
 	only := flag.String("only", "", "comma-separated experiment list (table1,table2,fig1..fig10,sec51..sec64,bias,blockable,blocklist,collab,vantage); empty = all")
 	jsonOut := flag.String("json", "", "write the complete evaluation as JSON to this path (skips the text report)")
@@ -83,7 +83,7 @@ func main() {
 			log.Fatal("-archive/-archive-out are not supported with -json/-csv/-markdown (the full evaluation needs the raw probe stream)")
 		}
 		log.Printf("computing full evaluation (seed %d, scale %g, telescope %d)...", *seed, *scale, *telSize)
-		ev, err := analysis.FullEvaluationWith(*seed, *scale, *telSize, cc)
+		ev, err := analysis.FullEvaluation(*seed, *scale, *telSize, cc)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -124,26 +124,16 @@ func main() {
 		}
 	}
 
-	// The archive stores detected campaigns, not raw probes, so archive mode
-	// serves exactly the scan-level experiments; everything else needs a
-	// simulation or capture replay.
-	scanLevel := map[string]bool{
-		"zmapdaily": true, "fig6": true, "fig7": true,
-		"sec52": true, "sec63": true, "sec64": true, "collab": true,
-	}
 	if *archiveIn != "" {
 		if len(want) == 0 {
-			want = scanLevel
+			for _, k := range scanLevel {
+				want[k] = true
+			}
 		}
 		for k := range want {
-			if !scanLevel[k] {
-				names := make([]string, 0, len(scanLevel))
-				for s := range scanLevel {
-					names = append(names, s)
-				}
-				sort.Strings(names)
+			if !slices.Contains(scanLevel, k) {
 				log.Fatalf("experiment %q needs the raw probe stream; -archive mode supports: %s",
-					k, strings.Join(names, ","))
+					k, strings.Join(scanLevel, ","))
 			}
 		}
 	}
@@ -157,7 +147,9 @@ func main() {
 		}
 	}
 
+	// years are the simulated years, camps their campaigns or an archive's.
 	var years []*analysis.YearData
+	var camps []*analysis.Campaigns
 	switch {
 	case *archiveIn != "":
 		rd, err := archive.Open(*archiveIn)
@@ -168,17 +160,18 @@ func main() {
 		rd.SetMetrics(reg)
 		log.Printf("loading campaigns from %s (%d blocks, %d scans, telescope %d)...",
 			*archiveIn, rd.NumBlocks(), rd.NumScans(), rd.TelescopeSize())
-		years, err = analysis.CollectArchiveYears(rd)
+		camps, err = analysis.CollectArchiveYears(rd)
 		if err != nil {
 			log.Fatal(err)
 		}
 	case needDecade:
 		log.Printf("simulating 2015-2024 (seed %d, scale %g, telescope %d)...", *seed, *scale, *telSize)
 		var err error
-		years, err = analysis.DecadeWith(*seed, *scale, *telSize, cc)
+		years, err = analysis.Decade(*seed, *scale, *telSize, cc)
 		if err != nil {
 			log.Fatal(err)
 		}
+		camps = analysis.CampaignsOf(years)
 		if *archiveOut != "" {
 			w, err := archive.Create(*archiveOut, archive.WriterConfig{
 				TelescopeSize: *telSize, Origins: true, Metrics: reg,
@@ -186,8 +179,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			for _, yd := range years {
-				if err := analysis.ArchiveYear(w, yd); err != nil {
+			for _, c := range camps {
+				if err := analysis.ArchiveYear(w, c); err != nil {
 					log.Fatal(err)
 				}
 			}
@@ -201,14 +194,27 @@ func main() {
 	for _, yd := range years {
 		byYear[yd.Year] = yd
 	}
+	campaigns := map[int]*analysis.Campaigns{}
+	for _, c := range camps {
+		campaigns[c.Year] = c
+	}
 	// mustYear guards experiments pinned to one calibration year: an archive
 	// may not contain it.
-	mustYear := func(y int) *analysis.YearData {
-		yd := byYear[y]
-		if yd == nil {
+	mustYear := func(y int) *analysis.Campaigns {
+		c := campaigns[y]
+		if c == nil {
 			log.Fatalf("no campaigns for year %d in %s", y, *archiveIn)
 		}
-		return yd
+		return c
+	}
+	scenario := func(year int) *workload.Scenario {
+		s, err := workload.NewScenario(workload.Config{
+			Year: year, Seed: *seed, Scale: *scale, TelescopeSize: *telSize,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return s
 	}
 	out := os.Stdout
 
@@ -253,7 +259,7 @@ func main() {
 
 	if enabled("fig2") {
 		section(out, "Figure 2 — weekly change per /16 netblock (2020)")
-		res := analysis.Figure2(mustYear(2020))
+		res := analysis.Figure2(byYear[2020])
 		fmt.Fprintf(out, "blocks changing >=2x week-over-week: sources %s, scans %s, packets %s\n",
 			report.Pct(res.SourcesTwofold), report.Pct(res.ScansTwofold), report.Pct(res.PacketsTwofold))
 		fmt.Fprintf(out, "stable blocks (<1.25x): %s\n", report.Pct(res.Stable))
@@ -274,7 +280,7 @@ func main() {
 	if enabled("fig4") {
 		for _, y := range []int{2017, 2020, 2022} {
 			section(out, fmt.Sprintf("Figure 4 — top-10 ports and tool mix (%d)", y))
-			report.Figure4(out, y, analysis.Figure4(mustYear(y), 10))
+			report.Figure4(out, y, analysis.Figure4(byYear[y], 10))
 		}
 	}
 
@@ -285,7 +291,7 @@ func main() {
 
 	if enabled("fig6") {
 		section(out, "Figure 6 — scanner recurrence and downtime (2022)")
-		res := analysis.Figure6([]*analysis.YearData{mustYear(2022)})
+		res := analysis.Figure6([]*analysis.Campaigns{mustYear(2022)})
 		t := report.NewTable("scanner type", "sources", "mean scans/source", "daily-mode share")
 		for _, typ := range inetmodel.ScannerTypes {
 			ss := res.ScansPerSource[typ]
@@ -304,25 +310,16 @@ func main() {
 		report.Figure7(out, analysis.Figure7(mustYear(2022)))
 	}
 
-	if enabled("fig8") {
-		section(out, "Figure 8 — institutional port coverage (2024)")
-		s, err := workload.NewScenario(workload.Config{
-			Year: 2024, Seed: *seed, Scale: *scale, TelescopeSize: *telSize,
-		})
-		if err != nil {
-			log.Fatal(err)
+	if fig910 := enabled("fig9") || enabled("fig10"); fig910 || enabled("fig8") {
+		cover2024 := analysis.Figure8(scenario(2024)) // both figures read it
+		if enabled("fig8") {
+			section(out, "Figure 8 — institutional port coverage (2024)")
+			report.Figure8(out, cover2024)
 		}
-		report.Figure8(out, analysis.Figure8(s))
-	}
-
-	if enabled("fig9") || enabled("fig10") {
-		section(out, "Figures 9/10 — institutional port coverage, 2023 vs 2024")
-		reg := inetmodel.BuildRegistry(*seed)
-		rows, err := analysis.Figure910(*seed, *scale, *telSize, reg)
-		if err != nil {
-			log.Fatal(err)
+		if fig910 {
+			section(out, "Figures 9/10 — institutional port coverage, 2023 vs 2024")
+			report.Figure910(out, analysis.Figure910(analysis.Figure8(scenario(2023)), cover2024))
 		}
-		report.Figure910(out, rows)
 	}
 
 	if enabled("sec51") {
@@ -346,8 +343,8 @@ func main() {
 	if enabled("sec52") {
 		section(out, "§5.2 — vertical scans")
 		t := report.NewTable("year", ">100 ports", ">1000 ports", ">10000 ports", "largest", "speed>1000p (Mbps)", "speed all (Mbps)")
-		for _, yd := range years {
-			r := analysis.Sec52(yd)
+		for _, c := range camps {
+			r := analysis.Sec52(c)
 			t.AddRow(fmt.Sprint(r.Year), fmt.Sprint(r.Over100), fmt.Sprint(r.Over1000),
 				fmt.Sprint(r.Over10000), fmt.Sprint(r.LargestPortCount),
 				fmt.Sprintf("%.1f", r.MeanSpeedOver1000Mbps),
@@ -360,8 +357,8 @@ func main() {
 		section(out, "§6.3 — scanning speed by tool (median extrapolated pps)")
 		t := report.NewTable("year", "zmap", "masscan", "nmap", "mirai", "custom", "top-100 mean")
 		var all []*analysis.Sec63Result
-		for _, yd := range years {
-			r := analysis.Sec63(yd)
+		for _, c := range camps {
+			r := analysis.Sec63(c)
 			all = append(all, r)
 			t.AddRow(fmt.Sprint(r.Year),
 				report.Count(r.MedianPPS[tools.ToolZMap]),
@@ -375,8 +372,8 @@ func main() {
 		if trend, err := analysis.Top100Trend(all); err == nil {
 			fmt.Fprintf(out, "top-100 speed trend: R=%.3f p=%.4f (paper: R=0.356, p<0.001)\n", trend.R, trend.P)
 		}
-		if yd := byYear[2020]; yd != nil {
-			if sp, err := analysis.SpeedPortsCorrelation(yd); err == nil {
+		if c := campaigns[2020]; c != nil {
+			if sp, err := analysis.SpeedPortsCorrelation(c); err == nil {
 				fmt.Fprintf(out, "speed vs ports targeted (2020): R=%.3f p=%.4f (paper §5.3: positive, R=0.88 aggregated)\n", sp.R, sp.P)
 			}
 		}
@@ -435,13 +432,7 @@ func main() {
 
 	if enabled("blocklist") {
 		section(out, "§4.4/§6.6 — blocklist staleness (2022)")
-		s, err := workload.NewScenario(workload.Config{
-			Year: 2022, Seed: *seed, Scale: *scale, TelescopeSize: *telSize,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		r := analysis.BlocklistDecay(s)
+		r := analysis.BlocklistDecay(scenario(2022))
 		t := report.NewTable("list age (weeks)", "all traffic covered", "institutional covered")
 		for k := 0; k < r.Weeks; k++ {
 			t.AddRow(fmt.Sprint(k), report.Pct(r.HitRate[k]), report.Pct(r.InstHitRate[k]))
@@ -452,9 +443,9 @@ func main() {
 	if enabled("collab") {
 		section(out, "§4.1/§6.4 — collaborative scan reconstruction")
 		t := report.NewTable("year", "raw scans", "logical scans", "collaborative", "largest group", "inflation")
-		for _, yd := range years {
-			st := collab.Summarize(collab.Detect(yd.QualifiedScans(), collab.Config{}))
-			t.AddRow(fmt.Sprint(yd.Year), fmt.Sprint(st.RawScans), fmt.Sprint(st.LogicalScans),
+		for _, c := range camps {
+			st := collab.Summarize(collab.Detect(c.QualifiedScans(), collab.Config{}))
+			t.AddRow(fmt.Sprint(c.Year), fmt.Sprint(st.RawScans), fmt.Sprint(st.LogicalScans),
 				fmt.Sprint(st.Collaborative), fmt.Sprint(st.LargestGroup),
 				fmt.Sprintf("%.2fx", st.InflationFactor))
 		}
@@ -483,6 +474,12 @@ func main() {
 
 	dumpMetrics()
 }
+
+// scanLevel lists the experiments that read only detected campaigns (their
+// analyses take *analysis.Campaigns) — the ones an archive, which stores
+// campaigns and not raw probes, can serve; everything else needs a simulation
+// or a capture replay.
+var scanLevel = []string{"collab", "fig5", "fig6", "fig7", "sec52", "sec63", "sec64", "zmapdaily"}
 
 func section(w *os.File, title string) {
 	fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("=", len(title)))

@@ -26,7 +26,7 @@ func main() {
 
 	scans := yd.QualifiedScans()
 	fmt.Printf("telescope accepted %d SYN probes from %d sources over %d days\n",
-		yd.AcceptedPackets, yd.DistinctSources, yd.Days)
+		yd.AcceptedPackets, len(yd.PortsPerSource), yd.Days)
 	fmt.Printf("detected %d scan campaigns\n\n", len(scans))
 
 	// Which tools ran them? (§3.3 fingerprints, campaign-level majority.)

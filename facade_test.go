@@ -232,18 +232,18 @@ func TestFacadeToolAndTypeMix(t *testing.T) {
 	if rows := ToolMixByPort(yd, 10); len(rows) != 10 {
 		t.Fatalf("ToolMixByPort: %d rows", len(rows))
 	}
-	if rows := TypeMixByPort(yd, 15); len(rows) == 0 {
+	if rows := TypeMixByPort(&yd.Campaigns, 15); len(rows) == 0 {
 		t.Fatal("TypeMixByPort empty")
 	}
 }
 
 func TestFacadeRecurrenceAndSpeed(t *testing.T) {
 	yd, _ := facadeData(t)
-	rec := Recurrence([]*YearData{yd})
+	rec := Recurrence([]*Campaigns{&yd.Campaigns})
 	if len(rec.ScansPerSource[TypeInstitutional]) == 0 {
 		t.Fatal("no institutional recurrence")
 	}
-	rows := SpeedAndCoverage(yd)
+	rows := SpeedAndCoverage(&yd.Campaigns)
 	if len(rows) == 0 {
 		t.Fatal("no speed rows")
 	}
@@ -254,16 +254,16 @@ func TestFacadeSectionAnalyses(t *testing.T) {
 	if r := PortCoverage(yd, 2); r.PrivilegedCoverage <= 0 {
 		t.Fatalf("PortCoverage: %+v", r)
 	}
-	if r := VerticalScans(yd); r.LargestPortCount <= 0 {
+	if r := VerticalScans(&yd.Campaigns); r.LargestPortCount <= 0 {
 		t.Fatalf("VerticalScans: %+v", r)
 	}
-	if r := ToolSpeeds(yd); len(r.MedianPPS) == 0 {
+	if r := ToolSpeeds(&yd.Campaigns); len(r.MedianPPS) == 0 {
 		t.Fatalf("ToolSpeeds: %+v", r)
 	}
-	if r := CoverageModes(yd, ToolMasscan); r.Tool != ToolMasscan {
+	if r := CoverageModes(&yd.Campaigns, ToolMasscan); r.Tool != ToolMasscan {
 		t.Fatalf("CoverageModes: %+v", r)
 	}
-	if pr, err := SpeedPortsCorrelation(yd); err != nil || pr.N == 0 {
+	if pr, err := SpeedPortsCorrelation(&yd.Campaigns); err != nil || pr.N == 0 {
 		t.Fatalf("SpeedPortsCorrelation: %+v %v", pr, err)
 	}
 	if r := OriginStructure(yd); len(r.TopCountries) == 0 {

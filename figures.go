@@ -60,7 +60,7 @@ type (
 // paper's evaluation in one call — the programmatic form of
 // `syneval -json`.
 func Evaluate(seed uint64, scale float64, telescopeSize int) (*Evaluation, error) {
-	return analysis.FullEvaluation(seed, scale, telescopeSize)
+	return analysis.FullEvaluation(seed, scale, telescopeSize, analysis.CollectConfig{})
 }
 
 // DisclosureResponse reproduces Figure 1: inject a disclosure event into the
@@ -81,13 +81,13 @@ func ToolMixByPort(yd *YearData, topN int) []PortToolMix { return analysis.Figur
 
 // TypeMixByPort reproduces Figure 5: top-N ports by scans with scanner-type
 // shares.
-func TypeMixByPort(yd *YearData, topN int) []PortTypeMix { return analysis.Figure5(yd, topN) }
+func TypeMixByPort(c *Campaigns, topN int) []PortTypeMix { return analysis.Figure5(c, topN) }
 
-// Recurrence reproduces Figure 6 over one or more collected years.
-func Recurrence(years []*YearData) *RecurrenceResult { return analysis.Figure6(years) }
+// Recurrence reproduces Figure 6 over one or more years' campaigns.
+func Recurrence(years []*Campaigns) *RecurrenceResult { return analysis.Figure6(years) }
 
-// SpeedAndCoverage reproduces Figure 7 from a collected year.
-func SpeedAndCoverage(yd *YearData) []SpeedCoverageRow { return analysis.Figure7(yd) }
+// SpeedAndCoverage reproduces Figure 7 from a year's campaigns.
+func SpeedAndCoverage(c *Campaigns) []SpeedCoverageRow { return analysis.Figure7(c) }
 
 // InstitutionalCoverage reproduces Figure 8 for the given year: the port
 // coverage of every known scanning organization.
@@ -105,8 +105,15 @@ func InstitutionalCoverage(cfg Config) ([]OrgCoverageRow, error) {
 // InstitutionalCoverageDelta reproduces Figures 9/10: 2023 vs 2024 coverage
 // per organization.
 func InstitutionalCoverageDelta(seed uint64, scale float64, telescopeSize int) ([]OrgCoverageDelta, error) {
-	reg := inetmodel.BuildRegistry(seed)
-	return analysis.Figure910(seed, scale, telescopeSize, reg)
+	var cover [2][]OrgCoverageRow
+	for i, year := range []int{2023, 2024} {
+		var err error
+		cover[i], err = InstitutionalCoverage(Config{Year: year, Seed: seed, Scale: scale, TelescopeSize: telescopeSize})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return analysis.Figure910(cover[0], cover[1]), nil
 }
 
 // PortCoverage computes the §5.1 scalars for a collected year.
@@ -114,20 +121,20 @@ func PortCoverage(yd *YearData, seed uint64) *PortCoverageResult {
 	return analysis.Sec51(yd, inetmodel.NewServiceModel(seed), seed)
 }
 
-// VerticalScans computes the §5.2 scalars for a collected year.
-func VerticalScans(yd *YearData) *VerticalScanResult { return analysis.Sec52(yd) }
+// VerticalScans computes the §5.2 scalars for a year's campaigns.
+func VerticalScans(c *Campaigns) *VerticalScanResult { return analysis.Sec52(c) }
 
 // ToolSpeeds computes the §6.3 per-tool speed summaries.
-func ToolSpeeds(yd *YearData) *ToolSpeedResult { return analysis.Sec63(yd) }
+func ToolSpeeds(c *Campaigns) *ToolSpeedResult { return analysis.Sec63(c) }
 
 // CoverageModes computes the §6.4 coverage distribution of one tool.
-func CoverageModes(yd *YearData, tool Tool) *CoverageModesResult {
-	return analysis.Sec64(yd, tool)
+func CoverageModes(c *Campaigns, tool Tool) *CoverageModesResult {
+	return analysis.Sec64(c, tool)
 }
 
 // SpeedPortsCorrelation computes the §5.3 speed-vs-ports correlation.
-func SpeedPortsCorrelation(yd *YearData) (PearsonResult, error) {
-	return analysis.SpeedPortsCorrelation(yd)
+func SpeedPortsCorrelation(c *Campaigns) (PearsonResult, error) {
+	return analysis.SpeedPortsCorrelation(c)
 }
 
 // OriginStructure computes the §5.4 origin-country analysis: top origin
@@ -160,8 +167,8 @@ func DisclosureResponseMulti(cfg Config, events []Disclosure) (*analysis.Figure1
 
 // ZMapDailyCounts reproduces the §4.1 per-day ZMap campaign counts used to
 // establish that the 2024 surge is a landscape shift, not one campaign.
-func ZMapDailyCounts(yd *YearData) *analysis.ZMapDailyResult {
-	return analysis.ZMapDaily(yd)
+func ZMapDailyCounts(c *Campaigns) *analysis.ZMapDailyResult {
+	return analysis.ZMapDaily(c)
 }
 
 // BlocklistDecay measures how quickly a weekly source blocklist loses

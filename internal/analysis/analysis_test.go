@@ -16,8 +16,8 @@ const (
 )
 
 var (
-	decadeOnce sync.Once
-	decadeData []*YearData
+	decadeOnce, shardedOnce sync.Once
+	decadeData, shardedData []*YearData
 )
 
 // decade lazily collects all ten years once for the whole test binary.
@@ -25,12 +25,36 @@ func decade(t testing.TB) []*YearData {
 	t.Helper()
 	decadeOnce.Do(func() {
 		var err error
-		decadeData, err = Decade(testSeed, testScale, testTelSize)
+		decadeData, err = Decade(testSeed, testScale, testTelSize, CollectConfig{})
 		if err != nil {
 			panic(err)
 		}
 	})
 	return decadeData
+}
+
+// shardedDecade is decade collected with four detector shards per year.
+func shardedDecade(t testing.TB) []*YearData {
+	t.Helper()
+	shardedOnce.Do(func() {
+		var err error
+		shardedData, err = Decade(testSeed, testScale, testTelSize, CollectConfig{Workers: 4})
+		if err != nil {
+			panic(err)
+		}
+	})
+	return shardedData
+}
+
+// table1 is the decade's Table 1 at the paper's ranking depth, computed once.
+var (
+	table1Once sync.Once
+	table1Rows []Table1Row
+)
+
+func table1(t testing.TB) []Table1Row {
+	table1Once.Do(func() { table1Rows = Table1(decade(t), 5) })
+	return table1Rows
 }
 
 func yearData(t testing.TB, year int) *YearData {
@@ -43,12 +67,14 @@ func yearData(t testing.TB, year int) *YearData {
 	return nil
 }
 
+func campaigns(t testing.TB, year int) *Campaigns { return &yearData(t, year).Campaigns }
+
 func TestCollectBasics(t *testing.T) {
 	yd := yearData(t, 2020)
 	if yd.AcceptedPackets == 0 {
 		t.Fatal("no packets accepted")
 	}
-	if yd.DistinctSources == 0 {
+	if len(yd.PortsPerSource) == 0 {
 		t.Fatal("no sources")
 	}
 	if len(yd.Scans) == 0 || len(yd.Scans) != len(yd.ScanOrigins) {
@@ -70,7 +96,7 @@ func TestCollectBasics(t *testing.T) {
 }
 
 func TestTable1GrowthShape(t *testing.T) {
-	rows := Table1(decade(t), 5)
+	rows := table1(t)
 	if len(rows) != 10 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -92,7 +118,7 @@ func TestTable1GrowthShape(t *testing.T) {
 }
 
 func TestTable1ToolShares(t *testing.T) {
-	rows := Table1(decade(t), 5)
+	rows := table1(t)
 	byYear := map[int]Table1Row{}
 	for _, r := range rows {
 		byYear[r.Year] = r
@@ -122,7 +148,7 @@ func TestTable1ToolShares(t *testing.T) {
 }
 
 func TestTable1TopPorts(t *testing.T) {
-	rows := Table1(decade(t), 5)
+	rows := table1(t)
 	for _, r := range rows {
 		if len(r.TopPortsByPackets) == 0 || len(r.TopPortsBySources) == 0 || len(r.TopPortsByScans) == 0 {
 			t.Fatalf("year %d: empty rankings", r.Year)
@@ -194,6 +220,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFigure1DisclosureDecay(t *testing.T) {
+	t.Parallel()
 	ev := workload.Disclosure{Day: 12, Port: 9898, PeakPerDay: 60000, DecayDays: 4}
 	res, err := Figure1(testSeed, testScale, testTelSize, 2019, ev)
 	if err != nil {
@@ -289,7 +316,7 @@ func TestFigure4ToolMix(t *testing.T) {
 }
 
 func TestFigure5TypeShares(t *testing.T) {
-	rows := Figure5(yearData(t, 2022), 15)
+	rows := Figure5(campaigns(t, 2022), 15)
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -312,7 +339,7 @@ func TestFigure5TypeShares(t *testing.T) {
 }
 
 func TestFigure6Recurrence(t *testing.T) {
-	res := Figure6([]*YearData{yearData(t, 2022)})
+	res := Figure6([]*Campaigns{campaigns(t, 2022)})
 	inst := res.ScansPerSource[inetmodel.TypeInstitutional]
 	resi := res.ScansPerSource[inetmodel.TypeResidential]
 	if len(inst) == 0 || len(resi) == 0 {
@@ -356,7 +383,7 @@ func TestFigure6Recurrence(t *testing.T) {
 }
 
 func TestFigure7SpeedByType(t *testing.T) {
-	rows := Figure7(yearData(t, 2022))
+	rows := Figure7(campaigns(t, 2022))
 	byType := map[inetmodel.ScannerType]Figure7Row{}
 	for _, r := range rows {
 		byType[r.Type] = r
@@ -375,14 +402,32 @@ func TestFigure7SpeedByType(t *testing.T) {
 	}
 }
 
-func TestFigure8InstitutionalCoverage(t *testing.T) {
-	s, err := workload.NewScenario(workload.Config{
-		Year: 2024, Seed: testSeed, Scale: 0.003, TelescopeSize: testTelSize,
-	})
-	if err != nil {
-		t.Fatal(err)
+// orgCoverage is Figure 8 for one year at the scale the coverage tests use,
+// simulated once per year for the whole test binary.
+var (
+	orgCoverageMu   sync.Mutex
+	orgCoverageRows = map[int][]Figure8Row{}
+)
+
+func orgCoverage(t *testing.T, year int) []Figure8Row {
+	t.Helper()
+	orgCoverageMu.Lock()
+	defer orgCoverageMu.Unlock()
+	if orgCoverageRows[year] == nil {
+		s, err := workload.NewScenario(workload.Config{
+			Year: year, Seed: testSeed, Scale: 0.003, TelescopeSize: testTelSize,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		orgCoverageRows[year] = Figure8(s)
 	}
-	rows := Figure8(s)
+	return orgCoverageRows[year]
+}
+
+func TestFigure8InstitutionalCoverage(t *testing.T) {
+	t.Parallel()
+	rows := orgCoverage(t, 2024)
 	if len(rows) < 15 {
 		t.Fatalf("only %d orgs observed", len(rows))
 	}
@@ -411,10 +456,13 @@ func TestFigure8InstitutionalCoverage(t *testing.T) {
 }
 
 func TestFigure910OnypheGrowth(t *testing.T) {
-	reg := inetmodel.BuildRegistry(testSeed)
-	rows, err := Figure910(testSeed, 0.003, testTelSize, reg)
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	rows := Figure910(orgCoverage(t, 2023), orgCoverage(t, 2024))
+	for i := 1; i < len(rows); i++ {
+		a, b := rows[i-1], rows[i]
+		if a.Ports2024 < b.Ports2024 || a.Ports2024 == b.Ports2024 && a.Org >= b.Org {
+			t.Fatalf("rows %d, %d out of order: %+v, %+v", i-1, i, a, b)
+		}
 	}
 	var onyphe Figure910Row
 	for _, r := range rows {
@@ -468,8 +516,8 @@ func TestSec51(t *testing.T) {
 }
 
 func TestSec52Verticals(t *testing.T) {
-	r15 := Sec52(yearData(t, 2015))
-	r20 := Sec52(yearData(t, 2020))
+	r15 := Sec52(campaigns(t, 2015))
+	r20 := Sec52(campaigns(t, 2020))
 	if r20.Over10000 <= r15.Over10000 {
 		t.Fatalf("vertical scans must rise 2015→2020: %d vs %d",
 			r15.Over10000, r20.Over10000)
@@ -485,7 +533,7 @@ func TestSec52Verticals(t *testing.T) {
 }
 
 func TestSec63Speeds(t *testing.T) {
-	r20 := Sec63(yearData(t, 2020))
+	r20 := Sec63(campaigns(t, 2020))
 	mirai := r20.MedianPPS[tools.ToolMirai]
 	zmap := r20.MedianPPS[tools.ToolZMap]
 	if mirai == 0 || zmap == 0 {
@@ -508,7 +556,7 @@ func TestSec63Speeds(t *testing.T) {
 	// Top-end speeds rise across the decade.
 	var all []*Sec63Result
 	for _, yd := range decade(t) {
-		all = append(all, Sec63(yd))
+		all = append(all, Sec63(&yd.Campaigns))
 	}
 	trend, err := Top100Trend(all)
 	if err != nil {
@@ -520,7 +568,7 @@ func TestSec63Speeds(t *testing.T) {
 }
 
 func TestSpeedPortsCorrelation(t *testing.T) {
-	res, err := SpeedPortsCorrelation(yearData(t, 2020))
+	res, err := SpeedPortsCorrelation(campaigns(t, 2020))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +578,7 @@ func TestSpeedPortsCorrelation(t *testing.T) {
 }
 
 func TestSec64CoverageModes(t *testing.T) {
-	res := Sec64(yearData(t, 2024), tools.ToolZMap)
+	res := Sec64(campaigns(t, 2024), tools.ToolZMap)
 	if len(res.Coverages) == 0 {
 		t.Fatal("no ZMap campaigns in 2024")
 	}

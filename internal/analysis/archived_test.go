@@ -6,21 +6,24 @@ import (
 	"testing"
 
 	"github.com/synscan/synscan/internal/archive"
+	"github.com/synscan/synscan/internal/tools"
 	"github.com/synscan/synscan/internal/workload"
 )
 
 // TestArchiveEquivalence: the scan-level results computed from an archive
 // are identical to the in-memory pipeline's on the same seeded workload —
-// same Scans (deep-equal, same order), same origins, and identical derived
-// aggregations.
+// same Scans (deep-equal, same order), same origins, and every analysis that
+// takes campaigns gives the same result on the loaded year as on the
+// simulated one.
 func TestArchiveEquivalence(t *testing.T) {
+	t.Parallel()
 	s, err := workload.NewScenario(workload.Config{
 		Year: 2020, Seed: 7, Scale: 0.0005, TelescopeSize: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Collect(s)
+	want := &Collect(s, CollectConfig{}).Campaigns
 
 	var buf bytes.Buffer
 	w, err := archive.NewWriter(&buf, archive.WriterConfig{
@@ -60,30 +63,41 @@ func TestArchiveEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(got.ScanOrigins, want.ScanOrigins) {
 		t.Fatal("ScanOrigins differ")
 	}
-	if !reflect.DeepEqual(got.QualifiedScans(), want.QualifiedScans()) {
-		t.Fatal("QualifiedScans differ")
-	}
-	if !reflect.DeepEqual(got.ScansPerPort(), want.ScansPerPort()) {
-		t.Fatal("ScansPerPort differs")
-	}
-	if !reflect.DeepEqual(got.ToolScanShares(), want.ToolScanShares()) {
-		t.Fatal("ToolScanShares differ")
-	}
-	if !reflect.DeepEqual(got.WeeklyScans, want.WeeklyScans) {
-		t.Fatal("WeeklyScans differ")
+	for name, table := range map[string]func(*Campaigns) any{
+		"QualifiedScans":        func(c *Campaigns) any { return c.QualifiedScans() },
+		"ScansPerPort":          func(c *Campaigns) any { return c.ScansPerPort() },
+		"ToolScanShares":        func(c *Campaigns) any { return c.ToolScanShares() },
+		"TwoPhaseTable":         func(c *Campaigns) any { return c.TwoPhaseTable() },
+		"Figure5":               func(c *Campaigns) any { return Figure5(c, 15) },
+		"Figure6":               func(c *Campaigns) any { return Figure6([]*Campaigns{c}) },
+		"Figure7":               func(c *Campaigns) any { return Figure7(c) },
+		"Sec52":                 func(c *Campaigns) any { return Sec52(c) },
+		"Sec63":                 func(c *Campaigns) any { return Sec63(c) },
+		"Sec64":                 func(c *Campaigns) any { return Sec64(c, tools.ToolMasscan) },
+		"ZMapDaily":             func(c *Campaigns) any { return ZMapDaily(c) },
+		"SpeedPortsCorrelation": func(c *Campaigns) any { r, _ := SpeedPortsCorrelation(c); return r },
+	} {
+		g, w := table(got), table(want)
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s differs between the archive-loaded and the simulated year", name)
+		}
+		if v := reflect.ValueOf(w); v.Kind() == reflect.Slice && v.Len() == 0 {
+			t.Errorf("%s is empty: the comparison shows nothing", name)
+		}
 	}
 }
 
 // TestArchiveEquivalenceSharded: the sharded detector's canonical emit
 // order survives the archive round trip too.
 func TestArchiveEquivalenceSharded(t *testing.T) {
+	t.Parallel()
 	s, err := workload.NewScenario(workload.Config{
 		Year: 2019, Seed: 11, Scale: 0.0003, TelescopeSize: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := CollectWorkers(s, 4)
+	want := &Collect(s, CollectConfig{Workers: 4}).Campaigns
 
 	var buf bytes.Buffer
 	w, err := archive.NewWriter(&buf, archive.WriterConfig{
@@ -113,6 +127,7 @@ func TestArchiveEquivalenceSharded(t *testing.T) {
 
 // TestCollectArchiveYears: a two-year archive splits back into its years.
 func TestCollectArchiveYears(t *testing.T) {
+	t.Parallel()
 	var buf bytes.Buffer
 	w, err := archive.NewWriter(&buf, archive.WriterConfig{
 		TelescopeSize: 1024, Origins: true,
@@ -128,9 +143,9 @@ func TestCollectArchiveYears(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		yd := Collect(s)
-		wantByYear[year] = len(yd.Scans)
-		if err := ArchiveYear(w, yd); err != nil {
+		c := &Collect(s, CollectConfig{}).Campaigns
+		wantByYear[year] = len(c.Scans)
+		if err := ArchiveYear(w, c); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -90,14 +90,14 @@ type ZMapDailyResult struct {
 // ZMapDaily counts ZMap campaigns per day. The paper verifies the 2024
 // surge by noting the minimum daily ZMap scan count in 2024 (17,122)
 // exceeds the 2023 maximum (9,051).
-func ZMapDaily(yd *YearData) *ZMapDailyResult {
-	res := &ZMapDailyResult{Year: yd.Year, PerDay: make([]int, yd.Days)}
+func ZMapDaily(c *Campaigns) *ZMapDailyResult {
+	res := &ZMapDailyResult{Year: c.Year, PerDay: make([]int, c.Days)}
 	day := int64(24 * 3600 * 1e9)
-	for _, sc := range yd.Scans {
-		if !sc.Qualified || sc.Tool != tools.ToolZMap {
+	for _, sc := range c.QualifiedScans() {
+		if sc.Tool != tools.ToolZMap {
 			continue
 		}
-		d := int((sc.Start - yd.Start) / day)
+		d := int((sc.Start - c.Start) / day)
 		if d >= 0 && d < len(res.PerDay) {
 			res.PerDay[d]++
 		}

@@ -5,22 +5,24 @@
 package analysis
 
 import (
-	"context"
-
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/packet"
-	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/stats"
 	"github.com/synscan/synscan/internal/telescope"
 	"github.com/synscan/synscan/internal/tools"
 	"github.com/synscan/synscan/internal/workload"
 )
 
-// YearData is everything one simulated measurement year yields.
-type YearData struct {
+// Campaigns is the scan-level half of a measurement year: the detector's
+// closed flows with their origins, and the window they were cut from. It is
+// exactly what an archive can rebuild (CollectArchive returns one), and every
+// analysis that reads nothing else takes a *Campaigns — one that needs the raw
+// probe stream takes the *YearData it is embedded in, so handing it an
+// archive-loaded year does not compile.
+type Campaigns struct {
 	// Year is the profile year.
 	Year int
 	// Days is the capture window length.
@@ -32,8 +34,15 @@ type YearData struct {
 
 	// Scans are all closed flows, qualified or not, in close order.
 	Scans []*core.Scan
-	// ScanOrigins are the enriched origins, parallel to Scans.
+	// ScanOrigins are the enriched origins, parallel to Scans, with reserved
+	// space classified Unknown: Table 2 has no Reserved row.
 	ScanOrigins []enrich.Origin
+}
+
+// YearData is everything one simulated measurement year yields: its
+// campaigns plus the per-probe tallies of the accepted capture.
+type YearData struct {
+	Campaigns
 
 	// AcceptedPackets counts probes that entered the dataset.
 	AcceptedPackets uint64
@@ -46,9 +55,8 @@ type YearData struct {
 	PacketsPerPort *stats.Counter[uint16]
 	// SourcesPerPort tallies distinct sources per destination port.
 	SourcesPerPort *stats.Counter[uint16]
-	// DistinctSources is the number of distinct source addresses.
-	DistinctSources int
-	// PortsPerSource maps each source to its distinct-port count (Fig. 3).
+	// PortsPerSource maps each source to its distinct-port count (Fig. 3);
+	// its length is the number of distinct sources.
 	PortsPerSource map[uint32]int
 
 	// PacketsPerToolPort tallies accepted probes per (tool, port) using the
@@ -58,8 +66,6 @@ type YearData struct {
 	// Weekly volatility (Fig. 2): per (source /16, week) aggregates.
 	WeeklySources *stats.Counter[BlockWeek]
 	WeeklyPackets *stats.Counter[BlockWeek]
-	WeeklyScans   *stats.Counter[BlockWeek]
-	Weeks         int
 
 	// CountryPackets tallies accepted probes per (port, country) for the
 	// §5.4 origin biases.
@@ -98,8 +104,8 @@ type PortCountry struct {
 // Registry returns the synthetic Internet behind the year.
 func (y *YearData) Registry() *inetmodel.Registry { return y.reg }
 
-// CollectConfig parameterizes CollectWith. The zero value is the default
-// collection: sequential detection, no metrics.
+// CollectConfig parameterizes Collect, Decade and FullEvaluation. The zero
+// value is the default collection: sequential detection, no metrics.
 type CollectConfig struct {
 	// Workers shards campaign detection across this many goroutines
 	// (<= 1 keeps the sequential detector). The emitted campaign multiset
@@ -114,21 +120,9 @@ type CollectConfig struct {
 	Metrics *obs.Registry
 }
 
-// Collect simulates the scenario and gathers all aggregates in one pass
-// with the sequential detector. Equivalent to CollectWith(s, CollectConfig{}).
-func Collect(s *workload.Scenario) *YearData {
-	return CollectWith(s, CollectConfig{})
-}
-
-// CollectWorkers is Collect with campaign detection sharded across the given
-// number of goroutines; see CollectConfig.Workers.
-func CollectWorkers(s *workload.Scenario, workers int) *YearData {
-	return CollectWith(s, CollectConfig{Workers: workers})
-}
-
-// CollectWith simulates the scenario and gathers all aggregates in one
+// Collect simulates the scenario and gathers all aggregates in one
 // streaming pass, with sharding and observability per cc.
-func CollectWith(s *workload.Scenario, cc CollectConfig) *YearData {
+func Collect(s *workload.Scenario, cc CollectConfig) *YearData {
 	return collect(s, cc, func(accept func(*packet.Probe)) {
 		s.Run(func(p *packet.Probe) {
 			if s.Telescope.Observe(p) == telescope.Accepted {
@@ -138,15 +132,17 @@ func CollectWith(s *workload.Scenario, cc CollectConfig) *YearData {
 	})
 }
 
-// collect is the one collection pass behind CollectWith and CollectReactive.
+// collect is the one collection pass behind Collect and CollectReactive.
 // run replays the scenario through whichever telescope the caller uses,
 // handing accept every probe that telescope's ingress decision accepted.
 func collect(s *workload.Scenario, cc CollectConfig, run func(accept func(*packet.Probe))) *YearData {
 	yd := &YearData{
-		Year:               s.Profile.Year,
-		Days:               s.Profile.Days,
-		TelescopeSize:      s.Telescope.Size(),
-		Start:              s.Start,
+		Campaigns: Campaigns{
+			Year:          s.Profile.Year,
+			Days:          s.Profile.Days,
+			TelescopeSize: s.Telescope.Size(),
+			Start:         s.Start,
+		},
 		PacketsPerDay:      make([]uint64, s.Profile.Days+1),
 		PacketsPerPort:     stats.NewCounter[uint16](),
 		SourcesPerPort:     stats.NewCounter[uint16](),
@@ -154,10 +150,8 @@ func collect(s *workload.Scenario, cc CollectConfig, run func(accept func(*packe
 		PacketsPerToolPort: stats.NewCounter[ToolPort](),
 		WeeklySources:      stats.NewCounter[BlockWeek](),
 		WeeklyPackets:      stats.NewCounter[BlockWeek](),
-		WeeklyScans:        stats.NewCounter[BlockWeek](),
 		CountryPackets:     stats.NewCounter[PortCountry](),
 		InstPacketsPerPort: stats.NewCounter[uint16](),
-		Weeks:              s.Profile.Days / 7,
 		reg:                s.Registry,
 	}
 	reg := cc.Metrics // nil disables every obs call below
@@ -169,7 +163,7 @@ func collect(s *workload.Scenario, cc CollectConfig, run func(accept func(*packe
 	// inline from Ingest, the sharded one during its merging FlushAll.
 	collect := func(sc *core.Scan) {
 		yd.Scans = append(yd.Scans, sc)
-		yd.ScanOrigins = append(yd.ScanOrigins, en.Origin(sc.Src))
+		yd.ScanOrigins = append(yd.ScanOrigins, tableOrigin(en.Origin(sc.Src)))
 	}
 	det := core.NewDetector(s.DetectorConfig, collect,
 		core.WithWorkers(cc.Workers), core.WithMetrics(reg))
@@ -177,7 +171,6 @@ func collect(s *workload.Scenario, cc CollectConfig, run func(accept func(*packe
 	// Dedup sets, keyed compactly.
 	srcPort := make(map[uint64]struct{}) // src<<16|port seen
 	weekSrc := make(map[uint64]struct{}) // block<<40|week<<32|srcLow seen
-	day := int64(24 * 3600 * 1e9)
 
 	runSpan := obs.StartSpan(reg.Histogram("collect.run_ns"))
 	run(func(p *packet.Probe) {
@@ -191,16 +184,7 @@ func collect(s *workload.Scenario, cc CollectConfig, run func(accept func(*packe
 	flushSpan.End()
 
 	finalizeSpan := obs.StartSpan(reg.Histogram("collect.finalize_ns"))
-	yd.DistinctSources = len(yd.PortsPerSource)
 	yd.TelescopeStats = s.Telescope.Stats()
-
-	for _, sc := range yd.Scans {
-		if !sc.Qualified {
-			continue
-		}
-		week := uint8(int((sc.Start - s.Start) / (7 * day)))
-		yd.WeeklyScans.Inc(BlockWeek{inetmodel.Block16(sc.Src), week})
-	}
 	finalizeSpan.End()
 
 	if reg != nil {
@@ -260,64 +244,4 @@ func (yd *YearData) accept(s *workload.Scenario, p *packet.Probe, srcPort, weekS
 	if entry.Type == inetmodel.TypeInstitutional {
 		yd.InstPacketsPerPort.Inc(p.DstPort)
 	}
-}
-
-// QualifiedScans filters the campaign list.
-func (y *YearData) QualifiedScans() []*core.Scan {
-	out := make([]*core.Scan, 0, len(y.Scans))
-	for _, sc := range y.Scans {
-		if sc.Qualified {
-			out = append(out, sc)
-		}
-	}
-	return out
-}
-
-// engineTable runs an aggregate query over the year's in-memory campaigns
-// through the query engine — the same streaming executors behind the archive
-// service's /v1/query — so the simulator's tables and the served tables
-// share one execution path and cannot drift. The queries are static and
-// valid and a SliceSource cannot fail under a background context, so an
-// error here is an engine invariant violation, not a caller mistake.
-func (y *YearData) engineTable(b *query.Builder) []query.Row {
-	q, err := b.Build()
-	if err == nil {
-		var res *query.Result
-		res, err = query.Run(context.Background(), q,
-			query.SliceSource{Scans: y.Scans, Origins: y.ScanOrigins})
-		if err == nil {
-			return res.Rows
-		}
-	}
-	panic("analysis: engine table query failed: " + err.Error())
-}
-
-// ScansPerPort tallies qualified campaigns per targeted port (a multi-port
-// campaign counts once per port) — the "top ports by scans" ranking.
-func (y *YearData) ScansPerPort() *stats.Counter[uint16] {
-	c := stats.NewCounter[uint16]()
-	rows := y.engineTable(query.NewBuilder().
-		Qualified(true).GroupBy(query.FieldPort).Count())
-	for _, row := range rows {
-		c.Add(uint16(row.Key[0].Num), row.Aggs[0].Count)
-	}
-	return c
-}
-
-// ToolScanShares returns each tool's share of qualified campaigns.
-func (y *YearData) ToolScanShares() map[tools.Tool]float64 {
-	rows := y.engineTable(query.NewBuilder().
-		Qualified(true).GroupBy(query.FieldTool).Count())
-	var total uint64
-	for _, row := range rows {
-		total += row.Aggs[0].Count
-	}
-	out := map[tools.Tool]float64{}
-	if total == 0 {
-		return out
-	}
-	for _, row := range rows {
-		out[tools.Tool(row.Key[0].Num)] = float64(row.Aggs[0].Count) / float64(total)
-	}
-	return out
 }

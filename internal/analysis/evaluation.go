@@ -50,15 +50,10 @@ type Evaluation struct {
 	ZMapDaily []*ZMapDailyResult `json:"zmapDaily"`
 }
 
-// FullEvaluation simulates the decade and computes every experiment.
-func FullEvaluation(seed uint64, scale float64, telescopeSize int) (*Evaluation, error) {
-	return FullEvaluationWith(seed, scale, telescopeSize, CollectConfig{})
-}
-
-// FullEvaluationWith is FullEvaluation with the decade collected under cc
-// (sharded detection, pipeline metrics).
-func FullEvaluationWith(seed uint64, scale float64, telescopeSize int, cc CollectConfig) (*Evaluation, error) {
-	years, err := DecadeWith(seed, scale, telescopeSize, cc)
+// FullEvaluation simulates the decade, collected under cc (sharded detection,
+// pipeline metrics), and computes every experiment.
+func FullEvaluation(seed uint64, scale float64, telescopeSize int, cc CollectConfig) (*Evaluation, error) {
+	years, err := Decade(seed, scale, telescopeSize, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -66,16 +61,23 @@ func FullEvaluationWith(seed uint64, scale float64, telescopeSize int, cc Collec
 	for _, yd := range years {
 		byYear[yd.Year] = yd
 	}
+	scenario := func(year int) (*workload.Scenario, error) {
+		return workload.NewScenario(workload.Config{
+			Year: year, Seed: seed, Scale: scale, TelescopeSize: telescopeSize,
+			Registry: years[0].Registry(),
+		})
+	}
+	c2022 := &byYear[2022].Campaigns
 	ev := &Evaluation{
 		Seed: seed, Scale: scale, TelescopeSize: telescopeSize,
 		Table1:  Table1(years, 5),
 		Table2:  Table2(years),
 		Figure2: Figure2(byYear[2020]),
 		Figure4: map[int][]Figure4Port{},
-		Figure5: Figure5(byYear[2022], 15),
-		Figure6: Figure6([]*YearData{byYear[2022]}),
-		Figure7: Figure7(byYear[2022]),
-		Sec64:   Sec64(byYear[2024], tools.ToolZMap),
+		Figure5: Figure5(c2022, 15),
+		Figure6: Figure6([]*Campaigns{c2022}),
+		Figure7: Figure7(c2022),
+		Sec64:   Sec64(&byYear[2024].Campaigns, tools.ToolZMap),
 	}
 
 	ev.Figure1, err = Figure1(seed, scale, telescopeSize, 2019,
@@ -90,24 +92,23 @@ func FullEvaluationWith(seed uint64, scale float64, telescopeSize int, cc Collec
 		ev.Figure4[y] = Figure4(byYear[y], 10)
 	}
 
-	s24, err := workload.NewScenario(workload.Config{
-		Year: 2024, Seed: seed, Scale: scale, TelescopeSize: telescopeSize,
-	})
-	if err != nil {
-		return nil, err
+	var cover [2][]Figure8Row
+	for i, y := range []int{2023, 2024} {
+		s, err := scenario(y)
+		if err != nil {
+			return nil, err
+		}
+		cover[i] = Figure8(s)
 	}
-	ev.Figure8 = Figure8(s24)
-	ev.Fig910, err = Figure910(seed, scale, telescopeSize, inetmodel.BuildRegistry(seed))
-	if err != nil {
-		return nil, err
-	}
+	ev.Figure8 = cover[1]
+	ev.Fig910 = Figure910(cover[0], cover[1])
 
 	svc := inetmodel.NewServiceModel(seed)
 	for _, yd := range years {
 		ev.Sec51 = append(ev.Sec51, Sec51(yd, svc, seed))
-		ev.Sec52 = append(ev.Sec52, Sec52(yd))
+		ev.Sec52 = append(ev.Sec52, Sec52(&yd.Campaigns))
 		ev.Sec54 = append(ev.Sec54, Sec54(yd))
-		ev.Sec63 = append(ev.Sec63, Sec63(yd))
+		ev.Sec63 = append(ev.Sec63, Sec63(&yd.Campaigns))
 		ev.Bias = append(ev.Bias, InstitutionalBias(yd, 5))
 		ev.Blockable = append(ev.Blockable, Blockable(yd))
 		ev.Collab = append(ev.Collab, collab.Summarize(collab.Detect(yd.QualifiedScans(), collab.Config{})))
@@ -119,9 +120,7 @@ func FullEvaluationWith(seed uint64, scale float64, telescopeSize int, cc Collec
 		ev.Top100Trend = trend
 	}
 
-	sb, err := workload.NewScenario(workload.Config{
-		Year: 2022, Seed: seed, Scale: scale, TelescopeSize: telescopeSize,
-	})
+	sb, err := scenario(2022)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +128,7 @@ func FullEvaluationWith(seed uint64, scale float64, telescopeSize int, cc Collec
 
 	ev.Sec42 = Sec42Normalized(byYear[2024])
 	for _, y := range []int{2023, 2024} {
-		ev.ZMapDaily = append(ev.ZMapDaily, ZMapDaily(byYear[y]))
+		ev.ZMapDaily = append(ev.ZMapDaily, ZMapDaily(&byYear[y].Campaigns))
 	}
 	return ev, nil
 }

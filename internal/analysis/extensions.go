@@ -242,14 +242,19 @@ func Blockable(yd *YearData) *BlockableResult {
 	if total == 0 {
 		return res
 	}
+	// Integer tallies, divided once: a share summed port by port would depend
+	// on the order the counter's keys come in.
 	var ident uint64
+	perTool := map[tools.Tool]uint64{}
 	for _, key := range yd.PacketsPerToolPort.Keys() {
-		if key.Tool == tools.ToolUnknown {
-			continue
+		if key.Tool != tools.ToolUnknown {
+			n := yd.PacketsPerToolPort.Get(key)
+			ident += n
+			perTool[key.Tool] += n
 		}
-		n := yd.PacketsPerToolPort.Get(key)
-		ident += n
-		res.PerTool[key.Tool] += float64(n) / total
+	}
+	for tl, n := range perTool {
+		res.PerTool[tl] = float64(n) / total
 	}
 	res.Share = float64(ident) / total
 	return res
@@ -285,7 +290,7 @@ func CompareVantage(year int, seed uint64, scale float64, telescopeSize int, tel
 		if err != nil {
 			return nil, err
 		}
-		return Collect(s), nil
+		return Collect(s, CollectConfig{}), nil
 	}
 	a, err := run(telSeedA)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/synscan/synscan/internal/collab"
@@ -112,6 +113,7 @@ func TestBlockableShareTrajectory(t *testing.T) {
 }
 
 func TestBlocklistDecay(t *testing.T) {
+	t.Parallel()
 	s, err := workload.NewScenario(workload.Config{
 		Year: 2022, Seed: testSeed, Scale: testScale, TelescopeSize: testTelSize,
 	})
@@ -164,6 +166,7 @@ func TestCollabOnSimulatedYear(t *testing.T) {
 }
 
 func TestCompareVantage(t *testing.T) {
+	t.Parallel()
 	res, err := CompareVantage(2020, testSeed, testScale, testTelSize, 100, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -186,6 +189,7 @@ func TestCompareVantage(t *testing.T) {
 }
 
 func TestSketchedMatchesExact(t *testing.T) {
+	t.Parallel()
 	mk := func() (*workload.Scenario, error) {
 		return workload.NewScenario(workload.Config{
 			Year: 2020, Seed: testSeed, Scale: testScale, TelescopeSize: testTelSize,
@@ -195,7 +199,7 @@ func TestSketchedMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := Collect(sa)
+	exact := Collect(sa, CollectConfig{})
 	sb, err := mk()
 	if err != nil {
 		t.Fatal(err)
@@ -206,10 +210,10 @@ func TestSketchedMatchesExact(t *testing.T) {
 		t.Fatalf("accepted: sketched %d != exact %d", sk.AcceptedPackets, exact.AcceptedPackets)
 	}
 	// HLL within 3% of the exact distinct-source count.
-	rel := float64(sk.DistinctSources)/float64(exact.DistinctSources) - 1
+	rel := float64(sk.DistinctSources)/float64(len(exact.PortsPerSource)) - 1
 	if rel > 0.03 || rel < -0.03 {
 		t.Fatalf("distinct sources: sketched %d vs exact %d (%.2f%%)",
-			sk.DistinctSources, exact.DistinctSources, rel*100)
+			sk.DistinctSources, len(exact.PortsPerSource), rel*100)
 	}
 	// Top-10 by packets: at least 8 of 10 ports agree (Space-Saving gives
 	// upper bounds; near-ties may swap).
@@ -228,8 +232,34 @@ func TestSketchedMatchesExact(t *testing.T) {
 	}
 }
 
+// evaluationJSON is the encoding of the first evaluation a test computed.
+// TestFullEvaluationJSON and TestEvaluationCSVExport both compute the same
+// one, so whichever runs second checks that a fixed seed reproduces the
+// report byte for byte.
+var (
+	evaluationMu   sync.Mutex
+	evaluationJSON []byte
+)
+
+func encodeEvaluation(t *testing.T, ev *Evaluation) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ev.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	evaluationMu.Lock()
+	defer evaluationMu.Unlock()
+	if evaluationJSON == nil {
+		evaluationJSON = buf.Bytes()
+	} else if !bytes.Equal(buf.Bytes(), evaluationJSON) {
+		t.Fatal("two evaluations of one seed encode to different bytes")
+	}
+	return buf.Bytes()
+}
+
 func TestFullEvaluationJSON(t *testing.T) {
-	ev, err := FullEvaluation(testSeed, 0.0002, testTelSize)
+	t.Parallel()
+	ev, err := FullEvaluation(testSeed, 0.0002, testTelSize, CollectConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,16 +269,13 @@ func TestFullEvaluationJSON(t *testing.T) {
 	if ev.Figure1 == nil || ev.Blocklist == nil || len(ev.Figure8) == 0 {
 		t.Fatal("missing figure results")
 	}
-	var buf bytes.Buffer
-	if err := ev.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
+	encoded := encodeEvaluation(t, ev)
 	// The JSON must be parseable and carry readable enum keys.
 	var round map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &round); err != nil {
+	if err := json.Unmarshal(encoded, &round); err != nil {
 		t.Fatal(err)
 	}
-	s := buf.String()
+	s := string(encoded)
 	for _, want := range []string{"table1", "Institutional", "ZMap", "blocklist_2022"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("JSON missing %q", want)
@@ -257,6 +284,7 @@ func TestFullEvaluationJSON(t *testing.T) {
 }
 
 func TestFigure1MultiEvents(t *testing.T) {
+	t.Parallel()
 	// Five disclosures on distinct quiet ports, staggered through the
 	// window — the paper's Figure 1 overlays ten such events.
 	var events []workload.Disclosure
@@ -294,8 +322,8 @@ func TestFigure1MultiEvents(t *testing.T) {
 func TestZMapDailySurge(t *testing.T) {
 	// §4.1: the minimum daily ZMap scan count in 2024 exceeds the 2023
 	// maximum — the surge is a landscape shift, not one campaign.
-	d23 := ZMapDaily(yearData(t, 2023))
-	d24 := ZMapDaily(yearData(t, 2024))
+	d23 := ZMapDaily(campaigns(t, 2023))
+	d24 := ZMapDaily(campaigns(t, 2024))
 	if len(d24.PerDay) != 59 {
 		t.Fatalf("2024 days = %d", len(d24.PerDay))
 	}
@@ -345,10 +373,12 @@ func TestSec42Normalized(t *testing.T) {
 }
 
 func TestEvaluationCSVExport(t *testing.T) {
-	ev, err := FullEvaluation(testSeed, 0.0002, testTelSize)
+	t.Parallel()
+	ev, err := FullEvaluation(testSeed, 0.0002, testTelSize, CollectConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	encodeEvaluation(t, ev)
 	dir := t.TempDir()
 	if err := ev.WriteCSVDir(dir); err != nil {
 		t.Fatal(err)

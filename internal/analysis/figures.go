@@ -1,11 +1,13 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/packet"
+	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/stats"
 	"github.com/synscan/synscan/internal/telescope"
 	"github.com/synscan/synscan/internal/tools"
@@ -120,10 +122,16 @@ type Figure2Result struct {
 
 // Figure2 computes the weekly volatility CDF inputs from a collected year.
 func Figure2(yd *YearData) *Figure2Result {
+	weeks := yd.Days / 7
+	weeklyScans := stats.NewCounter[BlockWeek]()
+	for _, sc := range yd.QualifiedScans() {
+		week := uint8((sc.Start - yd.Start) / (7 * 24 * 3600 * 1e9))
+		weeklyScans.Inc(BlockWeek{inetmodel.Block16(sc.Src), week})
+	}
 	res := &Figure2Result{}
-	res.SourceRatios = weeklyRatios(yd.WeeklySources, yd.Weeks)
-	res.ScanRatios = weeklyRatios(yd.WeeklyScans, yd.Weeks)
-	res.PacketRatios = weeklyRatios(yd.WeeklyPackets, yd.Weeks)
+	res.SourceRatios = weeklyRatios(yd.WeeklySources, weeks)
+	res.ScanRatios = weeklyRatios(weeklyScans, weeks)
+	res.PacketRatios = weeklyRatios(yd.WeeklyPackets, weeks)
 	res.SourcesTwofold = shareAtLeast(res.SourceRatios, 2)
 	res.ScansTwofold = shareAtLeast(res.ScanRatios, 2)
 	res.PacketsTwofold = shareAtLeast(res.PacketRatios, 2)
@@ -259,21 +267,13 @@ type Figure5Port struct {
 }
 
 // Figure5 returns the top-N ports by scans with scanner-type shares.
-func Figure5(yd *YearData, topN int) []Figure5Port {
+func Figure5(c *Campaigns, topN int) []Figure5Port {
 	perPortType := stats.NewCounter[portType]()
 	perPort := stats.NewCounter[uint16]()
-	for i, sc := range yd.Scans {
-		if !sc.Qualified {
-			continue
-		}
-		t := yd.ScanOrigins[i].Type
-		if t == inetmodel.TypeReserved {
-			t = inetmodel.TypeUnknown
-		}
-		for _, p := range sc.Ports {
-			perPort.Inc(p)
-			perPortType.Inc(portType{p, t})
-		}
+	for _, r := range engineTable(qualified().GroupBy(query.FieldPort, query.FieldType).Count(), c) {
+		p, t := uint16(r.Key[0].Num), inetmodel.ScannerType(r.Key[1].Num)
+		perPort.Add(p, r.Aggs[0].Count)
+		perPortType.Add(portType{p, t}, r.Aggs[0].Count)
 	}
 	top := perPort.TopK(topN)
 	out := make([]Figure5Port, 0, len(top))
@@ -309,33 +309,30 @@ type Figure6Result struct {
 }
 
 // Figure6 computes recurrence statistics over one or more collected years.
-func Figure6(years []*YearData) *Figure6Result {
-	type srcKey struct {
-		src uint32
-	}
+func Figure6(years []*Campaigns) *Figure6Result {
 	res := &Figure6Result{
 		ScansPerSource: map[inetmodel.ScannerType][]float64{},
 		DowntimeHours:  map[inetmodel.ScannerType][]float64{},
 		DailyModeShare: map[inetmodel.ScannerType]float64{},
 	}
-	for _, yd := range years {
+	for _, c := range years {
 		// Per-source qualified scans in time order (Scans close in order).
-		perSrc := map[srcKey][]*core.Scan{}
-		typeOf := map[srcKey]inetmodel.ScannerType{}
-		for i, sc := range yd.Scans {
-			if !sc.Qualified {
-				continue
+		perSrc := map[uint32][]*core.Scan{}
+		typeOf := map[uint32]inetmodel.ScannerType{}
+		for i, sc := range c.Scans {
+			if sc.Qualified {
+				perSrc[sc.Src] = append(perSrc[sc.Src], sc)
+				typeOf[sc.Src] = c.ScanOrigins[i].Type
 			}
-			k := srcKey{sc.Src}
-			perSrc[k] = append(perSrc[k], sc)
-			t := yd.ScanOrigins[i].Type
-			if t == inetmodel.TypeReserved {
-				t = inetmodel.TypeUnknown
-			}
-			typeOf[k] = t
 		}
-		for k, scans := range perSrc {
-			t := typeOf[k]
+		// Sources in address order, so the samples come out the same each run.
+		srcs := make([]uint32, 0, len(perSrc))
+		for src := range perSrc {
+			srcs = append(srcs, src)
+		}
+		slices.Sort(srcs)
+		for _, src := range srcs {
+			scans, t := perSrc[src], typeOf[src]
 			res.ScansPerSource[t] = append(res.ScansPerSource[t], float64(len(scans)))
 			sort.Slice(scans, func(i, j int) bool { return scans[i].Start < scans[j].Start })
 			for i := 1; i < len(scans); i++ {
@@ -378,34 +375,29 @@ type Figure7Row struct {
 }
 
 // Figure7 summarizes scan speed and coverage per scanner type.
-func Figure7(yd *YearData) []Figure7Row {
-	speeds := map[inetmodel.ScannerType][]float64{}
-	covs := map[inetmodel.ScannerType][]float64{}
-	for i, sc := range yd.Scans {
-		if !sc.Qualified {
-			continue
+func Figure7(c *Campaigns) []Figure7Row {
+	fast := map[inetmodel.ScannerType]uint64{}
+	for _, r := range engineTable(qualified().RateRange(1000, 0).GroupBy(query.FieldType).Count(), c) {
+		fast[inetmodel.ScannerType(r.Key[0].Num)] = r.Aggs[0].Count
+	}
+	byType := map[inetmodel.ScannerType]Figure7Row{}
+	for _, r := range engineTable(qualified().GroupBy(query.FieldType).Count().
+		Sum(query.FieldRate).Quantiles(query.FieldRate, 0.5).Sum(query.FieldCoverage), c) {
+		t, n := inetmodel.ScannerType(r.Key[0].Num), float64(r.Aggs[0].Count)
+		byType[t] = Figure7Row{
+			Type:           t,
+			MeanSpeedPPS:   r.Aggs[1].Float / n,
+			MedianSpeedPPS: r.Aggs[2].Vals[0],
+			Above1000PPS:   float64(fast[t]) / n,
+			MeanCoverage:   r.Aggs[3].Float / n,
+			Scans:          int(r.Aggs[0].Count),
 		}
-		t := yd.ScanOrigins[i].Type
-		if t == inetmodel.TypeReserved {
-			t = inetmodel.TypeUnknown
-		}
-		speeds[t] = append(speeds[t], sc.RatePPS)
-		covs[t] = append(covs[t], sc.Coverage)
 	}
 	var rows []Figure7Row
 	for _, t := range inetmodel.ScannerTypes {
-		ss := speeds[t]
-		if len(ss) == 0 {
-			continue
+		if row, ok := byType[t]; ok {
+			rows = append(rows, row)
 		}
-		rows = append(rows, Figure7Row{
-			Type:           t,
-			MeanSpeedPPS:   stats.Mean(ss),
-			MedianSpeedPPS: stats.Median(ss),
-			Above1000PPS:   shareAtLeast(ss, 1000),
-			MeanCoverage:   stats.Mean(covs[t]),
-			Scans:          len(ss),
-		})
 	}
 	return rows
 }
@@ -469,49 +461,33 @@ func Figure8(s *workload.Scenario) []Figure8Row {
 	return rows
 }
 
-// Figure910 produces the appendix comparison: per-org coverage in 2023 vs
-// 2024, keyed by organization name.
+// Figure910Row is one organization of the appendix comparison: its port
+// coverage in 2023 and in 2024.
 type Figure910Row struct {
 	Org                  string
 	Ports2023, Ports2024 int
 }
 
-// Figure910 builds both years' scenarios with the same seed/registry and
-// joins their coverage maps.
-func Figure910(seed uint64, scale float64, telescopeSize int, reg *inetmodel.Registry) ([]Figure910Row, error) {
-	cover := func(year int) (map[string]int, error) {
-		s, err := workload.NewScenario(workload.Config{
-			Year: year, Seed: seed, Scale: scale,
-			TelescopeSize: telescopeSize, Registry: reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m := map[string]int{}
-		for _, row := range Figure8(s) {
-			m[row.Org] = row.PortsCovered
-		}
-		return m, nil
-	}
-	c23, err := cover(2023)
-	if err != nil {
-		return nil, err
-	}
-	c24, err := cover(2024)
-	if err != nil {
-		return nil, err
-	}
-	names := map[string]bool{}
-	for n := range c23 {
-		names[n] = true
-	}
-	for n := range c24 {
-		names[n] = true
+// Figure910 joins two years' Figure 8 coverage by organization name, widest
+// 2024 coverage first.
+func Figure910(rows2023, rows2024 []Figure8Row) []Figure910Row {
+	only2023 := map[string]int{}
+	for _, r := range rows2023 {
+		only2023[r.Org] = r.PortsCovered
 	}
 	var rows []Figure910Row
-	for n := range names {
-		rows = append(rows, Figure910Row{Org: n, Ports2023: c23[n], Ports2024: c24[n]})
+	for _, r := range rows2024 {
+		rows = append(rows, Figure910Row{Org: r.Org, Ports2023: only2023[r.Org], Ports2024: r.PortsCovered})
+		delete(only2023, r.Org)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Ports2024 > rows[j].Ports2024 })
-	return rows, nil
+	for org, ports := range only2023 {
+		rows = append(rows, Figure910Row{Org: org, Ports2023: ports})
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Ports2024 != rows[j].Ports2024 {
+			return rows[i].Ports2024 > rows[j].Ports2024
+		}
+		return rows[i].Org < rows[j].Org
+	})
+	return rows
 }

@@ -57,12 +57,11 @@ type TwoPhaseRow struct {
 // carried — the Spoki headline measurement ("what share of scanners comes
 // back when you answer"). Computed through the query engine over the new
 // reactive fields, so the table and POST /v1/query cannot drift.
-func (y *YearData) TwoPhaseTable() []TwoPhaseRow {
-	rows := y.engineTable(query.NewBuilder().
-		Qualified(true).GroupBy(query.FieldTool).Count().
+func (c *Campaigns) TwoPhaseTable() []TwoPhaseRow {
+	rows := engineTable(qualified().GroupBy(query.FieldTool).Count().
 		Sum(query.FieldTwoPhase).Sum(query.FieldLinkedDsts).
 		Sum(query.FieldHandshakePackets).Sum(query.FieldPayloadBytes).
-		OrderByKey())
+		OrderByKey(), c)
 	out := make([]TwoPhaseRow, 0, len(rows))
 	for _, r := range rows {
 		row := TwoPhaseRow{

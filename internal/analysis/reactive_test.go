@@ -28,6 +28,7 @@ func reactiveScenario(t *testing.T) *workload.Scenario {
 // designated masscan-style campaigns carry the flag, they show mixed or
 // irregular ISNs plus handshake traffic, and payload bytes arrive.
 func TestCollectReactiveLinksTwoPhase(t *testing.T) {
+	t.Parallel()
 	rd := CollectReactive(reactiveScenario(t), reactive.DefaultPolicy(1), CollectConfig{})
 
 	if rd.Workload.TwoPhaseCampaigns == 0 {
@@ -113,6 +114,7 @@ func TestCollectReactiveLinksTwoPhase(t *testing.T) {
 // TestCollectReactiveDeterministic: equal configurations give deep-equal
 // campaign lists across independent runs.
 func TestCollectReactiveDeterministic(t *testing.T) {
+	t.Parallel()
 	a := CollectReactive(reactiveScenario(t), reactive.DefaultPolicy(1), CollectConfig{})
 	b := CollectReactive(reactiveScenario(t), reactive.DefaultPolicy(1), CollectConfig{})
 	if !reflect.DeepEqual(a.Scans, b.Scans) {
@@ -131,6 +133,7 @@ func TestCollectReactiveDeterministic(t *testing.T) {
 // shard routing keeps both phases of a flow on one shard, so linking needs
 // no cross-shard state.
 func TestCollectReactiveShardedEquivalent(t *testing.T) {
+	t.Parallel()
 	seq := CollectReactive(reactiveScenario(t), reactive.DefaultPolicy(1), CollectConfig{})
 	shd := CollectReactive(reactiveScenario(t), reactive.DefaultPolicy(1), CollectConfig{Workers: 4})
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"github.com/synscan/synscan/internal/inetmodel"
+	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/rng"
 	"github.com/synscan/synscan/internal/stats"
 	"github.com/synscan/synscan/internal/tools"
@@ -55,41 +56,13 @@ func Sec51(yd *YearData, svc *inetmodel.ServiceModel, seed uint64) *Sec51Result 
 	// complete port walk trivially covers both ports, and at simulation
 	// scale the truncated walk would just add noise — the §5.1 claim is
 	// about targeted scans picking up alias ports.
-	with80, both := 0, 0
-	three := 0
-	total := 0
-	for i, sc := range yd.Scans {
-		if !sc.Qualified {
-			continue
-		}
-		total++
-		if len(sc.Ports) >= 3 {
-			three++
-		}
-		if yd.ScanOrigins[i].Type == inetmodel.TypeInstitutional {
-			continue
-		}
-		has80, has8080 := false, false
-		for _, p := range sc.Ports {
-			if p == 80 {
-				has80 = true
-			}
-			if p == 8080 {
-				has8080 = true
-			}
-		}
-		if has80 {
-			with80++
-			if has8080 {
-				both++
-			}
-		}
-	}
-	if with80 > 0 {
+	targeted := query.Not(query.TypeIn(inetmodel.TypeInstitutional))
+	if with80 := yd.count(targeted, query.PortAny(80)); with80 > 0 {
+		both := yd.count(targeted, query.PortAny(80), query.PortAny(8080))
 		res.CoScan80_8080 = float64(both) / float64(with80)
 	}
-	if total > 0 {
-		res.ThreePlusShare = float64(three) / float64(total)
+	if total := yd.count(); total > 0 {
+		res.ThreePlusShare = float64(yd.count(atLeast(query.FieldNPorts, 3))) / float64(total)
 	}
 
 	// Services vs scans: vertical scan of 100k hosts against per-port scan
@@ -139,33 +112,26 @@ type Sec52Result struct {
 }
 
 // Sec52 computes vertical-scan statistics for one collected year.
-func Sec52(yd *YearData) *Sec52Result {
-	res := &Sec52Result{Year: yd.Year}
+func Sec52(c *Campaigns) *Sec52Result {
+	res := &Sec52Result{
+		Year:      c.Year,
+		Over100:   c.count(atLeast(query.FieldNPorts, 101)),
+		Over1000:  c.count(atLeast(query.FieldNPorts, 1001)),
+		Over10000: c.count(atLeast(query.FieldNPorts, 10001)),
+	}
+	if total := c.count(); total > 0 {
+		res.Share1000 = float64(res.Over1000) / float64(total)
+	}
 	var speedsAll, speedsBig []float64
-	total := 0
-	for _, sc := range yd.Scans {
-		if !sc.Qualified {
-			continue
-		}
-		total++
+	for _, sc := range c.QualifiedScans() {
 		n := len(sc.Ports)
 		if n > res.LargestPortCount {
 			res.LargestPortCount = n
 		}
-		if n > 100 {
-			res.Over100++
-		}
 		if n > 1000 {
-			res.Over1000++
 			speedsBig = append(speedsBig, sc.SpeedMbps())
 		}
-		if n > 10000 {
-			res.Over10000++
-		}
 		speedsAll = append(speedsAll, sc.SpeedMbps())
-	}
-	if total > 0 {
-		res.Share1000 = float64(res.Over1000) / float64(total)
 	}
 	res.MeanSpeedAllMbps = stats.Mean(speedsAll)
 	res.MeanSpeedOver1000Mbps = stats.Mean(speedsBig)
@@ -187,24 +153,21 @@ type Sec63Result struct {
 }
 
 // Sec63 computes per-tool speed distributions for one collected year.
-func Sec63(yd *YearData) *Sec63Result {
-	byTool := map[tools.Tool][]float64{}
-	var all []float64
-	for _, sc := range yd.Scans {
-		if !sc.Qualified {
-			continue
-		}
-		byTool[sc.Tool] = append(byTool[sc.Tool], sc.RatePPS)
-		all = append(all, sc.RatePPS)
-	}
+func Sec63(c *Campaigns) *Sec63Result {
 	res := &Sec63Result{
-		Year:      yd.Year,
+		Year:      c.Year,
 		MedianPPS: map[tools.Tool]float64{},
 		MeanPPS:   map[tools.Tool]float64{},
 	}
-	for tl, ss := range byTool {
-		res.MedianPPS[tl] = stats.Median(ss)
-		res.MeanPPS[tl] = stats.Mean(ss)
+	for _, r := range engineTable(qualified().GroupBy(query.FieldTool).Count().
+		Sum(query.FieldRate).Quantiles(query.FieldRate, 0.5), c) {
+		tl := tools.Tool(r.Key[0].Num)
+		res.MeanPPS[tl] = r.Aggs[1].Float / float64(r.Aggs[0].Count)
+		res.MedianPPS[tl] = r.Aggs[2].Vals[0]
+	}
+	var all []float64
+	for _, sc := range c.QualifiedScans() {
+		all = append(all, sc.RatePPS)
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(all)))
 	top := all
@@ -230,12 +193,9 @@ func Top100Trend(results []*Sec63Result) (stats.PearsonResult, error) {
 // SpeedPortsCorrelation computes the §5.3 correlation between scan speed
 // and ports targeted over a year's qualified campaigns (paper: R = 0.88 on
 // aggregated data; per-scan data yields a clearly positive coefficient).
-func SpeedPortsCorrelation(yd *YearData) (stats.PearsonResult, error) {
+func SpeedPortsCorrelation(c *Campaigns) (stats.PearsonResult, error) {
 	var xs, ys []float64
-	for _, sc := range yd.Scans {
-		if !sc.Qualified {
-			continue
-		}
+	for _, sc := range c.QualifiedScans() {
 		xs = append(xs, float64(len(sc.Ports)))
 		ys = append(ys, sc.RatePPS)
 	}
@@ -262,26 +222,24 @@ type Sec64Result struct {
 
 // Sec64 extracts the coverage distribution (and its dominant mode) of a
 // tool's qualified campaigns.
-func Sec64(yd *YearData, tool tools.Tool) *Sec64Result {
+func Sec64(c *Campaigns, tool tools.Tool) *Sec64Result {
 	res := &Sec64Result{Tool: tool}
-	for _, sc := range yd.Scans {
-		if !sc.Qualified || sc.Tool != tool {
-			continue
+	for _, sc := range c.QualifiedScans() {
+		if sc.Tool == tool {
+			res.Coverages = append(res.Coverages, sc.Coverage)
 		}
-		res.Coverages = append(res.Coverages, sc.Coverage)
 	}
 	sort.Float64s(res.Coverages)
-	if len(res.Coverages) == 0 {
-		return res
-	}
-	// Mode detection over 2%-wide log-ish buckets.
-	buckets := map[int]int{}
-	for _, c := range res.Coverages {
-		buckets[int(c*50)]++
-	}
-	for b, n := range buckets {
-		if n > res.ModeCount {
-			res.ModeCount = n
+	// Mode detection over 2%-wide buckets. Coverages ascend, so a bucket is a
+	// run of them, and of two equally full buckets the lower one is the mode.
+	run := 0
+	for i, cov := range res.Coverages {
+		b := int(cov * 50)
+		if i > 0 && b != int(res.Coverages[i-1]*50) {
+			run = 0
+		}
+		if run++; run > res.ModeCount {
+			res.ModeCount = run
 			res.ModeCoverage = (float64(b) + 0.5) / 50
 		}
 	}

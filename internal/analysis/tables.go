@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"github.com/synscan/synscan/internal/inetmodel"
+	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/stats"
 	"github.com/synscan/synscan/internal/tools"
 	"github.com/synscan/synscan/internal/workload"
@@ -35,12 +36,11 @@ func Table1(years []*YearData, topN int) []Table1Row {
 			Year:            yd.Year,
 			PacketsPerDay:   float64(yd.AcceptedPackets) / float64(yd.Days),
 			ToolShares:      yd.ToolScanShares(),
-			DistinctSources: yd.DistinctSources,
+			DistinctSources: len(yd.PortsPerSource),
 		}
 		row.TopPortsByPackets = topShares(yd.PacketsPerPort, topN)
 		row.TopPortsBySources = topShares(yd.SourcesPerPort, topN)
-		scanPorts := yd.ScansPerPort()
-		row.TopPortsByScans = topShares(scanPorts, topN)
+		row.TopPortsByScans = topShares(yd.ScansPerPort(), topN)
 		row.ScansPerMonth = float64(len(yd.QualifiedScans())) / (float64(yd.Days) / 30.44)
 		rows = append(rows, row)
 	}
@@ -81,25 +81,17 @@ func Table2(years []*YearData) []Table2Row {
 	var totPkt uint64
 
 	for _, yd := range years {
-		reg := yd.Registry()
 		for src := range yd.PortsPerSource {
-			t := classifyType(reg, src)
-			srcN[t]++
+			srcN[foldReserved(yd.reg.Lookup(src).Type)]++
 			totSrc++
 		}
-		for i, sc := range yd.Scans {
-			if !sc.Qualified {
-				continue
-			}
-			t := yd.ScanOrigins[i].Type
-			if t == inetmodel.TypeReserved {
-				t = inetmodel.TypeUnknown
-			}
-			scanN[t]++
-			totScan++
-			pktN[t] += sc.Packets
-			totPkt += sc.Packets
-		}
+	}
+	for _, r := range engineTable(qualified().GroupBy(query.FieldType).
+		Count().Sum(query.FieldPackets), CampaignsOf(years)...) {
+		t := inetmodel.ScannerType(r.Key[0].Num)
+		scanN[t], pktN[t] = int(r.Aggs[0].Count), r.Aggs[1].Int
+		totScan += scanN[t]
+		totPkt += pktN[t]
 	}
 
 	rows := make([]Table2Row, 0, len(inetmodel.ScannerTypes))
@@ -121,37 +113,17 @@ func Table2(years []*YearData) []Table2Row {
 	return rows
 }
 
-func classifyType(reg *inetmodel.Registry, src uint32) inetmodel.ScannerType {
-	t := reg.Lookup(src).Type
-	if t == inetmodel.TypeReserved {
-		return inetmodel.TypeUnknown
-	}
-	return t
-}
-
-// Decade collects every measured year with a shared registry and returns
-// them in order. It is the standard entry point for the multi-year
+// Decade collects every measured year under cc with a shared registry and
+// returns them in order. It is the standard entry point for the multi-year
 // experiments. Years are simulated concurrently: each scenario owns its
 // telescope and detector, and the shared registry is read-only after
-// construction, so the result is identical to a serial run.
-func Decade(seed uint64, scale float64, telescopeSize int) ([]*YearData, error) {
-	return DecadeWorkers(seed, scale, telescopeSize, 1)
-}
-
-// DecadeWorkers is Decade with each year's campaign detection sharded across
-// the given number of goroutines (see CollectWorkers). The per-year
-// concurrency multiplies the year-level concurrency, so the total goroutine
-// count is roughly years x workers.
-func DecadeWorkers(seed uint64, scale float64, telescopeSize, workers int) ([]*YearData, error) {
-	return DecadeWith(seed, scale, telescopeSize, CollectConfig{Workers: workers})
-}
-
-// DecadeWith is Decade with each year collected under cc. A non-nil
-// cc.Metrics registry is shared by all years: its counters and histograms
-// aggregate across the whole decade (the registry is safe for concurrent
-// use), while each YearData.PipelineStats holds the snapshot taken as that
-// year finished.
-func DecadeWith(seed uint64, scale float64, telescopeSize int, cc CollectConfig) ([]*YearData, error) {
+// construction, so the result is identical to a serial run. With cc.Workers
+// above one the per-year concurrency multiplies the year-level concurrency
+// (roughly years x workers goroutines). A non-nil cc.Metrics registry is
+// shared by all years: its counters and histograms aggregate across the whole
+// decade (the registry is safe for concurrent use), while each
+// YearData.PipelineStats holds the snapshot taken as that year finished.
+func Decade(seed uint64, scale float64, telescopeSize int, cc CollectConfig) ([]*YearData, error) {
 	reg := inetmodel.BuildRegistry(seed)
 	years := workload.Years()
 	out := make([]*YearData, len(years))
@@ -169,7 +141,7 @@ func DecadeWith(seed uint64, scale float64, telescopeSize int, cc CollectConfig)
 				errs[i] = err
 				return
 			}
-			out[i] = CollectWith(s, cc)
+			out[i] = Collect(s, cc)
 		}(i, y)
 	}
 	wg.Wait()

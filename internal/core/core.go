@@ -70,8 +70,9 @@ const ReferenceTelescopeSize = 71536
 // MinDistinctDsts shrinks linearly (floor 6 — below that, qualification is
 // noise) and the idle expiry stretches inversely (capped at 12 hours so state
 // still ages out). At ReferenceTelescopeSize and above this is the paper's
-// default Config. Shared by the replay tools (synalyze, syningest) so both
-// derive identical campaigns from the same capture.
+// default Config. Shared by the simulator (workload.NewScenario), the replay
+// tools (synalyze, syningest) and the facade's NewAnalyzer, so all derive
+// identical campaigns from the same capture.
 func ScaledConfig(telescopeSize int) Config {
 	cfg := Config{TelescopeSize: telescopeSize}
 	if scaled := DefaultMinDistinctDsts * telescopeSize / ReferenceTelescopeSize; scaled >= 6 {

@@ -1,7 +1,11 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -129,6 +133,60 @@ func TestCounterTopKOverflow(t *testing.T) {
 	empty := NewCounter[string]()
 	if s := empty.Share("x"); s != 0 {
 		t.Fatalf("empty Share = %v", s)
+	}
+}
+
+// refTopK is the full-sort ranking TopK replaced: every entry sorted by count
+// descending, then by formatted key.
+func refTopK[K comparable](c *Counter[K], k int) []KV[K] {
+	all := make([]KV[K], 0, c.Len())
+	for _, key := range c.Keys() {
+		all = append(all, KV[K]{key, c.Get(key)})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Count != all[j].Count {
+			return all[i].Count > all[j].Count
+		}
+		return fmt.Sprint(all[i].Key) < fmt.Sprint(all[j].Key)
+	})
+	if k > len(all) {
+		k = len(all)
+	}
+	return all[:k]
+}
+
+// TestCounterTopKSelection: the bounded selection returns what sorting the
+// whole counter did — for ties at the cut, k = 0, k beyond the counter, and
+// random counters with few distinct counts (so ties are everywhere).
+func TestCounterTopKSelection(t *testing.T) {
+	ties := NewCounter[uint16]()
+	ties.Add(80, 9)
+	for _, p := range []uint16{9, 10, 100, 11, 2} {
+		ties.Add(p, 4) // formatted order: "10" < "100" < "11" < "2" < "9"
+	}
+	ties.Add(7, 1)
+	want := []KV[uint16]{{80, 9}, {10, 4}, {100, 4}}
+	if got := ties.TopK(3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ties at the cut: got %v, want %v", got, want)
+	}
+	if got := ties.TopK(0); len(got) != 0 {
+		t.Fatalf("TopK(0) = %v", got)
+	}
+	if got := ties.TopK(100); !reflect.DeepEqual(got, refTopK(ties, 100)) || len(got) != ties.Len() {
+		t.Fatalf("TopK beyond Len = %v", got)
+	}
+
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		c := NewCounter[int]()
+		for n := r.Intn(300); n > 0; n-- {
+			c.Add(r.Intn(150), uint64(r.Intn(4)))
+		}
+		for _, k := range []int{1, 5, 15, c.Len(), c.Len() + 3} {
+			if got, want := c.TopK(k), refTopK(c, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d k=%d:\n got %v\nwant %v", trial, k, got, want)
+			}
+		}
 	}
 }
 

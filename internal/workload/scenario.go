@@ -65,7 +65,9 @@ type Scenario struct {
 	// Registry is the synthetic Internet.
 	Registry *inetmodel.Registry
 	// DetectorConfig holds the §3.4 thresholds rescaled to the simulated
-	// telescope size.
+	// telescope size: core.ScaledConfig, the rescaling the replay tools
+	// apply, so a simulated capture is cut into the same campaigns when
+	// synalyze or syningest replay it.
 	DetectorConfig core.Config
 	// Start is the capture window start (ns since epoch, virtual clock).
 	Start int64
@@ -122,32 +124,14 @@ func NewScenario(cfg Config) (*Scenario, error) {
 		reg = inetmodel.BuildRegistry(cfg.Seed)
 	}
 
-	// Threshold rescaling: the paper's 100-distinct-destination floor is a
-	// coverage threshold relative to its telescope; expiry stretches by the
-	// inverse size ratio because per-flow inter-hit gaps do, but is capped
-	// at 12 hours so daily-recurring scanners still close between days.
-	ratio := float64(tel.Size()) / paperTelescopeSize
-	minDsts := int(core.DefaultMinDistinctDsts*ratio + 0.5)
-	if minDsts < 6 {
-		minDsts = 6
-	}
-	expiry := int64(float64(core.DefaultExpiry) / ratio)
-	if maxExpiry := int64(12 * time.Hour); expiry > maxExpiry {
-		expiry = maxExpiry
-	}
 	s := &Scenario{
-		Profile:   prof,
-		Telescope: tel,
-		Registry:  reg,
-		DetectorConfig: core.Config{
-			TelescopeSize:   tel.Size(),
-			MinDistinctDsts: minDsts,
-			MinRatePPS:      core.DefaultMinRatePPS,
-			Expiry:          expiry,
-		},
-		Start:       WindowStart(cfg.Year),
-		WindowNanos: int64(prof.Days) * 24 * int64(time.Hour),
-		cfg:         cfg,
+		Profile:        prof,
+		Telescope:      tel,
+		Registry:       reg,
+		DetectorConfig: core.ScaledConfig(tel.Size()),
+		Start:          WindowStart(cfg.Year),
+		WindowNanos:    int64(prof.Days) * 24 * int64(time.Hour),
+		cfg:            cfg,
 	}
 	day := float64(24 * time.Hour)
 	for _, o := range cfg.Outages {

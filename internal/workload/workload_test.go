@@ -3,6 +3,7 @@ package workload
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/inetmodel"
@@ -84,6 +85,45 @@ func TestNewScenarioValidation(t *testing.T) {
 	}
 	if _, err := NewScenario(Config{Year: 2020, TelescopeSize: 10}); err == nil {
 		t.Fatal("tiny telescope must error")
+	}
+}
+
+// TestDetectorConfigIsScaledConfig: a scenario cuts campaigns with exactly the
+// thresholds the replay tools derive for its telescope size, so a capture
+// simulated by syntelescope yields the same campaigns when synalyze or
+// syningest replay it. From 4,650 addresses up NewScenario used to round the
+// destination floor half-up where core.ScaledConfig truncates (10,000
+// addresses: 14 against 13).
+func TestDetectorConfigIsScaledConfig(t *testing.T) {
+	for _, tc := range []struct {
+		size, minDsts int
+		expiry        time.Duration
+	}{
+		{1024, 6, 12 * time.Hour},
+		{2048, 6, 12 * time.Hour},
+		{4096, 6, 12 * time.Hour},
+		{10000, 13, 25752960 * time.Millisecond},
+		{71536, 100, time.Hour},
+	} {
+		s, err := NewScenario(Config{Year: 2020, Seed: 1, Scale: 0.0001, TelescopeSize: tc.size, Registry: sharedRegistry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The thresholds a detector runs with: zero fields take the defaults.
+		effective := func(c core.Config) (int, time.Duration) {
+			if c.Expiry == 0 {
+				c.Expiry = core.DefaultExpiry
+			}
+			return c.MinDistinctDsts, time.Duration(c.Expiry)
+		}
+		dsts, expiry := effective(s.DetectorConfig)
+		if wantDsts, wantExpiry := effective(core.ScaledConfig(tc.size)); dsts != wantDsts || expiry != wantExpiry {
+			t.Errorf("size %d: %d destinations, %v expiry; core.ScaledConfig gives %d, %v",
+				tc.size, dsts, expiry, wantDsts, wantExpiry)
+		}
+		if dsts != tc.minDsts || expiry != tc.expiry {
+			t.Errorf("size %d: %d destinations, %v expiry; want %d, %v", tc.size, dsts, expiry, tc.minDsts, tc.expiry)
+		}
 	}
 }
 

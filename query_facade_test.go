@@ -39,7 +39,7 @@ func TestFacadeQueryBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ArchiveYear(w, yd); err != nil {
+	if err := ArchiveYear(w, &yd.Campaigns); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -8,8 +8,10 @@
 // Three entry points cover most uses:
 //
 //   - Simulate runs one measurement year end to end and returns the
-//     collected YearData, from which Table1, Table2, Figure2..Figure7 and
-//     the section analyses derive their results.
+//     collected YearData, from which Table1, Table2, Figure2..Figure4 and the
+//     per-probe section analyses derive their results; the analyses that read
+//     only detected campaigns (Figure5..Figure7, §5.2, §6.3, §6.4) take its
+//     Campaigns, which an archive can rebuild without re-simulating.
 //   - SimulateDecade runs all ten years with a shared synthetic Internet.
 //   - NewAnalyzer ingests an arbitrary probe stream (e.g. parsed from a
 //     pcap file via the Probe codec) through the campaign detector.
@@ -48,8 +50,13 @@ type (
 	Origin = enrich.Origin
 	// Disclosure models a vulnerability-disclosure event (Figure 1).
 	Disclosure = workload.Disclosure
-	// YearData is everything one simulated measurement year yields.
+	// YearData is everything one simulated measurement year yields: its
+	// Campaigns plus the per-probe tallies of the accepted capture.
 	YearData = analysis.YearData
+	// Campaigns is the scan-level half of a year — detected flows, their
+	// origins and the capture window — embedded in YearData and returned by
+	// CollectArchive. Pass &yd.Campaigns to the analyses that take it.
+	Campaigns = analysis.Campaigns
 	// Table1Row / Table2Row are the paper's table rows.
 	Table1Row = analysis.Table1Row
 	Table2Row = analysis.Table2Row
@@ -130,20 +137,18 @@ func Simulate(cfg Config) (*YearData, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analysis.CollectWith(s, analysis.CollectConfig{
-		Workers: cfg.Workers, Metrics: cfg.Metrics,
-	}), nil
+	return analysis.Collect(s, analysis.CollectConfig{Workers: cfg.Workers, Metrics: cfg.Metrics}), nil
 }
 
 // SimulateDecade runs all ten years over one shared synthetic Internet.
 func SimulateDecade(seed uint64, scale float64, telescopeSize int) ([]*YearData, error) {
-	return analysis.Decade(seed, scale, telescopeSize)
+	return analysis.Decade(seed, scale, telescopeSize, analysis.CollectConfig{})
 }
 
 // SimulateDecadeWorkers is SimulateDecade with each year's campaign
 // detection sharded across the given number of goroutines.
 func SimulateDecadeWorkers(seed uint64, scale float64, telescopeSize, workers int) ([]*YearData, error) {
-	return analysis.DecadeWorkers(seed, scale, telescopeSize, workers)
+	return analysis.Decade(seed, scale, telescopeSize, analysis.CollectConfig{Workers: workers})
 }
 
 // Table1 computes the headline table (volume, top ports, tools) from
@@ -212,9 +217,10 @@ func WithOnScan(fn func(*Scan)) AnalyzerOption {
 	return func(o *analyzerOptions) { o.onScan = fn }
 }
 
-// NewAnalyzer creates an Analyzer for a telescope of the given size.
-// The paper's thresholds apply: 100 distinct destinations, 100 pps
-// extrapolated, 1 h expiry.
+// NewAnalyzer creates an Analyzer for a telescope of the given size. The
+// paper's thresholds (100 distinct destinations, 100 pps extrapolated, 1 h
+// expiry) apply at its telescope size and are rescaled below it exactly as
+// cmd/synalyze rescales them.
 func NewAnalyzer(telescopeSize int, opts ...AnalyzerOption) *Analyzer {
 	var o analyzerOptions
 	for _, opt := range opts {
@@ -236,7 +242,7 @@ func NewAnalyzer(telescopeSize int, opts ...AnalyzerOption) *Analyzer {
 		}
 		a.scans = append(a.scans, s)
 	}
-	a.det = core.NewDetector(core.Config{TelescopeSize: telescopeSize}, collect,
+	a.det = core.NewDetector(core.ScaledConfig(telescopeSize), collect,
 		core.WithWorkers(o.workers), core.WithMetrics(o.metrics))
 	return a
 }
@@ -341,20 +347,21 @@ func NewCompactor(sw *SegmentWriter, cfg CompactorConfig) *Compactor {
 	return archive.NewCompactor(sw, cfg)
 }
 
-// ArchiveYear appends one collected year's campaigns (with origins) to an
-// archive writer created with ArchiveWriterConfig.Origins.
-func ArchiveYear(w *ArchiveWriter, yd *YearData) error {
-	return analysis.ArchiveYear(w, yd)
+// ArchiveYear appends one year's campaigns (with origins) to an archive
+// writer created with ArchiveWriterConfig.Origins.
+func ArchiveYear(w *ArchiveWriter, c *Campaigns) error {
+	return analysis.ArchiveYear(w, c)
 }
 
-// CollectArchive rebuilds one year's scan-level YearData from an archive;
-// packet-level aggregates stay empty (they need the raw probe stream).
-func CollectArchive(rd *ArchiveReader, year int) (*YearData, error) {
+// CollectArchive rebuilds one year's campaigns from an archive. The per-probe
+// tallies of a YearData need the raw probe stream, so the analyses that read
+// them do not accept the result.
+func CollectArchive(rd *ArchiveReader, year int) (*Campaigns, error) {
 	return analysis.CollectArchive(rd, year)
 }
 
 // CollectArchiveYears loads every calibrated year present in the archive.
-func CollectArchiveYears(rd *ArchiveReader) ([]*YearData, error) {
+func CollectArchiveYears(rd *ArchiveReader) ([]*Campaigns, error) {
 	return analysis.CollectArchiveYears(rd)
 }
 

@@ -70,6 +70,23 @@ func TestAnalyzerOnSyntheticStream(t *testing.T) {
 	}
 }
 
+// TestAnalyzerScalesThresholds: below the paper's telescope size the analyzer
+// rescales the campaign thresholds as cmd/synalyze does, so a sweep that hits
+// 20 of 2,048 monitored addresses — past the rescaled floor of 6, far below
+// the paper's 100 — is a campaign.
+func TestAnalyzerScalesThresholds(t *testing.T) {
+	a := NewAnalyzer(2048)
+	pr := tools.NewMasscan(0x0A0B0C0D, rng.New(9))
+	for i := 0; i < 20; i++ {
+		p := pr.Probe(0xC0000000|uint32(i), 443)
+		p.Time = int64(i) * 200e6
+		a.Ingest(&p)
+	}
+	if scans := a.Finish(); len(scans) != 1 || !scans[0].Qualified {
+		t.Fatalf("scans: %+v", scans)
+	}
+}
+
 func TestNewPaperTelescope(t *testing.T) {
 	tel, err := NewPaperTelescope(1)
 	if err != nil {
