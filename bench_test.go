@@ -1,11 +1,12 @@
 package synscan
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (run with `go test -bench=. -benchmem`). The per-experiment
-// benchmarks operate on a decade collected once per process (so they
-// measure the analysis itself); BenchmarkPipeline* measure the full
-// generation+capture+detection pipeline, and BenchmarkAblation* quantify
-// the design choices called out in DESIGN.md.
+// evaluation (run with `go test -bench=. -benchmem`). BenchmarkExperiment
+// has one sub-benchmark per row of the experiment table, on a decade
+// collected once per process (so it measures the analysis itself);
+// BenchmarkPipeline* measure the full generation+capture+detection
+// pipeline, and BenchmarkAblation* quantify the design choices called out
+// in DESIGN.md.
 
 import (
 	"context"
@@ -38,7 +39,6 @@ const (
 var (
 	benchOnce   sync.Once
 	benchDecade []*YearData
-	benchByYear map[int]*YearData
 )
 
 func benchData(b *testing.B) []*YearData {
@@ -48,10 +48,6 @@ func benchData(b *testing.B) []*YearData {
 		benchDecade, err = SimulateDecade(benchSeed, benchScale, benchTel)
 		if err != nil {
 			panic(err)
-		}
-		benchByYear = map[int]*YearData{}
-		for _, yd := range benchDecade {
-			benchByYear[yd.Year] = yd
 		}
 	})
 	return benchDecade
@@ -80,203 +76,25 @@ func BenchmarkPipelineDecade(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Tables
+// Experiments
 
-func BenchmarkTable1(b *testing.B) {
-	years := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := Table1(years, 5)
-		if len(rows) != 10 {
-			b.Fatal("wrong row count")
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	years := benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := Table2(years)
-		if len(rows) != 5 {
-			b.Fatal("wrong row count")
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figures
-
-func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := DisclosureResponse(
-			Config{Year: 2019, Seed: benchSeed, Scale: benchScale, TelescopeSize: benchTel},
-			Disclosure{Day: 12, Port: 9898, PeakPerDay: 60000, DecayDays: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.PeakFactor <= 1 {
-			b.Fatal("no surge")
-		}
-	}
-}
-
-func BenchmarkFigure2(b *testing.B) {
-	benchData(b)
-	yd := benchByYear[2020]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := Volatility(yd); len(res.PacketRatios) == 0 {
-			b.Fatal("no ratios")
-		}
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, yd := range benchDecade {
-			if f := PortsPerSource(yd); f.ECDF.Len() == 0 {
-				b.Fatal("empty CDF")
+// BenchmarkExperiment runs each row of the experiment table on its own
+// (-bench 'Experiment/fig5'): the analysis alone for the rows that read the
+// collected decade, a fresh scenario for the ones that simulate their own.
+func BenchmarkExperiment(b *testing.B) {
+	in := analysis.Input{Seed: benchSeed, Scale: benchScale, TelescopeSize: benchTel, Years: benchData(b)}
+	for _, e := range analysis.Experiments {
+		b.Run(e.Key, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ev, err := analysis.Evaluate(in, []string{e.Key})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !e.Evaluated(ev) {
+					b.Fatal("no result")
+				}
 			}
-		}
-	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := ToolMixByPort(benchByYear[2020], 10); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := TypeMixByPort(&benchByYear[2022].Campaigns, 15); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := Recurrence([]*Campaigns{&benchByYear[2022].Campaigns})
-		if len(res.ScansPerSource) == 0 {
-			b.Fatal("no recurrence data")
-		}
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rows := SpeedAndCoverage(&benchByYear[2022].Campaigns); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := InstitutionalCoverage(Config{
-			Year: 2024, Seed: benchSeed, Scale: benchScale, TelescopeSize: benchTel,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no orgs")
-		}
-	}
-}
-
-func BenchmarkFigure9_10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := InstitutionalCoverageDelta(benchSeed, benchScale, benchTel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no orgs")
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Section scalars
-
-func BenchmarkSec51(b *testing.B) {
-	benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := PortCoverage(benchByYear[2022], benchSeed); r.PrivilegedCoverage <= 0 {
-			b.Fatal("no coverage")
-		}
-	}
-}
-
-func BenchmarkSec52(b *testing.B) {
-	benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := VerticalScans(&benchByYear[2020].Campaigns); r.LargestPortCount == 0 {
-			b.Fatal("no verticals")
-		}
-	}
-}
-
-func BenchmarkSec63(b *testing.B) {
-	benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := ToolSpeeds(&benchByYear[2020].Campaigns); len(r.MedianPPS) == 0 {
-			b.Fatal("no speeds")
-		}
-	}
-}
-
-func BenchmarkSec64(b *testing.B) {
-	benchData(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := CoverageModes(&benchByYear[2024].Campaigns, ToolZMap); len(r.Coverages) == 0 {
-			b.Fatal("no coverages")
-		}
-	}
-}
-
-func BenchmarkBlocklistDecay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := BlocklistDecay(Config{
-			Year: 2022, Seed: benchSeed, Scale: benchScale, TelescopeSize: benchTel,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.HitRate[0] != 1 {
-			b.Fatal("bad hit rate")
-		}
-	}
-}
-
-func BenchmarkCollabDetect(b *testing.B) {
-	benchData(b)
-	scans := benchByYear[2022].QualifiedScans()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		groups := DetectCollaboration(scans, CollabConfig{})
-		if len(groups) == 0 {
-			b.Fatal("no groups")
-		}
 	}
 }
 

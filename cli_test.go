@@ -127,6 +127,51 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(string(out), "Censys") {
 		t.Fatalf("syneval fig8 output missing orgs:\n%s", out)
 	}
+	// A key that is not in the experiment table is a usage error that lists
+	// the valid ones.
+	out, err = exec.Command(syneval, "-only", "fig8,bogus").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), `"bogus"`) || !strings.Contains(string(out), "zmapdaily") {
+		t.Fatalf("syneval -only bogus: err %v, output:\n%s", err, out)
+	}
+
+	// synalyze -archive → syneval -archive on this single-year capture: the
+	// experiments that read any year's campaigns run, the ones pinned to other
+	// years are skipped with a line on stderr, and one of those asked for by
+	// name is an error.
+	synaPath := filepath.Join(dir, "capture.syna")
+	if out, err := exec.Command(synalyze, "-telescope", "2048", "-archive", synaPath, pcapPath).CombinedOutput(); err != nil {
+		t.Fatalf("synalyze -archive: %v\n%s", err, out)
+	}
+	cmd := exec.Command(syneval, "-archive", synaPath)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	report, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("syneval -archive on a single-year archive: %v\n%s", err, stderr.String())
+	}
+	for _, want := range []string{"§5.2", "§6.3", "collaborative scan reconstruction", "\n2019 "} {
+		if !strings.Contains(string(report), want) {
+			t.Fatalf("single-year archive report missing %q:\n%s", want, report)
+		}
+	}
+	if strings.Contains(string(report), "Figure 5") || !strings.Contains(stderr.String(), `skipped: experiment "fig5" needs year 2022`) {
+		t.Fatalf("fig5 (pinned to 2022) not skipped:\nstdout:\n%s\nstderr:\n%s", report, stderr.String())
+	}
+	if out, err := exec.Command(syneval, "-archive", synaPath, "-only", "fig5").CombinedOutput(); err == nil {
+		t.Fatalf("syneval -archive -only fig5 without 2022 succeeded:\n%s", out)
+	}
+	// -only and -archive hold for every output format.
+	archJSON := filepath.Join(dir, "archive.json")
+	if out, err := exec.Command(syneval, "-archive", synaPath, "-only", "sec52", "-json", archJSON).CombinedOutput(); err != nil {
+		t.Fatalf("syneval -archive -only sec52 -json: %v\n%s", err, out)
+	}
+	var archEval map[string]json.RawMessage
+	if raw, err := os.ReadFile(archJSON); err != nil || json.Unmarshal(raw, &archEval) != nil {
+		t.Fatalf("archive json export unreadable: %v", err)
+	}
+	if string(archEval["sec52"]) == "null" || string(archEval["sec63"]) != "null" {
+		t.Fatalf("-only sec52 -json: sec52 = %.40s, sec63 = %.40s", archEval["sec52"], archEval["sec63"])
+	}
 
 	// pcapng round trip: write a pcapng capture and analyze it.
 	ngPath := filepath.Join(dir, "capture.pcapng")
@@ -161,6 +206,41 @@ func TestCLIEndToEnd(t *testing.T) {
 	md, err := os.ReadFile(mdPath)
 	if err != nil || !strings.Contains(string(md), "# synscan evaluation") {
 		t.Fatalf("markdown export: %v", err)
+	}
+
+	// The same selection in every format: -only is honoured under -json,
+	// -csv and -markdown, and sec42 and vantage are selectable there too.
+	partJSON := filepath.Join(dir, "part.json")
+	partCSV := filepath.Join(dir, "partcsv")
+	partMD := filepath.Join(dir, "part.md")
+	out, err = exec.Command(syneval,
+		"-seed", "4", "-scale", "0.0001", "-telescope", "2048", "-only", "fig8,sec42,vantage",
+		"-json", partJSON, "-csv", partCSV, "-markdown", partMD).CombinedOutput()
+	if err != nil {
+		t.Fatalf("syneval -only with exports: %v\n%s", err, out)
+	}
+	var part map[string]json.RawMessage
+	if raw, err := os.ReadFile(partJSON); err != nil || json.Unmarshal(raw, &part) != nil {
+		t.Fatalf("partial json export unreadable: %v", err)
+	}
+	for _, key := range []string{"figure8_2024", "sec42_normalized_2024", "vantage_2022"} {
+		if v := string(part[key]); v == "" || v == "null" {
+			t.Fatalf("-only fig8,sec42,vantage -json: %s missing", key)
+		}
+	}
+	if string(part["table1"]) != "null" || string(part["figure1"]) != "null" {
+		t.Fatal("-only ignored under -json: unselected experiments were evaluated")
+	}
+	if files, _ := os.ReadDir(partCSV); len(files) != 1 || files[0].Name() != "figure8.csv" {
+		t.Fatalf("-only fig8,... -csv wrote %v, want figure8.csv alone", files)
+	}
+	if md, _ := os.ReadFile(partMD); !strings.Contains(string(md), "Figure 8") || strings.Contains(string(md), "Table 1") {
+		t.Fatalf("-only fig8,... -markdown:\n%s", md)
+	}
+	out, err = exec.Command(syneval,
+		"-seed", "4", "-scale", "0.0001", "-telescope", "2048", "-only", "sec42,vantage").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "§4.2") || !strings.Contains(string(out), "vantage-point comparison") {
+		t.Fatalf("syneval -only sec42,vantage (text): %v\n%s", err, out)
 	}
 }
 

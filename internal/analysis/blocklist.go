@@ -65,19 +65,12 @@ func BlocklistDecay(s *workload.Scenario) *BlocklistResult {
 				instTotals[k]++
 			}
 			_, listed := weekSrcs[w-k][p.Src]
+			// k == 0 counts the packet as covered by the live feed (its own
+			// week's list, which it joins below).
 			if k == 0 || listed {
-				// k == 0 counts the packet as covered by the live feed
-				// (its own week's list, which it joins below).
-				if k == 0 {
-					hits[0]++
-					if inst {
-						instHits[0]++
-					}
-				} else {
-					hits[k]++
-					if inst {
-						instHits[k]++
-					}
+				hits[k]++
+				if inst {
+					instHits[k]++
 				}
 			}
 		}

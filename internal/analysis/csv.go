@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"os"
@@ -11,120 +12,81 @@ import (
 
 // WriteCSVDir exports the evaluation's per-year series as CSV files —
 // gnuplot/pandas-ready data for replotting the paper's figures. One file
-// per experiment family is written into dir (created if missing).
+// per experiment family is written into dir (created if missing); a family
+// that was not evaluated has no rows and gets no file.
 func (ev *Evaluation) WriteCSVDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, header []string, rows [][]string) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w := csv.NewWriter(f)
-		if err := w.Write(header); err != nil {
-			return err
-		}
-		if err := w.WriteAll(rows); err != nil {
-			return err
-		}
-		w.Flush()
-		return w.Error()
-	}
 	ff := func(v float64) string { return fmt.Sprintf("%g", v) }
+	files := map[string][][]string{} // per file: the header, then the series
+	// begin starts a file and returns what appends a row to it.
+	begin := func(name string, header ...string) func(cells ...string) {
+		files[name] = [][]string{header}
+		return func(cells ...string) { files[name] = append(files[name], cells) }
+	}
 
-	var t1 [][]string
+	row := begin("table1.csv", "year", "packets_per_day", "scans_per_month", "sources", "masscan", "nmap", "mirai", "zmap")
 	for _, r := range ev.Table1 {
-		t1 = append(t1, []string{
-			fmt.Sprint(r.Year), ff(r.PacketsPerDay), ff(r.ScansPerMonth),
-			fmt.Sprint(r.DistinctSources),
+		row(fmt.Sprint(r.Year), ff(r.PacketsPerDay), ff(r.ScansPerMonth), fmt.Sprint(r.DistinctSources),
 			ff(r.ToolShares[tools.ToolMasscan]), ff(r.ToolShares[tools.ToolNMap]),
-			ff(r.ToolShares[tools.ToolMirai]), ff(r.ToolShares[tools.ToolZMap]),
-		})
+			ff(r.ToolShares[tools.ToolMirai]), ff(r.ToolShares[tools.ToolZMap]))
 	}
-	if err := write("table1.csv",
-		[]string{"year", "packets_per_day", "scans_per_month", "sources",
-			"masscan", "nmap", "mirai", "zmap"}, t1); err != nil {
-		return err
-	}
-
-	var t2 [][]string
+	row = begin("table2.csv", "type", "sources", "scans", "packets")
 	for _, r := range ev.Table2 {
-		t2 = append(t2, []string{r.Type.String(), ff(r.Sources), ff(r.Scans), ff(r.Packets)})
+		row(r.Type.String(), ff(r.Sources), ff(r.Scans), ff(r.Packets))
 	}
-	if err := write("table2.csv", []string{"type", "sources", "scans", "packets"}, t2); err != nil {
-		return err
+	row = begin("figure1.csv", "day", "relative_activity")
+	if ev.Figure1 != nil {
+		for d, v := range ev.Figure1.RelativeActivity {
+			row(fmt.Sprint(d), ff(v))
+		}
 	}
-
-	var f1 [][]string
-	for d, v := range ev.Figure1.RelativeActivity {
-		f1 = append(f1, []string{fmt.Sprint(d), ff(v)})
+	row = begin("figure2_packet_ratios.csv", "weekly_change_factor")
+	if ev.Figure2 != nil {
+		for _, v := range ev.Figure2.PacketRatios {
+			row(ff(v))
+		}
 	}
-	if err := write("figure1.csv", []string{"day", "relative_activity"}, f1); err != nil {
-		return err
-	}
-
-	var f2 [][]string
-	for _, v := range ev.Figure2.PacketRatios {
-		f2 = append(f2, []string{ff(v)})
-	}
-	if err := write("figure2_packet_ratios.csv", []string{"weekly_change_factor"}, f2); err != nil {
-		return err
-	}
-
-	var f3 [][]string
+	row = begin("figure3.csv", "year", "single_port", "three_plus", "five_plus")
 	for _, r := range ev.Figure3 {
-		f3 = append(f3, []string{fmt.Sprint(r.Year), ff(r.SinglePortShare),
-			ff(r.ThreePlusShare), ff(r.FivePlusShare)})
+		row(fmt.Sprint(r.Year), ff(r.SinglePortShare), ff(r.ThreePlusShare), ff(r.FivePlusShare))
 	}
-	if err := write("figure3.csv",
-		[]string{"year", "single_port", "three_plus", "five_plus"}, f3); err != nil {
-		return err
-	}
-
-	var f8 [][]string
+	row = begin("figure8.csv", "org", "ports", "packets")
 	for _, r := range ev.Figure8 {
-		f8 = append(f8, []string{r.Org, fmt.Sprint(r.PortsCovered), fmt.Sprint(r.Packets)})
+		row(r.Org, fmt.Sprint(r.PortsCovered), fmt.Sprint(r.Packets))
 	}
-	if err := write("figure8.csv", []string{"org", "ports", "packets"}, f8); err != nil {
-		return err
-	}
-
-	var s51 [][]string
+	row = begin("sec51.csv", "year", "privileged_coverage", "coscan_80_8080", "three_plus", "services_scans_r")
 	for _, r := range ev.Sec51 {
-		s51 = append(s51, []string{fmt.Sprint(r.Year), ff(r.PrivilegedCoverage),
-			ff(r.CoScan80_8080), ff(r.ThreePlusShare), ff(r.ServicesScansR.R)})
+		row(fmt.Sprint(r.Year), ff(r.PrivilegedCoverage), ff(r.CoScan80_8080), ff(r.ThreePlusShare), ff(r.ServicesScansR.R))
 	}
-	if err := write("sec51.csv",
-		[]string{"year", "privileged_coverage", "coscan_80_8080", "three_plus", "services_scans_r"}, s51); err != nil {
-		return err
-	}
-
-	var s63 [][]string
+	row = begin("sec63.csv", "year", "zmap_median", "masscan_median", "nmap_median", "mirai_median", "top100_mean")
 	for _, r := range ev.Sec63 {
-		s63 = append(s63, []string{fmt.Sprint(r.Year),
-			ff(r.MedianPPS[tools.ToolZMap]), ff(r.MedianPPS[tools.ToolMasscan]),
-			ff(r.MedianPPS[tools.ToolNMap]), ff(r.MedianPPS[tools.ToolMirai]),
-			ff(r.Top100MeanPPS)})
+		row(fmt.Sprint(r.Year), ff(r.MedianPPS[tools.ToolZMap]), ff(r.MedianPPS[tools.ToolMasscan]),
+			ff(r.MedianPPS[tools.ToolNMap]), ff(r.MedianPPS[tools.ToolMirai]), ff(r.Top100MeanPPS))
 	}
-	if err := write("sec63.csv",
-		[]string{"year", "zmap_median", "masscan_median", "nmap_median", "mirai_median", "top100_mean"}, s63); err != nil {
-		return err
+	row = begin("blocklist.csv", "weeks_old", "hit_rate", "inst_hit_rate")
+	if b := ev.Blocklist; b != nil {
+		for k := range b.HitRate {
+			row(fmt.Sprint(k), ff(b.HitRate[k]), ff(b.InstHitRate[k]))
+		}
 	}
-
-	var bl [][]string
-	for k := range ev.Blocklist.HitRate {
-		bl = append(bl, []string{fmt.Sprint(k), ff(ev.Blocklist.HitRate[k]), ff(ev.Blocklist.InstHitRate[k])})
-	}
-	if err := write("blocklist.csv", []string{"weeks_old", "hit_rate", "inst_hit_rate"}, bl); err != nil {
-		return err
+	row = begin("collab.csv", "year", "raw_scans", "logical_scans", "inflation")
+	for _, st := range ev.Collab {
+		row(fmt.Sprint(st.Year), fmt.Sprint(st.RawScans), fmt.Sprint(st.LogicalScans), ff(st.InflationFactor))
 	}
 
-	var cb [][]string
-	for i, st := range ev.Collab {
-		cb = append(cb, []string{fmt.Sprint(ev.Table1[i].Year), fmt.Sprint(st.RawScans),
-			fmt.Sprint(st.LogicalScans), ff(st.InflationFactor)})
+	for name, rows := range files {
+		if len(rows) == 1 {
+			continue // not evaluated
+		}
+		var buf bytes.Buffer
+		if err := csv.NewWriter(&buf).WriteAll(rows); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o666); err != nil {
+			return err
+		}
 	}
-	return write("collab.csv", []string{"year", "raw_scans", "logical_scans", "inflation"}, cb)
+	return nil
 }

@@ -2,19 +2,19 @@ package analysis
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"slices"
 
 	"github.com/synscan/synscan/internal/collab"
-	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/stats"
-	"github.com/synscan/synscan/internal/tools"
 	"github.com/synscan/synscan/internal/workload"
 )
 
-// Evaluation is the complete machine-readable result set of the paper's
-// reproduction: every table, figure and section scalar in one structure.
-// It backs `syneval -json` so downstream plotting does not have to scrape
-// the text tables.
+// Evaluation is the result set of the paper's reproduction: every table,
+// figure and section scalar, each field filled by the row of the experiment
+// table that names it and left zero when that row was not evaluated. Every
+// renderer (report.Text, report.Markdown, WriteCSVDir, WriteJSON) reads it.
 type Evaluation struct {
 	Seed          uint64  `json:"seed"`
 	Scale         float64 `json:"scale"`
@@ -23,9 +23,9 @@ type Evaluation struct {
 	Table1 []Table1Row `json:"table1"`
 	Table2 []Table2Row `json:"table2"`
 
-	Figure1 *Figure1Result `json:"figure1"`
-	Figure2 *Figure2Result `json:"figure2_2020"`
-	Figure3 []*Figure3Result
+	Figure1 *Figure1Result        `json:"figure1"`
+	Figure2 *Figure2Result        `json:"figure2_2020"`
+	Figure3 []*Figure3Result      `json:"figure3"`
 	Figure4 map[int][]Figure4Port `json:"figure4"`
 	Figure5 []Figure5Port         `json:"figure5_2022"`
 	Figure6 *Figure6Result        `json:"figure6_2022"`
@@ -48,89 +48,134 @@ type Evaluation struct {
 
 	Sec42     []NormalizedOrigin `json:"sec42_normalized_2024"`
 	ZMapDaily []*ZMapDailyResult `json:"zmapDaily"`
+
+	Vantage *VantageResult `json:"vantage_2022"`
+	// SpeedPorts is the §5.3 speed-vs-ports correlation, by year.
+	SpeedPorts map[int]stats.PearsonResult `json:"speedPorts"`
+
+	// Skipped names, one line each, the default-set experiments left out
+	// because the input lacks a year they are pinned to.
+	Skipped []string `json:"-"`
+}
+
+// Input is what an evaluation runs on: the simulation parameters and,
+// optionally, data already in hand.
+type Input struct {
+	Seed          uint64
+	Scale         float64
+	TelescopeSize int
+	// Collect is how the decade is collected when a selected experiment needs
+	// one that is not given.
+	Collect CollectConfig
+	// Years is a decade already simulated from the parameters above.
+	Years []*YearData
+	// Campaigns, without Years, are an archive's: nothing is simulated and
+	// only the campaign-level experiments (Keys(true)) can run.
+	Campaigns []*Campaigns
+}
+
+// Evaluate runs the experiments named by keys — every one the input can serve
+// when keys is empty — in table order, simulating the decade at most once and
+// only if one of them needs it. A key that is unknown, or that the input
+// cannot serve, is an error; a default-set experiment pinned to a year the
+// input lacks is skipped and named in Evaluation.Skipped.
+func Evaluate(in Input, keys []string) (*Evaluation, error) {
+	archived := in.Years == nil && in.Campaigns != nil
+	servable := func(e *Experiment) bool { return !archived || e.Needs == NeedCampaigns }
+	selected := map[*Experiment]bool{}
+	for _, k := range keys {
+		switch e := Lookup(k); {
+		case e == nil:
+			return nil, fmt.Errorf("unknown experiment %q", k)
+		case !servable(e):
+			return nil, fmt.Errorf("experiment %q needs the raw probe stream, which an archive does not hold", k)
+		default:
+			selected[e] = true
+		}
+	}
+
+	r := &evalRun{in: in, years: in.Years, camps: in.Campaigns, cover: map[int][]Figure8Row{}}
+	ev := &Evaluation{Seed: in.Seed, Scale: in.Scale, TelescopeSize: in.TelescopeSize}
+	for _, e := range Experiments {
+		if !selected[e] && (len(keys) > 0 || !servable(e)) {
+			continue
+		}
+		if e.Needs != NeedScenario {
+			if !archived && r.years == nil {
+				if r.years, r.err = Decade(in.Seed, in.Scale, in.TelescopeSize, in.Collect); r.err != nil {
+					return nil, r.err
+				}
+			}
+			if r.years != nil && r.camps == nil {
+				r.camps = CampaignsOf(r.years)
+			}
+			missing := func(y int) bool { return r.campaigns(y) == nil }
+			if i := slices.IndexFunc(e.Years, missing); i >= 0 {
+				err := fmt.Errorf("experiment %q needs year %d, which the input does not hold", e.Key, e.Years[i])
+				if selected[e] {
+					return nil, err
+				}
+				ev.Skipped = append(ev.Skipped, "skipped: "+err.Error())
+				continue
+			}
+		}
+		if e.run(e, r, ev); r.err != nil {
+			return nil, fmt.Errorf("experiment %q: %w", e.Key, r.err)
+		}
+	}
+	return ev, nil
 }
 
 // FullEvaluation simulates the decade, collected under cc (sharded detection,
 // pipeline metrics), and computes every experiment.
 func FullEvaluation(seed uint64, scale float64, telescopeSize int, cc CollectConfig) (*Evaluation, error) {
-	years, err := Decade(seed, scale, telescopeSize, cc)
-	if err != nil {
-		return nil, err
-	}
-	byYear := map[int]*YearData{}
-	for _, yd := range years {
-		byYear[yd.Year] = yd
-	}
-	scenario := func(year int) (*workload.Scenario, error) {
-		return workload.NewScenario(workload.Config{
-			Year: year, Seed: seed, Scale: scale, TelescopeSize: telescopeSize,
-			Registry: years[0].Registry(),
-		})
-	}
-	c2022 := &byYear[2022].Campaigns
-	ev := &Evaluation{
-		Seed: seed, Scale: scale, TelescopeSize: telescopeSize,
-		Table1:  Table1(years, 5),
-		Table2:  Table2(years),
-		Figure2: Figure2(byYear[2020]),
-		Figure4: map[int][]Figure4Port{},
-		Figure5: Figure5(c2022, 15),
-		Figure6: Figure6([]*Campaigns{c2022}),
-		Figure7: Figure7(c2022),
-		Sec64:   Sec64(&byYear[2024].Campaigns, tools.ToolZMap),
-	}
+	return Evaluate(Input{Seed: seed, Scale: scale, TelescopeSize: telescopeSize, Collect: cc}, nil)
+}
 
-	ev.Figure1, err = Figure1(seed, scale, telescopeSize, 2019,
-		workload.Disclosure{Day: 12, Port: 9898, PeakPerDay: 60000, DecayDays: 4})
-	if err != nil {
-		return nil, err
-	}
-	for _, yd := range years {
-		ev.Figure3 = append(ev.Figure3, Figure3(yd))
-	}
-	for _, y := range []int{2017, 2020, 2022} {
-		ev.Figure4[y] = Figure4(byYear[y], 10)
-	}
+// evalRun is what the rows of one Evaluate call share.
+type evalRun struct {
+	in    Input
+	years []*YearData  // nil when the input is an archive's campaigns
+	camps []*Campaigns // ascending by year
+	// cover memoizes Figure 8 per year: fig8 and fig9 both read 2024.
+	cover map[int][]Figure8Row
+	// err is a run's failure; Evaluate stops at the first.
+	err error
+}
 
-	var cover [2][]Figure8Row
-	for i, y := range []int{2023, 2024} {
-		s, err := scenario(y)
-		if err != nil {
-			return nil, err
+// year returns a simulated year; Evaluate has checked every pinned one exists.
+func (r *evalRun) year(y int) *YearData {
+	return r.years[slices.IndexFunc(r.years, func(yd *YearData) bool { return yd.Year == y })]
+}
+
+// campaigns returns a year's campaigns, nil when the input does not hold it.
+func (r *evalRun) campaigns(y int) *Campaigns {
+	if i := slices.IndexFunc(r.camps, func(c *Campaigns) bool { return c.Year == y }); i >= 0 {
+		return r.camps[i]
+	}
+	return nil
+}
+
+// scenario builds a year's scenario (nil, with r.err set, on invalid
+// parameters), sharing the decade's registry when there is one.
+func (r *evalRun) scenario(year int) *workload.Scenario {
+	cfg := workload.Config{Year: year, Seed: r.in.Seed, Scale: r.in.Scale, TelescopeSize: r.in.TelescopeSize}
+	if len(r.years) > 0 {
+		cfg.Registry = r.years[0].Registry()
+	}
+	s, err := workload.NewScenario(cfg)
+	r.err = err
+	return s
+}
+
+// coverage is Figure 8 for one year.
+func (r *evalRun) coverage(year int) []Figure8Row {
+	if _, done := r.cover[year]; !done {
+		if s := r.scenario(year); s != nil {
+			r.cover[year] = Figure8(s)
 		}
-		cover[i] = Figure8(s)
 	}
-	ev.Figure8 = cover[1]
-	ev.Fig910 = Figure910(cover[0], cover[1])
-
-	svc := inetmodel.NewServiceModel(seed)
-	for _, yd := range years {
-		ev.Sec51 = append(ev.Sec51, Sec51(yd, svc, seed))
-		ev.Sec52 = append(ev.Sec52, Sec52(&yd.Campaigns))
-		ev.Sec54 = append(ev.Sec54, Sec54(yd))
-		ev.Sec63 = append(ev.Sec63, Sec63(&yd.Campaigns))
-		ev.Bias = append(ev.Bias, InstitutionalBias(yd, 5))
-		ev.Blockable = append(ev.Blockable, Blockable(yd))
-		ev.Collab = append(ev.Collab, collab.Summarize(collab.Detect(yd.QualifiedScans(), collab.Config{})))
-	}
-	if trend, err := ThreePlusTrend(ev.Sec51); err == nil {
-		ev.ThreePlusTrend = trend
-	}
-	if trend, err := Top100Trend(ev.Sec63); err == nil {
-		ev.Top100Trend = trend
-	}
-
-	sb, err := scenario(2022)
-	if err != nil {
-		return nil, err
-	}
-	ev.Blocklist = BlocklistDecay(sb)
-
-	ev.Sec42 = Sec42Normalized(byYear[2024])
-	for _, y := range []int{2023, 2024} {
-		ev.ZMapDaily = append(ev.ZMapDaily, ZMapDaily(&byYear[y].Campaigns))
-	}
-	return ev, nil
+	return r.cover[year]
 }
 
 // WriteJSON marshals the evaluation, indented, to w.

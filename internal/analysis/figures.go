@@ -9,7 +9,6 @@ import (
 	"github.com/synscan/synscan/internal/packet"
 	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/stats"
-	"github.com/synscan/synscan/internal/telescope"
 	"github.com/synscan/synscan/internal/tools"
 	"github.com/synscan/synscan/internal/workload"
 )
@@ -33,35 +32,25 @@ type Figure1Result struct {
 }
 
 // Figure1 injects a disclosure event into a scenario year and traces how
-// fast interest decays.
+// fast interest decays: Figure1Multi with the one event.
 func Figure1(seed uint64, scale float64, telescopeSize int, year int, ev workload.Disclosure) (*Figure1Result, error) {
-	s, err := workload.NewScenario(workload.Config{
-		Year: year, Seed: seed, Scale: scale, TelescopeSize: telescopeSize,
-		Disclosures: []workload.Disclosure{ev},
-	})
+	res, err := Figure1Multi(seed, scale, telescopeSize, year, []workload.Disclosure{ev})
 	if err != nil {
 		return nil, err
 	}
-	return traceEvent(ev, collectPortDaily(s, ev.Port)), nil
+	return res.Events[0], nil
 }
 
 // traceEvent turns a per-day volume series for an event port into the
 // Figure-1 surge/decay trace.
 func traceEvent(ev workload.Disclosure, days []uint64) *Figure1Result {
 	res := &Figure1Result{Port: ev.Port, RelativeActivity: make([]float64, len(days))}
-	// Pre-event baseline: days before the disclosure.
-	var pre float64
-	n := 0
+	// Pre-event baseline: the mean daily volume before the disclosure, at least 1.
+	var before, after []float64
 	for d := 0; d < ev.Day && d < len(days); d++ {
-		pre += float64(days[d])
-		n++
+		before = append(before, float64(days[d]))
 	}
-	if n > 0 {
-		pre /= float64(n)
-	}
-	if pre < 1 {
-		pre = 1
-	}
+	pre := max(stats.Mean(before), 1)
 	for d, v := range days {
 		rel := float64(v) / pre
 		res.RelativeActivity[d] = rel
@@ -71,10 +60,6 @@ func traceEvent(ev workload.Disclosure, days []uint64) *Figure1Result {
 		}
 	}
 	// KS: daily volumes before the event vs the final two weeks.
-	var before, after []float64
-	for d := 0; d < ev.Day && d < len(days); d++ {
-		before = append(before, float64(days[d]))
-	}
 	for d := len(days) - 14; d < len(days); d++ {
 		if d >= 0 {
 			after = append(after, float64(days[d]))
@@ -84,25 +69,6 @@ func traceEvent(ev workload.Disclosure, days []uint64) *Figure1Result {
 		res.KS = ks
 	}
 	return res
-}
-
-// collectPortDaily runs a scenario tallying one port's accepted volume/day.
-func collectPortDaily(s *workload.Scenario, port uint16) []uint64 {
-	days := make([]uint64, s.Profile.Days+1)
-	day := int64(24 * 3600 * 1e9)
-	s.Run(func(p *packet.Probe) {
-		if p.DstPort != port {
-			return
-		}
-		if s.Telescope.Observe(p) != telescope.Accepted {
-			return
-		}
-		d := int((p.Time - s.Start) / day)
-		if d >= 0 && d < len(days) {
-			days[d]++
-		}
-	})
-	return days
 }
 
 // ---------------------------------------------------------------------------

@@ -197,6 +197,9 @@ func compatible(a, b *core.Scan, cfg *Config) bool {
 
 // Stats summarizes a Detect result.
 type Stats struct {
+	// Year is the measurement year, for a caller that summarizes year by year
+	// to fill in: Summarize leaves it zero, and it stays out of the JSON.
+	Year int `json:"-"`
 	// RawScans is the number of per-source campaigns grouped.
 	RawScans int
 	// LogicalScans is the number of groups.

@@ -1,5 +1,6 @@
-// Package report renders analysis results as aligned text tables and CDF
-// dumps — the output format of cmd/syneval and the examples.
+// Package report renders analysis results: the aligned text tables and CDF
+// dumps the commands print, and an Evaluation as the text report (Text) or a
+// Markdown document (Markdown).
 package report
 
 import (
@@ -9,10 +10,8 @@ import (
 	"strings"
 
 	"github.com/synscan/synscan/internal/analysis"
-	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/packet"
 	"github.com/synscan/synscan/internal/stats"
-	"github.com/synscan/synscan/internal/tools"
 )
 
 // Table is a simple aligned-column text table.
@@ -105,42 +104,12 @@ func Count(v float64) string {
 	}
 }
 
-// Table1 renders the headline table, one column block per year.
-func Table1(w io.Writer, rows []analysis.Table1Row) {
-	t := NewTable("year", "pkts/day", "scans/month", "top by pkts", "top by srcs", "top by scans",
-		"masscan", "nmap", "mirai", "zmap")
-	for _, r := range rows {
-		t.AddRow(
-			fmt.Sprint(r.Year),
-			Count(r.PacketsPerDay),
-			Count(r.ScansPerMonth),
-			portList(r.TopPortsByPackets),
-			portList(r.TopPortsBySources),
-			portList(r.TopPortsByScans),
-			Pct(r.ToolShares[tools.ToolMasscan]),
-			Pct(r.ToolShares[tools.ToolNMap]),
-			Pct(r.ToolShares[tools.ToolMirai]),
-			Pct(r.ToolShares[tools.ToolZMap]),
-		)
-	}
-	t.WriteTo(w)
-}
-
 func portList(ps []analysis.PortShare) string {
 	parts := make([]string, 0, len(ps))
 	for _, p := range ps {
 		parts = append(parts, fmt.Sprintf("%d(%.1f%%)", p.Port, p.Share*100))
 	}
 	return strings.Join(parts, " ")
-}
-
-// Table2 renders the scanner-type breakdown.
-func Table2(w io.Writer, rows []analysis.Table2Row) {
-	t := NewTable("scanner type", "sources", "scans", "packets")
-	for _, r := range rows {
-		t.AddRow(r.Type.String(), Pct(r.Sources), Pct(r.Scans), Pct(r.Packets))
-	}
-	t.WriteTo(w)
 }
 
 // CDF renders an ECDF at canonical probe points.
@@ -168,67 +137,6 @@ func PortLabel(port uint16) string {
 	return fmt.Sprint(port)
 }
 
-// Figure4 renders the top-ports × tool-mix figure.
-func Figure4(w io.Writer, year int, ports []analysis.Figure4Port) {
-	t := NewTable("port", "packets", "zmap", "masscan", "mirai", "other")
-	for _, fp := range ports {
-		t.AddRow(
-			PortLabel(fp.Port),
-			Count(float64(fp.Packets)),
-			Pct(fp.ToolShare[tools.ToolZMap]),
-			Pct(fp.ToolShare[tools.ToolMasscan]),
-			Pct(fp.ToolShare[tools.ToolMirai]),
-			Pct(fp.ToolShare[tools.ToolUnknown]),
-		)
-	}
-	fmt.Fprintf(w, "Figure 4 — top ports by traffic and tool mix, %d\n", year)
-	t.WriteTo(w)
-}
-
-// Figure5 renders the scanner-type-per-port figure.
-func Figure5(w io.Writer, rows []analysis.Figure5Port) {
-	t := NewTable("port", "scans", "hosting", "enterprise", "institutional", "residential", "unknown")
-	for _, fp := range rows {
-		t.AddRow(
-			PortLabel(fp.Port),
-			fmt.Sprint(fp.Scans),
-			Pct(fp.TypeShare[inetmodel.TypeHosting]),
-			Pct(fp.TypeShare[inetmodel.TypeEnterprise]),
-			Pct(fp.TypeShare[inetmodel.TypeInstitutional]),
-			Pct(fp.TypeShare[inetmodel.TypeResidential]),
-			Pct(fp.TypeShare[inetmodel.TypeUnknown]),
-		)
-	}
-	t.WriteTo(w)
-}
-
-// Figure7 renders the speed/coverage-by-type figure.
-func Figure7(w io.Writer, rows []analysis.Figure7Row) {
-	t := NewTable("scanner type", "scans", "mean pps", "median pps", ">1000pps", "mean coverage")
-	for _, r := range rows {
-		t.AddRow(r.Type.String(), fmt.Sprint(r.Scans),
-			Count(r.MeanSpeedPPS), Count(r.MedianSpeedPPS),
-			Pct(r.Above1000PPS), Pct(r.MeanCoverage))
-	}
-	t.WriteTo(w)
-}
-
-// Figure8 renders the institutional port-coverage figure, with a 64-bucket
-// port map per organization — the textual form of the appendix figures
-// (each cell is a 1024-port slice of the range; darker means denser).
-func Figure8(w io.Writer, rows []analysis.Figure8Row) {
-	t := NewTable("organization", "kind", "ports", "full range", "packets", "port map 0..65535")
-	for _, r := range rows {
-		full := ""
-		if r.FullRange {
-			full = "yes"
-		}
-		t.AddRow(r.Org, r.Kind.String(), fmt.Sprint(r.PortsCovered), full,
-			Count(float64(r.Packets)), PortMap(r.Density[:]))
-	}
-	t.WriteTo(w)
-}
-
 // portMapGlyphs maps coverage density to a shade ramp.
 var portMapGlyphs = []byte(" .:oO@")
 
@@ -246,16 +154,6 @@ func PortMap(density []float64) string {
 		out[i] = portMapGlyphs[idx]
 	}
 	return string(out)
-}
-
-// Figure910 renders the appendix year-over-year comparison.
-func Figure910(w io.Writer, rows []analysis.Figure910Row) {
-	t := NewTable("organization", "ports 2023", "ports 2024", "delta")
-	for _, r := range rows {
-		t.AddRow(r.Org, fmt.Sprint(r.Ports2023), fmt.Sprint(r.Ports2024),
-			fmt.Sprintf("%+d", r.Ports2024-r.Ports2023))
-	}
-	t.WriteTo(w)
 }
 
 // Histogram renders counts per label, sorted descending.

@@ -66,7 +66,7 @@ func TestRenderTable1(t *testing.T) {
 		},
 	}}
 	var b strings.Builder
-	Table1(&b, rows)
+	Text(&b, &analysis.Evaluation{Table1: rows})
 	out := b.String()
 	for _, want := range []string{"2020", "1.20M", "3389(26.0%)", "20.00%", "13.00%"} {
 		if !strings.Contains(out, want) {
@@ -77,9 +77,9 @@ func TestRenderTable1(t *testing.T) {
 
 func TestRenderTable2(t *testing.T) {
 	var b strings.Builder
-	Table2(&b, []analysis.Table2Row{
+	Text(&b, &analysis.Evaluation{Table2: []analysis.Table2Row{
 		{Type: inetmodel.TypeInstitutional, Sources: 0.0016, Scans: 0.0745, Packets: 0.3263},
-	})
+	}})
 	out := b.String()
 	if !strings.Contains(out, "Institutional") || !strings.Contains(out, "32.63%") {
 		t.Fatalf("Table2 output:\n%s", out)
@@ -101,42 +101,42 @@ func TestRenderCDFAndSeries(t *testing.T) {
 
 func TestRenderFigures(t *testing.T) {
 	var b strings.Builder
-	Figure4(&b, 2020, []analysis.Figure4Port{{
+	Text(&b, &analysis.Evaluation{Figure4: map[int][]analysis.Figure4Port{2020: {{
 		Port: 80, Packets: 1000,
 		ToolShare: map[tools.Tool]float64{tools.ToolZMap: 0.5, tools.ToolUnknown: 0.5},
-	}})
+	}}}})
 	if !strings.Contains(b.String(), "Figure 4") || !strings.Contains(b.String(), "50.00%") {
 		t.Fatalf("Figure4:\n%s", b.String())
 	}
 
 	b.Reset()
-	Figure5(&b, []analysis.Figure5Port{{
+	Text(&b, &analysis.Evaluation{Figure5: []analysis.Figure5Port{{
 		Port: 443, Scans: 10,
 		TypeShare: map[inetmodel.ScannerType]float64{inetmodel.TypeInstitutional: 0.41},
-	}})
+	}}})
 	if !strings.Contains(b.String(), "443") || !strings.Contains(b.String(), "41.00%") {
 		t.Fatalf("Figure5:\n%s", b.String())
 	}
 
 	b.Reset()
-	Figure7(&b, []analysis.Figure7Row{{
+	Text(&b, &analysis.Evaluation{Figure7: []analysis.Figure7Row{{
 		Type: inetmodel.TypeInstitutional, Scans: 5, MeanSpeedPPS: 90000,
 		MedianSpeedPPS: 50000, Above1000PPS: 0.84, MeanCoverage: 0.4,
-	}})
+	}}})
 	if !strings.Contains(b.String(), "84.00%") {
 		t.Fatalf("Figure7:\n%s", b.String())
 	}
 
 	b.Reset()
-	Figure8(&b, []analysis.Figure8Row{{
+	Text(&b, &analysis.Evaluation{Figure8: []analysis.Figure8Row{{
 		Org: "Censys", Kind: inetmodel.KindCompany, PortsCovered: 65536, FullRange: true, Packets: 12345,
-	}})
+	}}})
 	if !strings.Contains(b.String(), "Censys") || !strings.Contains(b.String(), "yes") {
 		t.Fatalf("Figure8:\n%s", b.String())
 	}
 
 	b.Reset()
-	Figure910(&b, []analysis.Figure910Row{{Org: "Onyphe", Ports2023: 29000, Ports2024: 65536}})
+	Text(&b, &analysis.Evaluation{Fig910: []analysis.Figure910Row{{Org: "Onyphe", Ports2023: 29000, Ports2024: 65536}}})
 	if !strings.Contains(b.String(), "+36536") {
 		t.Fatalf("Figure910:\n%s", b.String())
 	}
