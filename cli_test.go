@@ -1,12 +1,14 @@
 package synscan
 
-// cli_test builds the three command binaries and drives them end to end:
-// syntelescope produces a pcap, synalyze analyzes it, syneval regenerates a
-// selected experiment. Run with -short to skip (it shells out to the Go
-// toolchain).
+// cli_test builds the command binaries and drives them end to end:
+// syntelescope produces a capture in each format, synalyze analyzes it,
+// syningest stores it, syneval regenerates a selected experiment. Run with
+// -short to skip (it shells out to the Go toolchain).
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -173,6 +175,24 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("-only sec52 -json: sec52 = %.40s, sec63 = %.40s", archEval["sec52"], archEval["sec63"])
 	}
 
+	// syningest reads what synalyze reads: the pcap and the spool of this one
+	// capture build stores that serve the same scans. (-telescope is given to
+	// both; only the spool could have done without.)
+	syningest := buildTool(t, dir, "syningest")
+	synserve := buildTool(t, dir, "synserve")
+	var bodies [][]byte
+	for _, capture := range []string{pcapPath, spoolPath} {
+		store := capture + ".store"
+		if out, err := exec.Command(syningest, "-dir", store, "-telescope", "2048",
+			"-seal-every", "0", capture).CombinedOutput(); err != nil {
+			t.Fatalf("syningest %s: %v\n%s", capture, err, out)
+		}
+		bodies = append(bodies, getBody(t, startServe(t, synserve, store)+"/v1/scans?limit=100000"))
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) || !bytes.Contains(bodies[0], []byte(`"src"`)) {
+		t.Fatalf("stores ingested from pcap and spool disagree:\n pcap:  %.300s\n spool: %.300s", bodies[0], bodies[1])
+	}
+
 	// pcapng round trip: write a pcapng capture and analyze it.
 	ngPath := filepath.Join(dir, "capture.pcapng")
 	out, err = exec.Command(syntelescope,
@@ -321,6 +341,32 @@ func TestCLIMetricsJSON(t *testing.T) {
 	for _, name := range []string{"detector.shard.batch_fill", "replay.read_ns"} {
 		if _, ok := ana.Histograms[name]; !ok {
 			t.Fatalf("histogram %s missing", name)
+		}
+	}
+
+	// Conservation: every record is accepted or dropped under exactly one
+	// name. A reactive capture replayed passively has something to drop.
+	reactivePath := filepath.Join(dir, "reactive.pcap")
+	out, err = exec.Command(syntelescope,
+		"-year", "2021", "-seed", "4", "-scale", "0.0002", "-telescope", "2048",
+		"-reactive", "-out", reactivePath).CombinedOutput()
+	if err != nil {
+		t.Fatalf("syntelescope -reactive: %v\n%s", err, out)
+	}
+	for _, flags := range [][]string{nil, {"-reactive"}} {
+		cmd := exec.Command(synalyze, append(flags, "-telescope", "2048", "-metrics", anaMetrics, reactivePath)...)
+		report, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("synalyze %v: %v", flags, err)
+		}
+		var records uint64
+		if _, err := fmt.Sscanf(string(report), "records %d,", &records); err != nil || records == 0 {
+			t.Fatalf("synalyze %v: no record count in:\n%s", flags, report)
+		}
+		c := load(anaMetrics).Counters
+		accepted, notSYN, unparsed := c["telescope.packets.accepted"], c["telescope.drop.not_syn"], c["telescope.drop.unparsed"]
+		if accepted+notSYN+unparsed != records || (notSYN == 0) != (flags != nil) {
+			t.Fatalf("synalyze %v: accepted %d + not-SYN %d + unparsed %d, records %d", flags, accepted, notSYN, unparsed, records)
 		}
 	}
 }

@@ -40,10 +40,13 @@ func main() {
 	jsonOut := flag.String("json", "", "write the evaluation as JSON to this path (instead of the text report)")
 	csvDir := flag.String("csv", "", "write the evaluation's series as CSV files into this directory (instead of the text report)")
 	mdOut := flag.String("markdown", "", "write the evaluation as a Markdown document to this path (instead of the text report)")
-	metricsOut := flag.String("metrics", "", `write a final pipeline-metrics snapshot as JSON to this file ("-" = stdout)`)
-	metricsEvery := flag.Duration("metrics-interval", 0, "periodically dump metrics to stderr at this interval (0 = off)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.Parse()
+	// One registry spans the whole decade: per-year pipelines aggregate into
+	// it (each YearData additionally keeps its own snapshot). Nil when no
+	// metrics sink was requested, which disables all instrumentation.
+	reg, finish, err := obs.ParseFlags(obs.OnRequest)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	if *workers < 1 {
 		log.Fatalf("-workers must be at least 1, got %d", *workers)
@@ -57,20 +60,6 @@ func main() {
 			log.Fatalf("-only: unknown experiment %q; valid keys: %s", k, strings.Join(analysis.Keys(false), ","))
 		}
 	}
-
-	if *pprofAddr != "" {
-		if err := obs.StartPprof(*pprofAddr); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// One registry spans the whole decade: per-year pipelines aggregate into
-	// it (each YearData additionally keeps its own snapshot). Nil when no
-	// metrics sink was requested, which disables all instrumentation.
-	var reg *obs.Registry
-	if *metricsOut != "" || *metricsEvery > 0 {
-		reg = obs.NewRegistry()
-	}
-	defer obs.StartDump(reg, os.Stderr, *metricsEvery)()
 
 	in := analysis.Input{
 		Seed: *seed, Scale: *scale, TelescopeSize: *telSize,
@@ -153,9 +142,7 @@ func main() {
 		report.Text(os.Stdout, ev)
 	}
 
-	if *metricsOut != "" {
-		if err := obs.WriteSnapshotFile(reg.Snapshot(), *metricsOut); err != nil {
-			log.Fatal(err)
-		}
+	if err := finish(); err != nil {
+		log.Fatal(err)
 	}
 }

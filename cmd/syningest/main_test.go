@@ -42,7 +42,14 @@ func repoRoot(t *testing.T) string {
 	return filepath.Dir(filepath.Dir(wd)) // cmd/syningest -> repo root
 }
 
+// Every format tails the same way: there is one reader.
 func TestFollowModeSIGTERMDrains(t *testing.T) {
+	for _, format := range []string{"spool", "pcap"} {
+		t.Run(format, func(t *testing.T) { followModeDrains(t, format) })
+	}
+}
+
+func followModeDrains(t *testing.T, format string) {
 	if testing.Short() {
 		t.Skip("short mode: skipping CLI build")
 	}
@@ -53,17 +60,17 @@ func TestFollowModeSIGTERMDrains(t *testing.T) {
 	syntelescope := buildTool(t, dir, "syntelescope")
 	syningest := buildTool(t, dir, "syningest")
 
-	spool := filepath.Join(dir, "capture.synl")
+	spool := filepath.Join(dir, "capture."+format)
 	out, err := exec.Command(syntelescope,
-		"-format", "spool", "-year", "2021", "-seed", "5", "-scale", "0.0005",
+		"-format", format, "-year", "2021", "-seed", "5", "-scale", "0.0005",
 		"-telescope", "2048", "-out", spool).CombinedOutput()
 	if err != nil {
 		t.Fatalf("syntelescope: %v\n%s", err, out)
 	}
 
 	store := filepath.Join(dir, "store")
-	cmd := exec.Command(syningest,
-		"-dir", store, "-follow", "-seal-every", "100ms", "-poll", "20ms", spool)
+	cmd := exec.Command(syningest, "-dir", store, "-telescope", "2048",
+		"-follow", "-seal-every", "100ms", "-poll", "20ms", spool)
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {

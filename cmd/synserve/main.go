@@ -73,9 +73,12 @@ func main() {
 	flag.DurationVar(&cfg.Timeout, "timeout", 30*time.Second, "per-query deadline; expired queries return 504 (0 = no deadline)")
 	flag.BoolVar(&cfg.SkipCorrupt, "skip-corrupt", true, "skip checksum-failed archive blocks instead of failing the query; responses carry degraded=true")
 	flag.DurationVar(&cfg.Rescan, "rescan", 2*time.Second, "poll interval for discovering newly sealed segments in store directories (0 = only at startup)")
-	metricsEvery := flag.Duration("metrics-interval", 0, "periodically dump metrics to stderr at this interval (0 = off)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.Parse()
+	// The registry is always live here: /v1/stats exposes it.
+	reg, finish, err := obs.ParseFlags(obs.Served)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer finish() //nolint:errcheck // Served mode writes no snapshot: nothing to fail
 
 	if cfg.Workers < 1 {
 		log.Fatalf("-workers must be at least 1, got %d", cfg.Workers)
@@ -83,16 +86,6 @@ func main() {
 	if flag.NArg() < 1 {
 		log.Fatal("usage: synserve [flags] archive.syna|storedir [more...]")
 	}
-	if *pprofAddr != "" {
-		if err := obs.StartPprof(*pprofAddr); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// The registry is always live here: /v1/stats exposes it.
-	reg := obs.NewRegistry()
-	defer obs.StartDump(reg, os.Stderr, *metricsEvery)()
-
 	srv, err := serve.Open(flag.Args(), cfg, reg)
 	if err != nil {
 		log.Fatal(err)

@@ -1,15 +1,17 @@
 // Command syntelescope simulates one measurement year of telescope traffic
-// and writes the accepted capture to a pcap file (or just prints capture
-// statistics when no output is given).
+// and writes the accepted capture as pcap, pcapng or compact flowlog spool
+// (-format), or just prints capture statistics when no output is given.
+// Flag wiring around internal/workload and internal/capture.
 //
 // Usage:
 //
 //	syntelescope -year 2020 -out capture.pcap
+//	syntelescope -year 2020 -format spool -out capture.spool
 //	syntelescope -year 2024 -scale 0.001 -telescope 8192
 //
-// The produced pcap contains full Ethernet+IPv4+TCP frames with valid
-// checksums and nanosecond timestamps; synalyze (or any pcap tool) can read
-// it back.
+// A pcap or pcapng holds full Ethernet+IPv4+TCP frames with valid checksums
+// and nanosecond timestamps, readable by any pcap tool; a spool holds header
+// fields only, plus the telescope size. synalyze and syningest read all three.
 package main
 
 import (
@@ -20,11 +22,9 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/synscan/synscan/internal/flowlog"
+	"github.com/synscan/synscan/internal/capture"
 	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/packet"
-	"github.com/synscan/synscan/internal/pcap"
-	"github.com/synscan/synscan/internal/pcapng"
 	"github.com/synscan/synscan/internal/reactive"
 	"github.com/synscan/synscan/internal/telescope"
 	"github.com/synscan/synscan/internal/workload"
@@ -39,29 +39,19 @@ func main() {
 	scale := flag.Float64("scale", 0.002, "volume scale relative to the paper")
 	telSize := flag.Int("telescope", 4096, "monitored address count")
 	out := flag.String("out", "", "output path (omit for stats only)")
-	format := flag.String("format", "pcap", "output format: pcap, pcapng, or spool (compact flowlog)")
+	formatName := flag.String("format", "pcap", "output format: pcap, pcapng, or spool (compact flowlog)")
 	maxPackets := flag.Uint64("max-packets", 0, "stop after this many accepted packets (0 = all)")
 	reactiveMode := flag.Bool("reactive", false, "answer SYNs with synthesized SYN-ACKs (Spoki-style): two-phase scanners return with handshakes and payloads")
 	respondRate := flag.Float64("respond-rate", 1000, "reactive: SYN-ACKs per second cap (0 = unlimited)")
 	respondPorts := flag.String("respond-ports", "", "reactive: comma-separated port allowlist (empty = all ports)")
-	metricsOut := flag.String("metrics", "", `write a final pipeline-metrics snapshot as JSON to this file ("-" = stdout)`)
-	metricsEvery := flag.Duration("metrics-interval", 0, "periodically dump metrics to stderr at this interval (0 = off)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.Parse()
-	if *format != "pcap" && *format != "pcapng" && *format != "spool" {
-		log.Fatalf("unknown format %q (want pcap, pcapng or spool)", *format)
+	reg, finish, err := obs.ParseFlags(obs.OnRequest)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if *pprofAddr != "" {
-		if err := obs.StartPprof(*pprofAddr); err != nil {
-			log.Fatal(err)
-		}
+	format, err := capture.ParseFormat(*formatName)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var reg *obs.Registry
-	if *metricsOut != "" || *metricsEvery > 0 {
-		reg = obs.NewRegistry()
-	}
-	defer obs.StartDump(reg, os.Stderr, *metricsEvery)()
 
 	s, err := workload.NewScenario(workload.Config{
 		Year: *year, Seed: *seed, Scale: *scale, TelescopeSize: *telSize,
@@ -71,48 +61,26 @@ func main() {
 	}
 	s.Telescope.SetMetrics(reg)
 
-	var pcapW *pcap.Writer
-	var ngW *pcapng.Writer
-	var spoolW *flowlog.Writer
+	var cw *capture.Writer
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		switch *format {
-		case "pcap":
-			pcapW, err = pcap.NewWriter(f)
-		case "pcapng":
-			ngW, err = pcapng.NewWriter(f, uint16(pcap.LinkTypeEthernet))
-		case "spool":
-			spoolW, err = flowlog.NewWriter(f, s.Telescope.Size())
-		}
-		if err != nil {
+		if cw, err = capture.NewWriter(f, format, s.Telescope.Size()); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	var accepted uint64
-	frame := make([]byte, 0, packet.FrameLen)
 	write := func(p *packet.Probe) {
 		if *maxPackets > 0 && accepted >= *maxPackets {
 			return
 		}
 		accepted++
-		switch {
-		case pcapW != nil:
-			frame = p.AppendFrame(frame[:0])
-			if err := pcapW.WritePacket(p.Time, frame); err != nil {
-				log.Fatal(err)
-			}
-		case ngW != nil:
-			frame = p.AppendFrame(frame[:0])
-			if err := ngW.WritePacket(p.Time, frame); err != nil {
-				log.Fatal(err)
-			}
-		case spoolW != nil:
-			if err := spoolW.Write(p); err != nil {
+		if cw != nil {
+			if err := cw.Write(p); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -149,18 +117,8 @@ func main() {
 		})
 	}
 	genSpan.End()
-	if pcapW != nil {
-		if err := pcapW.Flush(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if ngW != nil {
-		if err := ngW.Flush(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if spoolW != nil {
-		if err := spoolW.Flush(); err != nil {
+	if cw != nil {
+		if err := cw.Flush(); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -180,9 +138,7 @@ func main() {
 	if *out != "" {
 		fmt.Printf("wrote %s\n", *out)
 	}
-	if *metricsOut != "" {
-		if err := obs.WriteSnapshotFile(reg.Snapshot(), *metricsOut); err != nil {
-			log.Fatal(err)
-		}
+	if err := finish(); err != nil {
+		log.Fatal(err)
 	}
 }

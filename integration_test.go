@@ -1,104 +1,20 @@
 package synscan
 
-// Integration tests across module boundaries: the full
-// simulate → pcap → parse → detect path, and property-based invariants on
-// campaign detection driven by random probe streams.
+// Integration tests across module boundaries: property-based invariants on
+// campaign detection driven by random probe streams. (The simulate → capture
+// file → parse → detect round trip is internal/capture's
+// TestReplayMatchesDirect, one row per format.)
 
 import (
-	"bytes"
-	"io"
 	"testing"
 	"testing/quick"
 
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/packet"
-	"github.com/synscan/synscan/internal/pcap"
 	"github.com/synscan/synscan/internal/rng"
-	"github.com/synscan/synscan/internal/telescope"
 	"github.com/synscan/synscan/internal/tools"
 	"github.com/synscan/synscan/internal/workload"
 )
-
-// TestPcapRoundTripPipeline simulates a capture, spools it through the pcap
-// format, re-parses every frame, re-runs campaign detection, and requires
-// the same campaigns as the direct in-memory path.
-func TestPcapRoundTripPipeline(t *testing.T) {
-	s, err := workload.NewScenario(workload.Config{
-		Year: 2018, Seed: 3, Scale: 0.0003, TelescopeSize: 2048,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Path A: direct detection. Path B: through the pcap codec.
-	var direct []*core.Scan
-	detA := core.NewDetector(s.DetectorConfig, func(sc *core.Scan) { direct = append(direct, sc) })
-
-	var buf bytes.Buffer
-	w, err := pcap.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := make([]byte, 0, packet.FrameLen)
-	var accepted uint64
-	s.Run(func(p *packet.Probe) {
-		if s.Telescope.Observe(p) != telescope.Accepted {
-			return
-		}
-		accepted++
-		detA.Ingest(p)
-		frame = p.AppendFrame(frame[:0])
-		if err := w.WritePacket(p.Time, frame); err != nil {
-			t.Fatal(err)
-		}
-	})
-	detA.FlushAll()
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := pcap.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fromFile []*core.Scan
-	detB := core.NewDetector(s.DetectorConfig, func(sc *core.Scan) { fromFile = append(fromFile, sc) })
-	var parsed uint64
-	var p packet.Probe
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Truncated() {
-			t.Fatalf("full frames must not be truncated: incl=%d orig=%d", len(rec.Data), rec.OrigLen)
-		}
-		if err := p.UnmarshalFrame(rec.Data); err != nil {
-			t.Fatal(err)
-		}
-		p.Time = rec.Time
-		parsed++
-		detB.Ingest(&p)
-	}
-	detB.FlushAll()
-
-	if parsed != accepted {
-		t.Fatalf("parsed %d != accepted %d", parsed, accepted)
-	}
-	if len(direct) != len(fromFile) {
-		t.Fatalf("campaign counts differ: %d direct vs %d from pcap", len(direct), len(fromFile))
-	}
-	for i := range direct {
-		a, b := direct[i], fromFile[i]
-		if a.Src != b.Src || a.Packets != b.Packets || a.Tool != b.Tool ||
-			a.Qualified != b.Qualified || a.DistinctDsts != b.DistinctDsts {
-			t.Fatalf("campaign %d differs:\n direct: %+v\n pcap:   %+v", i, a, b)
-		}
-	}
-}
 
 // TestCampaignInvariantsQuick feeds random probe streams through the
 // detector and checks structural invariants on every emitted scan.

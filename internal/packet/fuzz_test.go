@@ -113,15 +113,3 @@ func FuzzDecoder(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeBinary does the same for the compact fixed-width codec.
-func FuzzDecodeBinary(f *testing.F) {
-	valid := (&Probe{Time: 1, Src: 2, Dst: 3}).AppendBinary(nil)
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add(valid[:10])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var p Probe
-		_ = p.DecodeBinary(data)
-	})
-}

@@ -387,34 +387,6 @@ func TestICMPCodec(t *testing.T) {
 	}
 }
 
-func TestProbeBinaryRoundTripQuick(t *testing.T) {
-	f := func(tm int64, src, dst, seq, ack uint32, sp, dp, ipid, win uint16, ttl, flags uint8) bool {
-		p := Probe{
-			Time: tm, Src: src, Dst: dst, SrcPort: sp, DstPort: dp,
-			Seq: seq, Ack: ack, IPID: ipid, TTL: ttl, Flags: flags, Window: win,
-		}
-		b := p.AppendBinary(nil)
-		if len(b) != BinaryLen() {
-			return false
-		}
-		var got Probe
-		if err := got.DecodeBinary(b); err != nil {
-			return false
-		}
-		return reflect.DeepEqual(got, p)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProbeBinaryTruncated(t *testing.T) {
-	var p Probe
-	if err := p.DecodeBinary(make([]byte, BinaryLen()-1)); err != ErrTruncated {
-		t.Fatalf("got %v", err)
-	}
-}
-
 func TestProbeString(t *testing.T) {
 	p := Probe{Src: 0x01020304, Dst: 0x05060708, SrcPort: 1000, DstPort: 80, Flags: FlagSYN}
 	s := p.String()

@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Probe is the decoded tuple the telescope pipeline operates on: one TCP
 // probe (usually a SYN) observed at a monitored address. It carries exactly
@@ -203,46 +200,3 @@ func (p *Probe) UnmarshalFrame(frame []byte) error {
 		return ErrNotTCP
 	}
 }
-
-// encodedProbeLen is the size of the compact binary encoding used by
-// EncodeBinary/DecodeBinary for spooling probe streams to disk without the
-// overhead of full frames.
-const encodedProbeLen = 8 + 4 + 4 + 2 + 2 + 4 + 4 + 2 + 1 + 1 + 2 + 1
-
-// AppendBinary encodes the probe in the compact 35-byte fixed-width format.
-func (p *Probe) AppendBinary(b []byte) []byte {
-	b = binary.BigEndian.AppendUint64(b, uint64(p.Time))
-	b = binary.BigEndian.AppendUint32(b, p.Src)
-	b = binary.BigEndian.AppendUint32(b, p.Dst)
-	b = binary.BigEndian.AppendUint16(b, p.SrcPort)
-	b = binary.BigEndian.AppendUint16(b, p.DstPort)
-	b = binary.BigEndian.AppendUint32(b, p.Seq)
-	b = binary.BigEndian.AppendUint32(b, p.Ack)
-	b = binary.BigEndian.AppendUint16(b, p.IPID)
-	b = append(b, p.TTL, p.Flags)
-	b = binary.BigEndian.AppendUint16(b, p.Window)
-	return append(b, p.Proto)
-}
-
-// DecodeBinary decodes a probe previously encoded with AppendBinary.
-func (p *Probe) DecodeBinary(b []byte) error {
-	if len(b) < encodedProbeLen {
-		return ErrTruncated
-	}
-	p.Time = int64(binary.BigEndian.Uint64(b[0:8]))
-	p.Src = binary.BigEndian.Uint32(b[8:12])
-	p.Dst = binary.BigEndian.Uint32(b[12:16])
-	p.SrcPort = binary.BigEndian.Uint16(b[16:18])
-	p.DstPort = binary.BigEndian.Uint16(b[18:20])
-	p.Seq = binary.BigEndian.Uint32(b[20:24])
-	p.Ack = binary.BigEndian.Uint32(b[24:28])
-	p.IPID = binary.BigEndian.Uint16(b[28:30])
-	p.TTL = b[30]
-	p.Flags = b[31]
-	p.Window = binary.BigEndian.Uint16(b[32:34])
-	p.Proto = b[34]
-	return nil
-}
-
-// BinaryLen returns the length of the compact binary encoding.
-func BinaryLen() int { return encodedProbeLen }

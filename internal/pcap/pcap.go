@@ -4,9 +4,9 @@
 // either byte order on the read side; the writer emits the nanosecond
 // little-endian variant.
 //
-// Only the standard library is used. For the modern pcapng container (the
-// Wireshark default) see the sibling internal/pcapng package, which provides
-// a read-only decoder.
+// Only the standard library is used. The modern pcapng container (the
+// Wireshark default) is the sibling internal/pcapng package; internal/capture
+// is the front over both and the only importer of either.
 package pcap
 
 import (
@@ -37,6 +37,11 @@ const (
 
 	fileHeaderLen   = 24
 	recordHeaderLen = 16
+
+	// maxRecordLen bounds a record's stored length when the file header's
+	// snap length does not (0, or larger): the reader allocates that many
+	// bytes before it has read any of them. pcapng bounds its blocks alike.
+	maxRecordLen = 1 << 24
 )
 
 // Errors specific to the format.
@@ -142,6 +147,7 @@ type Reader struct {
 	order    binary.ByteOrder
 	nano     bool
 	snaplen  uint32
+	maxIncl  uint32 // snaplen, or maxRecordLen where that is tighter
 	linkType uint32
 	buf      []byte
 
@@ -202,6 +208,9 @@ func NewReader(r io.Reader, opts ...ReaderOption) (*Reader, error) {
 		nano:     nano,
 		snaplen:  order.Uint32(hdr[16:20]),
 		linkType: order.Uint32(hdr[20:24]),
+	}
+	if rd.maxIncl = rd.snaplen; rd.maxIncl == 0 || rd.maxIncl > maxRecordLen {
+		rd.maxIncl = maxRecordLen
 	}
 	for _, o := range opts {
 		o(rd)
@@ -276,14 +285,14 @@ func (r *Reader) Next() (Record, error) {
 		sub := r.order.Uint32(hdr[4:8])
 		incl := r.order.Uint32(hdr[8:12])
 		orig := r.order.Uint32(hdr[12:16])
-		if incl > r.snaplen && r.snaplen > 0 {
+		if incl > r.maxIncl {
 			if r.resync {
 				if !r.resyncScan() {
 					return Record{}, io.EOF
 				}
 				continue
 			}
-			return Record{}, fmt.Errorf("pcap: record length %d exceeds snaplen %d", incl, r.snaplen)
+			return Record{}, fmt.Errorf("pcap: record length %d exceeds the limit of %d (snaplen %d)", incl, r.maxIncl, r.snaplen)
 		}
 		if r.resync && !r.plausibleHeader(hdr) {
 			if !r.resyncScan() {
@@ -337,7 +346,7 @@ func (r *Reader) plausibleHeader(hdr []byte) bool {
 	if sub >= subBound {
 		return false
 	}
-	if r.snaplen > 0 && incl > r.snaplen {
+	if incl > r.maxIncl {
 		return false
 	}
 	if orig < incl {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -308,23 +309,27 @@ func TestReaderTruncatedRecord(t *testing.T) {
 }
 
 func TestReaderRecordExceedsSnaplen(t *testing.T) {
-	var buf bytes.Buffer
-	hdr := make([]byte, 24)
-	binary.LittleEndian.PutUint32(hdr[0:4], magicNano)
-	binary.LittleEndian.PutUint16(hdr[4:6], versionMajor)
-	binary.LittleEndian.PutUint32(hdr[16:20], 10) // snaplen 10
-	binary.LittleEndian.PutUint32(hdr[20:24], LinkTypeEthernet)
-	buf.Write(hdr)
-	rec := make([]byte, 16)
-	binary.LittleEndian.PutUint32(rec[8:12], 100) // incl_len 100 > snaplen
-	buf.Write(rec)
-	buf.Write(make([]byte, 100))
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Next(); err == nil {
-		t.Fatal("record exceeding snaplen should error")
+	// The second file claims no snap length at all: its record length is
+	// still bounded, or 40 bytes of input would make the reader allocate 4 GiB.
+	for _, c := range []struct{ snaplen, incl uint32 }{{10, 100}, {0, 0xffffffff}} {
+		var buf bytes.Buffer
+		hdr := make([]byte, 24)
+		binary.LittleEndian.PutUint32(hdr[0:4], magicNano)
+		binary.LittleEndian.PutUint16(hdr[4:6], versionMajor)
+		binary.LittleEndian.PutUint32(hdr[16:20], c.snaplen)
+		binary.LittleEndian.PutUint32(hdr[20:24], LinkTypeEthernet)
+		buf.Write(hdr)
+		rec := make([]byte, 16)
+		binary.LittleEndian.PutUint32(rec[8:12], c.incl)
+		buf.Write(rec)
+		buf.Write(make([]byte, 100))
+		r, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Next(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("snaplen %d, record length %d: err = %v", c.snaplen, c.incl, err)
+		}
 	}
 }
 

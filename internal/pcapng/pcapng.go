@@ -1,7 +1,6 @@
-// Package pcapng reads the pcapng capture format (the Wireshark default),
-// so synalyze accepts modern captures alongside classic pcap and flowlog
-// spools. Only reading is implemented — the repository's writers emit
-// classic pcap (universally consumable) or flowlog (compact).
+// Package pcapng reads and writes the pcapng capture format (the Wireshark
+// default), so internal/capture accepts modern captures alongside classic
+// pcap and flowlog spools.
 //
 // Supported blocks: Section Header (endianness detection, per-section),
 // Interface Description (link type, if_tsresol option), Enhanced Packet and
@@ -52,7 +51,14 @@ type Reader struct {
 	order  binary.ByteOrder
 	ifaces []iface
 	buf    []byte
-	seen   bool // a section header has been read
+	// frame holds a block's header, then its trailer, while nextBlock reads
+	// them: a local array would escape through io.ReadFull and cost two
+	// allocations per block.
+	frame [8]byte
+	seen  bool // a section header has been read
+	// truncated: the packet Next last returned holds fewer bytes than were
+	// on the wire.
+	truncated bool
 
 	resync   bool
 	resyncs  uint64
@@ -108,6 +114,11 @@ func (r *Reader) Resyncs() uint64 { return r.resyncs }
 // SkippedBytes returns how many bytes a WithResync reader has discarded
 // while scanning for block boundaries.
 func (r *Reader) SkippedBytes() uint64 { return r.skipped }
+
+// Truncated reports whether the packet Next last returned was cut to the
+// snap length: its block's original-length word exceeds the bytes stored —
+// pcap.Record.Truncated for this format.
+func (r *Reader) Truncated() bool { return r.truncated }
 
 // LinkType returns the link type of interface id, or 0 if unknown.
 func (r *Reader) LinkType(id int) uint16 {
@@ -167,9 +178,12 @@ func (r *Reader) nextPacket() (tsNanos int64, data []byte, ifaceID int, err erro
 			if len(body) < 4 {
 				return 0, nil, 0, ErrCorrupted
 			}
-			n := int(r.order.Uint32(body[0:4]))
-			if n > len(body)-4 {
-				n = len(body) - 4
+			// A Simple Packet Block stores only the original length; the
+			// body holds min(original, snap length) bytes of it.
+			orig, n := r.order.Uint32(body[0:4]), len(body)-4
+			r.truncated = orig > uint32(n)
+			if !r.truncated {
+				n = int(orig)
 			}
 			return 0, body[4 : 4+n], 0, nil
 		default:
@@ -237,8 +251,8 @@ func (r *Reader) addSkipped(n int) {
 
 // nextBlock reads one block's body (without type/length framing).
 func (r *Reader) nextBlock() ([]byte, uint32, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	hdr := r.frame[:]
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, 0, io.EOF
 		}
@@ -287,11 +301,11 @@ func (r *Reader) nextBlock() ([]byte, uint32, error) {
 	if _, err := io.ReadFull(r.r, r.buf); err != nil {
 		return nil, 0, fmt.Errorf("pcapng: block body: %w", io.ErrUnexpectedEOF)
 	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(r.r, trailer[:]); err != nil {
+	trailer := r.frame[:4]
+	if _, err := io.ReadFull(r.r, trailer); err != nil {
 		return nil, 0, fmt.Errorf("pcapng: block trailer: %w", io.ErrUnexpectedEOF)
 	}
-	if order.Uint32(trailer[:]) != total {
+	if order.Uint32(trailer) != total {
 		return nil, 0, ErrCorrupted
 	}
 	return r.buf, typ, nil
@@ -371,5 +385,6 @@ func (r *Reader) parseEnhanced(body []byte) (int64, []byte, int, error) {
 		nsPerUnit = r.ifaces[id].nsPerUnit
 	}
 	ts := int64((tsHigh<<32 | tsLow) * nsPerUnit)
+	r.truncated = r.order.Uint32(body[16:20]) > uint32(capLen)
 	return ts, body[20 : 20+capLen], id, nil
 }

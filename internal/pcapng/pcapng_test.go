@@ -182,6 +182,38 @@ func TestSimplePacketBlock(t *testing.T) {
 	}
 }
 
+// TestTruncated: a block whose original-length word exceeds the bytes it
+// stores was cut to the snap length at capture time; Truncated reports it for
+// the packet just returned, and only for that one.
+func TestTruncated(t *testing.T) {
+	b := newBuilder(binary.BigEndian)
+	b.sectionHeader()
+	b.interfaceDesc(1, nil)
+	b.enhancedPacket(0, 1, []byte{1, 2, 3, 4})
+	cut := make([]byte, 20, 24)
+	b.order.PutUint32(cut[12:16], 4)  // captured
+	b.order.PutUint32(cut[16:20], 60) // on the wire
+	b.block(blockEnhancedPkt, append(cut, 5, 6, 7, 8))
+	b.enhancedPacket(0, 3, []byte{9})
+	simple := make([]byte, 4, 8)
+	b.order.PutUint32(simple, 60)
+	b.block(blockSimplePacket, append(simple, 5, 6, 7, 8))
+
+	r, err := NewReader(bytes.NewReader(b.buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{false, true, false, true} {
+		_, data, _, err := r.Next()
+		if err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+		if r.Truncated() != want {
+			t.Fatalf("packet %d (%v): Truncated() = %v, want %v", i, data, r.Truncated(), want)
+		}
+	}
+}
+
 func TestErrors(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader([]byte("notapcapng"))); err != ErrBadMagic {
 		t.Fatalf("bad magic: %v", err)

@@ -227,3 +227,60 @@ func TestLiveIngestServe(t *testing.T) {
 		t.Fatalf("post-compaction body diverged:\n got: %.300s\n ref: %.300s", body, refBody)
 	}
 }
+
+// TestLiveIngestReactive: live store ≡ sealed archive holds behind a reactive
+// telescope too. syningest -reactive and synalyze -reactive run the same
+// replay loop, so the store and the archive built from one reactive spool
+// serve byte-identical scans and the same — non-zero — number of two-phase
+// campaigns; syningest used to drop every phase-two segment.
+func TestLiveIngestReactive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping CLI build")
+	}
+	dir := t.TempDir()
+	syntelescope := buildTool(t, dir, "syntelescope")
+	synalyze := buildTool(t, dir, "synalyze")
+	syningest := buildTool(t, dir, "syningest")
+	synserve := buildTool(t, dir, "synserve")
+
+	spool := filepath.Join(dir, "reactive.spool")
+	if out, err := exec.Command(syntelescope,
+		"-year", "2021", "-seed", "4", "-scale", "0.0005", "-telescope", "2048",
+		"-reactive", "-format", "spool", "-out", spool).CombinedOutput(); err != nil {
+		t.Fatalf("syntelescope -reactive: %v\n%s", err, out)
+	}
+	ref := filepath.Join(dir, "reference.syna")
+	if out, err := exec.Command(synalyze, "-reactive", "-archive", ref, spool).CombinedOutput(); err != nil {
+		t.Fatalf("synalyze -reactive: %v\n%s", err, out)
+	}
+	store := filepath.Join(dir, "store")
+	if out, err := exec.Command(syningest, "-reactive", "-dir", store,
+		"-segment-scans", "2000", "-seal-every", "0", spool).CombinedOutput(); err != nil {
+		t.Fatalf("syningest -reactive: %v\n%s", err, out)
+	}
+
+	twoPhase := func(base string) uint64 {
+		resp, err := http.Post(base+"/v1/query", "application/json",
+			strings.NewReader(`{"where":{"field":"two_phase","eq":true},"aggs":[{"op":"count"}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var res struct {
+			Matched uint64 `json:"matched"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/query: status %d, %v", resp.StatusCode, err)
+		}
+		return res.Matched
+	}
+	live, batch := startServe(t, synserve, store), startServe(t, synserve, ref)
+	if l, b := twoPhase(live), twoPhase(batch); l != b || b == 0 {
+		t.Fatalf("two-phase campaigns: live store %d, sealed archive %d", l, b)
+	}
+	liveBody := getBody(t, live+"/v1/scans?limit=100000")
+	refBody := getBody(t, batch+"/v1/scans?limit=100000")
+	if !bytes.Equal(liveBody, refBody) {
+		t.Fatalf("live store and sealed archive disagree:\n live: %.300s\n ref:  %.300s", liveBody, refBody)
+	}
+}
