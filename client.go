@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/rng"
 )
 
@@ -170,19 +171,9 @@ func errText(b []byte) string {
 	return string(b)
 }
 
-// RemoteScan is one selected scan as served by /v1/query and /v1/scans.
-type RemoteScan struct {
-	Src          string   `json:"src"`
-	StartNS      int64    `json:"start_ns"`
-	EndNS        int64    `json:"end_ns"`
-	Packets      uint64   `json:"packets"`
-	DistinctDsts int      `json:"distinct_dsts"`
-	Ports        []uint16 `json:"ports"`
-	Tool         string   `json:"tool"`
-	Qualified    bool     `json:"qualified"`
-	RatePPS      float64  `json:"rate_pps"`
-	Coverage     float64  `json:"coverage"`
-}
+// RemoteScan is one selected scan as served by /v1/query and /v1/scans: the
+// server's own row type, so no served key can go missing here.
+type RemoteScan = query.WireScan
 
 // RemoteResult is a /v1/query response: select mode fills Scans, aggregate
 // mode fills Rows.

@@ -6,9 +6,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/synscan/synscan/internal/fingerprint"
+	"github.com/synscan/synscan/internal/serve"
 )
 
 // TestClientRetriesOverload: 429 + Retry-After is retried (honoring the
@@ -187,6 +191,60 @@ func TestClientRemoteSelect(t *testing.T) {
 	sc := res.Scans[0]
 	if sc.Src != "10.0.0.1" || sc.Tool != "zmap" || sc.Ports[0] != 443 || !sc.Qualified {
 		t.Fatalf("scan fields mismatched: %+v", sc)
+	}
+}
+
+// TestClientRemoteKeepsEveryKey: RemoteScan is the server's own row type, so a
+// reactive, origin-carrying scan served by an in-process internal/serve comes
+// back from RunRemoteQuery with its two-phase attributes and its origin — the
+// keys a hand-kept copy of the struct had dropped.
+func TestClientRemoteKeepsEveryKey(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reactive.syna")
+	w, err := CreateArchive(path, ArchiveWriterConfig{TelescopeSize: 2048, Origins: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &Scan{
+		Src: 0x0a000001, Start: 1_600_000_000_000_000_000, End: 1_600_000_060_000_000_000,
+		Packets: 900, DistinctDsts: 300, Ports: []uint16{443}, Tool: ToolMasscan,
+		Qualified: true, RatePPS: 1500, Coverage: 0.25,
+		TwoPhase: true, ISN: fingerprint.ISNMixed, LinkedDsts: 40,
+		ScoutPackets: 780, HandshakePackets: 120, PayloadBytes: 5000,
+	}
+	origin := Origin{Country: "NL", ASN: 64500, Type: TypeHosting, OrgName: "Example Hosting"}
+	if err := w.AddWithOrigin(sc, origin); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.Open([]string{path}, serve.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	q, err := NewQuery().Where(QueryTwoPhaseIs(true)).Where(QueryISNIn(fingerprint.ISNMixed)).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewClient(ts.URL).RunRemoteQuery(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Scans) != 1 {
+		t.Fatalf("got %d scans, want 1: %+v", len(res.Scans), res)
+	}
+	got := res.Scans[0]
+	if !got.TwoPhase || got.ISN != "mixed" || got.LinkedDsts != 40 ||
+		got.HandshakePackets != 120 || got.PayloadBytes != 5000 {
+		t.Fatalf("reactive keys lost: %+v", got)
+	}
+	if got.Origin == nil || got.Origin.Country != "NL" || got.Origin.ASN != 64500 ||
+		got.Origin.Type != "Hosting" || got.Origin.OrgName != "Example Hosting" {
+		t.Fatalf("origin lost: %+v", got.Origin)
 	}
 }
 

@@ -6,7 +6,7 @@
 // file; queries then run forever against the file without touching raw
 // packets.
 //
-// Format ("SYNA", version 2):
+// Format ("SYNA", version 3):
 //
 //	header:   magic "SYNA" | version u8 | flags u8 | telescopeSize u32 |
 //	          reserved u16                                  (12 bytes, BE)
@@ -20,13 +20,16 @@
 //	trailer:  index offset u64 | index length u32 | CRC-32 (IEEE) of the
 //	          index | magic "SYNX"                          (20 bytes, BE)
 //
-// Version 1 files — identical except that blocks carry no CRC prefix — are
-// still readable. The per-block checksum is what makes degraded-mode reads
-// possible: a reader opened WithSkipCorrupt verifies each block before
-// decompressing it and skips damaged blocks (counting them in the
-// faults.archive.corrupt_blocks metric and Reader.CorruptBlocks) instead of
-// failing the whole query, so one flipped bit in a decade-long archive
-// costs one block of results, not the file.
+// This is the one format read and written: every writer here has produced it
+// since the reactive telescope, and every archive is regenerable from seeds,
+// so a file of version 1 (no block checksums) or 2 (no phase suffix) is
+// refused at open with ErrBadVersion and the commands that re-create it. The
+// per-block checksum is what makes degraded-mode reads possible: a reader
+// opened WithSkipCorrupt verifies each block before decompressing it and
+// skips damaged blocks (counting them in the faults.archive.corrupt_blocks
+// metric and Reader.CorruptBlocks) instead of failing the whole query, so
+// one flipped bit in a decade-long archive costs one block of results, not
+// the file.
 //
 // Records are delta/varint encoded within a block (start-time deltas between
 // consecutive records, ascending port-list deltas, varint counters), so the
@@ -38,7 +41,9 @@
 //
 // The flags bit 0 records whether scans carry their enrichment Origin: the
 // simulation path archives origins (it owns the registry), the replay path
-// does not.
+// does not. Bit 1 (always set) marks the phase suffix of each record: the
+// two-phase flag, ISN class, linked-destination, handshake-packet and payload
+// counters and the payload prefix, all zero for a passively captured scan.
 package archive
 
 import (
@@ -62,9 +67,7 @@ var (
 )
 
 const (
-	version1    = 1 // legacy: blocks carry no CRC prefix
-	version2    = 2 // adds a CRC-32 of the compressed payload before each block
-	version     = 3 // current: records carry two-phase attributes (flagPhases)
+	version     = 3 // checksummed blocks; records carry the phase suffix (flagPhases)
 	headerLen   = 12
 	trailerLen  = 20
 	zoneMapLen  = 64
@@ -73,8 +76,8 @@ const (
 	flagOrigins = 1 << 0
 	// flagPhases records that each record carries the reactive-telescope
 	// phase suffix (TwoPhase flag, ISN class, linked-destination and
-	// handshake-packet counters, payload bytes and prefix). Files without
-	// the flag decode with zero-valued phase attributes.
+	// handshake-packet counters, payload bytes and prefix). Every version-3
+	// file has it.
 	flagPhases = 1 << 1
 
 	// DefaultBlockBytes bounds a block's uncompressed payload. 256 KiB keeps
@@ -117,9 +120,7 @@ type ZoneMap struct {
 	// block (see portBit): a port whose bit is clear is provably absent.
 	PortsFP uint64
 	// TwoPhase counts records with the two-phase flag set, saturating at
-	// 65535 (a block never holds that many records in practice). It lives in
-	// bytes the pre-phase format left zero, so old files read back as
-	// "no two-phase records" — which is exactly what they contain.
+	// 65535 (a block never holds that many records in practice).
 	TwoPhase uint16
 }
 
@@ -315,9 +316,9 @@ func appendRecord(b []byte, sc *core.Scan, o *enrich.Origin, prevStart int64) []
 // file's record layout, where kept ports and payload go and which of them the
 // query reads (sl), and the string table (in).
 type recordDecoder struct {
-	origins, phases bool
-	sl              *slabs
-	in              *interner
+	origins bool
+	sl      *slabs
+	in      *interner
 }
 
 // decodeRecord is the inverse of appendRecord. It decodes the record at
@@ -377,39 +378,36 @@ func (d *recordDecoder) decodeRecord(b []byte, i int, sc *core.Scan, o *enrich.O
 	sc.RatePPS = math.Float64frombits(binary.BigEndian.Uint64(b[i+1:]))
 	sc.Coverage = math.Float64frombits(binary.BigEndian.Uint64(b[i+9:]))
 	i += 17
-	sc.ScoutPackets = sc.Packets
-	if d.phases {
+	if i >= len(b) {
+		return 0, 0, ErrCorrupt
+	}
+	ph := b[i]
+	i++
+	sc.TwoPhase = ph&0x01 != 0
+	sc.ISN = fingerprint.ISNClass(ph >> 1 & 0x03)
+	var linked uint64
+	linked, i = uvarint(b, i)
+	sc.HandshakePackets, i = uvarint(b, i)
+	sc.PayloadBytes, i = uvarint(b, i)
+	if i < 0 || linked > math.MaxInt32 || sc.HandshakePackets > sc.Packets {
+		return 0, 0, ErrCorrupt
+	}
+	sc.LinkedDsts = int(linked)
+	sc.ScoutPackets = sc.Packets - sc.HandshakePackets
+	if ph&0x08 != 0 {
 		if i >= len(b) {
 			return 0, 0, ErrCorrupt
 		}
-		ph := b[i]
+		n := int(b[i])
 		i++
-		sc.TwoPhase = ph&0x01 != 0
-		sc.ISN = fingerprint.ISNClass(ph >> 1 & 0x03)
-		var linked uint64
-		linked, i = uvarint(b, i)
-		sc.HandshakePackets, i = uvarint(b, i)
-		sc.PayloadBytes, i = uvarint(b, i)
-		if i < 0 || linked > math.MaxInt32 || sc.HandshakePackets > sc.Packets {
+		if n == 0 || n > len(b)-i {
 			return 0, 0, ErrCorrupt
 		}
-		sc.LinkedDsts = int(linked)
-		sc.ScoutPackets = sc.Packets - sc.HandshakePackets
-		if ph&0x08 != 0 {
-			if i >= len(b) {
-				return 0, 0, ErrCorrupt
-			}
-			n := int(b[i])
-			i++
-			if n == 0 || n > len(b)-i {
-				return 0, 0, ErrCorrupt
-			}
-			if d.sl.fields&FieldPayload != 0 {
-				sc.Payload = d.sl.payload.take(n)
-				copy(sc.Payload, b[i:])
-			}
-			i += n
+		if d.sl.fields&FieldPayload != 0 {
+			sc.Payload = d.sl.payload.take(n)
+			copy(sc.Payload, b[i:])
 		}
+		i += n
 	}
 	if d.origins {
 		var country, org []byte

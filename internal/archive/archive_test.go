@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -283,7 +284,7 @@ func TestCorruption(t *testing.T) {
 	t.Run("version", func(t *testing.T) {
 		bad := append([]byte{}, data...)
 		bad[4] = 99
-		if _, err := NewReader(bytes.NewReader(bad), int64(len(bad))); err != ErrBadVersion {
+		if _, err := NewReader(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("got %v, want ErrBadVersion", err)
 		}
 	})

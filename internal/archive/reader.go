@@ -24,10 +24,8 @@ import (
 type Reader struct {
 	ra          io.ReaderAt
 	size        int64
-	ver         uint8
 	telSize     int
 	origins     bool
-	phases      bool
 	skipCorrupt bool
 	index       []ZoneMap
 	total       uint64
@@ -90,8 +88,12 @@ func NewReader(ra io.ReaderAt, size int64, opts ...ReaderOption) (*Reader, error
 	if [4]byte(hdr[:4]) != Magic {
 		return nil, ErrBadMagic
 	}
-	if hdr[4] < version1 || hdr[4] > version {
-		return nil, ErrBadVersion
+	if hdr[4] != version {
+		return nil, fmt.Errorf("%w %d (this build reads version %d only; re-create with syneval -archive-out / synalyze -archive / syningest)",
+			ErrBadVersion, hdr[4], version)
+	}
+	if hdr[5]&flagPhases == 0 {
+		return nil, fmt.Errorf("%w: version %d header without the phase flag", ErrCorrupt, version)
 	}
 
 	var tr [trailerLen]byte
@@ -125,10 +127,8 @@ func NewReader(ra io.ReaderAt, size int64, opts ...ReaderOption) (*Reader, error
 	r := &Reader{
 		ra:      ra,
 		size:    size,
-		ver:     hdr[4],
 		telSize: int(binary.BigEndian.Uint32(hdr[6:10])),
 		origins: hdr[5]&flagOrigins != 0,
-		phases:  hdr[5]&flagPhases != 0,
 		index:   make([]ZoneMap, n),
 		workers: runtime.GOMAXPROCS(0),
 	}
@@ -137,11 +137,7 @@ func NewReader(ra io.ReaderAt, size int64, opts ...ReaderOption) (*Reader, error
 	}
 	for i := range r.index {
 		z := unmarshalZoneMap(idx[4+i*zoneMapLen:])
-		end := uint64(z.Offset) + uint64(z.CompressedLen)
-		if r.ver >= version2 {
-			end += blockCRCLen
-		}
-		if end > idxOff {
+		if uint64(z.Offset)+blockCRCLen+uint64(z.CompressedLen) > idxOff {
 			return nil, fmt.Errorf("%w: block %d out of bounds", ErrCorrupt, i)
 		}
 		r.index[i] = z
@@ -381,14 +377,11 @@ func (s *blockScratch) release() {
 // reallocated for every block a little longer than the longest before it.
 func scratchCap(n int) int { return (n + 1<<16 - 1) &^ (1<<16 - 1) }
 
-// readBlock fills s with block z: the compressed bytes (checksum verified for
-// version ≥ 2) in s.comp and the decompressed record bytes in s.raw. The
-// buffers are valid until s.release.
+// readBlock fills s with block z: the compressed bytes (checksum verified) in
+// s.comp and the decompressed record bytes in s.raw. The buffers are valid
+// until s.release.
 func (r *Reader) readBlock(z *ZoneMap, s *blockScratch) error {
-	n := int(z.CompressedLen)
-	if r.ver >= version2 {
-		n += blockCRCLen
-	}
+	n := blockCRCLen + int(z.CompressedLen)
 	if cap(s.comp) < n {
 		s.comp = make([]byte, scratchCap(n))
 	}
@@ -396,13 +389,9 @@ func (r *Reader) readBlock(z *ZoneMap, s *blockScratch) error {
 	if _, err := r.ra.ReadAt(blk, int64(z.Offset)); err != nil {
 		return fmt.Errorf("archive: block at %d: %w", z.Offset, err)
 	}
-	comp := blk
-	if r.ver >= version2 {
-		want := binary.BigEndian.Uint32(blk[:blockCRCLen])
-		comp = blk[blockCRCLen:]
-		if crc32.ChecksumIEEE(comp) != want {
-			return fmt.Errorf("%w: block at %d: checksum mismatch", ErrCorrupt, z.Offset)
-		}
+	comp := blk[blockCRCLen:]
+	if crc32.ChecksumIEEE(comp) != binary.BigEndian.Uint32(blk[:blockCRCLen]) {
+		return fmt.Errorf("%w: block at %d: checksum mismatch", ErrCorrupt, z.Offset)
 	}
 	// Capacity hints come from the (checksummed but still untrusted) index;
 	// clamp them so a crafted file cannot force absurd allocations before
@@ -468,7 +457,7 @@ func (r *Reader) decodeBlock(z *ZoneMap, p Predicate, sl *slabs) blockScans {
 		return r.fail(fmt.Errorf("%w: block at %d: %d scans in %d bytes",
 			ErrCorrupt, z.Offset, z.Scans, len(raw)))
 	}
-	dec := recordDecoder{origins: r.origins, phases: r.phases, sl: sl, in: &s.strings}
+	dec := recordDecoder{origins: r.origins, sl: sl, in: &s.strings}
 	withOrigin := r.origins && sl.fields&FieldOrigin != 0
 	var out blockScans
 	// The open run is the slab chunk's tail from start; it closes when the

@@ -3,11 +3,11 @@ package archive
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,60 +17,30 @@ import (
 	"github.com/synscan/synscan/internal/obs"
 )
 
-// asVersion1 rewrites a version-2 archive into the legacy CRC-less block
-// layout, for exercising the reader's back-compat path without keeping a
-// binary fixture around.
-func asVersion1(t *testing.T, data []byte) []byte {
-	t.Helper()
-	r := openArchive(t, data)
-	out := append([]byte{}, data[:headerLen]...)
-	out[4] = version1
-	index := r.Blocks()
-	for i := range index {
-		z := &index[i]
-		comp := data[z.Offset+blockCRCLen : z.Offset+blockCRCLen+uint64(z.CompressedLen)]
-		z.Offset = uint64(len(out))
-		out = append(out, comp...)
-	}
-	idx := binary.BigEndian.AppendUint32(nil, uint32(len(index)))
-	for i := range index {
-		idx = index[i].marshal(idx)
-	}
-	idxOff := uint64(len(out))
-	out = append(out, idx...)
-	var tr [trailerLen]byte
-	binary.BigEndian.PutUint64(tr[0:8], idxOff)
-	binary.BigEndian.PutUint32(tr[8:12], uint32(len(idx)))
-	binary.BigEndian.PutUint32(tr[12:16], crc32.ChecksumIEEE(idx))
-	copy(tr[16:20], TrailerMagic[:])
-	return append(out, tr[:]...)
-}
-
-// TestVersion1Compat: a legacy CRC-less file round-trips through the
-// current reader bit-identically.
-func TestVersion1Compat(t *testing.T) {
-	scans, origins := testScans(2000, 11)
-	data := writeArchive(t, scans, origins, WriterConfig{
-		TelescopeSize: 4096, Origins: true, BlockBytes: 4 << 10,
-	})
-	v1 := asVersion1(t, data)
-	if len(v1) >= len(data) {
-		t.Fatalf("v1 rewrite did not shrink the file (%d vs %d bytes)", len(v1), len(data))
-	}
-	r := openArchive(t, v1)
-	var got []*core.Scan
-	if err := scan(t, r, context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
-		got = append(got, sc)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(scans) {
-		t.Fatalf("got %d scans, want %d", len(got), len(scans))
-	}
-	for i := range scans {
-		if !reflect.DeepEqual(scans[i], got[i]) {
-			t.Fatalf("scan %d mismatch", i)
+// TestOldVersionsRefused: version 3 is the one format. A version-1 or
+// version-2 header is refused at open — with the version found and how to
+// re-create the file, before any block is read — and a version-3 header that
+// lacks the phase flag every writer sets is a corrupt file, not an old one.
+func TestOldVersionsRefused(t *testing.T) {
+	scans, origins := testScans(50, 11)
+	data := writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, Origins: true})
+	for _, old := range []byte{1, 2} {
+		hdr := append([]byte{}, data...)
+		hdr[4] = old
+		r, err := NewReader(bytes.NewReader(hdr), int64(len(hdr)))
+		if r != nil || !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d: reader %v, err %v; want ErrBadVersion", old, r, err)
 		}
+		for _, want := range []string{fmt.Sprintf("version %d ", old), "re-create with syneval -archive-out / synalyze -archive / syningest"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version %d: error %q does not say %q", old, err, want)
+			}
+		}
+	}
+	noPhases := append([]byte{}, data...)
+	noPhases[5] &^= flagPhases
+	if r, err := NewReader(bytes.NewReader(noPhases), int64(len(noPhases))); r != nil || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version 3 without the phase flag: reader %v, err %v; want ErrCorrupt", r, err)
 	}
 }
 

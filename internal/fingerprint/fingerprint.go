@@ -79,16 +79,6 @@ func (c ISNClass) String() string {
 	return "invalid"
 }
 
-// ISNClassByName inverts String for query parsing.
-func ISNClassByName(s string) (ISNClass, bool) {
-	for i, n := range isnNames {
-		if n == s {
-			return ISNClass(i), true
-		}
-	}
-	return 0, false
-}
-
 // isnRegularWindow bounds the forward step between consecutive SYN ISNs that
 // still counts as "regular". Kernel stacks advance the ISN clock plus a small
 // per-connection offset; 2^24 covers seconds of wall time while a random

@@ -16,6 +16,8 @@
 package query
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -221,110 +223,99 @@ func (e *andExpr) reads() archive.Fields { return kidsRead(e.kids) }
 func (e *orExpr) reads() archive.Fields  { return kidsRead(e.kids) }
 func (e *notExpr) reads() archive.Fields { return e.kid.reads() }
 
-// ---- set-membership leaves ----
+// ---- field leaves, one type per value kind ----
 
-// inExpr matches scans whose field value is in the set. For FieldPort the
-// semantics are "targets at least one of" (the paper's port filters). Ints
-// carries year/tool/port/asn/type values; Strs carries country/org values.
+// leaf is what every field predicate shares: the field, and through its row
+// the record parts that matching reads.
+type leaf struct{ field Field }
+
+func (l leaf) reads() archive.Fields { return l.field.def().reads }
+
+// openKey starts a leaf's canonical encoding: tag, field name, '('.
+func (l leaf) openKey(b []byte, tag string) []byte {
+	b = append(b, tag...)
+	b = append(b, l.field.String()...)
+	return append(b, '(')
+}
+
+// mayHold asks the row's zone-map test about values in [lo, hi]; a field the
+// zone map says nothing about always has to be decoded.
+func (l leaf) mayHold(z *archive.ZoneMap, lo, hi int64) bool {
+	zone := l.field.def().zone
+	return zone == nil || zone(z, lo, hi)
+}
+
+// inExpr matches scans whose field value is in the set (enum, integer and
+// string fields). For FieldPort the semantics are "targets at least one of"
+// (the paper's port filters). ints carries enum and integer values, strs
+// string values.
 type inExpr struct {
-	field Field
-	ints  []uint64
-	strs  []string
+	leaf
+	ints []uint64
+	strs []string
+}
+
+func intsIn[T ~uint8 | ~uint16 | ~uint32](f Field, vs []T) Expr {
+	e := &inExpr{leaf: leaf{f}, ints: make([]uint64, len(vs))}
+	for i, v := range vs {
+		e.ints[i] = uint64(v)
+	}
+	return e
 }
 
 // YearIn matches scans starting in one of the given UTC calendar years.
 func YearIn(years ...int) Expr {
-	e := &inExpr{field: FieldYear}
-	for _, y := range years {
-		e.ints = append(e.ints, uint64(uint16(y)))
+	ys := make([]uint16, len(years))
+	for i, y := range years {
+		ys[i] = uint16(y)
 	}
-	return e
+	return intsIn(FieldYear, ys)
 }
 
 // ToolIn matches scans attributed to one of the given tools.
-func ToolIn(ts ...tools.Tool) Expr {
-	e := &inExpr{field: FieldTool}
-	for _, t := range ts {
-		e.ints = append(e.ints, uint64(t))
-	}
-	return e
-}
+func ToolIn(ts ...tools.Tool) Expr { return intsIn(FieldTool, ts) }
 
 // PortAny matches scans targeting at least one of the given ports.
-func PortAny(ports ...uint16) Expr {
-	e := &inExpr{field: FieldPort}
-	for _, p := range ports {
-		e.ints = append(e.ints, uint64(p))
-	}
-	return e
-}
+func PortAny(ports ...uint16) Expr { return intsIn(FieldPort, ports) }
 
 // ASNIn matches scans whose origin ASN is one of the given values.
-func ASNIn(asns ...uint32) Expr {
-	e := &inExpr{field: FieldASN}
-	for _, a := range asns {
-		e.ints = append(e.ints, uint64(a))
-	}
-	return e
-}
+func ASNIn(asns ...uint32) Expr { return intsIn(FieldASN, asns) }
 
 // ISNIn matches scans whose ISN regularity class is one of the given values.
-func ISNIn(cs ...fingerprint.ISNClass) Expr {
-	e := &inExpr{field: FieldISN}
-	for _, c := range cs {
-		e.ints = append(e.ints, uint64(c))
-	}
-	return e
-}
+func ISNIn(cs ...fingerprint.ISNClass) Expr { return intsIn(FieldISN, cs) }
 
 // TypeIn matches scans whose origin scanner type is one of the given values.
-func TypeIn(ts ...inetmodel.ScannerType) Expr {
-	e := &inExpr{field: FieldType}
-	for _, t := range ts {
-		e.ints = append(e.ints, uint64(t))
-	}
-	return e
-}
+func TypeIn(ts ...inetmodel.ScannerType) Expr { return intsIn(FieldType, ts) }
 
 // CountryIn matches scans whose origin country is one of the given ISO codes.
 func CountryIn(codes ...string) Expr {
-	return &inExpr{field: FieldCountry, strs: append([]string(nil), codes...)}
+	return &inExpr{leaf: leaf{FieldCountry}, strs: append([]string(nil), codes...)}
 }
 
 // OrgIn matches scans whose origin organization name is one of the given.
 func OrgIn(names ...string) Expr {
-	return &inExpr{field: FieldOrg, strs: append([]string(nil), names...)}
+	return &inExpr{leaf: leaf{FieldOrg}, strs: append([]string(nil), names...)}
 }
 
 func (e *inExpr) match(sc *core.Scan, o *enrich.Origin) bool {
-	switch e.field {
-	case FieldYear:
-		return containsInt(e.ints, uint64(uint16(archive.YearOf(sc.Start))))
-	case FieldTool:
-		return containsInt(e.ints, uint64(sc.Tool))
-	case FieldPort:
+	d := e.field.def()
+	switch {
+	case o == nil && d.needsOrigin():
+		return false
+	case d.str != nil:
+		return containsStr(e.strs, d.str(o))
+	case e.field == FieldPort:
 		for _, p := range sc.Ports {
 			if containsInt(e.ints, uint64(p)) {
 				return true
 			}
 		}
 		return false
-	case FieldISN:
-		return containsInt(e.ints, uint64(sc.ISN))
-	case FieldASN:
-		return o != nil && containsInt(e.ints, uint64(o.ASN))
-	case FieldType:
-		return o != nil && containsInt(e.ints, uint64(o.Type))
-	case FieldCountry:
-		return o != nil && containsStr(e.strs, o.Country)
-	case FieldOrg:
-		return o != nil && containsStr(e.strs, o.OrgName)
 	}
-	return false
+	return containsInt(e.ints, d.disc(sc, o))
 }
 
-// containsInt binary-searches when the list is canonical (sorted), and falls
-// back to linear scan otherwise; lists are tiny either way.
+// containsInt scans linearly: filter lists are a handful of values.
 func containsInt(xs []uint64, v uint64) bool {
 	for _, x := range xs {
 		if x == v {
@@ -343,72 +334,36 @@ func containsStr(xs []string, v string) bool {
 	return false
 }
 
+// matchBlock admits the block if it may hold any one of the values.
 func (e *inExpr) matchBlock(z *archive.ZoneMap) bool {
-	switch e.field {
-	case FieldYear:
-		for _, y := range e.ints {
-			if y >= uint64(z.MinYear) && y <= uint64(z.MaxYear) {
-				return true
-			}
-		}
-		return false
-	case FieldTool:
-		var want uint16
-		for _, t := range e.ints {
-			want |= 1 << uint(t)
-		}
-		return z.ToolBits&want != 0
-	case FieldPort:
-		for _, p := range e.ints {
-			if z.MayContainPort(uint16(p)) {
-				return true
-			}
-		}
-		return false
+	if len(e.strs) > 0 {
+		return true
 	}
-	// Origin fields carry no zone-map summary.
-	return true
+	for _, v := range e.ints {
+		if e.mayHold(z, int64(v), int64(v)) {
+			return true
+		}
+	}
+	return false
 }
 
 func (e *inExpr) canon() Expr {
-	c := &inExpr{field: e.field}
+	c := &inExpr{leaf: e.leaf}
 	if len(e.ints) > 0 {
 		c.ints = append([]uint64(nil), e.ints...)
-		sort.Slice(c.ints, func(i, j int) bool { return c.ints[i] < c.ints[j] })
-		c.ints = dedupInts(c.ints)
+		slices.Sort(c.ints)
+		c.ints = slices.Compact(c.ints)
 	}
 	if len(e.strs) > 0 {
 		c.strs = append([]string(nil), e.strs...)
-		sort.Strings(c.strs)
-		c.strs = dedupStrs(c.strs)
+		slices.Sort(c.strs)
+		c.strs = slices.Compact(c.strs)
 	}
 	return c
 }
 
-func dedupInts(xs []uint64) []uint64 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func dedupStrs(xs []string) []string {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 func (e *inExpr) appendKey(b []byte) []byte {
-	b = append(b, "in:"...)
-	b = append(b, e.field.String()...)
-	b = append(b, '(')
+	b = e.openKey(b, "in:")
 	for i, v := range e.ints {
 		if i > 0 {
 			b = append(b, ',')
@@ -431,188 +386,133 @@ func (e *inExpr) validate() error {
 	if len(e.ints)+len(e.strs) > maxInValues {
 		return errf("%s: value set exceeds %d entries", e.field, maxInValues)
 	}
-	switch e.field {
-	case FieldYear:
-		for _, y := range e.ints {
-			if y > 65535 {
-				return errf("year %d out of range", y)
+	d := e.field.def()
+	switch d.kind {
+	case kindEnum:
+		for _, v := range e.ints {
+			if v >= d.enum.n {
+				return errf("%s value %d out of range", d.enum.noun, v)
 			}
 		}
-	case FieldTool:
-		for _, t := range e.ints {
-			if t >= uint64(tools.NumTools()) {
-				return errf("tool value %d out of range", t)
+	case kindInt:
+		for _, v := range e.ints {
+			if v > d.max {
+				return errf("%s %d out of range", e.field, v)
 			}
 		}
-	case FieldPort:
-		for _, p := range e.ints {
-			if p > 65535 {
-				return errf("port %d out of range", p)
-			}
-		}
-	case FieldASN:
-		for _, a := range e.ints {
-			if a > 1<<32-1 {
-				return errf("asn %d out of range", a)
-			}
-		}
-	case FieldType:
-		for _, t := range e.ints {
-			if t > uint64(len(inetmodel.ScannerTypes)) {
-				return errf("scanner type value %d out of range", t)
-			}
-		}
-	case FieldISN:
-		for _, c := range e.ints {
-			if c > uint64(fingerprint.ISNMixed) {
-				return errf("isn class value %d out of range", c)
-			}
-		}
-	case FieldCountry, FieldOrg:
-		if len(e.ints) > 0 {
-			return errf("%s takes string values", e.field)
-		}
+	case kindString:
 	default:
 		return errf("field %s does not support set membership", e.field)
 	}
 	return nil
 }
 
-func (e *inExpr) reads() archive.Fields { return e.field.reads() }
-
-// ---- qualified flag ----
-
-type qualExpr struct{ want bool }
+// boolExpr matches scans whose flag equals want.
+type boolExpr struct {
+	leaf
+	want bool
+}
 
 // Qualified matches scans whose over-threshold flag equals want.
-func Qualified(want bool) Expr { return &qualExpr{want: want} }
-
-func (e *qualExpr) match(sc *core.Scan, _ *enrich.Origin) bool {
-	return sc.Qualified == e.want
-}
-
-func (e *qualExpr) matchBlock(z *archive.ZoneMap) bool {
-	if e.want {
-		return z.Qualified > 0
-	}
-	return z.Qualified < z.Scans
-}
-
-func (e *qualExpr) canon() Expr { return e }
-
-func (e *qualExpr) appendKey(b []byte) []byte {
-	if e.want {
-		return append(b, "qual(1)"...)
-	}
-	return append(b, "qual(0)"...)
-}
-
-func (e *qualExpr) validate() error { return nil }
-
-func (e *qualExpr) reads() archive.Fields { return 0 }
-
-// ---- two-phase flag ----
-
-type twoPhaseExpr struct{ want bool }
+func Qualified(want bool) Expr { return &boolExpr{leaf{FieldQualified}, want} }
 
 // TwoPhaseIs matches scans whose two-phase (scout + handshake) flag equals
 // want. Blocks prune through the zone map's saturating two-phase counter;
-// archives written before the phase extension carry a zero counter, so a
-// want=true filter skips them wholesale.
-func TwoPhaseIs(want bool) Expr { return &twoPhaseExpr{want: want} }
+// archives of passive captures carry a zero counter, so a want=true filter
+// skips them wholesale.
+func TwoPhaseIs(want bool) Expr { return &boolExpr{leaf{FieldTwoPhase}, want} }
 
-func (e *twoPhaseExpr) match(sc *core.Scan, _ *enrich.Origin) bool {
-	return sc.TwoPhase == e.want
+func (e *boolExpr) match(sc *core.Scan, o *enrich.Origin) bool {
+	return (e.field.def().disc(sc, o) != 0) == e.want
 }
 
-func (e *twoPhaseExpr) matchBlock(z *archive.ZoneMap) bool {
+func (e *boolExpr) matchBlock(z *archive.ZoneMap) bool {
+	v := int64(flag(e.want))
+	return e.mayHold(z, v, v)
+}
+
+func (e *boolExpr) canon() Expr { return e }
+
+func (e *boolExpr) appendKey(b []byte) []byte {
+	b = append(b, e.field.def().tag...)
 	if e.want {
-		return z.TwoPhase > 0
+		return append(b, "(1)"...)
 	}
-	// The counter saturates, so equality with Scans only proves "all
-	// two-phase" while it is below the cap; at the cap we must decode.
-	return uint32(z.TwoPhase) < z.Scans || z.TwoPhase == 65535
+	return append(b, "(0)"...)
 }
 
-func (e *twoPhaseExpr) canon() Expr { return e }
+func (e *boolExpr) validate() error { return nil }
 
-func (e *twoPhaseExpr) appendKey(b []byte) []byte {
-	if e.want {
-		return append(b, "twophase(1)"...)
-	}
-	return append(b, "twophase(0)"...)
+// prefixExpr matches scans whose address falls inside the prefix.
+type prefixExpr struct {
+	leaf
+	pfx inetmodel.Prefix
 }
-
-func (e *twoPhaseExpr) validate() error { return nil }
-
-func (e *twoPhaseExpr) reads() archive.Fields { return 0 }
-
-// ---- source prefix ----
-
-type prefixExpr struct{ pfx inetmodel.Prefix }
 
 // SrcIn matches scans whose source address falls inside the prefix.
-func SrcIn(pfx inetmodel.Prefix) Expr { return &prefixExpr{pfx: pfx} }
+func SrcIn(pfx inetmodel.Prefix) Expr { return &prefixExpr{leaf{FieldSrc}, pfx} }
 
-func (e *prefixExpr) match(sc *core.Scan, _ *enrich.Origin) bool {
-	return e.pfx.Contains(sc.Src)
+func (e *prefixExpr) match(sc *core.Scan, o *enrich.Origin) bool {
+	return e.pfx.Contains(uint32(e.field.def().disc(sc, o)))
 }
 
 func (e *prefixExpr) matchBlock(z *archive.ZoneMap) bool {
-	return e.pfx.Last() >= z.MinSrc && e.pfx.First() <= z.MaxSrc
+	return e.mayHold(z, int64(e.pfx.First()), int64(e.pfx.Last()))
 }
 
 func (e *prefixExpr) canon() Expr { return e }
 
 func (e *prefixExpr) appendKey(b []byte) []byte {
-	b = append(b, "src("...)
+	b = e.openKey(b, "")
 	b = append(b, e.pfx.String()...)
 	return append(b, ')')
 }
 
 func (e *prefixExpr) validate() error {
 	if e.pfx.Bits > 32 {
-		return errf("src prefix length %d out of range", e.pfx.Bits)
+		return errf("%s prefix length %d out of range", e.field, e.pfx.Bits)
 	}
 	return nil
 }
 
-func (e *prefixExpr) reads() archive.Fields { return 0 }
-
-// ---- time range ----
-
-// timeExpr bounds the scan start time in nanoseconds; nil means open.
-type timeExpr struct{ min, max *int64 }
+// timeExpr bounds a timestamp in nanoseconds; nil means open.
+type timeExpr struct {
+	leaf
+	min, max *int64
+}
 
 // TimeBetween matches scans starting in [minNS, maxNS].
 func TimeBetween(minNS, maxNS int64) Expr {
-	return &timeExpr{min: &minNS, max: &maxNS}
+	return &timeExpr{leaf{FieldTime}, &minNS, &maxNS}
 }
 
-func (e *timeExpr) match(sc *core.Scan, _ *enrich.Origin) bool {
-	if e.min != nil && sc.Start < *e.min {
-		return false
+// bounds returns the range with open sides at the int64 extremes.
+func (e *timeExpr) bounds() (lo, hi int64) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	if e.min != nil {
+		lo = *e.min
 	}
-	if e.max != nil && sc.Start > *e.max {
-		return false
+	if e.max != nil {
+		hi = *e.max
 	}
-	return true
+	return lo, hi
+}
+
+func (e *timeExpr) match(sc *core.Scan, o *enrich.Origin) bool {
+	lo, hi := e.bounds()
+	v := int64(e.field.def().disc(sc, o))
+	return v >= lo && v <= hi
 }
 
 func (e *timeExpr) matchBlock(z *archive.ZoneMap) bool {
-	if e.min != nil && z.MaxStart < *e.min {
-		return false
-	}
-	if e.max != nil && z.MinStart > *e.max {
-		return false
-	}
-	return true
+	lo, hi := e.bounds()
+	return e.mayHold(z, lo, hi)
 }
 
 func (e *timeExpr) canon() Expr { return e }
 
 func (e *timeExpr) appendKey(b []byte) []byte {
-	b = append(b, "time("...)
+	b = e.openKey(b, "")
 	b = appendOptInt(b, e.min)
 	b = append(b, ';')
 	b = appendOptInt(b, e.max)
@@ -628,36 +528,31 @@ func appendOptInt(b []byte, v *int64) []byte {
 
 func (e *timeExpr) validate() error {
 	if e.min == nil && e.max == nil {
-		return errf("time range needs min_ns or max_ns")
+		return errf("%s range needs min_ns or max_ns", e.field)
 	}
 	if e.min != nil && e.max != nil && *e.min > *e.max {
-		return errf("time range min_ns > max_ns")
+		return errf("%s range min_ns > max_ns", e.field)
 	}
 	return nil
 }
 
-func (e *timeExpr) reads() archive.Fields { return 0 }
-
-// ---- numeric range ----
-
-// rangeExpr bounds a numeric field; nil means open. Ranges carry no
-// zone-map summary (beyond time/year/src, which have their own leaves), so
-// they filter per scan only.
+// rangeExpr bounds a numeric field; nil means open. The zone map summarizes
+// no numeric field, so ranges filter per scan only.
 type rangeExpr struct {
-	field    Field
+	leaf
 	min, max *float64
 }
 
 // NumRange matches scans whose numeric field lies in [min, max]; pass nil
 // for an open side.
 func NumRange(f Field, min, max *float64) Expr {
-	return &rangeExpr{field: f, min: min, max: max}
+	return &rangeExpr{leaf{f}, min, max}
 }
 
 // RateBetween bounds the extrapolated rate (pps); a non-positive side is
 // open, mirroring the legacy minrate/maxrate parameters.
 func RateBetween(min, max float64) Expr {
-	e := &rangeExpr{field: FieldRate}
+	e := &rangeExpr{leaf: leaf{FieldRate}}
 	if min > 0 {
 		e.min = &min
 	}
@@ -667,8 +562,8 @@ func RateBetween(min, max float64) Expr {
 	return e
 }
 
-func (e *rangeExpr) match(sc *core.Scan, _ *enrich.Origin) bool {
-	v := numValue(e.field, sc, 1)
+func (e *rangeExpr) match(sc *core.Scan, o *enrich.Origin) bool {
+	v := e.field.def().numValue(sc, o, 1)
 	if e.min != nil && v < *e.min {
 		return false
 	}
@@ -683,9 +578,7 @@ func (e *rangeExpr) matchBlock(*archive.ZoneMap) bool { return true }
 func (e *rangeExpr) canon() Expr { return e }
 
 func (e *rangeExpr) appendKey(b []byte) []byte {
-	b = append(b, "rng:"...)
-	b = append(b, e.field.String()...)
-	b = append(b, '(')
+	b = e.openKey(b, "rng:")
 	b = appendOptFloat(b, e.min)
 	b = append(b, ';')
 	b = appendOptFloat(b, e.max)
@@ -700,7 +593,7 @@ func appendOptFloat(b []byte, v *float64) []byte {
 }
 
 func (e *rangeExpr) validate() error {
-	if !e.field.numeric() {
+	if !e.field.def().numeric() {
 		return errf("field %s does not support range filtering", e.field)
 	}
 	if e.min == nil && e.max == nil {
@@ -711,8 +604,6 @@ func (e *rangeExpr) validate() error {
 	}
 	return nil
 }
-
-func (e *rangeExpr) reads() archive.Fields { return e.field.reads() }
 
 // exprDepth returns the tree depth, for the parser's nesting cap.
 func exprDepth(e Expr) int {
@@ -735,12 +626,4 @@ func maxKidDepth(kids []Expr) int {
 		}
 	}
 	return d
-}
-
-// exprString renders an expression for error messages and debugging.
-func exprString(e Expr) string {
-	if e == nil {
-		return "true"
-	}
-	return exprKey(e)
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strconv"
 
 	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/core"
@@ -54,6 +53,8 @@ type Executor struct {
 
 	// Aggregate mode.
 	matched uint64
+	group   []operand  // q.GroupBy, resolved
+	ops     []operand  // q.Aggs' fields, resolved
 	portAt  int        // index of FieldPort in q.GroupBy, or -1
 	slots   []int32    // the group table: group number + 1 by key hash, 0 = empty
 	keys    []groupKey // by group number: first-seen stream order
@@ -138,8 +139,39 @@ func NewExecutor(q *Query) *Executor {
 		if f == FieldPort {
 			e.portAt = i
 		}
+		e.group = append(e.group, e.resolve(f, true))
+	}
+	for _, a := range q.Aggs {
+		e.ops = append(e.ops, e.resolve(a.Field, false))
 	}
 	return e
+}
+
+// operand is one field of the query resolved for an executor: its row, and
+// its discrete accessor as a plain function value, so the per-scan path looks
+// nothing up.
+type operand struct {
+	*fieldDef
+	// value is the row's disc, except that a string stands for its id in the
+	// executor's dictionary as a group coordinate and for its FNV-1a hash
+	// (stable across processes) as a distinct/top-k key, and that the year
+	// comes from the executor's cache: two comparisons where the row's
+	// accessor breaks the timestamp down for every scan. Nil for port.
+	value intFn
+}
+
+func (e *Executor) resolve(f Field, coord bool) operand {
+	d := f.def()
+	op := operand{fieldDef: d, value: d.disc}
+	switch {
+	case d.str != nil && coord:
+		op.value = func(_ *core.Scan, o *enrich.Origin) uint64 { return uint64(e.dict.id(d.str(o))) }
+	case d.str != nil:
+		op.value = func(_ *core.Scan, o *enrich.Origin) uint64 { return hashString(d.str(o)) }
+	case f == FieldYear:
+		op.value = func(sc *core.Scan, _ *enrich.Origin) uint64 { return uint64(e.years.Year(sc.Start)) }
+	}
+	return op
 }
 
 // Observe folds one matching scan into the partial state. The caller has
@@ -162,35 +194,17 @@ func (e *Executor) Observe(sc *core.Scan, o *enrich.Origin) {
 		return
 	}
 	var key groupKey
-	for i, f := range e.q.GroupBy {
-		if f.needsOrigin() && o == nil {
+	for i := range e.group {
+		g := &e.group[i]
+		if o == nil && g.needsOrigin() {
 			return // an origin group-by over an origin-less scan
 		}
-		var c uint32
-		switch f {
-		case FieldYear:
-			c = uint32(e.years.Year(sc.Start))
-		case FieldTool:
-			c = uint32(sc.Tool)
-		case FieldQualified:
-			c = boolCoord(sc.Qualified)
-		case FieldTwoPhase:
-			c = boolCoord(sc.TwoPhase)
-		case FieldISN:
-			c = uint32(sc.ISN)
-		case FieldCountry:
-			c = e.dict.id(o.Country)
-		case FieldASN:
-			c = o.ASN
-		case FieldType:
-			c = uint32(o.Type)
-		case FieldOrg:
-			c = e.dict.id(o.OrgName)
+		if g.value != nil {
+			key.set(i, uint32(g.value(sc, o)))
 		}
-		key.set(i, c)
 	}
 	if e.portAt < 0 {
-		e.observeRow(key, sc, o, 1)
+		e.observeRow(&key, sc, o, 1)
 		return
 	}
 	// FieldPort explodes one row per targeted port — the same key with one
@@ -198,17 +212,10 @@ func (e *Executor) Observe(sc *core.Scan, o *enrich.Origin) {
 	// port rows (integer division, matching the exact per-port packet tables).
 	for _, p := range sc.Ports {
 		key.set(e.portAt, uint32(p))
-		if !e.observeRow(key, sc, o, len(sc.Ports)) {
+		if !e.observeRow(&key, sc, o, len(sc.Ports)) {
 			return
 		}
 	}
-}
-
-func boolCoord(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // minGroupSlots is the group table's initial size; sizes are powers of two.
@@ -220,12 +227,18 @@ const minGroupSlots = 16
 // sweep's consecutive ports walk in order once their groups exist. Against
 // a map[groupKey]int32 this is one random memory access per row instead of
 // three, on the per-(scan, port) path that dominates port-grouped queries.
-func (e *Executor) slotOf(key groupKey) int {
+//
+// The key travels down from Observe by pointer. By value, each level copied
+// its 16 bytes with one wide load straight after the 8-byte store that set
+// the port coordinate — a load the CPU cannot forward from the store, about
+// a dozen cycles per row and level, paid or not depending on where the
+// frames happened to sit in their cache lines.
+func (e *Executor) slotOf(key *groupKey) int {
 	mask := len(e.slots) - 1
 	i := int(key.hash() >> uint(64-bits.Len(uint(mask))))
 	for {
 		g := e.slots[i]
-		if g == 0 || e.keys[g-1] == key {
+		if g == 0 || e.keys[g-1] == *key {
 			return i
 		}
 		i = (i + 1) & mask
@@ -234,7 +247,7 @@ func (e *Executor) slotOf(key groupKey) int {
 
 // groupOf returns key's group number, opening the group if it is new; false
 // means the group cap was hit and e.err is set.
-func (e *Executor) groupOf(key groupKey) (int, bool) {
+func (e *Executor) groupOf(key *groupKey) (int, bool) {
 	slot := e.slotOf(key)
 	if g := e.slots[slot]; g != 0 {
 		return int(g - 1), true
@@ -250,7 +263,7 @@ func (e *Executor) groupOf(key groupKey) (int, bool) {
 		// doubling and never between.
 		e.slots = make([]int32, 2*len(e.slots))
 		for g, k := range e.keys {
-			e.slots[e.slotOf(k)] = int32(g + 1)
+			e.slots[e.slotOf(&k)] = int32(g + 1)
 		}
 		slot = e.slotOf(key)
 		room := len(e.slots)/2 - g
@@ -258,7 +271,7 @@ func (e *Executor) groupOf(key groupKey) (int, bool) {
 		e.aggs = slices.Grow(e.aggs, room*n)
 	}
 	e.slots[slot] = int32(g + 1)
-	e.keys = append(e.keys, key)
+	e.keys = append(e.keys, *key)
 	for i := 0; i < n; i++ {
 		e.aggs = append(e.aggs, aggState{})
 	}
@@ -266,7 +279,7 @@ func (e *Executor) groupOf(key groupKey) (int, bool) {
 }
 
 // observeRow folds one scan row into key's group.
-func (e *Executor) observeRow(key groupKey, sc *core.Scan, o *enrich.Origin, portSplit int) bool {
+func (e *Executor) observeRow(key *groupKey, sc *core.Scan, o *enrich.Origin, portSplit int) bool {
 	g, ok := e.groupOf(key)
 	if !ok {
 		return false
@@ -274,21 +287,22 @@ func (e *Executor) observeRow(key groupKey, sc *core.Scan, o *enrich.Origin, por
 	n := len(e.q.Aggs)
 	states := e.aggs[g*n : g*n+n]
 	for i := range states {
-		e.observeAgg(&e.q.Aggs[i], &states[i], sc, o, portSplit)
+		e.observeAgg(&e.q.Aggs[i], &e.ops[i], &states[i], sc, o, portSplit)
 	}
 	return true
 }
 
-// observeAgg folds one scan row into one aggregate's state.
-func (e *Executor) observeAgg(a *Agg, st *aggState, sc *core.Scan, o *enrich.Origin, portSplit int) {
+// observeAgg folds one scan row into one aggregate's state; f is a.Field
+// resolved.
+func (e *Executor) observeAgg(a *Agg, f *operand, st *aggState, sc *core.Scan, o *enrich.Origin, portSplit int) {
 	switch a.Op {
 	case OpCount:
 		st.n++
 	case OpSum:
-		if a.Field.integerValued() {
-			st.n += intValue(a.Field, sc, portSplit)
+		if f.ival != nil {
+			st.n += f.intValue(sc, o, portSplit)
 		} else {
-			st.f += numValue(a.Field, sc, portSplit)
+			st.f += f.fval(sc, o)
 		}
 	case OpQuantile:
 		if st.ext == nil {
@@ -301,7 +315,7 @@ func (e *Executor) observeAgg(a *Agg, st *aggState, sc *core.Scan, o *enrich.Ori
 			// final size in all; doubling allocates twice.
 			samples = slices.Grow(samples, max(len(samples), 16))
 		}
-		st.ext.samples = append(samples, numValue(a.Field, sc, portSplit))
+		st.ext.samples = append(samples, f.numValue(sc, o, portSplit))
 	default: // keyed: count_distinct, approx_distinct, top_k
 		if st.ext == nil {
 			st.ext = &aggExt{}
@@ -318,8 +332,8 @@ func (e *Executor) observeAgg(a *Agg, st *aggState, sc *core.Scan, o *enrich.Ori
 			for _, p := range sc.Ports {
 				st.ext.addKey(a.Op, uint64(p))
 			}
-		} else if k, ok := e.keyValue(a.Field, sc, o); ok {
-			st.ext.addKey(a.Op, k)
+		} else if o != nil || !f.needsOrigin() { // an origin-less scan has no origin value
+			st.ext.addKey(a.Op, f.value(sc, o))
 		}
 	}
 }
@@ -333,35 +347,6 @@ func (x *aggExt) addKey(op AggOp, k uint64) {
 	case OpTopK:
 		x.topk.Add(k)
 	}
-}
-
-// keyValue is a single-valued field's distinct/top-k key for one scan
-// (FieldPort, one key per targeted port, is the caller's loop). String-valued
-// fields hash through FNV-1a (stable across processes) for sketch keying.
-// false means the scan has no value: an origin field without an origin.
-func (e *Executor) keyValue(f Field, sc *core.Scan, o *enrich.Origin) (uint64, bool) {
-	if f.needsOrigin() && o == nil {
-		return 0, false
-	}
-	switch f {
-	case FieldSrc:
-		return uint64(sc.Src), true
-	case FieldYear:
-		return uint64(e.years.Year(sc.Start)), true
-	case FieldTool:
-		return uint64(sc.Tool), true
-	case FieldISN:
-		return uint64(sc.ISN), true
-	case FieldASN:
-		return uint64(o.ASN), true
-	case FieldType:
-		return uint64(o.Type), true
-	case FieldCountry:
-		return hashString(o.Country), true
-	case FieldOrg:
-		return hashString(o.OrgName), true
-	}
-	return 0, false
 }
 
 // Merge folds another partial (built from the same Query) into e, in stream
@@ -400,7 +385,7 @@ func (e *Executor) Merge(o *Executor) {
 				key.set(i, remap[key.get(i)])
 			}
 		}
-		g, ok := e.groupOf(key)
+		g, ok := e.groupOf(&key)
 		if !ok {
 			return
 		}
@@ -591,16 +576,10 @@ func firstSorted(xs []int32, n int, cmp func(a, b int32) int) []int32 {
 }
 
 func (e *Executor) renderCoord(f Field, c uint32) KeyVal {
-	kv := KeyVal{Field: f, Num: uint64(c)}
-	switch f {
-	case FieldCountry, FieldOrg:
-		kv.Num, kv.Str = 0, e.dict.strs[c]
-	case FieldQualified, FieldTwoPhase:
-		kv.Str = strconv.FormatBool(c != 0)
-	default:
-		kv.Str = renderKey(f, uint64(c))
+	if f.stringValued() {
+		return KeyVal{Field: f, Str: e.dict.strs[c]}
 	}
-	return kv
+	return KeyVal{Field: f, Num: uint64(c), Str: f.def().render(uint64(c))}
 }
 
 // sortedSamples sorts a quantile aggregate's samples in place (a repeat
@@ -619,7 +598,7 @@ func (st *aggState) sortedSamples() []float64 {
 func scalar(a *Agg, st *aggState) float64 {
 	switch a.Op {
 	case OpSum:
-		if a.Field.integerValued() {
+		if a.Field.def().ival != nil {
 			return float64(st.n)
 		}
 		return st.f
@@ -644,7 +623,7 @@ func finishAgg(a *Agg, st *aggState) AggValue {
 	case OpCount:
 		v.Count = st.n
 	case OpSum:
-		if a.Field.integerValued() {
+		if a.Field.def().ival != nil {
 			v.Int = st.n
 			v.IsInt = true
 		} else {
@@ -662,7 +641,7 @@ func finishAgg(a *Agg, st *aggState) AggValue {
 		if st.ext != nil {
 			for _, it := range st.ext.topk.Top(a.K) {
 				v.Top = append(v.Top, TopItem{
-					Key: renderKey(a.Field, it.Key), Num: it.Key,
+					Key: a.Field.def().render(it.Key), Num: it.Key,
 					Count: it.Count, Err: it.Err,
 				})
 			}

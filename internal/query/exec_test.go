@@ -378,7 +378,7 @@ func TestProjectionKeepsResults(t *testing.T) {
 	rd := openArc(t, writeArc(t, scans, origins, true))
 	r := rng.New(65)
 	for round := 0; round < 60; round++ {
-		q := randQuery(r, true)
+		q := randQuery(r, scans, origins, true)
 		run := func(p archive.Predicate) []byte {
 			e := NewExecutor(q)
 			if err := rd.Query(context.Background(), p, e.Observe); err != nil {

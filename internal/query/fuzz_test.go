@@ -1,8 +1,12 @@
 package query
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/synscan/synscan/internal/rng"
 )
 
 // FuzzParse hardens the request parser: arbitrary bytes must either produce a
@@ -63,6 +67,42 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte(`{"where": {"field": "tool", "eq": "no-such-tool"}}`))
 	f.Add([]byte(`{"limit": -5}`))
 	f.Add([]byte(`{"limit": 100000000}`))
+
+	// Every field, from the table: its filter leaf (set kinds in both the
+	// "in" and the "eq" spelling) and one aggregate per operator it accepts.
+	scans, origins := genScans(1, 9)
+	r := rng.New(9)
+	seed := func(q *Query) {
+		wire, err := json.Marshal(q)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+	}
+	for _, fd := range Fields() {
+		d, leaf := fd.def(), leafFrom(fd, scans[0], &origins[0], r)
+		seed(&Query{Where: leaf, Limit: 10})
+		if in, ok := leaf.(*inExpr); ok {
+			wire, _ := marshalExpr(in)
+			var node struct{ In []json.RawMessage }
+			if err := json.Unmarshal(wire, &node); err != nil {
+				f.Fatal(err)
+			}
+			f.Add([]byte(fmt.Sprintf(`{"where":{"field":%q,"eq":%s}}`, fd, node.In[0])))
+		}
+		if d.caps&capGroup != 0 {
+			seed(&Query{GroupBy: []Field{fd}, Aggs: []Agg{{Op: OpCount}}})
+		}
+		if d.numeric() {
+			seed(&Query{Aggs: []Agg{{Op: OpSum, Field: fd}, {Op: OpQuantile, Field: fd, Qs: []float64{0.5}}}})
+		}
+		if d.caps&capDistinct != 0 {
+			seed(&Query{Aggs: []Agg{{Op: OpCountDistinct, Field: fd}, {Op: OpApproxDistinct, Field: fd}}})
+		}
+		if d.caps&capTopK != 0 {
+			seed(&Query{Aggs: []Agg{{Op: OpTopK, Field: fd, K: 5}}})
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := Parse(data)

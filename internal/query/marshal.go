@@ -4,8 +4,7 @@ import (
 	"encoding/json"
 
 	"github.com/synscan/synscan/internal/fingerprint"
-	"github.com/synscan/synscan/internal/inetmodel"
-	"github.com/synscan/synscan/internal/tools"
+	"github.com/synscan/synscan/internal/packet"
 )
 
 // MarshalJSON renders the query in the compact request form Parse accepts —
@@ -65,15 +64,25 @@ func marshalExpr(e Expr) (json.RawMessage, error) {
 		}
 		return json.Marshal(map[string]json.RawMessage{"not": kid})
 	case *inExpr:
-		return marshalIn(n)
-	case *qualExpr:
-		return json.Marshal(map[string]any{"field": FieldQualified.String(), "eq": n.want})
-	case *twoPhaseExpr:
-		return json.Marshal(map[string]any{"field": FieldTwoPhase.String(), "eq": n.want})
+		d := n.field.def()
+		vals := make([]any, 0, len(n.ints)+len(n.strs))
+		for _, v := range n.ints {
+			if d.kind == kindEnum {
+				vals = append(vals, d.enum.name(v)) // the display names the parser accepts
+			} else {
+				vals = append(vals, v)
+			}
+		}
+		for _, s := range n.strs {
+			vals = append(vals, s)
+		}
+		return json.Marshal(map[string]any{"field": n.field.String(), "in": vals})
+	case *boolExpr:
+		return json.Marshal(map[string]any{"field": n.field.String(), "eq": n.want})
 	case *prefixExpr:
-		return json.Marshal(map[string]any{"field": FieldSrc.String(), "prefix": n.pfx.String()})
+		return json.Marshal(map[string]any{"field": n.field.String(), "prefix": n.pfx.String()})
 	case *timeExpr:
-		m := map[string]any{"field": FieldTime.String()}
+		m := map[string]any{"field": n.field.String()}
 		if n.min != nil {
 			m["min_ns"] = *n.min
 		}
@@ -106,33 +115,59 @@ func marshalKids(op string, kids []Expr) (json.RawMessage, error) {
 	return json.Marshal(map[string][]json.RawMessage{op: raws})
 }
 
-// marshalIn renders a set-membership leaf, converting enum-coded members
-// back to the display names the parser accepts.
-func marshalIn(e *inExpr) (json.RawMessage, error) {
-	vals := make([]any, 0, len(e.ints)+len(e.strs))
-	switch e.field {
-	case FieldYear, FieldPort, FieldASN:
-		for _, v := range e.ints {
-			vals = append(vals, v)
-		}
-	case FieldTool:
-		for _, v := range e.ints {
-			vals = append(vals, tools.Tool(v).String())
-		}
-	case FieldType:
-		for _, v := range e.ints {
-			vals = append(vals, inetmodel.ScannerType(v).String())
-		}
-	case FieldISN:
-		for _, v := range e.ints {
-			vals = append(vals, fingerprint.ISNClass(v).String())
-		}
-	case FieldCountry, FieldOrg:
-		for _, s := range e.strs {
-			vals = append(vals, s)
-		}
-	default:
-		return nil, errf("field %s has no set-membership wire form", e.field)
+// WireScan is one select-mode row as /v1/query and /v1/scans serve it: the one
+// definition the server encodes and the facade's remote client decodes.
+type WireScan struct {
+	Src              string      `json:"src"`
+	StartNS          int64       `json:"start_ns"`
+	EndNS            int64       `json:"end_ns"`
+	Packets          uint64      `json:"packets"`
+	DistinctDsts     int         `json:"distinct_dsts"`
+	Ports            []uint16    `json:"ports"`
+	Tool             string      `json:"tool"`
+	Qualified        bool        `json:"qualified"`
+	RatePPS          float64     `json:"rate_pps"`
+	Coverage         float64     `json:"coverage"`
+	TwoPhase         bool        `json:"two_phase,omitempty"`
+	ISN              string      `json:"isn,omitempty"`
+	LinkedDsts       int         `json:"linked_dsts,omitempty"`
+	HandshakePackets uint64      `json:"handshake_packets,omitempty"`
+	PayloadBytes     uint64      `json:"payload_bytes,omitempty"`
+	Origin           *WireOrigin `json:"origin,omitempty"`
+}
+
+// WireOrigin is a served scan's enrichment origin.
+type WireOrigin struct {
+	Country string `json:"country"`
+	ASN     uint32 `json:"asn"`
+	Type    string `json:"type"`
+	OrgName string `json:"org,omitempty"`
+}
+
+// Wire renders the row in its served form.
+func (r ScanRec) Wire() WireScan {
+	sc := r.Scan
+	w := WireScan{
+		Src:              packet.FormatIPv4(sc.Src),
+		StartNS:          sc.Start,
+		EndNS:            sc.End,
+		Packets:          sc.Packets,
+		DistinctDsts:     sc.DistinctDsts,
+		Ports:            sc.Ports,
+		Tool:             sc.Tool.String(),
+		Qualified:        sc.Qualified,
+		RatePPS:          sc.RatePPS,
+		Coverage:         sc.Coverage,
+		TwoPhase:         sc.TwoPhase,
+		LinkedDsts:       sc.LinkedDsts,
+		HandshakePackets: sc.HandshakePackets,
+		PayloadBytes:     sc.PayloadBytes,
 	}
-	return json.Marshal(map[string]any{"field": e.field.String(), "in": vals})
+	if sc.ISN != fingerprint.ISNUnknown {
+		w.ISN = sc.ISN.String()
+	}
+	if o := r.Origin; o != nil {
+		w.Origin = &WireOrigin{Country: o.Country, ASN: o.ASN, Type: o.Type.String(), OrgName: o.OrgName}
+	}
+	return w
 }

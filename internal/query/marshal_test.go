@@ -5,12 +5,16 @@ import (
 	"testing"
 
 	"github.com/synscan/synscan/internal/inetmodel"
+	"github.com/synscan/synscan/internal/rng"
 	"github.com/synscan/synscan/internal/tools"
 )
 
 // TestMarshalRoundTrip: every builder-constructed query must survive
 // MarshalJSON → Parse with its canonical Key intact — the property the
-// remote client depends on to POST local queries at /v1/query.
+// remote client depends on to POST local queries at /v1/query. After the
+// hand-picked query shapes it walks the field table: one leaf per field, and
+// one per value of every named kind, so that whatever name a result renders
+// as a group key can be sent back as a filter.
 func TestMarshalRoundTrip(t *testing.T) {
 	pfx, err := inetmodel.ParsePrefix("10.0.0.0/24")
 	if err != nil {
@@ -53,6 +57,22 @@ func TestMarshalRoundTrip(t *testing.T) {
 		{"order-key", func() (*Query, error) {
 			return NewBuilder().GroupBy(FieldYear).Count().OrderByKey().Build()
 		}},
+	}
+	scans, origins := genScans(1, 7)
+	r := rng.New(7)
+	add := func(name string, e Expr) {
+		cases = append(cases, struct {
+			name  string
+			build func() (*Query, error)
+		}{name, func() (*Query, error) { return NewBuilder().Where(e).Count().Build() }})
+	}
+	for _, f := range Fields() {
+		add("leaf/"+f.String(), leafFrom(f, scans[0], &origins[0], r))
+		if e := f.def().enum; e != nil {
+			for v := uint64(0); v < e.n; v++ {
+				add("value/"+f.String()+"/"+e.name(v), &inExpr{leaf: leaf{f}, ints: []uint64{v}})
+			}
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

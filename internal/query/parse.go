@@ -3,11 +3,8 @@ package query
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 
-	"github.com/synscan/synscan/internal/fingerprint"
 	"github.com/synscan/synscan/internal/inetmodel"
-	"github.com/synscan/synscan/internal/tools"
 )
 
 // Parse decodes the compact JSON request form into a validated Query.
@@ -231,47 +228,37 @@ func parseLeaf(f Field, in []json.RawMessage, eq json.RawMessage,
 	hasSet := len(in) > 0 || len(eq) > 0
 	hasRange := min != nil || max != nil
 	hasTime := minNS != nil || maxNS != nil
-	switch f {
-	case FieldSrc:
+	switch f.def().kind {
+	case kindPrefix:
 		if hasSet || hasRange || hasTime || prefix == "" {
-			return nil, errf("src takes exactly a \"prefix\"")
+			return nil, errf("%s takes exactly a \"prefix\"", f)
 		}
 		pfx, err := inetmodel.ParsePrefix(prefix)
 		if err != nil {
-			return nil, errf("invalid src prefix %q: %v", prefix, err)
+			return nil, errf("invalid %s prefix %q: %v", f, prefix, err)
 		}
-		return &prefixExpr{pfx: pfx}, nil
-	case FieldTime:
+		return &prefixExpr{leaf{f}, pfx}, nil
+	case kindTime:
 		if hasSet || hasRange || prefix != "" || !hasTime {
-			return nil, errf("time takes \"min_ns\"/\"max_ns\"")
+			return nil, errf("%s takes \"min_ns\"/\"max_ns\"", f)
 		}
-		return &timeExpr{min: minNS, max: maxNS}, nil
-	case FieldQualified:
+		return &timeExpr{leaf{f}, minNS, maxNS}, nil
+	case kindBool:
 		if hasRange || hasTime || prefix != "" || len(in) > 0 || len(eq) == 0 {
-			return nil, errf("qualified takes exactly an \"eq\" boolean")
+			return nil, errf("%s takes exactly an \"eq\" boolean", f)
 		}
 		var want bool
 		if err := json.Unmarshal(eq, &want); err != nil {
-			return nil, errf("qualified: eq wants a boolean")
+			return nil, errf("%s: eq wants a boolean", f)
 		}
-		return &qualExpr{want: want}, nil
-	case FieldTwoPhase:
-		if hasRange || hasTime || prefix != "" || len(in) > 0 || len(eq) == 0 {
-			return nil, errf("two_phase takes exactly an \"eq\" boolean")
-		}
-		var want bool
-		if err := json.Unmarshal(eq, &want); err != nil {
-			return nil, errf("two_phase: eq wants a boolean")
-		}
-		return &twoPhaseExpr{want: want}, nil
-	}
-	if f.numeric() {
+		return &boolExpr{leaf{f}, want}, nil
+	case kindNum:
 		if hasSet || hasTime || prefix != "" || !hasRange {
 			return nil, errf("%s takes \"min\"/\"max\"", f)
 		}
-		return &rangeExpr{field: f, min: min, max: max}, nil
+		return &rangeExpr{leaf{f}, min, max}, nil
 	}
-	// Discrete set-membership fields.
+	// Set-membership kinds: enum, integer, string.
 	if hasRange || hasTime || prefix != "" || !hasSet {
 		return nil, errf("%s takes \"in\" or \"eq\"", f)
 	}
@@ -285,80 +272,42 @@ func parseLeaf(f Field, in []json.RawMessage, eq json.RawMessage,
 	if len(vals) > maxInValues {
 		return nil, errf("%s: value set exceeds %d entries", f, maxInValues)
 	}
-	e := &inExpr{field: f}
+	e := &inExpr{leaf: leaf{f}}
 	for _, raw := range vals {
-		if err := appendInValue(e, f, raw); err != nil {
+		if err := e.appendValue(raw); err != nil {
 			return nil, err
 		}
 	}
 	return e, nil
 }
 
-// appendInValue parses one set-membership value for field f.
-func appendInValue(e *inExpr, f Field, raw json.RawMessage) error {
-	switch f {
-	case FieldYear, FieldPort, FieldASN:
+// appendValue parses one set-membership value of e's field.
+func (e *inExpr) appendValue(raw json.RawMessage) error {
+	d := e.field.def()
+	if d.kind == kindInt {
 		var v uint64
 		if err := json.Unmarshal(raw, &v); err != nil {
-			return errf("%s: want a non-negative integer, got %s", f, raw)
+			return errf("%s: want a non-negative integer, got %s", e.field, raw)
 		}
 		e.ints = append(e.ints, v)
-	case FieldTool:
-		var s string
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return errf("tool: want a tool name, got %s", raw)
-		}
-		t, ok := toolsByName[strings.ToLower(s)]
-		if !ok {
-			return errf("unknown tool %q", s)
-		}
-		e.ints = append(e.ints, uint64(t))
-	case FieldType:
-		var s string
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return errf("type: want a scanner-type name, got %s", raw)
-		}
-		t, ok := typesByName[strings.ToLower(s)]
-		if !ok {
-			return errf("unknown scanner type %q", s)
-		}
-		e.ints = append(e.ints, uint64(t))
-	case FieldISN:
-		var s string
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return errf("isn: want a class name, got %s", raw)
-		}
-		c, ok := fingerprint.ISNClassByName(strings.ToLower(s))
-		if !ok {
-			return errf("unknown isn class %q", s)
-		}
-		e.ints = append(e.ints, uint64(c))
-	case FieldCountry, FieldOrg:
-		var s string
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return errf("%s: want a string, got %s", f, raw)
-		}
-		e.strs = append(e.strs, s)
-	default:
-		return errf("field %s does not support set membership", f)
+		return nil
 	}
+	var s string
+	if err := json.Unmarshal(raw, &s); err != nil {
+		want := "a string"
+		if d.kind == kindEnum {
+			want = d.enum.want
+		}
+		return errf("%s: want %s, got %s", e.field, want, raw)
+	}
+	if d.kind == kindString {
+		e.strs = append(e.strs, s)
+		return nil
+	}
+	v, ok := e.field.ValueByName(s)
+	if !ok {
+		return errf("unknown %s %q", d.enum.noun, s)
+	}
+	e.ints = append(e.ints, v)
 	return nil
 }
-
-// toolsByName maps lower-cased display names back to Tool values.
-var toolsByName = func() map[string]tools.Tool {
-	m := map[string]tools.Tool{}
-	for _, t := range append([]tools.Tool{tools.ToolUnknown}, tools.Tools...) {
-		m[strings.ToLower(t.String())] = t
-	}
-	return m
-}()
-
-// typesByName maps lower-cased display names back to ScannerType values.
-var typesByName = func() map[string]inetmodel.ScannerType {
-	m := map[string]inetmodel.ScannerType{}
-	for _, t := range inetmodel.ScannerTypes {
-		m[strings.ToLower(t.String())] = t
-	}
-	return m
-}()

@@ -3,87 +3,67 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
-	"github.com/synscan/synscan/internal/fingerprint"
-	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/rng"
-	"github.com/synscan/synscan/internal/tools"
 )
 
-// randQuery builds a random aggregate (or select) query over the genScans
-// value distribution. Ordering is always by key: float-sum ulp drift between
-// execution plans must never be able to flip a row order the comparison
-// depends on.
-func randQuery(r *rng.Rand, withOrigins bool) *Query {
+// randQuery builds a random aggregate query over the scans under test, drawn
+// from the field table: filter leaves over any row (around the value a random
+// scan has, see leafFrom), grouping over the groupable rows, and every
+// aggregate operator over a random row that accepts it — so a new row is
+// covered without an edit here. Rows that need an origin are drawn only when
+// the source has origins. Ordering is always by key: float-sum ulp drift
+// between execution plans must never be able to flip a row order the
+// comparison depends on.
+func randQuery(r *rng.Rand, scans []*core.Scan, origins []enrich.Origin, withOrigins bool) *Query {
+	pick := func(ok func(*fieldDef) bool) Field {
+		var pool []Field
+		for _, f := range Fields() {
+			if d := f.def(); ok(d) && (withOrigins || !d.needsOrigin()) {
+				pool = append(pool, f)
+			}
+		}
+		return pool[int(r.Uint32())%len(pool)]
+	}
+	any := func(*fieldDef) bool { return true }
+	can := func(c caps) func(*fieldDef) bool {
+		return func(d *fieldDef) bool { return d.caps&c != 0 }
+	}
 	b := NewBuilder().OrderByKey()
-	// Random filter: 0-3 conjoined clauses, possibly wrapped in not/or.
+	// Random filter: 0-3 conjoined clauses, possibly negated.
 	nClauses := int(r.Uint32() % 4)
 	for i := 0; i < nClauses; i++ {
-		var e Expr
-		switch r.Uint32() % 9 {
-		case 0:
-			e = YearIn(2015+int(r.Uint32()%10), 2015+int(r.Uint32()%10))
-		case 1:
-			e = PortAny(uint16(r.Uint32()%3000), uint16(r.Uint32()%3000))
-		case 2:
-			e = ToolIn(tools.Tool(r.Uint32()%7), tools.Tool(r.Uint32()%7))
-		case 3:
-			e = Qualified(r.Uint32()%2 == 0)
-		case 4:
-			e = RateBetween(float64(r.Uint32()%2000), 0)
-		case 5:
-			base := uint32(r.Uint32()) &^ 0xFFFFFF // keep a /8
-			e = SrcIn(inetmodel.Prefix{Base: base, Bits: 8})
-		case 6:
-			e = TwoPhaseIs(r.Uint32()%2 == 0)
-		case 7:
-			e = ISNIn(fingerprint.ISNClass(r.Uint32()%4), fingerprint.ISNClass(r.Uint32()%4))
-		default:
-			lo := time.Date(2015+int(r.Uint32()%10), time.January, 1, 0, 0, 0, 0, time.UTC).UnixNano()
-			e = TimeBetween(lo, lo+int64(200*24)*int64(time.Hour))
-		}
+		k := int(r.Uint32()) % len(scans)
+		e := leafFrom(pick(any), scans[k], &origins[k], r)
 		if r.Uint32()%4 == 0 {
 			e = Not(e)
 		}
 		b.Where(e)
 	}
 	// Random grouping.
-	groupPool := []Field{FieldYear, FieldTool, FieldPort, FieldQualified,
-		FieldTwoPhase, FieldISN}
-	if withOrigins {
-		groupPool = append(groupPool, FieldType, FieldCountry)
-	}
 	nGroup := int(r.Uint32() % 3)
-	for i := 0; i < nGroup && i < len(groupPool); i++ {
-		f := groupPool[r.Uint32()%uint32(len(groupPool))]
-		dup := false
-		for _, g := range b.groupBy {
-			if g == f {
-				dup = true
-			}
-		}
-		if !dup {
+	for i := 0; i < nGroup; i++ {
+		if f := pick(can(capGroup)); !slices.Contains(b.groupBy, f) {
 			b.GroupBy(f)
 		}
 	}
 	// Aggregates: every operator, so each random archive exercises them all.
+	numeric := (*fieldDef).numeric
 	b.Count().
-		Sum(FieldPackets).
-		Sum(FieldRate).
-		Sum(FieldTwoPhase).
-		Sum(FieldHandshakePackets).
-		Sum(FieldPayloadBytes).
-		CountDistinct(FieldSrc).
-		ApproxDistinct(FieldSrc).
-		TopK(FieldISN, 4).
-		TopK(FieldPort, 8).
-		Quantiles(FieldRate, 0.5, 0.9, 0.99)
+		Sum(pick(numeric)).
+		Sum(pick(numeric)).
+		Sum(pick(numeric)).
+		CountDistinct(pick(can(capDistinct))).
+		ApproxDistinct(pick(can(capDistinct))).
+		TopK(pick(can(capTopK)), 4).
+		TopK(pick(can(capTopK)), 8).
+		Quantiles(pick(numeric), 0.5, 0.9, 0.99)
 	q, err := b.Build()
 	if err != nil {
 		panic(err) // generator bug, not an input property
@@ -134,7 +114,7 @@ func TestPropPushdownEqualsMaterialized(t *testing.T) {
 			data := writeArc(t, scans, origins, withOrigins)
 			rd := openArc(t, data)
 			for qi := 0; qi < 6; qi++ {
-				q := randQuery(r, withOrigins)
+				q := randQuery(r, scans, origins, withOrigins)
 				got, err := Run(context.Background(), q, ReaderSource{R: rd})
 				if err != nil {
 					t.Fatal(err)
@@ -168,7 +148,7 @@ func TestPropDegradedReads(t *testing.T) {
 
 			rd := openArc(t, data, archive.WithSkipCorrupt())
 			for qi := 0; qi < 4; qi++ {
-				q := randQuery(r, withOrigins)
+				q := randQuery(r, scans, origins, withOrigins)
 				got, err := Run(context.Background(), q, ReaderSource{R: rd})
 				if err != nil {
 					t.Fatal(err)
@@ -215,7 +195,7 @@ func TestPropAcrossCompaction(t *testing.T) {
 	r := rng.New(7)
 	queries := make([]*Query, 5)
 	for i := range queries {
-		queries[i] = randQuery(r, true)
+		queries[i] = randQuery(r, scans, origins, true)
 	}
 	runAll := func() []*Result {
 		v := cat.View()

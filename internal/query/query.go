@@ -151,7 +151,7 @@ func (q *Query) Validate() error {
 	}
 	seen := map[Field]bool{}
 	for _, f := range q.GroupBy {
-		if !f.groupable() {
+		if !f.can(capGroup) {
 			return errf("field %s is not groupable", f)
 		}
 		if seen[f] {
@@ -189,22 +189,22 @@ func (a *Agg) validate() error {
 			return errf("count takes no field")
 		}
 	case OpSum:
-		if !a.Field.numeric() {
+		if !a.Field.def().numeric() {
 			return errf("sum: field %s is not numeric", a.Field)
 		}
 	case OpCountDistinct, OpApproxDistinct:
-		if !a.Field.distinctable() {
+		if !a.Field.can(capDistinct) {
 			return errf("%s: field %s is not distinct-countable", a.Op, a.Field)
 		}
 	case OpTopK:
-		if !a.Field.topKable() {
+		if !a.Field.can(capTopK) {
 			return errf("top_k: field %s is not rankable", a.Field)
 		}
 		if a.K < 1 || a.K > maxTopK {
 			return errf("top_k: k=%d out of range [1, %d]", a.K, maxTopK)
 		}
 	case OpQuantile:
-		if !a.Field.numeric() {
+		if !a.Field.def().numeric() {
 			return errf("quantile: field %s is not numeric", a.Field)
 		}
 		if len(a.Qs) == 0 {
@@ -342,12 +342,12 @@ func (q *Query) Key() string {
 // origin queries against origin-less archives up front.
 func (q *Query) NeedsOrigin() bool {
 	for _, f := range q.GroupBy {
-		if f.needsOrigin() {
+		if f.def().needsOrigin() {
 			return true
 		}
 	}
 	for _, a := range q.Aggs {
-		if a.Field.needsOrigin() {
+		if a.Field.def().needsOrigin() {
 			return true
 		}
 	}
@@ -376,10 +376,10 @@ func (q *Query) Predicate() archive.Predicate {
 		p.fields = q.Where.reads()
 	}
 	for _, f := range q.GroupBy {
-		p.fields |= f.reads()
+		p.fields |= f.def().reads
 	}
 	for _, a := range q.Aggs {
-		p.fields |= a.Field.reads()
+		p.fields |= a.Field.def().reads
 	}
 	return p
 }

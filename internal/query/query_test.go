@@ -78,9 +78,14 @@ func genScans(n int, seed uint64) ([]*core.Scan, []enrich.Origin) {
 // something to prune).
 func writeArc(t testing.TB, scans []*core.Scan, origins []enrich.Origin, withOrigins bool) []byte {
 	t.Helper()
+	return writeArcBlocks(t, scans, origins, withOrigins, 4<<10)
+}
+
+func writeArcBlocks(t testing.TB, scans []*core.Scan, origins []enrich.Origin, withOrigins bool, blockBytes int) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w, err := archive.NewWriter(&buf, archive.WriterConfig{
-		TelescopeSize: 4096, Origins: withOrigins, BlockBytes: 4 << 10,
+		TelescopeSize: 4096, Origins: withOrigins, BlockBytes: blockBytes,
 	})
 	if err != nil {
 		t.Fatal(err)

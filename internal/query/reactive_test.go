@@ -7,45 +7,6 @@ import (
 	"github.com/synscan/synscan/internal/fingerprint"
 )
 
-// TestReactiveFieldRegistry: the reactive field names are first-class wire
-// names — they resolve through FieldByName, round-trip String(), and carry
-// the capabilities the two-phase analyses lean on. A rename or a dropped
-// capability breaks /v1/query clients, so this pins the contract.
-func TestReactiveFieldRegistry(t *testing.T) {
-	cases := []struct {
-		name                       string
-		field                      Field
-		groupable, numeric, intSum bool
-	}{
-		{"two_phase", FieldTwoPhase, true, true, true},
-		{"isn", FieldISN, true, false, false},
-		{"linked_dsts", FieldLinkedDsts, false, true, true},
-		{"handshake_packets", FieldHandshakePackets, false, true, true},
-		{"payload_bytes", FieldPayloadBytes, false, true, true},
-	}
-	for _, c := range cases {
-		f, ok := FieldByName(c.name)
-		if !ok {
-			t.Fatalf("FieldByName(%q) not found", c.name)
-		}
-		if f != c.field {
-			t.Fatalf("FieldByName(%q) = %v, want %v", c.name, f, c.field)
-		}
-		if f.String() != c.name {
-			t.Fatalf("%v.String() = %q, want %q", c.field, f.String(), c.name)
-		}
-		if f.groupable() != c.groupable || f.numeric() != c.numeric ||
-			f.integerValued() != c.intSum {
-			t.Fatalf("%q capabilities: groupable=%v numeric=%v integer=%v, want %v/%v/%v",
-				c.name, f.groupable(), f.numeric(), f.integerValued(),
-				c.groupable, c.numeric, c.intSum)
-		}
-	}
-	if !FieldISN.distinctable() || !FieldISN.topKable() {
-		t.Fatal("isn must be distinctable and top-k-able")
-	}
-}
-
 // TestReactiveQueryParity: a JSON request over the reactive fields — exactly
 // what POST /v1/query receives — parses, executes over an archive carrying
 // the phase extension, and agrees with a direct tally over the same scans.

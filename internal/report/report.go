@@ -120,14 +120,6 @@ func CDF(w io.Writer, name string, e *stats.ECDF) {
 	}
 }
 
-// Series renders (x, y) pairs one per line.
-func Series(w io.Writer, name string, xs, ys []float64) {
-	fmt.Fprintf(w, "%s:\n", name)
-	for i := range xs {
-		fmt.Fprintf(w, "  %12.4g %12.4g\n", xs[i], ys[i])
-	}
-}
-
 // PortLabel renders a port with its service name when one is well known
 // ("3389/rdp", plain "9222" otherwise).
 func PortLabel(port uint16) string {

@@ -92,11 +92,6 @@ func TestRenderCDFAndSeries(t *testing.T) {
 	if !strings.Contains(b.String(), "p50") {
 		t.Fatalf("CDF output:\n%s", b.String())
 	}
-	b.Reset()
-	Series(&b, "trend", []float64{1, 2}, []float64{10, 20})
-	if !strings.Contains(b.String(), "trend:") {
-		t.Fatal("Series output missing name")
-	}
 }
 
 func TestRenderFigures(t *testing.T) {

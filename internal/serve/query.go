@@ -8,9 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/synscan/synscan/internal/core"
-	"github.com/synscan/synscan/internal/enrich"
-	"github.com/synscan/synscan/internal/fingerprint"
 	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/tools"
@@ -41,9 +38,9 @@ func compileBody(_ *sources, r *http.Request) (*query.Query, renderFunc, error) 
 // renderScans is the select-mode wire form, shared by /v1/query and
 // /v1/scans: matched/returned/truncated and the scans themselves.
 func renderScans(res *query.Result, degraded bool) any {
-	scans := make([]scanJSON, 0, len(res.Scans))
+	scans := make([]query.WireScan, 0, len(res.Scans))
 	for _, rec := range res.Scans {
-		scans = append(scans, toScanJSON(rec.Scan, rec.Origin))
+		scans = append(scans, rec.Wire())
 	}
 	return map[string]any{
 		"matched":   res.Matched,
@@ -69,35 +66,6 @@ func renderRows(res *query.Result, degraded bool) any {
 	}
 }
 
-func toScanJSON(sc *core.Scan, o *enrich.Origin) scanJSON {
-	sj := scanJSON{
-		Src:          ipString(sc.Src),
-		StartNS:      sc.Start,
-		EndNS:        sc.End,
-		Packets:      sc.Packets,
-		DistinctDsts: sc.DistinctDsts,
-		Ports:        sc.Ports,
-		Tool:         sc.Tool.String(),
-		Qualified:    sc.Qualified,
-		RatePPS:      sc.RatePPS,
-		Coverage:     sc.Coverage,
-		TwoPhase:     sc.TwoPhase,
-		LinkedDsts:   sc.LinkedDsts,
-		HandshakePkt: sc.HandshakePackets,
-		PayloadBytes: sc.PayloadBytes,
-	}
-	if sc.ISN != fingerprint.ISNUnknown {
-		sj.ISN = sc.ISN.String()
-	}
-	if o != nil {
-		sj.Origin = &originJSON{
-			Country: o.Country, ASN: o.ASN,
-			Type: o.Type.String(), OrgName: o.OrgName,
-		}
-	}
-	return sj
-}
-
 // filterExpr compiles the legacy fixed URL parameters — year, tool, port
 // (each repeatable or comma-separated), src (CIDR), minrate/maxrate (pps),
 // qualified (bool) — into the query AST, so the deprecated parameter surface
@@ -119,11 +87,11 @@ func filterExpr(vals url.Values) (query.Expr, error) {
 	if vs := splitList(vals["tool"]); len(vs) > 0 {
 		ts := make([]tools.Tool, 0, len(vs))
 		for _, v := range vs {
-			t, ok := toolNames[strings.ToLower(v)]
+			t, ok := query.FieldTool.ValueByName(v)
 			if !ok {
-				return nil, badRequest("unknown tool %q (want one of %s)", v, strings.Join(knownToolNames(), ", "))
+				return nil, badRequest("unknown tool %q (want one of %s)", v, strings.Join(query.FieldTool.ValueNames(), ", "))
 			}
-			ts = append(ts, t)
+			ts = append(ts, tools.Tool(t))
 		}
 		conj = append(conj, query.ToolIn(ts...))
 	}

@@ -13,6 +13,7 @@ import (
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/inetmodel"
+	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/tools"
 )
 
@@ -93,10 +94,10 @@ func TestQueryEndpointSelect(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, postBody)
 	}
 	var got, want struct {
-		Matched   uint64     `json:"matched"`
-		Returned  int        `json:"returned"`
-		Truncated bool       `json:"truncated"`
-		Scans     []scanJSON `json:"scans"`
+		Matched   uint64           `json:"matched"`
+		Returned  int              `json:"returned"`
+		Truncated bool             `json:"truncated"`
+		Scans     []query.WireScan `json:"scans"`
 	}
 	if err := json.Unmarshal(postBody, &got); err != nil {
 		t.Fatal(err)

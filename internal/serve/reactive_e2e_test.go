@@ -14,6 +14,7 @@ import (
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/packet"
+	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/reactive"
 	"github.com/synscan/synscan/internal/telescope"
 	"github.com/synscan/synscan/internal/workload"
@@ -145,8 +146,8 @@ func TestReactiveEndToEnd(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	var sel struct {
-		Matched uint64     `json:"matched"`
-		Scans   []scanJSON `json:"scans"`
+		Matched uint64           `json:"matched"`
+		Scans   []query.WireScan `json:"scans"`
 	}
 	if err := json.Unmarshal(body, &sel); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
@@ -155,7 +156,7 @@ func TestReactiveEndToEnd(t *testing.T) {
 		t.Fatalf("query matched %d campaigns, detector linked %d", sel.Matched, twoPhase)
 	}
 	for _, sj := range sel.Scans {
-		if !sj.TwoPhase || sj.LinkedDsts == 0 || sj.HandshakePkt == 0 || sj.ISN == "" {
+		if !sj.TwoPhase || sj.LinkedDsts == 0 || sj.HandshakePackets == 0 || sj.ISN == "" {
 			t.Fatalf("served scan missing reactive attributes: %+v", sj)
 		}
 	}

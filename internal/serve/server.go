@@ -10,14 +10,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/query"
-	"github.com/synscan/synscan/internal/tools"
 )
 
 // Config collects the serving-side tunables; cmd/synserve maps one flag onto
@@ -488,10 +486,10 @@ func (s *Server) streamScans(w http.ResponseWriter, key string, res *query.Resul
 		if i > 0 {
 			tee.Write([]byte{','})
 		}
-		b, err := json.Marshal(toScanJSON(rec.Scan, rec.Origin))
+		b, err := json.Marshal(rec.Wire())
 		if err != nil {
 			// Mid-stream, the status is already written; truncating the body
-			// is the only honest failure mode (and Marshal of scanJSON
+			// is the only honest failure mode (and Marshal of a WireScan
 			// cannot actually fail).
 			return
 		}
@@ -568,25 +566,6 @@ func writeJSONError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// toolNames maps lower-cased display names back to Tool values for the
-// ?tool= parameter.
-var toolNames = func() map[string]tools.Tool {
-	m := map[string]tools.Tool{}
-	for _, t := range append([]tools.Tool{tools.ToolUnknown}, tools.Tools...) {
-		m[strings.ToLower(t.String())] = t
-	}
-	return m
-}()
-
-func knownToolNames() []string {
-	names := make([]string, 0, len(toolNames))
-	for n := range toolNames {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // splitList flattens repeated and comma-separated parameter values:
 // ?year=2020&year=2021,2022 yields [2020 2021 2022].
 func splitList(vals []string) []string {
@@ -599,36 +578,6 @@ func splitList(vals []string) []string {
 		}
 	}
 	return out
-}
-
-func ipString(ip uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
-}
-
-type originJSON struct {
-	Country string `json:"country"`
-	ASN     uint32 `json:"asn"`
-	Type    string `json:"type"`
-	OrgName string `json:"org,omitempty"`
-}
-
-type scanJSON struct {
-	Src          string      `json:"src"`
-	StartNS      int64       `json:"start_ns"`
-	EndNS        int64       `json:"end_ns"`
-	Packets      uint64      `json:"packets"`
-	DistinctDsts int         `json:"distinct_dsts"`
-	Ports        []uint16    `json:"ports"`
-	Tool         string      `json:"tool"`
-	Qualified    bool        `json:"qualified"`
-	RatePPS      float64     `json:"rate_pps"`
-	Coverage     float64     `json:"coverage"`
-	TwoPhase     bool        `json:"two_phase,omitempty"`
-	ISN          string      `json:"isn,omitempty"`
-	LinkedDsts   int         `json:"linked_dsts,omitempty"`
-	HandshakePkt uint64      `json:"handshake_packets,omitempty"`
-	PayloadBytes uint64      `json:"payload_bytes,omitempty"`
-	Origin       *originJSON `json:"origin,omitempty"`
 }
 
 type portRow struct {

@@ -20,6 +20,7 @@ import (
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/obs"
+	"github.com/synscan/synscan/internal/query"
 	"github.com/synscan/synscan/internal/tools"
 )
 
@@ -118,10 +119,10 @@ func TestScansEndpoint(t *testing.T) {
 	ts, _, n := testServer(t, true)
 
 	var res struct {
-		Matched   uint64     `json:"matched"`
-		Returned  int        `json:"returned"`
-		Truncated bool       `json:"truncated"`
-		Scans     []scanJSON `json:"scans"`
+		Matched   uint64           `json:"matched"`
+		Returned  int              `json:"returned"`
+		Truncated bool             `json:"truncated"`
+		Scans     []query.WireScan `json:"scans"`
 	}
 	getJSON(t, ts.URL+"/v1/scans?limit=50", &res)
 	if res.Matched != uint64(n) {

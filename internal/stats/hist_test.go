@@ -2,78 +2,11 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 )
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Under != 1 {
-		t.Fatalf("Under = %d", h.Under)
-	}
-	if h.Over != 2 {
-		t.Fatalf("Over = %d", h.Over)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	// 0,1.9 in bin0; 2 in bin1; 5 in bin2; 9.99 in bin4.
-	want := []uint64{2, 1, 1, 0, 1}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Fatalf("Counts = %v, want %v", h.Counts, want)
-		}
-	}
-	if bc := h.BinCenter(0); !almost(bc, 1, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v", bc)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero bins")
-		}
-	}()
-	NewHistogram(0, 1, 0)
-}
-
-func TestLogHistogram(t *testing.T) {
-	l := NewLogHistogram(0, 3, 1) // [1,10), [10,100), [100,1000)
-	for _, x := range []float64{0, -5, 0.5, 1, 9, 10, 99, 500, 1e9} {
-		l.Add(x)
-	}
-	if l.Under != 3 { // 0, -5, 0.5
-		t.Fatalf("Under = %d", l.Under)
-	}
-	if l.Counts[0] != 2 || l.Counts[1] != 2 || l.Counts[2] != 2 {
-		t.Fatalf("Counts = %v", l.Counts)
-	}
-	if l.Total() != 9 {
-		t.Fatalf("Total = %d", l.Total())
-	}
-	if lo := l.BinLower(1); !almost(lo, 10, 1e-9) {
-		t.Fatalf("BinLower(1) = %v", lo)
-	}
-}
-
-func TestLogHistogramPerDecade(t *testing.T) {
-	l := NewLogHistogram(0, 1, 2) // [1, sqrt10), [sqrt10, 10)
-	l.Add(2)
-	l.Add(5)
-	if l.Counts[0] != 1 || l.Counts[1] != 1 {
-		t.Fatalf("Counts = %v", l.Counts)
-	}
-	if lo := l.BinLower(1); !almost(lo, math.Sqrt(10), 1e-9) {
-		t.Fatalf("BinLower(1) = %v", lo)
-	}
-}
 
 func TestCounter(t *testing.T) {
 	c := NewCounter[uint16]()
@@ -187,30 +120,6 @@ func TestCounterTopKSelection(t *testing.T) {
 				t.Fatalf("trial %d k=%d:\n got %v\nwant %v", trial, k, got, want)
 			}
 		}
-	}
-}
-
-func TestWelford(t *testing.T) {
-	var w Welford
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Fatalf("N = %d", w.N())
-	}
-	if !almost(w.Mean(), Mean(xs), 1e-12) {
-		t.Fatalf("Mean = %v", w.Mean())
-	}
-	if !almost(w.Variance(), Variance(xs), 1e-9) {
-		t.Fatalf("Variance = %v want %v", w.Variance(), Variance(xs))
-	}
-	if !almost(w.StdDev(), math.Sqrt(Variance(xs)), 1e-9) {
-		t.Fatalf("StdDev = %v", w.StdDev())
-	}
-	var empty Welford
-	if empty.Variance() != 0 || empty.Mean() != 0 {
-		t.Fatal("empty Welford")
 	}
 }
 

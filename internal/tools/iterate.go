@@ -1,65 +1,9 @@
 package tools
 
 import (
-	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/packet"
 	"github.com/synscan/synscan/internal/rng"
 )
-
-// This file drives exhaustive scans of a target prefix the way each tool
-// family walks its target space:
-//
-//   - ZMap and Masscan permute the (address, port) space with O(1) state —
-//     modeled with the package rng permutations they actually use.
-//   - NMap walks addresses sequentially, probing all ports per host; Lee et
-//     al. found 91% of port scanners probe addresses sequentially, and the
-//     custom scanner follows that behavior too.
-//   - Mirai picks targets at random with replacement (its PRNG does not
-//     deduplicate), so coverage is probabilistic.
-//
-// Exhaustive iteration is used by the examples, the small-space tests, and
-// cmd/syntelescope; the year-scale workload generator short-circuits to
-// telescope-hitting probes only (see internal/workload).
-
-// ScanPrefix emits one probe per target of an exhaustive scan of
-// prefix × ports, in the tool's characteristic order. The emit callback
-// receives probes with Time zero; pacing is the caller's concern. For Mirai
-// the number of emitted probes equals the target count but targets repeat.
-func ScanPrefix(pr Prober, prefix inetmodel.Prefix, ports []uint16, r *rng.Rand, emit func(packet.Probe)) {
-	if len(ports) == 0 {
-		return
-	}
-	size := prefix.Size()
-	total := size * uint64(len(ports))
-	switch pr.Tool() {
-	case ToolZMap, ToolMasscan, ToolUnicorn:
-		perm := rng.NewFeistelPerm(total, r)
-		for i := uint64(0); i < total; i++ {
-			x := perm.Apply(i)
-			addr := prefix.Nth(x / uint64(len(ports)))
-			port := ports[x%uint64(len(ports))]
-			emit(pr.Probe(addr, port))
-		}
-	case ToolMirai:
-		state := r.Uint32() | 1
-		for i := uint64(0); i < total; i++ {
-			// xorshift32, as in the Mirai source's rand_next.
-			state ^= state << 13
-			state ^= state >> 17
-			state ^= state << 5
-			addr := prefix.Nth(uint64(state) % size)
-			port := ports[int(state)%len(ports)]
-			emit(pr.Probe(addr, port))
-		}
-	default: // NMap, Custom: sequential sweep, all ports per host.
-		for i := uint64(0); i < size; i++ {
-			addr := prefix.Nth(i)
-			for _, port := range ports {
-				emit(pr.Probe(addr, port))
-			}
-		}
-	}
-}
 
 // ScanIPv4Sharded walks the full IPv4 space with ZMap's cyclic-group
 // permutation, restricted to one shard of a distributed scan, emitting at

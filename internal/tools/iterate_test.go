@@ -3,102 +3,9 @@ package tools
 import (
 	"testing"
 
-	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/packet"
 	"github.com/synscan/synscan/internal/rng"
 )
-
-func TestScanPrefixExhaustiveRandomized(t *testing.T) {
-	// ZMap/Masscan/Unicorn must cover every (addr, port) pair exactly once.
-	prefix := inetmodel.MustPrefix("10.1.0.0/24")
-	ports := []uint16{80, 443, 22}
-	for _, tool := range []Tool{ToolZMap, ToolMasscan, ToolUnicorn} {
-		r := rng.New(1).Derive(tool.String())
-		pr := NewProber(tool, 42, r.Derive("prober"))
-		seen := make(map[uint64]bool)
-		n := 0
-		ScanPrefix(pr, prefix, ports, r.Derive("iter"), func(p packet.Probe) {
-			key := uint64(p.Dst)<<16 | uint64(p.DstPort)
-			if seen[key] {
-				t.Fatalf("%v: duplicate target %s:%d", tool, packet.FormatIPv4(p.Dst), p.DstPort)
-			}
-			if !prefix.Contains(p.Dst) {
-				t.Fatalf("%v: probe outside prefix", tool)
-			}
-			seen[key] = true
-			n++
-		})
-		if want := 256 * len(ports); n != want {
-			t.Fatalf("%v: %d probes, want %d", tool, n, want)
-		}
-	}
-}
-
-func TestScanPrefixSequential(t *testing.T) {
-	prefix := inetmodel.MustPrefix("10.2.0.0/28")
-	ports := []uint16{22, 80}
-	for _, tool := range []Tool{ToolNMap, ToolCustom} {
-		r := rng.New(2).Derive(tool.String())
-		pr := NewProber(tool, 42, r.Derive("prober"))
-		var order []uint32
-		ScanPrefix(pr, prefix, ports, r.Derive("iter"), func(p packet.Probe) {
-			order = append(order, p.Dst)
-		})
-		if len(order) != 32 {
-			t.Fatalf("%v: %d probes", tool, len(order))
-		}
-		// Addresses must be non-decreasing (sequential sweep).
-		for i := 1; i < len(order); i++ {
-			if order[i] < order[i-1] {
-				t.Fatalf("%v: sweep not sequential at %d", tool, i)
-			}
-		}
-	}
-}
-
-func TestScanPrefixMirai(t *testing.T) {
-	prefix := inetmodel.MustPrefix("10.3.0.0/26") // 64 addresses
-	ports := []uint16{23, 2323}
-	r := rng.New(3)
-	pr := NewMirai(42, r.Derive("prober"))
-	hits := make(map[uint32]int)
-	n := 0
-	ScanPrefix(pr, prefix, ports, r.Derive("iter"), func(p packet.Probe) {
-		if !prefix.Contains(p.Dst) {
-			t.Fatal("probe outside prefix")
-		}
-		if p.DstPort != 23 && p.DstPort != 2323 {
-			t.Fatalf("unexpected port %d", p.DstPort)
-		}
-		hits[p.Dst]++
-		n++
-	})
-	if n != 128 {
-		t.Fatalf("%d probes, want 128 (with replacement)", n)
-	}
-	// Random-with-replacement: most addresses touched, some repeated.
-	if len(hits) < 40 {
-		t.Fatalf("only %d/64 addresses hit", len(hits))
-	}
-	repeats := 0
-	for _, c := range hits {
-		if c > 1 {
-			repeats++
-		}
-	}
-	if repeats == 0 {
-		t.Fatal("with-replacement sampling should repeat some targets")
-	}
-}
-
-func TestScanPrefixEmptyPorts(t *testing.T) {
-	called := false
-	ScanPrefix(NewZMap(1, rng.New(1)), inetmodel.MustPrefix("10.0.0.0/30"), nil,
-		rng.New(1), func(packet.Probe) { called = true })
-	if called {
-		t.Fatal("no ports means no probes")
-	}
-}
 
 func TestScanIPv4Sharded(t *testing.T) {
 	r := rng.New(4)
@@ -122,17 +29,4 @@ func TestScanIPv4Sharded(t *testing.T) {
 	if len(seen) != shards*limit {
 		t.Fatalf("%d distinct targets, want %d", len(seen), shards*limit)
 	}
-}
-
-func BenchmarkScanPrefixZMap(b *testing.B) {
-	prefix := inetmodel.MustPrefix("10.0.0.0/24")
-	ports := []uint16{80}
-	r := rng.New(1)
-	pr := NewZMap(1, r.Derive("p"))
-	b.ResetTimer()
-	count := 0
-	for i := 0; i < b.N; i++ {
-		ScanPrefix(pr, prefix, ports, rng.New(uint64(i)), func(packet.Probe) { count++ })
-	}
-	_ = count
 }

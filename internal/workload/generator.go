@@ -3,7 +3,6 @@ package workload
 import (
 	"container/heap"
 	"math"
-	"sort"
 	"time"
 
 	"github.com/synscan/synscan/internal/inetmodel"
@@ -1012,12 +1011,4 @@ func (s *Scenario) Run(emit func(*packet.Probe)) Summary {
 		heap.Fix(&h, 0)
 	}
 	return sum
-}
-
-// SortedPorts is a small helper for tests: the distinct ports of a spec list
-// (exported for white-box assertions in the workload tests).
-func sortedPorts(ports []uint16) []uint16 {
-	c := append([]uint16{}, ports...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	return c
 }

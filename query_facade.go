@@ -44,24 +44,30 @@ type (
 	QuerySource = query.Source
 )
 
-// Queryable fields (see the query package for the full capability matrix).
+// Queryable fields: one constant per row of the query package's field table
+// (DESIGN.md "Query engine" carries the capability matrix).
 const (
-	FieldYear      = query.FieldYear
-	FieldTool      = query.FieldTool
-	FieldPort      = query.FieldPort
-	FieldQualified = query.FieldQualified
-	FieldSrc       = query.FieldSrc
-	FieldTime      = query.FieldTime
-	FieldRate      = query.FieldRate
-	FieldPackets   = query.FieldPackets
-	FieldDsts      = query.FieldDsts
-	FieldNPorts    = query.FieldNPorts
-	FieldDuration  = query.FieldDuration
-	FieldCoverage  = query.FieldCoverage
-	FieldCountry   = query.FieldCountry
-	FieldASN       = query.FieldASN
-	FieldType      = query.FieldType
-	FieldOrg       = query.FieldOrg
+	FieldYear             = query.FieldYear
+	FieldTool             = query.FieldTool
+	FieldPort             = query.FieldPort
+	FieldQualified        = query.FieldQualified
+	FieldSrc              = query.FieldSrc
+	FieldTime             = query.FieldTime
+	FieldRate             = query.FieldRate
+	FieldPackets          = query.FieldPackets
+	FieldDsts             = query.FieldDsts
+	FieldNPorts           = query.FieldNPorts
+	FieldDuration         = query.FieldDuration
+	FieldCoverage         = query.FieldCoverage
+	FieldCountry          = query.FieldCountry
+	FieldASN              = query.FieldASN
+	FieldType             = query.FieldType
+	FieldOrg              = query.FieldOrg
+	FieldTwoPhase         = query.FieldTwoPhase
+	FieldISN              = query.FieldISN
+	FieldLinkedDsts       = query.FieldLinkedDsts
+	FieldHandshakePackets = query.FieldHandshakePackets
+	FieldPayloadBytes     = query.FieldPayloadBytes
 )
 
 // NewQuery starts a fluent query builder (matches everything, selects scans
@@ -115,11 +121,13 @@ var (
 	QueryToolIn      = query.ToolIn
 	QueryPortAny     = query.PortAny
 	QueryQualified   = query.Qualified
+	QueryTwoPhaseIs  = query.TwoPhaseIs
 	QueryRateBetween = query.RateBetween
 	QueryTimeBetween = query.TimeBetween
 	QuerySrcIn       = query.SrcIn
 	QueryASNIn       = query.ASNIn
 	QueryTypeIn      = query.TypeIn
+	QueryISNIn       = query.ISNIn
 	QueryCountryIn   = query.CountryIn
 	QueryOrgIn       = query.OrgIn
 )

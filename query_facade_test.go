@@ -4,6 +4,8 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
+
+	"github.com/synscan/synscan/internal/query"
 )
 
 // TestFacadeQueryBuilder: the re-exported fluent builder runs one query
@@ -103,5 +105,27 @@ func TestFacadeQueryBuilder(t *testing.T) {
 	}
 	if _, err := ParseQuery([]byte(`{"group_by":["nope"]}`)); !IsQueryClientError(err) {
 		t.Fatalf("bad field should be a client error, got %v", err)
+	}
+}
+
+// TestFacadeExportsEveryField walks the query package's field table and fails
+// when a row has no constant here: a field a library user cannot name cannot
+// be grouped, summed or ranked from the facade at all.
+func TestFacadeExportsEveryField(t *testing.T) {
+	exported := map[QueryField]bool{
+		FieldYear: true, FieldTool: true, FieldPort: true, FieldQualified: true,
+		FieldSrc: true, FieldTime: true, FieldRate: true, FieldPackets: true,
+		FieldDsts: true, FieldNPorts: true, FieldDuration: true, FieldCoverage: true,
+		FieldCountry: true, FieldASN: true, FieldType: true, FieldOrg: true,
+		FieldTwoPhase: true, FieldISN: true, FieldLinkedDsts: true,
+		FieldHandshakePackets: true, FieldPayloadBytes: true,
+	}
+	for _, f := range query.Fields() {
+		if !exported[f] {
+			t.Errorf("field %q has no constant in query_facade.go (add it there and to this list)", f)
+		}
+	}
+	if len(exported) != len(query.Fields()) {
+		t.Errorf("facade names %d fields, the table has %d", len(exported), len(query.Fields()))
 	}
 }
