@@ -6,11 +6,11 @@ import "testing"
 // hot-path benchmarks through testing.Benchmark and fails the build if their
 // steady-state allocations regress. The per-package internal/alloctest
 // budgets enforce the same contracts at finer grain with explicit warmup;
-// this gate proves them end to end, through the same entry points the
-// commands use, at benchmark iteration counts where one-time warmup (flow
-// creation, pool fills) amortizes to zero.
+// this gate proves them at benchmark iteration counts where one-time warmup
+// (flow creation, pool fills) amortizes to zero.
 //
-// Budgets: frame decode and the detector's batch absorb are allocation-free;
+// Budgets: frame decode and the detector's per-probe absorb (Detector.Ingest,
+// what every command and every shard worker runs) are allocation-free;
 // the pooled archive block read allows 2 allocs/op of sync.Pool-miss
 // headroom (see internal/archive's TestAllocBudgetBlockRead).
 func TestBenchAllocGate(t *testing.T) {
@@ -23,7 +23,7 @@ func TestBenchAllocGate(t *testing.T) {
 		max   int64
 	}{
 		{"frame-decode", BenchmarkDecodeFrame, 0},
-		{"detector-ingest-batch", BenchmarkDetectorIngestBatch, 0},
+		{"detector-ingest", BenchmarkDetectorIngest, 0},
 		{"archive-raw-block", BenchmarkArchiveRawBlock, 2},
 	}
 	for _, g := range gates {

@@ -7,6 +7,7 @@ package analysis
 import (
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
+	"github.com/synscan/synscan/internal/fingerprint"
 	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/packet"
@@ -218,11 +219,11 @@ func (yd *YearData) accept(s *workload.Scenario, p *packet.Probe, srcPort, weekS
 	// plots).
 	tl := tools.ToolUnknown
 	switch {
-	case p.IPID == tools.ZMapIPID:
+	case fingerprint.IsZMap(p):
 		tl = tools.ToolZMap
-	case p.Seq == p.Dst:
+	case fingerprint.IsMirai(p):
 		tl = tools.ToolMirai
-	case p.IPID == uint16(p.Dst^uint32(p.DstPort)^p.Seq):
+	case fingerprint.IsMasscan(p):
 		tl = tools.ToolMasscan
 	}
 	yd.PacketsPerToolPort.Inc(ToolPort{tl, p.DstPort})

@@ -11,11 +11,10 @@ import (
 	"github.com/synscan/synscan/internal/tools"
 )
 
-// makeRunStream builds a same-source-run-heavy stream: the shape the sharded
-// router's per-source batches have, and the shape IngestBatch's fast path is
-// built for. Occasional multi-hour gaps force mid-stream expiries so the
-// slow-path fallback is exercised too, and a slice of handshake segments
-// exercises the non-phase-1 absorb loop.
+// makeRunStream builds a same-source-run-heavy stream: each source sends a
+// burst of consecutive probes, every eleventh a phase-two handshake segment
+// with a payload, and occasional multi-hour gaps expire everything resident
+// in the middle of the stream.
 func makeRunStream(runs, runLen int, seed uint64) []packet.Probe {
 	r := rng.New(seed)
 	var stream []packet.Probe
@@ -55,7 +54,8 @@ func mutateStream(stream []packet.Probe, cfg faultinject.StreamConfig) []packet.
 	return out
 }
 
-// batchCorpora is the stream set the IngestBatch differential tests run over.
+// batchCorpora is the stream set the differential tests (sequential vs naive,
+// sharded per-probe vs sharded batch vs sequential) run over.
 func batchCorpora() map[string][]packet.Probe {
 	mixed := makeMixedStream(12000, 400, 7)
 	return map[string][]packet.Probe{
@@ -63,44 +63,6 @@ func batchCorpora() map[string][]packet.Probe {
 		"runs":      makeRunStream(300, 40, 3),
 		"reordered": mutateStream(mixed, faultinject.StreamConfig{Seed: 5, ReorderRate: 0.1, SkewRate: 0.1, MaxSkew: int64(time.Second)}),
 		"damaged":   mutateStream(makeRunStream(200, 30, 9), faultinject.StreamConfig{Seed: 8, DropRate: 0.05, DupRate: 0.05, ReorderRate: 0.05}),
-	}
-}
-
-// TestIngestBatchMatchesSequential is the detector half of the differential
-// suite: feeding any chunking of a stream through IngestBatch must leave the
-// detector in the same state as the per-probe loop — same scans in the same
-// emit order, same counters — because the fast path is only taken when it is
-// provably equivalent.
-func TestIngestBatchMatchesSequential(t *testing.T) {
-	cfg := Config{TelescopeSize: testTelescopeSize}
-	for name, stream := range batchCorpora() {
-		seq, seqCounts := runSequential(t, cfg, stream)
-		for _, chunk := range []int{1, 7, 64, 512, len(stream)} {
-			var scans []*Scan
-			d := NewDetector(cfg, func(s *Scan) { scans = append(scans, s) })
-			for off := 0; off < len(stream); off += chunk {
-				end := off + chunk
-				if end > len(stream) {
-					end = len(stream)
-				}
-				d.IngestBatch(stream[off:end])
-			}
-			d.FlushAll()
-			if len(scans) != len(seq) {
-				t.Fatalf("%s chunk=%d: %d scans, sequential %d", name, chunk, len(scans), len(seq))
-			}
-			for i := range seq {
-				if !reflect.DeepEqual(*seq[i], *scans[i]) {
-					t.Fatalf("%s chunk=%d: scan %d differs:\n seq:   %+v\n batch: %+v",
-						name, chunk, i, *seq[i], *scans[i])
-				}
-			}
-			var c [3]uint64
-			c[0], c[1], c[2] = d.Counts()
-			if c != seqCounts {
-				t.Fatalf("%s chunk=%d: counts %v, sequential %v", name, chunk, c, seqCounts)
-			}
-		}
 	}
 }
 

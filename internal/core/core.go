@@ -60,6 +60,25 @@ type Config struct {
 	MinLinkedDsts int
 }
 
+// withDefaults returns cfg with the paper's §3.4 thresholds in every zero
+// field. TelescopeSize has no default: a detector without one is a bug in
+// the caller, so it panics. Every detector constructor goes through here.
+func (cfg Config) withDefaults() Config {
+	if cfg.TelescopeSize <= 0 {
+		panic("core: Config.TelescopeSize must be positive")
+	}
+	if cfg.MinDistinctDsts == 0 {
+		cfg.MinDistinctDsts = DefaultMinDistinctDsts
+	}
+	if cfg.MinRatePPS == 0 {
+		cfg.MinRatePPS = DefaultMinRatePPS
+	}
+	if cfg.Expiry == 0 {
+		cfg.Expiry = DefaultExpiry
+	}
+	return cfg
+}
+
 // ReferenceTelescopeSize is the monitored-address count the paper's §3.4
 // thresholds were calibrated against (the /18 + /22 + /24 telescope).
 const ReferenceTelescopeSize = 71536
@@ -237,10 +256,10 @@ func finalize(cfg *Config, f *flow) *Scan {
 type Ingester interface {
 	// Ingest processes one accepted probe.
 	Ingest(*packet.Probe)
-	// IngestBatch processes a time-ordered slice of accepted probes,
-	// equivalent to calling Ingest on each in order. The slice and its
-	// probes belong to the caller again when IngestBatch returns; nothing
-	// in the detector retains a reference into it.
+	// IngestBatch is a loop over Ingest (the sharded router runs it under
+	// one lock acquisition). The slice and its probes belong to the caller
+	// again when IngestBatch returns; nothing in the detector retains a
+	// reference into it.
 	IngestBatch([]packet.Probe)
 	// FlushAll closes all remaining flows at end of capture.
 	FlushAll()
@@ -326,20 +345,8 @@ func (d *Detector) recycle(f *flow) {
 // newSequentialDetector is the concrete sequential constructor behind
 // NewDetector; met may be nil (metrics disabled).
 func newSequentialDetector(cfg Config, emit func(*Scan), met *detMetrics) *Detector {
-	if cfg.TelescopeSize <= 0 {
-		panic("core: Config.TelescopeSize must be positive")
-	}
-	if cfg.MinDistinctDsts == 0 {
-		cfg.MinDistinctDsts = DefaultMinDistinctDsts
-	}
-	if cfg.MinRatePPS == 0 {
-		cfg.MinRatePPS = DefaultMinRatePPS
-	}
-	if cfg.Expiry == 0 {
-		cfg.Expiry = DefaultExpiry
-	}
 	return &Detector{
-		cfg:   cfg,
+		cfg:   cfg.withDefaults(),
 		flows: make(map[uint32]*flow),
 		emit:  emit,
 		met:   met,
@@ -368,9 +375,9 @@ func (d *Detector) Ingest(p *packet.Probe) {
 		d.lruUnlink(f)
 	}
 	// Clamp: a slightly reordered probe must not move the flow's end
-	// backwards — Duration()/RatePPS would corrupt and the LRU's
-	// monotonic-end ordering that expireBefore's early exit relies on
-	// would break.
+	// backwards, or Duration()/RatePPS would corrupt. The clamp does not
+	// order the LRU list — a late probe's flow can still end before the
+	// tail does — so lruAppend places the flow by its end.
 	if p.Time > f.end {
 		f.end = p.Time
 	} else if d.met != nil && p.Time < f.end {
@@ -383,101 +390,18 @@ func (d *Detector) Ingest(p *packet.Probe) {
 	d.lruAppend(f)
 }
 
-// IngestBatch processes a time-ordered slice of probes, equivalent to calling
-// Ingest on each in order. Runs of consecutive probes from one source — the
-// shape the sharded router's per-source batching produces — take a fast path
-// that performs the expiry sweep, flow lookup and LRU relink once per run
-// instead of once per probe and folds the run's fingerprints in through
-// fingerprint.Votes.AddBatch, so the steady-state absorb allocates nothing.
+// IngestBatch is a loop over Ingest. There is no batch fast path: a passive
+// telescope sees a source's probes interleaved with every other source's
+// (mean same-source run 1.0006 probes on a simulated 2022 capture), and where
+// runs do occur, behind the responder, absorbing them as runs measured no
+// faster — DESIGN.md "Hot path" has both measurements.
 // The slice and its probes belong to the caller again when IngestBatch
 // returns; nothing in the detector retains a reference into it (the pair
 // cache drops payload headers, see Votes.setPrev).
 func (d *Detector) IngestBatch(ps []packet.Probe) {
-	for len(ps) > 0 {
-		src := ps[0].Src
-		n := 1
-		for n < len(ps) && ps[n].Src == src {
-			n++
-		}
-		d.ingestRun(ps[:n])
-		ps = ps[n:]
+	for i := range ps {
+		d.Ingest(&ps[i])
 	}
-}
-
-// ingestRun absorbs one same-source run. The fast path is taken only when it
-// is provably equivalent to the per-probe loop: with now' the clock after the
-// whole run and cutoff' = now' − Expiry, no resident flow may expire during
-// the run (d.head.end ≥ cutoff', since per-probe cutoffs only approach
-// cutoff' from below and ends only grow) and a freshly created flow must not
-// expire between its own probes (first probe time ≥ cutoff' — otherwise the
-// sequential detector would split the run into several flows). Anything else
-// replays per probe.
-func (d *Detector) ingestRun(run []packet.Probe) {
-	now := d.now
-	for i := range run {
-		if run[i].Time > now {
-			now = run[i].Time
-		}
-	}
-	cutoff := now - d.cfg.Expiry
-	f := d.flows[run[0].Src]
-	if (d.head != nil && d.head.end < cutoff) || (f == nil && run[0].Time < cutoff) {
-		for i := range run {
-			d.Ingest(&run[i])
-		}
-		return
-	}
-	d.now = now
-	if f == nil {
-		f = d.newFlow(run[0].Src, run[0].Time)
-		d.flows[f.src] = f
-		d.opened++
-		if d.met != nil {
-			d.met.opened.Inc()
-			d.met.active.Add(1)
-		}
-	} else {
-		d.lruUnlink(f)
-	}
-	phase1 := true
-	for i := range run {
-		p := &run[i]
-		if p.Time > f.end {
-			f.end = p.Time
-		} else if d.met != nil && p.Time < f.end {
-			d.met.endClamp.Inc()
-		}
-		if p.IsTCP() && p.Flags&packet.FlagSYN == 0 {
-			phase1 = false
-		}
-	}
-	if d.met != nil {
-		d.met.packets.Add(uint64(len(run)))
-	}
-	if phase1 {
-		// All probes route to the scout phase: do the per-destination and
-		// port bookkeeping here and hand the fingerprinting to the batched
-		// tally (equivalent to per-probe Votes.Add, proven by the
-		// differential tests).
-		f.packets += uint64(len(run))
-		for i := range run {
-			p := &run[i]
-			if old := f.dsts[p.Dst]; old&dstScout == 0 {
-				set := old | dstScout
-				f.dsts[p.Dst] = set
-				if set == dstLinked {
-					f.linked++
-				}
-			}
-			f.ports[p.DstPort] = struct{}{}
-		}
-		f.votes.AddBatch(run)
-	} else {
-		for i := range run {
-			f.absorb(&run[i])
-		}
-	}
-	d.lruAppend(f)
 }
 
 // AdvanceTime advances the detector's clock to t (if later than any time
@@ -543,15 +467,27 @@ func (d *Detector) Counts() (opened, closed, qualified uint64) {
 	return d.opened, d.closed, d.qualified
 }
 
+// lruAppend links f where end stays non-decreasing from head to tail, the
+// order expireBefore's early exit depends on. On time-ordered input f holds
+// the newest end and lands at the tail in zero steps; a flow opened or
+// touched by a late probe walks back past the flows active since its end, so
+// it cannot hide behind younger flows when the clock passes it.
 func (d *Detector) lruAppend(f *flow) {
-	f.prev = d.tail
-	f.next = nil
-	if d.tail != nil {
-		d.tail.next = f
-	} else {
-		d.head = f
+	at := d.tail
+	for at != nil && at.end > f.end {
+		at = at.prev
 	}
-	d.tail = f
+	f.prev = at
+	if at != nil {
+		f.next, at.next = at.next, f
+	} else {
+		f.next, d.head = d.head, f
+	}
+	if f.next != nil {
+		f.next.prev = f
+	} else {
+		d.tail = f
+	}
 }
 
 func (d *Detector) lruUnlink(f *flow) {

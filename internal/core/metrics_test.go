@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -177,8 +178,8 @@ func TestNewDetectorOptionEquivalence(t *testing.T) {
 			len(viaOptions), len(viaWrapper), len(sequential))
 	}
 	for i := range viaOptions {
-		if scanKey(viaOptions[i]) != scanKey(viaWrapper[i]) ||
-			scanKey(viaOptions[i]) != scanKey(sequential[i]) {
+		if !reflect.DeepEqual(*viaOptions[i], *viaWrapper[i]) ||
+			!reflect.DeepEqual(*viaOptions[i], *sequential[i]) {
 			t.Fatalf("scan %d diverges across constructors", i)
 		}
 	}

@@ -25,19 +25,7 @@ type NaiveDetector struct {
 
 // NewNaiveDetector mirrors NewDetector for the sweep-based variant.
 func NewNaiveDetector(cfg Config, emit func(*Scan)) *NaiveDetector {
-	if cfg.TelescopeSize <= 0 {
-		panic("core: Config.TelescopeSize must be positive")
-	}
-	if cfg.MinDistinctDsts == 0 {
-		cfg.MinDistinctDsts = DefaultMinDistinctDsts
-	}
-	if cfg.MinRatePPS == 0 {
-		cfg.MinRatePPS = DefaultMinRatePPS
-	}
-	if cfg.Expiry == 0 {
-		cfg.Expiry = DefaultExpiry
-	}
-	return &NaiveDetector{cfg: cfg, flows: make(map[uint32]*flow), emit: emit}
+	return &NaiveDetector{cfg: cfg.withDefaults(), flows: make(map[uint32]*flow), emit: emit}
 }
 
 // Ingest processes one probe, sweeping the whole table for expired flows.
@@ -79,8 +67,7 @@ func (d *NaiveDetector) Ingest(p *packet.Probe) {
 	f.absorb(p)
 }
 
-// IngestBatch processes a slice of probes one by one; the naive baseline has
-// no batched fast path (the sweep dominates regardless).
+// IngestBatch is a loop over Ingest, as in Detector.
 func (d *NaiveDetector) IngestBatch(ps []packet.Probe) {
 	for i := range ps {
 		d.Ingest(&ps[i])

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,21 +10,9 @@ import (
 	"github.com/synscan/synscan/internal/tools"
 )
 
-// scanKey canonicalizes a Scan for cross-detector comparison.
-func scanKey(s *Scan) string {
-	return fmt.Sprintf("%d/%d/%d/%d/%d/%v/%v/%v",
-		s.Src, s.Start, s.End, s.Packets, s.DistinctDsts, s.Ports, s.Tool, s.Qualified)
-}
-
-// TestNaiveDetectorEquivalence drives both detector implementations with an
-// identical multi-source stream (including expiry-inducing gaps) and
-// requires identical closed-flow sets.
-func TestNaiveDetectorEquivalence(t *testing.T) {
-	cfg := Config{TelescopeSize: 65536}
-	var a, b []*Scan
-	lru := NewDetector(cfg, func(s *Scan) { a = append(a, s) })
-	naive := NewNaiveDetector(cfg, func(s *Scan) { b = append(b, s) })
-
+// orderedSYNStream is sixteen sources of every tool probing in strict time
+// order, with jumps past the expiry window to force closures.
+func orderedSYNStream() []packet.Probe {
 	r := rng.New(5)
 	probers := make([]tools.Prober, 16)
 	for i := range probers {
@@ -38,35 +25,50 @@ func TestNaiveDetectorEquivalence(t *testing.T) {
 		src := i % len(probers)
 		p := probers[src].Probe(uint32(0xC0000000|i), uint16(80+i%3))
 		tm += int64(r.Intn(50)) * int64(time.Millisecond)
-		// Occasionally jump past the expiry window to force closures.
 		if i%977 == 0 && i > 0 {
 			tm += 2 * int64(time.Hour)
 		}
 		p.Time = tm
 		stream = append(stream, p)
 	}
-	for i := range stream {
-		lru.Ingest(&stream[i])
-		naive.Ingest(&stream[i])
-	}
-	lru.FlushAll()
-	naive.FlushAll()
+	return stream
+}
 
-	if len(a) != len(b) {
-		t.Fatalf("closed-flow counts differ: lru=%d naive=%d", len(a), len(b))
-	}
-	ka := make([]string, len(a))
-	kb := make([]string, len(b))
-	for i := range a {
-		ka[i] = scanKey(a[i])
-		kb[i] = scanKey(b[i])
-	}
-	sort.Strings(ka)
-	sort.Strings(kb)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			t.Fatalf("scan %d differs:\n lru:   %s\n naive: %s", i, ka[i], kb[i])
-		}
+// TestNaiveDetectorEquivalence holds the LRU detector to the sweep-based
+// oracle on whole scans: every field of every closed flow, and the counters,
+// over an ordered SYN-only stream and batchCorpora's four (mixed tools,
+// same-source runs with phase-two segments, reordered + skewed, dropped +
+// duplicated). The reordered corpus is the one an LRU list that is not kept
+// in end order gets wrong: a flow touched by a late probe hides behind
+// younger flows and swallows the source's next campaign.
+func TestNaiveDetectorEquivalence(t *testing.T) {
+	cfg := Config{TelescopeSize: testTelescopeSize}
+	corpora := batchCorpora()
+	corpora["ordered"] = orderedSYNStream()
+	for name, stream := range corpora {
+		t.Run(name, func(t *testing.T) {
+			lru, lruCounts := runSequential(t, cfg, stream)
+			var ref []*Scan
+			naive := NewNaiveDetector(cfg, func(s *Scan) { ref = append(ref, s) })
+			for i := range stream {
+				naive.Ingest(&stream[i])
+			}
+			naive.FlushAll()
+			var naiveCounts [3]uint64
+			naiveCounts[0], naiveCounts[1], naiveCounts[2] = naive.Counts()
+			if lruCounts != naiveCounts {
+				t.Fatalf("counts (opened, closed, qualified): lru %v, naive %v", lruCounts, naiveCounts)
+			}
+			got, want := canonicalScans(lru), canonicalScans(ref)
+			if len(got) != len(want) {
+				t.Fatalf("closed flows: lru %d, naive %d", len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(*got[i], *want[i]) {
+					t.Fatalf("scan %d differs:\n lru:   %+v\n naive: %+v", i, *got[i], *want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -129,8 +129,8 @@ type shardedMetrics struct {
 
 // newShardedDetector starts cfg.Workers shard goroutines and returns the
 // router. emit is called for every closed flow, from the goroutine that
-// calls FlushAll. Zero sharding knobs get defaults; the embedded Config is
-// defaulted exactly like the sequential detector's.
+// calls FlushAll. Zero sharding knobs get defaults; the embedded Config gets
+// Config.withDefaults, before any goroutine starts.
 func newShardedDetector(cfg ShardedConfig, emit func(*Scan), reg *obs.Registry) *ShardedDetector {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -141,9 +141,7 @@ func newShardedDetector(cfg ShardedConfig, emit func(*Scan), reg *obs.Registry) 
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.Expiry == 0 {
-		cfg.Expiry = DefaultExpiry
-	}
+	cfg.Config = cfg.Config.withDefaults()
 	if cfg.WatermarkInterval <= 0 {
 		cfg.WatermarkInterval = cfg.Expiry / 4
 	}

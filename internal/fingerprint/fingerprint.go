@@ -87,8 +87,8 @@ const isnRegularWindow = 1 << 24
 
 // Votes accumulates fingerprint evidence over the packets of one campaign.
 // The pairwise tests compare each packet against the previous one from the
-// same source — O(1) memory per flow (the pair-cache design; see the
-// ablation benchmarks for the alternative).
+// same source — O(1) memory per flow (the pair-cache design; DESIGN.md "Key
+// design choices" says why one pair per packet is enough).
 type Votes struct {
 	// Packets is the number of probes examined.
 	Packets uint32
@@ -127,27 +127,13 @@ func (v *Votes) Add(p *packet.Probe) {
 	v.setPrev(p)
 }
 
-// AddBatch folds a slice of probes into the tally, equivalent to calling Add
-// on each in order but amortized for the batched ingest path: pairwise tests
-// compare neighboring slice elements in place, so the pair cache is copied
-// once per batch instead of once per packet.
+// AddBatch is a loop over Add, kept for callers that hold a slice (the
+// benchmark's shadow pass). An in-place variant that copied the pair cache
+// once per slice bought nothing measurable; see DESIGN.md "Hot path".
 func (v *Votes) AddBatch(ps []packet.Probe) {
-	if len(ps) == 0 {
-		return
-	}
-	prev := &v.prev
-	if !v.hasPrev {
-		v.addSingles(&ps[0])
-		prev = &ps[0]
-		ps = ps[1:]
-	}
 	for i := range ps {
-		p := &ps[i]
-		v.addSingles(p)
-		v.addPair(prev, p)
-		prev = p
+		v.Add(&ps[i])
 	}
-	v.setPrev(prev)
 }
 
 // addSingles applies the per-packet fingerprints to one probe.

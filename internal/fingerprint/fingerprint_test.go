@@ -190,6 +190,19 @@ func TestFalsePositiveRateOnRandomTraffic(t *testing.T) {
 	}
 }
 
+// TestAddBatchDropsPayloadHeader pins the aliasing rule of setPrev: the pair
+// cache must not retain payload bytes (they may belong to a decoder or pooled
+// batch buffer that is overwritten after the call). AddBatch is a loop over
+// Add, so one entry point covers both.
+func TestAddBatchDropsPayloadHeader(t *testing.T) {
+	p := packet.Probe{Src: 1, Seq: 9, Payload: []byte("secret")}
+	var v Votes
+	v.Add(&p)
+	if v.prev.Payload != nil {
+		t.Fatal("pair cache retained a payload header")
+	}
+}
+
 func BenchmarkVotesAdd(b *testing.B) {
 	r := rng.New(1)
 	pr := tools.NewMasscan(1, r)
