@@ -17,6 +17,10 @@
 // and the connection 4-tuple, the rate limiter runs on the virtual packet
 // clock, and state eviction is strictly FIFO. The type is safe for
 // concurrent use so sharded ingest paths can share one responder.
+//
+// The invitation state is one fixed table (table.go) allocated by New:
+// Observe allocates nothing, however long the capture and however the
+// invitations churn.
 package reactive
 
 import (
@@ -43,7 +47,8 @@ type Policy struct {
 	// Defaults to 30 virtual seconds, Spoki's reassembly horizon.
 	StateTTL int64
 	// MaxState caps tracked handshake tuples; the oldest invitation is
-	// evicted first. Defaults to 65536.
+	// evicted first. Defaults to 65536. New allocates the whole table,
+	// 40 to 56 bytes per tuple.
 	MaxState int
 }
 
@@ -68,18 +73,6 @@ type Disposition struct {
 	// Resp is the synthesized SYN-ACK when Responded is set. Its Time
 	// equals the probe's arrival time; callers model the return path delay.
 	Resp packet.Probe
-}
-
-// tuple keys responder state by the full connection 4-tuple.
-type tuple struct {
-	src, dst uint32
-	sp, dp   uint16
-}
-
-// invite is one outstanding synthesized handshake.
-type invite struct {
-	isn    uint32 // responder's ISN (the scanner ACKs isn+1)
-	expiry int64
 }
 
 // Stats counts the responder's activity.
@@ -109,9 +102,7 @@ type Telescope struct {
 	mu       sync.Mutex
 	allow    [1024]uint64 // port allowlist bitmap; allowAll short-circuits
 	allowAll bool
-	state    map[tuple]invite
-	queue    []tuple // FIFO insertion order for deterministic eviction
-	qHead    int
+	inv      *table // outstanding invitations, FIFO
 	tokens   float64
 	lastRef  int64
 	stats    Stats
@@ -144,9 +135,9 @@ func New(base *telescope.Telescope, pol Policy) *Telescope {
 		}
 	}
 	t := &Telescope{
-		base:  base,
-		pol:   pol,
-		state: make(map[tuple]invite),
+		base: base,
+		pol:  pol,
+		inv:  newTable(pol.MaxState, pol.Seed),
 	}
 	t.tokens = float64(pol.Burst)
 	t.allowAll = len(pol.Ports) == 0
@@ -196,10 +187,15 @@ func (t *Telescope) portAllowed(p uint16) bool {
 func respISN(seed uint64, k tuple) uint32 {
 	x := seed ^ uint64(k.src)<<32 ^ uint64(k.dst)
 	x ^= uint64(k.sp)<<48 | uint64(k.dp)<<16
+	return uint32(mix64(x))
+}
+
+// mix64 is the splitmix64 output function.
+func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return uint32(x ^ (x >> 31))
+	return x ^ (x >> 31)
 }
 
 // Observe classifies one arriving packet, possibly synthesizing a SYN-ACK,
@@ -218,35 +214,37 @@ func (t *Telescope) Observe(p *packet.Probe) Disposition {
 	case telescope.DropNotSYN:
 		// The passive filter drops it; accept it as phase two if it
 		// belongs to a handshake we invited.
-		k := tuple{p.Src, p.Dst, p.SrcPort, p.DstPort}
-		if inv, ok := t.state[k]; ok && p.IsTCP() && !p.IsSYNACK() {
-			if p.Time <= inv.expiry {
-				t.stats.Phase2++
-				if p.HasPayload() {
-					t.stats.Payloads++
-				}
-				if t.met != nil {
-					t.met.phase2.Inc()
-					if p.HasPayload() {
-						t.met.payloads.Inc()
-					}
-				}
-				t.base.Record(telescope.Accepted)
-				return Disposition{Reason: telescope.Accepted, Phase: 2}
-			}
-			delete(t.state, k)
-			t.stats.Expired++
-			if t.met != nil {
-				t.met.expired.Inc()
-				t.met.stateSize.Set(int64(len(t.state)))
-			}
+		if p.IsSYNACK() {
+			break
 		}
-		t.base.Record(telescope.DropNotSYN)
-		return Disposition{Reason: telescope.DropNotSYN}
-	default:
-		t.base.Record(r)
-		return Disposition{Reason: r}
+		k := tuple{p.Src, p.Dst, p.SrcPort, p.DstPort}
+		pos := t.inv.find(k, t.inv.hash(k))
+		if pos < 0 {
+			break
+		}
+		if p.Time <= t.inv.slots[pos].expiry {
+			t.stats.Phase2++
+			if p.HasPayload() {
+				t.stats.Payloads++
+			}
+			if t.met != nil {
+				t.met.phase2.Inc()
+				if p.HasPayload() {
+					t.met.payloads.Inc()
+				}
+			}
+			t.base.Record(telescope.Accepted)
+			return Disposition{Reason: telescope.Accepted, Phase: 2}
+		}
+		t.inv.lapse(pos)
+		t.stats.Expired++
+		if t.met != nil {
+			t.met.expired.Inc()
+			t.met.stateSize.Set(int64(t.inv.live))
+		}
 	}
+	t.base.Record(r)
+	return Disposition{Reason: r}
 }
 
 // respond decides whether to answer an accepted SYN and, if so, synthesizes
@@ -277,16 +275,31 @@ func (t *Telescope) respond(p *packet.Probe, d *Disposition) {
 		t.tokens--
 	}
 	k := tuple{p.Src, p.Dst, p.SrcPort, p.DstPort}
-	if _, exists := t.state[k]; !exists {
-		t.evictFor(p.Time)
-		t.queue = append(t.queue, k)
+	expiry := p.Time + t.pol.StateTTL
+	tag := t.inv.hash(k)
+	if pos := t.inv.find(k, tag); pos >= 0 {
+		// Re-invited while live: a later deadline, the same turn in the ring.
+		t.inv.slots[pos].expiry = expiry
+	} else if evicted, was := t.inv.insert(k, tag, expiry); evicted {
+		// The table was full and its oldest invitation made room; one that
+		// had lapsed unclaimed by then counts as expired, not evicted.
+		if was < p.Time {
+			t.stats.Expired++
+			if t.met != nil {
+				t.met.expired.Inc()
+			}
+		} else {
+			t.stats.Evicted++
+			if t.met != nil {
+				t.met.evicted.Inc()
+			}
+		}
 	}
 	isn := respISN(t.pol.Seed, k)
-	t.state[k] = invite{isn: isn, expiry: p.Time + t.pol.StateTTL}
 	t.stats.Responded++
 	if t.met != nil {
 		t.met.responded.Inc()
-		t.met.stateSize.Set(int64(len(t.state)))
+		t.met.stateSize.Set(int64(t.inv.live))
 	}
 	d.Responded = true
 	d.Resp = packet.Probe{
@@ -300,36 +313,5 @@ func (t *Telescope) respond(p *packet.Probe, d *Disposition) {
 		TTL:     64,
 		Flags:   packet.FlagSYN | packet.FlagACK,
 		Window:  65535,
-	}
-}
-
-// evictFor makes room for one insertion: first sweeps expired invitations
-// from the FIFO front, then force-evicts the oldest if still at capacity.
-// Caller holds t.mu.
-func (t *Telescope) evictFor(now int64) {
-	for t.qHead < len(t.queue) && len(t.state) >= t.pol.MaxState {
-		k := t.queue[t.qHead]
-		t.qHead++
-		inv, ok := t.state[k]
-		if !ok {
-			continue // re-invited later or already expired out
-		}
-		delete(t.state, k)
-		if inv.expiry < now {
-			t.stats.Expired++
-			if t.met != nil {
-				t.met.expired.Inc()
-			}
-		} else {
-			t.stats.Evicted++
-			if t.met != nil {
-				t.met.evicted.Inc()
-			}
-		}
-	}
-	// Compact the consumed queue prefix once it dominates the slice.
-	if t.qHead > 1024 && t.qHead*2 > len(t.queue) {
-		t.queue = append(t.queue[:0], t.queue[t.qHead:]...)
-		t.qHead = 0
 	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // TestAllocBudgetObserve is the enforced budget for telescope ingress:
-// membership (binary search), SYN filtering, port policy and outage windows
-// are all allocation-free, for accepted and dropped packets alike. Reported
-// under "telescope-observe".
+// membership (a bit test in the block that holds the address), SYN
+// filtering, port policy and outage windows are all allocation-free, for
+// accepted and dropped packets alike. Reported under "telescope-observe".
 func TestAllocBudgetObserve(t *testing.T) {
 	tel := small(t)
 	tel.BlockPort(23)

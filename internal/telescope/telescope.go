@@ -16,6 +16,7 @@ package telescope
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/synscan/synscan/internal/inetmodel"
@@ -146,10 +147,19 @@ func (s Stats) Total() uint64 {
 
 type outage struct{ from, to int64 }
 
+// block is the membership of one routed block: bit (ip - base) of monitored
+// is set when ip is monitored. A /16 costs 8 KB.
+type block struct {
+	base      uint32
+	size      uint64 // addresses in the block; 2^32 for a /0, hence not uint32
+	monitored []uint64
+}
+
 // Telescope is a configured deployment. It is safe for concurrent reads
 // (Contains/At/Size) but Observe mutates counters and must be serialized.
 type Telescope struct {
-	addrs      []uint32 // sorted monitored addresses
+	blocks     []block  // ascending by base, disjoint: what Contains tests
+	addrs      []uint32 // the same set as a sorted list: what At and Size index
 	blocked    [1024]uint64
 	policyFrom int64
 	outages    []outage
@@ -195,11 +205,19 @@ func New(cfg Config) (*Telescope, error) {
 	if len(cfg.Blocks) == 0 {
 		return nil, errors.New("telescope: no blocks configured")
 	}
-	t := &Telescope{}
+	t := &Telescope{blocks: make([]block, 0, len(cfg.Blocks))}
 	r := rng.New(cfg.Seed).Derive("telescope/membership")
-	for _, b := range cfg.Blocks {
+	total := uint64(0)
+	for i, b := range cfg.Blocks {
 		if b.MonitoredFraction <= 0 || b.MonitoredFraction > 1 {
 			return nil, fmt.Errorf("telescope: block %v fraction %v out of (0,1]", b.Prefix, b.MonitoredFraction)
+		}
+		// The block that contains an address decides its membership, so no
+		// address may sit in two (and At/Size must not list one twice).
+		for _, prev := range cfg.Blocks[:i] {
+			if b.Prefix.Overlaps(prev.Prefix) {
+				return nil, fmt.Errorf("telescope: blocks %v and %v overlap", prev.Prefix, b.Prefix)
+			}
 		}
 		size := b.Prefix.Size()
 		// Choose round(fraction*size) distinct offsets via a keyed
@@ -209,11 +227,24 @@ func New(cfg Config) (*Telescope, error) {
 			n = 1
 		}
 		perm := rng.NewFeistelPerm(size, r.Derive(b.Prefix.String()))
-		for i := uint64(0); i < n; i++ {
-			t.addrs = append(t.addrs, b.Prefix.Nth(perm.Apply(i)))
+		monitored := make([]uint64, (size+63)/64)
+		for j := uint64(0); j < n; j++ {
+			off := perm.Apply(j)
+			monitored[off>>6] |= 1 << (off & 63)
+		}
+		t.blocks = append(t.blocks, block{base: b.Prefix.Base, size: size, monitored: monitored})
+		total += n
+	}
+	// Blocks in address order, bits in offset order: the list comes out sorted.
+	sort.Slice(t.blocks, func(i, j int) bool { return t.blocks[i].base < t.blocks[j].base })
+	t.addrs = make([]uint32, 0, total)
+	for _, b := range t.blocks {
+		for w, word := range b.monitored {
+			for ; word != 0; word &= word - 1 {
+				t.addrs = append(t.addrs, b.base+uint32(w<<6+bits.TrailingZeros64(word)))
+			}
 		}
 	}
-	sort.Slice(t.addrs, func(i, j int) bool { return t.addrs[i] < t.addrs[j] })
 	for _, p := range cfg.BlockedPorts {
 		t.blockPort(p)
 	}
@@ -245,10 +276,17 @@ func (t *Telescope) Size() int { return len(t.addrs) }
 // At returns the i-th monitored address in ascending order.
 func (t *Telescope) At(i int) uint32 { return t.addrs[i] }
 
-// Contains reports whether ip is monitored.
+// Contains reports whether ip is monitored: a range check per block, then one
+// bit test in the block that holds ip.
 func (t *Telescope) Contains(ip uint32) bool {
-	i := sort.Search(len(t.addrs), func(j int) bool { return t.addrs[j] >= ip })
-	return i < len(t.addrs) && t.addrs[i] == ip
+	for i := range t.blocks {
+		b := &t.blocks[i]
+		// ip below base wraps to an offset no block is large enough to hold.
+		if off := uint64(ip - b.base); off < b.size {
+			return b.monitored[off>>6]&(1<<(off&63)) != 0
+		}
+	}
+	return false
 }
 
 // Observe applies membership, SYN filtering, ingress policy and outage

@@ -1,6 +1,8 @@
 package telescope
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/synscan/synscan/internal/inetmodel"
@@ -32,6 +34,71 @@ func TestNewErrors(t *testing.T) {
 	bad.Blocks[0].MonitoredFraction = 0
 	if _, err := New(bad); err == nil {
 		t.Fatal("fraction 0 should error")
+	}
+}
+
+// TestNewRejectsOverlappingBlocks: two blocks sharing addresses would list
+// the shared ones twice in At/Size and leave Contains to whichever block it
+// tried first.
+func TestNewRejectsOverlappingBlocks(t *testing.T) {
+	for _, pair := range [][2]string{
+		{"10.0.0.0/16", "10.0.4.0/24"}, // nested
+		{"10.0.4.0/24", "10.0.0.0/16"}, // nested, the wider one second
+		{"10.0.0.0/24", "10.0.0.0/24"}, // the same block twice
+	} {
+		_, err := New(Config{Blocks: []PartialBlock{
+			{Prefix: inetmodel.MustPrefix("192.0.2.0/24"), MonitoredFraction: 1},
+			{Prefix: inetmodel.MustPrefix(pair[0]), MonitoredFraction: 0.5},
+			{Prefix: inetmodel.MustPrefix(pair[1]), MonitoredFraction: 0.5},
+		}})
+		if err == nil || !strings.Contains(err.Error(), "overlap") {
+			t.Fatalf("blocks %v: err = %v, want an overlap error", pair, err)
+		}
+	}
+}
+
+// TestContainsExhaustive checks the per-block bitmaps against the sorted
+// address list At and Size serve, by binary search, for every address of
+// every block and the addresses either side of it.
+func TestContainsExhaustive(t *testing.T) {
+	one := func(prefix string, fraction float64) Config {
+		return Config{Blocks: []PartialBlock{{Prefix: inetmodel.MustPrefix(prefix), MonitoredFraction: fraction}}, Seed: 3}
+	}
+	for name, cfg := range map[string]Config{
+		"paper":       PaperConfig(1),
+		"scaled-4096": ScaledConfig(9, 4096),
+		"/20":         one("10.1.0.0/20", 0.5),
+		"/32":         one("10.1.2.3/32", 1),
+		"top of the space": {Blocks: []PartialBlock{
+			{Prefix: inetmodel.MustPrefix("255.255.255.0/24"), MonitoredFraction: 0.3},
+			{Prefix: inetmodel.MustPrefix("0.0.0.0/24"), MonitoredFraction: 0.3},
+		}},
+	} {
+		tel, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		listed := func(ip uint32) bool {
+			i := sort.Search(tel.Size(), func(j int) bool { return tel.At(j) >= ip })
+			return i < tel.Size() && tel.At(i) == ip
+		}
+		monitored := 0
+		for _, b := range cfg.Blocks {
+			// One address before the block to one after it; the arithmetic
+			// wraps at both ends of the address space, as Contains' must.
+			for n, ip := uint64(0), b.Prefix.First()-1; n < b.Prefix.Size()+2; n, ip = n+1, ip+1 {
+				got := tel.Contains(ip)
+				if got != listed(ip) {
+					t.Fatalf("%s: Contains(%s) = %v, the address list says %v", name, packet.FormatIPv4(ip), got, !got)
+				}
+				if got && b.Prefix.Contains(ip) {
+					monitored++
+				}
+			}
+		}
+		if monitored != tel.Size() {
+			t.Fatalf("%s: %d monitored addresses inside the blocks, Size() = %d", name, monitored, tel.Size())
+		}
 	}
 }
 
@@ -300,16 +367,5 @@ func BenchmarkObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tel.Observe(&p)
-	}
-}
-
-func BenchmarkContains(b *testing.B) {
-	tel, err := New(ScaledConfig(1, 65536))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tel.Contains(uint32(i * 2654435761))
 	}
 }
