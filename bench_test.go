@@ -282,7 +282,9 @@ func BenchmarkDecodeFrame(b *testing.B) {
 
 // BenchmarkDetectorIngest: the detector's steady-state absorb — warm flows,
 // resident destination/port sets — one Detector.Ingest per probe. Each op is
-// one pass over the whole stream.
+// one pass over the whole stream. With BenchmarkDetectorChurn it is the
+// micro-view of the stage ledger's core.absorb_ns_per_pkt: this one never
+// closes a flow, that one does little else.
 func BenchmarkDetectorIngest(b *testing.B) {
 	const sources, perSource = 32, 64
 	stream := make([]packet.Probe, 0, sources*perSource)
@@ -306,6 +308,33 @@ func BenchmarkDetectorIngest(b *testing.B) {
 		for j := range stream {
 			d.Ingest(&stream[j])
 		}
+	}
+}
+
+// BenchmarkDetectorChurn: the other half of core.absorb_ns_per_pkt — flows
+// opening and closing. Each op is one flow's whole life: opened from the free
+// list, fifty probes over twelve destinations and three ports, closed by the
+// next flow's first probe (the clock jumps past the expiry window between
+// flows); every 64th flow sweeps fifty ports instead, so its port set spills
+// to a pooled bitmap. The ingest workloads close a flow every ≈ 53 packets.
+func BenchmarkDetectorChurn(b *testing.B) {
+	d := core.NewDetector(core.Config{TelescopeSize: 65536}, func(*Scan) {})
+	var tm int64
+	p := &packet.Probe{Flags: packet.FlagSYN}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		p.Src = uint32(n + 1)
+		sweep := n%64 == 63
+		for i := 0; i < 50; i++ {
+			tm += int64(time.Millisecond)
+			p.Time, p.Dst, p.Seq = tm, uint32(0x0a000000+i%12), uint32(i)*977
+			if p.DstPort = uint16(20 + i%3); sweep {
+				p.DstPort = uint16(i * 1311)
+			}
+			d.Ingest(p)
+		}
+		tm += 2 * core.DefaultExpiry
 	}
 }
 

@@ -10,10 +10,15 @@
 // single-pass structure: per-source state lives in a hash table threaded
 // onto an intrusive LRU list ordered by last activity, so expiry is O(1)
 // amortized per packet regardless of how many sources are live.
+//
+// A flow's two sets are purpose-built (sets.go): destinations and their phase
+// bits in an open-addressed table that empties in O(1), ports inline in the
+// flow until a ninth distinct port spills them to a bitmap. Closed flows are
+// recycled with their tables, under the byte bound stated beside
+// maxFreeFlows.
 package core
 
 import (
-	"sort"
 	"time"
 
 	"github.com/synscan/synscan/internal/fingerprint"
@@ -174,9 +179,9 @@ type flow struct {
 	src        uint32
 	start, end int64
 	packets    uint64
-	dsts       map[uint32]uint8 // phase bits per destination
-	linked     int              // destinations holding both phase bits
-	ports      map[uint16]struct{}
+	dsts       dstSet // phase bits per destination
+	linked     int    // destinations holding both phase bits
+	ports      portSet
 	votes      fingerprint.Votes
 
 	prev, next *flow
@@ -184,8 +189,9 @@ type flow struct {
 
 // absorb folds one probe into the flow: phase routing, per-destination link
 // bits, port set and fingerprint votes. Shared by every detector variant so
-// their per-packet semantics cannot drift apart.
-func (f *flow) absorb(p *packet.Probe) {
+// their per-packet semantics cannot drift apart. A port set that spills takes
+// its bitmap from pool (nil: allocate one).
+func (f *flow) absorb(p *packet.Probe, pool *bitmapPool) {
 	f.packets++
 	var bit uint8 = dstScout
 	if p.IsTCP() && p.Flags&packet.FlagSYN == 0 {
@@ -195,14 +201,10 @@ func (f *flow) absorb(p *packet.Probe) {
 	} else {
 		f.votes.Add(p)
 	}
-	old := f.dsts[p.Dst]
-	if now := old | bit; now != old {
-		f.dsts[p.Dst] = now
-		if now == dstLinked {
-			f.linked++
-		}
+	if old, now := f.dsts.or(p.Dst, bit); now != old && now == dstLinked {
+		f.linked++
 	}
-	f.ports[p.DstPort] = struct{}{}
+	f.ports.add(p.DstPort, pool)
 }
 
 // finalize turns a closed flow into a Scan under cfg's thresholds. Shared by
@@ -213,7 +215,8 @@ func finalize(cfg *Config, f *flow) *Scan {
 		Start:            f.start,
 		End:              f.end,
 		Packets:          f.packets,
-		DistinctDsts:     len(f.dsts),
+		DistinctDsts:     f.dsts.n,
+		Ports:            f.ports.sorted(),
 		Tool:             f.votes.Classify(),
 		LinkedDsts:       f.linked,
 		HandshakePackets: uint64(f.votes.Handshakes),
@@ -229,11 +232,6 @@ func finalize(cfg *Config, f *flow) *Scan {
 	if n := int(f.votes.PayloadPrefixLen); n > 0 {
 		s.Payload = append([]byte(nil), f.votes.PayloadPrefix[:n]...)
 	}
-	s.Ports = make([]uint16, 0, len(f.ports))
-	for p := range f.ports {
-		s.Ports = append(s.Ports, p)
-	}
-	sort.Slice(s.Ports, func(i, j int) bool { return s.Ports[i] < s.Ports[j] })
 
 	// Rate estimation: observed packets over observed duration, floored at
 	// one second so single-burst flows do not produce infinite rates, then
@@ -287,23 +285,29 @@ type Detector struct {
 
 	// Free list of closed flows for reuse (threaded on next). Recycling
 	// keeps the open/close churn of a long-running telescope from
-	// allocating: a reused flow keeps its map buckets, so re-opening a
-	// source costs no allocations at all. Bounded (maxFreeFlows, and flows
-	// whose destination map grew past maxRecycledDsts are dropped) so a
-	// burst cannot pin memory forever.
+	// allocating: a reused flow keeps its destination table, emptied by a
+	// generation bump, so re-opening a source costs no allocations and no
+	// clearing. What the list may hold is bounded below.
 	free  *flow
 	nfree int
+	// Idle port bitmaps, for the next flow whose port set spills.
+	bitmaps bitmapPool
 
 	opened, closed, qualified uint64
 }
 
-// Flow recycling bounds: at most maxFreeFlows closed flows are retained for
-// reuse, and a flow whose destination map exceeded maxRecycledDsts entries
-// is released to the GC instead (clearing keeps map buckets, so one huge
-// campaign would otherwise leave an oversized map parked on the free list).
+// Flow recycling bounds. At most maxFreeFlows closed flows wait for reuse,
+// each holding its struct (280 B) and a destination table of at most
+// maxRecycledSlots slots, 64 KiB (a flow that saw up to 6144 destinations
+// keeps its table; a larger one goes back to the collector and the flow is
+// parked without it) and never a port bitmap: those return to the detector's
+// pool of at most maxPooledBitmaps, 8 KiB each. A detector's idle state is
+// therefore at most maxFreeFlows × (280 B + 64 KiB) + 16 × 8 KiB, whatever
+// traffic came before. TestRecycleBounds holds the free list to it.
 const (
-	maxFreeFlows    = 1 << 14
-	maxRecycledDsts = 1 << 12
+	maxFreeFlows     = 1 << 14
+	maxRecycledSlots = 1 << 13
+	maxPooledBitmaps = 16
 )
 
 // newFlow returns a flow for src starting at start, reusing a recycled flow
@@ -312,29 +316,26 @@ const (
 func (d *Detector) newFlow(src uint32, start int64) *flow {
 	f := d.free
 	if f == nil {
-		return &flow{
-			src:   src,
-			start: start,
-			dsts:  make(map[uint32]uint8),
-			ports: make(map[uint16]struct{}),
-		}
+		return &flow{src: src, start: start}
 	}
 	d.free = f.next
 	d.nfree--
-	f.src, f.start = src, start
-	f.end, f.packets, f.linked = 0, 0, 0
-	f.votes = fingerprint.Votes{}
-	clear(f.dsts)
-	clear(f.ports)
-	f.prev, f.next = nil, nil
+	dsts := f.dsts
+	dsts.reset()
+	*f = flow{src: src, start: start, dsts: dsts}
 	return f
 }
 
-// recycle parks a closed flow on the free list for reuse. finalize copied
-// everything the emitted Scan keeps, so nothing aliases the flow here.
+// recycle parks a closed flow on the free list for reuse, within the bounds
+// above. finalize copied everything the emitted Scan keeps, so nothing
+// aliases the flow here.
 func (d *Detector) recycle(f *flow) {
-	if d.nfree >= maxFreeFlows || len(f.dsts) > maxRecycledDsts {
+	f.ports.reset(&d.bitmaps)
+	if d.nfree >= maxFreeFlows {
 		return
+	}
+	if len(f.dsts.slots) > maxRecycledSlots {
+		f.dsts = dstSet{}
 	}
 	f.prev = nil
 	f.next = d.free
@@ -364,12 +365,16 @@ func (d *Detector) Ingest(p *packet.Probe) {
 
 	f := d.flows[p.Src]
 	if f == nil {
+		reused := d.free != nil
 		f = d.newFlow(p.Src, p.Time)
 		d.flows[p.Src] = f
 		d.opened++
 		if d.met != nil {
 			d.met.opened.Inc()
 			d.met.active.Add(1)
+			if reused {
+				d.met.reused.Inc()
+			}
 		}
 	} else {
 		d.lruUnlink(f)
@@ -386,7 +391,7 @@ func (d *Detector) Ingest(p *packet.Probe) {
 	if d.met != nil {
 		d.met.packets.Inc()
 	}
-	f.absorb(p)
+	f.absorb(p, &d.bitmaps)
 	d.lruAppend(f)
 }
 
@@ -445,6 +450,9 @@ func (d *Detector) close(f *flow) {
 	if d.met != nil {
 		d.met.closed.Inc()
 		d.met.active.Add(-1)
+		if f.ports.bits != nil {
+			d.met.spilled.Inc()
+		}
 	}
 	s := finalize(&d.cfg, f)
 	if s.Qualified {

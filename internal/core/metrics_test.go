@@ -45,6 +45,29 @@ func TestDetectorMetricsMatchCounts(t *testing.T) {
 	}
 }
 
+// TestDetectorReuseAndSpillMetrics: on the churn stream every opened flow is
+// either allocated or taken from the free list, the flush leaves every
+// allocated flow on the list, so opened == reused + fresh can be read off the
+// detector; and every 64th flow spilled its port set.
+func TestDetectorReuseAndSpillMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	d := NewDetector(Config{TelescopeSize: testTelescopeSize}, nil, WithMetrics(reg)).(*Detector)
+	c := &churn{d: d}
+	const flows = 640
+	for i := 0; i < flows; i++ {
+		c.flow()
+	}
+	d.FlushAll()
+	s := reg.Snapshot()
+	opened, reused, fresh := s.Counter("detector.flows.opened"), s.Counter("detector.flows.reused"), uint64(d.nfree)
+	if opened != flows || reused == 0 || opened != reused+fresh {
+		t.Fatalf("opened %d, reused %d, fresh (flows on the free list) %d", opened, reused, fresh)
+	}
+	if got := s.Counter("detector.ports.spilled"); got != flows/64 {
+		t.Fatalf("ports.spilled = %d, want %d", got, flows/64)
+	}
+}
+
 // TestDetectorEndClampMetric: a reordered probe whose time is behind the
 // flow's end must bump detector.end_clamp.
 func TestDetectorEndClampMetric(t *testing.T) {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/synscan/synscan/internal/packet"
 )
@@ -42,7 +42,7 @@ func (d *NaiveDetector) Ingest(p *packet.Probe) {
 			expired = append(expired, src)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
+	slices.Sort(expired)
 	for _, src := range expired {
 		f := d.flows[src]
 		delete(d.flows, src)
@@ -51,12 +51,7 @@ func (d *NaiveDetector) Ingest(p *packet.Probe) {
 
 	f := d.flows[p.Src]
 	if f == nil {
-		f = &flow{
-			src:   p.Src,
-			start: p.Time,
-			dsts:  make(map[uint32]uint8),
-			ports: make(map[uint16]struct{}),
-		}
+		f = &flow{src: p.Src, start: p.Time}
 		d.flows[p.Src] = f
 		d.opened++
 	}
@@ -64,7 +59,7 @@ func (d *NaiveDetector) Ingest(p *packet.Probe) {
 	if p.Time > f.end {
 		f.end = p.Time
 	}
-	f.absorb(p)
+	f.absorb(p, nil)
 }
 
 // IngestBatch is a loop over Ingest, as in Detector.
@@ -80,7 +75,7 @@ func (d *NaiveDetector) FlushAll() {
 	for src := range d.flows {
 		srcs = append(srcs, src)
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+	slices.Sort(srcs)
 	for _, src := range srcs {
 		f := d.flows[src]
 		delete(d.flows, src)

@@ -20,9 +20,9 @@ func WithWorkers(n int) Option {
 
 // WithMetrics attaches an observability registry: the detector reports
 // flow lifecycle counters (detector.flows.*), reorder clamps
-// (detector.end_clamp), and — when sharded — queue depths, batch fill,
-// watermark lag and merge duration. A nil registry disables metrics at a
-// cost of one branch per probe.
+// (detector.end_clamp), spilled port sets (detector.ports.spilled), and —
+// when sharded — queue depths, batch fill, watermark lag and merge duration.
+// A nil registry disables metrics at a cost of one branch per probe.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(o *options) { o.metrics = reg }
 }
@@ -49,10 +49,12 @@ func NewDetector(cfg Config, emit func(*Scan), opts ...Option) Ingester {
 type detMetrics struct {
 	packets   *obs.Counter
 	opened    *obs.Counter
+	reused    *obs.Counter // opened from the free list; opened − reused were allocated
 	closed    *obs.Counter
 	expired   *obs.Counter
 	qualified *obs.Counter
 	endClamp  *obs.Counter
+	spilled   *obs.Counter // closed flows whose port set had spilled to a bitmap
 	active    *obs.Gauge
 }
 
@@ -63,10 +65,12 @@ func newDetMetrics(reg *obs.Registry) *detMetrics {
 	return &detMetrics{
 		packets:   reg.Counter("detector.packets"),
 		opened:    reg.Counter("detector.flows.opened"),
+		reused:    reg.Counter("detector.flows.reused"),
 		closed:    reg.Counter("detector.flows.closed"),
 		expired:   reg.Counter("detector.flows.expired"),
 		qualified: reg.Counter("detector.flows.qualified"),
 		endClamp:  reg.Counter("detector.end_clamp"),
+		spilled:   reg.Counter("detector.ports.spilled"),
 		active:    reg.Gauge("detector.flows.active"),
 	}
 }
