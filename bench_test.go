@@ -282,9 +282,13 @@ func BenchmarkDecodeFrame(b *testing.B) {
 
 // BenchmarkDetectorIngest: the detector's steady-state absorb — warm flows,
 // resident destination/port sets — one Detector.Ingest per probe. Each op is
-// one pass over the whole stream. With BenchmarkDetectorChurn it is the
+// one pass over the whole stream, and every pass moves the stream's clock on
+// by its span: replayed with the timestamps it had, every probe from the
+// second pass on would be late and the benchmark would time the LRU's
+// walk-back for reordered input. With BenchmarkDetectorChurn it is the
 // micro-view of the stage ledger's core.absorb_ns_per_pkt: this one never
-// closes a flow, that one does little else.
+// closes a flow (a pass spans two seconds, expiry is an hour), that one does
+// little else.
 func BenchmarkDetectorIngest(b *testing.B) {
 	const sources, perSource = 32, 64
 	stream := make([]packet.Probe, 0, sources*perSource)
@@ -304,9 +308,11 @@ func BenchmarkDetectorIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(stream)))
 	b.ResetTimer()
+	span := int64(len(stream)) * int64(time.Millisecond)
 	for i := 0; i < b.N; i++ {
 		for j := range stream {
 			d.Ingest(&stream[j])
+			stream[j].Time += span
 		}
 	}
 }
@@ -386,6 +392,51 @@ func BenchmarkArchiveRawBlock(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkArchiveWrite is the micro-view of the stage ledger's
+// archive.build_scans_per_s and archive.compact_s: one op appends every scan
+// to a fresh segment store that seals ten segments, then compacts until the
+// compactor finds nothing more to merge — the write path of the query
+// workloads' set-up, on detector output with short port lists. scans/s counts
+// the scans of one op against the whole op, compaction included.
+func BenchmarkArchiveWrite(b *testing.B) {
+	scans := benchScans(400000, 65536)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw, err := archive.OpenSegmentDir(b.TempDir(), archive.SegmentConfig{
+			TelescopeSize: 65536, MaxSegmentScans: uint64(len(scans)/10 + 1),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range scans {
+			if err := sw.Add(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := sw.Seal(); err != nil {
+			b.Fatal(err)
+		}
+		comp := archive.NewCompactor(sw, archive.CompactorConfig{})
+		for {
+			merged, err := comp.CompactOnce()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if merged == 0 {
+				break
+			}
+		}
+		if segs := sw.SealedSegments(); len(segs) != 1 || segs[0].Scans != uint64(len(scans)) {
+			b.Fatalf("store after compaction: %+v", segs)
+		}
+		if err := sw.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(scans))*float64(b.N)/b.Elapsed().Seconds(), "scans/s")
 }
 
 // BenchmarkSegmentStoreQuery: a full catalog query — every sealed segment,

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/obs"
 )
@@ -27,7 +26,8 @@ type CompactorConfig struct {
 	// Metrics, when non-nil, counts runs/inputs/bytes and times merges:
 	// archive.compaction.runs, archive.segments.compacted,
 	// archive.compaction.bytes_read, archive.compaction.bytes_written,
-	// archive.compaction.errors, archive.compaction.merge_ns.
+	// archive.compaction.errors, archive.compaction.merge_ns, and the output's
+	// archive.compaction.blocks_moved (bytes_moved) and blocks_rewritten.
 	Metrics *obs.Registry
 }
 
@@ -38,11 +38,16 @@ const (
 )
 
 // Compactor merges runs of small sealed segments into single larger ones,
-// LSM-style, inside a live segment store. A merge rewrites the inputs'
-// records — in manifest order, so the store's global emit order is preserved
-// byte for byte — into one new segment with freshly built, full-size blocks
-// and recomputed zone maps (many tiny segments have tiny blocks with wide,
-// overlapping zone maps; the merge re-sorts that index into tight ones).
+// LSM-style, inside a live segment store. The output holds the inputs'
+// records in manifest order, so the store's global emit order is preserved
+// byte for byte, and none of its blocks but the last is under half of
+// BlockBytes. An input block is moved as it is — compressed bytes checked
+// against the stored CRC, zone map re-based to the new offset — when it is at
+// least half of BlockBytes, the input has the output's record layout, and the
+// writer's open block is empty or itself at least half full (it is closed
+// first). Every other block is decoded and its records added again, which is
+// what re-blocks a store of tiny segments (tiny blocks, wide overlapping zone
+// maps) into full blocks with tight ones.
 // The manifest swap is atomic: readers either see the inputs or the merged
 // output, never both, and in-flight queries on retired inputs finish over
 // their still-open descriptors.
@@ -55,6 +60,7 @@ type Compactor struct {
 	cfg CompactorConfig
 
 	mRuns, mInputs, mBytesIn, mBytesOut, mErrors *obs.Counter
+	mMoved, mMovedBytes, mRewritten              *obs.Counter
 	mMergeNS                                     *obs.Histogram
 }
 
@@ -76,6 +82,10 @@ func NewCompactor(sw *SegmentWriter, cfg CompactorConfig) *Compactor {
 		mBytesOut: cfg.Metrics.Counter("archive.compaction.bytes_written"),
 		mErrors:   cfg.Metrics.Counter("archive.compaction.errors"),
 		mMergeNS:  cfg.Metrics.Histogram("archive.compaction.merge_ns"),
+
+		mMoved:      cfg.Metrics.Counter("archive.compaction.blocks_moved"),
+		mMovedBytes: cfg.Metrics.Counter("archive.compaction.bytes_moved"),
+		mRewritten:  cfg.Metrics.Counter("archive.compaction.blocks_rewritten"),
 	}
 }
 
@@ -271,27 +281,14 @@ func listedAny(pos map[string]int, names []string) bool {
 	return false
 }
 
-// writeIntent persists the compaction journal durably (same temp+rename+sync
-// dance as the manifest).
+// writeIntent persists the compaction journal durably (the manifest's
+// temp → fsync → rename → fsync-dir sequence).
 func writeIntent(dir string, in *compactIntent) error {
 	data, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, IntentName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if f, err := os.Open(tmp); err == nil {
-		f.Sync()
-		f.Close()
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, IntentName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(dir)
-	return nil
+	return writeFileAtomic(dir, IntentName, data)
 }
 
 // merge streams every input's records, in order, into one new sealed
@@ -318,37 +315,9 @@ func (c *Compactor) merge(inputs []SegmentMeta, outSeq uint64) (SegmentMeta, err
 	}
 
 	for _, in := range inputs {
-		rd, err := Open(filepath.Join(c.sw.dir, in.Name))
-		if err != nil {
+		if err := c.mergeInput(w, in.Name); err != nil {
 			// An unreadable input would make the merge lossy; leave the
 			// store alone and surface the problem instead.
-			return abort(fmt.Errorf("archive: compaction input %s: %w", in.Name, err))
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		var addErr error
-		err = rd.Query(ctx, All, func(sc *core.Scan, o *enrich.Origin) {
-			if addErr != nil {
-				return
-			}
-			if c.sw.cfg.Origins {
-				var origin enrich.Origin // zero for an input written without origins
-				if o != nil {
-					origin = *o
-				}
-				addErr = w.AddWithOrigin(sc, origin)
-			} else {
-				addErr = w.Add(sc)
-			}
-			if addErr != nil {
-				cancel()
-			}
-		})
-		cancel()
-		rd.Close()
-		if addErr != nil {
-			return abort(addErr)
-		}
-		if err != nil && addErr == nil && ctx.Err() == nil {
 			return abort(fmt.Errorf("archive: compaction input %s: %w", in.Name, err))
 		}
 	}
@@ -356,20 +325,21 @@ func (c *Compactor) merge(inputs []SegmentMeta, outSeq uint64) (SegmentMeta, err
 	nScans := w.NumScans()
 	minStart, maxStart := w.StartBounds()
 	if err := w.Close(); err != nil {
-		os.Remove(openPath)
-		return SegmentMeta{}, err
+		return abort(err)
 	}
 	nBlocks := len(w.index)
 	final := filepath.Join(c.sw.dir, name)
 	fi, err := os.Stat(openPath)
 	if err != nil {
-		return SegmentMeta{}, err
+		return abort(err)
 	}
 	if err := os.Rename(openPath, final); err != nil {
-		os.Remove(openPath)
-		return SegmentMeta{}, err
+		return abort(err)
 	}
 	syncDir(c.sw.dir)
+	c.mMoved.Add(w.moved)
+	c.mMovedBytes.Add(w.movedBytes)
+	c.mRewritten.Add(uint64(nBlocks) - w.moved)
 	return SegmentMeta{
 		Name:      name,
 		Scans:     nScans,
@@ -379,6 +349,66 @@ func (c *Compactor) merge(inputs []SegmentMeta, outSeq uint64) (SegmentMeta, err
 		MaxStart:  maxStart,
 		Compacted: true,
 	}, nil
+}
+
+// mergeInput appends one input segment to w, block by block.
+func (c *Compactor) mergeInput(w *Writer, name string) error {
+	rd, err := Open(filepath.Join(c.sw.dir, name))
+	if err != nil {
+		return err
+	}
+	defer rd.Close()
+	s := getScratch()
+	defer s.release()
+	sl := newSlabs(AllFields)
+	half := w.cfg.BlockBytes / 2
+	var noOrigin enrich.Origin // what an input written without origins gets in an origins store
+	for i := range rd.index {
+		z := &rd.index[i]
+		// Move: same record layout on both sides, and no small block left
+		// behind — not this one, not the open block it closes.
+		fill := len(w.open.raw)
+		if rd.origins == w.cfg.Origins && int(z.RawLen) >= half && (fill == 0 || fill >= half) {
+			comp, sum, err := rd.compressedBlock(z, s)
+			if err == nil {
+				err = w.appendBlock(*z, sum, comp)
+			}
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		res := rd.decodeBlock(z, All, sl)
+		if res.err != nil {
+			return res.err
+		}
+		// A big block added to a small open one overflows it and leaves as
+		// small a remainder open: no block after it could move either. Cut
+		// at the middle instead, both halves are big enough and moving resumes.
+		split := 0
+		if sum := fill + int(z.RawLen); sum >= w.cfg.BlockBytes && sum-w.cfg.BlockBytes < half {
+			split = sum / 2
+		}
+		for _, run := range res.runs {
+			for j := range run.scans {
+				var o *enrich.Origin
+				if w.cfg.Origins {
+					o = &noOrigin
+					if run.origins != nil {
+						o = &run.origins[j]
+					}
+				}
+				if err := w.add(&run.scans[j], o); err != nil {
+					return err
+				}
+				if split > 0 && len(w.open.raw) >= split {
+					split = 0
+					w.flushBlock() // its error is sticky: the next add, or Close, returns it
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Run compacts on a timer until ctx is done, draining every eligible run at

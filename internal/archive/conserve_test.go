@@ -3,6 +3,8 @@ package archive
 import (
 	"bytes"
 	"context"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/synscan/synscan/internal/core"
@@ -128,5 +130,95 @@ func TestReaderConservation(t *testing.T) {
 		if r.CorruptBlocks() == 0 {
 			t.Fatal("degraded reader skipped no block")
 		}
+	}
+}
+
+// sealRuns seals one segment per count, taking the scans (and, on an origins
+// store, their origins) in order, and returns how many it used.
+func sealRuns(t testing.TB, sw *SegmentWriter, scans []*core.Scan, origins []enrich.Origin, counts ...int) int {
+	t.Helper()
+	at := 0
+	for _, n := range counts {
+		for i := at; i < at+n; i++ {
+			var err error
+			if sw.cfg.Origins {
+				err = sw.AddWithOrigin(scans[i], origins[i])
+			} else {
+				err = sw.Add(scans[i])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		at += n
+	}
+	return at
+}
+
+// TestCompactionConservation: before ≡ after over inputs that mix every kind
+// of block the move-or-re-encode rule tells apart — runs of full blocks, a
+// segment that is one half-full block, segments of two or three records —
+// and the compactor's books close:
+//
+//	blocks_moved + blocks_rewritten == blocks of the output
+//	every output block but the last is at least half a full block
+//	the output's manifest entry is what a fresh read of the file gives
+func TestCompactionConservation(t *testing.T) {
+	const blockBytes = 4 << 10 // about 90 of testScans' records
+	for _, withOrigins := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		sw := segStore(t, SegmentConfig{TelescopeSize: 4096, Origins: withOrigins, BlockBytes: blockBytes, Metrics: reg})
+		scans, origins := testScans(4000, 61)
+		n := sealRuns(t, sw, scans, origins, 1000, 50, 3, 400, 60, 2, 2, 700, 95, 1, 600, 45, 300)
+		scans = scans[:n]
+		before := catalogScans(t, sw.Dir(), CatalogConfig{})
+		if !reflect.DeepEqual(before, scans) {
+			t.Fatal("store diverges from its input before compaction")
+		}
+
+		comp := NewCompactor(sw, CompactorConfig{MinRun: 2, Metrics: reg})
+		if merged, err := comp.CompactOnce(); err != nil || merged != 13 {
+			t.Fatalf("origins=%v: merged %d inputs, err %v", withOrigins, merged, err)
+		}
+		if after := catalogScans(t, sw.Dir(), CatalogConfig{}); !reflect.DeepEqual(after, scans) {
+			t.Fatalf("origins=%v: compaction changed the scan sequence", withOrigins)
+		}
+
+		segs := sw.SealedSegments()
+		if len(segs) != 1 {
+			t.Fatalf("%d segments after compaction, want 1", len(segs))
+		}
+		fresh, err := statSegment(sw.Dir(), segs[0].Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.Compacted = true
+		if fresh != segs[0] {
+			t.Fatalf("origins=%v: manifest entry %+v, the file says %+v", withOrigins, segs[0], fresh)
+		}
+		snap := reg.Snapshot()
+		moved, rewritten := snap.Counter("archive.compaction.blocks_moved"), snap.Counter("archive.compaction.blocks_rewritten")
+		if moved+rewritten != uint64(segs[0].Blocks) {
+			t.Errorf("conservation: %d blocks moved + %d rewritten != %d output blocks", moved, rewritten, segs[0].Blocks)
+		}
+		if moved == 0 || rewritten == 0 {
+			t.Errorf("origins=%v: %d moved, %d rewritten: the input was meant to need both", withOrigins, moved, rewritten)
+		}
+		rd, err := Open(filepath.Join(sw.Dir(), segs[0].Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		zones := rd.Blocks()
+		rd.Close()
+		for i, z := range zones[:len(zones)-1] {
+			if z.RawLen < blockBytes/2 {
+				t.Errorf("origins=%v: output block %d of %d holds %d raw bytes, under half of %d",
+					withOrigins, i, len(zones), z.RawLen, blockBytes)
+			}
+		}
+		sw.Close()
 	}
 }

@@ -348,24 +348,28 @@ func getScratch() *blockScratch {
 	}
 }
 
-// poisonScratch, when set (by tests only), scribbles every scratch buffer as
-// it returns to the free list so any decoded state still aliasing its memory
-// fails loudly instead of silently going stale.
+// poisonScratch, when set (by tests only), scribbles every buffer of a read
+// scratch or a write-pipeline unit as it returns to its free list, so that
+// anything still aliasing its memory fails loudly instead of going stale.
 var poisonScratch atomic.Bool
+
+// poison scribbles bufs, to their capacity, when poisonScratch is set.
+func poison(bufs ...[]byte) {
+	if !poisonScratch.Load() {
+		return
+	}
+	for _, b := range bufs {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xdb
+		}
+	}
+}
 
 // release returns the scratch to the free list, or to the collector when the
 // list is full.
 func (s *blockScratch) release() {
-	if poisonScratch.Load() {
-		comp := s.comp[:cap(s.comp)]
-		for i := range comp {
-			comp[i] = 0xdb
-		}
-		raw := s.raw[:cap(s.raw)]
-		for i := range raw {
-			raw[i] = 0xdb
-		}
-	}
+	poison(s.comp, s.raw)
 	select {
 	case scratchFree <- s:
 	default:
@@ -377,21 +381,30 @@ func (s *blockScratch) release() {
 // reallocated for every block a little longer than the longest before it.
 func scratchCap(n int) int { return (n + 1<<16 - 1) &^ (1<<16 - 1) }
 
-// readBlock fills s with block z: the compressed bytes (checksum verified) in
-// s.comp and the decompressed record bytes in s.raw. The buffers are valid
-// until s.release.
-func (r *Reader) readBlock(z *ZoneMap, s *blockScratch) error {
+// compressedBlock reads block z's DEFLATE stream into s.comp and returns it
+// with the stored CRC it was verified against; valid until s.release.
+func (r *Reader) compressedBlock(z *ZoneMap, s *blockScratch) (comp []byte, sum uint32, err error) {
 	n := blockCRCLen + int(z.CompressedLen)
 	if cap(s.comp) < n {
 		s.comp = make([]byte, scratchCap(n))
 	}
 	blk := s.comp[:n]
 	if _, err := r.ra.ReadAt(blk, int64(z.Offset)); err != nil {
-		return fmt.Errorf("archive: block at %d: %w", z.Offset, err)
+		return nil, 0, fmt.Errorf("archive: block at %d: %w", z.Offset, err)
 	}
-	comp := blk[blockCRCLen:]
-	if crc32.ChecksumIEEE(comp) != binary.BigEndian.Uint32(blk[:blockCRCLen]) {
-		return fmt.Errorf("%w: block at %d: checksum mismatch", ErrCorrupt, z.Offset)
+	comp, sum = blk[blockCRCLen:], binary.BigEndian.Uint32(blk[:blockCRCLen])
+	if crc32.ChecksumIEEE(comp) != sum {
+		return nil, 0, fmt.Errorf("%w: block at %d: checksum mismatch", ErrCorrupt, z.Offset)
+	}
+	return comp, sum, nil
+}
+
+// readBlock fills s with block z: compressedBlock's bytes in s.comp, the
+// decompressed record bytes in s.raw. Both are valid until s.release.
+func (r *Reader) readBlock(z *ZoneMap, s *blockScratch) error {
+	comp, _, err := r.compressedBlock(z, s)
+	if err != nil {
+		return err
 	}
 	// Capacity hints come from the (checksummed but still untrusted) index;
 	// clamp them so a crafted file cannot force absurd allocations before
@@ -408,7 +421,7 @@ func (r *Reader) readBlock(z *ZoneMap, s *blockScratch) error {
 	// Decompress with the output capped at RawLen+1 bytes (like the io.Copy
 	// + LimitReader regime this replaces): one extra byte proves an overlong
 	// block without letting a crafted stream balloon past the clamp.
-	raw, err := s.inf.AppendDecode(raw, comp, int(z.RawLen)+1)
+	raw, err = s.inf.AppendDecode(raw, comp, int(z.RawLen)+1)
 	s.raw = raw
 	if err != nil {
 		return fmt.Errorf("%w: block at %d: %v", ErrCorrupt, z.Offset, err)

@@ -132,35 +132,36 @@ func readManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// writeManifest atomically replaces dir's manifest: write to a temp file,
-// fsync, rename over ManifestName, fsync the directory. A crash at any point
+// writeManifest atomically replaces dir's manifest. A crash at any point
 // leaves a complete old or new manifest.
 func writeManifest(dir string, m *Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	tmp := filepath.Join(dir, ManifestName+".tmp")
+	return writeFileAtomic(dir, ManifestName, append(data, '\n'))
+}
+
+// writeFileAtomic replaces dir/name with data: write name.tmp, fsync it,
+// rename it over name, fsync the directory. Any failure is returned and
+// leaves no temp file behind.
+func writeFileAtomic(dir, name string, data []byte) error {
+	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

@@ -38,27 +38,97 @@ type WriterConfig struct {
 // are appended and the index is written at Close, so no seeking is needed.
 // Not safe for concurrent use; both detector variants emit scans from a
 // single goroutine.
+//
+// A full block is deflated on a compressor goroutine while Add keeps encoding
+// into a second buffer. Blocks reach the stream in order, at points the
+// record stream alone decides — block k is collected when block k+1 has been
+// handed off, everything at Close — so the same scans give the same bytes
+// whatever the scheduler does. A write or compression error is sticky: the
+// next Add, or Close, returns it.
 type Writer struct {
 	w        *bufio.Writer
 	cfg      WriterConfig
 	off      uint64 // bytes written so far (= next block offset)
-	buf      []byte // current block's uncompressed payload
-	zone     ZoneMap
+	open     *block // the block being encoded into
+	inflight *block // handed off and not yet collected, nil when none
+	spare    *block // a collected unit waiting to be the next open block
 	years    YearCache
 	prev     int64 // previous record's start time within the block
 	index    []ZoneMap
-	scratch  bytes.Buffer
-	fw       *flate.Writer
-	closer   io.Closer // set by Create; closed by Close
+	crc      [blockCRCLen]byte // writeBlock's scratch: a local would escape through Write
+	closer   io.Closer         // set by Create; closed by Close
 	closed   bool
 	closeErr error // Close's result, replayed by every later Close
 	err      error
 
 	nScans             uint64
 	minStart, maxStart int64
+	moved, movedBytes  uint64 // blocks that came in through appendBlock
 
 	mScans, mBlocks, mRaw, mCompressed *obs.Counter
-	mCompressNS                        *obs.Histogram
+	mCompressNS, mWaitNS               *obs.Histogram
+}
+
+// block is one unit of the write pipeline: a block's records and zone map
+// while it is open, the DEFLATE state and output that make it a stream once
+// handed off. From go b.run() to the receive from done the compressor
+// goroutine owns it, at every other time its Writer.
+type block struct {
+	raw  []byte
+	zone ZoneMap
+	fw   *flate.Writer // ≈ 0.8 MB of hash chains and window, reused by Reset
+	out  bytes.Buffer
+	err  error
+	ns   *obs.Histogram // the owning Writer's archive.compress_ns
+	run  func()         // compress, bound once: go b.run() allocates nothing
+	done chan struct{}  // buffered, so an abandoned Writer's compressor still exits
+}
+
+// flateFree is the process-wide free list of idle DEFLATE states, bounded like
+// scratchFree and for its reason. It keeps one: writing segment after segment
+// costs no flate.NewWriter each, and an idle process holds 0.8 MB, not the
+// buffers too — every retained byte is about two of a quiet process's peak.
+var flateFree = make(chan *flate.Writer, 1)
+
+// newBlock returns an empty unit whose raw buffer holds rawCap bytes.
+func newBlock(rawCap int) *block {
+	b := &block{raw: make([]byte, 0, rawCap), done: make(chan struct{}, 1)}
+	b.out.Grow(rawCap / 2) // most blocks deflate to less: one allocation, not a doubling series
+	b.run = b.compress
+	b.zone.reset()
+	select {
+	case b.fw = <-flateFree:
+	default:
+		b.fw, _ = flate.NewWriter(io.Discard, flate.DefaultCompression) // errors on an invalid level only
+	}
+	return b
+}
+
+// release gives an idle unit's DEFLATE state back to the free list, or to
+// the collector when the list is full, and its buffers to the collector.
+func (b *block) release() {
+	if b == nil {
+		return
+	}
+	poison(b.raw, b.out.Bytes())
+	select {
+	case flateFree <- b.fw:
+	default:
+	}
+	b.fw = nil
+}
+
+// compress deflates b.raw into b.out and signals done, on a goroutine of its
+// own per block: nothing is left to outlive an abandoned Writer.
+func (b *block) compress() {
+	sp := obs.StartSpan(b.ns)
+	b.out.Reset()
+	b.fw.Reset(&b.out)
+	if _, b.err = b.fw.Write(b.raw); b.err == nil {
+		b.err = b.fw.Close()
+	}
+	sp.End()
+	b.done <- struct{}{}
 }
 
 // NewWriter writes the header and returns an archive writer.
@@ -70,29 +140,25 @@ func NewWriter(w io.Writer, cfg WriterConfig) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
+	// The buffer joins the header and the CRC words to the streams they
+	// precede; a block's stream is far larger and passes it by.
+	bw := bufio.NewWriterSize(w, 1<<12)
 	if _, err := bw.Write(hdr); err != nil {
 		return nil, err
 	}
-	fw, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
-	}
-	aw := &Writer{
-		w:   bw,
-		cfg: cfg,
-		off: headerLen,
-		buf: make([]byte, 0, cfg.BlockBytes+4096),
-		fw:  fw,
+	return &Writer{
+		w:    bw,
+		cfg:  cfg,
+		off:  headerLen,
+		open: newBlock(cfg.BlockBytes + 4096),
 
 		mScans:      cfg.Metrics.Counter("archive.scans.written"),
 		mBlocks:     cfg.Metrics.Counter("archive.blocks.written"),
 		mRaw:        cfg.Metrics.Counter("archive.bytes.raw"),
 		mCompressed: cfg.Metrics.Counter("archive.bytes.compressed"),
 		mCompressNS: cfg.Metrics.Histogram("archive.compress_ns"),
-	}
-	aw.zone.reset()
-	return aw, nil
+		mWaitNS:     cfg.Metrics.Histogram("archive.compress_wait_ns"),
+	}, nil
 }
 
 // Create opens path for writing and returns an archive writer over it.
@@ -136,9 +202,10 @@ func (w *Writer) add(sc *core.Scan, o *enrich.Origin) error {
 	if w.closed {
 		return fmt.Errorf("archive: Add after Close")
 	}
-	w.buf = appendRecord(w.buf, sc, o, w.prev)
+	b := w.open
+	b.raw = appendRecord(b.raw, sc, o, w.prev)
 	w.prev = sc.Start
-	w.zone.observe(sc, w.years.Year(sc.Start))
+	b.zone.observe(sc, w.years.Year(sc.Start))
 	if w.nScans == 0 || sc.Start < w.minStart {
 		w.minStart = sc.Start
 	}
@@ -147,64 +214,111 @@ func (w *Writer) add(sc *core.Scan, o *enrich.Origin) error {
 	}
 	w.nScans++
 	w.mScans.Inc()
-	if len(w.buf) >= w.cfg.BlockBytes {
+	if len(b.raw) >= w.cfg.BlockBytes {
 		return w.flushBlock()
 	}
 	return nil
 }
 
-// flushBlock compresses and writes the current block and opens a new one.
+// flushBlock hands off the open block, if it holds anything, and opens another.
 func (w *Writer) flushBlock() error {
-	if w.zone.Scans == 0 {
-		return nil
+	w.handOff()
+	if w.open == nil {
+		if w.spare == nil {
+			// Taken only now: a Writer that never fills a block gets by on one.
+			w.spare = newBlock(w.cfg.BlockBytes + 4096)
+		}
+		w.open, w.spare = w.spare, nil
+		w.open.raw, w.prev = w.open.raw[:0], 0
+		w.open.zone.reset()
 	}
-	sp := obs.StartSpan(w.mCompressNS)
-	w.scratch.Reset()
-	w.fw.Reset(&w.scratch)
-	if _, err := w.fw.Write(w.buf); err != nil {
-		w.err = err
-		return err
+	return w.err
+}
+
+// handOff gives the open block, if it holds anything, to a compressor
+// goroutine and then collects the block handed off before it — in that order,
+// so that two blocks deflate at once while the caller waits — leaving none
+// open. What fails is kept in w.err.
+func (w *Writer) handOff() {
+	b := w.open
+	if b.zone.Scans == 0 {
+		return
 	}
-	if err := w.fw.Close(); err != nil {
-		w.err = err
-		return err
+	b.ns = w.mCompressNS
+	go b.run()
+	w.collect()
+	w.open, w.inflight = nil, b
+}
+
+// collect waits for the block in flight, if any, and writes it: CRC word,
+// stream, index entry, offset. Its unit becomes the spare.
+func (w *Writer) collect() error {
+	b := w.inflight
+	if b == nil {
+		return w.err
 	}
+	w.inflight, w.spare = nil, b
+	sp := obs.StartSpan(w.mWaitNS)
+	<-b.done
 	sp.End()
+	if w.err == nil {
+		w.err = b.err
+	}
+	if w.err != nil {
+		return w.err
+	}
+	comp := b.out.Bytes()
+	b.zone.CompressedLen = uint32(len(comp))
+	b.zone.RawLen = uint32(len(b.raw))
+	return w.writeBlock(b.zone, crc32.ChecksumIEEE(comp), comp)
+}
 
-	// The zone map's Offset points at the block's CRC word; CompressedLen
-	// covers the DEFLATE stream only.
-	w.zone.Offset = w.off
-	w.zone.CompressedLen = uint32(w.scratch.Len())
-	w.zone.RawLen = uint32(len(w.buf))
-	var crc [blockCRCLen]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(w.scratch.Bytes()))
-	if _, err := w.w.Write(crc[:]); err != nil {
+// writeBlock appends one compressed block — CRC word, then stream — and its
+// zone map, whose Offset is re-based to the CRC word's new place.
+func (w *Writer) writeBlock(z ZoneMap, sum uint32, comp []byte) error {
+	z.Offset = w.off
+	binary.BigEndian.PutUint32(w.crc[:], sum)
+	w.w.Write(w.crc[:]) // a bufio.Writer's error is sticky: the next Write returns it
+	if _, err := w.w.Write(comp); err != nil {
 		w.err = err
 		return err
 	}
-	if _, err := w.w.Write(w.scratch.Bytes()); err != nil {
-		w.err = err
-		return err
-	}
-	w.off += blockCRCLen + uint64(w.scratch.Len())
-	w.index = append(w.index, w.zone)
-
+	w.off += blockCRCLen + uint64(len(comp))
+	w.index = append(w.index, z)
 	w.mBlocks.Inc()
-	w.mRaw.Add(uint64(len(w.buf)))
-	w.mCompressed.Add(uint64(w.scratch.Len()))
-
-	w.buf = w.buf[:0]
-	w.prev = 0
-	w.zone.reset()
+	w.mRaw.Add(uint64(z.RawLen))
+	w.mCompressed.Add(uint64(z.CompressedLen))
 	return nil
+}
+
+// appendBlock moves in a compressed block of another archive with the same
+// record layout: comp is its DEFLATE stream, sum the CRC the caller checked it
+// against, z its zone map there. The open block is closed first, so record
+// order is call order.
+func (w *Writer) appendBlock(z ZoneMap, sum uint32, comp []byte) error {
+	w.flushBlock() // its error is sticky: collect returns it
+	if err := w.collect(); err != nil {
+		return err
+	}
+	if w.nScans == 0 {
+		w.minStart, w.maxStart = z.MinStart, z.MaxStart
+	}
+	w.minStart, w.maxStart = min(w.minStart, z.MinStart), max(w.maxStart, z.MaxStart)
+	w.nScans += uint64(z.Scans)
+	w.mScans.Add(uint64(z.Scans))
+	w.moved++
+	w.movedBytes += blockCRCLen + uint64(len(comp))
+	return w.writeBlock(z, sum, comp)
 }
 
 // NumScans returns the number of scans added so far.
 func (w *Writer) NumScans() uint64 { return w.nScans }
 
-// Offset returns the bytes emitted so far (header plus flushed blocks); the
-// open block's buffered records are not included. Segment rotation uses it
-// as the on-disk size signal.
+// Offset returns the bytes emitted so far: the header plus every collected
+// block, which leaves out the open block and the one in flight — the same
+// ones on every run, collection points being fixed by the record stream.
+// Segment rotation uses it as the on-disk size signal, so a byte-bound
+// rotation lands one block later than if blocks were written as they fill.
 func (w *Writer) Offset() uint64 { return w.off }
 
 // StartBounds returns the min and max start times (ns) over every scan added
@@ -231,51 +345,42 @@ func (w *Writer) Close() error {
 }
 
 // close runs the single real close. Whatever happens, the underlying file
-// (when the writer owns one) is released exactly once.
+// (when the writer owns one) is released exactly once, no compressor is left
+// running, and the units' DEFLATE states go back to the free list.
 func (w *Writer) close() error {
-	if err := w.finish(); err != nil {
-		if w.closer != nil {
-			w.closer.Close()
-		}
-		return err
+	err := w.finish()
+	if w.inflight != nil {
+		<-w.inflight.done // finish stopped at an earlier error
+	}
+	for _, b := range [...]*block{w.open, w.inflight, w.spare} {
+		b.release()
 	}
 	if w.closer != nil {
-		return w.closer.Close()
+		if cerr := w.closer.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return nil
+	return err
 }
 
-// finish writes the remaining block, index and trailer onto the stream.
+// finish drains the pipeline and writes the index and trailer onto the stream.
 func (w *Writer) finish() error {
-	if w.err != nil {
-		return w.err
-	}
-	if err := w.flushBlock(); err != nil {
+	w.handOff()
+	if err := w.collect(); err != nil {
 		return err
 	}
-
-	idx := make([]byte, 0, 4+len(w.index)*zoneMapLen)
+	idx := make([]byte, 0, 4+len(w.index)*zoneMapLen+trailerLen)
 	idx = binary.BigEndian.AppendUint32(idx, uint32(len(w.index)))
 	for i := range w.index {
 		idx = w.index[i].marshal(idx)
 	}
-	var tr [trailerLen]byte
-	binary.BigEndian.PutUint64(tr[0:8], w.off)
-	binary.BigEndian.PutUint32(tr[8:12], uint32(len(idx)))
-	binary.BigEndian.PutUint32(tr[12:16], crc32.ChecksumIEEE(idx))
-	copy(tr[16:20], TrailerMagic[:])
-
-	if _, err := w.w.Write(idx); err != nil {
-		w.err = err
-		return err
+	n := len(idx) // the trailer follows the index in the same buffer
+	idx = binary.BigEndian.AppendUint64(idx, w.off)
+	idx = binary.BigEndian.AppendUint32(idx, uint32(n))
+	idx = binary.BigEndian.AppendUint32(idx, crc32.ChecksumIEEE(idx[:n]))
+	idx = append(idx, TrailerMagic[:]...)
+	if _, w.err = w.w.Write(idx); w.err == nil {
+		w.err = w.w.Flush()
 	}
-	if _, err := w.w.Write(tr[:]); err != nil {
-		w.err = err
-		return err
-	}
-	if err := w.w.Flush(); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
+	return w.err
 }

@@ -8,6 +8,9 @@
 //   - Reader wraps any io.Reader and corrupts, truncates, short-reads or
 //     hard-fails the byte stream at seeded positions, for exercising the
 //     capture codecs (pcap, pcapng, flowlog) and the SYNA archive.
+//   - Writer wraps any io.Writer and fails its n-th Write call and every one
+//     after it, for walking a writer through every point at which its
+//     storage can give out.
 //   - Stream mutates a probe stream at telescope ingress: drop, duplicate,
 //     reorder and clock-skew, the packet-level damage a lossy span port or a
 //     capture box under pressure produces.
@@ -127,6 +130,36 @@ func (f *Reader) corrupt(b []byte, base int64) {
 			b[i] ^= mask
 		}
 	}
+}
+
+// ErrInjectedWrite is the error a Writer returns from its failing call on.
+var ErrInjectedWrite = errors.New("faultinject: injected write error")
+
+// Writer is a fault-injecting io.Writer wrapper: Write calls before the
+// failAt-th (counting from 1) pass through, that call and all later ones
+// write nothing and return ErrInjectedWrite — storage that fills up stays
+// full. failAt <= 0 never fails, which makes a dry run that counts a
+// workload's writes (Writes) the way to enumerate its failure points. Not
+// safe for concurrent use.
+type Writer struct {
+	w      io.Writer
+	failAt int
+	writes int
+}
+
+// NewWriter wraps w, failing from the failAt-th Write call on.
+func NewWriter(w io.Writer, failAt int) *Writer { return &Writer{w: w, failAt: failAt} }
+
+// Writes returns the number of Write calls made so far, failed ones included.
+func (f *Writer) Writes() int { return f.writes }
+
+// Write implements io.Writer with the configured failure point.
+func (f *Writer) Write(p []byte) (int, error) {
+	f.writes++
+	if f.failAt > 0 && f.writes >= f.failAt {
+		return 0, ErrInjectedWrite
+	}
+	return f.w.Write(p)
 }
 
 // FlipBytes deterministically XOR-corrupts n distinct byte positions of

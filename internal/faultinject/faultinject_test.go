@@ -120,6 +120,33 @@ func TestReaderShortReads(t *testing.T) {
 	}
 }
 
+// TestWriterFailsFromNthWrite: calls before the failure point pass through
+// untouched, that call and every later one write nothing, and all are counted.
+func TestWriterFailsFromNthWrite(t *testing.T) {
+	var dry bytes.Buffer
+	w := NewWriter(&dry, 0)
+	for i := 0; i < 5; i++ {
+		if _, err := w.Write([]byte{byte(i)}); err != nil {
+			t.Fatalf("dry run write %d: %v", i, err)
+		}
+	}
+	if w.Writes() != 5 || dry.Len() != 5 {
+		t.Fatalf("dry run: %d writes, %d bytes, want 5 and 5", w.Writes(), dry.Len())
+	}
+
+	var out bytes.Buffer
+	w = NewWriter(&out, 3)
+	for i := 0; i < 5; i++ {
+		n, err := w.Write([]byte{byte(i)})
+		if failed := i >= 2; failed != errors.Is(err, ErrInjectedWrite) || (failed && n != 0) {
+			t.Fatalf("write %d: n=%d err=%v", i+1, n, err)
+		}
+	}
+	if w.Writes() != 5 || !bytes.Equal(out.Bytes(), []byte{0, 1}) {
+		t.Fatalf("%d writes counted, %v delivered", w.Writes(), out.Bytes())
+	}
+}
+
 func TestFlipBytes(t *testing.T) {
 	src := testPayload(1024)
 	data := append([]byte(nil), src...)
