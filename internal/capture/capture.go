@@ -45,6 +45,7 @@ type Reader struct {
 	spool  *flowlog.Reader
 
 	dec       packet.Decoder
+	records   uint64 // read so far: the zero-based index of the next one
 	truncated uint64
 }
 
@@ -72,7 +73,7 @@ func Open(r io.Reader) (*Reader, error) {
 	default:
 		rd.format = Pcap
 		if rd.pcap, err = pcap.NewReader(br); err == nil && rd.pcap.LinkType() != pcap.LinkTypeEthernet {
-			err = linkTypeError("pcap file", rd.pcap.LinkType())
+			err = fmt.Errorf("capture: %w", linkTypeError("pcap file", rd.pcap.LinkType()))
 		}
 	}
 	if err != nil {
@@ -82,7 +83,7 @@ func Open(r io.Reader) (*Reader, error) {
 }
 
 func linkTypeError(what string, linkType uint32) error {
-	return fmt.Errorf("capture: %s has link type %d; only Ethernet (%d) is decoded",
+	return fmt.Errorf("%s has link type %d; only Ethernet (%d) is decoded",
 		what, linkType, pcap.LinkTypeEthernet)
 }
 
@@ -107,8 +108,23 @@ func (r *Reader) Truncated() uint64 { return r.truncated }
 // io.EOF at a clean end of stream. One Decoder serves the whole stream and
 // decoding reuses p's Payload backing, so a loop over Next with one Probe
 // runs allocation-free (alloctest budget `capture-next`); whoever keeps a
-// probe past the next call must copy it, as the detectors do.
+// probe past the next call must copy it, as the detectors do. Any other error
+// names the format and the zero-based index of the record it stopped at, once
+// for all three codecs, and wraps the codec's own (io.ErrUnexpectedEOF for a
+// cut record, pcapng.ErrCorrupted, the underlying reader's).
 func (r *Reader) Next(p *packet.Probe) (decoded bool, err error) {
+	decoded, err = r.next(p)
+	switch err {
+	case nil:
+		r.records++
+	case io.EOF:
+	default:
+		err = fmt.Errorf("capture: %s record %d: %w", r.format, r.records, err)
+	}
+	return decoded, err
+}
+
+func (r *Reader) next(p *packet.Probe) (decoded bool, err error) {
 	var (
 		ts    int64
 		frame []byte
@@ -126,7 +142,7 @@ func (r *Reader) Next(p *packet.Probe) (decoded bool, err error) {
 		// Interfaces come and go with sections, so the packet's own
 		// interface is looked up each time.
 		if lt := uint32(r.ng.LinkType(id)); lt != pcap.LinkTypeEthernet {
-			return false, linkTypeError(fmt.Sprintf("pcapng interface %d", id), lt)
+			return false, linkTypeError(fmt.Sprintf("interface %d", id), lt)
 		}
 		cut = r.ng.Truncated()
 	default:

@@ -3,11 +3,14 @@ package capture
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/synscan/synscan/internal/alloctest"
 	"github.com/synscan/synscan/internal/core"
@@ -242,6 +245,97 @@ func sameScans(t *testing.T, format Format, got, want []*core.Scan) {
 		}
 		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("flow %d differs:\n replayed: %+v\n direct:   %+v", i, g, w)
+		}
+	}
+}
+
+var recordIndex = regexp.MustCompile(`record \d+`)
+
+// TestDamagedStreamFailsFast: a capture cut or damaged mid-way replays up to
+// the damage and stops there. The stats account for exactly the records
+// before it (Records == Accepted + NotSYN + Unparsed, and the admitted probes
+// are the clean stream's), and the error names the format and the zero-based
+// index of the record that could not be read, whichever codec met it.
+func TestDamagedStreamFailsFast(t *testing.T) {
+	probes := accepted(t, false)[:4000]
+	const junkEvery, k = 97, 2500 // damage starts at the record of probes[k]
+	for _, format := range formats {
+		clean, _ := render(t, format, probes, junkEvery)
+		prefix, junk := render(t, format, probes[:k], junkEvery)
+		off := len(prefix)
+		if !bytes.Equal(clean[:off], prefix) {
+			t.Fatalf("%s: rendering is not prefix-stable", format)
+		}
+		damaged := append([]byte{}, clean...)
+		var class error // what errors.Is must find in the damage case, if the codec exports one
+		switch format {
+		case Pcap: // stored length, high byte: far over the snap length
+			damaged[off+11] = 0xFF
+		case Pcapng: // block total length, high byte: over the block bound
+			damaged[off+7], class = 0xFF, pcapng.ErrCorrupted
+		case Spool: // a timestamp varint that never ends
+			copy(damaged[off:], bytes.Repeat([]byte{0xFF}, 10))
+		}
+		for name, tc := range map[string]struct {
+			data  []byte
+			class error
+		}{
+			"cut":     {clean[:off+5], io.ErrUnexpectedEOF},
+			"damaged": {damaged, class},
+		} {
+			t.Run(fmt.Sprintf("%s/%s", format, name), func(t *testing.T) {
+				rd, err := Open(bytes.NewReader(tc.data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				reg := obs.NewRegistry()
+				det := NewDetector(testTelescope, 0, 1, reg, func(*core.Scan) {})
+				next := 0
+				st, err := Replay(rd, det, ReplayConfig{Metrics: reg, Accepted: func(p *packet.Probe) {
+					sameProbe(t, format, next, p, &probes[next])
+					next++
+				}})
+				want := ReplayStats{Records: k + junk, Accepted: k, NotSYN: junk}
+				if format != Spool {
+					want.NotSYN, want.Unparsed = junk/2, junk/2
+				}
+				if st != want || next != k {
+					t.Fatalf("stats %+v (Accepted called %d times), want %+v", st, next, want)
+				}
+				conserved(t, st, reg)
+				at := fmt.Sprintf("capture: %s record %d: ", format, st.Records)
+				if err == nil || !strings.HasPrefix(err.Error(), at) || len(recordIndex.FindAllString(err.Error(), -1)) != 1 {
+					t.Fatalf("error %q, want it to start %q and state the index once", err, at)
+				}
+				if tc.class != nil && !errors.Is(err, tc.class) {
+					t.Fatalf("error %q is not %q", err, tc.class)
+				}
+			})
+		}
+	}
+}
+
+var errBoom = errors.New("boom")
+
+// TestReadErrorIsNotTruncation: when the underlying reader fails — an EIO from
+// the disk — every format reports that error, wherever in a record it
+// strikes, and never dresses it up as a cut file (io.ErrUnexpectedEOF).
+func TestReadErrorIsNotTruncation(t *testing.T) {
+	probes := accepted(t, true)[:3]
+	for _, format := range formats {
+		valid, _ := render(t, format, probes, 0)
+		for cut := 0; cut < len(valid); cut++ {
+			err := func() error {
+				rd, err := Open(io.MultiReader(bytes.NewReader(valid[:cut]), iotest.ErrReader(errBoom)))
+				for p := new(packet.Probe); err == nil; {
+					_, err = rd.Next(p)
+				}
+				return err
+			}()
+			if !errors.Is(err, errBoom) || errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s: valid[:%d] then a read error: got %q, want it to be %q and not io.ErrUnexpectedEOF", format, cut, err, errBoom)
+				break // one cut per format says it
+			}
 		}
 	}
 }

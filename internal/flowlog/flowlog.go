@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/packet"
 )
 
@@ -38,11 +37,6 @@ const (
 	headerLen     = 10
 	recordBodyLen = 27
 	maxRecordLen  = binary.MaxVarintLen64 + recordBodyLen
-
-	// maxResyncDeltaNS bounds a plausible inter-record timestamp delta
-	// (~2 years) for WithResync readers. The first record's delta is
-	// absolute time and exempt.
-	maxResyncDeltaNS = 730 * 24 * 3600 * 1e9
 )
 
 // Errors.
@@ -120,35 +114,10 @@ type Reader struct {
 	r       *bufio.Reader
 	last    int64
 	telSize int
-	idx     uint64 // records decoded so far; names the record in errors
-
-	resync   bool
-	resyncs  uint64
-	skipped  uint64
-	mResyncs *obs.Counter
-	mSkipped *obs.Counter
-}
-
-// ReaderOption configures a Reader.
-type ReaderOption func(*Reader)
-
-// WithResync makes the reader recover from in-stream corruption instead of
-// failing: an overflowing timestamp varint or an implausible inter-record
-// delta (beyond ±2 years) triggers a forward scan to the next offset that
-// decodes as a plausible record (bounded delta, protocol byte in the set
-// the writer emits), and a record cut off at end of stream is dropped with
-// a clean io.EOF. Skipped spans are counted in Resyncs/SkippedBytes and the
-// faults.flowlog.* metrics. Flowlog records carry no checksum, so damage
-// confined to the fixed-width body decodes silently — resync bounds
-// structural damage, it cannot prove integrity. And because timestamps are
-// delta-encoded, records after a resynced gap inherit the last good
-// record's clock and may sit offset by the skipped records' deltas.
-func WithResync() ReaderOption {
-	return func(r *Reader) { r.resync = true }
 }
 
 // NewReader validates the header and returns a spool reader.
-func NewReader(r io.Reader, opts ...ReaderOption) (*Reader, error) {
+func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -163,149 +132,52 @@ func NewReader(r io.Reader, opts ...ReaderOption) (*Reader, error) {
 	if hdr[4] != version {
 		return nil, ErrBadVersion
 	}
-	rd := &Reader{
-		r:       br,
-		telSize: int(binary.BigEndian.Uint32(hdr[6:10])),
-	}
-	for _, o := range opts {
-		o(rd)
-	}
-	rd.SetMetrics(nil)
-	return rd, nil
+	return &Reader{r: br, telSize: int(binary.BigEndian.Uint32(hdr[6:10]))}, nil
 }
 
 // TelescopeSize returns the monitored-address count recorded in the header.
 func (r *Reader) TelescopeSize() int { return r.telSize }
 
-// SetMetrics wires the reader's fault instrumentation (resyncs performed,
-// bytes skipped while resyncing). A nil registry disables it.
-func (r *Reader) SetMetrics(reg *obs.Registry) {
-	r.mResyncs = reg.Counter("faults.flowlog.resyncs")
-	r.mSkipped = reg.Counter("faults.flowlog.skipped_bytes")
-}
-
-// Resyncs returns how many corruption recoveries a WithResync reader has
-// performed.
-func (r *Reader) Resyncs() uint64 { return r.resyncs }
-
-// SkippedBytes returns how many bytes a WithResync reader has discarded
-// while scanning for record boundaries.
-func (r *Reader) SkippedBytes() uint64 { return r.skipped }
-
 // Next decodes the next record into p. It returns io.EOF at a clean end of
 // stream; a record cut off anywhere — even inside the leading timestamp
-// varint — surfaces io.ErrUnexpectedEOF wrapped with the record's index.
-// A reader built WithResync skips corrupt spans instead of erroring; see
-// WithResync.
+// varint — surfaces io.ErrUnexpectedEOF, and any other failure of the
+// underlying reader that reader's error.
 func (r *Reader) Next(p *packet.Probe) error {
-	for {
-		buf, peekErr := r.r.Peek(maxRecordLen)
-		if len(buf) == 0 {
-			if peekErr == nil || peekErr == io.EOF {
-				return io.EOF
-			}
-			return peekErr
+	buf, peekErr := r.r.Peek(maxRecordLen)
+	if len(buf) == 0 {
+		if peekErr == nil || peekErr == io.EOF {
+			return io.EOF
 		}
-		delta, n := binary.Uvarint(buf)
-		if n < 0 {
-			if r.resync {
-				if !r.resyncScan() {
-					return io.EOF
-				}
-				continue
-			}
-			return fmt.Errorf("flowlog: record %d: timestamp: %w", r.idx, errOverflow)
-		}
-		if n == 0 || len(buf) < n+recordBodyLen {
-			// Fewer bytes remain than one record needs.
-			if peekErr != nil && peekErr != io.EOF {
-				return fmt.Errorf("flowlog: record %d: %w", r.idx, peekErr)
-			}
-			if r.resync {
-				d, _ := r.r.Discard(len(buf))
-				r.addSkipped(d)
-				return io.EOF
-			}
-			if n == 0 {
-				return fmt.Errorf("flowlog: record %d: truncated timestamp: %w", r.idx, io.ErrUnexpectedEOF)
-			}
-			return fmt.Errorf("flowlog: record %d: truncated record: %w", r.idx, io.ErrUnexpectedEOF)
-		}
-		d := unzigzag(delta)
-		if r.resync && r.idx > 0 && (d > maxResyncDeltaNS || d < -maxResyncDeltaNS) {
-			if !r.resyncScan() {
-				return io.EOF
-			}
-			continue
-		}
-		b := buf[n : n+recordBodyLen]
-		r.last += d
-		p.Time = r.last
-		p.Src = binary.BigEndian.Uint32(b[0:4])
-		p.Dst = binary.BigEndian.Uint32(b[4:8])
-		p.SrcPort = binary.BigEndian.Uint16(b[8:10])
-		p.DstPort = binary.BigEndian.Uint16(b[10:12])
-		p.Seq = binary.BigEndian.Uint32(b[12:16])
-		p.Ack = binary.BigEndian.Uint32(b[16:20])
-		p.IPID = binary.BigEndian.Uint16(b[20:22])
-		p.TTL = b[22]
-		p.Flags = b[23]
-		p.Window = binary.BigEndian.Uint16(b[24:26])
-		p.Proto = b[26]
-		if _, err := r.r.Discard(n + recordBodyLen); err != nil {
-			return fmt.Errorf("flowlog: record %d: %w", r.idx, err)
-		}
-		r.idx++
-		return nil
+		return peekErr
 	}
-}
-
-// resyncScan advances the stream one byte at a time until an offset decodes
-// as a plausible record, counting the span it skips. It reports false when
-// the stream ends first (the remaining tail is consumed and counted).
-func (r *Reader) resyncScan() bool {
-	r.resyncs++
-	r.mResyncs.Inc()
-	skipped := 0
-	for {
-		n, _ := r.r.Discard(1)
-		skipped += n
-		if n == 0 {
-			r.addSkipped(skipped)
-			return false
-		}
-		buf, _ := r.r.Peek(maxRecordLen)
-		if len(buf) == 0 {
-			r.addSkipped(skipped)
-			return false
-		}
-		if plausibleRecord(buf) {
-			r.addSkipped(skipped)
-			return true
-		}
-	}
-}
-
-// plausibleRecord reports whether buf starts with a believable record: a
-// full record's worth of bytes, a bounded timestamp delta, and a protocol
-// byte among ICMP/TCP/UDP. Zero-proto records are legal but are not used as
-// anchors — zero bytes are far too common in record bodies to resync on.
-func plausibleRecord(buf []byte) bool {
 	delta, n := binary.Uvarint(buf)
-	if n <= 0 || len(buf) < n+recordBodyLen {
-		return false
+	if n < 0 {
+		return fmt.Errorf("flowlog: timestamp: %w", errOverflow)
 	}
-	if d := unzigzag(delta); d > maxResyncDeltaNS || d < -maxResyncDeltaNS {
-		return false
+	if n == 0 || len(buf) < n+recordBodyLen {
+		// Fewer bytes remain than one record needs.
+		if peekErr != nil && peekErr != io.EOF {
+			return fmt.Errorf("flowlog: %w", peekErr)
+		}
+		if n == 0 {
+			return fmt.Errorf("flowlog: truncated timestamp: %w", io.ErrUnexpectedEOF)
+		}
+		return fmt.Errorf("flowlog: truncated record: %w", io.ErrUnexpectedEOF)
 	}
-	switch buf[n+recordBodyLen-1] {
-	case 1, 6, 17:
-		return true
-	}
-	return false
-}
-
-func (r *Reader) addSkipped(n int) {
-	r.skipped += uint64(n)
-	r.mSkipped.Add(uint64(n))
+	b := buf[n : n+recordBodyLen]
+	r.last += unzigzag(delta)
+	p.Time = r.last
+	p.Src = binary.BigEndian.Uint32(b[0:4])
+	p.Dst = binary.BigEndian.Uint32(b[4:8])
+	p.SrcPort = binary.BigEndian.Uint16(b[8:10])
+	p.DstPort = binary.BigEndian.Uint16(b[10:12])
+	p.Seq = binary.BigEndian.Uint32(b[12:16])
+	p.Ack = binary.BigEndian.Uint32(b[16:20])
+	p.IPID = binary.BigEndian.Uint16(b[20:22])
+	p.TTL = b[22]
+	p.Flags = b[23]
+	p.Window = binary.BigEndian.Uint16(b[24:26])
+	p.Proto = b[26]
+	_, err := r.r.Discard(n + recordBodyLen) // buffered by the Peek: cannot fail
+	return err
 }

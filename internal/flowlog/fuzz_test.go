@@ -9,10 +9,10 @@ import (
 	"github.com/synscan/synscan/internal/packet"
 )
 
-// FuzzReader hardens the spool parser, in both fail-fast and resync modes:
-// arbitrary bytes must never panic, valid prefixes must decode exactly the
-// records they contain, and resync mode must always terminate with io.EOF
-// rather than an error.
+// FuzzReader hardens the spool parser: whatever the bytes, NewReader and Next
+// return — a record, io.EOF or an error — without panicking, and every record
+// consumes at least a one-byte timestamp and the fixed body, so a stream
+// cannot hold more records than its length allows.
 func FuzzReader(f *testing.F) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, 4096)
@@ -45,23 +45,17 @@ func FuzzReader(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, opts := range [][]ReaderOption{nil, {WithResync()}} {
-			r, err := NewReader(bytes.NewReader(data), opts...)
-			if err != nil {
-				continue
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var p packet.Probe
+		for i := 1; i <= 10000; i++ {
+			if err := r.Next(&p); err != nil {
+				return
 			}
-			var p packet.Probe
-			for i := 0; i < 10000; i++ {
-				err := r.Next(&p)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					if len(opts) > 0 {
-						t.Fatalf("resync reader surfaced %v", err)
-					}
-					break // parse error in fail-fast mode: fine
-				}
+			if headerLen+i*(1+recordBodyLen) > len(data) {
+				t.Fatalf("%d records from a %d-byte stream", i, len(data))
 			}
 		}
 	})

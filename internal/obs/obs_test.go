@@ -140,16 +140,16 @@ func TestRegistryIdentity(t *testing.T) {
 func TestCountersWithPrefix(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("faults.archive.corrupt_blocks").Add(3)
-	r.Counter("faults.pcap.resyncs").Add(2)
+	r.Counter("telescope.drop.bad_time").Add(2)
 	r.Counter("telescope.drop.policy").Add(9)
 	s := r.Snapshot()
-	got := s.CountersWithPrefix("faults.")
+	got := s.CountersWithPrefix("telescope.drop.")
 	want := map[string]uint64{
-		"faults.archive.corrupt_blocks": 3,
-		"faults.pcap.resyncs":           2,
+		"telescope.drop.bad_time": 2,
+		"telescope.drop.policy":   9,
 	}
 	if len(got) != len(want) {
-		t.Fatalf("CountersWithPrefix(faults.) = %v", got)
+		t.Fatalf("CountersWithPrefix(telescope.drop.) = %v", got)
 	}
 	for name, v := range want {
 		if got[name] != v {

@@ -8,9 +8,10 @@ import (
 	"github.com/synscan/synscan/internal/faultinject"
 )
 
-// FuzzReader hardens the pcap parser against malformed capture files, in
-// both fail-fast and resync modes; resync mode must always terminate with
-// io.EOF rather than an error.
+// FuzzReader hardens the pcap parser against malformed capture files:
+// whatever the bytes, NewReader and Next return — a record, io.EOF or an
+// error — without panicking, every record consumes its header's worth of
+// input, and no record holds more than the reader's length bound.
 func FuzzReader(f *testing.F) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
@@ -41,22 +42,20 @@ func FuzzReader(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, opts := range [][]ReaderOption{nil, {WithResync()}} {
-			r, err := NewReader(bytes.NewReader(data), opts...)
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i := 1; i <= 10000; i++ {
+			rec, err := r.Next()
 			if err != nil {
-				continue
+				return
 			}
-			for i := 0; i < 10000; i++ {
-				_, err := r.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					if len(opts) > 0 {
-						t.Fatalf("resync reader surfaced %v", err)
-					}
-					break
-				}
+			if fileHeaderLen+i*recordHeaderLen > len(data) {
+				t.Fatalf("%d records from a %d-byte stream", i, len(data))
+			}
+			if n := len(rec.Data); uint32(n) > r.maxIncl || n > len(data) {
+				t.Fatalf("record %d holds %d bytes (snaplen %d, stream %d)", i-1, n, r.Snaplen(), len(data))
 			}
 		}
 	})

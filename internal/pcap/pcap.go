@@ -15,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"github.com/synscan/synscan/internal/obs"
 )
 
 // Link types (a small subset of the registry).
@@ -150,32 +148,10 @@ type Reader struct {
 	maxIncl  uint32 // snaplen, or maxRecordLen where that is tighter
 	linkType uint32
 	buf      []byte
-
-	resync   bool
-	lastSec  int64 // last good record's sec field; 0 = none yet
-	resyncs  uint64
-	skipped  uint64
-	mResyncs *obs.Counter
-	mSkipped *obs.Counter
-}
-
-// ReaderOption configures a Reader.
-type ReaderOption func(*Reader)
-
-// WithResync makes the reader recover from in-stream corruption instead of
-// failing: a record header that fails validation triggers a forward scan to
-// the next plausible 16-byte record boundary (sane sub-second field, length
-// within the snap length, capture time near the last good record), and a
-// record cut off at end of stream is dropped with a clean io.EOF. Skipped
-// spans are counted in Resyncs/SkippedBytes and the faults.pcap.* metrics.
-// pcap records carry no checksum, so corruption that still parses plausibly
-// is not detectable — resync bounds the damage, it cannot prove integrity.
-func WithResync() ReaderOption {
-	return func(r *Reader) { r.resync = true }
 }
 
 // NewReader parses the file header from r and returns a packet reader.
-func NewReader(r io.Reader, opts ...ReaderOption) (*Reader, error) {
+func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [fileHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -212,27 +188,8 @@ func NewReader(r io.Reader, opts ...ReaderOption) (*Reader, error) {
 	if rd.maxIncl = rd.snaplen; rd.maxIncl == 0 || rd.maxIncl > maxRecordLen {
 		rd.maxIncl = maxRecordLen
 	}
-	for _, o := range opts {
-		o(rd)
-	}
-	rd.SetMetrics(nil)
 	return rd, nil
 }
-
-// SetMetrics wires the reader's fault instrumentation (resyncs performed,
-// bytes skipped while resyncing). A nil registry disables it.
-func (r *Reader) SetMetrics(reg *obs.Registry) {
-	r.mResyncs = reg.Counter("faults.pcap.resyncs")
-	r.mSkipped = reg.Counter("faults.pcap.skipped_bytes")
-}
-
-// Resyncs returns how many corruption recoveries a WithResync reader has
-// performed.
-func (r *Reader) Resyncs() uint64 { return r.resyncs }
-
-// SkippedBytes returns how many bytes a WithResync reader has discarded
-// while scanning for record boundaries.
-func (r *Reader) SkippedBytes() uint64 { return r.skipped }
 
 // LinkType returns the capture's link type.
 func (r *Reader) LinkType() uint32 { return r.linkType }
@@ -260,135 +217,45 @@ type Record struct {
 func (rec Record) Truncated() bool { return uint32(len(rec.Data)) < rec.OrigLen }
 
 // Next returns the next record. Record.Data is reused by subsequent calls;
-// callers that keep it must copy. At end of stream Next returns io.EOF.
-// A reader built WithResync skips corrupt spans instead of erroring; see
-// WithResync.
+// callers that keep it must copy. At end of stream Next returns io.EOF; a
+// record cut off by it is io.ErrUnexpectedEOF, and any other failure of the
+// underlying reader is returned as that reader's error.
 func (r *Reader) Next() (Record, error) {
-	for {
-		hdr, err := r.r.Peek(recordHeaderLen)
-		if len(hdr) == 0 {
-			if err == nil {
-				err = io.EOF
-			}
-			return Record{}, err
+	hdr, err := r.r.Peek(recordHeaderLen)
+	if len(hdr) < recordHeaderLen {
+		switch {
+		case err != nil && err != io.EOF:
+			return Record{}, fmt.Errorf("pcap: record header: %w", err)
+		case len(hdr) == 0:
+			return Record{}, io.EOF
 		}
-		if len(hdr) < recordHeaderLen {
-			if r.resync {
-				// Trailing bytes too short for any record: drop them.
-				n, _ := r.r.Discard(len(hdr))
-				r.addSkipped(n)
-				return Record{}, io.EOF
-			}
-			return Record{}, fmt.Errorf("pcap: truncated record header: %w", io.ErrUnexpectedEOF)
-		}
-		sec := r.order.Uint32(hdr[0:4])
-		sub := r.order.Uint32(hdr[4:8])
-		incl := r.order.Uint32(hdr[8:12])
-		orig := r.order.Uint32(hdr[12:16])
-		if incl > r.maxIncl {
-			if r.resync {
-				if !r.resyncScan() {
-					return Record{}, io.EOF
-				}
-				continue
-			}
-			return Record{}, fmt.Errorf("pcap: record length %d exceeds the limit of %d (snaplen %d)", incl, r.maxIncl, r.snaplen)
-		}
-		if r.resync && !r.plausibleHeader(hdr) {
-			if !r.resyncScan() {
-				return Record{}, io.EOF
-			}
-			continue
-		}
-		if _, err := r.r.Discard(recordHeaderLen); err != nil {
-			return Record{}, err
-		}
-		if cap(r.buf) < int(incl) {
-			r.buf = make([]byte, incl)
-		}
-		r.buf = r.buf[:incl]
-		if n, err := io.ReadFull(r.r, r.buf); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				if r.resync {
-					// A record cut off at end of stream: drop what remains.
-					r.addSkipped(recordHeaderLen + n)
-					return Record{}, io.EOF
-				}
-				return Record{}, fmt.Errorf("pcap: truncated record body: %w", io.ErrUnexpectedEOF)
-			}
-			return Record{}, err
-		}
-		r.lastSec = int64(sec)
-		ts := int64(sec) * 1e9
-		if r.nano {
-			ts += int64(sub)
-		} else {
-			ts += int64(sub) * 1e3
-		}
-		return Record{Time: ts, Data: r.buf, OrigLen: orig}, nil
+		return Record{}, fmt.Errorf("pcap: truncated record header: %w", io.ErrUnexpectedEOF)
 	}
-}
-
-// plausibleHeader reports whether a 16-byte candidate looks like a real
-// record header: sub-second field within the timestamp resolution, length
-// within the snap length, original length no smaller than the captured
-// length, and — once a record has been read — a capture time within a year
-// of the last good record.
-func (r *Reader) plausibleHeader(hdr []byte) bool {
-	sec := int64(r.order.Uint32(hdr[0:4]))
+	sec := r.order.Uint32(hdr[0:4])
 	sub := r.order.Uint32(hdr[4:8])
 	incl := r.order.Uint32(hdr[8:12])
 	orig := r.order.Uint32(hdr[12:16])
-	subBound := uint32(1e6)
-	if r.nano {
-		subBound = 1e9
-	}
-	if sub >= subBound {
-		return false
-	}
 	if incl > r.maxIncl {
-		return false
+		return Record{}, fmt.Errorf("pcap: record length %d exceeds the limit of %d (snaplen %d)", incl, r.maxIncl, r.snaplen)
 	}
-	if orig < incl {
-		return false
+	if _, err := r.r.Discard(recordHeaderLen); err != nil {
+		return Record{}, err
 	}
-	if r.lastSec != 0 {
-		const yearSec = 366 * 24 * 3600
-		if sec < r.lastSec-yearSec || sec > r.lastSec+yearSec {
-			return false
-		}
+	if cap(r.buf) < int(incl) {
+		r.buf = make([]byte, incl)
 	}
-	return true
-}
-
-// resyncScan advances the stream one byte at a time until a plausible record
-// header starts, counting the span it skips. It reports false when the
-// stream ends first (the remaining tail is consumed and counted).
-func (r *Reader) resyncScan() bool {
-	r.resyncs++
-	r.mResyncs.Inc()
-	skipped := 0
-	for {
-		n, _ := r.r.Discard(1)
-		skipped += n
-		if n == 0 {
-			r.addSkipped(skipped)
-			return false
+	r.buf = r.buf[:incl]
+	if _, err := io.ReadFull(r.r, r.buf); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return Record{}, fmt.Errorf("pcap: truncated record body: %w", io.ErrUnexpectedEOF)
 		}
-		hdr, _ := r.r.Peek(recordHeaderLen)
-		if len(hdr) < recordHeaderLen {
-			n, _ := r.r.Discard(len(hdr))
-			r.addSkipped(skipped + n)
-			return false
-		}
-		if r.plausibleHeader(hdr) {
-			r.addSkipped(skipped)
-			return true
-		}
+		return Record{}, fmt.Errorf("pcap: record body: %w", err)
 	}
-}
-
-func (r *Reader) addSkipped(n int) {
-	r.skipped += uint64(n)
-	r.mSkipped.Add(uint64(n))
+	ts := int64(sec) * 1e9
+	if r.nano {
+		ts += int64(sub)
+	} else {
+		ts += int64(sub) * 1e3
+	}
+	return Record{Time: ts, Data: r.buf, OrigLen: orig}, nil
 }

@@ -9,9 +9,10 @@ import (
 	"github.com/synscan/synscan/internal/faultinject"
 )
 
-// FuzzReader hardens the pcapng block parser, in both fail-fast and resync
-// modes: arbitrary bytes must never panic or loop, and resync mode must
-// always terminate with io.EOF rather than an error.
+// FuzzReader hardens the pcapng block parser: whatever the bytes, NewReader
+// and Next return — a packet, io.EOF or an error — without panicking, every
+// packet consumes at least a minimal block of input, and no packet holds more
+// than the block length bound.
 func FuzzReader(f *testing.F) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, 1)
@@ -49,22 +50,20 @@ func FuzzReader(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, opts := range [][]ReaderOption{nil, {WithResync()}} {
-			r, err := NewReader(bytes.NewReader(data), opts...)
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i := 1; i <= 10000; i++ {
+			_, pkt, _, err := r.Next()
 			if err != nil {
-				continue
+				return
 			}
-			for i := 0; i < 10000; i++ {
-				_, _, _, err := r.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					if len(opts) > 0 {
-						t.Fatalf("resync reader surfaced %v", err)
-					}
-					break
-				}
+			if i*12 > len(data) { // type, length and trailer words: the smallest block
+				t.Fatalf("%d packets from a %d-byte stream", i, len(data))
+			}
+			if len(pkt) > 1<<24 || len(pkt) > len(data) {
+				t.Fatalf("packet %d holds %d bytes of a %d-byte stream", i-1, len(pkt), len(data))
 			}
 		}
 	})

@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"github.com/synscan/synscan/internal/obs"
 )
 
 // Block type codes.
@@ -59,31 +57,11 @@ type Reader struct {
 	// truncated: the packet Next last returned holds fewer bytes than were
 	// on the wire.
 	truncated bool
-
-	resync   bool
-	resyncs  uint64
-	skipped  uint64
-	mResyncs *obs.Counter
-	mSkipped *obs.Counter
-}
-
-// ReaderOption configures a Reader.
-type ReaderOption func(*Reader)
-
-// WithResync makes the reader recover from in-stream corruption instead of
-// failing: a block that fails its structural checks (length bounds,
-// trailer-length mismatch, malformed body) triggers a forward scan to the
-// next 8-byte boundary that looks like a known block type with a sane total
-// length, and a block cut off at end of stream is dropped with a clean
-// io.EOF. Skipped spans are counted in Resyncs/SkippedBytes and the
-// faults.pcapng.* metrics.
-func WithResync() ReaderOption {
-	return func(r *Reader) { r.resync = true }
 }
 
 // NewReader validates that r starts with a Section Header Block and returns
 // a packet reader.
-func NewReader(r io.Reader, opts ...ReaderOption) (*Reader, error) {
+func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, err := br.Peek(4)
 	if err != nil {
@@ -92,28 +70,8 @@ func NewReader(r io.Reader, opts ...ReaderOption) (*Reader, error) {
 	if [4]byte(head) != Magic {
 		return nil, ErrBadMagic
 	}
-	rd := &Reader{r: br}
-	for _, o := range opts {
-		o(rd)
-	}
-	rd.SetMetrics(nil)
-	return rd, nil
+	return &Reader{r: br}, nil
 }
-
-// SetMetrics wires the reader's fault instrumentation (resyncs performed,
-// bytes skipped while resyncing). A nil registry disables it.
-func (r *Reader) SetMetrics(reg *obs.Registry) {
-	r.mResyncs = reg.Counter("faults.pcapng.resyncs")
-	r.mSkipped = reg.Counter("faults.pcapng.skipped_bytes")
-}
-
-// Resyncs returns how many corruption recoveries a WithResync reader has
-// performed.
-func (r *Reader) Resyncs() uint64 { return r.resyncs }
-
-// SkippedBytes returns how many bytes a WithResync reader has discarded
-// while scanning for block boundaries.
-func (r *Reader) SkippedBytes() uint64 { return r.skipped }
 
 // Truncated reports whether the packet Next last returned was cut to the
 // snap length: its block's original-length word exceeds the bytes stored —
@@ -130,30 +88,9 @@ func (r *Reader) LinkType(id int) uint16 {
 
 // Next returns the next packet's timestamp (ns), its data, and the capture
 // interface id. The data slice is reused across calls. io.EOF signals a
-// clean end of stream.
+// clean end of stream; structural damage is ErrCorrupted, a block cut off by
+// the end of the stream io.ErrUnexpectedEOF.
 func (r *Reader) Next() (tsNanos int64, data []byte, ifaceID int, err error) {
-	for {
-		ts, pkt, id, err := r.nextPacket()
-		if err == nil || !r.resync {
-			return ts, pkt, id, err
-		}
-		switch {
-		case errors.Is(err, ErrCorrupted):
-			if !r.resyncScan() {
-				return 0, nil, 0, io.EOF
-			}
-		case errors.Is(err, io.ErrUnexpectedEOF):
-			// A block cut off at end of stream: nothing left to scan.
-			return 0, nil, 0, io.EOF
-		default:
-			return 0, nil, 0, err
-		}
-	}
-}
-
-// nextPacket returns the next packet, failing fast on structural damage;
-// Next layers resync recovery on top when enabled.
-func (r *Reader) nextPacket() (tsNanos int64, data []byte, ifaceID int, err error) {
 	for {
 		body, typ, err := r.nextBlock()
 		if err != nil {
@@ -169,11 +106,7 @@ func (r *Reader) nextPacket() (tsNanos int64, data []byte, ifaceID int, err erro
 				return 0, nil, 0, err
 			}
 		case blockEnhancedPkt:
-			ts, pkt, id, err := r.parseEnhanced(body)
-			if err != nil {
-				return 0, nil, 0, err
-			}
-			return ts, pkt, id, nil
+			return r.parseEnhanced(body)
 		case blockSimplePacket:
 			if len(body) < 4 {
 				return 0, nil, 0, ErrCorrupted
@@ -192,61 +125,14 @@ func (r *Reader) nextPacket() (tsNanos int64, data []byte, ifaceID int, err erro
 	}
 }
 
-// plausibleBlock reports whether an 8-byte candidate looks like the start of
-// a real block: a known type code and a total length within structural
-// bounds. A Section Header is accepted in either byte order (it defines its
-// own); other types require a section's established order.
-func (r *Reader) plausibleBlock(hdr []byte) bool {
-	okTotal := func(t uint32) bool { return t >= 12 && t%4 == 0 && t <= 1<<24 }
-	if binary.LittleEndian.Uint32(hdr[0:4]) == blockSectionHeader {
-		// Palindromic type code; either order may hold the length.
-		return okTotal(binary.LittleEndian.Uint32(hdr[4:8])) ||
-			okTotal(binary.BigEndian.Uint32(hdr[4:8]))
+// readErr names the part of a block a read failed in. The stream ending
+// inside a block is io.ErrUnexpectedEOF; any other failure of the underlying
+// reader stays that reader's error.
+func readErr(part string, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	if !r.seen {
-		return false
-	}
-	switch r.order.Uint32(hdr[0:4]) {
-	case blockInterfaceDesc, blockSimplePacket, blockEnhancedPkt:
-		return okTotal(r.order.Uint32(hdr[4:8]))
-	}
-	return false
-}
-
-// resyncScan advances the stream until a plausible block header starts,
-// counting the span it skips. The current position is checked before any
-// byte is dropped: a failure detected mid-block (a trailer mismatch, say)
-// leaves the stream already at the next block's boundary. nextBlock always
-// consumes at least its 8-byte header before reporting corruption, so
-// accepting the current position cannot loop. resyncScan reports false when
-// the stream ends first (the remaining tail is consumed and counted).
-func (r *Reader) resyncScan() bool {
-	r.resyncs++
-	r.mResyncs.Inc()
-	skipped := 0
-	for {
-		hdr, _ := r.r.Peek(8)
-		if len(hdr) < 8 {
-			n, _ := r.r.Discard(len(hdr))
-			r.addSkipped(skipped + n)
-			return false
-		}
-		if r.plausibleBlock(hdr) {
-			r.addSkipped(skipped)
-			return true
-		}
-		n, _ := r.r.Discard(1)
-		skipped += n
-		if n == 0 {
-			r.addSkipped(skipped)
-			return false
-		}
-	}
-}
-
-func (r *Reader) addSkipped(n int) {
-	r.skipped += uint64(n)
-	r.mSkipped.Add(uint64(n))
+	return fmt.Errorf("pcapng: block %s: %w", part, err)
 }
 
 // nextBlock reads one block's body (without type/length framing).
@@ -256,7 +142,7 @@ func (r *Reader) nextBlock() ([]byte, uint32, error) {
 		if err == io.EOF {
 			return nil, 0, io.EOF
 		}
-		return nil, 0, fmt.Errorf("pcapng: block header: %w", io.ErrUnexpectedEOF)
+		return nil, 0, readErr("header", err)
 	}
 	// The SHB's byte-order magic defines the section's endianness; the
 	// block type code 0x0A0D0D0A is palindromic, so it reads correctly in
@@ -270,8 +156,10 @@ func (r *Reader) nextBlock() ([]byte, uint32, error) {
 		typ = blockSectionHeader
 		// Peek the byte-order magic to decide the section's endianness.
 		bom, err := r.r.Peek(4)
-		if err != nil {
+		if err == io.EOF {
 			return nil, 0, ErrCorrupted
+		} else if err != nil {
+			return nil, 0, readErr("byte-order magic", err)
 		}
 		if binary.LittleEndian.Uint32(bom) == byteOrderMagic {
 			order = binary.LittleEndian
@@ -299,11 +187,11 @@ func (r *Reader) nextBlock() ([]byte, uint32, error) {
 	}
 	r.buf = r.buf[:bodyLen]
 	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return nil, 0, fmt.Errorf("pcapng: block body: %w", io.ErrUnexpectedEOF)
+		return nil, 0, readErr("body", err)
 	}
 	trailer := r.frame[:4]
 	if _, err := io.ReadFull(r.r, trailer); err != nil {
-		return nil, 0, fmt.Errorf("pcapng: block trailer: %w", io.ErrUnexpectedEOF)
+		return nil, 0, readErr("trailer", err)
 	}
 	if order.Uint32(trailer) != total {
 		return nil, 0, ErrCorrupted

@@ -304,10 +304,10 @@ func (t *Telescope) Observe(p *packet.Probe) DropReason {
 // live handshake is accepted there) before accounting via Record.
 func (t *Telescope) Check(p *packet.Probe) DropReason {
 	// A negative timestamp cannot come from the capture infrastructure: it is
-	// the signature of a record damaged upstream (and decoded anyway by a
-	// resyncing reader — a corrupted flowlog delta can walk the decoded clock
-	// below zero). Dropping it here keeps garbage out of the time-bucketed
-	// analyses instead of crediting traffic to before the epoch.
+	// the signature of a record damaged upstream — a damaged flowlog delta that
+	// still frames correctly can walk the decoded clock below zero. Dropping
+	// it here keeps garbage out of the time-bucketed analyses instead of
+	// crediting traffic to before the epoch.
 	if p.Time < 0 {
 		return DropBadTime
 	}
