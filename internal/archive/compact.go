@@ -367,7 +367,7 @@ func (c *Compactor) mergeInput(w *Writer, name string) error {
 		z := &rd.index[i]
 		// Move: same record layout on both sides, and no small block left
 		// behind — not this one, not the open block it closes.
-		fill := len(w.open.raw)
+		fill := w.open.enc.rawLen()
 		if rd.origins == w.cfg.Origins && int(z.RawLen) >= half && (fill == 0 || fill >= half) {
 			comp, sum, err := rd.compressedBlock(z, s)
 			if err == nil {
@@ -401,7 +401,7 @@ func (c *Compactor) mergeInput(w *Writer, name string) error {
 				if err := w.add(&run.scans[j], o); err != nil {
 					return err
 				}
-				if split > 0 && len(w.open.raw) >= split {
+				if split > 0 && w.open.enc.rawLen() >= split {
 					split = 0
 					w.flushBlock() // its error is sticky: the next add, or Close, returns it
 				}

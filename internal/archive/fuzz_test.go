@@ -11,9 +11,9 @@ import (
 	"github.com/synscan/synscan/internal/faultinject"
 )
 
-// FuzzReader hardens the whole read path — header, trailer, index, block
-// decompression and record decode: arbitrary bytes must never panic or
-// allocate absurdly, and a valid archive must keep round-tripping.
+// FuzzReader hardens the whole read path — header, trailer, index, strip
+// directory, decompression and the strip walk: arbitrary bytes must never
+// panic or allocate absurdly, and a valid archive must keep round-tripping.
 func FuzzReader(f *testing.F) {
 	scans, origins := testScans(64, 7)
 	valid := writeArchive(f, scans, origins, WriterConfig{
@@ -28,6 +28,15 @@ func FuzzReader(f *testing.F) {
 	f.Add(corrupt)
 	noOrigins := writeArchive(f, scans, nil, WriterConfig{BlockBytes: 1 << 10})
 	f.Add(noOrigins)
+	// A header of the last row-major version (refused at open), and the
+	// ill-formed blocks behind valid checksums of TestHostileBlocks, which
+	// byte flips alone do not get past the CRC to reach.
+	v3 := append([]byte{}, valid...)
+	v3[4] = 3
+	f.Add(v3)
+	for _, hostile := range hostileFiles(f) {
+		f.Add(hostile.data)
+	}
 	// Seeded fault-injection corpora: scattered byte flips across the whole
 	// file, and a stream passed through the corrupting reader wrapper — the
 	// damage patterns real storage produces, at several densities.

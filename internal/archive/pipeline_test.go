@@ -23,11 +23,12 @@ import (
 // serialStore is the reference the pipelined write path is held to: a segment
 // store encoder that deflates every block inline, on the caller's goroutine,
 // the moment it fills — no hand-off, no free list, no goroutine — and keeps
-// its files in memory. It shares the record and zone-map codecs with the
-// package (they are not what the pipeline changed) and restates everything
-// the pipeline did change: block framing, offsets, the index, the trailer,
-// and the rotation rule, including what Offset reports — every block but the
-// one most recently closed, which in the real Writer is still in flight.
+// its files in memory. It shares the block encoder and the zone-map codec
+// with the package (they are not what the pipeline changed) and restates
+// everything the pipeline did change: the strips' streams and their
+// directory, block framing, offsets, the index, the trailer, and the rotation
+// rule, including what Offset reports — every block but the one most recently
+// closed, which in the real Writer is still in flight.
 type serialStore struct {
 	cfg   SegmentConfig
 	files map[string][]byte
@@ -37,10 +38,9 @@ type serialStore struct {
 
 type serialSegment struct {
 	file               bytes.Buffer
-	raw                []byte
+	enc                blockEncoder
 	zone               ZoneMap
 	years              YearCache
-	prev               int64
 	index              []ZoneMap
 	lastBlock          int // bytes of the block closed last
 	nScans             uint64
@@ -77,8 +77,7 @@ func (s *serialStore) add(t testing.TB, sc *core.Scan, o *enrich.Origin) {
 		s.cur.zone.reset()
 	}
 	g := s.cur
-	g.raw = appendRecord(g.raw, sc, o, g.prev)
-	g.prev = sc.Start
+	rawLen := g.enc.add(sc, o)
 	g.zone.observe(sc, g.years.Year(sc.Start))
 	if g.nScans == 0 || sc.Start < g.minStart {
 		g.minStart = sc.Start
@@ -87,7 +86,7 @@ func (s *serialStore) add(t testing.TB, sc *core.Scan, o *enrich.Origin) {
 		g.maxStart = sc.Start
 	}
 	g.nScans++
-	if len(g.raw) >= s.cfg.BlockBytes {
+	if rawLen >= s.cfg.BlockBytes {
 		g.closeBlock(t)
 	}
 }
@@ -96,23 +95,34 @@ func (g *serialSegment) closeBlock(t testing.TB) {
 	if g.zone.Scans == 0 {
 		return
 	}
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.DefaultCompression)
-	if err != nil {
-		t.Fatal(err)
+	// The payload: fifteen (stored, inflated) length pairs, then each
+	// non-empty strip deflated by a compressor of its own.
+	var dir, streams []byte
+	for _, strip := range g.enc.strips {
+		var comp bytes.Buffer
+		if len(strip) > 0 {
+			fw, err := flate.NewWriter(&comp, flate.DefaultCompression)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fw.Write(strip)
+			if err := fw.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir = binary.BigEndian.AppendUint32(dir, uint32(comp.Len()))
+		dir = binary.BigEndian.AppendUint32(dir, uint32(len(strip)))
+		streams = append(streams, comp.Bytes()...)
 	}
-	fw.Write(g.raw)
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	payload := append(dir, streams...)
 	g.zone.Offset = uint64(g.file.Len())
-	g.zone.CompressedLen = uint32(comp.Len())
-	g.zone.RawLen = uint32(len(g.raw))
-	binary.Write(&g.file, binary.BigEndian, crc32.ChecksumIEEE(comp.Bytes()))
-	g.file.Write(comp.Bytes())
-	g.lastBlock = blockCRCLen + comp.Len()
+	g.zone.CompressedLen = uint32(len(payload))
+	g.zone.RawLen = uint32(g.enc.rawLen())
+	binary.Write(&g.file, binary.BigEndian, crc32.ChecksumIEEE(payload))
+	g.file.Write(payload)
+	g.lastBlock = blockCRCLen + len(payload)
 	g.index = append(g.index, g.zone)
-	g.raw, g.prev = g.raw[:0], 0
+	g.enc.reset()
 	g.zone.reset()
 }
 

@@ -7,16 +7,16 @@ import (
 
 // Predicate is the reader's pushdown contract: anything that can (a) prove
 // from a zone map alone that no scan in a block matches, (b) decide a
-// decoded scan, and (c) say which variable-size record parts anyone
-// downstream reads. Reader.Query evaluates MatchBlock once per block — false
-// skips the block without decompressing it — and Match once per decoded
-// record. MatchBlock must be conservative: it may return true for a block
-// with no matching scans (the decode filters them), but must never return
-// false for a block containing one. Fields is the projection: it must cover
-// what Match itself reads and what the consumer of emitted scans reads;
-// parts outside it are parsed but not stored (see Fields). Match receives the
-// record's origin when the archive carries origins (see Reader.HasOrigins)
-// and Fields includes FieldOrigin, nil otherwise.
+// decoded scan, and (c) say which strips anyone downstream reads.
+// Reader.Query evaluates MatchBlock once per block — false skips the block
+// without reading it — and Match once per decoded record. MatchBlock must be
+// conservative: it may return true for a block with no matching scans (the
+// decode filters them), but must never return false for a block containing
+// one. Fields is the projection: it must cover what Match itself reads and
+// what the consumer of emitted scans reads; strips outside it are not inflated
+// and their fields read as zero (see Fields). Match receives the record's
+// origin when the archive carries origins (see Reader.HasOrigins) and Fields
+// includes an origin strip, nil otherwise.
 //
 // internal/query compiles arbitrary filter ASTs into Predicates.
 type Predicate interface {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -18,8 +19,9 @@ import (
 )
 
 // Reader queries an archive file. It parses the footer index once at open;
-// Query then decompresses only the blocks a Predicate cannot prune, on a
-// worker pool, and streams decoded scans to the caller in file order.
+// Query then reads only the blocks a Predicate cannot prune, and of those only
+// the strips it names, on a worker pool, and streams decoded scans to the
+// caller in file order.
 // A Reader is safe for concurrent Query calls (each call owns its pool).
 type Reader struct {
 	ra          io.ReaderAt
@@ -91,9 +93,6 @@ func NewReader(ra io.ReaderAt, size int64, opts ...ReaderOption) (*Reader, error
 	if hdr[4] != version {
 		return nil, fmt.Errorf("%w %d (this build reads version %d only; re-create with syneval -archive-out / synalyze -archive / syningest)",
 			ErrBadVersion, hdr[4], version)
-	}
-	if hdr[5]&flagPhases == 0 {
-		return nil, fmt.Errorf("%w: version %d header without the phase flag", ErrCorrupt, version)
 	}
 
 	var tr [trailerLen]byte
@@ -214,7 +213,7 @@ type blockScans struct {
 // Query streams every scan matching p to emit, in file order (block order,
 // record order within a block — i.e. the order scans were archived in),
 // under full predicate pushdown: blocks whose zone map p.MatchBlock excludes
-// are skipped without decompression, surviving blocks are decoded on a
+// are skipped without being read, surviving blocks are decoded on a
 // worker pool while emit runs on the calling goroutine, and p.Match drops
 // non-matching records before they reach emit. It is the one way to scan an
 // archive: All is the Predicate for everything, internal/query compiles its
@@ -222,10 +221,10 @@ type blockScans struct {
 //
 // emit receives pointers into the query's own decode slabs: they stay valid
 // for as long as the caller holds them and are never reused, so keeping a
-// scan is free but pins the slab chunk it sits in (see slabs). The origin is
-// nil when the archive carries none (see HasOrigins) or p.Fields leaves it
-// out; Scan.Ports and Scan.Payload are likewise nil unless p.Fields names
-// them.
+// scan is free but pins the slab chunk it sits in (see slabs). Only the strips
+// p.Fields names are read: the other fields of a scan are zero, Scan.Ports
+// and Scan.Payload nil, and the origin is nil when the archive carries none
+// (see HasOrigins) or p.Fields names no origin strip.
 //
 // The query stops decoding and returns ctx.Err() as soon as the context is
 // done, between blocks; scans emitted up to that point are valid. Damaged
@@ -245,22 +244,32 @@ func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan
 		return nil
 	}
 
-	workers := r.workers
-	if workers > len(live) {
-		workers = len(live)
-	}
+	workers := min(r.workers, len(live))
 
-	// Ordered fan-out: workers decode any block, the caller drains results
-	// strictly in block order so archived order is preserved end to end.
-	results := make([]chan blockScans, len(live))
+	// Ordered fan-out under a window: workers decode any block the caller has
+	// admitted, the caller drains results strictly in block order — archived
+	// order is preserved end to end — and admits one more block for each one
+	// it takes. Workers therefore run at most ahead blocks in front of the
+	// block being emitted: a consumer slower than the decoders holds that many
+	// decoded blocks, not the archive.
+	ahead := 2 * workers
+	// Block j reports on results[j%ahead]: the slot's previous user, block
+	// j-ahead, was taken before j was admitted.
+	results := make([]chan blockScans, ahead)
 	for i := range results {
 		results[i] = make(chan blockScans, 1)
 	}
-	jobs := make(chan int, len(live))
-	for i := range live {
-		jobs <- i
+	jobs := make(chan int, ahead) // holds the whole window: admitting never blocks
+	admitted := 0
+	admit := func() {
+		if admitted < len(live) {
+			jobs <- admitted
+			admitted++
+		}
 	}
-	close(jobs)
+	for i := 0; i < ahead; i++ {
+		admit()
+	}
 
 	fields := p.Fields()
 	var wg sync.WaitGroup
@@ -271,25 +280,27 @@ func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan
 			sl := newSlabs(fields)
 			for j := range jobs {
 				if err := ctx.Err(); err != nil {
-					results[j] <- blockScans{err: err}
+					results[j%ahead] <- blockScans{err: err}
 					continue
 				}
-				results[j] <- r.decodeBlock(&r.index[live[j]], p, sl)
+				results[j%ahead] <- r.decodeBlock(&r.index[live[j]], p, sl)
 			}
 		}()
 	}
+	// On every return the window closes and the workers are joined; a result
+	// slot takes its one send without a receiver.
 	defer wg.Wait()
+	defer close(jobs)
 
-	for j := range results {
-		res := <-results[j]
+	for j := range live {
+		res := <-results[j%ahead]
 		if res.err != nil {
-			// Result channels are buffered, so the remaining workers finish
-			// without a drain; the deferred Wait joins them.
 			return res.err
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		admit()
 		for _, run := range res.runs {
 			for i := range run.scans {
 				var o *enrich.Origin
@@ -315,20 +326,24 @@ func (r *Reader) fail(err error) blockScans {
 }
 
 // blockScratch bundles the per-block scratch a decode cycles through: the
-// compressed read buffer, the decompressed raw buffer, a reusable-state
-// DEFLATE decoder (internal/inflate keeps its Huffman tables across blocks,
-// so a warmed scratch decompresses without allocating — compress/flate
-// rebuilds its link tables per stream even when Reset) and the origin-string
-// table. Idle units wait in scratchFree; everything decodeRecord keeps is
-// decoded or copied into the query's own slabs (ports, payload) or is an
-// immutable interned string, so nothing decoded from a scratch — including
-// the scans a CatalogView query hands out — aliases it after release. That
-// invariant is pinned by TestPoolPoisoning.
+// read buffer for the stored block, the buffer its strips inflate into, a
+// reusable-state DEFLATE decoder (internal/inflate keeps its Huffman tables
+// across streams, so a warmed scratch decompresses without allocating —
+// compress/flate rebuilds its link tables per stream even when Reset), the
+// origin-string table and the block's two dictionaries. Idle units wait in
+// scratchFree; everything the block decoder keeps is decoded or copied into
+// the query's own slabs (ports, payload) or is an immutable interned string,
+// so nothing decoded from a scratch — including the scans a CatalogView query
+// hands out — aliases it after release. That invariant is pinned by
+// TestPoolPoisoning.
 type blockScratch struct {
-	comp    []byte
-	raw     []byte
-	inf     inflate.Decoder
-	strings interner
+	comp      []byte
+	raw       []byte
+	strips    [numStrips][]byte // views of raw: the strips readBlock inflated, empty otherwise
+	inf       inflate.Decoder
+	strings   interner
+	countries []string
+	orgs      []orgEntry
 }
 
 // scratchFree is the free list of idle scratches, one per processor at most:
@@ -381,8 +396,9 @@ func (s *blockScratch) release() {
 // reallocated for every block a little longer than the longest before it.
 func scratchCap(n int) int { return (n + 1<<16 - 1) &^ (1<<16 - 1) }
 
-// compressedBlock reads block z's DEFLATE stream into s.comp and returns it
-// with the stored CRC it was verified against; valid until s.release.
+// compressedBlock reads block z's stored payload — the strip directory and the
+// strips' DEFLATE streams — into s.comp and returns it with the stored CRC it
+// was verified against; valid until s.release.
 func (r *Reader) compressedBlock(z *ZoneMap, s *blockScratch) (comp []byte, sum uint32, err error) {
 	n := blockCRCLen + int(z.CompressedLen)
 	if cap(s.comp) < n {
@@ -399,100 +415,205 @@ func (r *Reader) compressedBlock(z *ZoneMap, s *blockScratch) (comp []byte, sum 
 	return comp, sum, nil
 }
 
-// readBlock fills s with block z: compressedBlock's bytes in s.comp, the
-// decompressed record bytes in s.raw. Both are valid until s.release.
-func (r *Reader) readBlock(z *ZoneMap, s *blockScratch) error {
+// maxInflation is the most a DEFLATE stream can expand: 258 bytes for each
+// two bits of a run of maximal matches (RFC 1951).
+const maxInflation = 1032
+
+// readBlock fills s with the strips of block z that fields names: the stored
+// payload in s.comp, the named strips inflated back to back into s.raw and
+// viewed through s.strips; a strip outside fields is not inflated and its
+// view is empty. Valid until s.release.
+func (r *Reader) readBlock(z *ZoneMap, s *blockScratch, fields Fields) error {
 	comp, _, err := r.compressedBlock(z, s)
 	if err != nil {
 		return err
 	}
-	// Capacity hints come from the (checksummed but still untrusted) index;
-	// clamp them so a crafted file cannot force absurd allocations before
-	// the decode fails.
-	rawCap := int(z.RawLen)
-	if rawCap > 4*DefaultBlockBytes {
-		rawCap = 4 * DefaultBlockBytes
+	if len(comp) < dirLen {
+		return fmt.Errorf("%w: block at %d: %d bytes do not hold a strip directory", ErrCorrupt, z.Offset, len(comp))
 	}
+	// The directory must account for every stored byte and for RawLen, and no
+	// strip may claim more than its stream could inflate to: with that, RawLen
+	// — which bounds the record count and the allocation below — is tied to
+	// bytes the file really holds, whichever strips are inflated.
+	entry := func(i int) (stored, raw int) {
+		e := comp[8*i:]
+		return int(binary.BigEndian.Uint32(e)), int(binary.BigEndian.Uint32(e[4:]))
+	}
+	var storedSum, rawSum, need uint64
+	for i := 0; i < numStrips; i++ {
+		stored, raw := entry(i)
+		if uint64(raw) > maxInflation*uint64(stored) {
+			return fmt.Errorf("%w: block at %d: strip %s: %d bytes cannot inflate to %d",
+				ErrCorrupt, z.Offset, stripNames[i], stored, raw)
+		}
+		storedSum += uint64(stored)
+		rawSum += uint64(raw)
+		if fields&(1<<i) != 0 {
+			need += uint64(raw)
+		}
+	}
+	if storedSum != uint64(len(comp)-dirLen) || rawSum != uint64(z.RawLen) {
+		return fmt.Errorf("%w: block at %d: directory lists %d stored and %d raw bytes, the index %d and %d",
+			ErrCorrupt, z.Offset, storedSum, rawSum, len(comp)-dirLen, z.RawLen)
+	}
+	// The capacity hint comes from the (checksummed but still untrusted)
+	// file; clamp it so a crafted one cannot force absurd allocations before
+	// the decode fails.
+	rawCap := int(min(need, 4*DefaultBlockBytes))
 	sp := obs.StartSpan(r.mDecompress)
 	raw := s.raw[:0]
 	if cap(raw) < rawCap {
 		raw = make([]byte, 0, scratchCap(rawCap))
 	}
-	// Decompress with the output capped at RawLen+1 bytes (like the io.Copy
-	// + LimitReader regime this replaces): one extra byte proves an overlong
-	// block without letting a crafted stream balloon past the clamp.
-	raw, err = s.inf.AppendDecode(raw, comp, int(z.RawLen)+1)
-	s.raw = raw
-	if err != nil {
-		return fmt.Errorf("%w: block at %d: %v", ErrCorrupt, z.Offset, err)
+	var ends [numStrips]int
+	off := dirLen
+	for i := 0; i < numStrips; i++ {
+		stored, want := entry(i)
+		if fields&(1<<i) != 0 && want > 0 {
+			// The output is capped one byte past the directory's length: the
+			// extra byte proves an overlong strip without letting a crafted
+			// stream balloon past the clamp.
+			from := len(raw)
+			raw, err = s.inf.AppendDecode(raw, comp[off:off+stored], from+want+1)
+			if err == nil && len(raw)-from != want {
+				err = fmt.Errorf("inflates to %d bytes, directory says %d", len(raw)-from, want)
+			}
+			if err != nil {
+				s.raw = raw
+				return fmt.Errorf("%w: block at %d: strip %s: %v", ErrCorrupt, z.Offset, stripNames[i], err)
+			}
+		}
+		ends[i] = len(raw)
+		off += stored
 	}
 	sp.End()
-	if uint32(len(raw)) != z.RawLen {
-		return fmt.Errorf("%w: block at %d: raw length %d != %d",
-			ErrCorrupt, z.Offset, len(raw), z.RawLen)
+	s.raw = raw
+	from := 0
+	for i, end := range ends {
+		s.strips[i] = raw[from:end:end]
+		from = end
 	}
 	r.mBytes.Add(uint64(len(raw)))
 	return nil
 }
 
-// RawBlock reads, checksums and decompresses block i, handing the raw record
-// bytes to visit. The slice is pool-owned scratch, valid only for the
-// duration of the call — visit must copy anything it keeps. It exposes the
-// pooled read path without the record decode on top, for the benchmark's
-// stage ledger and the alloctest budgets.
+// RawBlock reads, checksums and decompresses block i, handing every strip's
+// inflated bytes, back to back in directory order, to visit. The slice is
+// pool-owned scratch, valid only for the duration of the call — visit must
+// copy anything it keeps. It exposes the pooled read path without the record
+// decode on top, for the benchmark's stage ledger and the alloctest budgets.
 func (r *Reader) RawBlock(i int, visit func(raw []byte) error) error {
 	if i < 0 || i >= len(r.index) {
 		return fmt.Errorf("archive: block %d out of range [0,%d)", i, len(r.index))
 	}
 	s := getScratch()
 	defer s.release()
-	if err := r.readBlock(&r.index[i], s); err != nil {
+	if err := r.readBlock(&r.index[i], s, AllFields); err != nil {
 		return err
 	}
 	return visit(s.raw)
 }
 
-// decodeBlock reads, checksums, decompresses and decodes one block into sl,
-// keeping only scans matching p. Read scratch comes from (and returns to) the
-// block pool; a record decodes in place into the slabs' tail slot and only a
-// match commits the slot, so memory is consumed per kept record, not per
-// record examined.
+// blanks returns what a record's unprojected parts read as: zero. Under
+// poisonScratch they read as values no archive holds instead, so that a
+// consumer reading a part its predicate did not project stands out.
+func blanks(fields Fields) (sc core.Scan, o enrich.Origin) {
+	if !poisonScratch.Load() {
+		return sc, o
+	}
+	const p64 = 0x5bdbdbdbdbdbdbdb
+	if fields&FieldStart == 0 {
+		sc.Start = p64
+	}
+	if fields&FieldDuration == 0 {
+		sc.End = p64 >> 1
+	}
+	if fields&FieldSrc == 0 {
+		sc.Src = p64 >> 32
+	}
+	if fields&FieldPackets == 0 {
+		sc.Packets = p64
+	}
+	if fields&FieldDsts == 0 {
+		sc.DistinctDsts = p64 >> 33
+	}
+	if fields&FieldPorts == 0 {
+		sc.Ports = []uint16{0xdbdb, 0xdbdc, 0xdbdd}
+	}
+	if fields&FieldTool == 0 {
+		sc.Tool, sc.Qualified = 0xdb, true
+	}
+	if fields&FieldRate == 0 {
+		sc.RatePPS = math.Float64frombits(p64)
+	}
+	if fields&FieldCoverage == 0 {
+		sc.Coverage = math.Float64frombits(p64)
+	}
+	if fields&FieldPhase == 0 {
+		sc.TwoPhase, sc.ISN = true, 0xdb
+		sc.LinkedDsts, sc.HandshakePackets, sc.PayloadBytes = p64>>33, p64, p64
+	}
+	if fields&(FieldPackets|FieldPhase) != FieldPackets|FieldPhase {
+		sc.ScoutPackets = p64
+	}
+	if fields&FieldPayload == 0 {
+		sc.Payload = []byte{0xdb, 0xdb}
+	}
+	if fields&FieldCountry == 0 {
+		o.Country = "\xdb\xdb"
+	}
+	if fields&FieldASN == 0 {
+		o.ASN, o.Type = p64>>32, 0xdb
+	}
+	if fields&FieldOrg == 0 {
+		o.OrgID, o.OrgName = 0x5bdb, "\xdb\xdb\xdb"
+	}
+	return sc, o
+}
+
+// decodeBlock reads, checksums and decodes one block into sl, inflating and
+// walking only the strips sl.fields names and keeping only scans matching p.
+// Read scratch comes from (and returns to) the block pool; a record decodes in
+// place into the slabs' tail slot and only a match commits the slot, so memory
+// is consumed per kept record, not per record examined.
 func (r *Reader) decodeBlock(z *ZoneMap, p Predicate, sl *slabs) blockScans {
 	s := getScratch()
 	defer s.release()
-	if err := r.readBlock(z, s); err != nil {
+	fields := sl.fields
+	if !r.origins {
+		fields &^= FieldOrigin
+	}
+	if err := r.readBlock(z, s, fields); err != nil {
 		return r.fail(err)
 	}
-	raw := s.raw
-
-	// A record is at least 26 bytes, so the block bounds the scan count.
-	if uint64(z.Scans) > uint64(len(raw))/26+1 {
+	// Every record holds at least minRecordBytes, which bounds the scan count
+	// whatever is projected.
+	if uint64(z.Scans)*minRecordBytes > uint64(z.RawLen) {
 		return r.fail(fmt.Errorf("%w: block at %d: %d scans in %d bytes",
-			ErrCorrupt, z.Offset, z.Scans, len(raw)))
+			ErrCorrupt, z.Offset, z.Scans, z.RawLen))
 	}
-	dec := recordDecoder{origins: r.origins, sl: sl, in: &s.strings}
-	withOrigin := r.origins && sl.fields&FieldOrigin != 0
+	dec := newBlockDecoder(fields, s, sl)
+	withOrigin := fields&FieldOrigin != 0
+	blankScan, blankOrigin := blanks(fields)
 	var out blockScans
 	// The open run is the slab chunk's tail from start; it closes when the
 	// chunk fills and at the end of the block.
 	start := len(sl.scans.chunk)
-	var prev int64
 	var matched uint64
-	at := 0 // index of the next record in raw
 	for i := uint32(0); i < z.Scans; i++ {
 		if len(sl.scans.chunk) == cap(sl.scans.chunk) {
 			out.runs = sl.appendRun(out.runs, start, withOrigin)
 			start = 0 // the take below opens a new chunk
 		}
 		sc := &sl.scans.take(1)[0]
+		*sc = blankScan
 		var o *enrich.Origin
 		if withOrigin {
 			o = &sl.origins.take(1)[0]
+			*o = blankOrigin
 		}
-		var err error
-		at, prev, err = dec.decodeRecord(raw, at, sc, o, prev)
-		if err != nil {
-			return r.fail(fmt.Errorf("archive: block at %d, record %d: %w", z.Offset, i, err))
+		if !dec.next(sc, o) {
+			return r.fail(fmt.Errorf("%w: block at %d, record %d", ErrCorrupt, z.Offset, i))
 		}
 		if !p.Match(sc, o) {
 			continue
@@ -502,11 +623,15 @@ func (r *Reader) decodeBlock(z *ZoneMap, p Predicate, sl *slabs) blockScans {
 		if withOrigin {
 			sl.origins.keep(1)
 		}
-		sl.ports.keep(len(sc.Ports))
-		sl.payload.keep(len(sc.Payload))
+		if fields&FieldPorts != 0 {
+			sl.ports.keep(len(sc.Ports))
+		}
+		if fields&FieldPayload != 0 {
+			sl.payload.keep(len(sc.Payload))
+		}
 	}
-	if at != len(raw) {
-		return r.fail(fmt.Errorf("%w: block at %d: %d trailing bytes", ErrCorrupt, z.Offset, len(raw)-at))
+	if !dec.finished() {
+		return r.fail(fmt.Errorf("%w: block at %d: strips hold more than its %d records", ErrCorrupt, z.Offset, z.Scans))
 	}
 	out.runs = sl.appendRun(out.runs, start, withOrigin)
 	r.mDecoded.Add(uint64(z.Scans))

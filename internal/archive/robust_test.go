@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -17,14 +18,13 @@ import (
 	"github.com/synscan/synscan/internal/obs"
 )
 
-// TestOldVersionsRefused: version 3 is the one format. A version-1 or
-// version-2 header is refused at open — with the version found and how to
-// re-create the file, before any block is read — and a version-3 header that
-// lacks the phase flag every writer sets is a corrupt file, not an old one.
+// TestOldVersionsRefused: version 4 is the one format. A header of an earlier
+// version — row-major blocks — is refused at open, with the version found and
+// how to re-create the file, before any block is read.
 func TestOldVersionsRefused(t *testing.T) {
 	scans, origins := testScans(50, 11)
 	data := writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, Origins: true})
-	for _, old := range []byte{1, 2} {
+	for _, old := range []byte{1, 2, 3} {
 		hdr := append([]byte{}, data...)
 		hdr[4] = old
 		r, err := NewReader(bytes.NewReader(hdr), int64(len(hdr)))
@@ -36,11 +36,6 @@ func TestOldVersionsRefused(t *testing.T) {
 				t.Errorf("version %d: error %q does not say %q", old, err, want)
 			}
 		}
-	}
-	noPhases := append([]byte{}, data...)
-	noPhases[5] &^= flagPhases
-	if r, err := NewReader(bytes.NewReader(noPhases), int64(len(noPhases))); r != nil || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("version 3 without the phase flag: reader %v, err %v; want ErrCorrupt", r, err)
 	}
 }
 
@@ -144,6 +139,64 @@ func TestScansContext(t *testing.T) {
 	}
 	if n != len(scans) {
 		t.Fatalf("background context read %d scans, want %d", n, len(scans))
+	}
+}
+
+// TestQueryWindow: a consumer slower than the decoders holds a window of
+// decoded blocks, not the archive. With emit blocked inside the first block,
+// the workers decode the blocks admitted so far — 2×workers at the start, one
+// more when the first result was taken — and then wait; cancelling the query
+// there still returns the context's error with every worker joined.
+func TestQueryWindow(t *testing.T) {
+	scans, origins := testScans(6000, 15)
+	data := writeArchive(t, scans, origins, WriterConfig{Origins: true, BlockBytes: 4 << 10})
+	for _, workers := range []int{1, 3} {
+		r := openArchive(t, data)
+		r.SetWorkers(workers)
+		window := uint64(2*workers + 1)
+		if uint64(r.NumBlocks()) < 4*window {
+			t.Fatalf("%d blocks: too few to tell a window of %d from the archive", r.NumBlocks(), window)
+		}
+		reg := obs.NewRegistry()
+		r.SetMetrics(reg)
+		decoded := func() uint64 { return reg.Snapshot().Histograms["archive.decompress_ns"].Count }
+
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		entered, release := make(chan struct{}), make(chan struct{})
+		emitted := 0
+		done := make(chan error, 1)
+		go func() {
+			done <- r.Query(ctx, All, func(*core.Scan, *enrich.Origin) {
+				if emitted++; emitted == 1 {
+					close(entered)
+					<-release
+				}
+			})
+		}()
+		<-entered
+		for deadline := time.Now().Add(5 * time.Second); decoded() < window; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d blocks decoded, the window of %d never filled", workers, decoded(), window)
+			}
+		}
+		time.Sleep(20 * time.Millisecond) // long enough to decode the rest of the archive, were anything to
+		if n := decoded(); n != window {
+			t.Fatalf("workers=%d: %d blocks decoded behind a blocked emit, want the window of %d", workers, n, window)
+		}
+
+		cancel()
+		close(release)
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled query returned %v", workers, err)
+		}
+		if first := int(r.Blocks()[0].Scans); emitted != first {
+			t.Fatalf("workers=%d: %d scans emitted, want the first block's %d", workers, emitted, first)
+		}
+		settleGoroutines(t, base, "after the cancelled query")
+		if n := decoded(); n != window {
+			t.Fatalf("workers=%d: %d blocks decoded after cancellation, %d before", workers, n, window)
+		}
 	}
 }
 

@@ -5,24 +5,6 @@ import (
 	"github.com/synscan/synscan/internal/enrich"
 )
 
-// Fields names the variable-size parts of a record a decode materializes. A
-// Predicate states the set its consumer reads (Predicate.Fields); the decoder
-// still parses and checks every byte of a part nobody asked for, it just
-// stores nothing: Scan.Ports and Scan.Payload stay nil, and emit receives a
-// nil origin.
-type Fields uint8
-
-const (
-	// FieldPorts is Scan.Ports.
-	FieldPorts Fields = 1 << iota
-	// FieldPayload is Scan.Payload.
-	FieldPayload
-	// FieldOrigin is the record's enrichment Origin.
-	FieldOrigin
-	// AllFields is a full decode.
-	AllFields = FieldPorts | FieldPayload | FieldOrigin
-)
-
 // Chunk sizes, in elements. Every slab and arena starts small and doubles
 // per chunk, so a query that keeps a handful of records allocates a few
 // kilobytes and one that keeps a decade allocates in 1024-record strides.

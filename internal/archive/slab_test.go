@@ -8,6 +8,8 @@ import (
 	"github.com/synscan/synscan/internal/alloctest"
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
+	"github.com/synscan/synscan/internal/obs"
+	"github.com/synscan/synscan/internal/rng"
 )
 
 // every is a test predicate: it admits every block, keeps every nth record by
@@ -101,32 +103,98 @@ func TestSlabAliasing(t *testing.T) {
 	}
 }
 
-// TestProjectedDecode: a predicate that leaves parts out of Fields gets the
-// same records with exactly those parts absent — nil ports, nil payload, nil
-// origin — and everything else identical; a full projection (what Filter and
-// select-mode queries ask for) gets every field.
+// project is the reference projection: sc and o as a decode of the strips in
+// fields alone leaves them, every other field zero.
+func project(sc *core.Scan, o enrich.Origin, fields Fields) (core.Scan, *enrich.Origin) {
+	var p core.Scan
+	if fields&FieldStart != 0 {
+		p.Start = sc.Start
+	}
+	if fields&FieldDuration != 0 {
+		p.End = p.Start + sc.End - sc.Start
+	}
+	if fields&FieldSrc != 0 {
+		p.Src = sc.Src
+	}
+	if fields&FieldPackets != 0 {
+		p.Packets = sc.Packets
+	}
+	if fields&FieldDsts != 0 {
+		p.DistinctDsts = sc.DistinctDsts
+	}
+	if fields&FieldPorts != 0 {
+		p.Ports = sc.Ports
+	}
+	if fields&FieldTool != 0 {
+		p.Tool, p.Qualified = sc.Tool, sc.Qualified
+	}
+	if fields&FieldRate != 0 {
+		p.RatePPS = sc.RatePPS
+	}
+	if fields&FieldCoverage != 0 {
+		p.Coverage = sc.Coverage
+	}
+	if fields&FieldPhase != 0 {
+		p.TwoPhase, p.ISN, p.LinkedDsts = sc.TwoPhase, sc.ISN, sc.LinkedDsts
+		p.HandshakePackets, p.PayloadBytes = sc.HandshakePackets, sc.PayloadBytes
+		if fields&FieldPackets != 0 {
+			p.ScoutPackets = sc.ScoutPackets
+		}
+	}
+	if fields&FieldPayload != 0 {
+		p.Payload = sc.Payload
+	}
+	if fields&FieldOrigin == 0 {
+		return p, nil
+	}
+	var po enrich.Origin
+	if fields&FieldCountry != 0 {
+		po.Country = o.Country
+	}
+	if fields&FieldASN != 0 {
+		po.ASN, po.Type = o.ASN, o.Type
+	}
+	if fields&FieldOrg != 0 {
+		po.OrgID, po.OrgName = o.OrgID, o.OrgName
+	}
+	return p, &po
+}
+
+// TestProjectedDecode: a predicate that names some strips gets every record
+// with exactly the fields those strips carry — the rest zero, ports and
+// payload nil, the origin nil when no origin strip is named — and inflates
+// exactly those strips' bytes; a full projection (what All and select-mode
+// queries ask for) gets every field. The sets: none, each strip alone, all but
+// each strip, everything, and a spread of random ones.
 func TestProjectedDecode(t *testing.T) {
 	scans, origins := testScans(3000, 43)
 	data := writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, Origins: true, BlockBytes: 8 << 10})
 	r := openArchive(t, data)
-	for fields := Fields(0); fields <= AllFields; fields++ {
+	reg := obs.NewRegistry()
+	r.SetMetrics(reg)
+	sets := []Fields{0, AllFields}
+	for i := 0; i < numStrips; i++ {
+		sets = append(sets, 1<<i, AllFields&^(1<<i))
+	}
+	rnd := rng.New(44)
+	for i := 0; i < 24; i++ {
+		sets = append(sets, Fields(rnd.Uint32())&AllFields)
+	}
+	var full uint64 // what AllFields inflates
+	for _, z := range r.Blocks() {
+		full += uint64(z.RawLen)
+	}
+	inflated := map[Fields]uint64{}
+	for _, fields := range sets {
+		before := reg.Snapshot().Counter("archive.bytes.decompressed")
 		i := 0
 		err := scan(t, r, context.Background(), every{n: 1, fields: fields}, func(sc *core.Scan, o *enrich.Origin) {
-			want := *scans[i]
-			if fields&FieldPorts == 0 {
-				want.Ports = nil
-			}
-			if fields&FieldPayload == 0 {
-				want.Payload = nil
-			}
+			want, wantOrigin := project(scans[i], origins[i], fields)
 			if !reflect.DeepEqual(sc, &want) {
-				t.Fatalf("fields=%03b scan %d:\n got:  %+v\n want: %+v", fields, i, sc, &want)
+				t.Fatalf("fields {%v} scan %d:\n got:  %+v\n want: %+v", fields, i, sc, &want)
 			}
-			switch {
-			case fields&FieldOrigin == 0 && o != nil:
-				t.Fatalf("fields=%03b scan %d: origin %+v although not projected", fields, i, *o)
-			case fields&FieldOrigin != 0 && (o == nil || *o != origins[i]):
-				t.Fatalf("fields=%03b scan %d: origin %+v, want %+v", fields, i, o, origins[i])
+			if !reflect.DeepEqual(o, wantOrigin) {
+				t.Fatalf("fields {%v} scan %d: origin %+v, want %+v", fields, i, o, wantOrigin)
 			}
 			i++
 		})
@@ -134,11 +202,28 @@ func TestProjectedDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i != len(scans) {
-			t.Fatalf("fields=%03b: %d scans, want %d", fields, i, len(scans))
+			t.Fatalf("fields {%v}: %d scans, want %d", fields, i, len(scans))
+		}
+		inflated[fields] = reg.Snapshot().Counter("archive.bytes.decompressed") - before
+	}
+	// The bytes inflated are the named strips' and nothing else: none for the
+	// empty set, everything for the full one, and additive in between.
+	if inflated[0] != 0 || inflated[AllFields] != full {
+		t.Fatalf("no strips inflate %d bytes, all strips %d; want 0 and %d", inflated[0], inflated[AllFields], full)
+	}
+	for _, fields := range sets {
+		var want uint64
+		for i := 0; i < numStrips; i++ {
+			if fields&(1<<i) != 0 {
+				want += inflated[1<<i]
+			}
+		}
+		if inflated[fields] != want {
+			t.Fatalf("fields {%v} inflate %d bytes, their strips one by one %d", fields, inflated[fields], want)
 		}
 	}
 	if f := (All).Fields(); f != AllFields {
-		t.Fatalf("Filter projects %03b, want everything", f)
+		t.Fatalf("All projects {%v}, want everything", f)
 	}
 }
 

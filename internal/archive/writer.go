@@ -53,7 +53,6 @@ type Writer struct {
 	inflight *block // handed off and not yet collected, nil when none
 	spare    *block // a collected unit waiting to be the next open block
 	years    YearCache
-	prev     int64 // previous record's start time within the block
 	index    []ZoneMap
 	crc      [blockCRCLen]byte // writeBlock's scratch: a local would escape through Write
 	closer   io.Closer         // set by Create; closed by Close
@@ -69,15 +68,15 @@ type Writer struct {
 	mCompressNS, mWaitNS               *obs.Histogram
 }
 
-// block is one unit of the write pipeline: a block's records and zone map
-// while it is open, the DEFLATE state and output that make it a stream once
-// handed off. From go b.run() to the receive from done the compressor
+// block is one unit of the write pipeline: a block's strips and zone map
+// while it is open, the DEFLATE state and output that make it a stored payload
+// once handed off. From go b.run() to the receive from done the compressor
 // goroutine owns it, at every other time its Writer.
 type block struct {
-	raw  []byte
+	enc  blockEncoder
 	zone ZoneMap
 	fw   *flate.Writer // ≈ 0.8 MB of hash chains and window, reused by Reset
-	out  bytes.Buffer
+	out  bytes.Buffer  // the stored payload: strip directory, then one stream per strip
 	err  error
 	ns   *obs.Histogram // the owning Writer's archive.compress_ns
 	run  func()         // compress, bound once: go b.run() allocates nothing
@@ -90,10 +89,12 @@ type block struct {
 // buffers too — every retained byte is about two of a quiet process's peak.
 var flateFree = make(chan *flate.Writer, 1)
 
-// newBlock returns an empty unit whose raw buffer holds rawCap bytes.
-func newBlock(rawCap int) *block {
-	b := &block{raw: make([]byte, 0, rawCap), done: make(chan struct{}, 1)}
-	b.out.Grow(rawCap / 2) // most blocks deflate to less: one allocation, not a doubling series
+// newBlock returns an empty unit for blocks of blockBytes. The strip buffers
+// grow to what their share of a block turns out to be (blockEncoder.grow).
+func newBlock(blockBytes int) *block {
+	b := &block{done: make(chan struct{}, 1)}
+	b.enc.blockBytes = blockBytes
+	b.out.Grow(blockBytes / 2) // most blocks deflate to less: one allocation, not a doubling series
 	b.run = b.compress
 	b.zone.reset()
 	select {
@@ -110,7 +111,8 @@ func (b *block) release() {
 	if b == nil {
 		return
 	}
-	poison(b.raw, b.out.Bytes())
+	poison(b.out.Bytes())
+	poison(b.enc.strips[:]...)
 	select {
 	case flateFree <- b.fw:
 	default:
@@ -118,15 +120,31 @@ func (b *block) release() {
 	b.fw = nil
 }
 
-// compress deflates b.raw into b.out and signals done, on a goroutine of its
-// own per block: nothing is left to outlive an abandoned Writer.
+// compress deflates the strips into b.out — each a DEFLATE stream of its own,
+// an empty strip none at all, behind the directory of their lengths — and
+// signals done, on a goroutine of its own per block: nothing is left to
+// outlive an abandoned Writer.
 func (b *block) compress() {
 	sp := obs.StartSpan(b.ns)
+	var dir [dirLen]byte
 	b.out.Reset()
-	b.fw.Reset(&b.out)
-	if _, b.err = b.fw.Write(b.raw); b.err == nil {
-		b.err = b.fw.Close()
+	b.out.Write(dir[:]) // filled in below, once the lengths are known
+	for i, strip := range b.enc.strips {
+		if len(strip) == 0 {
+			continue
+		}
+		at := b.out.Len()
+		b.fw.Reset(&b.out)
+		if _, b.err = b.fw.Write(strip); b.err == nil {
+			b.err = b.fw.Close()
+		}
+		if b.err != nil {
+			break
+		}
+		binary.BigEndian.PutUint32(dir[8*i:], uint32(b.out.Len()-at))
+		binary.BigEndian.PutUint32(dir[8*i+4:], uint32(len(strip)))
 	}
+	copy(b.out.Bytes(), dir[:])
 	sp.End()
 	b.done <- struct{}{}
 }
@@ -150,7 +168,7 @@ func NewWriter(w io.Writer, cfg WriterConfig) (*Writer, error) {
 		w:    bw,
 		cfg:  cfg,
 		off:  headerLen,
-		open: newBlock(cfg.BlockBytes + 4096),
+		open: newBlock(cfg.BlockBytes),
 
 		mScans:      cfg.Metrics.Counter("archive.scans.written"),
 		mBlocks:     cfg.Metrics.Counter("archive.blocks.written"),
@@ -203,8 +221,7 @@ func (w *Writer) add(sc *core.Scan, o *enrich.Origin) error {
 		return fmt.Errorf("archive: Add after Close")
 	}
 	b := w.open
-	b.raw = appendRecord(b.raw, sc, o, w.prev)
-	w.prev = sc.Start
+	rawLen := b.enc.add(sc, o)
 	b.zone.observe(sc, w.years.Year(sc.Start))
 	if w.nScans == 0 || sc.Start < w.minStart {
 		w.minStart = sc.Start
@@ -214,7 +231,7 @@ func (w *Writer) add(sc *core.Scan, o *enrich.Origin) error {
 	}
 	w.nScans++
 	w.mScans.Inc()
-	if len(b.raw) >= w.cfg.BlockBytes {
+	if rawLen >= w.cfg.BlockBytes {
 		return w.flushBlock()
 	}
 	return nil
@@ -226,10 +243,10 @@ func (w *Writer) flushBlock() error {
 	if w.open == nil {
 		if w.spare == nil {
 			// Taken only now: a Writer that never fills a block gets by on one.
-			w.spare = newBlock(w.cfg.BlockBytes + 4096)
+			w.spare = newBlock(w.cfg.BlockBytes)
 		}
 		w.open, w.spare = w.spare, nil
-		w.open.raw, w.prev = w.open.raw[:0], 0
+		w.open.enc.reset()
 		w.open.zone.reset()
 	}
 	return w.err
@@ -269,11 +286,11 @@ func (w *Writer) collect() error {
 	}
 	comp := b.out.Bytes()
 	b.zone.CompressedLen = uint32(len(comp))
-	b.zone.RawLen = uint32(len(b.raw))
+	b.zone.RawLen = uint32(b.enc.rawLen())
 	return w.writeBlock(b.zone, crc32.ChecksumIEEE(comp), comp)
 }
 
-// writeBlock appends one compressed block — CRC word, then stream — and its
+// writeBlock appends one stored block — CRC word, then payload — and its
 // zone map, whose Offset is re-based to the CRC word's new place.
 func (w *Writer) writeBlock(z ZoneMap, sum uint32, comp []byte) error {
 	z.Offset = w.off
@@ -291,8 +308,8 @@ func (w *Writer) writeBlock(z ZoneMap, sum uint32, comp []byte) error {
 	return nil
 }
 
-// appendBlock moves in a compressed block of another archive with the same
-// record layout: comp is its DEFLATE stream, sum the CRC the caller checked it
+// appendBlock moves in a stored block of another archive with the same
+// record layout: comp is its payload, sum the CRC the caller checked it
 // against, z its zone map there. The open block is closed first, so record
 // order is call order.
 func (w *Writer) appendBlock(z ZoneMap, sum uint32, comp []byte) error {

@@ -3,6 +3,7 @@ package inflate_test
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -19,11 +20,13 @@ import (
 )
 
 // archiveBlocks writes a campaign archive with archive.Writer — varint
-// records with origins and phase suffixes, mostly narrow scans plus a few
-// sweeps of thousands of consecutive ports — and returns each block's DEFLATE
-// stream exactly as it sits in the file, with the raw length its zone map
-// records. This is the input the decoder sees in production; synthetic text
-// has neither its symbol distribution nor its match lengths.
+// records with origins and phase parts, mostly narrow scans plus a few sweeps
+// of thousands of consecutive ports — and returns every strip's DEFLATE
+// stream exactly as it sits in the file, with the raw length the block's
+// directory records for it. This is the input the decoder sees in production:
+// streams of one record part each, from a few hundred bytes of flags to the
+// port lists; synthetic text has neither their symbol distributions nor their
+// match lengths.
 func archiveBlocks(tb testing.TB) (streams [][]byte, rawLens []int) {
 	tb.Helper()
 	r := rng.New(17)
@@ -75,19 +78,34 @@ func archiveBlocks(tb testing.TB) (streams [][]byte, rawLens []int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	const crcLen = 4 // each block's stream follows a CRC-32 of it
+	// A block is a CRC-32 of its payload, then the payload: a directory of
+	// one (stored length, raw length) pair of u32 BE per strip, then the
+	// strips' streams in the same order.
+	const crcLen, strips = 4, 14
 	for _, z := range rd.Blocks() {
-		off := int(z.Offset) + crcLen
-		streams = append(streams, data[off:off+int(z.CompressedLen)])
-		rawLens = append(rawLens, int(z.RawLen))
+		payload := data[int(z.Offset)+crcLen:][:z.CompressedLen]
+		off, raw := 8*strips, 0
+		for i := 0; i < strips; i++ {
+			stored := int(binary.BigEndian.Uint32(payload[8*i:]))
+			rawLen := int(binary.BigEndian.Uint32(payload[8*i+4:]))
+			if stored > 0 {
+				streams = append(streams, payload[off:off+stored])
+				rawLens = append(rawLens, rawLen)
+			}
+			off, raw = off+stored, raw+rawLen
+		}
+		if off != len(payload) || raw != int(z.RawLen) {
+			tb.Fatalf("block at %d: directory covers %d of %d stored and %d of %d raw bytes",
+				z.Offset, off, len(payload), raw, z.RawLen)
+		}
 	}
-	if len(streams) < 4 {
-		tb.Fatalf("archive has %d blocks, want several", len(streams))
+	if len(streams) < 4*strips {
+		tb.Fatalf("archive has %d strips, want several blocks of them", len(streams))
 	}
 	return streams, rawLens
 }
 
-// TestArchiveBlocksMatchFlate: every block archive.Writer produces inflates
+// TestArchiveBlocksMatchFlate: every strip archive.Writer produces inflates
 // to exactly what compress/flate makes of it, through one reused Decoder and
 // one reused output buffer.
 func TestArchiveBlocksMatchFlate(t *testing.T) {
@@ -97,25 +115,25 @@ func TestArchiveBlocksMatchFlate(t *testing.T) {
 	for i, comp := range streams {
 		want, err := io.ReadAll(flate.NewReader(bytes.NewReader(comp)))
 		if err != nil {
-			t.Fatalf("block %d: compress/flate: %v", i, err)
+			t.Fatalf("strip %d: compress/flate: %v", i, err)
 		}
 		if len(want) != rawLens[i] {
-			t.Fatalf("block %d: compress/flate yields %d bytes, zone map says %d", i, len(want), rawLens[i])
+			t.Fatalf("strip %d: compress/flate yields %d bytes, the directory says %d", i, len(want), rawLens[i])
 		}
 		out, err = d.AppendDecode(out[:0], comp, rawLens[i]+1)
 		if err != nil {
-			t.Fatalf("block %d: %v", i, err)
+			t.Fatalf("strip %d: %v", i, err)
 		}
 		if !bytes.Equal(out, want) {
-			t.Fatalf("block %d: output differs from compress/flate (%d vs %d bytes)", i, len(out), len(want))
+			t.Fatalf("strip %d: output differs from compress/flate (%d vs %d bytes)", i, len(out), len(want))
 		}
 		if _, err := d.AppendDecode(out[:0], comp, rawLens[i]-1); err != inflate.ErrTooLarge {
-			t.Fatalf("block %d under a short limit: err = %v, want ErrTooLarge", i, err)
+			t.Fatalf("strip %d under a short limit: err = %v, want ErrTooLarge", i, err)
 		}
 	}
 }
 
-// BenchmarkInflateArchiveBlock decodes the archive's own blocks with this
+// BenchmarkInflateArchiveBlock decodes the archive's own strips with this
 // package and with compress/flate (reader Reset and reused, its best case);
 // MB/s is over inflated bytes.
 func BenchmarkInflateArchiveBlock(b *testing.B) {

@@ -140,8 +140,8 @@ func TestTruncatedAndCorrupt(t *testing.T) {
 		bad[i] ^= 0xff
 		got, err := d.AppendDecode(nil, bad, len(data)+1)
 		// A flip may survive decode (it only changes literals); then the
-		// output length/content differs and the archive's RawLen + record
-		// CRC checks catch it. What must not happen is a panic.
+		// output length/content differs and the archive's block CRC and
+		// strip-length checks catch it. What must not happen is a panic.
 		if err == nil && len(got) == len(data) && bytes.Equal(got, data) {
 			t.Fatalf("flip at %d decoded to identical output", i)
 		}

@@ -47,7 +47,7 @@ type Expr interface {
 	appendKey(b []byte) []byte
 	// validate rejects malformed nodes with a client error.
 	validate() error
-	// reads names the variable-size record parts match touches.
+	// reads names the strips match reads.
 	reads() archive.Fields
 }
 
@@ -226,7 +226,7 @@ func (e *notExpr) reads() archive.Fields { return e.kid.reads() }
 // ---- field leaves, one type per value kind ----
 
 // leaf is what every field predicate shares: the field, and through its row
-// the record parts that matching reads.
+// the strips that matching reads.
 type leaf struct{ field Field }
 
 func (l leaf) reads() archive.Fields { return l.field.def().reads }
@@ -605,25 +605,22 @@ func (e *rangeExpr) validate() error {
 	return nil
 }
 
-// exprDepth returns the tree depth, for the parser's nesting cap.
-func exprDepth(e Expr) int {
+// exprShape walks the combinators once and returns the tree's depth and its
+// node count, for the nesting and size caps.
+func exprShape(e Expr) (depth, nodes int) {
+	var kids []Expr
 	switch n := e.(type) {
 	case *andExpr:
-		return 1 + maxKidDepth(n.kids)
+		kids = n.kids
 	case *orExpr:
-		return 1 + maxKidDepth(n.kids)
+		kids = n.kids
 	case *notExpr:
-		return 1 + exprDepth(n.kid)
+		depth, nodes = exprShape(n.kid)
 	}
-	return 1
-}
-
-func maxKidDepth(kids []Expr) int {
-	d := 0
 	for _, k := range kids {
-		if kd := exprDepth(k); kd > d {
-			d = kd
-		}
+		d, n := exprShape(k)
+		depth = max(depth, d)
+		nodes += n
 	}
-	return d
+	return depth + 1, nodes + 1
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
+	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/rng"
 	"github.com/synscan/synscan/internal/stats"
 )
@@ -330,10 +331,15 @@ func TestAllocBudgetObserve(t *testing.T) {
 	}
 }
 
-// TestPredicateFields: the compiled predicate projects exactly the
-// variable-size record parts the query reads, wherever it reads them.
+// TestPredicateFields: the compiled predicate projects exactly the strips the
+// query reads, wherever it reads them.
 func TestPredicateFields(t *testing.T) {
-	const ports, origin, all = archive.FieldPorts, archive.FieldOrigin, archive.AllFields
+	const (
+		start, duration, src, packets = archive.FieldStart, archive.FieldDuration, archive.FieldSrc, archive.FieldPackets
+		dsts, ports, tool, rate       = archive.FieldDsts, archive.FieldPorts, archive.FieldTool, archive.FieldRate
+		coverage, phase, country, asn = archive.FieldCoverage, archive.FieldPhase, archive.FieldCountry, archive.FieldASN
+		org, all                      = archive.FieldOrg, archive.AllFields
+	)
 	cases := []struct {
 		query string
 		want  archive.Fields
@@ -341,27 +347,76 @@ func TestPredicateFields(t *testing.T) {
 		{`{}`, all}, // select mode returns the scans themselves
 		{`{"where":{"field":"year","in":[2019]},"limit":5}`, all},
 		{`{"aggs":[{"op":"count"}]}`, 0},
-		{`{"aggs":[{"op":"quantile","field":"rate_pps","qs":[0.5]}]}`, 0},
-		{`{"group_by":["tool","year"],"aggs":[{"op":"sum","field":"packets"}]}`, 0},
-		{`{"group_by":["year"],"aggs":[{"op":"count_distinct","field":"src"}]}`, 0},
+		{`{"aggs":[{"op":"quantile","field":"rate_pps","qs":[0.5]}]}`, rate},
+		{`{"group_by":["tool","year"],"aggs":[{"op":"sum","field":"packets"}]}`, tool | start | packets},
+		{`{"group_by":["year"],"aggs":[{"op":"count_distinct","field":"src"}]}`, start | src},
 		{`{"group_by":["port"],"aggs":[{"op":"count"}]}`, ports},
 		{`{"aggs":[{"op":"sum","field":"nports"}]}`, ports},
-		{`{"group_by":["tool"],"aggs":[{"op":"top_k","field":"port","k":3}]}`, ports},
+		{`{"group_by":["tool"],"aggs":[{"op":"top_k","field":"port","k":3}]}`, tool | ports},
 		{`{"where":{"field":"port","in":[443]},"aggs":[{"op":"count"}]}`, ports},
 		{`{"where":{"not":{"field":"nports","max":3}},"aggs":[{"op":"count"}]}`, ports},
-		{`{"group_by":["country"],"aggs":[{"op":"count"}]}`, origin},
-		{`{"aggs":[{"op":"count_distinct","field":"asn"}]}`, origin},
-		{`{"where":{"or":[{"field":"tool","eq":"ZMap"},{"field":"type","in":["Institutional"]}]},"aggs":[{"op":"count"}]}`, origin},
-		{`{"where":{"field":"org","in":["x"]},"group_by":["port"],"aggs":[{"op":"count"}]}`, ports | origin},
+		{`{"where":{"field":"time","min_ns":1},"group_by":["qualified"],"aggs":[{"op":"sum","field":"dsts"}]}`, start | tool | dsts},
+		{`{"where":{"field":"duration_s","min":1},"aggs":[{"op":"sum","field":"coverage"}]}`, duration | coverage},
+		{`{"where":{"field":"two_phase","eq":true},"group_by":["isn"],"aggs":[{"op":"sum","field":"linked_dsts"}]}`, phase},
+		{`{"aggs":[{"op":"sum","field":"handshake_packets"},{"op":"sum","field":"payload_bytes"}]}`, phase},
+		{`{"group_by":["country"],"aggs":[{"op":"count"}]}`, country},
+		{`{"aggs":[{"op":"count_distinct","field":"asn"}]}`, asn},
+		{`{"where":{"or":[{"field":"tool","eq":"ZMap"},{"field":"type","in":["Institutional"]}]},"aggs":[{"op":"count"}]}`, tool | asn},
+		{`{"where":{"field":"org","in":["x"]},"group_by":["port"],"aggs":[{"op":"count"}]}`, ports | org},
 	}
+	read := archive.Fields(0)
 	for _, c := range cases {
 		q, err := Parse([]byte(c.query))
 		if err != nil {
 			t.Fatalf("%s: %v", c.query, err)
 		}
 		if got := q.Predicate().Fields(); got != c.want {
-			t.Errorf("%s: projects %03b, want %03b", c.query, got, c.want)
+			t.Errorf("%s: projects {%v}, want {%v}", c.query, got, c.want)
 		}
+		if c.want != all {
+			read |= c.want
+		}
+	}
+	// Only the payload prefix has no field: select mode is what returns it.
+	if read != all&^archive.FieldPayload {
+		t.Errorf("the aggregate cases read {%v} between them, want every strip but the payload", read)
+	}
+}
+
+// TestAggregateInflatesItsStrips counts what the projection saves: a
+// full-history quantile over one attribute — the benchmark's second full-scan
+// query — reads every block and inflates at most a quarter of the bytes the
+// store's blocks inflate to, the rate strip's eight bytes of each record;
+// select mode inflates all of them.
+func TestAggregateInflatesItsStrips(t *testing.T) {
+	scans, origins := genScans(3000, 66)
+	rd := openArc(t, writeArc(t, scans, origins, true))
+	reg := obs.NewRegistry()
+	rd.SetMetrics(reg)
+	var store uint64
+	for _, z := range rd.Blocks() {
+		store += uint64(z.RawLen)
+	}
+	inflated := func(text string) uint64 {
+		q, err := Parse([]byte(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := reg.Snapshot()
+		if _, err := Run(context.Background(), q, ReaderSource{R: rd}); err != nil {
+			t.Fatal(err)
+		}
+		after := reg.Snapshot()
+		if n := after.Counter("archive.blocks.scanned") - before.Counter("archive.blocks.scanned"); n != uint64(rd.NumBlocks()) {
+			t.Fatalf("%s read %d of %d blocks", text, n, rd.NumBlocks())
+		}
+		return after.Counter("archive.bytes.decompressed") - before.Counter("archive.bytes.decompressed")
+	}
+	if n := inflated(`{"aggs":[{"op":"quantile","field":"rate_pps","qs":[0.5,0.9,0.99]}]}`); n != 8*uint64(len(scans)) || 4*n > store {
+		t.Errorf("the rate quantile inflates %d bytes of the store's %d, want %d and at most a quarter", n, store, 8*len(scans))
+	}
+	if n := inflated(`{"limit":1}`); n != store {
+		t.Errorf("select mode inflates %d bytes of the store's %d", n, store)
 	}
 }
 
@@ -396,7 +451,7 @@ func TestProjectionKeepsResults(t *testing.T) {
 		}
 		projected, full := run(q.Predicate()), run(fullDecode{q.Predicate()})
 		if string(projected) != string(full) {
-			t.Fatalf("round %d (%s, fields %03b): projected decode changed the result", round, q.Key(), q.Predicate().Fields())
+			t.Fatalf("round %d (%s, fields {%v}): projected decode changed the result", round, q.Key(), q.Predicate().Fields())
 		}
 		mem, err := Run(context.Background(), q, SliceSource{Scans: scans, Origins: origins})
 		if err != nil {

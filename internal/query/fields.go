@@ -117,7 +117,7 @@ type fieldDef struct {
 	enum  *enum          // kindEnum: the value list
 	max   uint64         // kindInt: the largest value
 	tag   string         // kindBool: the leaf's name in canonical keys
-	reads archive.Fields // variable-size record parts the accessors touch
+	reads archive.Fields // the strips the accessors and the executor read for the field
 
 	// disc is the field's identity value: what set membership compares, the
 	// group coordinate, the distinct/top-k key. Nil for port (one value per
@@ -156,10 +156,12 @@ func twoPhase(sc *core.Scan, _ *enrich.Origin) uint64  { return flag(sc.TwoPhase
 // name, no kind, no capability.
 var fields = [...]fieldDef{
 	FieldYear: {name: "year", kind: kindInt, max: 65535, caps: capGroup | capDistinct | capTopK,
+		reads:    archive.FieldStart,
 		disc:     func(sc *core.Scan, _ *enrich.Origin) uint64 { return uint64(uint16(archive.YearOf(sc.Start))) },
 		zone:     func(z *archive.ZoneMap, lo, hi int64) bool { return hi >= int64(z.MinYear) && lo <= int64(z.MaxYear) },
 		evidence: "year range"},
 	FieldTool: {name: "tool", kind: kindEnum, enum: toolEnum, caps: capGroup | capDistinct | capTopK,
+		reads:    archive.FieldTool,
 		disc:     func(sc *core.Scan, _ *enrich.Origin) uint64 { return uint64(sc.Tool) },
 		zone:     func(z *archive.ZoneMap, v, _ int64) bool { return z.ToolBits>>uint(v)&1 != 0 },
 		evidence: "tool bits"},
@@ -168,7 +170,8 @@ var fields = [...]fieldDef{
 		zone:     func(z *archive.ZoneMap, v, _ int64) bool { return z.MayContainPort(uint16(v)) },
 		evidence: "port fingerprint"},
 	FieldQualified: {name: "qualified", kind: kindBool, tag: "qual", caps: capGroup,
-		disc: qualified, ival: qualified,
+		reads: archive.FieldTool,
+		disc:  qualified, ival: qualified,
 		zone: func(z *archive.ZoneMap, v, _ int64) bool {
 			if v != 0 {
 				return z.Qualified > 0
@@ -177,39 +180,41 @@ var fields = [...]fieldDef{
 		},
 		evidence: "qualified count"},
 	FieldSrc: {name: "src", kind: kindPrefix, caps: capDistinct | capTopK,
+		reads:    archive.FieldSrc,
 		disc:     func(sc *core.Scan, _ *enrich.Origin) uint64 { return uint64(sc.Src) },
 		zone:     func(z *archive.ZoneMap, lo, hi int64) bool { return hi >= int64(z.MinSrc) && lo <= int64(z.MaxSrc) },
 		evidence: "source range"},
-	FieldTime: {name: "time", kind: kindTime,
+	FieldTime: {name: "time", kind: kindTime, reads: archive.FieldStart,
 		disc:     func(sc *core.Scan, _ *enrich.Origin) uint64 { return uint64(sc.Start) },
 		zone:     func(z *archive.ZoneMap, lo, hi int64) bool { return hi >= z.MinStart && lo <= z.MaxStart },
 		evidence: "start-time range"},
-	FieldRate: {name: "rate_pps", kind: kindNum,
+	FieldRate: {name: "rate_pps", kind: kindNum, reads: archive.FieldRate,
 		fval: func(sc *core.Scan, _ *enrich.Origin) float64 { return sc.RatePPS }},
-	FieldPackets: {name: "packets", kind: kindNum, split: true,
+	FieldPackets: {name: "packets", kind: kindNum, split: true, reads: archive.FieldPackets,
 		ival: func(sc *core.Scan, _ *enrich.Origin) uint64 { return sc.Packets }},
-	FieldDsts: {name: "dsts", kind: kindNum,
+	FieldDsts: {name: "dsts", kind: kindNum, reads: archive.FieldDsts,
 		ival: func(sc *core.Scan, _ *enrich.Origin) uint64 { return uint64(sc.DistinctDsts) }},
 	FieldNPorts: {name: "nports", kind: kindNum, reads: archive.FieldPorts,
 		ival: func(sc *core.Scan, _ *enrich.Origin) uint64 { return uint64(len(sc.Ports)) }},
-	FieldDuration: {name: "duration_s", kind: kindNum,
+	FieldDuration: {name: "duration_s", kind: kindNum, reads: archive.FieldDuration,
 		fval: func(sc *core.Scan, _ *enrich.Origin) float64 { return sc.Duration() }},
-	FieldCoverage: {name: "coverage", kind: kindNum,
+	FieldCoverage: {name: "coverage", kind: kindNum, reads: archive.FieldCoverage,
 		fval: func(sc *core.Scan, _ *enrich.Origin) float64 { return sc.Coverage }},
 	FieldCountry: {name: "country", kind: kindString, caps: capGroup | capDistinct,
-		reads: archive.FieldOrigin,
+		reads: archive.FieldCountry,
 		str:   func(o *enrich.Origin) string { return o.Country }},
 	FieldASN: {name: "asn", kind: kindInt, max: 1<<32 - 1, caps: capGroup | capDistinct | capTopK,
-		reads: archive.FieldOrigin,
+		reads: archive.FieldASN,
 		disc:  func(_ *core.Scan, o *enrich.Origin) uint64 { return uint64(o.ASN) }},
 	FieldType: {name: "type", kind: kindEnum, enum: typeEnum, caps: capGroup | capDistinct | capTopK,
-		reads: archive.FieldOrigin,
+		reads: archive.FieldASN,
 		disc:  func(_ *core.Scan, o *enrich.Origin) uint64 { return uint64(o.Type) }},
 	FieldOrg: {name: "org", kind: kindString, caps: capGroup | capDistinct,
-		reads: archive.FieldOrigin,
+		reads: archive.FieldOrg,
 		str:   func(o *enrich.Origin) string { return o.OrgName }},
 	FieldTwoPhase: {name: "two_phase", kind: kindBool, tag: "twophase", caps: capGroup,
-		disc: twoPhase, ival: twoPhase,
+		reads: archive.FieldPhase,
+		disc:  twoPhase, ival: twoPhase,
 		zone: func(z *archive.ZoneMap, v, _ int64) bool {
 			if v != 0 {
 				return z.TwoPhase > 0
@@ -220,12 +225,13 @@ var fields = [...]fieldDef{
 		},
 		evidence: "two-phase count"},
 	FieldISN: {name: "isn", kind: kindEnum, enum: isnEnum, caps: capGroup | capDistinct | capTopK,
-		disc: func(sc *core.Scan, _ *enrich.Origin) uint64 { return uint64(sc.ISN) }},
-	FieldLinkedDsts: {name: "linked_dsts", kind: kindNum,
+		reads: archive.FieldPhase,
+		disc:  func(sc *core.Scan, _ *enrich.Origin) uint64 { return uint64(sc.ISN) }},
+	FieldLinkedDsts: {name: "linked_dsts", kind: kindNum, reads: archive.FieldPhase,
 		ival: func(sc *core.Scan, _ *enrich.Origin) uint64 { return uint64(sc.LinkedDsts) }},
-	FieldHandshakePackets: {name: "handshake_packets", kind: kindNum,
+	FieldHandshakePackets: {name: "handshake_packets", kind: kindNum, reads: archive.FieldPhase,
 		ival: func(sc *core.Scan, _ *enrich.Origin) uint64 { return sc.HandshakePackets }},
-	FieldPayloadBytes: {name: "payload_bytes", kind: kindNum,
+	FieldPayloadBytes: {name: "payload_bytes", kind: kindNum, reads: archive.FieldPhase,
 		ival: func(sc *core.Scan, _ *enrich.Origin) uint64 { return sc.PayloadBytes }},
 }
 

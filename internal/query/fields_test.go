@@ -80,14 +80,14 @@ var wireOperand = map[string]string{
 	"in": `[1]`, "eq": `true`, "min": `1`, "min_ns": `1`, "prefix": `"10.0.0.0/8"`,
 }
 
-// TestReactiveFieldRegistry started as five hand-written rows for the reactive
-// fields; it now walks the whole field table. Every row resolves by its wire
-// name and back, survives JSON, and is accepted by exactly the operators its
+// TestFieldTableOperators walks the whole field table. Every row resolves by
+// its wire name and back, survives JSON, and is accepted by exactly the
+// operators its
 // row declares: a filter operator that is not its kind's, and any of group_by
 // / sum / quantile / count_distinct / approx_distinct / top_k it lacks, is a
 // ClientError — never a silent zero, never a panic. (Which capabilities each
 // row should declare is pinned by the matrix in DESIGN.md, below.)
-func TestReactiveFieldRegistry(t *testing.T) {
+func TestFieldTableOperators(t *testing.T) {
 	scans, origins := genScans(4, 3)
 	r := rng.New(5)
 	if len(Fields()) != len(fields)-1 {
@@ -265,7 +265,7 @@ func fieldMatrix() string {
 		return "–"
 	}
 	var b strings.Builder
-	b.WriteString("| field | kind | filter | group_by | sum, quantile | distinct | top_k | zone-map evidence | reads |\n")
+	b.WriteString("| field | kind | filter | group_by | sum, quantile | distinct | top_k | zone-map evidence | strips read |\n")
 	b.WriteString("|---|---|---|---|---|---|---|---|---|\n")
 	for _, f := range Fields() {
 		d := f.def()
@@ -295,13 +295,7 @@ func fieldMatrix() string {
 		case d.fval != nil:
 			sum = "float"
 		}
-		reads, evidence := "–", "–"
-		switch d.reads {
-		case archive.FieldPorts:
-			reads = "ports"
-		case archive.FieldOrigin:
-			reads = "origin"
-		}
+		reads, evidence := d.reads.String(), "–"
 		if d.zone != nil {
 			evidence = d.evidence
 		}

@@ -136,11 +136,12 @@ func (q *Query) SelectMode() bool { return len(q.GroupBy) == 0 && len(q.Aggs) ==
 // queries are already validated; call this on programmatically built ones.
 func (q *Query) Validate() error {
 	if q.Where != nil {
-		if d := exprDepth(q.Where); d > maxDepth {
-			return errf("filter nesting depth %d exceeds %d", d, maxDepth)
+		depth, nodes := exprShape(q.Where)
+		if depth > maxDepth {
+			return errf("filter nesting depth %d exceeds %d", depth, maxDepth)
 		}
-		if n := exprNodes(q.Where); n > maxNodes {
-			return errf("filter has %d nodes, exceeds %d", n, maxNodes)
+		if nodes > maxNodes {
+			return errf("filter has %d nodes, exceeds %d", nodes, maxNodes)
 		}
 		if err := q.Where.validate(); err != nil {
 			return err
@@ -228,27 +229,6 @@ func (a *Agg) validate() error {
 		return errf("%s takes no quantiles", a.Op)
 	}
 	return nil
-}
-
-// exprNodes counts tree nodes, for the size cap.
-func exprNodes(e Expr) int {
-	switch n := e.(type) {
-	case *andExpr:
-		total := 1
-		for _, k := range n.kids {
-			total += exprNodes(k)
-		}
-		return total
-	case *orExpr:
-		total := 1
-		for _, k := range n.kids {
-			total += exprNodes(k)
-		}
-		return total
-	case *notExpr:
-		return 1 + exprNodes(n.kid)
-	}
-	return 1
 }
 
 // Canonicalize returns the query in normal form: filter lists sorted and
@@ -357,9 +337,9 @@ func (q *Query) NeedsOrigin() bool {
 // predicate compiles the query for the archive reader: the planner step. It
 // carries the filter tree's zone-map pushdown (Expr.matchBlock), so the
 // reader skips blocks no scan of which can match without decompressing them,
-// and the projection — which variable-size record parts the filter, the
-// grouping and the aggregates read — so the decoder stores nothing else. A
-// nil Where matches everything.
+// and the projection — which strips the filter, the grouping and the
+// aggregates read — so the reader inflates and parses nothing else. A nil
+// Where matches everything.
 type predicate struct {
 	where  Expr
 	fields archive.Fields

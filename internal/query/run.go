@@ -17,8 +17,9 @@ type Source interface {
 }
 
 // ReaderSource adapts an archive reader: the predicate's zone-map pushdown
-// skips blocks without decompressing them, its projection keeps the decoder
-// from storing what the query does not read, and scans stream in file order.
+// skips blocks without reading them, its projection keeps the reader from
+// inflating the strips the query does not read, and scans stream in file
+// order.
 type ReaderSource struct{ R *archive.Reader }
 
 // Query implements Source.
