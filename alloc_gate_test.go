@@ -28,7 +28,9 @@ func TestBenchAllocGate(t *testing.T) {
 	}
 	for _, g := range gates {
 		res := testing.Benchmark(g.bench)
-		if got := res.AllocsPerOp(); got > g.max {
+		if res.N == 0 {
+			t.Errorf("%s: the benchmark failed before measuring anything", g.name)
+		} else if got := res.AllocsPerOp(); got > g.max {
 			t.Errorf("%s: %d allocs/op over budget %d (%s)", g.name, got, g.max, res.MemString())
 		} else {
 			t.Logf("%s: %d allocs/op (budget %d, N=%d)", g.name, got, g.max, res.N)

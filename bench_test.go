@@ -365,17 +365,26 @@ func benchScans(n, sources int) []*core.Scan {
 func BenchmarkArchiveRawBlock(b *testing.B) {
 	scans := benchScans(50000, 4096)
 	path := b.TempDir() + "/bench.syn"
-	aw, err := archive.Create(path, archive.WriterConfig{TelescopeSize: 65536})
+	reg := obs.NewRegistry()
+	aw, err := archive.Create(path, archive.WriterConfig{TelescopeSize: 65536, Metrics: reg})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, s := range scans {
+		// benchScans numbers its sources 1, 2, 3…; real ones are spread over the
+		// address space, which is what makes the src strip incompressible.
+		s.Src *= 0x9E3779B1
 		if err := aw.Add(s); err != nil {
 			b.Fatal(err)
 		}
 	}
 	if err := aw.Close(); err != nil {
 		b.Fatal(err)
+	}
+	// The gate is over both kinds of strip stream a block can hold.
+	if snap := reg.Snapshot(); snap.Counter("archive.strips.stored") == 0 || snap.Counter("archive.strips.deflated") == 0 {
+		b.Fatalf("%d strips stored, %d deflated: want blocks that hold both",
+			snap.Counter("archive.strips.stored"), snap.Counter("archive.strips.deflated"))
 	}
 	r, err := archive.Open(path)
 	if err != nil {

@@ -175,6 +175,10 @@ func errText(b []byte) string {
 // server's own row type, so no served key can go missing here.
 type RemoteScan = query.WireScan
 
+// RemoteOrigin is a RemoteScan's enrichment origin, nil on a scan served from
+// an archive that stores none.
+type RemoteOrigin = query.WireOrigin
+
 // RemoteResult is a /v1/query response: select mode fills Scans, aggregate
 // mode fills Rows.
 type RemoteResult struct {

@@ -242,9 +242,9 @@ func TestClientRemoteKeepsEveryKey(t *testing.T) {
 		got.HandshakePackets != 120 || got.PayloadBytes != 5000 {
 		t.Fatalf("reactive keys lost: %+v", got)
 	}
-	if got.Origin == nil || got.Origin.Country != "NL" || got.Origin.ASN != 64500 ||
-		got.Origin.Type != "Hosting" || got.Origin.OrgName != "Example Hosting" {
-		t.Fatalf("origin lost: %+v", got.Origin)
+	want := RemoteOrigin{Country: "NL", ASN: 64500, Type: "Hosting", OrgName: "Example Hosting"}
+	if got.Origin == nil || *got.Origin != want {
+		t.Fatalf("origin lost: %+v, want %+v", got.Origin, want)
 	}
 }
 

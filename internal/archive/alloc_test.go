@@ -24,6 +24,10 @@ func TestAllocBudgetBlockRead(t *testing.T) {
 	if blocks < 2 {
 		t.Fatalf("want multiple blocks, got %d", blocks)
 	}
+	// The budget covers both kinds of stream: random sources are stored.
+	if src := blockApart(t, data, 0).dir[stripSrc]; src[0] != storedLen(src[1]) {
+		t.Fatalf("src strip: %d stored for %d raw bytes, want stored blocks", src[0], src[1])
+	}
 	visit := func([]byte) error { return nil }
 	i := 0
 	alloctest.Check(t, "archive-block-read", 2, func() {

@@ -20,8 +20,8 @@
 //	          index | magic "SYNX"                          (20 bytes, BE)
 //
 // A block is column-major: it holds one strip per record part, each strip
-// that part of every record of the block in record order, deflated as a
-// stream of its own. The directory is fourteen entries of stored length and
+// that part of every record of the block in record order, as a DEFLATE stream
+// of its own. The directory is fourteen entries of stored length and
 // inflated length (u32 BE each), one per strip, in this order; the streams
 // follow in the same order, and an empty strip has no stream:
 //
@@ -52,6 +52,17 @@
 // empty unless the header's flags bit 0 says scans carry their enrichment
 // Origin: the simulation path archives origins (it owns the registry), the
 // replay path does not.
+//
+// A strip's stream is any valid DEFLATE stream (RFC 1951) that inflates to
+// the strip; a reader asks no more of it. The Writer keeps the stream
+// compress/flate makes of a strip only when it is at least an eighth shorter
+// than the strip, and otherwise writes the strip as stored blocks (BTYPE 00,
+// at most 65 535 bytes each), which a reader copies instead of decoding: a
+// strip near its entropy — start times to the nanosecond, sources spread over
+// the address space — is the literal-only worst case of inflate, and cost a
+// time-bounded query more to inflate than the rest of what it read together,
+// to save a twentieth of its bytes. So a strip is stored at no more than an
+// eighth of it, plus five bytes per 65 535, above its smallest encoding.
 //
 // Strips are what a query pays for: a Reader inflates and parses only those
 // its Predicate names (see Fields), so an aggregate over one attribute of a

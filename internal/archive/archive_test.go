@@ -338,6 +338,9 @@ func TestWriterMetrics(t *testing.T) {
 		snap.Counter("archive.bytes.raw") == 0 {
 		t.Fatal("no bytes reported")
 	}
+	if snap.Counter("archive.strips.stored") == 0 || snap.Counter("archive.strips.deflated") == 0 {
+		t.Fatal("random sources and cycling tools: strips of both kinds were expected")
+	}
 	if snap.Counter("archive.bytes.compressed") >= snap.Counter("archive.bytes.raw") {
 		t.Fatal("compression made the blocks bigger on redundant input")
 	}

@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -158,6 +159,28 @@ func sealRuns(t testing.TB, sw *SegmentWriter, scans []*core.Scan, origins []enr
 	return at
 }
 
+// fileStreams maps the stored payload of each block of the archive file at
+// path to how many strips it holds a stream for (the non-empty entries of its
+// directory).
+func fileStreams(t testing.TB, path string) map[string]uint64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := map[string]uint64{}
+	for _, z := range openArchive(t, data).Blocks() {
+		n := uint64(0)
+		for _, stream := range takeApart(data, z).streams {
+			if len(stream) > 0 {
+				n++
+			}
+		}
+		streams[string(blockPayload(data, z))] = n
+	}
+	return streams
+}
+
 // TestCompactionConservation: before ≡ after over inputs that mix every kind
 // of block the move-or-re-encode rule tells apart — runs of full blocks, a
 // segment that is one half-full block, segments of two or three records —
@@ -166,6 +189,10 @@ func sealRuns(t testing.TB, sw *SegmentWriter, scans []*core.Scan, origins []enr
 //	blocks_moved + blocks_rewritten == blocks of the output
 //	every output block but the last is at least half a full block
 //	the output's manifest entry is what a fresh read of the file gives
+//	strips.stored + strips.deflated == streams of the blocks a writer encoded
+//
+// The last holds when the inputs are sealed and again after the compaction, to
+// which a moved block adds nothing: the writer that encoded it counted it.
 func TestCompactionConservation(t *testing.T) {
 	const blockBytes = 4 << 10 // about 90 of testScans' records
 	for _, withOrigins := range []bool{false, true} {
@@ -177,6 +204,26 @@ func TestCompactionConservation(t *testing.T) {
 		before := catalogScans(t, sw.Dir(), CatalogConfig{})
 		if !reflect.DeepEqual(before, scans) {
 			t.Fatal("store diverges from its input before compaction")
+		}
+
+		inputs := map[string]bool{}
+		var encoded uint64
+		for _, seg := range sw.SealedSegments() {
+			for payload, n := range fileStreams(t, filepath.Join(sw.Dir(), seg.Name)) {
+				inputs[payload] = true
+				encoded += n
+			}
+		}
+		streamsCounted := func() uint64 {
+			snap := reg.Snapshot()
+			stored, deflated := snap.Counter("archive.strips.stored"), snap.Counter("archive.strips.deflated")
+			if stored == 0 || deflated == 0 {
+				t.Errorf("origins=%v: %d strips stored, %d deflated: the input was meant to need both", withOrigins, stored, deflated)
+			}
+			return stored + deflated
+		}
+		if got := streamsCounted(); got != encoded {
+			t.Errorf("conservation: %d strips counted, the sealed blocks hold %d streams", got, encoded)
 		}
 
 		comp := NewCompactor(sw, CompactorConfig{MinRun: 2, Metrics: reg})
@@ -203,6 +250,20 @@ func TestCompactionConservation(t *testing.T) {
 		moved, rewritten := snap.Counter("archive.compaction.blocks_moved"), snap.Counter("archive.compaction.blocks_rewritten")
 		if moved+rewritten != uint64(segs[0].Blocks) {
 			t.Errorf("conservation: %d blocks moved + %d rewritten != %d output blocks", moved, rewritten, segs[0].Blocks)
+		}
+		var sameAsInput uint64
+		for payload, n := range fileStreams(t, filepath.Join(sw.Dir(), segs[0].Name)) {
+			if inputs[payload] {
+				sameAsInput++
+			} else {
+				encoded += n
+			}
+		}
+		if sameAsInput != moved {
+			t.Errorf("conservation: %d blocks moved, %d output blocks are an input's bytes", moved, sameAsInput)
+		}
+		if got := streamsCounted(); got != encoded {
+			t.Errorf("conservation: %d strips counted, the sealed and the rewritten blocks hold %d streams", got, encoded)
 		}
 		if moved == 0 || rewritten == 0 {
 			t.Errorf("origins=%v: %d moved, %d rewritten: the input was meant to need both", withOrigins, moved, rewritten)

@@ -22,6 +22,23 @@ type hostileBlock struct {
 	streams [numStrips][]byte
 }
 
+// blockPayload is the stored payload of the block of archive data that z indexes.
+func blockPayload(data []byte, z ZoneMap) []byte {
+	return data[int(z.Offset)+blockCRCLen:][:z.CompressedLen]
+}
+
+// takeApart splits that payload along its directory.
+func takeApart(data []byte, z ZoneMap) hostileBlock {
+	h, payload := hostileBlock{zone: z}, blockPayload(data, z)
+	off := dirLen
+	for s := 0; s < numStrips; s++ {
+		h.dir[s] = [2]uint32{binary.BigEndian.Uint32(payload[8*s:]), binary.BigEndian.Uint32(payload[8*s+4:])}
+		h.streams[s] = payload[off : off+int(h.dir[s][0])]
+		off += int(h.dir[s][0])
+	}
+	return h
+}
+
 // deflated returns b as a DEFLATE stream.
 func deflated(tb testing.TB, b []byte) []byte {
 	var out bytes.Buffer
@@ -43,6 +60,12 @@ func (h *hostileBlock) setStrip(tb testing.TB, i int, raw []byte) {
 	h.dir[i] = [2]uint32{uint32(len(h.streams[i])), uint32(len(raw))}
 }
 
+// setStream stores stream as strip i's, the directory's raw length as it was.
+func (h *hostileBlock) setStream(i int, stream []byte) {
+	h.streams[i] = stream
+	h.dir[i][0] = uint32(len(stream))
+}
+
 // tampered rebuilds archive data with block k passed through tamper: every
 // checksum, offset and length of the file is right again afterwards, so what
 // the reader meets is a well-formed file holding one ill-formed block.
@@ -53,15 +76,9 @@ func tampered(tb testing.TB, data []byte, k int, tamper func(h *hostileBlock, st
 	zones := r.Blocks()
 	index = binary.BigEndian.AppendUint32(index, uint32(len(zones)))
 	for i, z := range zones {
-		payload := data[int(z.Offset)+blockCRCLen:][:z.CompressedLen]
+		payload := blockPayload(data, z)
 		if i == k {
-			h := hostileBlock{zone: z}
-			off := dirLen
-			for s := 0; s < numStrips; s++ {
-				h.dir[s] = [2]uint32{binary.BigEndian.Uint32(payload[8*s:]), binary.BigEndian.Uint32(payload[8*s+4:])}
-				h.streams[s] = payload[off : off+int(h.dir[s][0])]
-				off += int(h.dir[s][0])
-			}
+			h := takeApart(data, z)
 			sc := getScratch()
 			if err := r.readBlock(&z, sc, AllFields); err != nil {
 				tb.Fatal(err)
@@ -171,6 +188,36 @@ func hostileFiles(tb testing.TB) []hostileFile {
 		}},
 		{"overlong varint", func(h *hostileBlock, strips strips) {
 			h.setStrip(tb, stripDsts, append(bytes.Repeat([]byte{0x80}, 10), strips[stripDsts]...))
+		}},
+		// Stored strips (what the writer emits for a strip DEFLATE cannot
+		// shrink), ill-formed one way each; src is four bytes a record and far
+		// under one stored block here.
+		{"stored strip: LEN is not ~NLEN", func(h *hostileBlock, strips strips) {
+			stream := storedBlocks(strips[stripSrc])
+			stream[3] ^= 0x01
+			h.setStream(stripSrc, stream)
+		}},
+		{"stored strip: LEN past the end of the stream", func(h *hostileBlock, strips strips) {
+			raw := strips[stripSrc]
+			h.setStream(stripSrc, storedBlocks(append(raw[:len(raw):len(raw)], 0))[:5+len(raw)])
+		}},
+		{"stored strip a byte short", func(h *hostileBlock, strips strips) {
+			raw := strips[stripSrc]
+			h.setStream(stripSrc, storedBlocks(raw[:len(raw)-1]))
+		}},
+		{"stored strip a byte long", func(h *hostileBlock, strips strips) {
+			raw := strips[stripSrc]
+			h.setStream(stripSrc, storedBlocks(append(raw[:len(raw):len(raw)], 0)))
+		}},
+		{"stored strip: no final block", func(h *hostileBlock, strips strips) {
+			stream := storedBlocks(strips[stripSrc])
+			stream[0] &^= 0x01 // BFINAL
+			h.setStream(stripSrc, stream)
+		}},
+		{"stored strip: reserved block type", func(h *hostileBlock, strips strips) {
+			stream := storedBlocks(strips[stripSrc])
+			stream[0] |= 0x06 // BTYPE 11
+			h.setStream(stripSrc, stream)
 		}},
 	}
 	files := make([]hostileFile, len(cases))

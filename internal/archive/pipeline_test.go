@@ -2,7 +2,6 @@ package archive
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -95,24 +94,21 @@ func (g *serialSegment) closeBlock(t testing.TB) {
 	if g.zone.Scans == 0 {
 		return
 	}
-	// The payload: fifteen (stored, inflated) length pairs, then each
-	// non-empty strip deflated by a compressor of its own.
+	// The payload: one (stored, inflated) length pair per strip, then each
+	// non-empty strip's stream — deflated by a compressor of its own when
+	// that saves an eighth of the strip, in stored blocks when it does not.
 	var dir, streams []byte
 	for _, strip := range g.enc.strips {
-		var comp bytes.Buffer
+		var stream []byte
 		if len(strip) > 0 {
-			fw, err := flate.NewWriter(&comp, flate.DefaultCompression)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fw.Write(strip)
-			if err := fw.Close(); err != nil {
-				t.Fatal(err)
+			stream = deflated(t, strip)
+			if len(stream) > len(strip)-len(strip)/8 {
+				stream = storedBlocks(strip)
 			}
 		}
-		dir = binary.BigEndian.AppendUint32(dir, uint32(comp.Len()))
+		dir = binary.BigEndian.AppendUint32(dir, uint32(len(stream)))
 		dir = binary.BigEndian.AppendUint32(dir, uint32(len(strip)))
-		streams = append(streams, comp.Bytes()...)
+		streams = append(streams, stream...)
 	}
 	payload := append(dir, streams...)
 	g.zone.Offset = uint64(g.file.Len())
@@ -124,6 +120,28 @@ func (g *serialSegment) closeBlock(t testing.TB) {
 	g.index = append(g.index, g.zone)
 	g.enc.reset()
 	g.zone.reset()
+}
+
+// storedBlocks is raw as a DEFLATE stream of stored blocks alone (RFC 1951
+// §3.2.4): per block of at most 65 535 bytes a header byte — BFINAL in bit 0,
+// BTYPE 00, padding — then LEN and its complement, little-endian, then the
+// bytes.
+func storedBlocks(raw []byte) []byte {
+	var out []byte
+	for {
+		n := min(len(raw), 0xffff)
+		hdr := byte(0)
+		if n == len(raw) {
+			hdr = 1
+		}
+		out = append(out, hdr)
+		out = binary.LittleEndian.AppendUint16(out, uint16(n))
+		out = binary.LittleEndian.AppendUint16(out, ^uint16(n))
+		out = append(out, raw[:n]...)
+		if raw = raw[n:]; len(raw) == 0 {
+			return out
+		}
+	}
 }
 
 func (s *serialStore) seal(t testing.TB) {

@@ -65,6 +65,7 @@ type Writer struct {
 	moved, movedBytes  uint64 // blocks that came in through appendBlock
 
 	mScans, mBlocks, mRaw, mCompressed *obs.Counter
+	mStored, mDeflated                 *obs.Counter // strips of the blocks this writer encoded, by stream kind
 	mCompressNS, mWaitNS               *obs.Histogram
 }
 
@@ -81,6 +82,8 @@ type block struct {
 	ns   *obs.Histogram // the owning Writer's archive.compress_ns
 	run  func()         // compress, bound once: go b.run() allocates nothing
 	done chan struct{}  // buffered, so an abandoned Writer's compressor still exits
+
+	stored, deflated uint64 // strips compress wrote as stored blocks and as a deflated stream
 }
 
 // flateFree is the process-wide free list of idle DEFLATE states, bounded like
@@ -120,15 +123,30 @@ func (b *block) release() {
 	b.fw = nil
 }
 
-// compress deflates the strips into b.out — each a DEFLATE stream of its own,
-// an empty strip none at all, behind the directory of their lengths — and
-// signals done, on a goroutine of its own per block: nothing is left to
-// outlive an abandoned Writer.
+// minSaving is the writer's one rule about a strip's stream: the deflated
+// stream is kept only when it is at least one part in minSaving shorter than
+// the strip; otherwise the strip goes out as DEFLATE stored blocks, which a
+// reader copies instead of decoding. A strip near its entropy (start's
+// nanosecond deltas deflate by 7 %, src by under 1 %) costs a reader the
+// literal-only worst case of inflate, 3 to 5 ns a byte, to win back almost
+// nothing; one that deflates at all well deflates by far more than an eighth.
+// So a block is never more than an eighth of a strip, plus the stored framing,
+// larger than its smallest encoding.
+const minSaving = 8
+
+// maxStored is the most one DEFLATE stored block holds (RFC 1951 §3.2.4).
+const maxStored = 1<<16 - 1
+
+// compress encodes the strips into b.out — each a DEFLATE stream of its own,
+// deflated or stored by the minSaving rule, an empty strip none at all, behind
+// the directory of their lengths — and signals done, on a goroutine of its own
+// per block: nothing is left to outlive an abandoned Writer.
 func (b *block) compress() {
 	sp := obs.StartSpan(b.ns)
 	var dir [dirLen]byte
 	b.out.Reset()
 	b.out.Write(dir[:]) // filled in below, once the lengths are known
+	b.stored, b.deflated = 0, 0
 	for i, strip := range b.enc.strips {
 		if len(strip) == 0 {
 			continue
@@ -140,6 +158,22 @@ func (b *block) compress() {
 		}
 		if b.err != nil {
 			break
+		}
+		if b.out.Len()-at <= len(strip)-len(strip)/minSaving {
+			b.deflated++
+		} else {
+			b.stored++
+			b.out.Truncate(at)
+			for rest := strip; len(rest) > 0; {
+				n := min(len(rest), maxStored)
+				final := byte(0) // BFINAL in bit 0, BTYPE 00 above it, padding to the byte
+				if n == len(rest) {
+					final = 1
+				}
+				b.out.Write([]byte{final, byte(n), byte(n >> 8), ^byte(n), ^byte(n >> 8)})
+				b.out.Write(rest[:n])
+				rest = rest[n:]
+			}
 		}
 		binary.BigEndian.PutUint32(dir[8*i:], uint32(b.out.Len()-at))
 		binary.BigEndian.PutUint32(dir[8*i+4:], uint32(len(strip)))
@@ -174,6 +208,8 @@ func NewWriter(w io.Writer, cfg WriterConfig) (*Writer, error) {
 		mBlocks:     cfg.Metrics.Counter("archive.blocks.written"),
 		mRaw:        cfg.Metrics.Counter("archive.bytes.raw"),
 		mCompressed: cfg.Metrics.Counter("archive.bytes.compressed"),
+		mStored:     cfg.Metrics.Counter("archive.strips.stored"),
+		mDeflated:   cfg.Metrics.Counter("archive.strips.deflated"),
 		mCompressNS: cfg.Metrics.Histogram("archive.compress_ns"),
 		mWaitNS:     cfg.Metrics.Histogram("archive.compress_wait_ns"),
 	}, nil
@@ -284,6 +320,8 @@ func (w *Writer) collect() error {
 	if w.err != nil {
 		return w.err
 	}
+	w.mStored.Add(b.stored)
+	w.mDeflated.Add(b.deflated)
 	comp := b.out.Bytes()
 	b.zone.CompressedLen = uint32(len(comp))
 	b.zone.RawLen = uint32(b.enc.rawLen())

@@ -86,7 +86,7 @@ func TestRenderTable2(t *testing.T) {
 	}
 }
 
-func TestRenderCDFAndSeries(t *testing.T) {
+func TestRenderCDF(t *testing.T) {
 	var b strings.Builder
 	CDF(&b, "speeds", stats.NewECDF([]float64{1, 2, 3, 4, 100}))
 	if !strings.Contains(b.String(), "p50") {
