@@ -179,16 +179,15 @@ func BenchmarkAnalyzerIngest(b *testing.B) {
 // BenchmarkShardedIngest replays one in-memory pcap through capture.Replay,
 // the path `synalyze -workers N` runs: the bench goroutine reads, decodes and
 // filters every frame and routes the probe; detection runs on the shards, so
-// there is producer work for sharding to overlap (a pre-built []Probe, which
-// this benchmark fed before, leaves none). What to expect: routing costs about
-// a third more CPU than it saves — on one core (GOMAXPROCS=1) sequential reads
-// 56–61 ms and workers=2 75–83 ms — and a second core turns that into a small
-// win: 55–57 ms sequential, 52–53 ms at workers=2, 51–55 ms at workers=4
-// (oversubscribed) on the 2-core runner. The win is small because this
-// stream's flow tables stay in cache, so detection is cheap next to the
-// producer; on a capture with 115 k sources detection is memory-bound, three
-// quarters of the sequential profile, and two workers replay it 1.9× faster
-// (DESIGN.md "Sharded detection pipeline").
+// there is producer work for sharding to overlap (a pre-built []Probe leaves
+// none). On this stream the flow tables stay in cache and detection is cheap,
+// so routing costs more than the shards give back: on the 2-core runner
+// sequential reads 41–43 ms, workers=2 55–63 ms and workers=4
+// (oversubscribed) 51–54 ms; on one core (GOMAXPROCS=1) sequential 42–56 ms
+// against 62–66 ms at workers=2. Sharding pays only where detection is
+// memory-bound: replaying a 20.6 M-record capture with 366 k flows, synalyze
+// goes from 6.5 s at one worker to 5.1 s at two and 4.0 s at four (DESIGN.md
+// "Sharded detection pipeline").
 func BenchmarkShardedIngest(b *testing.B) {
 	stream := makeAblationStream(200000, 16384)
 	var file bytes.Buffer

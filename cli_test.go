@@ -7,14 +7,18 @@ package synscan
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/synscan/synscan/internal/archive"
 )
 
 func buildTool(t *testing.T, dir, name string) string {
@@ -261,6 +265,64 @@ func TestCLIEndToEnd(t *testing.T) {
 		"-seed", "4", "-scale", "0.0001", "-telescope", "2048", "-only", "sec42,vantage").CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "§4.2") || !strings.Contains(string(out), "vantage-point comparison") {
 		t.Fatalf("syneval -only sec42,vantage (text): %v\n%s", err, out)
+	}
+}
+
+// TestCLISynalyzeWorkers pins what -workers promises where it is offered:
+// replaying one capture at 1, 2 and 4 detector shards prints byte-identical
+// reports and archives the same campaigns (the archive's order is close order
+// at one shard and (End, Start, Src) above, so the scans are compared sorted).
+func TestCLISynalyzeWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping CLI build")
+	}
+	dir := t.TempDir()
+	syntelescope := buildTool(t, dir, "syntelescope")
+	synalyze := buildTool(t, dir, "synalyze")
+
+	pcapPath := filepath.Join(dir, "capture.pcap")
+	if out, err := exec.Command(syntelescope,
+		"-year", "2019", "-seed", "4", "-scale", "0.0003",
+		"-telescope", "2048", "-out", pcapPath).CombinedOutput(); err != nil {
+		t.Fatalf("syntelescope: %v\n%s", err, out)
+	}
+	var reports [][]byte
+	var scans [][]string
+	for _, w := range []string{"1", "2", "4"} {
+		synaPath := filepath.Join(dir, "workers"+w+".syna")
+		cmd := exec.Command(synalyze, "-telescope", "2048", "-workers", w, "-archive", synaPath, pcapPath)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		report, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("synalyze -workers %s: %v\n%s", w, err, stderr.String())
+		}
+		rd, err := archive.Open(synaPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		err = rd.Query(context.Background(), archive.All, func(sc *Scan, _ *Origin) {
+			keys = append(keys, fmt.Sprintf("%+v", *sc))
+		})
+		rd.Close()
+		if err != nil {
+			t.Fatalf("-workers %s archive: %v", w, err)
+		}
+		slices.Sort(keys)
+		reports, scans = append(reports, report), append(scans, keys)
+	}
+	if len(scans[0]) == 0 || !bytes.Contains(reports[0], []byte("qualified campaigns")) {
+		t.Fatalf("-workers 1 archived %d scans; report:\n%s", len(scans[0]), reports[0])
+	}
+	for i, w := range []string{"2", "4"} {
+		if !bytes.Equal(reports[i+1], reports[0]) {
+			t.Errorf("-workers %s report differs from -workers 1:\n%s\nvs\n%s", w, reports[i+1], reports[0])
+		}
+		if !slices.Equal(scans[i+1], scans[0]) {
+			t.Errorf("-workers %s archived %d scans, -workers 1 %d, or their values differ",
+				w, len(scans[i+1]), len(scans[0]))
+		}
 	}
 }
 

@@ -33,7 +33,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	scale := flag.Float64("scale", 0.002, "volume scale relative to the paper")
 	telSize := flag.Int("telescope", 4096, "monitored address count")
-	workers := flag.Int("workers", 1, "campaign-detector shards per year; >1 runs detection on that many goroutines")
 	archiveIn := flag.String("archive", "", "read detected campaigns from this archive instead of re-simulating (campaign-level experiments only: "+strings.Join(analysis.Keys(true), ",")+")")
 	archiveOut := flag.String("archive-out", "", "persist the simulated decade's detected campaigns (with origins) to this archive file")
 	only := flag.String("only", "", "comma-separated experiment list ("+strings.Join(analysis.Keys(false), ",")+"); empty = all the input can serve")
@@ -48,9 +47,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *workers < 1 {
-		log.Fatalf("-workers must be at least 1, got %d", *workers)
-	}
 	if *archiveIn != "" && *archiveOut != "" {
 		log.Fatal("-archive (read) and -archive-out (write) are mutually exclusive")
 	}
@@ -63,7 +59,7 @@ func main() {
 
 	in := analysis.Input{
 		Seed: *seed, Scale: *scale, TelescopeSize: *telSize,
-		Collect: analysis.CollectConfig{Workers: *workers, Metrics: reg},
+		Collect: analysis.CollectConfig{Metrics: reg},
 	}
 	switch {
 	case *archiveIn != "":

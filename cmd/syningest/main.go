@@ -51,7 +51,6 @@ func main() {
 	dir := flag.String("dir", "", "segment store directory (required; created if missing)")
 	flag.Int("telescope", 4096, "monitored address count (spool header wins unless overridden)")
 	minDsts := flag.Int("min-dsts", 0, "campaign threshold on distinct destinations (0 = paper default scaled)")
-	workers := flag.Int("workers", 1, "campaign-detector shards")
 	reactiveMode := flag.Bool("reactive", false, "admit phase-two TCP segments (handshake ACKs, payload pushes) from a reactive capture instead of dropping all non-SYNs")
 	segBytes := flag.Int64("segment-bytes", 4<<20, "seal the open segment at this on-disk size")
 	segScans := flag.Int64("segment-scans", 0, "seal the open segment at this many campaigns (0 = default)")
@@ -70,9 +69,6 @@ func main() {
 
 	if *dir == "" {
 		log.Fatal("-dir is required")
-	}
-	if *workers < 1 {
-		log.Fatalf("-workers must be at least 1, got %d", *workers)
 	}
 	newCompactor := func(sw *archive.SegmentWriter) *archive.Compactor {
 		return archive.NewCompactor(sw, archive.CompactorConfig{
@@ -174,8 +170,11 @@ func main() {
 		}()
 	}
 
+	// Sequential detection: campaigns reach the store as their flows close.
+	// (The sharded detector would hold every one until FlushAll, so neither
+	// -seal-every nor -follow would publish anything before the end.)
 	var nScans uint64
-	det := capture.NewDetector(telSize, *minDsts, *workers, reg, func(s *core.Scan) {
+	det := capture.NewDetector(telSize, *minDsts, 1, reg, func(s *core.Scan) {
 		nScans++
 		if err := sw.Add(s); err != nil {
 			log.Fatal(err)

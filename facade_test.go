@@ -64,42 +64,6 @@ func TestFacadeAnalyzerWorkers(t *testing.T) {
 	}
 }
 
-// TestFacadeSimulateWorkers: a simulated year collected with sharded
-// detection must agree with the sequential collection on the headline
-// aggregates and the campaign multiset.
-func TestFacadeSimulateWorkers(t *testing.T) {
-	cfg := Config{Year: 2022, Seed: 2, Scale: 0.0003, TelescopeSize: 2048}
-	seq, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 3
-	par, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.AcceptedPackets != par.AcceptedPackets {
-		t.Fatalf("accepted packets differ: %d vs %d", seq.AcceptedPackets, par.AcceptedPackets)
-	}
-	if len(seq.Scans) != len(par.Scans) {
-		t.Fatalf("scan counts differ: %d vs %d", len(seq.Scans), len(par.Scans))
-	}
-	key := func(yd *YearData) []string {
-		out := make([]string, len(yd.Scans))
-		for i, s := range yd.Scans {
-			out[i] = fmt.Sprintf("%+v|%+v", *s, yd.ScanOrigins[i])
-		}
-		sort.Strings(out)
-		return out
-	}
-	a, b := key(seq), key(par)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("scan %d differs:\n seq %s\n par %s", i, a[i], b[i])
-		}
-	}
-}
-
 // TestFacadeOnScanMatchesFinish: the streaming delivery model must see the
 // identical campaign multiset that the accumulating Finish path returns,
 // both sequentially and sharded.
@@ -187,7 +151,7 @@ func TestFacadeConfigMetrics(t *testing.T) {
 	reg := NewMetrics()
 	yd, err := Simulate(Config{
 		Year: 2016, Seed: 3, Scale: 0.0003, TelescopeSize: 2048,
-		Workers: 2, Metrics: reg,
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,12 @@
 package analysis
 
 import (
+	"sort"
 	"sync"
 	"testing"
 
+	"github.com/synscan/synscan/internal/core"
+	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/tools"
 	"github.com/synscan/synscan/internal/workload"
@@ -16,8 +19,8 @@ const (
 )
 
 var (
-	decadeOnce, shardedOnce sync.Once
-	decadeData, shardedData []*YearData
+	decadeOnce sync.Once
+	decadeData []*YearData
 )
 
 // decade lazily collects all ten years once for the whole test binary.
@@ -33,17 +36,32 @@ func decade(t testing.TB) []*YearData {
 	return decadeData
 }
 
-// shardedDecade is decade collected with four detector shards per year.
-func shardedDecade(t testing.TB) []*YearData {
-	t.Helper()
-	shardedOnce.Do(func() {
-		var err error
-		shardedData, err = Decade(testSeed, testScale, testTelSize, CollectConfig{Workers: 4})
-		if err != nil {
-			panic(err)
+// mergeOrdered is c with its campaigns, origins alongside, sorted into the
+// sharded detector's merge order (End, Start, Src): the order an archive
+// written by `synalyze -workers N -archive` holds and `syneval -archive`
+// reads back, where collection gives close order.
+func mergeOrdered(c *Campaigns) *Campaigns {
+	idx := make([]int, len(c.Scans))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(i, j int) bool {
+		a, b := c.Scans[idx[i]], c.Scans[idx[j]]
+		if a.End != b.End {
+			return a.End < b.End
 		}
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		return a.Src < b.Src
 	})
-	return shardedData
+	out := *c
+	out.Scans = make([]*core.Scan, len(idx))
+	out.ScanOrigins = make([]enrich.Origin, len(idx))
+	for i, k := range idx {
+		out.Scans[i], out.ScanOrigins[i] = c.Scans[k], c.ScanOrigins[k]
+	}
+	return &out
 }
 
 // table1 is the decade's Table 1 at the paper's ranking depth, computed once.

@@ -87,9 +87,10 @@ func TestArchiveEquivalence(t *testing.T) {
 	}
 }
 
-// TestArchiveEquivalenceSharded: the sharded detector's canonical emit
-// order survives the archive round trip too.
-func TestArchiveEquivalenceSharded(t *testing.T) {
+// TestArchiveKeepsMergeOrder: campaigns in the sharded detector's merge
+// order (End, Start, Src), as `synalyze -workers N -archive` writes them,
+// come back from the archive in that order, origins alongside.
+func TestArchiveKeepsMergeOrder(t *testing.T) {
 	t.Parallel()
 	s, err := workload.NewScenario(workload.Config{
 		Year: 2019, Seed: 11, Scale: 0.0003, TelescopeSize: 1024,
@@ -97,7 +98,7 @@ func TestArchiveEquivalenceSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &Collect(s, CollectConfig{Workers: 4}).Campaigns
+	want := mergeOrdered(&Collect(s, CollectConfig{}).Campaigns)
 
 	var buf bytes.Buffer
 	w, err := archive.NewWriter(&buf, archive.WriterConfig{
@@ -121,7 +122,10 @@ func TestArchiveEquivalenceSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Scans, want.Scans) {
-		t.Fatal("Scans differ after sharded collection")
+		t.Fatal("Scans in merge order differ after the archive round trip")
+	}
+	if !reflect.DeepEqual(got.ScanOrigins, want.ScanOrigins) {
+		t.Fatal("ScanOrigins in merge order differ after the archive round trip")
 	}
 }
 

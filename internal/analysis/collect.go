@@ -76,9 +76,9 @@ type YearData struct {
 	InstPacketsPerPort *stats.Counter[uint16]
 
 	// PipelineStats is the observability snapshot taken when collection
-	// finished — telescope drop mix, detector flow lifecycle, shard queue
-	// behaviour, enrichment cache hits, per-stage wall time. Zero when the
-	// year was collected without a metrics registry.
+	// finished — telescope drop mix, detector flow lifecycle, enrichment
+	// cache hits, per-stage wall time. Zero when the year was collected
+	// without a metrics registry.
 	PipelineStats obs.Snapshot
 
 	reg *inetmodel.Registry
@@ -106,23 +106,18 @@ type PortCountry struct {
 func (y *YearData) Registry() *inetmodel.Registry { return y.reg }
 
 // CollectConfig parameterizes Collect, Decade and FullEvaluation. The zero
-// value is the default collection: sequential detection, no metrics.
+// value is the default collection: no metrics. Detection is always the
+// sequential detector (Decade already runs the years concurrently, so
+// sharding each year buys nothing; see DESIGN "Sharded detection pipeline").
 type CollectConfig struct {
-	// Workers shards campaign detection across this many goroutines
-	// (<= 1 keeps the sequential detector). The emitted campaign multiset
-	// is identical either way; with Workers > 1 the Scans order is the
-	// sharded detector's canonical (End, Start, Src) order rather than
-	// close order.
-	Workers int
 	// Metrics, when non-nil, instruments the whole collection pass —
-	// telescope ingress, detector, shard queues, enrichment cache, and
-	// per-stage wall time — and stores a final snapshot in
-	// YearData.PipelineStats.
+	// telescope ingress, detector, enrichment cache, and per-stage wall
+	// time — and stores a final snapshot in YearData.PipelineStats.
 	Metrics *obs.Registry
 }
 
 // Collect simulates the scenario and gathers all aggregates in one
-// streaming pass, with sharding and observability per cc.
+// streaming pass, with observability per cc.
 func Collect(s *workload.Scenario, cc CollectConfig) *YearData {
 	return collect(s, cc, func(accept func(*packet.Probe)) {
 		s.Run(func(p *packet.Probe) {
@@ -160,14 +155,11 @@ func collect(s *workload.Scenario, cc CollectConfig, run func(accept func(*packe
 	en.SetMetrics(reg)
 	s.Telescope.SetMetrics(reg)
 
-	// Both detector variants emit on this goroutine: the sequential one
-	// inline from Ingest, the sharded one during its merging FlushAll.
 	collect := func(sc *core.Scan) {
 		yd.Scans = append(yd.Scans, sc)
 		yd.ScanOrigins = append(yd.ScanOrigins, tableOrigin(en.Origin(sc.Src)))
 	}
-	det := core.NewDetector(s.DetectorConfig, collect,
-		core.WithWorkers(cc.Workers), core.WithMetrics(reg))
+	det := core.NewDetector(s.DetectorConfig, collect, core.WithMetrics(reg))
 
 	// Dedup sets, keyed compactly.
 	srcPort := make(map[uint64]struct{}) // src<<16|port seen

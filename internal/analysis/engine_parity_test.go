@@ -238,14 +238,19 @@ func withReserved(c *Campaigns) *Campaigns {
 // TestEngineTableParity proves the engine-backed analysis tables identical to
 // the hand-rolled tallies they replaced — as structs and as rendered JSON
 // bytes — on every simulated year, in the sequential detector's close order
-// and in the sharded detector's canonical order. Counts are exact integers,
+// and in the sharded detector's merge order (an archive `synalyze -workers N`
+// wrote holds that order). Counts are exact integers,
 // shares divide the same integers, the executor's float sums accumulate in
 // scan order as stats.Mean does and its quantiles interpolate with the same
 // function as stats.Median, so even the float results match bit for bit.
 func TestEngineTableParity(t *testing.T) {
 	t.Parallel()
-	seq, sharded := CampaignsOf(decade(t)), CampaignsOf(shardedDecade(t))
-	years := append(seq, sharded...)
+	seq := CampaignsOf(decade(t))
+	merged := make([]*Campaigns, len(seq))
+	for i, c := range seq {
+		merged[i] = mergeOrdered(c)
+	}
+	years := append(append([]*Campaigns(nil), seq...), merged...)
 	for _, c := range seq {
 		years = append(years, withReserved(c))
 	}
@@ -287,7 +292,7 @@ func TestEngineTableParity(t *testing.T) {
 	}
 
 	// Table 2 is over the whole decade: one source per year, merged.
-	for _, decade := range [][]*Campaigns{seq, sharded, years[20:]} {
+	for _, decade := range [][]*Campaigns{seq, merged, years[20:]} {
 		wantScans, wantPackets := refTable2(decade)
 		yds := make([]*YearData, len(decade))
 		for i, c := range decade {

@@ -126,8 +126,8 @@ func Evaluate(in Input, keys []string) (*Evaluation, error) {
 	return ev, nil
 }
 
-// FullEvaluation simulates the decade, collected under cc (sharded detection,
-// pipeline metrics), and computes every experiment.
+// FullEvaluation simulates the decade, collected under cc (pipeline
+// metrics), and computes every experiment.
 func FullEvaluation(seed uint64, scale float64, telescopeSize int, cc CollectConfig) (*Evaluation, error) {
 	return Evaluate(Input{Seed: seed, Scale: scale, TelescopeSize: telescopeSize, Collect: cc}, nil)
 }

@@ -71,67 +71,61 @@ func TestGoldenReportText(t *testing.T) {
 // TestExperimentTable: selecting one key computes exactly that row — the
 // fields it declares, equal to the full evaluation's, and nothing else — the
 // table's rows between them fill every field of Evaluation, and each row has a
-// text section. Sequential and sharded collection both.
+// text section. The subtest keeps the name it had beside a sharded sibling:
+// collection is sequential now, which is what workers=0 always meant.
 func TestExperimentTable(t *testing.T) {
-	header := []string{"Seed", "Scale", "TelescopeSize", "Skipped"}
-	for _, cc := range []analysis.CollectConfig{{}, {Workers: 4}} {
-		t.Run(fmt.Sprintf("workers=%d", cc.Workers), func(t *testing.T) {
-			t.Parallel()
-			in, full := goldenEvaluation(t)
-			if cc.Workers > 1 {
-				var err error
-				if in.Years, err = analysis.Decade(goldenSeed, goldenScale, goldenTel, cc); err != nil {
-					t.Fatal(err)
-				}
-				if full, err = analysis.Evaluate(in, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if len(full.Skipped) > 0 {
-				t.Fatalf("a full decade skipped experiments: %v", full.Skipped)
-			}
-			fullFields := reflect.ValueOf(full).Elem()
-			filledBy := map[string]string{}
-			for _, e := range analysis.Experiments {
-				part, err := analysis.Evaluate(in, []string{e.Key})
-				if err != nil {
-					t.Fatalf("%s: %v", e.Key, err)
-				}
-				if !e.Evaluated(part) || !e.Evaluated(full) {
-					t.Errorf("%s: result absent (alone %v, in the full evaluation %v)",
-						e.Key, e.Evaluated(part), e.Evaluated(full))
-				}
-				fields := reflect.ValueOf(part).Elem()
-				for i := 0; i < fields.NumField(); i++ {
-					name := fields.Type().Field(i).Name
-					switch {
-					case slices.Contains(e.Fields, name):
-						if prev, dup := filledBy[name]; dup {
-							t.Errorf("field %s is filled by both %s and %s", name, prev, e.Key)
-						}
-						filledBy[name] = e.Key
-						if !reflect.DeepEqual(fields.Field(i).Interface(), fullFields.Field(i).Interface()) {
-							t.Errorf("%s: %s differs from the full evaluation's", e.Key, name)
-						}
-					case !slices.Contains(header, name) && !fields.Field(i).IsZero():
-						t.Errorf("%s: also set %s, which the row does not declare", e.Key, name)
-					}
-				}
+	t.Run("workers=0", func(t *testing.T) {
+		t.Parallel()
+		testExperimentTable(t)
+	})
+}
 
-				var b strings.Builder
-				report.Text(&b, part)
-				title, _, _ := strings.Cut(e.Title, "%d") // Figure 4's takes a year
-				if body, ok := strings.CutPrefix(b.String(), "\n"+title); !ok || strings.Count(body, "\n") < 3 {
-					t.Errorf("%s: text section missing or empty:\n%s", e.Key, b.String())
+func testExperimentTable(t *testing.T) {
+	header := []string{"Seed", "Scale", "TelescopeSize", "Skipped"}
+	in, full := goldenEvaluation(t)
+	if len(full.Skipped) > 0 {
+		t.Fatalf("a full decade skipped experiments: %v", full.Skipped)
+	}
+	fullFields := reflect.ValueOf(full).Elem()
+	filledBy := map[string]string{}
+	for _, e := range analysis.Experiments {
+		part, err := analysis.Evaluate(in, []string{e.Key})
+		if err != nil {
+			t.Fatalf("%s: %v", e.Key, err)
+		}
+		if !e.Evaluated(part) || !e.Evaluated(full) {
+			t.Errorf("%s: result absent (alone %v, in the full evaluation %v)",
+				e.Key, e.Evaluated(part), e.Evaluated(full))
+		}
+		fields := reflect.ValueOf(part).Elem()
+		for i := 0; i < fields.NumField(); i++ {
+			name := fields.Type().Field(i).Name
+			switch {
+			case slices.Contains(e.Fields, name):
+				if prev, dup := filledBy[name]; dup {
+					t.Errorf("field %s is filled by both %s and %s", name, prev, e.Key)
 				}
-			}
-			for i := 0; i < fullFields.NumField(); i++ {
-				name := fullFields.Type().Field(i).Name
-				if _, ok := filledBy[name]; !ok && !slices.Contains(header, name) {
-					t.Errorf("no experiment fills Evaluation.%s", name)
+				filledBy[name] = e.Key
+				if !reflect.DeepEqual(fields.Field(i).Interface(), fullFields.Field(i).Interface()) {
+					t.Errorf("%s: %s differs from the full evaluation's", e.Key, name)
 				}
+			case !slices.Contains(header, name) && !fields.Field(i).IsZero():
+				t.Errorf("%s: also set %s, which the row does not declare", e.Key, name)
 			}
-		})
+		}
+
+		var b strings.Builder
+		report.Text(&b, part)
+		title, _, _ := strings.Cut(e.Title, "%d") // Figure 4's takes a year
+		if body, ok := strings.CutPrefix(b.String(), "\n"+title); !ok || strings.Count(body, "\n") < 3 {
+			t.Errorf("%s: text section missing or empty:\n%s", e.Key, b.String())
+		}
+	}
+	for i := 0; i < fullFields.NumField(); i++ {
+		name := fullFields.Type().Field(i).Name
+		if _, ok := filledBy[name]; !ok && !slices.Contains(header, name) {
+			t.Errorf("no experiment fills Evaluation.%s", name)
+		}
 	}
 }
 

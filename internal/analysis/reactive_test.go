@@ -2,10 +2,8 @@ package analysis
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
-	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/fingerprint"
 	"github.com/synscan/synscan/internal/reactive"
 	"github.com/synscan/synscan/internal/tools"
@@ -125,30 +123,5 @@ func TestCollectReactiveDeterministic(t *testing.T) {
 	}
 	if a.Workload != b.Workload {
 		t.Fatalf("workload summaries differ: %+v vs %+v", a.Workload, b.Workload)
-	}
-}
-
-// TestCollectReactiveShardedEquivalent: the sharded detector emits the same
-// campaign multiset as the sequential one on a reactive run — per-source
-// shard routing keeps both phases of a flow on one shard, so linking needs
-// no cross-shard state.
-func TestCollectReactiveShardedEquivalent(t *testing.T) {
-	t.Parallel()
-	seq := CollectReactive(reactiveScenario(t), reactive.DefaultPolicy(1), CollectConfig{})
-	shd := CollectReactive(reactiveScenario(t), reactive.DefaultPolicy(1), CollectConfig{Workers: 4})
-
-	canon := func(scans []*core.Scan) []*core.Scan {
-		out := append([]*core.Scan(nil), scans...)
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Start != out[j].Start {
-				return out[i].Start < out[j].Start
-			}
-			return out[i].Src < out[j].Src
-		})
-		return out
-	}
-	if !reflect.DeepEqual(canon(seq.Scans), canon(shd.Scans)) {
-		t.Fatalf("sequential and sharded reactive runs differ: %d vs %d campaigns",
-			len(seq.Scans), len(shd.Scans))
 	}
 }

@@ -117,12 +117,11 @@ func Table2(years []*YearData) []Table2Row {
 // returns them in order. It is the standard entry point for the multi-year
 // experiments. Years are simulated concurrently: each scenario owns its
 // telescope and detector, and the shared registry is read-only after
-// construction, so the result is identical to a serial run. With cc.Workers
-// above one the per-year concurrency multiplies the year-level concurrency
-// (roughly years x workers goroutines). A non-nil cc.Metrics registry is
-// shared by all years: its counters and histograms aggregate across the whole
-// decade (the registry is safe for concurrent use), while each
-// YearData.PipelineStats holds the snapshot taken as that year finished.
+// construction, so the result is identical to a serial run. A non-nil
+// cc.Metrics registry is shared by all years: its counters and histograms
+// aggregate across the whole decade (the registry is safe for concurrent
+// use), while each YearData.PipelineStats holds the snapshot taken as that
+// year finished.
 func Decade(seed uint64, scale float64, telescopeSize int, cc CollectConfig) ([]*YearData, error) {
 	reg := inetmodel.BuildRegistry(seed)
 	years := workload.Years()

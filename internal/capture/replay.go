@@ -103,8 +103,9 @@ func TelescopeSize(rd *Reader, fs *flag.FlagSet, name string) int {
 // live path detect identical campaigns: thresholds scaled to the telescope
 // size (core.ScaledConfig), minDsts > 0 overriding the distinct-destination
 // threshold, and workers > 1 sharding detection per source address across
-// that many goroutines with results identical to the sequential detector.
-// emit receives every closed flow.
+// that many goroutines with results identical to the sequential detector
+// (synalyze -workers; sharded, emit runs only at FlushAll, so the live path
+// passes 1). emit receives every closed flow.
 func NewDetector(telescopeSize, minDsts, workers int, reg *obs.Registry, emit func(*core.Scan)) core.Ingester {
 	cfg := core.ScaledConfig(telescopeSize)
 	if minDsts > 0 {

@@ -74,7 +74,7 @@ func batchCorpora() map[string][]packet.Probe {
 // for; see the ShardedDetector contract).
 func TestShardedBatchDifferential(t *testing.T) {
 	cfg := Config{TelescopeSize: testTelescopeSize}
-	scfg := ShardedConfig{
+	scfg := shardedConfig{
 		Config:            cfg,
 		Workers:           4,
 		BatchSize:         64,
@@ -132,7 +132,7 @@ func TestShardedBatchDifferential(t *testing.T) {
 // payload-derived fields must still come out right.
 func TestShardedIngestCopiesPayload(t *testing.T) {
 	const n = 400
-	cfg := ShardedConfig{
+	cfg := shardedConfig{
 		Config:    Config{TelescopeSize: testTelescopeSize, MinDistinctDsts: 6},
 		Workers:   2,
 		BatchSize: 16,

@@ -117,7 +117,7 @@ func TestShardedMetricsRollUp(t *testing.T) {
 	if s.Counter("detector.shard.batches") == 0 {
 		t.Fatal("no batches recorded")
 	}
-	if h := s.Histograms["detector.shard.batch_fill"]; h.Count == 0 || h.Max > DefaultBatchSize {
+	if h := s.Histograms["detector.shard.batch_fill"]; h.Count == 0 || h.Max > defaultBatchSize {
 		t.Fatalf("batch_fill histogram wrong: %+v", h)
 	}
 	if h := s.Histograms["detector.shard.merge_ns"]; h.Count != 1 {
@@ -191,7 +191,7 @@ func TestNewDetectorOptionEquivalence(t *testing.T) {
 		return NewDetector(cfg, emit, WithWorkers(3))
 	})
 	viaWrapper := run(func(emit func(*Scan)) Ingester {
-		return newShardedDetector(ShardedConfig{Config: cfg, Workers: 3}, emit, nil)
+		return newShardedDetector(shardedConfig{Config: cfg, Workers: 3}, emit, nil)
 	})
 	sequential := run(func(emit func(*Scan)) Ingester {
 		return NewDetector(cfg, emit)

@@ -13,7 +13,8 @@ type options struct {
 
 // WithWorkers shards campaign detection across n goroutines (n <= 1 keeps
 // the sequential detector). The detected campaign multiset is identical
-// either way; see ShardedDetector for ordering guarantees.
+// either way; see ShardedDetector for its emit order and for why closed
+// flows surface only at FlushAll.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
@@ -39,7 +40,7 @@ func NewDetector(cfg Config, emit func(*Scan), opts ...Option) Ingester {
 		opt(&o)
 	}
 	if o.workers > 1 {
-		return newShardedDetector(ShardedConfig{Config: cfg, Workers: o.workers}, emit, o.metrics)
+		return newShardedDetector(shardedConfig{Config: cfg, Workers: o.workers}, emit, o.metrics)
 	}
 	return newSequentialDetector(cfg, emit, newDetMetrics(o.metrics))
 }

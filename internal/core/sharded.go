@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,30 +12,31 @@ import (
 
 // Sharded-detector defaults.
 const (
-	// DefaultBatchSize is the number of probes handed to a shard per
+	// defaultBatchSize is the number of probes handed to a shard per
 	// channel message. Batching amortizes the channel synchronization over
 	// many packets; 512 probes is ~18 KiB per batch.
-	DefaultBatchSize = 512
-	// DefaultQueueDepth is the number of batches buffered per shard before
+	defaultBatchSize = 512
+	// defaultQueueDepth is the number of batches buffered per shard before
 	// Ingest blocks — the backpressure bound. Total buffering per shard is
 	// BatchSize*QueueDepth probes.
-	DefaultQueueDepth = 4
+	defaultQueueDepth = 4
 )
 
-// ShardedConfig parameterizes a ShardedDetector. The embedded Config is the
-// per-shard detector configuration; the zero value of every sharding knob is
-// completed with a sensible default at construction.
-type ShardedConfig struct {
+// shardedConfig parameterizes a ShardedDetector. The embedded Config is the
+// per-shard detector configuration. WithWorkers sets only Workers; the other
+// knobs are the seams the package's tests stress routing with, and their
+// zero values are completed with defaults at construction.
+type shardedConfig struct {
 	Config
 
 	// Workers is the number of detector shards, each served by its own
-	// goroutine (default GOMAXPROCS).
+	// goroutine (at least 1).
 	Workers int
 	// BatchSize is the number of probes per batch routed to a shard
-	// (default DefaultBatchSize).
+	// (default defaultBatchSize).
 	BatchSize int
 	// QueueDepth is the number of batches buffered per shard before Ingest
-	// blocks (default DefaultQueueDepth).
+	// blocks (default defaultQueueDepth).
 	QueueDepth int
 	// WatermarkInterval is the stream-time interval, in nanoseconds,
 	// between time-watermark broadcasts (default Expiry/4). Watermarks
@@ -49,14 +49,6 @@ type ShardedConfig struct {
 	// one shard — and assert that results stay deterministic under
 	// backpressure. It must not call back into the detector.
 	StallHook func(shard int)
-}
-
-// ShardStats is one shard's view of the rolled-up detector counters.
-type ShardStats struct {
-	// Opened, Closed and Qualified mirror Detector.Counts for the shard.
-	Opened, Closed, Qualified uint64
-	// Active is the shard's open-flow count.
-	Active int
 }
 
 // shard is one worker: a private sequential Detector fed by a bounded
@@ -99,11 +91,16 @@ type shardMsg struct {
 // multiset of Scans is identical for time-ordered streams, and the emit
 // order is canonical: ascending (End, Start, Src).
 //
+// Closed flows surface only at FlushAll, so memory grows with every flow
+// closed so far, not only the open ones, and a caller that publishes as
+// flows close (a live ingest) sees nothing until the end: sharding is for
+// replaying one finite capture.
+//
 // Ingest is safe for concurrent producers (probes of one source must come
-// from one producer for their order to be defined). ActiveFlows, Counts and
-// ShardStats may be called concurrently with ingest.
+// from one producer for their order to be defined). ActiveFlows and Counts
+// may be called concurrently with ingest.
 type ShardedDetector struct {
-	cfg    ShardedConfig
+	cfg    shardedConfig
 	shards []*shard
 	emit   func(*Scan)
 	wg     sync.WaitGroup
@@ -129,17 +126,14 @@ type shardedMetrics struct {
 
 // newShardedDetector starts cfg.Workers shard goroutines and returns the
 // router. emit is called for every closed flow, from the goroutine that
-// calls FlushAll. Zero sharding knobs get defaults; the embedded Config gets
+// calls FlushAll. Zero batching knobs get defaults; the embedded Config gets
 // Config.withDefaults, before any goroutine starts.
-func newShardedDetector(cfg ShardedConfig, emit func(*Scan), reg *obs.Registry) *ShardedDetector {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
+func newShardedDetector(cfg shardedConfig, emit func(*Scan), reg *obs.Registry) *ShardedDetector {
 	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = DefaultBatchSize
+		cfg.BatchSize = defaultBatchSize
 	}
 	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
+		cfg.QueueDepth = defaultQueueDepth
 	}
 	cfg.Config = cfg.Config.withDefaults()
 	if cfg.WatermarkInterval <= 0 {
@@ -382,9 +376,6 @@ func (sd *ShardedDetector) FlushAll() {
 	mergeSpan.End()
 }
 
-// Workers returns the number of shards.
-func (sd *ShardedDetector) Workers() int { return len(sd.shards) }
-
 // ActiveFlows returns the open-flow count summed over shards. During ingest
 // the value trails the stream by up to one in-flight batch per shard.
 func (sd *ShardedDetector) ActiveFlows() int {
@@ -404,18 +395,4 @@ func (sd *ShardedDetector) Counts() (opened, closed, qualified uint64) {
 		qualified += sh.qualified.Load()
 	}
 	return
-}
-
-// ShardStats returns each shard's counters, indexed by shard.
-func (sd *ShardedDetector) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(sd.shards))
-	for i, sh := range sd.shards {
-		out[i] = ShardStats{
-			Opened:    sh.opened.Load(),
-			Closed:    sh.closed.Load(),
-			Qualified: sh.qualified.Load(),
-			Active:    int(sh.active.Load()),
-		}
-	}
-	return out
 }

@@ -15,7 +15,7 @@ import (
 // identical to an unstalled run on the same stream.
 func TestShardedStallHookDeterminism(t *testing.T) {
 	stream := makeMixedStream(8000, 300, 11)
-	cfg := ShardedConfig{
+	cfg := shardedConfig{
 		Config:  Config{TelescopeSize: testTelescopeSize},
 		Workers: 4,
 		// Small batches + shallow queues so stalls actually push back on
@@ -49,7 +49,7 @@ func TestShardedStallHookDeterminism(t *testing.T) {
 func TestStallHookShardIndexes(t *testing.T) {
 	const workers = 4
 	var calls [workers]atomic.Uint64
-	cfg := ShardedConfig{
+	cfg := shardedConfig{
 		Config:    Config{TelescopeSize: testTelescopeSize},
 		Workers:   workers,
 		BatchSize: 16,

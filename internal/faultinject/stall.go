@@ -9,8 +9,9 @@ import (
 )
 
 // ShardStaller injects deterministic processing stalls into individual
-// shards of the sharded campaign detector. Wire its Stall method into
-// core.ShardedConfig.StallHook: each shard draws from its own seeded
+// shards of the sharded campaign detector. Its Stall method is the
+// StallHook of core's package-internal sharded-detector config (core's
+// stall tests wire it in): each shard draws from its own seeded
 // stream, so which batches stall is reproducible per shard regardless of
 // cross-shard scheduling. Safe for concurrent use — the hook is called from
 // every shard goroutine.
@@ -36,7 +37,7 @@ func NewShardStaller(seed uint64, rate float64, stall time.Duration) *ShardStall
 	return &ShardStaller{rate: rate, stall: stall, seed: seed, rnds: make(map[int]*rng.Rand)}
 }
 
-// Stall is the core.ShardedConfig.StallHook entry point: it decides from
+// Stall is the sharded detector's StallHook entry point: it decides from
 // the shard's seeded stream whether this message stalls, and sleeps if so.
 func (st *ShardStaller) Stall(shard int) {
 	st.mu.Lock()

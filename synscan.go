@@ -112,13 +112,9 @@ type Config struct {
 	TelescopeSize int
 	// Disclosures injects vulnerability-disclosure events.
 	Disclosures []Disclosure
-	// Workers shards campaign detection across this many goroutines
-	// (0 or 1 keeps the sequential detector). The detected campaign
-	// multiset is identical either way.
-	Workers int
 	// Metrics, when non-nil, instruments the whole simulated pipeline —
-	// telescope ingress, detector, shard queues, enrichment cache,
-	// per-stage wall time — and stores a final snapshot in the returned
+	// telescope ingress, detector, enrichment cache, per-stage wall
+	// time — and stores a final snapshot in the returned
 	// YearData.PipelineStats. Nil (the default) disables all
 	// instrumentation at negligible cost.
 	Metrics *Metrics
@@ -137,18 +133,12 @@ func Simulate(cfg Config) (*YearData, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analysis.Collect(s, analysis.CollectConfig{Workers: cfg.Workers, Metrics: cfg.Metrics}), nil
+	return analysis.Collect(s, analysis.CollectConfig{Metrics: cfg.Metrics}), nil
 }
 
 // SimulateDecade runs all ten years over one shared synthetic Internet.
 func SimulateDecade(seed uint64, scale float64, telescopeSize int) ([]*YearData, error) {
 	return analysis.Decade(seed, scale, telescopeSize, analysis.CollectConfig{})
-}
-
-// SimulateDecadeWorkers is SimulateDecade with each year's campaign
-// detection sharded across the given number of goroutines.
-func SimulateDecadeWorkers(seed uint64, scale float64, telescopeSize, workers int) ([]*YearData, error) {
-	return analysis.Decade(seed, scale, telescopeSize, analysis.CollectConfig{Workers: workers})
 }
 
 // Table1 computes the headline table (volume, top ports, tools) from
@@ -170,7 +160,9 @@ func Table2(years []*YearData) []Table2Row {
 // and Finish returns them all. With the WithOnScan option they are instead
 // delivered to the callback as each flow closes and never retained, so a
 // long replay runs in memory bounded by the open-flow table rather than by
-// the total campaign count.
+// the total campaign count — unless WithWorkers(n > 1) shards detection:
+// the shards then hold every closed flow until Finish, so memory grows with
+// the campaign count and the callback sees nothing before Finish.
 type Analyzer struct {
 	det    core.Ingester
 	met    *Metrics
@@ -193,8 +185,10 @@ type analyzerOptions struct {
 // (n <= 1 keeps the sequential detector). Ingest stays single-producer; the
 // detected campaign multiset is identical to the sequential analyzer. With
 // workers > 1 closed flows surface only at Finish (the sharded detector's
-// merging flush), in its canonical (End, Start, Src) order; sequentially
-// they surface as their flows close.
+// merging flush), in its canonical (End, Start, Src) order, and are held in
+// memory until then, WithOnScan or not; sequentially they surface as their
+// flows close. It pays for replaying one finite capture, as synalyze
+// -workers does, not for a stream that must publish as it goes.
 func WithWorkers(n int) AnalyzerOption {
 	return func(o *analyzerOptions) { o.workers = n }
 }
@@ -212,7 +206,9 @@ func WithMetrics(reg *Metrics) AnalyzerOption {
 // Finish goroutine (sharded detection); it must not call back into the
 // Analyzer. Finish still flushes and drains through the same callback, and
 // then returns nil. This is the streaming model: nothing is retained after
-// delivery, so memory stays bounded by open flows, not total campaigns.
+// delivery, so with sequential detection memory stays bounded by open flows,
+// not total campaigns. Under WithWorkers(n > 1) that bound does not hold:
+// the shards retain every closed flow until Finish delivers them all.
 func WithOnScan(fn func(*Scan)) AnalyzerOption {
 	return func(o *analyzerOptions) { o.onScan = fn }
 }
