@@ -191,7 +191,7 @@ func TestCLIEndToEnd(t *testing.T) {
 			"-seal-every", "0", capture).CombinedOutput(); err != nil {
 			t.Fatalf("syningest %s: %v\n%s", capture, err, out)
 		}
-		bodies = append(bodies, getBody(t, startServe(t, synserve, store)+"/v1/scans?limit=100000"))
+		bodies = append(bodies, postBody(t, startServe(t, synserve, store), allScans))
 	}
 	if !bytes.Equal(bodies[0], bodies[1]) || !bytes.Contains(bodies[0], []byte(`"src"`)) {
 		t.Fatalf("stores ingested from pcap and spool disagree:\n pcap:  %.300s\n spool: %.300s", bodies[0], bodies[1])

@@ -171,8 +171,8 @@ func errText(b []byte) string {
 	return string(b)
 }
 
-// RemoteScan is one selected scan as served by /v1/query and /v1/scans: the
-// server's own row type, so no served key can go missing here.
+// RemoteScan is one selected scan as served by /v1/query: the server's own
+// row type, so no served key can go missing here.
 type RemoteScan = query.WireScan
 
 // RemoteOrigin is a RemoteScan's enrichment origin, nil on a scan served from

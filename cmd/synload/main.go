@@ -14,9 +14,9 @@
 //     differently configured server (say -max-inflight 4, to force
 //     overload), start synserve yourself and point -addr at it.
 //
-// The mix (-mix standard|hot) replays production-shaped traffic: cached and
-// cache-busting reads, pushdown-pruned and full-scan POST /v1/query
-// aggregations, legacy table endpoints ("standard"), or a single identical
+// The mix (-mix standard|hot) replays production-shaped POST /v1/query
+// traffic: cached and cache-busting scan selects, pushdown-pruned and
+// full-scan aggregations, a per-port table ("standard"), or a single identical
 // expensive query from every client ("hot", the singleflight worst case).
 //
 // SLO flags turn the run into a pass/fail gate; any violation exits 1:

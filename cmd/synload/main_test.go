@@ -37,6 +37,9 @@ func TestSelfServeSmoke(t *testing.T) {
 		t.Fatalf("%d requests, %d transport/5xx errors (status %v); want %d and 0",
 			res.Requests, res.Errors, res.Status, 8*400)
 	}
+	if res.Status[200]+res.Rejected != res.Requests {
+		t.Fatalf("status %v: a mix entry is answered with neither 200 nor 429", res.Status)
+	}
 	for _, m := range mix {
 		if res.ByName[m.Name] == 0 {
 			t.Errorf("mix entry %q never ran", m.Name)

@@ -1,26 +1,22 @@
 // Command synserve serves campaign archives over HTTP: flag wiring around
 // internal/serve. It loads archive files written by synalyze -archive or
 // syneval -archive-out, and/or live segment store directories written by
-// syningest, and exposes their scans through a small JSON API:
+// syningest, and exposes their scans through two routes:
 //
 //	POST /v1/query   {"where": ..., "group_by": [...], "aggs": [...]}
-//	GET /v1/scans?year=2022&tool=zmap&port=443&limit=100
-//	GET /v1/tables/ports?year=2022&top=10
-//	GET /v1/tables/tools?qualified=true
-//	GET /v1/tables/origins?year=2024
-//	GET /v1/stats
+//	GET  /v1/stats
 //
-// Filter parameters (year, tool, port, src, minrate, maxrate, qualified)
-// are shared by every GET query endpoint; year/tool/port accept repeated or
-// comma-separated values. Zone-map pruning applies per query, and results
-// are cached in a byte-bounded LRU (-cache-bytes) keyed on the
-// canonicalized query. SIGINT or SIGTERM drains: new requests get 503 +
-// Retry-After while in-flight ones finish.
+// A query without group_by and aggs selects scans, e.g.
+// {"where": {"field": "year", "eq": 2022}, "limit": 100}; any other path is
+// a JSON 404. Zone-map pruning applies per query, and results are cached in
+// a byte-bounded LRU (-cache-bytes) keyed on the canonicalized query. SIGINT
+// or SIGTERM drains: new requests get 503 + Retry-After while in-flight ones
+// finish.
 //
 // Identical cache-missing queries collapse into one execution
 // (singleflight), at most -max-inflight scans run at once with the excess
-// fast-failed as 429 + Retry-After, and scan lists longer than -stream-above
-// rows stream as chunked JSON. Each behaviour is observable via server.*
+// fast-failed as 429 + Retry-After, and every scan list is written record by
+// record, never buffered whole. Each behaviour is observable via server.*
 // counters and gauges at /v1/stats; cmd/synload is the matching load harness.
 //
 // Archives are opened skip-corrupt by default (-skip-corrupt=false to fail
@@ -69,7 +65,6 @@ func main() {
 	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", 64<<20, "result-cache capacity in body bytes (0 disables caching)")
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", 2*runtime.GOMAXPROCS(0), "max concurrently executing archive scans; excess requests get 429 + Retry-After (0 = unbounded)")
 	flag.DurationVar(&cfg.RetryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 responses")
-	flag.IntVar(&cfg.StreamAbove, "stream-above", 4096, "stream scan-list responses longer than this many scans as chunked JSON (-1 = never stream)")
 	flag.DurationVar(&cfg.Timeout, "timeout", 30*time.Second, "per-query deadline; expired queries return 504 (0 = no deadline)")
 	flag.BoolVar(&cfg.SkipCorrupt, "skip-corrupt", true, "skip checksum-failed archive blocks instead of failing the query; responses carry degraded=true")
 	flag.DurationVar(&cfg.Rescan, "rescan", 2*time.Second, "poll interval for discovering newly sealed segments in store directories (0 = only at startup)")

@@ -3,8 +3,8 @@
 // breakdown, with an SLO gate for pass/fail use in CI and cmd/synload.
 //
 // A run is a fixed fleet of concurrent clients replaying a weighted request
-// mix — cached and cache-busting reads, pushdown-pruned and full-scan
-// aggregations, legacy table endpoints — until a request budget or wall
+// mix — cached and cache-busting scan selects, pushdown-pruned and
+// full-scan aggregations, a per-port table — until a request budget or wall
 // deadline is exhausted. Every client draws from its own deterministic
 // stream (internal/rng derived from Config.Seed), so two runs with the same
 // seed replay the same request sequence per client. Latencies are recorded

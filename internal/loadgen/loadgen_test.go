@@ -62,9 +62,9 @@ func TestRunBasics(t *testing.T) {
 		t.Fatalf("ByName sums to %d, want 200", total)
 	}
 	// The hot entry (weight 4) should dominate the quantile entry (weight 1).
-	if res.ByName["scans-hot"] <= res.ByName["query-quantile"] {
+	if res.ByName["select-hot"] <= res.ByName["query-quantile"] {
 		t.Fatalf("weights not respected: hot=%d quantile=%d",
-			res.ByName["scans-hot"], res.ByName["query-quantile"])
+			res.ByName["select-hot"], res.ByName["query-quantile"])
 	}
 	if got := reg.Snapshot().Counter("loadgen.requests"); got != 200 {
 		t.Fatalf("loadgen.requests = %d, want 200", got)

@@ -2,27 +2,33 @@ package loadgen
 
 import "fmt"
 
-// StandardMix is the default production-shaped request mix: a hot identical
-// query (exercises the result cache and, under concurrency, singleflight
-// collapse), cache-busting scan reads (every request is a fresh archive
-// walk), a pushdown-pruned POST /v1/query, a full-scan decade quantile, the
-// deprecated fixed-parameter table endpoints, and the stats page. Weights
-// roughly follow a dashboard-plus-analysts profile: mostly cheap repeated
-// reads, a steady trickle of expensive novel queries.
+// StandardMix is the default production-shaped request mix, every query a
+// POST /v1/query: a hot identical scan select (exercises the result cache
+// and, under concurrency, singleflight collapse), cache-busting scan selects
+// (every request is a fresh archive walk), a pushdown-pruned count, a
+// full-scan decade quantile, a hot per-port table, and the stats page.
+// Weights roughly follow a dashboard-plus-analysts profile: mostly cheap
+// repeated reads, a steady trickle of expensive novel queries.
 func StandardMix() []Request {
 	return []Request{
 		{
-			Name:   "scans-hot",
-			Path:   "/v1/scans?year=2020&port=443&limit=50",
+			Name: "select-hot",
+			Path: "/v1/query",
+			Body: func(uint64) []byte {
+				return []byte(`{"where":{"and":[{"field":"year","eq":2020},{"field":"port","in":[443]}]},"limit":50}`)
+			},
 			Weight: 4,
 		},
 		{
-			Name: "scans-cold",
-			PathFn: func(i uint64) string {
-				// Vary year and minrate so consecutive requests never share a
-				// canonical key: each one misses the cache and walks blocks.
-				return fmt.Sprintf("/v1/scans?year=%d&minrate=%d&limit=100",
-					2015+i%10, 100+i%89)
+			Name: "select-cold",
+			Path: "/v1/query",
+			Body: func(i uint64) []byte {
+				// Vary year and minimum rate so consecutive requests never
+				// share a canonical key: each one misses the cache and walks
+				// blocks.
+				return []byte(fmt.Sprintf(
+					`{"where":{"and":[{"field":"year","eq":%d},{"field":"rate_pps","min":%d}]},"limit":100}`,
+					2015+i%10, 100+i%89))
 			},
 			Weight: 2,
 		},
@@ -46,8 +52,11 @@ func StandardMix() []Request {
 			Weight: 1,
 		},
 		{
-			Name:   "tables-legacy",
-			Path:   "/v1/tables/ports?year=2021&top=10",
+			Name: "ports-table",
+			Path: "/v1/query",
+			Body: func(uint64) []byte {
+				return []byte(`{"where":{"field":"year","eq":2021},"group_by":["port"],"aggs":[{"op":"count"},{"op":"sum","field":"packets"}],"limit":10}`)
+			},
 			Weight: 2,
 		},
 		{

@@ -10,9 +10,8 @@
 // heavy-hitter rankings) are all instances of the same shape: filter the
 // campaign set, group it, aggregate each group. This package makes that
 // shape a first-class, servable request: synserve exposes it as POST
-// /v1/query (the legacy fixed-parameter endpoints compile onto the same
-// AST), the synscan facade exposes a fluent builder, and the batch analyses
-// in internal/analysis execute through the same engine.
+// /v1/query, the synscan facade exposes a fluent builder, and the batch
+// analyses in internal/analysis execute through the same engine.
 package query
 
 import (
@@ -550,7 +549,7 @@ func NumRange(f Field, min, max *float64) Expr {
 }
 
 // RateBetween bounds the extrapolated rate (pps); a non-positive side is
-// open, mirroring the legacy minrate/maxrate parameters.
+// open.
 func RateBetween(min, max float64) Expr {
 	e := &rangeExpr{leaf: leaf{FieldRate}}
 	if min > 0 {

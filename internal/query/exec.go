@@ -13,8 +13,7 @@ import (
 	"github.com/synscan/synscan/internal/stats"
 )
 
-// defaultSelectLimit caps select-mode responses when the request names none,
-// matching the legacy /v1/scans default.
+// defaultSelectLimit caps select-mode responses when the request names none.
 const defaultSelectLimit = 1000
 
 // topKCapacity sizes the Space-Saving tracker for a requested k: generously

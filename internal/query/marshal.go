@@ -115,7 +115,7 @@ func marshalKids(op string, kids []Expr) (json.RawMessage, error) {
 	return json.Marshal(map[string][]json.RawMessage{op: raws})
 }
 
-// WireScan is one select-mode row as /v1/query and /v1/scans serve it: the one
+// WireScan is one select-mode row as POST /v1/query serves it: the one
 // definition the server encodes and the facade's remote client decodes.
 type WireScan struct {
 	Src              string      `json:"src"`

@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 
 	"github.com/synscan/synscan/internal/inetmodel"
 )
@@ -306,7 +307,7 @@ func (e *inExpr) appendValue(raw json.RawMessage) error {
 	}
 	v, ok := e.field.ValueByName(s)
 	if !ok {
-		return errf("unknown %s %q", d.enum.noun, s)
+		return errf("unknown %s %q (want one of %s)", d.enum.noun, s, strings.Join(e.field.ValueNames(), ", "))
 	}
 	e.ints = append(e.ints, v)
 	return nil

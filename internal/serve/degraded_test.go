@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,12 +26,7 @@ func TestQueryTimeout504(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	resp, err := http.Get(ts.URL + "/v1/scans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
+	resp, body := postQuery(t, ts.URL, `{}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", resp.StatusCode, body)
 	}
@@ -49,7 +43,7 @@ func TestQueryTimeout504(t *testing.T) {
 
 // TestDegradedQuery is the end-to-end degraded-mode check: corrupt over 10%
 // of an archive's blocks with seeded fault injection, open it skip-corrupt
-// as main does, and a /v1/scans query must still complete — flagged
+// as main does, and a select query must still complete — flagged
 // degraded:true, with the corrupt-block counter equal to the number of
 // blocks actually damaged.
 func TestDegradedQuery(t *testing.T) {
@@ -102,7 +96,7 @@ func TestDegradedQuery(t *testing.T) {
 		Matched  uint64 `json:"matched"`
 		Degraded bool   `json:"degraded"`
 	}
-	getJSON(t, ts.URL+"/v1/scans?limit=10", &res)
+	postJSON(t, ts.URL, `{"limit": 10}`, &res)
 	if !res.Degraded {
 		t.Fatal("query over a corrupted archive not flagged degraded")
 	}

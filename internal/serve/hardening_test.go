@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 
 	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/obs"
+	"github.com/synscan/synscan/internal/query"
 )
 
 // hardenedServer builds a server over the standard test archive with the
@@ -33,8 +35,14 @@ func hardenedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *obs.R
 	reg := obs.NewRegistry()
 	srv := newServer([]source{&file{path: path, rd: rd}}, cfg, reg)
 	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { checkBooks(t, reg) })
 	t.Cleanup(ts.Close)
 	return srv, ts, reg
+}
+
+// post sends body to ts's /v1/query; safe off the test goroutine.
+func post(ts *httptest.Server, body string) (*http.Response, error) {
+	return http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 }
 
 // waitCounter polls a counter until it reaches want or the deadline passes.
@@ -159,7 +167,7 @@ func TestAdmissionControl429(t *testing.T) {
 
 	slow := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/v1/scans?year=2020&limit=5")
+		resp, err := post(ts, `{"where": {"field": "year", "eq": 2020}, "limit": 5}`)
 		if err != nil {
 			slow <- err
 			return
@@ -174,7 +182,7 @@ func TestAdmissionControl429(t *testing.T) {
 	}()
 	<-entered // the only slot is now held
 
-	resp, err := http.Get(ts.URL + "/v1/scans?year=2023&limit=5")
+	resp, err := post(ts, `{"where": {"field": "year", "eq": 2023}, "limit": 5}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +210,7 @@ func TestAdmissionControl429(t *testing.T) {
 	}
 
 	// Slot free again: the previously bounced query now runs.
-	resp2, err := http.Get(ts.URL + "/v1/scans?year=2023&limit=5")
+	resp2, err := post(ts, `{"where": {"field": "year", "eq": 2023}, "limit": 5}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,66 +221,66 @@ func TestAdmissionControl429(t *testing.T) {
 	}
 }
 
-// scanListBody is the shared shape of /v1/scans responses, streamed or not.
-type scanListBody struct {
-	Matched   uint64            `json:"matched"`
-	Returned  int               `json:"returned"`
-	Truncated bool              `json:"truncated"`
-	Degraded  bool              `json:"degraded"`
-	Scans     []json.RawMessage `json:"scans"`
-}
-
-// TestStreamedScanList: above the stream threshold a select-mode response is
-// written chunked, record by record — and decodes to exactly the same
-// content as the one-shot marshaled body, so clients cannot tell the paths
-// apart except by transfer encoding.
+// TestStreamedScanList: a select-mode response is written record by record,
+// chunked once it outgrows net/http's buffer, and decodes to exactly the
+// scans query.Run returns over the same archive. The cache tee captured the
+// body, so the repeat is a cache hit, not a second stream.
 func TestStreamedScanList(t *testing.T) {
-	_, streamTS, streamReg := hardenedServer(t, Config{CacheBytes: 64 << 20, StreamAbove: 10})
-	_, plainTS, _ := hardenedServer(t, Config{CacheBytes: 64 << 20, StreamAbove: -1})
+	srv, ts, reg := hardenedServer(t, Config{CacheBytes: 64 << 20})
+	const body = `{"limit": 100}`
 
-	get := func(ts *httptest.Server) (*http.Response, scanListBody) {
-		resp, err := http.Get(ts.URL + "/v1/scans?limit=100")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, raw)
-		}
-		var body scanListBody
-		if err := json.Unmarshal(raw, &body); err != nil {
-			t.Fatalf("bad JSON: %v\n%s", err, raw)
-		}
-		return resp, body
+	resp, err := post(ts, body)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	streamResp, streamed := get(streamTS)
-	_, plain := get(plainTS)
-
-	if len(streamResp.TransferEncoding) == 0 || streamResp.TransferEncoding[0] != "chunked" {
-		t.Fatalf("streamed response TransferEncoding = %v, want chunked", streamResp.TransferEncoding)
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := streamReg.Snapshot().Counter("server.stream.responses"); got != 1 {
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if len(resp.TransferEncoding) == 0 || resp.TransferEncoding[0] != "chunked" {
+		t.Fatalf("TransferEncoding = %v, want chunked", resp.TransferEncoding)
+	}
+	if got := reg.Snapshot().Counter("server.stream.responses"); got != 1 {
 		t.Fatalf("server.stream.responses = %d, want 1", got)
 	}
-	if streamed.Matched != plain.Matched || streamed.Returned != plain.Returned ||
-		streamed.Truncated != plain.Truncated || streamed.Degraded != plain.Degraded {
-		t.Fatalf("streamed header fields %+v differ from plain %+v", streamed, plain)
+	var got struct {
+		Matched   uint64           `json:"matched"`
+		Returned  int              `json:"returned"`
+		Truncated bool             `json:"truncated"`
+		Degraded  bool             `json:"degraded"`
+		Scans     []query.WireScan `json:"scans"`
 	}
-	if len(streamed.Scans) != 100 {
-		t.Fatalf("streamed %d scans, want 100", len(streamed.Scans))
-	}
-	if !reflect.DeepEqual(streamed.Scans, plain.Scans) {
-		t.Fatal("streamed scan records differ from one-shot marshaled records")
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, raw)
 	}
 
-	// The streamed body was small enough for the cache tee: the repeat is a
-	// straight cache hit, not a second stream.
-	resp2, err := http.Get(streamTS.URL + "/v1/scans?limit=100")
+	q, err := query.Parse([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := srv.srcs[0].pin()
+	defer pin.release()
+	res, err := query.Run(context.Background(), q, pin.querySource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]query.WireScan, len(res.Scans))
+	for i, rec := range res.Scans {
+		want[i] = rec.Wire()
+	}
+	if got.Matched != res.Matched || got.Returned != 100 || got.Truncated != res.Truncated || got.Degraded {
+		t.Fatalf("header matched=%d returned=%d truncated=%v degraded=%v, engine matched=%d truncated=%v",
+			got.Matched, got.Returned, got.Truncated, got.Degraded, res.Matched, res.Truncated)
+	}
+	if len(want) != 100 || !reflect.DeepEqual(got.Scans, want) {
+		t.Fatalf("streamed %d scans differ from the engine's %d", len(got.Scans), len(want))
+	}
+
+	resp2, err := post(ts, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +288,9 @@ func TestStreamedScanList(t *testing.T) {
 	resp2.Body.Close()
 	if c := resp2.Header.Get("X-Cache"); c != "hit" {
 		t.Fatalf("repeat X-Cache = %q, want hit", c)
+	}
+	if got := reg.Snapshot().Counter("server.stream.responses"); got != 1 {
+		t.Fatalf("server.stream.responses = %d after a cache hit, want 1", got)
 	}
 }
 
@@ -299,7 +310,7 @@ func TestDrainRefusesNewRequests(t *testing.T) {
 
 	inflight := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/v1/scans?limit=3")
+		resp, err := post(ts, `{"limit": 3}`)
 		if err != nil {
 			inflight <- err
 			return
@@ -350,7 +361,7 @@ func TestTimeoutGoroutineCleanup(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/scans?limit=%d", ts.URL, 10+i))
+		resp, err := post(ts, fmt.Sprintf(`{"limit": %d}`, 10+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,12 +395,11 @@ func TestTimeoutGoroutineCleanup(t *testing.T) {
 // the bound, and the gauge reports it.
 func TestCacheByteBound(t *testing.T) {
 	const maxBytes = 4096 // per-entry cap: 512 bytes
-	_, ts, reg := hardenedServer(t, Config{CacheBytes: maxBytes, StreamAbove: -1})
+	_, ts, reg := hardenedServer(t, Config{CacheBytes: maxBytes})
 
 	// A big scan list blows the per-entry cap: both fetches miss.
-	big := ts.URL + "/v1/scans?limit=50"
 	for i := 0; i < 2; i++ {
-		resp, err := http.Get(big)
+		resp, err := post(ts, `{"limit": 50}`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,24 +410,24 @@ func TestCacheByteBound(t *testing.T) {
 		}
 	}
 
-	// Small aggregate bodies cache normally, and many distinct ones stay
-	// within the byte budget by evicting.
+	// Small bodies cache normally, and many distinct ones stay within the
+	// byte budget by evicting.
 	for i := 0; i < 40; i++ {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/scans?limit=1&minrate=%d", ts.URL, 100+i))
+		resp, err := post(ts, fmt.Sprintf(`{"where": {"field": "rate_pps", "min": %d}, "limit": 1}`, 100+i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	small := ts.URL + "/v1/tables/tools"
-	resp, err := http.Get(small)
+	small := `{"group_by": ["tool"], "aggs": [{"op": "count"}]}`
+	resp, err := post(ts, small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	resp, err = http.Get(small)
+	resp, err = post(ts, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,9 +562,9 @@ func TestConcurrentCacheRescanCompaction(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			url := fmt.Sprintf("%s/v1/scans?limit=%d", ts.URL, 1+g%3)
+			body := fmt.Sprintf(`{"limit": %d}`, 1+g%3)
 			for i := 0; i < 40; i++ {
-				resp, err := http.Get(url)
+				resp, err := post(ts, body)
 				if err != nil {
 					errc <- err
 					return
@@ -589,10 +599,10 @@ func TestConcurrentCacheRescanCompaction(t *testing.T) {
 	var res struct {
 		Matched uint64 `json:"matched"`
 	}
-	if c := getCache(t, ts.URL+"/v1/scans?limit=1", &res); res.Matched != 300 {
+	if c := postCache(t, ts.URL, `{"limit": 1}`, &res); res.Matched != 300 {
 		t.Fatalf("final matched=%d (cache=%s), want 300", res.Matched, c)
 	}
-	if c := getCache(t, ts.URL+"/v1/scans?limit=1", &res); c != "hit" || res.Matched != 300 {
+	if c := postCache(t, ts.URL, `{"limit": 1}`, &res); c != "hit" || res.Matched != 300 {
 		t.Fatalf("final repeat cache=%s matched=%d, want hit/300", c, res.Matched)
 	}
 }

@@ -54,25 +54,26 @@ func TestOpenMixedArgs(t *testing.T) {
 		defer srv.Close()
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
-		get := func(q string) []byte {
-			resp, err := http.Get(ts.URL + q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s: %d, %v", q, resp.StatusCode, err)
-			}
-			return body
+		resp, scans := postQuery(t, ts.URL, `{"limit": 1000}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/query: %d: %s", resp.StatusCode, scans)
 		}
-		return get("/v1/scans?limit=1000"), get("/v1/stats")
+		resp, err = http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		stats, err = io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/stats: %d, %v", resp.StatusCode, err)
+		}
+		return scans, stats
 	}
 
 	storeFirst, stats := serveArgs(dir, path)
 	fileFirst, _ := serveArgs(path, dir)
 	if string(storeFirst) != string(fileFirst) {
-		t.Fatal("/v1/scans bytes depend on the argument order")
+		t.Fatal("scan-list bytes depend on the argument order")
 	}
 	var res struct {
 		Matched uint64 `json:"matched"`
@@ -113,22 +114,26 @@ func TestOpenMixedArgs(t *testing.T) {
 	}
 }
 
-// TestWrongMethod: the one request wrapper answers a wrong-method request on
-// any route with 405, a JSON error body, and one tick each of the request
-// and error counters.
+// TestWrongMethod: the one request wrapper answers a wrong method on a route
+// with 405 and a path it does not route, whatever the method, with 404 —
+// each with a JSON error body and one tick each of the request and error
+// counters.
 func TestWrongMethod(t *testing.T) {
 	ts, reg, _ := testServer(t, true)
-	routes := map[string]string{ // route → the method it does NOT accept
-		"/v1/query":          http.MethodGet,
-		"/v1/scans":          http.MethodPost,
-		"/v1/tables/ports":   http.MethodPost,
-		"/v1/tables/tools":   http.MethodPut,
-		"/v1/tables/origins": http.MethodDelete,
-		"/v1/stats":          http.MethodPost,
-	}
-	for route, method := range routes {
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		msg          string // the error's prefix
+	}{
+		{http.MethodGet, "/v1/query", http.StatusMethodNotAllowed, "method not allowed"},
+		{http.MethodPut, "/v1/query", http.StatusMethodNotAllowed, "method not allowed"},
+		{http.MethodPost, "/v1/stats", http.StatusMethodNotAllowed, "method not allowed"},
+		{http.MethodGet, "/v1/scans", http.StatusNotFound, "no such endpoint"},
+		{http.MethodGet, "/v1/tables/ports", http.StatusNotFound, "no such endpoint"},
+		{http.MethodGet, "/nope", http.StatusNotFound, "no such endpoint"},
+	} {
 		before := reg.Snapshot()
-		req, err := http.NewRequest(method, ts.URL+route, strings.NewReader("{}"))
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,20 +143,20 @@ func TestWrongMethod(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("%s %s: %d, want 405", method, route, resp.StatusCode)
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s %s: %d, want %d", tc.method, tc.path, resp.StatusCode, tc.code)
 		}
 		var e struct {
 			Error string `json:"error"`
 		}
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" ||
-			json.Unmarshal(body, &e) != nil || !strings.HasPrefix(e.Error, "method not allowed") {
-			t.Errorf("%s %s: Content-Type %q, body %q; want a JSON error", method, route, ct, body)
+			json.Unmarshal(body, &e) != nil || !strings.HasPrefix(e.Error, tc.msg) {
+			t.Errorf("%s %s: Content-Type %q, body %q; want a JSON error %q…", tc.method, tc.path, ct, body, tc.msg)
 		}
 		after := reg.Snapshot()
 		for _, c := range []string{"synserve.http.requests", "synserve.http.errors"} {
 			if got := after.Counter(c) - before.Counter(c); got != 1 {
-				t.Errorf("%s %s: %s moved by %d, want 1", method, route, c, got)
+				t.Errorf("%s %s: %s moved by %d, want 1", tc.method, tc.path, c, got)
 			}
 		}
 	}

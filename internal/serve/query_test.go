@@ -2,19 +2,13 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"sort"
 	"testing"
+	"time"
 
-	"github.com/synscan/synscan/internal/archive"
-	"github.com/synscan/synscan/internal/core"
-	"github.com/synscan/synscan/internal/enrich"
-	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/query"
-	"github.com/synscan/synscan/internal/tools"
 )
 
 func postQuery(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -80,183 +74,38 @@ func TestQueryEndpointAggregates(t *testing.T) {
 }
 
 func TestQueryEndpointSelect(t *testing.T) {
-	ts, _, _ := testServer(t, true)
+	ts, _, n := testServer(t, true)
 
-	// The same filter through both surfaces must return the same scan list.
-	resp, postBody := postQuery(t, ts.URL, `{
-		"where": {"and": [
-			{"field": "year", "eq": 2020},
-			{"field": "tool", "eq": "ZMap"}
-		]},
-		"limit": 40
-	}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, postBody)
-	}
-	var got, want struct {
+	var got struct {
 		Matched   uint64           `json:"matched"`
 		Returned  int              `json:"returned"`
 		Truncated bool             `json:"truncated"`
 		Scans     []query.WireScan `json:"scans"`
 	}
-	if err := json.Unmarshal(postBody, &got); err != nil {
-		t.Fatal(err)
+	postJSON(t, ts.URL, `{
+		"where": {"and": [
+			{"field": "year", "eq": 2020},
+			{"field": "tool", "eq": "ZMap"}
+		]},
+		"limit": 40
+	}`, &got)
+	// testArchive gives every third scan to ZMap and its first half to 2020.
+	if want := uint64(n / 2 / 3); got.Matched != want || got.Returned != 40 || len(got.Scans) != 40 || !got.Truncated {
+		t.Fatalf("matched %d returned %d (%d scans) truncated %v; want %d / 40 / true",
+			got.Matched, got.Returned, len(got.Scans), got.Truncated, want)
 	}
-	getJSON(t, ts.URL+"/v1/scans?year=2020&tool=zmap&limit=40", &want)
-	if got.Matched != want.Matched || got.Returned != want.Returned || got.Truncated != want.Truncated {
-		t.Fatalf("surfaces disagree: POST %d/%d/%v, GET %d/%d/%v",
-			got.Matched, got.Returned, got.Truncated, want.Matched, want.Returned, want.Truncated)
-	}
-	for i := range got.Scans {
-		gj, _ := json.Marshal(got.Scans[i])
-		wj, _ := json.Marshal(want.Scans[i])
-		if !bytes.Equal(gj, wj) {
-			t.Fatalf("scan %d differs: %s vs %s", i, gj, wj)
-		}
-	}
-}
-
-// TestLegacyTablesParity recomputes the ports and tools tables with the
-// pre-engine hand-rolled loops over the raw archive and requires the
-// engine-backed endpoints to return byte-identical JSON.
-func TestLegacyTablesParity(t *testing.T) {
-	path, _ := testArchive(t, true)
-	rd, err := archive.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rd.Close() })
-
-	var scans []*core.Scan
-	var origins []enrich.Origin
-	if err := rd.Query(context.Background(), archive.All, func(sc *core.Scan, o *enrich.Origin) {
-		scans = append(scans, sc)
-		origins = append(origins, *o)
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference ports table: scans and split packets per port, share of all
-	// scans, ranked by scans desc / port asc, top 5.
-	type pagg struct{ scans, packets uint64 }
-	byPort := map[uint16]*pagg{}
-	for _, sc := range scans {
-		for _, p := range sc.Ports {
-			a := byPort[p]
-			if a == nil {
-				a = &pagg{}
-				byPort[p] = a
-			}
-			a.scans++
-			a.packets += sc.Packets / uint64(len(sc.Ports))
-		}
-	}
-	total := uint64(len(scans))
-	wantPorts := make([]portRow, 0, len(byPort))
-	for p, a := range byPort {
-		wantPorts = append(wantPorts, portRow{
-			Port: p, Scans: a.scans, Packets: a.packets,
-			Share: float64(a.scans) / float64(total),
-		})
-	}
-	sort.Slice(wantPorts, func(i, j int) bool {
-		if wantPorts[i].Scans != wantPorts[j].Scans {
-			return wantPorts[i].Scans > wantPorts[j].Scans
-		}
-		return wantPorts[i].Port < wantPorts[j].Port
-	})
-	wantPorts = wantPorts[:5]
-	wantPortsJSON, _ := json.Marshal(map[string]any{
-		"total_scans": total, "ports": wantPorts, "degraded": false,
-	})
-
-	// Reference tools table: canonical display order, zero rows skipped.
-	scansPer := make([]uint64, tools.NumTools())
-	qualPer := make([]uint64, tools.NumTools())
-	for _, sc := range scans {
-		scansPer[sc.Tool]++
-		if sc.Qualified {
-			qualPer[sc.Tool]++
-		}
-	}
-	wantTools := []toolRow{}
-	for _, tl := range append([]tools.Tool{tools.ToolUnknown}, tools.Tools...) {
-		if scansPer[tl] == 0 {
-			continue
-		}
-		wantTools = append(wantTools, toolRow{
-			Tool: tl.String(), Scans: scansPer[tl], Qualified: qualPer[tl],
-			Share: float64(scansPer[tl]) / float64(total),
-		})
-	}
-	wantToolsJSON, _ := json.Marshal(map[string]any{
-		"total_scans": total, "tools": wantTools, "degraded": false,
-	})
-
-	// Reference origins table: per-type distinct sources, unsplit packets,
-	// sorted by scans desc then type name asc.
-	type oagg struct {
-		srcs           map[uint32]struct{}
-		scans, packets uint64
-	}
-	byType := map[inetmodel.ScannerType]*oagg{}
-	for i, sc := range scans {
-		o := origins[i]
-		a := byType[o.Type]
-		if a == nil {
-			a = &oagg{srcs: map[uint32]struct{}{}}
-			byType[o.Type] = a
-		}
-		a.srcs[sc.Src] = struct{}{}
-		a.scans++
-		a.packets += sc.Packets
-	}
-	wantOrigins := []originRow{}
-	for typ, a := range byType {
-		wantOrigins = append(wantOrigins, originRow{
-			Type: typ.String(), Sources: len(a.srcs), Scans: a.scans, Packets: a.packets,
-		})
-	}
-	sort.Slice(wantOrigins, func(i, j int) bool {
-		if wantOrigins[i].Scans != wantOrigins[j].Scans {
-			return wantOrigins[i].Scans > wantOrigins[j].Scans
-		}
-		return wantOrigins[i].Type < wantOrigins[j].Type
-	})
-	wantOriginsJSON, _ := json.Marshal(map[string]any{
-		"types": wantOrigins, "degraded": false,
-	})
-
-	ts, _, _ := testServer(t, true)
-	for _, tc := range []struct {
-		url  string
-		want []byte
-	}{
-		{"/v1/tables/ports?top=5", wantPortsJSON},
-		{"/v1/tables/tools", wantToolsJSON},
-		{"/v1/tables/origins", wantOriginsJSON},
-	} {
-		resp, err := http.Get(ts.URL + tc.url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d: %s", tc.url, resp.StatusCode, got)
-		}
-		if string(bytes.TrimRight(got, "\n")) != string(tc.want) {
-			t.Fatalf("GET %s not byte-identical to the hand-rolled table:\ngot  %s\nwant %s",
-				tc.url, got, tc.want)
+	for _, sc := range got.Scans {
+		if sc.Tool != "ZMap" || time.Unix(0, sc.StartNS).UTC().Year() != 2020 {
+			t.Fatalf("filter leaked a %s scan from %d", sc.Tool, time.Unix(0, sc.StartNS).UTC().Year())
 		}
 	}
 }
 
 // TestQueryCanonicalCacheHit: semantically identical requests — different
 // predicate order, different list order, duplicated values — canonicalize to
-// one cache key, on both surfaces.
+// one cache key.
 func TestQueryCanonicalCacheHit(t *testing.T) {
-	ts, reg, _ := testServer(t, true)
+	ts, _, _ := testServer(t, true)
 
 	a := `{"where": {"and": [
 		{"field": "year", "in": [2023, 2020, 2020]},
@@ -277,32 +126,6 @@ func TestQueryCanonicalCacheHit(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("cached body differs from computed body")
-	}
-
-	// Legacy surface: comma list vs repeated params vs reordered values all
-	// compile to the same AST, hence the same key.
-	get := func(q string) string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", q, resp.StatusCode)
-		}
-		return resp.Header.Get("X-Cache")
-	}
-	hits0 := reg.Snapshot().Counter("synserve.cache.hits")
-	c1 := get("/v1/tables/ports?year=2020,2023&top=10")
-	c2 := get("/v1/tables/ports?year=2023&year=2020&top=10")
-	c3 := get("/v1/tables/ports?top=10&year=2020%2C2023")
-	if c1 != "miss" || c2 != "hit" || c3 != "hit" {
-		t.Fatalf("legacy X-Cache %q %q %q, want miss hit hit", c1, c2, c3)
-	}
-	if hits := reg.Snapshot().Counter("synserve.cache.hits"); hits != hits0+2 {
-		t.Fatalf("cache hits moved %d, want 2", hits-hits0)
 	}
 }
 
@@ -328,6 +151,12 @@ func TestQueryEndpointErrors(t *testing.T) {
 		if err := json.Unmarshal(out, &e); err != nil || e.Error == "" {
 			t.Errorf("POST %q: error body %q", body, out)
 		}
+	}
+
+	// An unknown value of a named-value field lists the names it takes.
+	resp, out := postQuery(t, ts.URL, `{"where": {"field": "tool", "eq": "nessus"}}`)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(out, []byte("zmap")) {
+		t.Errorf("unknown tool: %d %s, want 400 naming zmap", resp.StatusCode, out)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/query")

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -33,10 +32,6 @@ type Config struct {
 	MaxInflight int
 	// RetryAfter is the hint sent with 429/503 responses.
 	RetryAfter time.Duration
-	// StreamAbove: select-mode responses with more scans than this are
-	// written incrementally (chunked) instead of marshaled into one body;
-	// negative disables streaming, 0 picks the default.
-	StreamAbove int
 	// Workers is the number of block-decode workers per query (Open only).
 	Workers int
 	// SkipCorrupt opens archives so that checksum-failed blocks are skipped
@@ -47,22 +42,19 @@ type Config struct {
 	Rescan time.Duration
 }
 
-// defaultStreamAbove is the scan-list length past which responses stream.
-const defaultStreamAbove = 4096
-
 // Server answers queries over campaign archives: static sealed files and/or
 // live segment stores (directories written by syningest, polled for newly
-// sealed segments). Every analytical endpoint — POST /v1/query and the
-// deprecated fixed-parameter GET surfaces — compiles to one internal/query
-// request and runs through the same streaming engine under zone-map pushdown,
-// behind the same hardened execution path: result-cache lookup, singleflight
-// deduplication of identical in-flight queries, and admission control that
-// fast-fails 429 when too many scans are already running. Responses are
-// cached in a byte-bounded LRU keyed on the canonicalized query prefixed
-// with the stores' catalog generations, so any two spellings of the same
-// request share one entry and cached bodies die with the segment set they
-// were computed from; /v1/stats is always computed live (it exposes the
-// moving metric counters, including the cache's own hit/miss tallies).
+// sealed segments). POST /v1/query is the one analytical endpoint: its body
+// parses into an internal/query request that runs through the streaming
+// engine under zone-map pushdown, behind the hardened execution path:
+// result-cache lookup, singleflight deduplication of identical in-flight
+// queries, and admission control that fast-fails 429 when too many scans are
+// already running. Responses are cached in a byte-bounded LRU keyed on the
+// canonicalized query prefixed with the stores' catalog generations, so any
+// two spellings of the same request share one entry and cached bodies die
+// with the segment set they were computed from; GET /v1/stats is always
+// computed live (it exposes the moving metric counters, including the
+// cache's own hit/miss tallies).
 type Server struct {
 	// srcs lists static files before live stores, whatever order they
 	// were named in: that is the query order, so it fixes select-mode row
@@ -73,9 +65,8 @@ type Server struct {
 	timeout time.Duration
 	rescan  time.Duration
 
-	flights     flightGroup
-	adm         *admission
-	streamAbove int
+	flights flightGroup
+	adm     *admission
 	// draining refuses new requests with 503 + Connection: close once
 	// shutdown starts, so keep-alive clients move off while in-flight
 	// requests finish.
@@ -93,7 +84,7 @@ type Server struct {
 	mStreamed             *obs.Counter
 	mDrainRefused         *obs.Counter
 
-	// Engine metrics, shared by every surface that compiles into a query.
+	// Engine metrics.
 	mQueryRequests, mQueryParseErrors *obs.Counter
 	mQueryRows, mQueryPartials        *obs.Counter
 	mQueryExec                        *obs.Histogram
@@ -122,18 +113,13 @@ func Open(args []string, cfg Config, reg *obs.Registry) (*Server, error) {
 }
 
 func newServer(srcs []source, cfg Config, reg *obs.Registry) *Server {
-	if cfg.StreamAbove == 0 {
-		cfg.StreamAbove = defaultStreamAbove
-	}
 	s := &Server{
 		srcs:    srcs,
 		cache:   newLRU(cfg.CacheBytes),
 		reg:     reg,
 		timeout: cfg.Timeout,
 		rescan:  cfg.Rescan,
-
-		adm:         newAdmission(cfg.MaxInflight, cfg.RetryAfter),
-		streamAbove: cfg.StreamAbove,
+		adm:     newAdmission(cfg.MaxInflight, cfg.RetryAfter),
 
 		mRequests: reg.Counter("synserve.http.requests"),
 		mErrors:   reg.Counter("synserve.http.errors"),
@@ -174,12 +160,9 @@ func (s *Server) startDrain() { s.draining.Store(true) }
 // Handler returns the server's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/query", s.queryRoute(http.MethodPost, "/v1/query", compileBody))
-	mux.HandleFunc("/v1/scans", s.queryRoute(http.MethodGet, "/v1/scans", compileScans))
-	mux.HandleFunc("/v1/tables/ports", s.queryRoute(http.MethodGet, "/v1/tables/ports", compilePorts))
-	mux.HandleFunc("/v1/tables/tools", s.queryRoute(http.MethodGet, "/v1/tables/tools", compileTools))
-	mux.HandleFunc("/v1/tables/origins", s.queryRoute(http.MethodGet, "/v1/tables/origins", compileOrigins))
+	mux.HandleFunc("/v1/query", s.route(http.MethodPost, s.handleQuery))
 	mux.HandleFunc("/v1/stats", s.route(http.MethodGet, s.handleStats))
+	mux.HandleFunc("/", s.route("", notFound))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			s.mDrainRefused.Inc()
@@ -299,20 +282,16 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSONError(w, code, err.Error())
 }
 
-// renderFunc shapes an engine result into one endpoint's response body.
-// degraded is the flight's view of source health, captured after the walk.
-type renderFunc func(res *query.Result, degraded bool) any
-
-// route wraps every endpoint's handler with what they all share: the
-// latency span, the request and error counters, the method check, the
-// request-body bound, source pinning for the life of the request, and JSON
-// error rendering of whatever h returns.
+// route wraps every handler with what they all share: the latency span, the
+// request and error counters, the method check (an empty method accepts
+// any), the request-body bound, source pinning for the life of the request,
+// and JSON error rendering of whatever h returns.
 func (s *Server) route(method string, h func(w http.ResponseWriter, r *http.Request, src *sources) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sp := obs.StartSpan(s.mLatency)
 		defer sp.End()
 		s.mRequests.Inc()
-		if r.Method != method {
+		if method != "" && r.Method != method {
 			s.mErrors.Inc()
 			msg := "method not allowed"
 			if method == http.MethodPost {
@@ -331,48 +310,25 @@ func (s *Server) route(method string, h func(w http.ResponseWriter, r *http.Requ
 	}
 }
 
-// queryRoute is the route of an endpoint that compiles into an engine query
-// — POST /v1/query from its JSON body, the deprecated fixed-parameter GET
-// endpoints from their URL: compile → canonicalize → generation-keyed cache
-// lookup → the shared hardened execution path → the endpoint's rendering.
-// The cache key is the canonicalized compiled query, not the raw request, so
-// every spelling of the same request (parameter order, comma vs repeated
-// lists, a default spelled out) shares one entry, one singleflight, one
-// admission slot and one deadline.
-func (s *Server) queryRoute(method, path string, compile compileFunc) http.HandlerFunc {
-	h := s.route(method, func(w http.ResponseWriter, r *http.Request, src *sources) error {
-		q, render, err := compile(src, r)
-		if err == nil {
-			q = q.Canonicalize()
-			err = q.Validate()
-		}
-		if err != nil {
-			s.mQueryParseErrors.Inc()
-			return err
-		}
-		if q.NeedsOrigin() && !src.hasOrigins() {
-			return badRequest("query needs origins, but no loaded archive carries them (write one with syneval -archive-out)")
-		}
-		return s.execute(w, r, src, q, src.genToken()+path+"?"+q.Key(), render)
-	})
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.mQueryRequests.Inc()
-		h(w, r)
+// notFound answers every path the mux does not route, whatever the method.
+func notFound(_ http.ResponseWriter, r *http.Request, _ *sources) error {
+	return &httpError{
+		code: http.StatusNotFound,
+		msg:  fmt.Sprintf("no such endpoint %s %s (POST /v1/query)", r.Method, r.URL.Path),
 	}
 }
 
-// execute drives one compiled, canonicalized query through the hardened
-// path shared by every analytical endpoint:
+// execute drives one parsed, canonicalized query through the hardened path:
 //
 //	cache lookup → singleflight join → admission control → engine run
-//	under the per-query deadline → render (streamed for large scan lists)
-//	→ cache fill.
+//	under the per-query deadline → render (a scan list streams, aggregate
+//	rows are buffered) → cache fill.
 //
 // The flight leader runs the scan under a context detached from its own
 // request (followers may outlive the leader's client) but canceled when the
 // last attached request disconnects, so abandoned scans stop instead of
 // running to completion.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, src *sources, q *query.Query, key string, render renderFunc) error {
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, src *sources, q *query.Query, key string) error {
 	if body, ok := s.cache.get(key); ok {
 		s.mHits.Inc()
 		writeJSON(w, body, "hit")
@@ -401,11 +357,11 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, src *sources, q
 		return f.err
 	}
 
-	if q.SelectMode() && s.streamAbove >= 0 && len(f.res.Scans) > s.streamAbove {
+	if q.SelectMode() {
 		s.streamScans(w, key, f.res, f.degraded, cacheState)
 		return nil
 	}
-	body, err := marshalBody(render(f.res, f.degraded))
+	body, err := marshalBody(renderRows(f.res, f.degraded))
 	if err != nil {
 		return err
 	}
@@ -467,13 +423,13 @@ func (s *Server) runFlight(reqCtx context.Context, src *sources, q *query.Query,
 // streamed scan list.
 const streamFlushEvery = 512
 
-// streamScans renders a large select-mode response incrementally: scans are
+// streamScans renders every select-mode response incrementally: scans are
 // encoded one by one straight into the response writer and flushed in
 // chunks, so the server never materializes a second full copy of a huge
-// body (the chunked transfer encoding replaces Content-Length). A tee
-// buffer capped at the cache's per-entry bound still captures bodies small
-// enough to cache; past the cap the tee stops buffering, making the
-// per-request memory bound unconditional.
+// body (the chunked transfer encoding replaces Content-Length once the body
+// outgrows net/http's buffer). A tee buffer capped at the cache's per-entry
+// bound still captures bodies small enough to cache; past the cap the tee
+// stops buffering, making the per-request memory bound unconditional.
 func (s *Server) streamScans(w http.ResponseWriter, key string, res *query.Result, degraded bool, cacheState string) {
 	s.mStreamed.Inc()
 	w.Header().Set("Content-Type", "application/json")
@@ -564,41 +520,6 @@ func writeJSONError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-// splitList flattens repeated and comma-separated parameter values:
-// ?year=2020&year=2021,2022 yields [2020 2021 2022].
-func splitList(vals []string) []string {
-	var out []string
-	for _, v := range vals {
-		for _, part := range strings.Split(v, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				out = append(out, part)
-			}
-		}
-	}
-	return out
-}
-
-type portRow struct {
-	Port    uint16  `json:"port"`
-	Scans   uint64  `json:"scans"`
-	Packets uint64  `json:"packets"`
-	Share   float64 `json:"share"`
-}
-
-type toolRow struct {
-	Tool      string  `json:"tool"`
-	Scans     uint64  `json:"scans"`
-	Qualified uint64  `json:"qualified"`
-	Share     float64 `json:"share"`
-}
-
-type originRow struct {
-	Type    string `json:"type"`
-	Sources int    `json:"sources"`
-	Scans   uint64 `json:"scans"`
-	Packets uint64 `json:"packets"`
 }
 
 type archiveInfo struct {

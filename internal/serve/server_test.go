@@ -91,8 +91,45 @@ func testServer(t *testing.T, origins bool) (*httptest.Server, *obs.Registry, in
 	rd.SetMetrics(reg)
 	srv := newServer([]source{&file{path: path, rd: rd}}, Config{CacheBytes: 64 << 20}, reg)
 	ts := httptest.NewServer(srv.Handler())
+	// Cleanups run last-in first-out: the books are read after ts.Close has
+	// waited out every request.
+	t.Cleanup(func() { checkBooks(t, reg) })
 	t.Cleanup(ts.Close)
 	return ts, reg, n
+}
+
+// checkBooks asserts the server's two accounting laws: every query request
+// is refused before execution, served from the cache, or joins a flight as
+// its leader or a follower; and every flight leader was admitted or
+// rejected.
+func checkBooks(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	c := reg.Snapshot().Counter
+	requests := c("query.requests")
+	disposed := c("query.parse_errors") + c("synserve.cache.hits") +
+		c("server.singleflight.leaders") + c("server.singleflight.shared")
+	if requests != disposed {
+		t.Errorf("query.requests = %d, but parse errors + cache hits + flight leaders + followers = %d",
+			requests, disposed)
+	}
+	leaders := c("server.singleflight.leaders")
+	if admitted := c("server.admission.admitted") + c("server.admission.rejected"); leaders != admitted {
+		t.Errorf("server.singleflight.leaders = %d, but admitted + rejected = %d", leaders, admitted)
+	}
+}
+
+// postJSON POSTs body to base's /v1/query, requires a 200 and decodes the
+// response into into.
+func postJSON(t *testing.T, base, body string, into any) *http.Response {
+	t.Helper()
+	resp, out := postQuery(t, base, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: %d: %s", body, resp.StatusCode, out)
+	}
+	if err := json.Unmarshal(out, into); err != nil {
+		t.Fatalf("POST %s: bad JSON: %v\n%s", body, err, out)
+	}
+	return resp
 }
 
 func getJSON(t *testing.T, url string, into any) *http.Response {
@@ -124,7 +161,7 @@ func TestScansEndpoint(t *testing.T) {
 		Truncated bool             `json:"truncated"`
 		Scans     []query.WireScan `json:"scans"`
 	}
-	getJSON(t, ts.URL+"/v1/scans?limit=50", &res)
+	postJSON(t, ts.URL, `{"limit": 50}`, &res)
 	if res.Matched != uint64(n) {
 		t.Fatalf("matched %d, want %d", res.Matched, n)
 	}
@@ -135,7 +172,7 @@ func TestScansEndpoint(t *testing.T) {
 		t.Fatal("origins archive returned scans without origin")
 	}
 
-	getJSON(t, ts.URL+"/v1/scans?year=2020&limit=1000", &res)
+	postJSON(t, ts.URL, `{"where": {"field": "year", "eq": 2020}, "limit": 1000}`, &res)
 	if res.Matched != uint64(n/2) {
 		t.Fatalf("year=2020 matched %d, want %d", res.Matched, n/2)
 	}
@@ -145,7 +182,11 @@ func TestScansEndpoint(t *testing.T) {
 		}
 	}
 
-	getJSON(t, ts.URL+"/v1/scans?tool=zmap&port=22&qualified=true&limit=1000", &res)
+	postJSON(t, ts.URL, `{"where": {"and": [
+		{"field": "tool", "eq": "zmap"},
+		{"field": "port", "eq": 22},
+		{"field": "qualified", "eq": true}
+	]}, "limit": 1000}`, &res)
 	if res.Matched == 0 {
 		t.Fatal("tool+port+qualified filter matched nothing")
 	}
@@ -155,59 +196,9 @@ func TestScansEndpoint(t *testing.T) {
 		}
 	}
 
-	getJSON(t, ts.URL+"/v1/scans?src=10.0.0.0/28&limit=1000", &res)
+	postJSON(t, ts.URL, `{"where": {"field": "src", "prefix": "10.0.0.0/28"}, "limit": 1000}`, &res)
 	if res.Matched == 0 || res.Matched == uint64(n) {
 		t.Fatalf("src prefix filter matched %d of %d", res.Matched, n)
-	}
-}
-
-func TestTablesEndpoints(t *testing.T) {
-	ts, _, n := testServer(t, true)
-
-	var ports struct {
-		TotalScans uint64    `json:"total_scans"`
-		Ports      []portRow `json:"ports"`
-	}
-	getJSON(t, ts.URL+"/v1/tables/ports?top=3", &ports)
-	if ports.TotalScans != uint64(n) || len(ports.Ports) != 3 {
-		t.Fatalf("ports: total=%d rows=%d", ports.TotalScans, len(ports.Ports))
-	}
-	if ports.Ports[0].Scans < ports.Ports[1].Scans {
-		t.Fatal("ports not ranked by scans")
-	}
-
-	var tls struct {
-		TotalScans uint64    `json:"total_scans"`
-		Tools      []toolRow `json:"tools"`
-	}
-	getJSON(t, ts.URL+"/v1/tables/tools", &tls)
-	if tls.TotalScans != uint64(n) || len(tls.Tools) != 3 {
-		t.Fatalf("tools: total=%d rows=%d", tls.TotalScans, len(tls.Tools))
-	}
-	var share float64
-	for _, r := range tls.Tools {
-		share += r.Share
-	}
-	if share < 0.999 || share > 1.001 {
-		t.Fatalf("tool shares sum to %v", share)
-	}
-
-	var origins struct {
-		Types []originRow `json:"types"`
-	}
-	getJSON(t, ts.URL+"/v1/tables/origins", &origins)
-	if len(origins.Types) != 3 {
-		t.Fatalf("origins: %d types, want 3", len(origins.Types))
-	}
-	var scans uint64
-	for _, r := range origins.Types {
-		scans += r.Scans
-		if r.Sources == 0 {
-			t.Fatalf("type %s has no sources", r.Type)
-		}
-	}
-	if scans != uint64(n) {
-		t.Fatalf("origin scans sum to %d, want %d", scans, n)
 	}
 }
 
@@ -235,60 +226,49 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestBadRequests: a well-formed request with a value its field cannot take
+// is a 400 with a JSON error body.
 func TestBadRequests(t *testing.T) {
 	ts, _, _ := testServer(t, false)
-	for _, q := range []string{
-		"/v1/scans?year=twenty",
-		"/v1/scans?tool=nessus",
-		"/v1/scans?port=99999",
-		"/v1/scans?src=300.0.0.0/8",
-		"/v1/scans?limit=0",
-		"/v1/scans?qualified=maybe",
-		"/v1/tables/ports?top=-1",
-		"/v1/tables/origins", // origin-less archive
+	for _, body := range []string{
+		`{"where": {"field": "year", "eq": "twenty"}}`,
+		`{"where": {"field": "tool", "eq": "nessus"}}`,
+		`{"where": {"field": "port", "eq": 99999}}`,
+		`{"where": {"field": "src", "prefix": "300.0.0.0/8"}}`,
+		`{"where": {"field": "qualified", "eq": "maybe"}}`,
+		`{"limit": -1}`,
+		`{"group_by": ["port"], "aggs": [{"op": "count"}], "limit": -1}`,
+		`{"group_by": ["type"], "aggs": [{"op": "count"}]}`, // origin-less archive
 	} {
-		resp, err := http.Get(ts.URL + q)
-		if err != nil {
-			t.Fatal(err)
+		resp, out := postQuery(t, ts.URL, body)
+		var e struct {
+			Error string `json:"error"`
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("GET %s: %d, want 400", q, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &e) != nil || e.Error == "" {
+			t.Errorf("POST %s: %d %s, want 400 with a JSON error", body, resp.StatusCode, out)
 		}
-	}
-	resp, err := http.Post(ts.URL+"/v1/scans", "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST: %d, want 405", resp.StatusCode)
 	}
 }
 
 // TestCacheHits: the second identical query is served from the LRU — same
-// body, X-Cache flips to hit, and the hit counter moves. Parameter order
-// must not fragment the cache.
+// body, X-Cache flips to hit, and the hit counter moves. Key order and the
+// order of and-children must not fragment the cache.
 func TestCacheHits(t *testing.T) {
 	ts, reg, _ := testServer(t, true)
 
-	get := func(q string) (string, []byte) {
+	post := func(body string) (string, []byte) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
+		resp, out := postQuery(t, ts.URL, body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", q, resp.StatusCode)
+			t.Fatalf("POST %s: %d", body, resp.StatusCode)
 		}
-		return resp.Header.Get("X-Cache"), body
+		return resp.Header.Get("X-Cache"), out
 	}
 
-	c1, b1 := get("/v1/scans?year=2020&tool=zmap&limit=20")
-	c2, b2 := get("/v1/scans?year=2020&tool=zmap&limit=20")
-	c3, b3 := get("/v1/scans?tool=zmap&limit=20&year=2020") // reordered params
+	q := `{"where": {"and": [{"field": "year", "eq": 2020}, {"field": "tool", "eq": "zmap"}]}, "limit": 20}`
+	c1, b1 := post(q)
+	c2, b2 := post(q)
+	c3, b3 := post(`{"limit": 20, "where": {"and": [{"field": "tool", "eq": "ZMap"}, {"field": "year", "eq": 2020}]}}`)
 	if c1 != "miss" || c2 != "hit" || c3 != "hit" {
 		t.Fatalf("X-Cache sequence %q %q %q, want miss hit hit", c1, c2, c3)
 	}
@@ -305,19 +285,19 @@ func TestCacheHits(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueries hammers every endpoint from several goroutines;
-// run under -race this doubles as the data-race check for the shared
-// reader, cache and counters.
+// TestConcurrentQueries hammers both routes from several goroutines; run
+// under -race this doubles as the data-race check for the shared reader,
+// cache and counters.
 func TestConcurrentQueries(t *testing.T) {
 	ts, reg, _ := testServer(t, true)
 
-	urls := []string{
-		"/v1/scans?year=2020&limit=10",
-		"/v1/scans?year=2023&tool=masscan&limit=10",
-		"/v1/tables/ports?top=5",
-		"/v1/tables/tools?qualified=true",
-		"/v1/tables/origins?year=2020",
-		"/v1/stats",
+	bodies := []string{ // "" is GET /v1/stats
+		`{"where": {"field": "year", "eq": 2020}, "limit": 10}`,
+		`{"where": {"and": [{"field": "year", "eq": 2023}, {"field": "tool", "eq": "masscan"}]}, "limit": 10}`,
+		`{"group_by": ["port"], "aggs": [{"op": "count"}, {"op": "sum", "field": "packets"}], "limit": 5}`,
+		`{"where": {"field": "qualified", "eq": true}, "group_by": ["tool"], "aggs": [{"op": "count"}]}`,
+		`{"where": {"field": "year", "eq": 2020}, "group_by": ["type"], "aggs": [{"op": "count"}, {"op": "count_distinct", "field": "src"}]}`,
+		"",
 	}
 	const goroutines, rounds = 8, 10
 	var wg sync.WaitGroup
@@ -327,8 +307,14 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				u := urls[(g+i)%len(urls)]
-				resp, err := http.Get(ts.URL + u)
+				body := bodies[(g+i)%len(bodies)]
+				var resp *http.Response
+				var err error
+				if body == "" {
+					resp, err = http.Get(ts.URL + "/v1/stats")
+				} else {
+					resp, err = post(ts, body)
+				}
 				if err != nil {
 					errs <- err
 					return
@@ -336,7 +322,7 @@ func TestConcurrentQueries(t *testing.T) {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("GET %s: %d", u, resp.StatusCode)
+					errs <- fmt.Errorf("request %q: %d", body, resp.StatusCode)
 					return
 				}
 			}

@@ -230,10 +230,7 @@ func (src *sources) any(is func(pinned) bool) bool {
 
 // runQuery executes a validated query against the request's sources through
 // the engine: one streaming partial per source under zone-map pushdown,
-// merged in source order. Every endpoint — POST /v1/query and the legacy GET
-// surfaces — funnels through here (inside a singleflight leader), so
-// pushdown, deadline abort, degraded reads and the query.* metrics behave
-// identically everywhere.
+// merged in source order, inside a singleflight leader.
 func (src *sources) runQuery(ctx context.Context, q *query.Query) (*query.Result, error) {
 	s := src.s
 	sp := obs.StartSpan(s.mQueryExec)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -38,10 +37,10 @@ func storeScans(base, n int) []*core.Scan {
 	return out
 }
 
-// getCache GETs a query and returns the X-Cache header and parsed body.
-func getCache(t *testing.T, url string, into any) string {
+// postCache POSTs a query and returns the X-Cache header and parsed body.
+func postCache(t *testing.T, base, body string, into any) string {
 	t.Helper()
-	return getJSON(t, url, into).Header.Get("X-Cache")
+	return postJSON(t, base, body, into).Header.Get("X-Cache")
 }
 
 // TestSegmentStoreServing: synserve over a live segment store picks up newly
@@ -79,15 +78,15 @@ func TestSegmentStoreServing(t *testing.T) {
 		Matched  uint64 `json:"matched"`
 		Degraded bool   `json:"degraded"`
 	}
-	q := ts.URL + "/v1/scans?limit=1"
-	if c := getCache(t, q, &res); c != "miss" || res.Matched != 100 {
+	const q = `{"limit": 1}`
+	if c := postCache(t, ts.URL, q, &res); c != "miss" || res.Matched != 100 {
 		t.Fatalf("first query: cache=%s matched=%d", c, res.Matched)
 	}
-	if c := getCache(t, q, &res); c != "hit" || res.Matched != 100 {
+	if c := postCache(t, ts.URL, q, &res); c != "hit" || res.Matched != 100 {
 		t.Fatalf("repeat query: cache=%s matched=%d", c, res.Matched)
 	}
 
-	// Seal a second segment and let the catalog discover it: the same URL
+	// Seal a second segment and let the catalog discover it: the same query
 	// must recompute (new generation, new cache key), not serve the stale
 	// 100-scan body.
 	for _, sc := range storeScans(100, 50) {
@@ -101,10 +100,10 @@ func TestSegmentStoreServing(t *testing.T) {
 	if changed, err := cat.Refresh(); err != nil || !changed {
 		t.Fatalf("refresh: changed=%v err=%v", changed, err)
 	}
-	if c := getCache(t, q, &res); c != "miss" || res.Matched != 150 {
+	if c := postCache(t, ts.URL, q, &res); c != "miss" || res.Matched != 150 {
 		t.Fatalf("post-discovery query: cache=%s matched=%d, want miss/150", c, res.Matched)
 	}
-	if c := getCache(t, q, &res); c != "hit" || res.Matched != 150 {
+	if c := postCache(t, ts.URL, q, &res); c != "hit" || res.Matched != 150 {
 		t.Fatalf("post-discovery repeat: cache=%s matched=%d", c, res.Matched)
 	}
 
@@ -117,7 +116,7 @@ func TestSegmentStoreServing(t *testing.T) {
 	if _, err := cat.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if c := getCache(t, q, &res); c != "miss" || res.Matched != 150 {
+	if c := postCache(t, ts.URL, q, &res); c != "miss" || res.Matched != 150 {
 		t.Fatalf("post-compaction query: cache=%s matched=%d, want miss/150", c, res.Matched)
 	}
 
@@ -167,18 +166,18 @@ func TestDegradedResponsesNotCached(t *testing.T) {
 		Matched  uint64 `json:"matched"`
 		Degraded bool   `json:"degraded"`
 	}
-	q := ts.URL + "/v1/scans?limit=1"
+	const q = `{"limit": 1}`
 	// The corruption is only discovered during the first read, so the first
 	// body may or may not carry degraded:true depending on decode order — but
 	// by the time the cache-put decision runs, CorruptBlocks is non-zero and
 	// the body must be dropped.
-	if c := getCache(t, q, &res); c != "miss" || res.Matched >= uint64(n) {
+	if c := postCache(t, ts.URL, q, &res); c != "miss" || res.Matched >= uint64(n) {
 		t.Fatalf("first query: cache=%s matched=%d of %d", c, res.Matched, n)
 	}
 	if srv.cache.len() != 0 {
 		t.Fatalf("degraded body entered the cache (%d entries)", srv.cache.len())
 	}
-	if c := getCache(t, q, &res); c != "miss" || !res.Degraded {
+	if c := postCache(t, ts.URL, q, &res); c != "miss" || !res.Degraded {
 		t.Fatalf("second query: cache=%s degraded=%v, want recompute", c, res.Degraded)
 	}
 	if srv.cache.len() != 0 {
@@ -203,15 +202,10 @@ func TestEmptyStoreServes(t *testing.T) {
 		Matched  uint64 `json:"matched"`
 		Degraded bool   `json:"degraded"`
 	}
-	if c := getCache(t, ts.URL+"/v1/scans", &res); c != "miss" || res.Matched != 0 || res.Degraded {
+	if c := postCache(t, ts.URL, `{}`, &res); c != "miss" || res.Matched != 0 || res.Degraded {
 		t.Fatalf("empty store: cache=%s matched=%d degraded=%v", c, res.Matched, res.Degraded)
 	}
-	resp, err := http.Get(ts.URL + "/v1/tables/origins")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	resp, _ := postQuery(t, ts.URL, `{"group_by": ["type"], "aggs": [{"op": "count"}]}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("origins over empty store: %d, want 400", resp.StatusCode)
 	}

@@ -5,7 +5,7 @@ package synscan
 // through manifest rescans — no restart — and a one-shot compaction merges
 // them without changing a byte of any query result. The reference for
 // correctness is the batch path: synalyze over the same spool into one
-// sealed archive must yield a byte-identical /v1/scans body.
+// sealed archive must yield a byte-identical scan-list body.
 
 import (
 	"bufio"
@@ -81,6 +81,29 @@ func getBody(t *testing.T, url string) []byte {
 	return body
 }
 
+// allScans is the scan-list query whose bodies the live and batch paths must
+// agree on byte for byte.
+const allScans = `{"limit":100000}`
+
+// postBody POSTs query to base's /v1/query and returns the raw response body,
+// failing on transport errors or non-200 statuses.
+func postBody(t *testing.T, base, query string) []byte {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/query", "application/json", strings.NewReader(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: %d\n%s", query, resp.StatusCode, body)
+	}
+	return body
+}
+
 // storeStats polls /v1/stats and returns the first store's segment and scan
 // counts.
 func storeStats(t *testing.T, base string) (segments int, scans uint64) {
@@ -103,7 +126,7 @@ func storeStats(t *testing.T, base string) (segments int, scans uint64) {
 // TestLiveIngestServe: the ISSUE-6 acceptance path. syningest seals >= 3
 // segments into a store while synserve is already running over it; the
 // server's rescan loop discovers them without restart; a one-shot compaction
-// merges them; and at every step the /v1/scans body is byte-identical to the
+// merges them; and at every step the scan-list body is byte-identical to the
 // one served from a single sealed archive produced by the batch path over
 // the same capture.
 func TestLiveIngestServe(t *testing.T) {
@@ -148,13 +171,12 @@ func TestLiveIngestServe(t *testing.T) {
 	// The server starts over the still-empty store and stays up for the
 	// whole test: every later observation is a live discovery, not a reload.
 	base := startServe(t, synserve, "-rescan", "50ms", store)
-	query := base + "/v1/scans?limit=100000"
 
 	var res struct {
 		Matched  uint64 `json:"matched"`
 		Degraded bool   `json:"degraded"`
 	}
-	if err := json.Unmarshal(getBody(t, query), &res); err != nil {
+	if err := json.Unmarshal(postBody(t, base, allScans), &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Matched != 0 || res.Degraded {
@@ -191,13 +213,13 @@ func TestLiveIngestServe(t *testing.T) {
 		t.Fatalf("ingest sealed only %d segments, want >= 3", segs)
 	}
 
-	liveBody := getBody(t, query)
+	liveBody := postBody(t, base, allScans)
 
 	// Byte-level equivalence: a second synserve over the batch archive must
-	// produce the identical /v1/scans body — same scans, same emit order,
+	// produce the identical scan-list body — same scans, same emit order,
 	// same encoding.
 	refBase := startServe(t, synserve, ref)
-	refBody := getBody(t, refBase+"/v1/scans?limit=100000")
+	refBody := postBody(t, refBase, allScans)
 	if !bytes.Equal(liveBody, refBody) {
 		t.Fatalf("live store and sealed archive disagree:\n live: %.300s\n ref:  %.300s",
 			liveBody, refBody)
@@ -223,7 +245,7 @@ func TestLiveIngestServe(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if body := getBody(t, query); !bytes.Equal(body, refBody) {
+	if body := postBody(t, base, allScans); !bytes.Equal(body, refBody) {
 		t.Fatalf("post-compaction body diverged:\n got: %.300s\n ref: %.300s", body, refBody)
 	}
 }
@@ -260,17 +282,12 @@ func TestLiveIngestReactive(t *testing.T) {
 	}
 
 	twoPhase := func(base string) uint64 {
-		resp, err := http.Post(base+"/v1/query", "application/json",
-			strings.NewReader(`{"where":{"field":"two_phase","eq":true},"aggs":[{"op":"count"}]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
 		var res struct {
 			Matched uint64 `json:"matched"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /v1/query: status %d, %v", resp.StatusCode, err)
+		body := postBody(t, base, `{"where":{"field":"two_phase","eq":true},"aggs":[{"op":"count"}]}`)
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
 		}
 		return res.Matched
 	}
@@ -278,8 +295,8 @@ func TestLiveIngestReactive(t *testing.T) {
 	if l, b := twoPhase(live), twoPhase(batch); l != b || b == 0 {
 		t.Fatalf("two-phase campaigns: live store %d, sealed archive %d", l, b)
 	}
-	liveBody := getBody(t, live+"/v1/scans?limit=100000")
-	refBody := getBody(t, batch+"/v1/scans?limit=100000")
+	liveBody := postBody(t, live, allScans)
+	refBody := postBody(t, batch, allScans)
 	if !bytes.Equal(liveBody, refBody) {
 		t.Fatalf("live store and sealed archive disagree:\n live: %.300s\n ref:  %.300s", liveBody, refBody)
 	}

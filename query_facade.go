@@ -10,9 +10,8 @@ import (
 // expression, grouping dimensions, aggregates — that one streaming engine
 // executes everywhere campaigns live: archive files (with zone-map predicate
 // pushdown), live segment stores, and in-memory YearData collections. The
-// same engine backs synserve's /v1/query endpoint and the legacy table
-// endpoints, so a query built here computes exactly what the service serves
-// (see internal/query).
+// same engine backs synserve's POST /v1/query, so a query built here computes
+// exactly what the service serves (see internal/query).
 //
 //	q, err := synscan.NewQuery().
 //	        Years(2020, 2021).
