@@ -6,6 +6,7 @@ import (
 
 	"github.com/synscan/synscan/internal/alloctest"
 	"github.com/synscan/synscan/internal/packet"
+	"github.com/synscan/synscan/internal/rng"
 )
 
 // TestAllocBudgetAbsorb is the enforced budget for the detector's
@@ -73,4 +74,65 @@ func (c *churn) flow() {
 func TestAllocBudgetChurn(t *testing.T) {
 	c := &churn{d: NewDetector(Config{TelescopeSize: testTelescopeSize}, nil)}
 	alloctest.Check(t, "detector-churn", 2, c.flow)
+}
+
+// campaignRounds drives a detector through rounds that each open noiseFlows
+// single-packet sources and then one 300-destination campaign. A round's
+// flows stay open for campaignWindow rounds and close together at the first
+// probe of the round that many later; within a round the noise probes arrive
+// in a shuffled order, so the noise flows close in another order than they
+// opened in. Each campaign reopens a closed flow from behind its round's
+// noise flows, and which one moves from round to round over the few hundred
+// in circulation, as on a telescope.
+type campaignRounds struct {
+	d     Ingester
+	r     *rng.Rand
+	round int64
+	src   uint32
+	p     packet.Probe // lives here so that handing &p to Ingest allocates nothing
+}
+
+const (
+	noiseFlows     = 7  // a prime: the shuffle is i ↦ a·i + b mod noiseFlows
+	campaignWindow = 32 // rounds a flow stays open
+	roundGap       = int64(time.Second)
+)
+
+// campaignConfig expires a round's flows campaignWindow rounds after it.
+var campaignConfig = Config{TelescopeSize: testTelescopeSize, Expiry: campaignWindow*roundGap - roundGap/2}
+
+func (c *campaignRounds) next() {
+	c.round++
+	t0 := c.round * roundGap
+	a, b := 1+c.r.Intn(noiseFlows-1), c.r.Intn(noiseFlows)
+	c.p = packet.Probe{Flags: packet.FlagSYN, DstPort: 23, Dst: 0x0a000000}
+	for i := 0; i < noiseFlows; i++ {
+		c.src++
+		c.p.Src, c.p.Time = c.src, t0+int64((a*i+b)%noiseFlows)
+		c.d.Ingest(&c.p)
+	}
+	c.src++
+	c.p.Src = c.src
+	for i := 0; i < 300; i++ {
+		c.p.Time, c.p.Dst = t0+int64(noiseFlows+i), uint32(0x0a000000+i*7)
+		c.d.Ingest(&c.p)
+	}
+}
+
+// TestAllocBudgetChurnCampaigns is the enforced budget for campaigns that
+// recycle: once warm, a round costs what its eight closed flows hand the
+// caller — a Scan and its Ports each — and nothing for the campaign's
+// 512-slot destination table, which it takes from the table pool instead of
+// regrowing from the eight slots of the flow it reopens. Reported under
+// "detector-churn-campaigns".
+func TestAllocBudgetChurnCampaigns(t *testing.T) {
+	var closed int
+	c := &campaignRounds{d: NewDetector(campaignConfig, func(*Scan) { closed++ }), r: rng.New(5)}
+	for i := 0; i < 2*campaignWindow; i++ {
+		c.next()
+	}
+	if want := campaignWindow * (noiseFlows + 1); closed != want {
+		t.Fatalf("%d flows closed in %d rounds, want %d", closed, 2*campaignWindow, want)
+	}
+	alloctest.Check(t, "detector-churn-campaigns", 2*(noiseFlows+1), c.next)
 }

@@ -7,18 +7,20 @@
 // at least MinDistinctDsts distinct telescope addresses at an extrapolated
 // Internet-wide rate of at least MinRatePPS packets per second; a flow that
 // stays silent for the Expiry window is closed. The detector is a streaming,
-// single-pass structure: per-source state lives in a hash table threaded
-// onto an intrusive LRU list ordered by last activity, so expiry is O(1)
-// amortized per packet regardless of how many sources are live.
+// single-pass structure: per-source state is found through an open-addressed
+// source table hashed with a per-detector random multiplier (srctable.go) and
+// threaded onto an intrusive LRU list ordered by last activity, so expiry is
+// O(1) amortized per packet regardless of how many sources are live.
 //
 // A flow's two sets are purpose-built (sets.go): destinations and their phase
 // bits in an open-addressed table that empties in O(1), ports inline in the
 // flow until a ninth distinct port spills them to a bitmap. Closed flows are
-// recycled with their tables, under the byte bound stated beside
-// maxFreeFlows.
+// recycled; destination tables past eight slots and spilled bitmaps return to
+// detector-level pools, all under the byte bound stated beside maxFreeFlows.
 package core
 
 import (
+	"math/rand/v2"
 	"time"
 
 	"github.com/synscan/synscan/internal/fingerprint"
@@ -189,9 +191,10 @@ type flow struct {
 
 // absorb folds one probe into the flow: phase routing, per-destination link
 // bits, port set and fingerprint votes. Shared by every detector variant so
-// their per-packet semantics cannot drift apart. A port set that spills takes
-// its bitmap from pool (nil: allocate one).
-func (f *flow) absorb(p *packet.Probe, pool *bitmapPool) {
+// their per-packet semantics cannot drift apart. A destination set that grows
+// takes its table from tables, a port set that spills its bitmap from
+// bitmaps (nil: allocate one).
+func (f *flow) absorb(p *packet.Probe, bitmaps *bitmapPool, tables *dstPool) {
 	f.packets++
 	var bit uint8 = dstScout
 	if p.IsTCP() && p.Flags&packet.FlagSYN == 0 {
@@ -201,10 +204,10 @@ func (f *flow) absorb(p *packet.Probe, pool *bitmapPool) {
 	} else {
 		f.votes.Add(p)
 	}
-	if old, now := f.dsts.or(p.Dst, bit); now != old && now == dstLinked {
+	if old, now := f.dsts.or(p.Dst, bit, tables); now != old && now == dstLinked {
 		f.linked++
 	}
-	f.ports.add(p.DstPort, pool)
+	f.ports.add(p.DstPort, bitmaps)
 }
 
 // finalize turns a closed flow into a Scan under cfg's thresholds. Shared by
@@ -276,7 +279,7 @@ var (
 // Detector is the streaming campaign detector. Not safe for concurrent use.
 type Detector struct {
 	cfg   Config
-	flows map[uint32]*flow
+	flows srcTable // the open flows by source
 	// LRU list: head is the least recently active flow.
 	head, tail *flow
 	emit       func(*Scan)
@@ -285,28 +288,36 @@ type Detector struct {
 
 	// Free list of closed flows for reuse (threaded on next). Recycling
 	// keeps the open/close churn of a long-running telescope from
-	// allocating: a reused flow keeps its destination table, emptied by a
-	// generation bump, so re-opening a source costs no allocations and no
-	// clearing. What the list may hold is bounded below.
+	// allocating: a reused flow keeps an eight-slot destination table,
+	// emptied by a generation bump, and a flow that needs more takes a
+	// pooled table, so re-opening a source costs no allocations and no
+	// clearing. What the list and the pools may hold is bounded below.
 	free  *flow
 	nfree int
-	// Idle port bitmaps, for the next flow whose port set spills.
+	// Idle destination tables larger than eight slots, for the next flow
+	// whose set grows, and idle port bitmaps, for the next that spills.
+	tables  dstPool
 	bitmaps bitmapPool
 
 	opened, closed, qualified uint64
 }
 
 // Flow recycling bounds. At most maxFreeFlows closed flows wait for reuse,
-// each holding its struct (280 B) and a destination table of at most
-// maxRecycledSlots slots, 64 KiB (a flow that saw up to 6144 destinations
-// keeps its table; a larger one goes back to the collector and the flow is
-// parked without it) and never a port bitmap: those return to the detector's
-// pool of at most maxPooledBitmaps, 8 KiB each. A detector's idle state is
-// therefore at most maxFreeFlows × (280 B + 64 KiB) + 16 × 8 KiB, whatever
-// traffic came before. TestRecycleBounds holds the free list to it.
+// each holding its struct (280 B) and at most a minDstSlots destination
+// table (64 B). A larger table returns to the detector's table pool, which
+// keeps at most maxPooledTables of each power-of-two size up to
+// maxRecycledSlots (64 KiB; a table that grew past it goes back to the
+// collector), and a spilled port bitmap to the bitmap pool of at most
+// maxPooledBitmaps, 8 KiB each. A detector's idle state is therefore at most
+// maxFreeFlows × (280 B + 64 B) + 8 × (8 + 16 + … + 8192) × 8 B + 16 × 8 KiB
+// ≈ 6.5 MiB, whatever traffic came before. TestRecycleBounds holds the free
+// list and the pools to it. The source table is not idle state: it is at
+// most half full, 16 B a slot, and does not shrink, so it holds at most
+// 64 B per flow that was open at the peak.
 const (
 	maxFreeFlows     = 1 << 14
 	maxRecycledSlots = 1 << 13
+	maxPooledTables  = 8
 	maxPooledBitmaps = 16
 )
 
@@ -331,11 +342,9 @@ func (d *Detector) newFlow(src uint32, start int64) *flow {
 // aliases the flow here.
 func (d *Detector) recycle(f *flow) {
 	f.ports.reset(&d.bitmaps)
+	f.dsts.release(&d.tables)
 	if d.nfree >= maxFreeFlows {
 		return
-	}
-	if len(f.dsts.slots) > maxRecycledSlots {
-		f.dsts = dstSet{}
 	}
 	f.prev = nil
 	f.next = d.free
@@ -348,7 +357,7 @@ func (d *Detector) recycle(f *flow) {
 func newSequentialDetector(cfg Config, emit func(*Scan), met *detMetrics) *Detector {
 	return &Detector{
 		cfg:   cfg.withDefaults(),
-		flows: make(map[uint32]*flow),
+		flows: newSrcTable(srcMultiplier(rand.Uint64)),
 		emit:  emit,
 		met:   met,
 	}
@@ -363,11 +372,12 @@ func (d *Detector) Ingest(p *packet.Probe) {
 	}
 	d.expireBefore(d.now - d.cfg.Expiry)
 
-	f := d.flows[p.Src]
+	slot := d.flows.find(p.Src)
+	f := slot.f
 	if f == nil {
 		reused := d.free != nil
 		f = d.newFlow(p.Src, p.Time)
-		d.flows[p.Src] = f
+		d.flows.insert(slot, f)
 		d.opened++
 		if d.met != nil {
 			d.met.opened.Inc()
@@ -391,7 +401,7 @@ func (d *Detector) Ingest(p *packet.Probe) {
 	if d.met != nil {
 		d.met.packets.Inc()
 	}
-	f.absorb(p, &d.bitmaps)
+	f.absorb(p, &d.bitmaps, &d.tables)
 	d.lruAppend(f)
 }
 
@@ -426,7 +436,7 @@ func (d *Detector) expireBefore(cutoff int64) {
 	for d.head != nil && d.head.end < cutoff {
 		f := d.head
 		d.lruUnlink(f)
-		delete(d.flows, f.src)
+		d.flows.remove(f)
 		if d.met != nil {
 			d.met.expired.Inc()
 		}
@@ -439,7 +449,7 @@ func (d *Detector) FlushAll() {
 	for d.head != nil {
 		f := d.head
 		d.lruUnlink(f)
-		delete(d.flows, f.src)
+		d.flows.remove(f)
 		d.close(f)
 	}
 }
@@ -468,7 +478,7 @@ func (d *Detector) close(f *flow) {
 }
 
 // ActiveFlows returns the number of currently open flows.
-func (d *Detector) ActiveFlows() int { return len(d.flows) }
+func (d *Detector) ActiveFlows() int { return d.flows.n }
 
 // Counts returns (flows opened, flows closed, campaigns qualified).
 func (d *Detector) Counts() (opened, closed, qualified uint64) {
@@ -479,9 +489,15 @@ func (d *Detector) Counts() (opened, closed, qualified uint64) {
 // order expireBefore's early exit depends on. On time-ordered input f holds
 // the newest end and lands at the tail in zero steps; a flow opened or
 // touched by a late probe walks back past the flows active since its end, so
-// it cannot hide behind younger flows when the clock passes it.
+// it cannot hide behind younger flows when the clock passes it. A flow that
+// ends before the head does — a new flow whose first probe is older than
+// the expiry cutoff, since every open flow ends at or after it — would walk
+// the whole list to the head, so it goes there in one step.
 func (d *Detector) lruAppend(f *flow) {
 	at := d.tail
+	if at != nil && at.end > f.end && f.end < d.head.end {
+		at = nil
+	}
 	for at != nil && at.end > f.end {
 		at = at.prev
 	}

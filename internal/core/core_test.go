@@ -273,6 +273,54 @@ func TestReorderedProbeDoesNotBreakExpiry(t *testing.T) {
 	}
 }
 
+// TestBackDatedOpensSkipTheWalk: a new flow whose first probe is older than
+// the expiry cutoff ends before every open flow, so lruAppend puts it at the
+// head in one step instead of walking the whole list there. With 100 000
+// flows open, 10 000 fresh sources with back-dated probes must open (and
+// close, at the next probe) at about the cost of 10 000 in-order ones, where
+// a walk would step past every open flow for each; and the emitted scans
+// still agree with the probe stream.
+func TestBackDatedOpensSkipTheWalk(t *testing.T) {
+	const open, late = 100000, 10000
+	cfg := Config{TelescopeSize: testTelescopeSize}
+	scans, emit := collector()
+	d := NewDetector(cfg, emit)
+	stream := make([]packet.Probe, 0, open+6*late)
+	now := 2 * DefaultExpiry
+	src := uint32(0)
+	// feed ingests count new sources, the i-th at time at(i), and returns how
+	// long they took.
+	feed := func(count int, at func(i int) int64) time.Duration {
+		first := len(stream)
+		for i := 0; i < count; i++ {
+			src++
+			stream = append(stream, packet.Probe{Time: at(i), Src: src, Dst: 0x0A000001, DstPort: 80, Flags: packet.FlagSYN})
+		}
+		start := time.Now()
+		for i := first; i < len(stream); i++ {
+			d.Ingest(&stream[i])
+		}
+		return time.Since(start)
+	}
+	inOrder := func(i int) int64 { now += int64(time.Microsecond); return now }
+	backDated := func(i int) int64 { return int64(i) } // before now − Expiry
+	feed(open, inOrder)
+	fresh, early := time.Duration(1<<62), time.Duration(1<<62)
+	for rep := 0; rep < 3; rep++ { // the fastest of three, so a collection in one does not decide
+		fresh = min(fresh, feed(late, inOrder))
+		early = min(early, feed(late, backDated))
+	}
+	t.Logf("%d opens with %d flows open: in order %v, back-dated %v", late, open, fresh, early)
+	if early > 25*fresh {
+		t.Errorf("back-dated opens took %v, %.0f× the in-order ones: they walk the LRU list", early, float64(early)/float64(fresh))
+	}
+	d.FlushAll()
+	if len(*scans) != open+3*late+3*late {
+		t.Fatalf("%d scans, want one per source", len(*scans))
+	}
+	checkAgainstProbeStream(t, cfg, stream, *scans)
+}
+
 // TestAdvanceTime: the clock can move without a probe, expiring idle flows.
 func TestAdvanceTime(t *testing.T) {
 	scans, emit := collector()

@@ -13,7 +13,9 @@ import (
 // the difference. Results are identical to Detector's given the same input
 // (both close a flow the first time the stream's high-water mark passes the
 // flow's last activity plus the expiry window, and the sweep runs on every
-// packet).
+// packet). It keeps its flows in a Go map and passes flow.absorb no pools, so
+// as an oracle it shares neither the source table nor the table and bitmap
+// pools with the Detector it checks.
 type NaiveDetector struct {
 	cfg   Config
 	flows map[uint32]*flow
@@ -59,7 +61,7 @@ func (d *NaiveDetector) Ingest(p *packet.Probe) {
 	if p.Time > f.end {
 		f.end = p.Time
 	}
-	f.absorb(p, nil)
+	f.absorb(p, nil, nil)
 }
 
 // IngestBatch is a loop over Ingest, as in Detector.

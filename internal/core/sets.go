@@ -16,17 +16,18 @@ import (
 //	generation (24 bits) | destination (32 bits) | phase bits (8 bits)
 //
 // and is live when its generation is the table's. reset bumps the generation,
-// which frees every slot at once, so re-opening a recycled flow costs the same
-// whether its table holds eight slots or maxRecycledSlots; only the reset
-// that would overflow the 24 bits clears the table. A zero slot is never live
-// because generations start at 1.
+// which frees every slot at once, so emptying a table costs the same whether
+// it holds eight slots or maxRecycledSlots; only the reset that would
+// overflow the 24 bits clears the table. A table's generation travels with
+// it into and out of a dstPool, so no slot ever carries a generation above
+// its table's, and a zero slot is never live because generations start at 1.
 //
 // The home slot is the top bits of a multiplicative (Fibonacci) hash, so
 // destinations that agree in their low bits — a telescope's addresses share a
 // prefix, a strided scan shares a suffix — still spread over the table. The
-// table doubles when an insert takes it past three quarters full, which keeps
+// table grows when an insert takes it past three quarters full, which keeps
 // a free slot for every probe sequence to end on: 8 B per slot, 10.7–21.3 B
-// per destination.
+// per destination when it doubles.
 type dstSet struct {
 	slots []uint64 // length zero or a power of two
 	n     int      // live slots
@@ -41,10 +42,11 @@ const (
 )
 
 // or adds bit to dst's phase bits, inserting dst when it is new, and returns
-// the bits before and after.
-func (s *dstSet) or(dst uint32, bit uint8) (old, now uint8) {
+// the bits before and after. A set that grows takes its table from pool (nil:
+// allocate one).
+func (s *dstSet) or(dst uint32, bit uint8, pool *dstPool) (old, now uint8) {
 	if len(s.slots) == 0 {
-		s.grow()
+		s.grow(pool)
 	}
 	key := s.gen<<32 | uint64(dst) // a live slot for dst is key<<8 | bits
 	mask := uint64(len(s.slots) - 1)
@@ -64,30 +66,31 @@ func (s *dstSet) or(dst uint32, bit uint8) (old, now uint8) {
 	s.slots[i] = key<<8 | uint64(bit)
 	s.n++
 	if s.n*4 > len(s.slots)*3 {
-		s.grow()
+		s.grow(pool)
 	}
 	return 0, bit
 }
 
-// grow doubles the table (or allocates the first one) and rehashes the live
-// slots into it.
-func (s *dstSet) grow() {
-	old, gen := s.slots, s.gen
-	size := max(2*len(old), minDstSlots)
-	s.slots = make([]uint64, size)
-	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
-	s.gen = max(gen, 1)
-	mask := uint64(size - 1)
-	for _, v := range old {
-		if v>>40 != gen {
+// grow moves the set into the smallest table pool holds with at least twice
+// its slots (at least minDstSlots; a new table of exactly that size when pool
+// has none), rehashes the live slots into it under the new table's
+// generation, and hands the table it outgrew to pool.
+func (s *dstSet) grow(pool *dstPool) {
+	next := pool.take(max(2*len(s.slots), minDstSlots))
+	mask := uint64(len(next.slots) - 1)
+	for _, v := range s.slots {
+		if v>>40 != s.gen {
 			continue
 		}
-		i := uint64(uint32(v>>8)) * fibHash >> s.shift
-		for s.slots[i] != 0 {
+		i := uint64(uint32(v>>8)) * fibHash >> next.shift
+		for next.slots[i]>>40 == next.gen {
 			i = (i + 1) & mask
 		}
-		s.slots[i] = v
+		next.slots[i] = next.gen<<40 | v&(1<<40-1)
 	}
+	next.n = s.n
+	pool.put(*s)
+	*s = next
 }
 
 // reset empties the set and keeps its table.
@@ -96,6 +99,57 @@ func (s *dstSet) reset() {
 	if s.gen++; s.gen > maxDstGen {
 		clear(s.slots)
 		s.gen = 1
+	}
+}
+
+// release is what a closing flow does with its table: one of minDstSlots
+// stays with the set (reset empties it at reuse), a larger one goes to pool.
+func (s *dstSet) release(pool *dstPool) {
+	if len(s.slots) > minDstSlots {
+		pool.put(*s)
+		*s = dstSet{}
+	}
+}
+
+// dstPool keeps a detector's idle destination tables by size, for the next
+// set that grows: a campaign opened from behind noise flows takes the table
+// an earlier campaign grew instead of regrowing from eight slots, and a
+// single-packet flow never inherits a large one. idle[k] holds tables of
+// minDstSlots<<k slots, at most maxPooledTables of each size from minDstSlots
+// to maxRecycledSlots; the rest go back to the collector. A nil pool
+// allocates on take and keeps nothing.
+type dstPool struct {
+	idle [dstPoolSizes][]dstSet
+}
+
+const dstPoolSizes = 11 // minDstSlots … maxRecycledSlots
+
+// take returns an empty table of at least size slots, a power of two.
+func (p *dstPool) take(size int) dstSet {
+	if p != nil {
+		for k := bits.TrailingZeros(uint(size / minDstSlots)); k < dstPoolSizes; k++ {
+			if n := len(p.idle[k]); n > 0 {
+				s := p.idle[k][n-1]
+				p.idle[k] = p.idle[k][:n-1]
+				s.reset()
+				return s
+			}
+		}
+	}
+	return dstSet{
+		slots: make([]uint64, size),
+		gen:   1,
+		shift: uint8(64 - bits.TrailingZeros(uint(size))),
+	}
+}
+
+// put keeps s's table, with its generation, for a later take.
+func (p *dstPool) put(s dstSet) {
+	if p == nil || len(s.slots) == 0 || len(s.slots) > maxRecycledSlots {
+		return
+	}
+	if k := bits.TrailingZeros(uint(len(s.slots) / minDstSlots)); len(p.idle[k]) < maxPooledTables {
+		p.idle[k] = append(p.idle[k], s)
 	}
 }
 

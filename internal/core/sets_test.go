@@ -11,12 +11,13 @@ import (
 // setsModel drives a dstSet and a portSet beside Go-map oracles. Every
 // operation is checked as it is made; check compares the whole state.
 type setsModel struct {
-	t     testing.TB
-	dsts  dstSet
-	ports portSet
-	pool  bitmapPool
-	dm    map[uint32]uint8
-	pm    map[uint16]struct{}
+	t       testing.TB
+	dsts    dstSet
+	ports   portSet
+	tables  dstPool
+	bitmaps bitmapPool
+	dm      map[uint32]uint8
+	pm      map[uint16]struct{}
 }
 
 func newSetsModel(t testing.TB) *setsModel {
@@ -25,7 +26,7 @@ func newSetsModel(t testing.TB) *setsModel {
 
 func (m *setsModel) or(dst uint32, bit uint8) {
 	m.t.Helper()
-	old, now := m.dsts.or(dst, bit)
+	old, now := m.dsts.or(dst, bit, &m.tables)
 	if want := m.dm[dst]; old != want || now != want|bit {
 		m.t.Fatalf("or(%#x, %d) = (%d, %d), oracle had %d", dst, bit, old, now, want)
 	}
@@ -41,7 +42,7 @@ func (m *setsModel) or(dst uint32, bit uint8) {
 
 func (m *setsModel) add(port uint16) {
 	m.t.Helper()
-	m.ports.add(port, &m.pool)
+	m.ports.add(port, &m.bitmaps)
 	m.pm[port] = struct{}{}
 	if m.ports.n != len(m.pm) {
 		m.t.Fatalf("after add(%d): n = %d, oracle %d", port, m.ports.n, len(m.pm))
@@ -51,12 +52,23 @@ func (m *setsModel) add(port uint16) {
 	}
 }
 
-// reset is what closing and re-opening a recycled flow does to its sets.
+// reset empties both sets and keeps the destination table.
 func (m *setsModel) reset() {
 	m.dsts.reset()
-	m.ports.reset(&m.pool)
+	m.ports.reset(&m.bitmaps)
 	clear(m.dm)
 	clear(m.pm)
+}
+
+// recycle is what closing and re-opening a recycled flow does to its sets: a
+// destination table past minDstSlots goes to the pool first.
+func (m *setsModel) recycle() {
+	m.t.Helper()
+	m.dsts.release(&m.tables)
+	if len(m.dsts.slots) > minDstSlots {
+		m.t.Fatalf("a released set kept %d slots", len(m.dsts.slots))
+	}
+	m.reset()
 }
 
 // check reads every destination back (a zero bit ORs nothing in) and compares
@@ -64,7 +76,7 @@ func (m *setsModel) reset() {
 func (m *setsModel) check() {
 	m.t.Helper()
 	for dst, want := range m.dm {
-		if old, now := m.dsts.or(dst, 0); old != want || now != want {
+		if old, now := m.dsts.or(dst, 0, &m.tables); old != want || now != want {
 			m.t.Fatalf("destination %#x reads (%d, %d), oracle %d", dst, old, now, want)
 		}
 	}
@@ -79,9 +91,32 @@ func (m *setsModel) check() {
 	if got := m.ports.sorted(); !slices.Equal(got, want) {
 		m.t.Fatalf("ports %v, oracle %v", got, want)
 	}
-	for _, b := range m.pool.idle {
+	for _, b := range m.bitmaps.idle {
 		if *b != (portBitmap{}) {
 			m.t.Fatal("a pooled bitmap is not zero")
+		}
+	}
+	m.tables.check(m.t)
+}
+
+// check holds the table pool to its shape and to the invariant that lets a
+// generation bump empty a pooled table: no slot is stamped with a generation
+// above its table's.
+func (p *dstPool) check(t testing.TB) {
+	t.Helper()
+	for k, idle := range p.idle {
+		if len(idle) > maxPooledTables {
+			t.Fatalf("%d pooled tables of %d slots, bound %d", len(idle), minDstSlots<<k, maxPooledTables)
+		}
+		for _, s := range idle {
+			if len(s.slots) != minDstSlots<<k {
+				t.Fatalf("a table of %d slots pooled with those of %d", len(s.slots), minDstSlots<<k)
+			}
+			for _, v := range s.slots {
+				if v>>40 > s.gen {
+					t.Fatalf("a pooled slot of generation %d in a table of generation %d", v>>40, s.gen)
+				}
+			}
 		}
 	}
 }
@@ -102,7 +137,8 @@ func (s *dstSet) maxProbe() int {
 
 // TestSetsRandomOps: seeded random streams over a small and a wide key
 // universe (so both re-hits and growth happen), the extreme keys mixed in,
-// with resets in the middle so grown tables and spilled sets are reused.
+// with resets and recycles in the middle so grown tables, pooled tables and
+// spilled sets are reused.
 func TestSetsRandomOps(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		r := rng.New(seed)
@@ -112,6 +148,9 @@ func TestSetsRandomOps(t *testing.T) {
 			case k == 0:
 				m.check()
 				m.reset()
+			case k < 3:
+				m.check()
+				m.recycle()
 			case k < 500:
 				dst := uint32(r.Uint64())
 				switch r.Intn(8) {
@@ -186,10 +225,37 @@ func TestDstSetGenerationWrap(t *testing.T) {
 		t.Fatalf("generation %d after the wrapping reset, want 1", m.dsts.gen)
 	}
 	for _, dst := range []uint32{7, 9} {
-		if old, _ := m.dsts.or(dst, 0); old != 0 {
+		if old, _ := m.dsts.or(dst, 0, nil); old != 0 {
 			t.Fatalf("destination %d survived the wrap with bits %d", dst, old)
 		}
 	}
+}
+
+// TestDstPoolReuse: a campaign's table goes to the pool when its flow is
+// recycled, and the next set that grows takes it back with nothing of the
+// first campaign showing through.
+func TestDstPoolReuse(t *testing.T) {
+	m := newSetsModel(t)
+	campaign := func(base uint32) {
+		for i := uint32(0); i < 300; i++ {
+			m.or(base+i*7, dstScout)
+		}
+	}
+	campaign(0x0A000000)
+	if got := len(m.dsts.slots); got != 512 {
+		t.Fatalf("300 destinations in %d slots, want 512", got)
+	}
+	table := &m.dsts.slots[0]
+	m.check()
+	m.recycle()
+	campaign(0x0B000000)
+	if &m.dsts.slots[0] != table {
+		t.Fatal("the second campaign did not take the pooled table")
+	}
+	for i := uint32(0); i < 300; i++ {
+		m.or(0x0A000000+i*7, 0) // the first campaign's destinations read as new
+	}
+	m.check()
 }
 
 // TestDstSetProbeLength: destinations that agree in the table's low index
@@ -212,7 +278,7 @@ func TestDstSetProbeLength(t *testing.T) {
 		var s dstSet
 		worst := 0
 		for i := uint32(0); i < n; i++ {
-			s.or(dst(i), dstScout)
+			s.or(dst(i), dstScout, nil)
 			if s.n*4 == len(s.slots)*3 { // the fullest this table gets
 				worst = max(worst, s.maxProbe())
 			}
@@ -246,7 +312,7 @@ func TestPortSetSpill(t *testing.T) {
 	}
 	m.check()
 	m.reset()
-	if len(m.pool.idle) != 1 || m.pool.idle[0] != bitmap {
+	if len(m.bitmaps.idle) != 1 || m.bitmaps.idle[0] != bitmap {
 		t.Fatal("the spilled set's bitmap did not return to the pool")
 	}
 	m.check()
@@ -273,6 +339,8 @@ func FuzzFlowSets(f *testing.F) {
 	seed = append(seed, rec(6, 0)...)
 	seed = append(seed, rec(4, 200<<16|5)...)
 	seed = append(seed, rec(5, 40<<16|1000)...)
+	seed = append(seed, rec(6, 1)...)
+	seed = append(seed, rec(4, 20<<16|3)...)
 	f.Add(seed)
 	f.Add(rec(4, 0xFFFF<<16|0xFFFF))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -294,9 +362,13 @@ func FuzzFlowSets(f *testing.F) {
 				for i := uint32(0); i <= count; i++ {
 					m.add(uint16(v + i*stride))
 				}
-			case 6:
+			case 6: // empty both sets, the table kept (even operand) or released to the pool (odd)
 				m.check()
-				m.reset()
+				if v&1 == 0 {
+					m.reset()
+				} else {
+					m.recycle()
+				}
 			}
 		}
 		m.check()
