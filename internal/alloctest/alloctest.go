@@ -69,6 +69,14 @@ func Measure(rounds int, fn func()) (allocsPerOp, bytesPerOp float64) {
 func Check(t *testing.T, path string, maxAllocs float64, fn func()) {
 	t.Helper()
 	allocs, bytes := Measure(100, fn)
+	Enforce(t, path, maxAllocs, allocs, bytes)
+}
+
+// Enforce is Check's verdict and report for a path measured some other way —
+// a difference of two Measure calls scaled to one item, say. It returns
+// whether the path is within budget.
+func Enforce(t *testing.T, path string, maxAllocs, allocs, bytes float64) bool {
+	t.Helper()
 	res := Result{
 		Path:        path,
 		AllocsPerOp: allocs,
@@ -83,6 +91,7 @@ func Check(t *testing.T, path string, maxAllocs float64, fn func()) {
 	} else {
 		t.Logf("alloctest: %s %.2f allocs/op, %.1f B/op (budget %.0f)", path, allocs, bytes, maxAllocs)
 	}
+	return res.Pass
 }
 
 var reportMu sync.Mutex

@@ -46,8 +46,8 @@ func CollectArchive(rd *archive.Reader, year int) (*Campaigns, error) {
 	}
 	inYear := (&query.Query{Where: query.YearIn(year)}).Predicate()
 	err = rd.Query(context.Background(), inYear, func(sc *core.Scan, o *enrich.Origin) {
-		c.Scans = append(c.Scans, sc)
-		var origin enrich.Origin // stays zero for an archive without origins
+		c.Scans = append(c.Scans, sc.Clone()) // sc is only lent until emit returns
+		var origin enrich.Origin              // stays zero for an archive without origins
 		if o != nil {
 			origin = tableOrigin(*o)
 		}

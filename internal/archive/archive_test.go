@@ -128,7 +128,7 @@ func TestRoundTrip(t *testing.T) {
 			var gotScans []*core.Scan
 			var gotOrigins []enrich.Origin
 			if err := scan(t, r, context.Background(), All, func(sc *core.Scan, o *enrich.Origin) {
-				gotScans = append(gotScans, sc)
+				gotScans = append(gotScans, sc.Clone())
 				if (o != nil) != withOrigins {
 					t.Fatalf("origin %v from an archive with origins=%v", o, withOrigins)
 				}
@@ -187,7 +187,7 @@ func TestFilterMatchesLinearScan(t *testing.T) {
 		}
 		var got []*core.Scan
 		if err := scan(t, r, context.Background(), &f, func(sc *core.Scan, _ *enrich.Origin) {
-			got = append(got, sc)
+			got = append(got, sc.Clone())
 		}); err != nil {
 			t.Fatalf("filter %d: %v", fi, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/obs"
 )
@@ -351,7 +352,10 @@ func (c *Compactor) merge(inputs []SegmentMeta, outSeq uint64) (SegmentMeta, err
 	}, nil
 }
 
-// mergeInput appends one input segment to w, block by block.
+// mergeInput appends one input segment to w, block by block. A block that is
+// not moved decodes through one row set, reused block after block, and each
+// row is added as it is loaded: the writer encodes a scan on Add and keeps
+// nothing of it.
 func (c *Compactor) mergeInput(w *Writer, name string) error {
 	rd, err := Open(filepath.Join(c.sw.dir, name))
 	if err != nil {
@@ -360,9 +364,15 @@ func (c *Compactor) mergeInput(w *Writer, name string) error {
 	defer rd.Close()
 	s := getScratch()
 	defer s.release()
-	sl := newSlabs(AllFields)
+	rw := getRows(rd.projection(All))
+	defer rw.release()
+	var sc core.Scan
+	var o enrich.Origin // stays zero for an input written without origins
+	op := &o
+	if !w.cfg.Origins {
+		op = nil
+	}
 	half := w.cfg.BlockBytes / 2
-	var noOrigin enrich.Origin // what an input written without origins gets in an origins store
 	for i := range rd.index {
 		z := &rd.index[i]
 		// Move: same record layout on both sides, and no small block left
@@ -378,9 +388,9 @@ func (c *Compactor) mergeInput(w *Writer, name string) error {
 			}
 			continue
 		}
-		res := rd.decodeBlock(z, All, sl)
-		if res.err != nil {
-			return res.err
+		rw.reset(rw.fields)
+		if err := rd.decodeBlock(z, All, rw); err != nil {
+			return err
 		}
 		// A big block added to a small open one overflows it and leaves as
 		// small a remainder open: no block after it could move either. Cut
@@ -389,22 +399,15 @@ func (c *Compactor) mergeInput(w *Writer, name string) error {
 		if sum := fill + int(z.RawLen); sum >= w.cfg.BlockBytes && sum-w.cfg.BlockBytes < half {
 			split = sum / 2
 		}
-		for _, run := range res.runs {
-			for j := range run.scans {
-				var o *enrich.Origin
-				if w.cfg.Origins {
-					o = &noOrigin
-					if run.origins != nil {
-						o = &run.origins[j]
-					}
-				}
-				if err := w.add(&run.scans[j], o); err != nil {
-					return err
-				}
-				if split > 0 && w.open.enc.rawLen() >= split {
-					split = 0
-					w.flushBlock() // its error is sticky: the next add, or Close, returns it
-				}
+		for j := 0; j < rw.n; j++ {
+			sc, o = core.Scan{}, enrich.Origin{}
+			rw.load(j, &sc, &o)
+			if err := w.add(&sc, op); err != nil {
+				return err
+			}
+			if split > 0 && w.open.enc.rawLen() >= split {
+				split = 0
+				w.flushBlock() // its error is sticky: the next add, or Close, returns it
 			}
 		}
 	}

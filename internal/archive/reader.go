@@ -201,15 +201,6 @@ func (r *Reader) SetMetrics(reg *obs.Registry) {
 // disk is counted once per query that decodes it).
 func (r *Reader) CorruptBlocks() uint64 { return r.corrupt.Load() }
 
-// blockScans is one decoded block: the kept records as runs of slab memory,
-// in record order. corrupt marks a damaged block a WithSkipCorrupt reader
-// converted into a counted skip.
-type blockScans struct {
-	runs    []run
-	corrupt bool
-	err     error
-}
-
 // Query streams every scan matching p to emit, in file order (block order,
 // record order within a block — i.e. the order scans were archived in),
 // under full predicate pushdown: blocks whose zone map p.MatchBlock excludes
@@ -219,17 +210,19 @@ type blockScans struct {
 // archive: All is the Predicate for everything, internal/query compiles its
 // ASTs into selective ones.
 //
-// emit receives pointers into the query's own decode slabs: they stay valid
-// for as long as the caller holds them and are never reused, so keeping a
-// scan is free but pins the slab chunk it sits in (see slabs). Only the strips
+// emit is lent each row: the scan and origin it receives, with the scan's
+// Ports and Payload, are valid only until it returns, as with
+// bufio.Scanner.Bytes — the next row is loaded into the same memory, and a
+// drained block's columns go on to decode other blocks. A consumer that keeps
+// a row copies it (core.Scan.Clone, and the origin by value). Only the strips
 // p.Fields names are read: the other fields of a scan are zero, Scan.Ports
 // and Scan.Payload nil, and the origin is nil when the archive carries none
 // (see HasOrigins) or p.Fields names no origin strip.
 //
 // The query stops decoding and returns ctx.Err() as soon as the context is
-// done, between blocks; scans emitted up to that point are valid. Damaged
-// blocks abort with an error unless the reader was opened WithSkipCorrupt
-// (see CorruptBlocks).
+// done, between blocks. Damaged blocks abort with an error unless the reader
+// was opened WithSkipCorrupt (see CorruptBlocks); either way a block is
+// decoded and checked whole before any of its rows reach emit.
 func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan, o *enrich.Origin)) error {
 	// Predicate pushdown over the zone maps.
 	var live []int
@@ -251,13 +244,13 @@ func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan
 	// order is preserved end to end — and admits one more block for each one
 	// it takes. Workers therefore run at most ahead blocks in front of the
 	// block being emitted: a consumer slower than the decoders holds that many
-	// decoded blocks, not the archive.
+	// decoded blocks, ahead+1 row sets with the one it drains, not the archive.
 	ahead := 2 * workers
 	// Block j reports on results[j%ahead]: the slot's previous user, block
 	// j-ahead, was taken before j was admitted.
-	results := make([]chan blockScans, ahead)
+	results := make([]chan *rows, ahead)
 	for i := range results {
-		results[i] = make(chan blockScans, 1)
+		results[i] = make(chan *rows, 1)
 	}
 	jobs := make(chan int, ahead) // holds the whole window: admitting never blocks
 	admitted := 0
@@ -271,19 +264,18 @@ func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan
 		admit()
 	}
 
-	fields := p.Fields()
+	fields := r.projection(p)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sl := newSlabs(fields)
 			for j := range jobs {
-				if err := ctx.Err(); err != nil {
-					results[j%ahead] <- blockScans{err: err}
-					continue
+				rw := getRows(fields)
+				if rw.err = ctx.Err(); rw.err == nil {
+					rw.err = r.decodeBlock(&r.index[live[j]], p, rw)
 				}
-				results[j%ahead] <- r.decodeBlock(&r.index[live[j]], p, sl)
+				results[j%ahead] <- rw
 			}
 		}()
 	}
@@ -292,37 +284,63 @@ func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan
 	defer wg.Wait()
 	defer close(jobs)
 
+	// The one row every emit is lent, reset to what unprojected parts read as
+	// before each load, and scribbled after each emit under poisonScratch.
+	sc, o := new(core.Scan), new(enrich.Origin)
+	blankScan, blankOrigin := blanks(fields)
+	var spentScan core.Scan
+	var spentOrigin enrich.Origin
+	poisoning := poisonScratch.Load()
+	if poisoning {
+		spentScan, spentOrigin = blanks(0)
+	}
+	op := o
+	if fields&FieldOrigin == 0 {
+		op = nil
+	}
 	for j := range live {
-		res := <-results[j%ahead]
-		if res.err != nil {
-			return res.err
+		rw := <-results[j%ahead]
+		if rw.err != nil {
+			return rw.err
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		admit()
-		for _, run := range res.runs {
-			for i := range run.scans {
-				var o *enrich.Origin
-				if run.origins != nil {
-					o = &run.origins[i]
-				}
-				emit(&run.scans[i], o)
+		for i := 0; i < rw.n; i++ {
+			*sc, *o = blankScan, blankOrigin
+			rw.load(i, sc, op)
+			emit(sc, op)
+			if poisoning {
+				*sc, *o = spentScan, spentOrigin
 			}
 		}
+		rw.release()
 	}
 	return nil
 }
 
+// projection is the set of strips a query with p decodes: what p names, less
+// the origin strips when the archive carries none.
+func (r *Reader) projection(p Predicate) Fields {
+	fields := p.Fields()
+	if !r.origins {
+		fields &^= FieldOrigin
+	}
+	return fields
+}
+
 // fail converts a block-local failure into either a query-aborting error
-// (the default) or, under WithSkipCorrupt, a counted skip.
-func (r *Reader) fail(err error) blockScans {
+// (the default) or, under WithSkipCorrupt, a counted skip. Either way rw is
+// emptied: nothing of a damaged block is emitted.
+func (r *Reader) fail(err error, rw *rows) error {
+	rw.reset(rw.fields)
 	if r.skipCorrupt {
 		r.corrupt.Add(1)
 		r.mCorrupt.Inc()
-		return blockScans{corrupt: true}
+		return nil
 	}
-	return blockScans{err: err}
+	return err
 }
 
 // blockScratch bundles the per-block scratch a decode cycles through: the
@@ -330,12 +348,11 @@ func (r *Reader) fail(err error) blockScans {
 // reusable-state DEFLATE decoder (internal/inflate keeps its Huffman tables
 // across streams, so a warmed scratch decompresses without allocating —
 // compress/flate rebuilds its link tables per stream even when Reset), the
-// origin-string table and the block's two dictionaries. Idle units wait in
-// scratchFree; everything the block decoder keeps is decoded or copied into
-// the query's own slabs (ports, payload) or is an immutable interned string,
-// so nothing decoded from a scratch — including the scans a CatalogView query
-// hands out — aliases it after release. That invariant is pinned by
-// TestPoolPoisoning.
+// origin-string table, the block's two dictionaries and the record a decode
+// works in. Idle units wait in scratchFree; everything the block decoder keeps
+// is decoded or copied into the block's rows (ports, payload) or is an
+// immutable interned string, so nothing in a row set aliases a scratch after
+// its release. That invariant is pinned by TestPoolPoisoning.
 type blockScratch struct {
 	comp      []byte
 	raw       []byte
@@ -344,6 +361,8 @@ type blockScratch struct {
 	strings   interner
 	countries []string
 	orgs      []orgEntry
+	sc        core.Scan
+	o         enrich.Origin
 }
 
 // scratchFree is the free list of idle scratches, one per processor at most:
@@ -382,9 +401,11 @@ func poison(bufs ...[]byte) {
 }
 
 // release returns the scratch to the free list, or to the collector when the
-// list is full.
+// list is full. The record it worked in lets go of the row set its ports and
+// payload pointed into.
 func (s *blockScratch) release() {
 	poison(s.comp, s.raw)
+	s.sc, s.o = core.Scan{}, enrich.Origin{}
 	select {
 	case scratchFree <- s:
 	default:
@@ -571,70 +592,47 @@ func blanks(fields Fields) (sc core.Scan, o enrich.Origin) {
 	return sc, o
 }
 
-// decodeBlock reads, checksums and decodes one block into sl, inflating and
-// walking only the strips sl.fields names and keeping only scans matching p.
-// Read scratch comes from (and returns to) the block pool; a record decodes in
-// place into the slabs' tail slot and only a match commits the slot, so memory
-// is consumed per kept record, not per record examined.
-func (r *Reader) decodeBlock(z *ZoneMap, p Predicate, sl *slabs) blockScans {
+// decodeBlock reads, checksums and decodes block z into rw, which is empty,
+// inflating and walking only the strips rw.fields names. Read scratch comes
+// from (and returns to) the block pool; each record decodes into the
+// scratch's Scan, and only one matching p is pushed onto rw, so a set grows
+// with what a block keeps, not with what it holds. A failure leaves rw
+// without rows.
+func (r *Reader) decodeBlock(z *ZoneMap, p Predicate, rw *rows) error {
 	s := getScratch()
 	defer s.release()
-	fields := sl.fields
-	if !r.origins {
-		fields &^= FieldOrigin
-	}
+	fields := rw.fields
 	if err := r.readBlock(z, s, fields); err != nil {
-		return r.fail(err)
+		return r.fail(err, rw)
 	}
 	// Every record holds at least minRecordBytes, which bounds the scan count
 	// whatever is projected.
 	if uint64(z.Scans)*minRecordBytes > uint64(z.RawLen) {
 		return r.fail(fmt.Errorf("%w: block at %d: %d scans in %d bytes",
-			ErrCorrupt, z.Offset, z.Scans, z.RawLen))
+			ErrCorrupt, z.Offset, z.Scans, z.RawLen), rw)
 	}
-	dec := newBlockDecoder(fields, s, sl)
-	withOrigin := fields&FieldOrigin != 0
+	dec := newBlockDecoder(fields, s, rw)
 	blankScan, blankOrigin := blanks(fields)
-	var out blockScans
-	// The open run is the slab chunk's tail from start; it closes when the
-	// chunk fills and at the end of the block.
-	start := len(sl.scans.chunk)
-	var matched uint64
+	sc, o := &s.sc, &s.o
+	if fields&FieldOrigin == 0 {
+		o = nil
+	}
 	for i := uint32(0); i < z.Scans; i++ {
-		if len(sl.scans.chunk) == cap(sl.scans.chunk) {
-			out.runs = sl.appendRun(out.runs, start, withOrigin)
-			start = 0 // the take below opens a new chunk
-		}
-		sc := &sl.scans.take(1)[0]
 		*sc = blankScan
-		var o *enrich.Origin
-		if withOrigin {
-			o = &sl.origins.take(1)[0]
+		if o != nil {
 			*o = blankOrigin
 		}
 		if !dec.next(sc, o) {
-			return r.fail(fmt.Errorf("%w: block at %d, record %d", ErrCorrupt, z.Offset, i))
+			return r.fail(fmt.Errorf("%w: block at %d, record %d", ErrCorrupt, z.Offset, i), rw)
 		}
-		if !p.Match(sc, o) {
-			continue
-		}
-		matched++
-		sl.scans.keep(1)
-		if withOrigin {
-			sl.origins.keep(1)
-		}
-		if fields&FieldPorts != 0 {
-			sl.ports.keep(len(sc.Ports))
-		}
-		if fields&FieldPayload != 0 {
-			sl.payload.keep(len(sc.Payload))
+		if p.Match(sc, o) {
+			rw.push(sc, o)
 		}
 	}
 	if !dec.finished() {
-		return r.fail(fmt.Errorf("%w: block at %d: strips hold more than its %d records", ErrCorrupt, z.Offset, z.Scans))
+		return r.fail(fmt.Errorf("%w: block at %d: strips hold more than its %d records", ErrCorrupt, z.Offset, z.Scans), rw)
 	}
-	out.runs = sl.appendRun(out.runs, start, withOrigin)
 	r.mDecoded.Add(uint64(z.Scans))
-	r.mMatched.Add(matched)
-	return out
+	r.mMatched.Add(uint64(rw.n))
+	return nil
 }

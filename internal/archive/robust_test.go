@@ -74,7 +74,7 @@ func TestSkipCorrupt(t *testing.T) {
 	r.SetMetrics(reg)
 	var got []*core.Scan
 	if err := scan(t, r, context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
-		got = append(got, sc)
+		got = append(got, sc.Clone())
 	}); err != nil {
 		t.Fatalf("degraded read failed: %v", err)
 	}
@@ -145,8 +145,10 @@ func TestScansContext(t *testing.T) {
 // TestQueryWindow: a consumer slower than the decoders holds a window of
 // decoded blocks, not the archive. With emit blocked inside the first block,
 // the workers decode the blocks admitted so far — 2×workers at the start, one
-// more when the first result was taken — and then wait; cancelling the query
-// there still returns the context's error with every worker joined.
+// more when the first result was taken — and then wait, holding one row set
+// per block: 2×workers+1 sets with the caller's, made afresh here because the
+// free list was emptied first. Cancelling the query there still returns the
+// context's error with every worker joined.
 func TestQueryWindow(t *testing.T) {
 	scans, origins := testScans(6000, 15)
 	data := writeArchive(t, scans, origins, WriterConfig{Origins: true, BlockBytes: 4 << 10})
@@ -160,6 +162,11 @@ func TestQueryWindow(t *testing.T) {
 		reg := obs.NewRegistry()
 		r.SetMetrics(reg)
 		decoded := func() uint64 { return reg.Snapshot().Histograms["archive.decompress_ns"].Count }
+
+		for len(rowsFree) > 0 {
+			<-rowsFree
+		}
+		made := rowsMade.Load()
 
 		base := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
@@ -183,6 +190,9 @@ func TestQueryWindow(t *testing.T) {
 		time.Sleep(20 * time.Millisecond) // long enough to decode the rest of the archive, were anything to
 		if n := decoded(); n != window {
 			t.Fatalf("workers=%d: %d blocks decoded behind a blocked emit, want the window of %d", workers, n, window)
+		}
+		if n := rowsMade.Load() - made; n != window {
+			t.Fatalf("workers=%d: %d row sets in flight behind a blocked emit, want the window of %d", workers, n, window)
 		}
 
 		cancel()

@@ -3,6 +3,7 @@ package archive
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/synscan/synscan/internal/alloctest"
@@ -23,25 +24,14 @@ func (p every) MatchBlock(*ZoneMap) bool                   { return true }
 func (p every) Match(sc *core.Scan, _ *enrich.Origin) bool { return sc.Src%p.n == 0 }
 func (p every) Fields() Fields                             { return p.fields }
 
-// cloneScan deep-copies a scan, so a later comparison sees what the scan held
-// when it was emitted rather than whatever its slab memory holds now.
-func cloneScan(sc *core.Scan) *core.Scan {
-	c := *sc
-	c.Ports = append([]uint16(nil), sc.Ports...)
-	if sc.Payload != nil {
-		c.Payload = append([]byte(nil), sc.Payload...)
-	}
-	return &c
-}
-
-// TestSlabAliasing pins the slab and arena ownership rules: a scan kept from
-// one block is bit-identical after every later block has decoded into the
-// same worker's slabs, with rejected records in between lending and handing
-// back the very slots and arena runs the kept ones sit next to, and with a
-// record of more than portsMax ports forcing a fresh arena chunk mid-stream.
-// Scratch poisoning is on, so anything still pointing into a pooled read
-// buffer turns to 0xdb as soon as its block is released.
-func TestSlabAliasing(t *testing.T) {
+// TestLentRows pins the lending contract of Query: a row is the caller's only
+// until emit returns. Under poisonScratch a pointer kept past emit — the scan,
+// its ports, its origin — reads sentinels once the query moves on, while a
+// clone taken inside emit stays what was archived after a second query has
+// churned every row set and scratch again. Records of thousands of ports make
+// a ports column regrow in the middle of a block, with kept rows before the
+// regrowth and rejected ones after.
+func TestLentRows(t *testing.T) {
 	poisonScratch.Store(true)
 	defer poisonScratch.Store(false)
 
@@ -56,9 +46,9 @@ func TestSlabAliasing(t *testing.T) {
 		}
 		return ports
 	}
-	scans[900].Ports = wide(portsMax + 1000) // kept (900%3 == 0): a chunk of its own
-	scans[901].Ports = wide(portsMax + 5000) // rejected: lent a bigger chunk, hands it back
-	scans[1800].Ports = wide(3 * portsMax)   // kept, a few blocks later
+	scans[900].Ports = wide(9000)   // kept (900%3 == 0)
+	scans[901].Ports = wide(13000)  // rejected: taken at the tail, overwritten
+	scans[1800].Ports = wide(24000) // kept, a few blocks later
 	data := writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, Origins: true, BlockBytes: 8 << 10})
 
 	for _, workers := range []int{1, 3} {
@@ -67,38 +57,104 @@ func TestSlabAliasing(t *testing.T) {
 		if r.NumBlocks() < 8 {
 			t.Fatalf("want many blocks, got %d", r.NumBlocks())
 		}
-		var kept, snaps []*core.Scan
-		var keptOrigins []*enrich.Origin
-		var originSnaps []enrich.Origin
+		var lentScan *core.Scan
+		var lentPorts []uint16
+		var lentOrigin *enrich.Origin
+		var clones []*core.Scan
+		var originClones []enrich.Origin
 		err := scan(t, r, context.Background(), every{n: 3, fields: AllFields}, func(sc *core.Scan, o *enrich.Origin) {
-			kept, snaps = append(kept, sc), append(snaps, cloneScan(sc))
-			keptOrigins, originSnaps = append(keptOrigins, o), append(originSnaps, *o)
+			if lentScan != nil && sc != lentScan {
+				t.Fatalf("workers=%d: emit was lent a second row", workers)
+			}
+			lentScan, lentOrigin = sc, o
+			if len(sc.Ports) > len(lentPorts) {
+				lentPorts = sc.Ports
+			}
+			clones, originClones = append(clones, sc.Clone()), append(originClones, *o)
+			if cap(sc.Ports) != len(sc.Ports) {
+				t.Fatalf("workers=%d: a row's ports have spare capacity %d: an append would write into its neighbour",
+					workers, cap(sc.Ports)-len(sc.Ports))
+			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := (len(scans) + 2) / 3; len(kept) != want {
-			t.Fatalf("workers=%d: kept %d scans, want %d", workers, len(kept), want)
+		if want := (len(scans) + 2) / 3; len(clones) != want {
+			t.Fatalf("workers=%d: emitted %d scans, want %d", workers, len(clones), want)
 		}
-		// Churn the pool once more, through a second query's slabs.
+		// What was kept of the lent row is spent.
+		if lentScan.Src != 0x5bdbdbdb || lentScan.Ports[0] != 0xdbdb || lentOrigin.Country != "\xdb\xdb" {
+			t.Fatalf("workers=%d: a row kept past emit reads %+v, %+v: not the sentinels", workers, lentScan, lentOrigin)
+		}
+		if len(lentPorts) != 24000 || lentPorts[0] != 0xdbdb || lentPorts[len(lentPorts)-1] != 0xdbdb {
+			t.Fatalf("workers=%d: ports kept past emit were not scribbled", workers)
+		}
+		// Churn the free lists once more, through a second query.
 		if err := scan(t, r, context.Background(), All, func(*core.Scan, *enrich.Origin) {}); err != nil {
 			t.Fatal(err)
 		}
-		for i, sc := range kept {
-			if !reflect.DeepEqual(sc, snaps[i]) {
-				t.Fatalf("workers=%d: kept scan %d changed after later blocks decoded:\n now:  %+v\n then: %+v", workers, i, sc, snaps[i])
-			}
+		for i, sc := range clones {
 			if !reflect.DeepEqual(sc, scans[3*i]) {
-				t.Fatalf("workers=%d: kept scan %d differs from what was archived:\n got:  %+v\n want: %+v", workers, i, sc, scans[3*i])
+				t.Fatalf("workers=%d: clone %d differs from what was archived:\n got:  %+v\n want: %+v", workers, i, sc, scans[3*i])
 			}
-			if *keptOrigins[i] != originSnaps[i] || *keptOrigins[i] != origins[3*i] {
-				t.Fatalf("workers=%d: kept origin %d changed: %+v, emitted as %+v, archived as %+v",
-					workers, i, *keptOrigins[i], originSnaps[i], origins[3*i])
+			if originClones[i] != origins[3*i] {
+				t.Fatalf("workers=%d: origin %d copied as %+v, archived as %+v", workers, i, originClones[i], origins[3*i])
 			}
-			if cap(sc.Ports) != len(sc.Ports) {
-				t.Fatalf("workers=%d: scan %d's ports have spare capacity %d: an append would write into its neighbour",
-					workers, i, cap(sc.Ports)-len(sc.Ports))
-			}
+		}
+	}
+}
+
+// heldColumns is the set of strips whose columns rw holds memory for.
+func heldColumns(rw *rows) Fields {
+	var f Fields
+	for i, held := range []bool{
+		rw.start != nil, rw.end != nil, rw.src != nil, rw.packets != nil, rw.dsts != nil,
+		rw.ports != nil || rw.portEnd != nil, rw.tool != nil, rw.rate != nil, rw.coverage != nil,
+		rw.phase != nil, rw.payload != nil || rw.payloadEnd != nil,
+		rw.country != nil, rw.asn != nil, rw.org != nil,
+	} {
+		if held {
+			f |= 1 << i
+		}
+	}
+	return f
+}
+
+// TestRowsIdleBound states what the row sets keep between queries: after a
+// full scan and then a one-strip aggregate over a store of many blocks, the
+// free list holds at most 2×GOMAXPROCS+1 sets — a query's window at the
+// default worker count — and each of them holds the aggregate's one column
+// and no other: what the full scan decoded went to the collector as the
+// aggregate reused the sets.
+func TestRowsIdleBound(t *testing.T) {
+	scans, origins := testScans(8000, 45)
+	data := writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, Origins: true, BlockBytes: 4 << 10})
+	r := openArchive(t, data)
+	bound := 2*runtime.GOMAXPROCS(0) + 1
+	if r.NumBlocks() < 4*bound {
+		t.Fatalf("%d blocks: too few to cycle %d sets", r.NumBlocks(), bound)
+	}
+	for _, p := range []Predicate{All, every{n: 1, fields: FieldRate}} {
+		if err := scan(t, r, context.Background(), p, func(*core.Scan, *enrich.Origin) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var idle []*rows
+	for len(rowsFree) > 0 {
+		idle = append(idle, <-rowsFree)
+	}
+	defer func() {
+		for _, rw := range idle {
+			rw.release()
+		}
+	}()
+	if len(idle) == 0 || len(idle) > bound {
+		t.Fatalf("%d idle row sets, want 1 to %d", len(idle), bound)
+	}
+	for i, rw := range idle {
+		if rw.fields != FieldRate || heldColumns(rw) != FieldRate {
+			t.Errorf("idle set %d was last reset for {%v} and holds columns {%v}, want {rate} and {rate}",
+				i, rw.fields, heldColumns(rw))
 		}
 	}
 }
@@ -228,10 +284,11 @@ func TestProjectedDecode(t *testing.T) {
 }
 
 // TestAllocBudgetBlockDecode is the enforced budget for decoding a block's
-// records on top of the pooled read: at most 6 allocations per block in
-// steady state, whether a block holds a hundred records or eight hundred —
-// slab and arena chunks amortized over the records they hold and the block's
-// run list — where the per-record decode this replaces made five per record. Reported under "archive-block-decode".
+// records on top of the pooled read into a warm row set: nothing per block in
+// steady state, whether a block holds a hundred records or eight hundred,
+// where the per-record decode the row sets replace made five allocations per
+// record and the slabs after it up to six per block. Reported under
+// "archive-block-decode".
 func TestAllocBudgetBlockDecode(t *testing.T) {
 	scans, origins := testScans(16000, 47)
 	for _, blockBytes := range []int{8 << 10, 64 << 10} {
@@ -239,16 +296,17 @@ func TestAllocBudgetBlockDecode(t *testing.T) {
 		r := openArchive(t, data)
 		blocks := r.NumBlocks()
 		perBlock := len(scans) / blocks
-		// One worker's slabs, as long-lived as a full scan's.
-		sl := newSlabs(AllFields)
+		rw := getRows(AllFields)
 		p := All
 		i := 0
-		alloctest.Check(t, "archive-block-decode", 6, func() {
-			if res := r.decodeBlock(&r.index[i%blocks], p, sl); res.err != nil {
-				t.Fatal(res.err)
+		alloctest.Check(t, "archive-block-decode", 0, func() {
+			rw.reset(AllFields)
+			if err := r.decodeBlock(&r.index[i%blocks], p, rw); err != nil {
+				t.Fatal(err)
 			}
 			i++
 		})
+		rw.release()
 		t.Logf("%d-byte blocks: ~%d records per block", blockBytes, perBlock)
 	}
 }

@@ -43,7 +43,7 @@ func viewScans(t testing.TB, v *CatalogView) []*core.Scan {
 	var out []*core.Scan
 	for i := 0; i < v.Len(); i++ {
 		if err := v.Reader(i).Query(context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
-			out = append(out, sc)
+			out = append(out, sc.Clone())
 		}); err != nil {
 			t.Fatalf("segment %s: %v", v.Name(i), err)
 		}
@@ -144,7 +144,7 @@ func TestSegmentStoreEquivalence(t *testing.T) {
 	single := writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, BlockBytes: 4 << 10})
 	var want []*core.Scan
 	if err := scan(t, openArchive(t, single), context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
-		want = append(want, sc)
+		want = append(want, sc.Clone())
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestStoredFallback(t *testing.T) {
 	}
 
 	var got []*core.Scan
-	if err := scan(t, r, context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) { got = append(got, sc) }); err != nil {
+	if err := scan(t, r, context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) { got = append(got, sc.Clone()) }); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, scans) {

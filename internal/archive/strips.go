@@ -265,21 +265,21 @@ type blockDecoder struct {
 	fields Fields
 	strips *[numStrips][]byte // inflated; only those in fields are set
 	at     [numStrips]int
-	prev   int64 // previous record's start time
-	sl     *slabs
+	prev   int64         // previous record's start time
+	rw     *rows         // where ports and payload decode to
 	s      *blockScratch // the string table and the block's dictionaries
 }
 
-func newBlockDecoder(fields Fields, s *blockScratch, sl *slabs) blockDecoder {
+func newBlockDecoder(fields Fields, s *blockScratch, rw *rows) blockDecoder {
 	s.countries, s.orgs = s.countries[:0], s.orgs[:0]
-	return blockDecoder{fields: fields, strips: &s.strips, sl: sl, s: s}
+	return blockDecoder{fields: fields, strips: &s.strips, rw: rw, s: s}
 }
 
 // next decodes the next record's projected parts into sc and, when an origin
 // strip is projected, o; the caller has set both to what unprojected parts
-// read as. Ports and payload are lent from the arenas: the caller commits them
-// (arena.keep) if it keeps the record. False means a strip ended early or
-// holds a value no writer produces.
+// read as. Ports and payload are lent from the tails of the rows' columns:
+// rows.push commits them if the record matches. False means a strip ended
+// early or holds a value no writer produces.
 func (d *blockDecoder) next(sc *core.Scan, o *enrich.Origin) bool {
 	f, st, at := d.fields, d.strips, &d.at
 	if f&FieldStart != 0 {
@@ -323,7 +323,7 @@ func (d *blockDecoder) next(sc *core.Scan, o *enrich.Origin) bool {
 		if i < 0 || n > 65536 {
 			return false
 		}
-		sc.Ports = d.sl.ports.take(int(n))
+		sc.Ports = d.rw.takePorts(int(n))
 		var port uint64
 		for p := range sc.Ports {
 			var delta uint64
@@ -395,7 +395,7 @@ func (d *blockDecoder) next(sc *core.Scan, o *enrich.Origin) bool {
 			return false
 		}
 		if len(b) > 0 {
-			sc.Payload = d.sl.payload.take(len(b))
+			sc.Payload = d.rw.takePayload(len(b))
 			copy(sc.Payload, b)
 		}
 		at[stripPayload] = i

@@ -157,6 +157,21 @@ type Scan struct {
 	ISN fingerprint.ISNClass
 }
 
+// Clone returns a deep copy of s that shares no memory with it: what a
+// consumer keeps of a scan it was only lent (archive.Reader.Query hands out
+// each row for the length of one call). A nil Ports or Payload stays nil, an
+// empty one stays empty.
+func (s *Scan) Clone() *Scan {
+	c := *s
+	if s.Ports != nil {
+		c.Ports = append(make([]uint16, 0, len(s.Ports)), s.Ports...)
+	}
+	if s.Payload != nil {
+		c.Payload = append(make([]byte, 0, len(s.Payload)), s.Payload...)
+	}
+	return &c
+}
+
 // Duration returns the scan's observed duration in seconds (at least zero).
 func (s *Scan) Duration() float64 {
 	return float64(s.End-s.Start) / float64(time.Second)

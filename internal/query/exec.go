@@ -175,7 +175,8 @@ func (e *Executor) resolve(f Field, coord bool) operand {
 
 // Observe folds one matching scan into the partial state. The caller has
 // already applied the query's filter (the reader's predicate pushdown);
-// Observe only aggregates. o is nil when the source carries no origins.
+// Observe only aggregates. o is nil when the source carries no origins. sc
+// and o are only lent (see Source): a select-mode row is a copy.
 func (e *Executor) Observe(sc *core.Scan, o *enrich.Origin) {
 	if e.err != nil {
 		return
@@ -188,7 +189,7 @@ func (e *Executor) Observe(sc *core.Scan, o *enrich.Origin) {
 				cp := *o
 				op = &cp
 			}
-			e.scans = append(e.scans, ScanRec{Scan: sc, Origin: op})
+			e.scans = append(e.scans, ScanRec{Scan: sc.Clone(), Origin: op})
 		}
 		return
 	}

@@ -331,6 +331,43 @@ func TestAllocBudgetObserve(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetQueryPerRecord is the enforced budget for what an aggregate
+// over an archive allocates per record it reads: nothing. Two stores of N and
+// 2N records in the same number of blocks (the second's blocks twice the
+// size) answer a warm tool × year aggregate with the same allocations and the
+// same bytes, so a query costs O(groups + blocks): rows are lent to the
+// executor from recycled columns, not kept in memory of their own (the slabs
+// before them cost ≈ 167 B a record). Reported under "query-per-record", per
+// record of the difference.
+func TestAllocBudgetQueryPerRecord(t *testing.T) {
+	const n = 6000
+	scans, origins := genScans(2*n, 67)
+	q, err := Parse([]byte(`{"group_by":["tool","year"],"aggs":[{"op":"count"},{"op":"sum","field":"packets"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(records, blockBytes int) (rd *archive.Reader, allocs, bytes float64) {
+		rd = openArc(t, writeArcBlocks(t, scans[:records], origins[:records], true, blockBytes))
+		allocs, bytes = alloctest.Measure(20, func() {
+			if _, err := Run(context.Background(), q, ReaderSource{R: rd}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return rd, allocs, bytes
+	}
+	small, smallAllocs, smallBytes := measure(n, 8<<10)
+	large, largeAllocs, largeBytes := measure(2*n, 16<<10)
+	if d := large.NumBlocks() - small.NumBlocks(); d < -1 || d > 1 || small.NumBlocks() < 10 {
+		t.Fatalf("%d and %d blocks: want about the same number, and many", small.NumBlocks(), large.NumBlocks())
+	}
+	perAllocs, perBytes := (largeAllocs-smallAllocs)/n, (largeBytes-smallBytes)/n
+	t.Logf("%d records: %.1f allocs, %.0f B a query; %d records: %.1f allocs, %.0f B",
+		n, smallAllocs, smallBytes, 2*n, largeAllocs, largeBytes)
+	if alloctest.Enforce(t, "query-per-record", 0, perAllocs, perBytes) && perBytes > 1 {
+		t.Errorf("a query allocates %.1f B more per record it reads, want none", perBytes)
+	}
+}
+
 // TestPredicateFields: the compiled predicate projects exactly the strips the
 // query reads, wherever it reads them.
 func TestPredicateFields(t *testing.T) {

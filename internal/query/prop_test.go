@@ -2,9 +2,11 @@ package query
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/synscan/synscan/internal/archive"
@@ -78,7 +80,7 @@ func materializedRun(t *testing.T, q *Query, rd *archive.Reader) *Result {
 	var scans []*core.Scan
 	var origins []enrich.Origin
 	err := rd.Query(context.Background(), archive.All, func(sc *core.Scan, o *enrich.Origin) {
-		scans = append(scans, sc)
+		scans = append(scans, sc.Clone())
 		if o != nil {
 			origins = append(origins, *o)
 		}
@@ -236,5 +238,135 @@ func TestPropAcrossCompaction(t *testing.T) {
 	after := runAll()
 	for i := range queries {
 		sameResults(t, after[i], before[i])
+	}
+}
+
+// TestConcurrentQueriesEqualSerial: aggregates and selects of different
+// projections, run at once from several goroutines — over one archive Reader,
+// and over a CatalogView held while a compaction rewrites the store under it
+// — answer exactly what each answers alone. Every result is encoded only
+// after all of them have run, so a select row that still pointed into a
+// reader's recycled columns would show whatever the later queries decoded
+// there. Run under -race, it also checks the row sets' hand-offs.
+func TestConcurrentQueriesEqualSerial(t *testing.T) {
+	dir := t.TempDir()
+	sw, err := archive.OpenSegmentDir(dir, archive.SegmentConfig{
+		TelescopeSize: 4096, Origins: true, BlockBytes: 4 << 10, MaxSegmentScans: 300,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	scans, origins := genScans(2400, 71)
+	for i, sc := range scans {
+		if err := sw.AddWithOrigin(sc, origins[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := archive.OpenCatalog(dir, archive.CatalogConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	view := cat.View()
+	defer view.Release()
+	rd := openArc(t, writeArc(t, scans, origins, true))
+
+	var queries []*Query
+	for _, text := range []string{
+		`{"group_by":["port"],"aggs":[{"op":"count"}],"limit":50}`,
+		`{"aggs":[{"op":"quantile","field":"rate_pps","qs":[0.5,0.9,0.99]}]}`,
+		`{"group_by":["year"],"aggs":[{"op":"count_distinct","field":"src"}],"order_by":"key"}`,
+		`{"group_by":["tool","country"],"aggs":[{"op":"sum","field":"packets"}],"order_by":"key"}`,
+		`{"limit":100000}`,
+		`{"where":{"field":"two_phase","eq":true},"limit":100000}`,
+	} {
+		q, err := Parse([]byte(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	sources := []Source{ReaderSource{R: rd}, ViewSource{V: view}}
+	encode := func(res *Result) string {
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	serial := make([]string, len(sources)*len(queries))
+	for s, src := range sources {
+		for i, q := range queries {
+			res, err := Run(context.Background(), q, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial[s*len(queries)+i] = encode(res)
+		}
+	}
+
+	const goroutines, rounds = 4, 3
+	results := make([][]*Result, goroutines)
+	errs := make(chan error, goroutines+1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the compaction the held view must not notice
+		defer wg.Done()
+		comp := archive.NewCompactor(sw, archive.CompactorConfig{MinRun: 2})
+		for {
+			merged, err := comp.CompactOnce()
+			if err != nil {
+				errs <- err
+				return
+			}
+			if merged == 0 {
+				_, err := cat.Refresh()
+				errs <- err
+				return
+			}
+		}
+	}()
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				for k := range serial {
+					k := (k + g + round) % len(serial) // every goroutine in its own order
+					res, err := Run(context.Background(), queries[k%len(queries)], sources[k/len(queries)])
+					if err != nil {
+						errs <- err
+						return
+					}
+					results[g] = append(results[g], res)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	compacted := cat.View()
+	defer compacted.Release()
+	if compacted.Len() >= view.Len() {
+		t.Fatalf("compaction left %d segments of %d: nothing ran under the held view", compacted.Len(), view.Len())
+	}
+	for g, rs := range results {
+		for j, res := range rs {
+			round, k := j/len(serial), j%len(serial)
+			k = (k + g + round) % len(serial)
+			if got := encode(res); got != serial[k] {
+				t.Fatalf("goroutine %d, query %d over source %d: the concurrent result differs from the serial one",
+					g, k%len(queries), k/len(queries))
+			}
+		}
 	}
 }

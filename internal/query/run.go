@@ -11,7 +11,9 @@ import (
 // Source is anything the engine can execute a query against under predicate
 // pushdown: it streams every scan matching p to emit, in its own stable
 // order, with the scan's origin when it has one and p.Fields asks for it
-// (nil otherwise).
+// (nil otherwise). emit is lent each scan and origin until it returns — an
+// archive loads the next row into the same memory — so a consumer that keeps
+// one copies it (core.Scan.Clone).
 type Source interface {
 	Query(ctx context.Context, p archive.Predicate, emit func(sc *core.Scan, o *enrich.Origin)) error
 }
@@ -43,7 +45,9 @@ func (s ViewSource) Query(ctx context.Context, p archive.Predicate, emit func(sc
 
 // SliceSource adapts in-memory scans (the simulator's per-year collections):
 // no blocks to prune, the predicate filters scan by scan. Origins, when
-// present, must parallel Scans.
+// present, must parallel Scans. It hands emit the slices' own scans and
+// origins; the Source contract still holds — what emit keeps, it copies — so
+// that a consumer works the same over an archive.
 type SliceSource struct {
 	Scans   []*core.Scan
 	Origins []enrich.Origin

@@ -119,8 +119,7 @@ func TestReactiveEndToEnd(t *testing.T) {
 	}
 	var decoded []*core.Scan
 	err = rd.Query(context.Background(), archive.All, func(sc *core.Scan, _ *enrich.Origin) {
-		c := *sc
-		decoded = append(decoded, &c)
+		decoded = append(decoded, sc.Clone())
 	})
 	if err != nil {
 		t.Fatal(err)

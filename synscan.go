@@ -276,7 +276,11 @@ type (
 	ArchiveWriter = archive.Writer
 	// ArchiveWriterConfig parameterizes NewArchiveWriter / CreateArchive.
 	ArchiveWriterConfig = archive.WriterConfig
-	// ArchiveReader queries an archive with zone-map predicate pushdown.
+	// ArchiveReader queries an archive with zone-map predicate pushdown. Its
+	// Query lends each row to emit: the *Scan (with its Ports and Payload)
+	// and the *Origin are valid until emit returns, and the next row is
+	// loaded into the same memory, so a caller that keeps a row copies it
+	// (Scan.Clone, the Origin by value).
 	ArchiveReader = archive.Reader
 	// ArchiveReaderOption configures OpenArchive (see WithSkipCorrupt).
 	ArchiveReaderOption = archive.ReaderOption
