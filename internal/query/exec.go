@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/core"
@@ -36,10 +37,18 @@ func topKCapacity(k int) int {
 // ever materialized; per-group state is counters, a distinct set or sketch,
 // a bounded heavy-hitter tracker, or a float64 quantile sample.
 //
-// A group is identified by a packed fixed-size key (see groupKey), found
-// through one hash table from key to group number (see groupOf), and its
+// A group is identified by a packed fixed-size key (see groupKey) and its
 // aggregate states sit in one flat slice — observing a scan into groups that
-// already exist allocates nothing, however many ports it fans out over.
+// already exist allocates nothing, however many ports it fans out over. The
+// group table has two layouts (see groupOf). Hashed, the one every executor
+// starts in: an open-addressed table from key to group number, keys stored
+// by group number in first-seen order. Direct, for a group_by of one field
+// whose values fit in 16 bits (in practice port): the group number is the
+// coordinate itself, states sit in coordinate order behind a presence
+// bitmap, and keys are derived, not stored. A hashed table of such a field
+// converts at the doubling whose allocation would reach the direct table's
+// (spillSlots), so a decade's sweeps over sorted ports walk their states in
+// order instead of probing at random.
 //
 // Not safe for concurrent use; run one Executor per goroutine and Merge.
 type Executor struct {
@@ -52,14 +61,20 @@ type Executor struct {
 
 	// Aggregate mode.
 	matched uint64
-	group   []operand  // q.GroupBy, resolved
-	ops     []operand  // q.Aggs' fields, resolved
-	portAt  int        // index of FieldPort in q.GroupBy, or -1
-	slots   []int32    // the group table: group number + 1 by key hash, 0 = empty
-	keys    []groupKey // by group number: first-seen stream order
-	aggs    []aggState // group g's aggregate i at g*len(q.Aggs)+i
-	dict    dictionary // country/org coordinates
-	years   archive.YearCache
+	group   []operand // q.GroupBy, resolved
+	ops     []operand // q.Aggs' fields, resolved
+	portAt  int       // index of FieldPort in q.GroupBy, or -1
+	groups  int       // groups open, in either layout
+	// Hashed layout.
+	slots      []int32    // group number + 1 by key hash, 0 = empty; nil once direct
+	keys       []groupKey // by group number: first-seen stream order
+	spillSlots int        // the slot count whose doubling converts to direct instead; 0 = never
+	// Direct layout: present is nil while hashed.
+	present []uint64 // bit c set when coordinate c's group exists
+
+	aggs  []aggState // group g's aggregate i at g*len(q.Aggs)+i, in either layout
+	dict  dictionary // country/org coordinates
+	years archive.YearCache
 }
 
 // groupKey packs up to maxGroupBy coordinates of at most 32 bits each, two
@@ -110,7 +125,7 @@ type aggState struct {
 }
 
 type aggExt struct {
-	set     map[uint64]struct{}
+	set     distinctSet
 	hll     *sketch.HyperLogLog
 	topk    *sketch.TopK
 	samples []float64
@@ -143,7 +158,24 @@ func NewExecutor(q *Query) *Executor {
 	for _, a := range q.Aggs {
 		e.ops = append(e.ops, e.resolve(a.Field, false))
 	}
+	if len(q.GroupBy) == 1 && e.group[0].fits16() {
+		e.spillSlots = spillSlots(len(q.Aggs))
+	}
 	return e
+}
+
+// fits16 reports whether every value of the field, as a group coordinate,
+// fits in 16 bits: a direct table of 2^16 groups can hold all of them.
+func (d *fieldDef) fits16() bool {
+	switch d.kind {
+	case kindInt:
+		return d.max < directGroups
+	case kindEnum:
+		return d.enum.n <= directGroups
+	case kindBool:
+		return true
+	}
+	return false
 }
 
 // operand is one field of the query resolved for an executor: its row, and
@@ -218,15 +250,40 @@ func (e *Executor) Observe(sc *core.Scan, o *enrich.Origin) {
 	}
 }
 
-// minGroupSlots is the group table's initial size; sizes are powers of two.
+// minGroupSlots is the hashed table's initial size; sizes are powers of two.
 const minGroupSlots = 16
 
-// slotOf probes for key: the slot holding its group, or the empty slot where
-// it belongs. The table is open-addressed with linear probing and at most
-// half full, and holds only group numbers — the keys stay in e.keys, which a
-// sweep's consecutive ports walk in order once their groups exist. Against
-// a map[groupKey]int32 this is one random memory access per row instead of
-// three, on the per-(scan, port) path that dominates port-grouped queries.
+// The two layouts' sizes. A hashed table with room for c groups holds 2c
+// slots, c keys and c·n states for n aggregates; a direct one holds 2^16·n
+// states and a bitmap of 2^16 bits, whatever it holds.
+const (
+	directGroups     = 1 << 16
+	stateBytes       = int(unsafe.Sizeof(aggState{}))
+	hashedGroupBytes = 2*int(unsafe.Sizeof(int32(0))) + int(unsafe.Sizeof(groupKey{}))
+)
+
+// spillSlots is the slot count at which a hashed table of n aggregates per
+// group converts to direct instead of doubling: the first doubling whose
+// allocation, (2·4 + 16 + 24n) bytes per group it makes room for, reaches the
+// direct table's 2^16 · 24n bytes of states (its 8 KB bitmap, half a percent
+// of the smallest, aside). With one aggregate that is the doubling past 2^14
+// groups — 256 KB of slots, 512 KB of keys and 768 KB of states against
+// 1.5 MB — and with more, the one past 2^15, after which no 16-bit field
+// could need another. A table that stays below it never pays for 65 536
+// groups it does not have.
+func spillSlots(n int) int {
+	s := minGroupSlots
+	for s*(hashedGroupBytes+n*stateBytes) < directGroups*n*stateBytes {
+		s *= 2
+	}
+	return s
+}
+
+// slotOf probes the hashed table for key: the slot holding its group, or the
+// empty slot where it belongs. The table is open-addressed with linear
+// probing and at most half full, and holds only group numbers — the keys stay
+// in e.keys. A row costs a random access into the slots and one into the
+// keys; past the spill, the direct layout costs neither.
 //
 // The key travels down from Observe by pointer. By value, each level copied
 // its 16 bytes with one wide load straight after the 8-byte store that set
@@ -246,18 +303,34 @@ func (e *Executor) slotOf(key *groupKey) int {
 }
 
 // groupOf returns key's group number, opening the group if it is new; false
-// means the group cap was hit and e.err is set.
+// means the group cap was hit and e.err is set. Direct, the number is the
+// key's one coordinate; hashed, the group's place in opening order.
 func (e *Executor) groupOf(key *groupKey) (int, bool) {
+	if e.present != nil {
+		c := key.get(0)
+		w, bit := &e.present[c>>6], uint64(1)<<(c&63)
+		if *w&bit == 0 {
+			if e.capped() {
+				return 0, false
+			}
+			*w |= bit
+			e.groups++
+		}
+		return int(c), true
+	}
 	slot := e.slotOf(key)
 	if g := e.slots[slot]; g != 0 {
 		return int(g - 1), true
 	}
-	if len(e.keys) >= maxGroups {
-		e.err = errf("query exceeds %d groups; add a filter or coarser grouping", maxGroups)
+	if e.capped() {
 		return 0, false
 	}
-	g, n := len(e.keys), len(e.q.Aggs)
+	g, n := e.groups, len(e.q.Aggs)
 	if 2*(g+1) > len(e.slots) {
+		if len(e.slots) == e.spillSlots {
+			e.spill()
+			return e.groupOf(key)
+		}
 		// Keys and states grow in step with the table, to exactly the groups
 		// it can hold, so a growing executor copies each of them once per
 		// doubling and never between.
@@ -275,7 +348,81 @@ func (e *Executor) groupOf(key *groupKey) (int, bool) {
 	for i := 0; i < n; i++ {
 		e.aggs = append(e.aggs, aggState{})
 	}
+	e.groups++
 	return g, true
+}
+
+// capped reports whether the group cap leaves no room for another group,
+// setting e.err if so.
+func (e *Executor) capped() bool {
+	if e.groups < maxGroups {
+		return false
+	}
+	e.err = errf("query exceeds %d groups; add a filter or coarser grouping", maxGroups)
+	return true
+}
+
+// spill converts the hashed table to the direct layout: each group's states
+// move to its coordinate's place, and the slots and keys go.
+func (e *Executor) spill() {
+	n := len(e.q.Aggs)
+	aggs := make([]aggState, directGroups*n)
+	e.present = make([]uint64, directGroups/64)
+	for g := range e.keys {
+		c := int(e.keys[g].get(0))
+		copy(aggs[c*n:c*n+n], e.aggs[g*n:g*n+n])
+		e.present[c>>6] |= 1 << (c & 63)
+	}
+	e.aggs, e.slots, e.keys = aggs, nil, nil
+}
+
+// eachGroup calls f with every group's number and key — hashed groups in
+// opening order, direct ones by coordinate — until f returns false.
+func (e *Executor) eachGroup(f func(g int, key groupKey) bool) {
+	if e.present == nil {
+		for g, key := range e.keys {
+			if !f(g, key) {
+				return
+			}
+		}
+		return
+	}
+	for w, word := range e.present {
+		for ; word != 0; word &= word - 1 {
+			g := w<<6 | bits.TrailingZeros64(word)
+			if !f(g, e.keyOf(int32(g))) {
+				return
+			}
+		}
+	}
+}
+
+// keyOf returns group g's key: stored when hashed, derived when direct.
+func (e *Executor) keyOf(g int32) groupKey {
+	if e.present == nil {
+		return e.keys[g]
+	}
+	var key groupKey
+	key.set(0, uint32(g))
+	return key
+}
+
+// ranks returns a function numbering the groups 0, 1, … in eachGroup's order:
+// a hashed group's rank is its number, a direct group's the count of groups
+// present below its coordinate (from a 4 KB prefix count per bitmap word).
+func (e *Executor) ranks() func(g int32) int32 {
+	if e.present == nil {
+		return func(g int32) int32 { return g }
+	}
+	below := make([]int32, len(e.present))
+	var r int32
+	for w, word := range e.present {
+		below[w] = r
+		r += int32(bits.OnesCount64(word))
+	}
+	return func(g int32) int32 {
+		return below[g>>6] + int32(bits.OnesCount64(e.present[g>>6]&(1<<(g&63)-1)))
+	}
 }
 
 // observeRow folds one scan row into key's group.
@@ -320,8 +467,6 @@ func (e *Executor) observeAgg(a *Agg, f *operand, st *aggState, sc *core.Scan, o
 		if st.ext == nil {
 			st.ext = &aggExt{}
 			switch a.Op {
-			case OpCountDistinct:
-				st.ext.set = make(map[uint64]struct{})
 			case OpApproxDistinct:
 				st.ext.hll = sketch.NewHyperLogLog()
 			case OpTopK:
@@ -341,7 +486,7 @@ func (e *Executor) observeAgg(a *Agg, f *operand, st *aggState, sc *core.Scan, o
 func (x *aggExt) addKey(op AggOp, k uint64) {
 	switch op {
 	case OpCountDistinct:
-		x.set[k] = struct{}{}
+		x.set.add(k)
 	case OpApproxDistinct:
 		x.hll.Add(k)
 	case OpTopK:
@@ -379,7 +524,7 @@ func (e *Executor) Merge(o *Executor) {
 		remap[id] = e.dict.id(s)
 	}
 	n := len(e.q.Aggs)
-	for og, key := range o.keys {
+	o.eachGroup(func(og int, key groupKey) bool {
 		for i, f := range e.q.GroupBy {
 			if f.stringValued() {
 				key.set(i, remap[key.get(i)])
@@ -387,12 +532,13 @@ func (e *Executor) Merge(o *Executor) {
 		}
 		g, ok := e.groupOf(&key)
 		if !ok {
-			return
+			return false
 		}
 		for i := 0; i < n; i++ {
 			mergeAgg(&e.aggs[g*n+i], &o.aggs[og*n+i])
 		}
-	}
+		return true
+	})
 }
 
 // mergeAgg folds src into dst, which may be a group's just-opened zero state.
@@ -407,9 +553,7 @@ func mergeAgg(dst, src *aggState) {
 		return
 	}
 	d, s := dst.ext, src.ext
-	for k := range s.set {
-		d.set[k] = struct{}{}
-	}
+	d.set.union(&s.set)
 	if s.hll != nil {
 		d.hll.Merge(s.hll)
 	}
@@ -500,21 +644,25 @@ func (e *Executor) Finish() (*Result, error) {
 		return res, nil
 	}
 	n := len(e.q.Aggs)
-	order := make([]int32, len(e.keys))
-	for g := range order {
-		order[g] = int32(g)
-	}
-	before := func(a, b int32) int { return e.compareKeys(e.keys[a], e.keys[b]) }
+	order := make([]int32, 0, e.groups)
+	e.eachGroup(func(g int, _ groupKey) bool {
+		order = append(order, int32(g))
+		return true
+	})
+	before := func(a, b int32) int { return e.compareKeys(e.keyOf(a), e.keyOf(b)) }
 	if e.q.Order != OrderKey && n > 0 {
-		scalars := make([]float64, len(e.keys))
-		for g := range scalars {
-			scalars[g] = scalar(&e.q.Aggs[0], &e.aggs[g*n])
+		// Scalars by rank, sized by the groups present: a direct table's
+		// group numbers run to 65 535 however few of them exist.
+		scalars := make([]float64, len(order))
+		for r, g := range order {
+			scalars[r] = scalar(&e.q.Aggs[0], &e.aggs[int(g)*n])
 		}
+		rank := e.ranks()
 		before = func(a, b int32) int {
-			if c := cmp.Compare(scalars[b], scalars[a]); c != 0 {
+			if c := cmp.Compare(scalars[rank(b)], scalars[rank(a)]); c != 0 {
 				return c
 			}
-			return e.compareKeys(e.keys[a], e.keys[b])
+			return e.compareKeys(e.keyOf(a), e.keyOf(b))
 		}
 	}
 	res.TotalRows = len(order)
@@ -526,8 +674,9 @@ func (e *Executor) Finish() (*Result, error) {
 	res.Rows = make([]Row, len(order))
 	for r, g := range order {
 		row := Row{Key: make([]KeyVal, len(e.q.GroupBy)), Aggs: make([]AggValue, n)}
+		key := e.keyOf(g)
 		for i, f := range e.q.GroupBy {
-			row.Key[i] = e.renderCoord(f, e.keys[g].get(i))
+			row.Key[i] = e.renderCoord(f, key.get(i))
 		}
 		for i := range row.Aggs {
 			row.Aggs[i] = finishAgg(&e.q.Aggs[i], &e.aggs[int(g)*n+i])
@@ -631,7 +780,7 @@ func finishAgg(a *Agg, st *aggState) AggValue {
 		}
 	case OpCountDistinct:
 		if st.ext != nil {
-			v.Count = uint64(len(st.ext.set))
+			v.Count = uint64(st.ext.set.len())
 		}
 	case OpApproxDistinct:
 		if st.ext != nil {
@@ -674,4 +823,80 @@ func (e *Executor) compareKeys(a, b groupKey) int {
 		return cmp.Compare(ca, cb)
 	}
 	return 0
+}
+
+// distinctSet is count_distinct's exact set of 64-bit keys: open-addressed
+// with linear probing, a multiplicative (Fibonacci) hash whose top bits pick
+// the home slot, at most ¾ full, doubling when an insert takes it past that.
+// A zero slot is empty, so the key 0 is a flag of its own. Nothing is ever
+// removed. Against a map[uint64]struct{}, an insert is one multiply and,
+// mostly, one cache line, and a key costs one 8-byte slot at ⅜ to ¾ load.
+type distinctSet struct {
+	slots []uint64 // a power of two long, or nil until the first nonzero key
+	n     int      // nonzero keys in slots
+	zero  bool     // the set holds 0
+	shift uint8    // 64 − log2(len(slots))
+}
+
+const minSetSlots = 16
+
+func (s *distinctSet) home(k uint64) int { return int(k * 0x9e3779b97f4a7c15 >> s.shift) }
+
+func (s *distinctSet) add(k uint64) {
+	if k == 0 {
+		s.zero = true
+		return
+	}
+	if s.slots == nil {
+		s.resize(minSetSlots)
+	}
+	mask := len(s.slots) - 1
+	for i := s.home(k); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return
+		case 0:
+			s.slots[i] = k
+			if s.n++; 4*s.n > 3*len(s.slots) {
+				s.resize(2 * len(s.slots))
+			}
+			return
+		}
+	}
+}
+
+// resize moves every key into a new table of size slots.
+func (s *distinctSet) resize(size int) {
+	old := s.slots
+	s.slots = make([]uint64, size)
+	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	mask := size - 1
+	for _, k := range old {
+		if k == 0 {
+			continue
+		}
+		i := s.home(k)
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = k
+	}
+}
+
+// union adds every key of o to s.
+func (s *distinctSet) union(o *distinctSet) {
+	s.zero = s.zero || o.zero
+	for _, k := range o.slots {
+		if k != 0 {
+			s.add(k)
+		}
+	}
+}
+
+// len is the number of distinct keys.
+func (s *distinctSet) len() int {
+	if s.zero {
+		return s.n + 1
+	}
+	return s.n
 }

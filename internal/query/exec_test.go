@@ -499,3 +499,392 @@ func TestProjectionKeepsResults(t *testing.T) {
 		}
 	}
 }
+
+// sweepStream is a stream in which a port grouping of one aggregate spills:
+// units of small scans (one to eight ports) between sorted sweeps of 9 000
+// to 17 000 ports, about 31 000 ports between them with gaps (odd ports
+// below 4 000, most of 24 000–30 000), so that a group's rank is not its
+// port. The first sweep alone holds past 2^14 groups; the others only once
+// merged. Each unit is a [from, to) range of the stream, in order.
+func sweepStream(seed uint64) (scans []*core.Scan, origins []enrich.Origin, units [][2]int) {
+	r := rng.New(seed)
+	span := func(from, to, step int) []uint16 {
+		var ps []uint16
+		for p := from; p < to; p += step {
+			ps = append(ps, uint16(p))
+		}
+		return ps
+	}
+	sweeps := [][]uint16{span(4000, 21000, 1), span(30000, 39000, 1), span(0, 18000, 2), span(12000, 24000, 1)}
+	scan := func(ports []uint16) {
+		scans = append(scans, &core.Scan{
+			Src:     r.Uint32() % 4096, // repeats, and now and then 0
+			Packets: uint64(r.Uint32() % 100000),
+			RatePPS: float64(r.Uint32()%1000) / 8,
+			Ports:   ports,
+		})
+		origins = append(origins, enrich.Origin{})
+	}
+	for _, sweep := range sweeps {
+		from := len(scans)
+		for i := 0; i < 40; i++ {
+			ports := span(int(r.Uint32()%24000), 24000, 1+int(r.Uint32()%3000))
+			scan(ports[:min(len(ports), 1+r.Intn(8))])
+		}
+		units = append(units, [2]int{from, len(scans)})
+		scan(sweep)
+		units = append(units, [2]int{len(scans) - 1, len(scans)})
+	}
+	return scans, origins, units
+}
+
+// TestSpillMatchesNaive holds the port grouping to naiveRun across the
+// spill from the hashed layout to the port-addressed one past 2^14 groups
+// (TestSpillPoints covers the spill past 2^15 that more aggregates take):
+// every aggregate the reference knows, both orderings, limits that cut
+// through long runs of tied counts, the whole stream through one executor,
+// and the stream cut into partials merged in stream order from the front
+// (each partial into the total so far) and from the back (each partial
+// taking in the total of everything after it) — so that Merge meets hashed
+// into direct (the receiver spilling mid-merge), direct into hashed and
+// direct into direct, each with the direct side first in the stream and
+// second. At most two executors are live at a time.
+func TestSpillMatchesNaive(t *testing.T) {
+	scans, origins, units := sweepStream(71)
+	aggSets := []func(b *Builder){
+		func(b *Builder) { b.Count() },
+		func(b *Builder) { b.CountDistinct(FieldSrc) },
+		func(b *Builder) { b.Sum(FieldPackets) },
+		func(b *Builder) { b.Quantiles(FieldRate, 0.5, 0.9) },
+		func(b *Builder) { b.Sum(FieldRate) },
+	}
+	kind := func(e *Executor) string {
+		if e.present != nil {
+			return "direct"
+		}
+		return "hashed"
+	}
+	seen := map[string]bool{}
+	r := rng.New(72)
+	for round := 0; round < 7; round++ {
+		b := NewBuilder().GroupBy(FieldPort)
+		set := round % len(aggSets)
+		aggSets[set](b)
+		// A float sum is not associative: merged partials may differ from
+		// the sequential reference in the last bits, which must not decide a
+		// row's rank.
+		if round >= len(aggSets) || set == len(aggSets)-1 {
+			b.OrderByKey()
+		}
+		b.Limit([]int{0, 1, 10, 333, 20000}[r.Intn(5)])
+		q, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := naiveRun(q, scans, origins)
+
+		single := NewExecutor(q)
+		for i, sc := range scans {
+			single.Observe(sc, &origins[i])
+		}
+		if kind(single) != "direct" {
+			t.Fatalf("%s: %d groups and not spilled", q.Key(), single.groups)
+		}
+		got, err := single.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, got, want)
+
+		part := func(u [2]int) *Executor {
+			e := NewExecutor(q)
+			for j := u[0]; j < u[1]; j++ {
+				e.Observe(scans[j], &origins[j])
+			}
+			return e
+		}
+		merge := func(into, from *Executor) {
+			seen[kind(into)+"←"+kind(from)] = true
+			into.Merge(from)
+		}
+		check := func(total *Executor) {
+			merged, err := total.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, merged, want)
+		}
+		front := part(units[0])
+		for _, u := range units[1:] {
+			merge(front, part(u))
+		}
+		check(front)
+		back := part(units[len(units)-1])
+		for i := len(units) - 2; i >= 0; i-- {
+			e := part(units[i])
+			merge(e, back)
+			back = e
+		}
+		check(back)
+	}
+	for _, pair := range []string{"hashed←direct", "direct←hashed", "direct←direct"} {
+		if !seen[pair] {
+			t.Errorf("no merge of %s", pair)
+		}
+	}
+}
+
+// TestSpillPoints pins where a port grouping leaves the hashed layout: at
+// the doubling past 2^14 groups with one aggregate, past 2^15 with more, and
+// never for a field wider than 16 bits or a grouping of two fields — and
+// every group keeps its states through it. Of the other 16-bit fields, none
+// has values enough to get there.
+func TestSpillPoints(t *testing.T) {
+	if stateBytes != 24 || hashedGroupBytes != 24 {
+		t.Fatalf("aggState is %d bytes and a hashed group %d: the sizes in the comments are stale", stateBytes, hashedGroupBytes)
+	}
+	for n, want := range map[int]int{1: 1 << 15, 2: 1 << 16, 16: 1 << 16} {
+		if got := spillSlots(n); got != want {
+			t.Errorf("%d aggregates: spill at %d slots, want %d", n, got, want)
+		}
+	}
+	for _, f := range Fields() {
+		want := f == FieldYear || f == FieldTool || f == FieldPort || f == FieldQualified ||
+			f == FieldTwoPhase || f == FieldISN || f == FieldType
+		if f.can(capGroup) && f.def().fits16() != want {
+			t.Errorf("%s: fits16 = %v", f, !want)
+		}
+	}
+	sc := core.Scan{Ports: []uint16{0}}
+	for _, c := range []struct {
+		fields []Field
+		n      int
+		spill  int // groups at which the table is direct, 0 = never
+	}{
+		{[]Field{FieldPort}, 1, 1<<14 + 1},
+		{[]Field{FieldPort}, 2, 1<<15 + 1},
+		{[]Field{FieldASN}, 1, 0},
+		{[]Field{FieldPort, FieldTool}, 1, 0},
+	} {
+		b := NewBuilder().Count()
+		if c.n == 2 {
+			b.Sum(FieldPackets)
+		}
+		for _, f := range c.fields {
+			b.GroupBy(f)
+		}
+		q, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewExecutor(q)
+		o := enrich.Origin{}
+		for v := 0; v < 1<<16; v++ {
+			sc.Ports[0], sc.Packets, o.ASN = uint16(v), uint64(v), uint32(v)
+			e.Observe(&sc, &o)
+			if direct := e.present != nil; direct != (c.spill > 0 && e.groups >= c.spill) {
+				t.Fatalf("%v, %d aggregates: direct = %v at %d groups", c.fields, c.n, direct, e.groups)
+			}
+		}
+		res, err := e.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TotalRows != 1<<16 {
+			t.Fatalf("%v: %d groups, want %d", c.fields, res.TotalRows, 1<<16)
+		}
+		for i, row := range res.Rows { // counts tie: by key, the value observed
+			if row.Key[0].Num != uint64(i) || row.Aggs[0].Count != 1 || c.n == 2 && row.Aggs[1].Int != uint64(i) {
+				t.Fatalf("%v, %d aggregates: row %d is %+v", c.fields, c.n, i, row)
+			}
+		}
+	}
+}
+
+// TestAllocBudgetObserveDirect is the enforced budget for the port-addressed
+// layout: once a port grouping has spilled, observing sweeps into groups that
+// already exist allocates nothing. Reported under "query-observe-direct".
+func TestAllocBudgetObserveDirect(t *testing.T) {
+	scans, origins, _ := sweepStream(73)
+	q, err := NewBuilder().GroupBy(FieldPort).Count().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewExecutor(q)
+	observeAll := func() {
+		for i, sc := range scans {
+			e.Observe(sc, &origins[i])
+		}
+	}
+	observeAll() // open every group
+	if e.present == nil {
+		t.Fatalf("%d groups and not spilled", e.groups)
+	}
+	alloctest.Check(t, "query-observe-direct", 0, observeAll)
+	if _, err := e.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// has reports whether s holds k, probing as add does.
+func (s *distinctSet) has(k uint64) bool {
+	if k == 0 {
+		return s.zero
+	}
+	if s.slots == nil {
+		return false
+	}
+	mask := len(s.slots) - 1
+	for i := s.home(k); s.slots[i] != 0; i = (i + 1) & mask {
+		if s.slots[i] == k {
+			return true
+		}
+	}
+	return false
+}
+
+// probes is how many slots add reads to reach k, which s holds.
+func (s *distinctSet) probes(k uint64) int {
+	mask := len(s.slots) - 1
+	n := 1
+	for i := s.home(k); s.slots[i] != k; i = (i + 1) & mask {
+		n++
+	}
+	return n
+}
+
+// checkSet compares s with its oracle: the count, every oracle key found,
+// every occupied slot an oracle key with no empty slot between it and its
+// home, and the load at most ¾.
+func checkSet(t *testing.T, s *distinctSet, want map[uint64]struct{}) {
+	t.Helper()
+	if s.len() != len(want) {
+		t.Fatalf("%d keys, oracle %d", s.len(), len(want))
+	}
+	if 4*s.n > 3*len(s.slots) {
+		t.Fatalf("%d keys in %d slots: over ¾ full", s.n, len(s.slots))
+	}
+	mask := len(s.slots) - 1
+	live := 0
+	for i, k := range s.slots {
+		if k == 0 {
+			continue
+		}
+		live++
+		if _, ok := want[k]; !ok {
+			t.Fatalf("slot %d holds %#x, which was never added", i, k)
+		}
+		for j := s.home(k); j != i; j = (j + 1) & mask {
+			if s.slots[j] == 0 {
+				t.Fatalf("%#x sits at %d behind an empty slot %d", k, i, j)
+			}
+		}
+	}
+	if live != s.n {
+		t.Fatalf("%d occupied slots, n = %d", live, s.n)
+	}
+	for k := range want {
+		if !s.has(k) {
+			t.Fatalf("%#x added and not found", k)
+		}
+	}
+}
+
+// TestDistinctSetMatchesMap: seeded inserts into the open-addressed set and
+// into a map[uint64]struct{} oracle — duplicates from a narrow universe, the
+// key 0, the widest keys, a wide random spread — checked after every growth
+// step up to 2^17 slots, then unions of two such sets, in both directions,
+// against the union of their oracles.
+func TestDistinctSetMatchesMap(t *testing.T) {
+	build := func(r *rng.Rand, n int) (*distinctSet, map[uint64]struct{}) {
+		s, want := &distinctSet{}, map[uint64]struct{}{}
+		for i := 0; i < n; i++ {
+			k := r.Uint64()
+			switch r.Intn(10) {
+			case 0:
+				k = 0
+			case 1:
+				k = ^uint64(0) - uint64(r.Intn(3))
+			case 2, 3, 4:
+				k %= 512
+			}
+			before := len(s.slots)
+			s.add(k)
+			want[k] = struct{}{}
+			if len(s.slots) != before {
+				if before != 0 && len(s.slots) != 2*before {
+					t.Fatalf("grew %d → %d slots", before, len(s.slots))
+				}
+				checkSet(t, s, want)
+			}
+		}
+		checkSet(t, s, want)
+		return s, want
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		r := rng.New(seed)
+		n := 1 + r.Intn(20000)
+		if seed == 1 {
+			n = 100000 // through every growth step to 2^17 slots
+		}
+		a, wantA := build(r, n)
+		b, wantB := build(r, r.Intn(3000))
+		union := map[uint64]struct{}{}
+		for k := range wantA {
+			union[k] = struct{}{}
+		}
+		for k := range wantB {
+			union[k] = struct{}{}
+		}
+		a2, _ := build(rng.New(seed), 0) // an empty set on either side
+		a2.union(a)
+		checkSet(t, a2, wantA)
+		if seed%2 == 0 {
+			b.union(a)
+			checkSet(t, b, union)
+		} else {
+			a.union(b)
+			checkSet(t, a, union)
+		}
+	}
+	var s distinctSet
+	if s.add(0); s.len() != 1 || s.slots != nil || !s.has(0) || s.has(1) {
+		t.Fatalf("a set of 0 alone: len %d, %d slots", s.len(), len(s.slots))
+	}
+}
+
+// TestDistinctSetCraftedRuns: the key sets a count_distinct meets that are
+// not random — consecutive source addresses (a prefix swept in order),
+// multiples of every power of two up to 2^63 (a shared suffix) — stay within
+// a bounded distance of home at every load up to ¾: 48 probes, where the
+// multiples measure 34 at worst and as many random keys reach about 120 at
+// that load. Consecutive keys stay within a few slots of home.
+func TestDistinctSetCraftedRuns(t *testing.T) {
+	longest := func(keys func(i int) uint64, n int) int {
+		var s distinctSet
+		for i := 0; i < n; i++ {
+			s.add(keys(i))
+		}
+		worst := 0
+		for _, k := range s.slots {
+			if k != 0 {
+				worst = max(worst, s.probes(k))
+			}
+		}
+		return worst
+	}
+	worstMult := 0
+	for _, n := range []int{1000, 12288, 24576, 49152} { // ¾ of 2^k slots, and between
+		if w := longest(func(i int) uint64 { return 0xC0A80000 + uint64(i) }, n); w > 4 {
+			t.Errorf("%d consecutive sources: a probe run of %d", n, w)
+		}
+		for j := 0; j < 64; j++ {
+			w := longest(func(i int) uint64 { return uint64(i+1) << j }, n)
+			if w > 48 {
+				t.Errorf("%d multiples of 2^%d: a probe run of %d", n, j, w)
+			}
+			worstMult = max(worstMult, w)
+		}
+	}
+	t.Logf("multiples: %d", worstMult)
+}

@@ -557,11 +557,13 @@ func TestOriginGroupingSkipsOriginless(t *testing.T) {
 }
 
 // TestGroupCap: a grouping that explodes past maxGroups fails with a client
-// error instead of exhausting memory.
+// error instead of exhausting memory — in the hashed layout, and in the
+// port-addressed one a port grouping spills to, with a cap below its 65 536
+// groups, whether the groups come from scans or from a merged partial.
 func TestGroupCap(t *testing.T) {
 	old := maxGroups
-	maxGroups = 100
 	defer func() { maxGroups = old }()
+	maxGroups = 100
 	q, err := NewBuilder().GroupBy(FieldASN).Count().Build()
 	if err != nil {
 		t.Fatal(err)
@@ -575,6 +577,31 @@ func TestGroupCap(t *testing.T) {
 	}
 	if _, err := e.Finish(); err == nil || !IsClientError(err) {
 		t.Fatalf("group cap: err = %v", err)
+	}
+
+	maxGroups = 20000
+	q, err = NewBuilder().GroupBy(FieldPort).Count().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(from, to int) *Executor {
+		e := NewExecutor(q)
+		for p := from; p < to; p++ {
+			sc.Ports[0] = uint16(p)
+			e.Observe(&sc, &o)
+		}
+		return e
+	}
+	if e := sweep(0, maxGroups); e.present == nil || e.err != nil {
+		t.Fatalf("%d ports: spilled = %v, err = %v", maxGroups, e.present != nil, e.err)
+	}
+	if _, err := sweep(0, maxGroups+1).Finish(); err == nil || !IsClientError(err) {
+		t.Fatalf("group cap after the spill: err = %v", err)
+	}
+	e = sweep(0, maxGroups/2)
+	e.Merge(sweep(maxGroups/2, maxGroups+1))
+	if _, err := e.Finish(); err == nil || !IsClientError(err) {
+		t.Fatalf("group cap in a merge that spills: err = %v", err)
 	}
 }
 
