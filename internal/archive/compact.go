@@ -400,8 +400,7 @@ func (c *Compactor) mergeInput(w *Writer, name string) error {
 			split = sum / 2
 		}
 		for j := 0; j < rw.n; j++ {
-			sc, o = core.Scan{}, enrich.Origin{}
-			rw.load(j, &sc, &o)
+			rw.load(j, &sc, op, rw.fields)
 			if err := w.add(&sc, op); err != nil {
 				return err
 			}

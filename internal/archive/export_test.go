@@ -8,3 +8,9 @@ func PoisonScratch(on bool) { poisonScratch.Store(on) }
 
 // TestScans is testScans.
 var TestScans = testScans
+
+// Project is project.
+var Project = project
+
+// FilterRun is filterRun.
+const FilterRun = filterRun

@@ -37,6 +37,27 @@ type Filter struct {
 // the decode is full.
 func (f *Filter) Fields() Fields { return AllFields }
 
+// MatchFields implements Predicate: the strips the populated fields read.
+func (f *Filter) MatchFields() Fields {
+	var m Fields
+	if f.QualifiedOnly || len(f.Tools) > 0 {
+		m |= FieldTool
+	}
+	if f.MinRate > 0 || f.MaxRate > 0 {
+		m |= FieldRate
+	}
+	if f.SrcPrefix != nil {
+		m |= FieldSrc
+	}
+	if len(f.Years) > 0 {
+		m |= FieldStart
+	}
+	if len(f.Ports) > 0 {
+		m |= FieldPorts
+	}
+	return m
+}
+
 // Match implements Predicate; a Filter never inspects origins.
 func (f *Filter) Match(sc *core.Scan, _ *enrich.Origin) bool { return f.MatchScan(sc) }
 

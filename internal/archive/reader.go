@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -214,7 +215,9 @@ func (r *Reader) CorruptBlocks() uint64 { return r.corrupt.Load() }
 // Ports and Payload, are valid only until it returns, as with
 // bufio.Scanner.Bytes — the next row is loaded into the same memory, and a
 // drained block's columns go on to decode other blocks. A consumer that keeps
-// a row copies it (core.Scan.Clone, and the origin by value). Only the strips
+// a row copies it (core.Scan.Clone, and the origin by value). emit must not
+// write to the row it is lent: the row is set to blank once per query, and a
+// load rewrites only the projected fields. Only the strips
 // p.Fields names are read: the other fields of a scan are zero, Scan.Ports
 // and Scan.Payload nil, and the origin is nil when the archive carries none
 // (see HasOrigins) or p.Fields names no origin strip.
@@ -284,15 +287,21 @@ func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan
 	defer wg.Wait()
 	defer close(jobs)
 
-	// The one row every emit is lent, reset to what unprojected parts read as
-	// before each load, and scribbled after each emit under poisonScratch.
+	// The one row every emit is lent, set once to what unprojected parts read
+	// as: load writes every projected part of each row, and emit writes none.
+	// Under poisonScratch the row is set to blank before each load as well,
+	// checked after each emit against a load into blanks of its own — an
+	// emit writing into the blank port list writes into blankScan's — and
+	// scribbled.
 	sc, o := new(core.Scan), new(enrich.Origin)
 	blankScan, blankOrigin := blanks(fields)
-	var spentScan core.Scan
-	var spentOrigin enrich.Origin
+	*sc, *o = blankScan, blankOrigin
 	poisoning := poisonScratch.Load()
+	var spentScan, checkScan core.Scan
+	var spentOrigin, checkOrigin enrich.Origin
 	if poisoning {
 		spentScan, spentOrigin = blanks(0)
+		checkScan, checkOrigin = blanks(fields)
 	}
 	op := o
 	if fields&FieldOrigin == 0 {
@@ -308,10 +317,18 @@ func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan
 		}
 		admit()
 		for i := 0; i < rw.n; i++ {
-			*sc, *o = blankScan, blankOrigin
-			rw.load(i, sc, op)
+			if poisoning {
+				*sc, *o = blankScan, blankOrigin
+			}
+			rw.load(i, sc, op, fields)
 			emit(sc, op)
 			if poisoning {
+				want, wantOrigin := checkScan, checkOrigin
+				rw.load(i, &want, &wantOrigin, fields)
+				if !reflect.DeepEqual(*sc, want) || *o != wantOrigin {
+					panic(fmt.Sprintf("archive: emit wrote to its lent row (projecting {%v}): %+v %+v, loaded as %+v %+v",
+						fields, *sc, *o, want, wantOrigin))
+				}
 				*sc, *o = spentScan, spentOrigin
 			}
 		}
@@ -348,11 +365,15 @@ func (r *Reader) fail(err error, rw *rows) error {
 // reusable-state DEFLATE decoder (internal/inflate keeps its Huffman tables
 // across streams, so a warmed scratch decompresses without allocating —
 // compress/flate rebuilds its link tables per stream even when Reset), the
-// origin-string table, the block's two dictionaries and the record a decode
-// works in. Idle units wait in scratchFree; everything the block decoder keeps
-// is decoded or copied into the block's rows (ports, payload) or is an
-// immutable interned string, so nothing in a row set aliases a scratch after
-// its release. That invariant is pinned by TestPoolPoisoning.
+// origin-string table, the block's two dictionaries, and the columns and the
+// record a predicate's filter runs over. Those columns hold a run of
+// filterRun records of the strips filters read and are never dropped, so a
+// scratch, one per processor, costs the same across queries of any
+// projection and blocks of any size.
+// Idle units wait in scratchFree; everything the block decoder keeps is
+// decoded or copied into the block's rows (ports, payload) or is an immutable
+// interned string, so nothing in a row set aliases a scratch after its
+// release. That invariant is pinned by TestPoolPoisoning.
 type blockScratch struct {
 	comp      []byte
 	raw       []byte
@@ -361,6 +382,8 @@ type blockScratch struct {
 	strings   interner
 	countries []string
 	orgs      []orgEntry
+	cols      rows    // the filter's strips, a run of records' parts: never dropped
+	keep      []int32 // the records the filter kept
 	sc        core.Scan
 	o         enrich.Origin
 }
@@ -401,10 +424,13 @@ func poison(bufs ...[]byte) {
 }
 
 // release returns the scratch to the free list, or to the collector when the
-// list is full. The record it worked in lets go of the row set its ports and
-// payload pointed into.
+// list is full. Under poisonScratch its buffers and filter columns are
+// scribbled first.
 func (s *blockScratch) release() {
 	poison(s.comp, s.raw)
+	if poisonScratch.Load() {
+		s.cols.poison()
+	}
 	s.sc, s.o = core.Scan{}, enrich.Origin{}
 	select {
 	case scratchFree <- s:
@@ -592,11 +618,21 @@ func blanks(fields Fields) (sc core.Scan, o enrich.Origin) {
 	return sc, o
 }
 
+// filterRun is how many records a filter's strips decode, and the filter
+// runs over, at a time: what bounds the scratch's columns, whatever a block
+// holds.
+const filterRun = 1024
+
 // decodeBlock reads, checksums and decodes block z into rw, which is empty,
-// inflating and walking only the strips rw.fields names. Read scratch comes
-// from (and returns to) the block pool; each record decodes into the
-// scratch's Scan, and only one matching p is pushed onto rw, so a set grows
-// with what a block keeps, not with what it holds. A failure leaves rw
+// inflating only the strips rw.fields names and decoding them a strip at a
+// time. The strips p's filter reads (p.MatchFields) decode first, a run of
+// records at a time, into the scratch's columns; p.Match runs over them
+// record by record, and rw gets the matches' parts of them. Every other strip
+// then decodes straight into rw, walked over every record and keeping the
+// matches': a set grows with what a block keeps, not with what it holds. A
+// filter that reads no strip answers for every record at once, and a
+// filter-less decode sizes each column to the block's records up front. Read
+// scratch comes from (and returns to) the block pool. A failure leaves rw
 // without rows.
 func (r *Reader) decodeBlock(z *ZoneMap, p Predicate, rw *rows) error {
 	s := getScratch()
@@ -611,28 +647,92 @@ func (r *Reader) decodeBlock(z *ZoneMap, p Predicate, rw *rows) error {
 		return r.fail(fmt.Errorf("%w: block at %d: %d scans in %d bytes",
 			ErrCorrupt, z.Offset, z.Scans, z.RawLen), rw)
 	}
-	dec := newBlockDecoder(fields, s, rw)
-	blankScan, blankOrigin := blanks(fields)
-	sc, o := &s.sc, &s.o
-	if fields&FieldOrigin == 0 {
-		o = nil
+	n := int(z.Scans)
+	dec := newBlockDecoder(s, n)
+	corrupt := func(i int) error {
+		return r.fail(fmt.Errorf("%w: block at %d: strip %s does not hold its %d records",
+			ErrCorrupt, z.Offset, stripNames[i], n), rw)
 	}
-	for i := uint32(0); i < z.Scans; i++ {
-		*sc = blankScan
-		if o != nil {
-			*o = blankOrigin
+	origin := fields&FieldOrigin != 0
+	sel, early := selection{all: true}, Fields(0)
+	if filter := p.MatchFields() & fields; filter != 0 {
+		// A record's handshake packets are checked against its packets in
+		// the runs, where both strips are at hand for kept and dropped
+		// records alike.
+		early = filter
+		if fields&(FieldPackets|FieldPhase) == FieldPackets|FieldPhase {
+			early |= FieldPackets | FieldPhase
 		}
-		if !dec.next(sc, o) {
-			return r.fail(fmt.Errorf("%w: block at %d, record %d", ErrCorrupt, z.Offset, i), rw)
+		s.keep = s.keep[:0]
+		for from := 0; from < n; from += filterRun {
+			to := min(from+filterRun, n)
+			s.cols.clear(early)
+			var packets []uint64
+			for i := 0; i < numStrips; i++ {
+				if early&(1<<i) == 0 {
+					continue
+				}
+				if !dec.strip(i, &s.cols, sel, packets, from, to) {
+					return corrupt(i)
+				}
+				if i == stripPackets {
+					packets = s.cols.packets
+				}
+			}
+			k := len(s.keep)
+			s.match(p, from, to, filter, origin)
+			rw.gather(&s.cols, s.keep[k:], from, early)
 		}
-		if p.Match(sc, o) {
-			rw.push(sc, o)
+		sel = selection{keep: s.keep}
+	} else if !s.matchBlank(p, origin) {
+		sel = selection{}
+	}
+	var packets []uint64 // every record's packet count, once decoded: the phase strip's check
+	for i := 0; i < numStrips; i++ {
+		if fields&^early&(1<<i) == 0 {
+			continue
+		}
+		if !dec.strip(i, rw, sel, packets, 0, n) {
+			return corrupt(i)
+		}
+		if i == stripPackets && sel.all {
+			packets = rw.packets
 		}
 	}
-	if !dec.finished() {
-		return r.fail(fmt.Errorf("%w: block at %d: strips hold more than its %d records", ErrCorrupt, z.Offset, z.Scans), rw)
+	rw.n = n
+	if !sel.all {
+		rw.n = len(sel.keep)
 	}
 	r.mDecoded.Add(uint64(z.Scans))
 	r.mMatched.Add(uint64(rw.n))
 	return nil
+}
+
+// match runs p over records from to to, whose filter strips — those in
+// filter — the scratch's columns hold, and appends the numbers of those it
+// keeps to s.keep. Match sees each record in the scratch's Scan and, when
+// origin, Origin: the filter's parts loaded, every other part blank.
+func (s *blockScratch) match(p Predicate, from, to int, filter Fields, origin bool) {
+	sc, o := &s.sc, &s.o
+	*sc, *o = blanks(filter)
+	if !origin {
+		o = nil
+	}
+	for i := from; i < to; i++ {
+		s.cols.load(i-from, sc, o, filter)
+		if p.Match(sc, o) {
+			s.keep = append(s.keep, int32(i))
+		}
+	}
+}
+
+// matchBlank is p's answer for every record of a block when its filter reads
+// no strip: what Match says of a record all of whose parts are blank.
+func (s *blockScratch) matchBlank(p Predicate, origin bool) bool {
+	sc, o := &s.sc, &s.o
+	*sc, *o = blanks(0)
+	if !origin {
+		o = nil
+	}
+	return p.Match(sc, o)
 }

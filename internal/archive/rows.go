@@ -16,22 +16,22 @@ import (
 // rows is one decoded block's matching records, column by column: a column
 // per strip the query projects, holding that strip's part of every match in
 // record order, and nothing for the strips it does not. A decode worker fills
-// a set (push, after decoding each record into its own scratch Scan); the
-// caller of Query loads row after row into one reused Scan and Origin for
-// emit, then releases the set to rowsFree for the next block of this query or
-// of any other. That is why emit's pointers are valid only until it returns.
+// a set a strip at a time (blockDecoder.strip, or gather from the columns a
+// filter was run over); the caller of Query loads row after row into one
+// reused Scan and Origin for emit, then releases the set to rowsFree for the
+// next block of this query or of any other. That is why emit's pointers are
+// valid only until it returns.
 //
 // Ports and payload bytes sit back to back in one column each, ends recorded
-// per row; the decoder writes a record's list straight into the column's tail
-// (takePorts, takePayload) and push commits it, so a rejected record's list is
-// overwritten by the next one. Nothing here aliases the pooled blockScratch:
-// ports are decoded, payload bytes copied, strings are interned copies.
+// per row. Nothing here aliases the pooled blockScratch: ports are decoded,
+// payload bytes copied, strings are interned copies.
 type rows struct {
 	fields Fields // the strips the columns hold
 	n      int    // rows held
 	err    error  // what failed the block; no rows then
 
-	start, end     []int64
+	start          []int64
+	dur            []int64 // as in the strip: End less Start, which load adds back
 	src            []uint32
 	packets        []uint64
 	dsts           []int32 // DistinctDsts, ≤ MaxInt32 by the decoder's check
@@ -98,7 +98,7 @@ func (rw *rows) release() {
 func (rw *rows) reset(fields Fields) {
 	rw.fields, rw.n, rw.err = fields, 0, nil
 	rw.start = column(rw.start, fields&FieldStart)
-	rw.end = column(rw.end, fields&FieldDuration)
+	rw.dur = column(rw.dur, fields&FieldDuration)
 	rw.src = column(rw.src, fields&FieldSrc)
 	rw.packets = column(rw.packets, fields&FieldPackets)
 	rw.dsts = column(rw.dsts, fields&FieldDsts)
@@ -128,25 +128,25 @@ func column[T any](c []T, projected Fields) []T {
 	return c[:0]
 }
 
-// takePorts lends the next n port slots past the committed ones; push commits
-// them. The run is capacity-clipped, so no append to it reaches a neighbour.
-func (rw *rows) takePorts(n int) []uint16 {
-	rw.ports = room(rw.ports, n)
-	l := len(rw.ports)
-	return rw.ports[l : l+n : l+n]
-}
-
-// takePayload lends the next n payload bytes past the committed ones.
-func (rw *rows) takePayload(n int) []byte {
-	rw.payload = room(rw.payload, n)
-	l := len(rw.payload)
-	return rw.payload[l : l+n : l+n]
+// clear empties the set for a run of records decoded with fields, keeping
+// every column's memory whatever fields names: the filter columns on a
+// blockScratch, which serve every query's filter, are never dropped.
+func (rw *rows) clear(fields Fields) {
+	rw.fields, rw.n, rw.err = fields, 0, nil
+	rw.start, rw.dur, rw.src, rw.packets = rw.start[:0], rw.dur[:0], rw.src[:0], rw.packets[:0]
+	rw.dsts, rw.portEnd, rw.ports, rw.tool = rw.dsts[:0], rw.portEnd[:0], rw.ports[:0], rw.tool[:0]
+	rw.rate, rw.coverage, rw.phase = rw.rate[:0], rw.coverage[:0], rw.phase[:0]
+	rw.payloadEnd, rw.payload = rw.payloadEnd[:0], rw.payload[:0]
+	rw.country, rw.asn, rw.org = rw.country[:0], rw.asn[:0], rw.org[:0]
 }
 
 // room makes room for n more elements in column c, at least doubling its
-// capacity when it grows: a column regrown for a new projection reaches a
-// block's size in a few steps, where append's quarter steps past 256
-// elements would allocate five times that size on the way.
+// capacity when it grows: a column that grows a record's ports, or a run's
+// matches, at a time reaches a block's size in a few steps, where append's
+// quarter steps past 256 elements would allocate five times that size on the
+// way. A column given room for all its rows at once takes slices.Grow, which
+// grows it once, to about that size: doubled, a decode that keeps every
+// record held up to twice a block.
 func room[T any](c []T, n int) []T {
 	if cap(c)-len(c) >= n {
 		return c
@@ -154,82 +154,89 @@ func room[T any](c []T, n int) []T {
 	return slices.Grow(c, max(n, cap(c), 64))
 }
 
-// add appends v to column c, growing it as room does.
-func add[T any](c []T, v T) []T {
-	return append(room(c, 1), v)
+// gather appends to rw the parts in fields of the records keep numbers, in
+// order, which src holds from record from on: a filter's columns, decoded for
+// a run of a block's records, narrowed to the records the filter kept.
+func (rw *rows) gather(src *rows, keep []int32, from int, fields Fields) {
+	m := len(keep)
+	if fields&FieldStart != 0 {
+		rw.start = pick(room(rw.start, m), src.start, keep, from)
+	}
+	if fields&FieldDuration != 0 {
+		rw.dur = pick(room(rw.dur, m), src.dur, keep, from)
+	}
+	if fields&FieldSrc != 0 {
+		rw.src = pick(room(rw.src, m), src.src, keep, from)
+	}
+	if fields&FieldPackets != 0 {
+		rw.packets = pick(room(rw.packets, m), src.packets, keep, from)
+	}
+	if fields&FieldDsts != 0 {
+		rw.dsts = pick(room(rw.dsts, m), src.dsts, keep, from)
+	}
+	if fields&FieldPorts != 0 {
+		ports, ends := rw.ports, room(rw.portEnd, m)
+		for _, r := range keep {
+			lo, hi := src.runOf(src.portEnd, int(r)-from)
+			ports = append(room(ports, hi-lo), src.ports[lo:hi]...)
+			ends = append(ends, uint32(len(ports)))
+		}
+		rw.ports, rw.portEnd = ports, ends
+	}
+	if fields&FieldTool != 0 {
+		rw.tool = pick(room(rw.tool, m), src.tool, keep, from)
+	}
+	if fields&FieldRate != 0 {
+		rw.rate = pick(room(rw.rate, m), src.rate, keep, from)
+	}
+	if fields&FieldCoverage != 0 {
+		rw.coverage = pick(room(rw.coverage, m), src.coverage, keep, from)
+	}
+	if fields&FieldPhase != 0 {
+		rw.phase = pick(room(rw.phase, m), src.phase, keep, from)
+	}
+	if fields&FieldPayload != 0 {
+		payload, ends := rw.payload, room(rw.payloadEnd, m)
+		for _, r := range keep {
+			lo, hi := src.runOf(src.payloadEnd, int(r)-from)
+			payload = append(room(payload, hi-lo), src.payload[lo:hi]...)
+			ends = append(ends, uint32(len(payload)))
+		}
+		rw.payload, rw.payloadEnd = payload, ends
+	}
+	if fields&FieldCountry != 0 {
+		rw.country = pick(room(rw.country, m), src.country, keep, from)
+	}
+	if fields&FieldASN != 0 {
+		rw.asn = pick(room(rw.asn, m), src.asn, keep, from)
+	}
+	if fields&FieldOrg != 0 {
+		rw.org = pick(room(rw.org, m), src.org, keep, from)
+	}
 }
 
-// push appends the projected parts of a matching record, decoded into sc and
-// o (nil when no origin strip is projected), as the next row. Its ports and
-// payload are the runs the decoder took for it.
-func (rw *rows) push(sc *core.Scan, o *enrich.Origin) {
-	f := rw.fields
-	if f&FieldStart != 0 {
-		rw.start = add(rw.start, sc.Start)
+// pick appends the elements of src, which starts at record from, that keep
+// numbers to dst.
+func pick[T any](dst, src []T, keep []int32, from int) []T {
+	for _, r := range keep {
+		dst = append(dst, src[int(r)-from])
 	}
-	if f&FieldDuration != 0 {
-		rw.end = add(rw.end, sc.End)
-	}
-	if f&FieldSrc != 0 {
-		rw.src = add(rw.src, sc.Src)
-	}
-	if f&FieldPackets != 0 {
-		rw.packets = add(rw.packets, sc.Packets)
-	}
-	if f&FieldDsts != 0 {
-		rw.dsts = add(rw.dsts, int32(sc.DistinctDsts))
-	}
-	if f&FieldPorts != 0 {
-		rw.ports = rw.ports[:len(rw.ports)+len(sc.Ports)]
-		rw.portEnd = add(rw.portEnd, uint32(len(rw.ports)))
-	}
-	if f&FieldTool != 0 {
-		tq := byte(sc.Tool)
-		if sc.Qualified {
-			tq |= 0x80
-		}
-		rw.tool = add(rw.tool, tq)
-	}
-	if f&FieldRate != 0 {
-		rw.rate = add(rw.rate, sc.RatePPS)
-	}
-	if f&FieldCoverage != 0 {
-		rw.coverage = add(rw.coverage, sc.Coverage)
-	}
-	if f&FieldPhase != 0 {
-		rw.phase = add(rw.phase, phaseRow{
-			handshake: sc.HandshakePackets, payloadBytes: sc.PayloadBytes,
-			linked: int32(sc.LinkedDsts), isn: sc.ISN, twoPhase: sc.TwoPhase,
-		})
-	}
-	if f&FieldPayload != 0 {
-		rw.payload = rw.payload[:len(rw.payload)+len(sc.Payload)]
-		rw.payloadEnd = add(rw.payloadEnd, uint32(len(rw.payload)))
-	}
-	if o != nil {
-		if f&FieldCountry != 0 {
-			rw.country = add(rw.country, o.Country)
-		}
-		if f&FieldASN != 0 {
-			rw.asn = add(rw.asn, uint64(o.ASN)<<8|uint64(o.Type))
-		}
-		if f&FieldOrg != 0 {
-			rw.org = add(rw.org, orgEntry{o.OrgID, o.OrgName})
-		}
-	}
-	rw.n++
+	return dst
 }
 
-// load writes row i's projected parts into sc and, when an origin strip is
-// projected, o; the caller has set both to what unprojected parts read as
-// (blanks). sc.Ports and sc.Payload then point into the set's columns.
-func (rw *rows) load(i int, sc *core.Scan, o *enrich.Origin) {
-	f := rw.fields
+// load writes row i's parts in fields, which the set holds, into sc and,
+// when an origin strip is among them, o: every such part, a nil Payload for
+// an empty run included, so what the row held before reads as it did only
+// where fields names nothing. sc.Ports and sc.Payload then point into the
+// set's columns. Scan.End is loaded as sc.Start plus the stored duration: a
+// row whose start is not loaded ends where its blank start says.
+func (rw *rows) load(i int, sc *core.Scan, o *enrich.Origin, fields Fields) {
+	f := fields
 	if f&FieldStart != 0 {
 		sc.Start = rw.start[i]
 	}
 	if f&FieldDuration != 0 {
-		sc.End = rw.end[i]
+		sc.End = sc.Start + rw.dur[i]
 	}
 	if f&FieldSrc != 0 {
 		sc.Src = rw.src[i]
@@ -263,6 +270,7 @@ func (rw *rows) load(i int, sc *core.Scan, o *enrich.Origin) {
 		}
 	}
 	if f&FieldPayload != 0 {
+		sc.Payload = nil
 		if from, to := rw.runOf(rw.payloadEnd, i); to > from {
 			sc.Payload = rw.payload[from:to:to]
 		}
@@ -294,7 +302,7 @@ func (rw *rows) runOf(ends []uint32, i int) (from, to int) {
 func (rw *rows) poison() {
 	const p64 = 0x5bdbdbdbdbdbdbdb
 	fill(rw.start, p64)
-	fill(rw.end, p64)
+	fill(rw.dur, p64)
 	fill(rw.src, p64>>32)
 	fill(rw.packets, p64)
 	fill(rw.dsts, p64>>33)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/synscan/synscan/internal/alloctest"
@@ -23,6 +24,7 @@ type every struct {
 func (p every) MatchBlock(*ZoneMap) bool                   { return true }
 func (p every) Match(sc *core.Scan, _ *enrich.Origin) bool { return sc.Src%p.n == 0 }
 func (p every) Fields() Fields                             { return p.fields }
+func (p every) MatchFields() Fields                        { return p.fields & FieldSrc }
 
 // TestLentRows pins the lending contract of Query: a row is the caller's only
 // until emit returns. Under poisonScratch a pointer kept past emit — the scan,
@@ -108,7 +110,7 @@ func TestLentRows(t *testing.T) {
 func heldColumns(rw *rows) Fields {
 	var f Fields
 	for i, held := range []bool{
-		rw.start != nil, rw.end != nil, rw.src != nil, rw.packets != nil, rw.dsts != nil,
+		rw.start != nil, rw.dur != nil, rw.src != nil, rw.packets != nil, rw.dsts != nil,
 		rw.ports != nil || rw.portEnd != nil, rw.tool != nil, rw.rate != nil, rw.coverage != nil,
 		rw.phase != nil, rw.payload != nil || rw.payloadEnd != nil,
 		rw.country != nil, rw.asn != nil, rw.org != nil,
@@ -308,5 +310,102 @@ func TestAllocBudgetBlockDecode(t *testing.T) {
 		})
 		rw.release()
 		t.Logf("%d-byte blocks: ~%d records per block", blockBytes, perBlock)
+	}
+}
+
+// TestLentRowWritesCaught: emit must not write to the row it is lent, since
+// the row is set to blank once per query and a load rewrites only the
+// projected parts. Under poisonScratch a write — to an unprojected part, a
+// field or the blank port list in place, which every later row would read,
+// or to a projected one — panics at the emit that made it, and an emit that
+// only reads does not.
+func TestLentRowWritesCaught(t *testing.T) {
+	poisonScratch.Store(true)
+	defer poisonScratch.Store(false)
+	scans, origins := testScans(600, 53)
+	r := openArchive(t, writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, Origins: true, BlockBytes: 4 << 10}))
+	query := func(emit func(*core.Scan, *enrich.Origin)) (caught any) {
+		defer func() { caught = recover() }()
+		if err := r.Query(context.Background(), every{n: 1, fields: FieldRate | FieldCountry}, emit); err != nil {
+			t.Fatal(err)
+		}
+		return nil
+	}
+	for _, c := range []struct {
+		name   string
+		emit   func(*core.Scan, *enrich.Origin)
+		caught bool
+	}{
+		{"a scan field", func(sc *core.Scan, _ *enrich.Origin) { sc.Src++ }, true},
+		{"the blank port list", func(sc *core.Scan, _ *enrich.Origin) { sc.Ports[0] = 80 }, true},
+		{"an origin field", func(_ *core.Scan, o *enrich.Origin) { o.ASN = 7 }, true},
+		{"a projected field", func(sc *core.Scan, o *enrich.Origin) { sc.RatePPS, o.Country = 1, "" }, true},
+		{"nothing", func(sc *core.Scan, o *enrich.Origin) { _ = sc.RatePPS + float64(len(o.Country)) }, false},
+	} {
+		caught := query(c.emit)
+		if msg, _ := caught.(string); strings.Contains(msg, "emit wrote to its lent row") != c.caught {
+			t.Errorf("a write to %s: caught %v, want a panic %v", c.name, caught, c.caught)
+		}
+	}
+	if err := scan(t, r, context.Background(), All, func(*core.Scan, *enrich.Origin) {}); err != nil {
+		t.Fatal(err) // the reader still works after the panics
+	}
+}
+
+// shape is a test predicate of one of the selective workload's query shapes:
+// the strips its filter reads, the strips it projects, and a third of the
+// records kept.
+type shape struct{ filter, fields Fields }
+
+func (p shape) MatchBlock(*ZoneMap) bool                   { return true }
+func (p shape) Match(sc *core.Scan, _ *enrich.Origin) bool { return sc.Start%3 == 0 }
+func (p shape) Fields() Fields                             { return p.fields }
+func (p shape) MatchFields() Fields                        { return p.filter }
+
+// TestAllocBudgetSelectiveRotation is the enforced budget for decoding blocks
+// under filters whose projections change from query to query, as the
+// selective workload's four shapes take turns: year and port counted; a
+// source network, year and port count, as rows; a week by tool; a tool, year
+// and two-phase flag by port. Each shape decodes blocks of a couple of
+// filter runs into a warm row set of its own, and all of them through the one
+// scratch, whose filter columns are not dropped when the filter's strips
+// change: nothing is allocated in steady state. Reported under
+// "archive-block-decode-selective".
+func TestAllocBudgetSelectiveRotation(t *testing.T) {
+	scans, origins := testScans(6000, 59)
+	r := openArchive(t, writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, Origins: true, BlockBytes: 64 << 10}))
+	if n := r.index[0].Scans; n <= filterRun {
+		t.Fatalf("%d records a block: the filter's strips decode in one run", n)
+	}
+	shapes := []Predicate{ // as interfaces once: boxing a shape allocates
+		shape{FieldStart | FieldPorts, FieldStart | FieldPorts},
+		shape{FieldSrc | FieldStart | FieldPorts, AllFields},
+		shape{FieldStart, FieldStart | FieldTool | FieldPackets},
+		shape{FieldTool | FieldStart | FieldPhase, FieldTool | FieldStart | FieldPhase | FieldPorts},
+	}
+	sets := make([]*rows, len(shapes))
+	for k, p := range shapes {
+		sets[k] = getRows(p.Fields())
+	}
+	blocks := r.NumBlocks()
+	i := 0
+	rotate := func() {
+		for k, p := range shapes {
+			sets[k].reset(p.Fields())
+			if err := r.decodeBlock(&r.index[i%blocks], p, sets[k]); err != nil {
+				t.Fatal(err)
+			}
+			if sets[k].n == 0 || sets[k].n == int(r.index[i%blocks].Scans) {
+				t.Fatalf("shape %d kept %d of %d records", k, sets[k].n, r.index[i%blocks].Scans)
+			}
+		}
+		i++
+	}
+	for range blocks {
+		rotate() // every set and the scratch at the size of the largest block
+	}
+	alloctest.Check(t, "archive-block-decode-selective", 0, rotate)
+	for _, rw := range sets {
+		rw.release()
 	}
 }

@@ -3,13 +3,12 @@ package archive
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/fingerprint"
-	"github.com/synscan/synscan/internal/inetmodel"
-	"github.com/synscan/synscan/internal/tools"
 )
 
 // The strips of a block, in directory order: one per record part, each holding
@@ -257,205 +256,304 @@ func (e *blockEncoder) encode(sc *core.Scan, o *enrich.Origin) {
 	}
 }
 
-// blockDecoder is the one block decoder, the inverse of blockEncoder: it walks
-// the strips in fields, a record per call of next, and touches no other. Each
-// strip has its own cursor, so which strips are walked changes nothing about
-// how any one of them is.
+// blockDecoder is the one block decoder, the inverse of blockEncoder. It
+// decodes a strip at a time: strip walks one strip over a run of the block's
+// records — each strip has its own cursor, so a strip can be walked in runs —
+// and appends the part of each record of the run a selection keeps to that
+// strip's column of a row set. Every record of every strip it is asked for
+// is walked, kept or not, so each check runs on every record. Strips are
+// independent of each other but for one check: a record's handshake packets,
+// in the phase strip, are at most its packets.
 type blockDecoder struct {
-	fields Fields
-	strips *[numStrips][]byte // inflated; only those in fields are set
-	at     [numStrips]int
-	prev   int64         // previous record's start time
-	rw     *rows         // where ports and payload decode to
-	s      *blockScratch // the string table and the block's dictionaries
+	strips *[numStrips][]byte // inflated; only the projected ones are set
+	n      int                // records in the block
+	at     [numStrips]int     // each strip's cursor: where its next record starts
+	prev   int64              // the start time of the start strip's last record
+	s      *blockScratch      // the string table and the block's dictionaries
 }
 
-func newBlockDecoder(fields Fields, s *blockScratch, rw *rows) blockDecoder {
+func newBlockDecoder(s *blockScratch, n int) blockDecoder {
 	s.countries, s.orgs = s.countries[:0], s.orgs[:0]
-	return blockDecoder{fields: fields, strips: &s.strips, rw: rw, s: s}
+	return blockDecoder{strips: &s.strips, n: n, s: s}
 }
 
-// next decodes the next record's projected parts into sc and, when an origin
-// strip is projected, o; the caller has set both to what unprojected parts
-// read as. Ports and payload are lent from the tails of the rows' columns:
-// rows.push commits them if the record matches. False means a strip ended
-// early or holds a value no writer produces.
-func (d *blockDecoder) next(sc *core.Scan, o *enrich.Origin) bool {
-	f, st, at := d.fields, d.strips, &d.at
-	if f&FieldStart != 0 {
-		var delta uint64
-		if delta, at[stripStart] = uvarint(st[stripStart], at[stripStart]); at[stripStart] < 0 {
-			return false
-		}
-		d.prev += unzigzag(delta)
-		sc.Start = d.prev
-	}
-	if f&FieldDuration != 0 {
-		var dur uint64
-		if dur, at[stripDuration] = uvarint(st[stripDuration], at[stripDuration]); at[stripDuration] < 0 {
-			return false
-		}
-		sc.End = sc.Start + int64(dur)
-	}
-	if f&FieldSrc != 0 {
-		b, i := st[stripSrc], at[stripSrc]
-		if len(b)-i < 4 {
-			return false
-		}
-		sc.Src = binary.BigEndian.Uint32(b[i:])
-		at[stripSrc] = i + 4
-	}
-	if f&FieldPackets != 0 {
-		if sc.Packets, at[stripPackets] = uvarint(st[stripPackets], at[stripPackets]); at[stripPackets] < 0 {
-			return false
-		}
-	}
-	if f&FieldDsts != 0 {
-		var dsts uint64
-		if dsts, at[stripDsts] = uvarint(st[stripDsts], at[stripDsts]); at[stripDsts] < 0 || dsts > math.MaxInt32 {
-			return false
-		}
-		sc.DistinctDsts = int(dsts)
-	}
-	if f&FieldPorts != 0 {
-		b := st[stripPorts]
-		n, i := uvarint(b, at[stripPorts])
-		if i < 0 || n > 65536 {
-			return false
-		}
-		sc.Ports = d.rw.takePorts(int(n))
-		var port uint64
-		for p := range sc.Ports {
-			var delta uint64
-			if i < len(b) && b[i] < 0x80 { // nearly every port delta is one byte
-				delta = uint64(b[i])
-				i++
-			} else if delta, i = uvarint(b, i); i < 0 {
-				return false
-			}
-			if port += delta; port > math.MaxUint16 {
-				return false
-			}
-			sc.Ports[p] = uint16(port)
-		}
-		at[stripPorts] = i
-	}
-	if f&FieldTool != 0 {
-		b, i := st[stripTool], at[stripTool]
-		if i >= len(b) {
-			return false
-		}
-		sc.Tool = tools.Tool(b[i] & 0x3f)
-		sc.Qualified = b[i]&0x80 != 0
-		at[stripTool] = i + 1
-	}
-	if f&FieldRate != 0 {
-		b, i := st[stripRate], at[stripRate]
-		if len(b)-i < 8 {
-			return false
-		}
-		sc.RatePPS = math.Float64frombits(binary.BigEndian.Uint64(b[i:]))
-		at[stripRate] = i + 8
-	}
-	if f&FieldCoverage != 0 {
-		b, i := st[stripCoverage], at[stripCoverage]
-		if len(b)-i < 8 {
-			return false
-		}
-		sc.Coverage = math.Float64frombits(binary.BigEndian.Uint64(b[i:]))
-		at[stripCoverage] = i + 8
-	}
-	if f&FieldPhase != 0 {
-		b, i := st[stripPhase], at[stripPhase]
-		if i >= len(b) {
-			return false
-		}
-		ph := b[i]
-		sc.TwoPhase = ph&0x01 != 0
-		sc.ISN = fingerprint.ISNClass(ph >> 1 & 0x03)
-		var linked uint64
-		linked, i = uvarint(b, i+1)
-		sc.HandshakePackets, i = uvarint(b, i)
-		sc.PayloadBytes, i = uvarint(b, i)
-		if i < 0 || linked > math.MaxInt32 {
-			return false
-		}
-		sc.LinkedDsts = int(linked)
-		at[stripPhase] = i
-		if f&FieldPackets != 0 {
-			if sc.HandshakePackets > sc.Packets {
-				return false
-			}
-			sc.ScoutPackets = sc.Packets - sc.HandshakePackets
-		}
-	}
-	if f&FieldPayload != 0 {
-		b, i := lenPrefixed(st[stripPayload], at[stripPayload])
-		if i < 0 {
-			return false
-		}
-		if len(b) > 0 {
-			sc.Payload = d.rw.takePayload(len(b))
-			copy(sc.Payload, b)
-		}
-		at[stripPayload] = i
-	}
-	if o == nil {
+// selection is the records of a block a row set keeps, in record order:
+// every record, or those keep numbers, ascending.
+type selection struct {
+	all  bool
+	keep []int32
+	k    int // the records of keep passed so far
+}
+
+// kept reports whether record r is kept. Records are asked about once each,
+// in order.
+func (sel *selection) kept(r int) bool {
+	if sel.all {
 		return true
 	}
-	if f&FieldCountry != 0 {
-		b := st[stripCountry]
-		id, i := uvarint(b, at[stripCountry])
-		if id == uint64(len(d.s.countries)) { // defines the entry
-			var name []byte
-			name, i = lenPrefixed(b, i)
-			d.s.countries = append(d.s.countries, d.s.strings.intern(name))
-		}
-		if i < 0 || id >= uint64(len(d.s.countries)) {
-			return false
-		}
-		o.Country = d.s.countries[id]
-		at[stripCountry] = i
+	if sel.k < len(sel.keep) && int(sel.keep[sel.k]) == r {
+		sel.k++
+		return true
 	}
-	if f&FieldASN != 0 {
-		var v uint64
-		if v, at[stripASN] = uvarint(st[stripASN], at[stripASN]); at[stripASN] < 0 || v>>8 > math.MaxUint32 {
-			return false
-		}
-		o.ASN, o.Type = uint32(v>>8), inetmodel.ScannerType(v)
-	}
-	if f&FieldOrg != 0 {
-		b := st[stripOrg]
-		id, i := uvarint(b, at[stripOrg])
-		if id == uint64(len(d.s.orgs)) { // defines the entry
-			var orgID uint64
-			var name []byte
-			orgID, i = uvarint(b, i)
-			name, i = lenPrefixed(b, i)
-			v := unzigzag(orgID)
-			if v < math.MinInt16 || v > math.MaxInt16 {
-				return false
-			}
-			d.s.orgs = append(d.s.orgs, orgEntry{int16(v), d.s.strings.intern(name)})
-		}
-		if i < 0 || id >= uint64(len(d.s.orgs)) {
-			return false
-		}
-		o.OrgID, o.OrgName = d.s.orgs[id].id, d.s.orgs[id].name
-		at[stripOrg] = i
-	}
-	return true
+	return false
 }
 
-// finished reports whether every projected strip ended where its last record
-// did: strips of one block hold the same number of records.
-func (d *blockDecoder) finished() bool {
-	for i := range d.strips {
-		if d.fields&(1<<i) != 0 && d.at[i] != len(d.strips[i]) {
+// strip decodes records from to to of strip i, the next ones of it, into
+// rw's column for it, appending the part of each record sel keeps: every
+// record of the run, or those of keep, which then numbers records of that
+// run only. packets holds the run's packet counts when the packets strip is
+// projected, for the phase strip's check, and is nil otherwise. False means
+// the strip ended early, holds a value no writer produces, or — after its
+// last record — goes on.
+func (d *blockDecoder) strip(i int, rw *rows, sel selection, packets []uint64, from, to int) bool {
+	b, n, at := d.strips[i], d.n, d.at[i]
+	m := to - from // the records kept
+	if !sel.all {
+		m = len(sel.keep)
+	}
+	switch i {
+	case stripStart:
+		col, prev := slices.Grow(rw.start, m), d.prev
+		for r := from; r < to; r++ {
+			var delta uint64
+			delta, at = uvarint(b, at)
+			prev += unzigzag(delta)
+			if sel.kept(r) {
+				col = append(col, prev)
+			}
+		}
+		rw.start, d.prev = col, prev
+	case stripDuration:
+		col := slices.Grow(rw.dur, m)
+		for r := from; r < to; r++ {
+			var dur uint64
+			dur, at = uvarint(b, at)
+			if sel.kept(r) {
+				col = append(col, int64(dur))
+			}
+		}
+		rw.dur = col
+	case stripSrc:
+		if len(b) != 4*n {
 			return false
 		}
+		col := slices.Grow(rw.src, m)
+		if sel.all {
+			for r := from; r < to; r++ {
+				col = append(col, binary.BigEndian.Uint32(b[4*r:]))
+			}
+		} else {
+			for _, r := range sel.keep {
+				col = append(col, binary.BigEndian.Uint32(b[4*r:]))
+			}
+		}
+		rw.src, at = col, 4*to
+	case stripPackets:
+		col := slices.Grow(rw.packets, m)
+		for r := from; r < to; r++ {
+			var v uint64
+			v, at = uvarint(b, at)
+			if sel.kept(r) {
+				col = append(col, v)
+			}
+		}
+		rw.packets = col
+	case stripDsts:
+		col := slices.Grow(rw.dsts, m)
+		for r := from; r < to; r++ {
+			var v uint64
+			if v, at = uvarint(b, at); v > math.MaxInt32 {
+				return false
+			}
+			if sel.kept(r) {
+				col = append(col, int32(v))
+			}
+		}
+		rw.dsts = col
+	case stripPorts:
+		if at = d.ports(rw, &sel, from, to, m); at < 0 {
+			return false
+		}
+	case stripTool:
+		if len(b) != n {
+			return false
+		}
+		col := slices.Grow(rw.tool, m)
+		if sel.all {
+			col = append(col, b[from:to]...)
+		} else {
+			for _, r := range sel.keep {
+				col = append(col, b[r])
+			}
+		}
+		rw.tool, at = col, to
+	case stripRate, stripCoverage:
+		if len(b) != 8*n {
+			return false
+		}
+		col := &rw.rate
+		if i == stripCoverage {
+			col = &rw.coverage
+		}
+		c := slices.Grow(*col, m)
+		if sel.all {
+			for r := from; r < to; r++ {
+				c = append(c, math.Float64frombits(binary.BigEndian.Uint64(b[8*r:])))
+			}
+		} else {
+			for _, r := range sel.keep {
+				c = append(c, math.Float64frombits(binary.BigEndian.Uint64(b[8*r:])))
+			}
+		}
+		*col, at = c, 8*to
+	case stripPhase:
+		col := slices.Grow(rw.phase, m)
+		for r := from; r < to; r++ {
+			if uint(at) >= uint(len(b)) {
+				return false
+			}
+			ph := b[at]
+			var linked, handshake, payload uint64
+			linked, at = uvarint(b, at+1)
+			handshake, at = uvarint(b, at)
+			payload, at = uvarint(b, at)
+			if at < 0 || linked > math.MaxInt32 || packets != nil && handshake > packets[r-from] {
+				return false
+			}
+			if sel.kept(r) {
+				col = append(col, phaseRow{
+					handshake: handshake, payloadBytes: payload, linked: int32(linked),
+					isn: fingerprint.ISNClass(ph >> 1 & 0x03), twoPhase: ph&0x01 != 0,
+				})
+			}
+		}
+		rw.phase = col
+	case stripPayload:
+		data, ends := rw.payload, slices.Grow(rw.payloadEnd, m)
+		if sel.all && from == 0 && to == n {
+			data = slices.Grow(data, len(b)-n) // every record's length takes a byte
+		}
+		for r := from; r < to; r++ {
+			var p []byte
+			if p, at = lenPrefixed(b, at); at < 0 {
+				return false
+			}
+			if sel.kept(r) {
+				data = append(room(data, len(p)), p...)
+				ends = append(ends, uint32(len(data)))
+			}
+		}
+		rw.payload, rw.payloadEnd = data, ends
+	case stripCountry:
+		col, dict := slices.Grow(rw.country, m), d.s.countries
+		for r := from; r < to; r++ {
+			var id uint64
+			id, at = uvarint(b, at)
+			if id == uint64(len(dict)) { // defines the entry
+				var name []byte
+				name, at = lenPrefixed(b, at)
+				dict = append(dict, d.s.strings.intern(name))
+			}
+			if at < 0 || id >= uint64(len(dict)) {
+				return false
+			}
+			if sel.kept(r) {
+				col = append(col, dict[id])
+			}
+		}
+		rw.country, d.s.countries = col, dict
+	case stripASN:
+		col := slices.Grow(rw.asn, m)
+		for r := from; r < to; r++ {
+			var v uint64
+			if v, at = uvarint(b, at); v>>8 > math.MaxUint32 {
+				return false
+			}
+			if sel.kept(r) {
+				col = append(col, v)
+			}
+		}
+		rw.asn = col
+	case stripOrg:
+		col, dict := slices.Grow(rw.org, m), d.s.orgs
+		for r := from; r < to; r++ {
+			var id uint64
+			id, at = uvarint(b, at)
+			if id == uint64(len(dict)) { // defines the entry
+				var orgID uint64
+				var name []byte
+				orgID, at = uvarint(b, at)
+				name, at = lenPrefixed(b, at)
+				v := unzigzag(orgID)
+				if v < math.MinInt16 || v > math.MaxInt16 {
+					return false
+				}
+				dict = append(dict, orgEntry{int16(v), d.s.strings.intern(name)})
+			}
+			if at < 0 || id >= uint64(len(dict)) {
+				return false
+			}
+			if sel.kept(r) {
+				col = append(col, dict[id])
+			}
+		}
+		rw.org, d.s.orgs = col, dict
 	}
-	return true
+	// A malformed value leaves at negative (uvarint's sticky index): the
+	// strip failed. Otherwise, after its last record, it must end where that
+	// record did, as every strip of a block holds the same records.
+	d.at[i] = at
+	return at >= 0 && (to < n || at == len(b))
+}
+
+// ports decodes records from to to of the ports strip, the one whose
+// records vary in length unboundedly: a count and as many ascending port
+// deltas. It returns the strip's cursor after them, negative on failure.
+func (d *blockDecoder) ports(rw *rows, sel *selection, from, to, m int) int {
+	b, n, at := d.strips[stripPorts], d.n, d.at[stripPorts]
+	ports, ends := rw.ports, slices.Grow(rw.portEnd, m)
+	if ports == nil {
+		// A record with no ports decodes to an empty list, not to "not
+		// projected": the column is never nil once decoded.
+		ports = make([]uint16, 0, 256)
+	}
+	if sel.all && from == 0 && to == n {
+		ports = slices.Grow(ports, len(b)-n) // every port takes a byte, and every record's count one
+	}
+	for r := from; r < to; r++ {
+		var count uint64
+		if count, at = uvarint(b, at); at < 0 || count > 65536 || count > uint64(len(b)-at) {
+			return -1
+		}
+		kept := sel.kept(r)
+		var run []uint16
+		if kept {
+			l := len(ports)
+			ports = room(ports, int(count))[:l+int(count)]
+			run = ports[l:]
+		}
+		var port uint64
+		for p := range int(count) {
+			var delta uint64
+			if uint(at) < uint(len(b)) && b[at] < 0x80 { // nearly every port delta is one byte
+				delta = uint64(b[at])
+				at++
+			} else if delta, at = uvarint(b, at); at < 0 {
+				return -1
+			}
+			if port += delta; port > math.MaxUint16 {
+				return -1
+			}
+			if kept {
+				run[p] = uint16(port)
+			}
+		}
+		if kept {
+			ends = append(ends, uint32(len(ports)))
+		}
+	}
+	rw.ports, rw.portEnd = ports, ends
+	return at
 }
 
 // zigzag maps signed values to unsigned varint-friendly ones.

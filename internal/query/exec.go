@@ -3,6 +3,7 @@ package query
 import (
 	"cmp"
 	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"unsafe"
@@ -60,11 +61,12 @@ type Executor struct {
 	scans    []ScanRec
 
 	// Aggregate mode.
-	matched uint64
-	group   []operand // q.GroupBy, resolved
-	ops     []operand // q.Aggs' fields, resolved
-	portAt  int       // index of FieldPort in q.GroupBy, or -1
-	groups  int       // groups open, in either layout
+	matched     uint64
+	group       []operand // q.GroupBy, resolved
+	ops         []operand // q.Aggs' fields, resolved
+	portAt      int       // index of FieldPort in q.GroupBy, or -1
+	originGroup bool      // a q.GroupBy field needs the origin
+	groups      int       // groups open, in either layout
 	// Hashed layout.
 	slots      []int32    // group number + 1 by key hash, 0 = empty; nil once direct
 	keys       []groupKey // by group number: first-seen stream order
@@ -72,9 +74,10 @@ type Executor struct {
 	// Direct layout: present is nil while hashed.
 	present []uint64 // bit c set when coordinate c's group exists
 
-	aggs  []aggState // group g's aggregate i at g*len(q.Aggs)+i, in either layout
-	dict  dictionary // country/org coordinates
-	years archive.YearCache
+	aggs    []aggState // group g's aggregate i at g*len(q.Aggs)+i, in either layout
+	dict    dictionary // country/org coordinates
+	years   archive.YearCache
+	setMult uint64 // the multiplier distinct sets move to when a probe run grows long
 }
 
 // groupKey packs up to maxGroupBy coordinates of at most 32 bits each, two
@@ -154,9 +157,13 @@ func NewExecutor(q *Query) *Executor {
 			e.portAt = i
 		}
 		e.group = append(e.group, e.resolve(f, true))
+		e.originGroup = e.originGroup || f.def().needsOrigin()
 	}
 	for _, a := range q.Aggs {
 		e.ops = append(e.ops, e.resolve(a.Field, false))
+		if a.Op == OpCountDistinct && e.setMult == 0 {
+			e.setMult = setMultiplier(rand.Uint64)
+		}
 	}
 	if len(q.GroupBy) == 1 && e.group[0].fits16() {
 		e.spillSlots = spillSlots(len(q.Aggs))
@@ -225,14 +232,21 @@ func (e *Executor) Observe(sc *core.Scan, o *enrich.Origin) {
 		}
 		return
 	}
+	if len(e.group) == 0 && e.groups == 1 {
+		e.fold(0, sc, o, 1) // the one group there is: no key to hash
+		return
+	}
+	if e.portAt == 0 && e.present != nil {
+		e.foldPorts(sc, o)
+		return
+	}
+	if o == nil && e.originGroup {
+		return // an origin group-by over an origin-less scan
+	}
 	var key groupKey
 	for i := range e.group {
-		g := &e.group[i]
-		if o == nil && g.needsOrigin() {
-			return // an origin group-by over an origin-less scan
-		}
-		if g.value != nil {
-			key.set(i, uint32(g.value(sc, o)))
+		if value := e.group[i].value; value != nil {
+			key.set(i, uint32(value(sc, o)))
 		}
 	}
 	if e.portAt < 0 {
@@ -431,12 +445,56 @@ func (e *Executor) observeRow(key *groupKey, sc *core.Scan, o *enrich.Origin, po
 	if !ok {
 		return false
 	}
+	e.fold(g, sc, o, portSplit)
+	return true
+}
+
+// fold folds one scan row into group g's aggregates.
+func (e *Executor) fold(g int, sc *core.Scan, o *enrich.Origin, portSplit int) {
 	n := len(e.q.Aggs)
 	states := e.aggs[g*n : g*n+n]
 	for i := range states {
 		e.observeAgg(&e.q.Aggs[i], &e.ops[i], &states[i], sc, o, portSplit)
 	}
-	return true
+}
+
+// foldPorts folds a scan into the groups of its ports in the direct layout
+// of a port grouping: it opens the groups of the whole port run, then folds
+// the run one aggregate at a time — a count or an integer sum touching only
+// the states, every other operator through observeAgg port by port — so each
+// group's state sees the operations the per-port path gives it, in the same
+// order, without a call per port and aggregate.
+func (e *Executor) foldPorts(sc *core.Scan, o *enrich.Origin) {
+	ports := sc.Ports
+	for _, p := range ports {
+		w, bit := &e.present[p>>6], uint64(1)<<(p&63)
+		if *w&bit == 0 {
+			if e.capped() {
+				return
+			}
+			*w |= bit
+			e.groups++
+		}
+	}
+	n, split := len(e.q.Aggs), len(ports)
+	for i := range e.q.Aggs {
+		a, f := &e.q.Aggs[i], &e.ops[i]
+		switch {
+		case a.Op == OpCount:
+			for _, p := range ports {
+				e.aggs[int(p)*n+i].n++
+			}
+		case a.Op == OpSum && f.ival != nil:
+			v := f.intValue(sc, o, split)
+			for _, p := range ports {
+				e.aggs[int(p)*n+i].n += v
+			}
+		default:
+			for _, p := range ports {
+				e.observeAgg(a, f, &e.aggs[int(p)*n+i], sc, o, split)
+			}
+		}
+	}
 }
 
 // observeAgg folds one scan row into one aggregate's state; f is a.Field
@@ -467,6 +525,8 @@ func (e *Executor) observeAgg(a *Agg, f *operand, st *aggState, sc *core.Scan, o
 		if st.ext == nil {
 			st.ext = &aggExt{}
 			switch a.Op {
+			case OpCountDistinct:
+				st.ext.set.drawn = e.setMult
 			case OpApproxDistinct:
 				st.ext.hll = sketch.NewHyperLogLog()
 			case OpTopK:
@@ -826,21 +886,44 @@ func (e *Executor) compareKeys(a, b groupKey) int {
 }
 
 // distinctSet is count_distinct's exact set of 64-bit keys: open-addressed
-// with linear probing, a multiplicative (Fibonacci) hash whose top bits pick
-// the home slot, at most ¾ full, doubling when an insert takes it past that.
-// A zero slot is empty, so the key 0 is a flag of its own. Nothing is ever
-// removed. Against a map[uint64]struct{}, an insert is one multiply and,
-// mostly, one cache line, and a key costs one 8-byte slot at ⅜ to ¾ load.
+// with linear probing, a multiplicative hash whose top bits pick the home
+// slot, at most ¾ full, doubling when an insert takes it past that. A zero
+// slot is empty, so the key 0 is a flag of its own. Nothing is ever removed.
+// Against a map[uint64]struct{}, an insert is one multiply and, mostly, one
+// cache line, and a key costs one 8-byte slot at ⅜ to ¾ load.
+//
+// The multiplier starts as the Fibonacci constant, under which the key sets
+// a count_distinct meets that are not random — consecutive sources, shared
+// suffixes — land closer to home than random keys do
+// (TestDistinctSetCraftedRuns). Because it is fixed, keys can be crafted to
+// share one probe run under it, which would make a query over such sources
+// quadratic. So an insert that walks a run longer than maxSetRun, longer
+// than any such set was measured to, rehashes the set, at its size, under
+// the multiplier its executor drew (setMultiplier), which no one can craft
+// keys against. Nothing a set answers depends on the multiplier, and union
+// re-inserts, so sets under different multipliers merge exactly.
 type distinctSet struct {
 	slots []uint64 // a power of two long, or nil until the first nonzero key
 	n     int      // nonzero keys in slots
 	zero  bool     // the set holds 0
 	shift uint8    // 64 − log2(len(slots))
+	mult  uint64   // odd: fibonacci, or drawn once a run passed maxSetRun
+	drawn uint64   // the executor's drawn multiplier; 0 keeps fibonacci
 }
 
-const minSetSlots = 16
+const (
+	minSetSlots = 16
+	fibonacci   = 0x9e3779b97f4a7c15 // 2^64 / φ, odd
+	// maxSetRun is the longest probe run an insert walks under the
+	// Fibonacci constant before the set moves to its drawn multiplier: above
+	// the 96 slots an insert of the worst structured set of
+	// TestDistinctSetCraftedRuns walks just before a doubling (multiples of
+	// 2^33), and a bound on what crafted keys cost: one such run per key
+	// until the move, then none.
+	maxSetRun = 128
+)
 
-func (s *distinctSet) home(k uint64) int { return int(k * 0x9e3779b97f4a7c15 >> s.shift) }
+func (s *distinctSet) home(k uint64) int { return int(k * s.mult >> s.shift) }
 
 func (s *distinctSet) add(k uint64) {
 	if k == 0 {
@@ -851,7 +934,7 @@ func (s *distinctSet) add(k uint64) {
 		s.resize(minSetSlots)
 	}
 	mask := len(s.slots) - 1
-	for i := s.home(k); ; i = (i + 1) & mask {
+	for i, run := s.home(k), 0; ; i, run = (i+1)&mask, run+1 {
 		switch s.slots[i] {
 		case k:
 			return
@@ -859,14 +942,54 @@ func (s *distinctSet) add(k uint64) {
 			s.slots[i] = k
 			if s.n++; 4*s.n > 3*len(s.slots) {
 				s.resize(2 * len(s.slots))
+			} else if run > maxSetRun && s.drawn != 0 && s.mult != s.drawn {
+				s.mult = s.drawn
+				s.resize(len(s.slots))
 			}
 			return
 		}
 	}
 }
 
-// resize moves every key into a new table of size slots.
+// setMultiplier draws odd multipliers from random until one spreads runs of
+// consecutive keys evenly: the screen of the detector's source table
+// (internal/core srcMultiplier), on a/2^64 — partial quotients of its
+// continued fraction at most 16 up to convergents of 2^24, about one odd
+// multiplier in five.
+func setMultiplier(random func() uint64) uint64 {
+	for {
+		if a := random() | 1; spreadsKeys(a) {
+			return a
+		}
+	}
+}
+
+func spreadsKeys(a uint64) bool {
+	if a == 1 {
+		return false // its first partial quotient, 2^64, does not fit
+	}
+	// The first step divides 2^64, which takes two words.
+	c, rem := bits.Div64(1, 0, a)
+	num, den := rem, a
+	for q, qPrev := c, uint64(1); ; {
+		if c > 16 {
+			return false
+		}
+		if num == 0 || q >= 1<<24 {
+			return true
+		}
+		c = den / num
+		den, num = num, den%num
+		q, qPrev = c*q+qPrev, q
+	}
+}
+
+// resize moves every key into a new table of size slots, under s.mult, the
+// Fibonacci constant until it is set.
 func (s *distinctSet) resize(size int) {
+	if s.mult == 0 {
+		s.mult = fibonacci
+	}
 	old := s.slots
 	s.slots = make([]uint64, size)
 	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))

@@ -794,10 +794,14 @@ func checkSet(t *testing.T, s *distinctSet, want map[uint64]struct{}) {
 // into a map[uint64]struct{} oracle — duplicates from a narrow universe, the
 // key 0, the widest keys, a wide random spread — checked after every growth
 // step up to 2^17 slots, then unions of two such sets, in both directions,
-// against the union of their oracles.
+// against the union of their oracles. About half the sets hash under a drawn
+// multiplier, so unions meet sets under different ones.
 func TestDistinctSetMatchesMap(t *testing.T) {
 	build := func(r *rng.Rand, n int) (*distinctSet, map[uint64]struct{}) {
 		s, want := &distinctSet{}, map[uint64]struct{}{}
+		if r.Intn(2) == 0 {
+			s.mult = setMultiplier(r.Uint64) // a set that has moved off the Fibonacci constant
+		}
 		for i := 0; i < n; i++ {
 			k := r.Uint64()
 			switch r.Intn(10) {
@@ -858,10 +862,15 @@ func TestDistinctSetMatchesMap(t *testing.T) {
 // multiples of every power of two up to 2^63 (a shared suffix) — stay within
 // a bounded distance of home at every load up to ¾: 48 probes, where the
 // multiples measure 34 at worst and as many random keys reach about 120 at
-// that load. Consecutive keys stay within a few slots of home.
+// that load. Consecutive keys stay within a few slots of home. None of them
+// walks a run long enough to move its set off the Fibonacci constant. Keys
+// crafted to share one home under that constant do share one probe run in a
+// set that cannot move; a set that can moves to its executor's drawn
+// multiplier, under which they scatter, for each of sixteen draws, as the
+// detector's crafted sources do (TestSourceTableCraftedRuns).
 func TestDistinctSetCraftedRuns(t *testing.T) {
-	longest := func(keys func(i int) uint64, n int) int {
-		var s distinctSet
+	longest := func(drawn uint64, keys func(i int) uint64, n int) (int, *distinctSet) {
+		s := &distinctSet{drawn: drawn}
 		for i := 0; i < n; i++ {
 			s.add(keys(i))
 		}
@@ -871,20 +880,47 @@ func TestDistinctSetCraftedRuns(t *testing.T) {
 				worst = max(worst, s.probes(k))
 			}
 		}
-		return worst
+		return worst, s
 	}
+	r := rng.New(35)
+	drawn := setMultiplier(r.Uint64)
 	worstMult := 0
 	for _, n := range []int{1000, 12288, 24576, 49152} { // ¾ of 2^k slots, and between
-		if w := longest(func(i int) uint64 { return 0xC0A80000 + uint64(i) }, n); w > 4 {
-			t.Errorf("%d consecutive sources: a probe run of %d", n, w)
+		w, s := longest(drawn, func(i int) uint64 { return 0xC0A80000 + uint64(i) }, n)
+		if w > 4 || s.mult != fibonacci {
+			t.Errorf("%d consecutive sources: a probe run of %d, multiplier %#x", n, w, s.mult)
 		}
 		for j := 0; j < 64; j++ {
-			w := longest(func(i int) uint64 { return uint64(i+1) << j }, n)
-			if w > 48 {
-				t.Errorf("%d multiples of 2^%d: a probe run of %d", n, j, w)
+			w, s := longest(drawn, func(i int) uint64 { return uint64(i+1) << j }, n)
+			if w > 48 || s.mult != fibonacci {
+				t.Errorf("%d multiples of 2^%d: a probe run of %d, multiplier %#x", n, j, w, s.mult)
 			}
 			worstMult = max(worstMult, w)
 		}
 	}
-	t.Logf("multiples: %d", worstMult)
+
+	// 512 keys land in 1024 slots, and the crafted ones all have home 777
+	// there (and the same top bits at every smaller size) under the
+	// Fibonacci constant: k·fibonacci = 777·2^54 + j, so k is that times the
+	// constant's inverse mod 2^64.
+	const crafted = 512
+	inv := uint64(fibonacci) // Newton's iteration doubles the correct low bits: 3, 6, …, 96
+	for i := 0; i < 5; i++ {
+		inv *= 2 - fibonacci*inv
+	}
+	attack := func(j int) uint64 { return (777<<54 + uint64(j)) * inv }
+	if n, _ := longest(0, attack, crafted); n < crafted {
+		t.Fatalf("fixed constant: longest probe run %d, the crafted keys should share one of %d", n, crafted)
+	}
+	worstAttack := 0
+	for d := 0; d < 16; d++ {
+		drawn := setMultiplier(r.Uint64)
+		n, s := longest(drawn, attack, crafted)
+		if n > crafted/8 || s.mult != drawn || s.len() != crafted {
+			t.Errorf("multiplier %#x: the crafted keys build a probe run of %d under %#x, and the set holds %d of them",
+				drawn, n, s.mult, s.len())
+		}
+		worstAttack = max(worstAttack, n)
+	}
+	t.Logf("multiples: %d; crafted keys after the move: %d", worstMult, worstAttack)
 }

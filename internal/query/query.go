@@ -338,23 +338,26 @@ func (q *Query) NeedsOrigin() bool {
 // carries the filter tree's zone-map pushdown (Expr.matchBlock), so the
 // reader skips blocks no scan of which can match without decompressing them,
 // and the projection — which strips the filter, the grouping and the
-// aggregates read — so the reader inflates and parses nothing else. A nil
-// Where matches everything.
+// aggregates read — so the reader inflates and parses nothing else. The
+// filter's own strips are what the reader decodes first and runs the filter
+// over. A nil Where matches everything and reads nothing.
 type predicate struct {
 	where  Expr
 	fields archive.Fields
+	filter archive.Fields
 }
 
 // Predicate returns the compiled pushdown predicate for q.
 func (q *Query) Predicate() archive.Predicate {
 	p := &predicate{where: q.Where}
+	if q.Where != nil {
+		p.filter = q.Where.reads()
+	}
 	if q.SelectMode() {
 		p.fields = archive.AllFields // the rows are the scans themselves
 		return p
 	}
-	if q.Where != nil {
-		p.fields = q.Where.reads()
-	}
+	p.fields = p.filter
 	for _, f := range q.GroupBy {
 		p.fields |= f.def().reads
 	}
@@ -365,6 +368,8 @@ func (q *Query) Predicate() archive.Predicate {
 }
 
 func (p *predicate) Fields() archive.Fields { return p.fields }
+
+func (p *predicate) MatchFields() archive.Fields { return p.filter }
 
 func (p *predicate) MatchBlock(z *archive.ZoneMap) bool {
 	if p.where == nil {

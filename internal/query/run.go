@@ -13,7 +13,7 @@ import (
 // order, with the scan's origin when it has one and p.Fields asks for it
 // (nil otherwise). emit is lent each scan and origin until it returns — an
 // archive loads the next row into the same memory — so a consumer that keeps
-// one copies it (core.Scan.Clone).
+// one copies it (core.Scan.Clone), and none writes to it.
 type Source interface {
 	Query(ctx context.Context, p archive.Predicate, emit func(sc *core.Scan, o *enrich.Origin)) error
 }

@@ -117,7 +117,9 @@ func NewTopK(k int) *TopK {
 	if k < 1 {
 		k = 1
 	}
-	return &TopK{k: k, slot: make(map[uint64]int32, k)}
+	// The key map grows with the keys tracked: presized to k, every tracker
+	// of a many-group query paid for a capacity most never reach.
+	return &TopK{k: k, slot: make(map[uint64]int32)}
 }
 
 // less orders two slots by (count, key) ascending.
