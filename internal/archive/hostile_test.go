@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"sync"
 	"testing"
 
 	"github.com/synscan/synscan/internal/alloctest"
@@ -39,13 +40,20 @@ func takeApart(data []byte, z ZoneMap) hostileBlock {
 	return h
 }
 
+// deflaters recycles deflated's compressors. Reset makes one what
+// flate.NewWriter would, so the streams do not change; a fresh one is about a
+// megabyte of state, which under -race cost more to allocate than to use.
+var deflaters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, flate.DefaultCompression) // errors on an invalid level only
+	return fw
+}}
+
 // deflated returns b as a DEFLATE stream.
 func deflated(tb testing.TB, b []byte) []byte {
 	var out bytes.Buffer
-	fw, err := flate.NewWriter(&out, flate.DefaultCompression)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	fw := deflaters.Get().(*flate.Writer)
+	defer deflaters.Put(fw)
+	fw.Reset(&out)
 	fw.Write(b)
 	if err := fw.Close(); err != nil {
 		tb.Fatal(err)

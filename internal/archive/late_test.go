@@ -190,48 +190,55 @@ func lateMaterialization(t *testing.T, records, blockBytes, minBlocks, runs int,
 
 	for _, poisoned := range poisoning {
 		archive.PoisonScratch(poisoned)
-		for filter := range filters {
-			// The consumer reads the strips the filter does not, some of
-			// both, or everything.
-			outside := archive.AllFields &^ filter
-			overlap := filter&-filter | archive.Fields(1)<<bits.TrailingZeros16(uint16(outside))
-			for _, consumer := range []archive.Fields{outside, overlap, archive.AllFields} {
-				p := targetedPredicate{filter: filter, fields: filter | consumer, targets: targets[filter]}
-				var want []core.Scan
-				var wantOrigins []*enrich.Origin
-				for _, i := range kept[filter] {
-					s, o := archive.Project(scans[i], origins[i], p.fields)
-					want, wantOrigins = append(want, s), append(wantOrigins, o)
-				}
-				var got []core.Scan
-				var gotOrigins []*enrich.Origin
-				err := rd.Query(context.Background(), p, func(sc *core.Scan, o *enrich.Origin) {
-					var origin *enrich.Origin
-					if o != nil {
-						cp := *o
-						origin = &cp
-					}
-					s := *sc.Clone()
-					if poisoned {
-						// The parts outside the projection are sentinels
-						// rather than zero: the reference has zeros.
-						var po enrich.Origin
-						if origin != nil {
-							po = *origin
+		// The filter shapes run as parallel subtests, in a group that returns
+		// before poisoning changes.
+		t.Run(fmt.Sprintf("poisoned=%v", poisoned), func(t *testing.T) {
+			for filter := range filters {
+				t.Run(fmt.Sprintf("filter {%v}", filter), func(t *testing.T) {
+					t.Parallel()
+					// The consumer reads the strips the filter does not, some of
+					// both, or everything.
+					outside := archive.AllFields &^ filter
+					overlap := filter&-filter | archive.Fields(1)<<bits.TrailingZeros16(uint16(outside))
+					for _, consumer := range []archive.Fields{outside, overlap, archive.AllFields} {
+						p := targetedPredicate{filter: filter, fields: filter | consumer, targets: targets[filter]}
+						var want []core.Scan
+						var wantOrigins []*enrich.Origin
+						for _, i := range kept[filter] {
+							s, o := archive.Project(scans[i], origins[i], p.fields)
+							want, wantOrigins = append(want, s), append(wantOrigins, o)
 						}
-						s, origin = archive.Project(&s, po, p.fields)
+						var got []core.Scan
+						var gotOrigins []*enrich.Origin
+						err := rd.Query(context.Background(), p, func(sc *core.Scan, o *enrich.Origin) {
+							var origin *enrich.Origin
+							if o != nil {
+								cp := *o
+								origin = &cp
+							}
+							s := *sc.Clone()
+							if poisoned {
+								// The parts outside the projection are sentinels
+								// rather than zero: the reference has zeros.
+								var po enrich.Origin
+								if origin != nil {
+									po = *origin
+								}
+								s, origin = archive.Project(&s, po, p.fields)
+							}
+							got, gotOrigins = append(got, s), append(gotOrigins, origin)
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotOrigins, wantOrigins) {
+							t.Fatalf("poisoned=%v filter {%v}, projection {%v}: %d rows, the full decode filtered in Go %d, or their parts differ",
+								poisoned, filter, p.fields, len(got), len(want))
+						}
 					}
-					got, gotOrigins = append(got, s), append(gotOrigins, origin)
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotOrigins, wantOrigins) {
-					t.Fatalf("poisoned=%v filter {%v}, projection {%v}: %d rows, the full decode filtered in Go %d, or their parts differ",
-						poisoned, filter, p.fields, len(got), len(want))
-				}
 			}
-		}
+		})
 	}
 	archive.PoisonScratch(false)
 }

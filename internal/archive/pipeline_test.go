@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -182,59 +183,75 @@ func (s *serialStore) seal(t testing.TB) {
 // pipelined Writer leaves on disk — every sealed file and the manifest — is
 // byte for byte what the serial reference produces. Nothing in the reference
 // depends on timing, so equality here is also equality across runs and across
-// GOMAXPROCS (CI runs this package under -race -cpu 1,2,4).
+// GOMAXPROCS (CI runs this package under -race -cpu 1,2,4). The rounds are
+// drawn first and then run as parallel subtests: they share nothing.
 func TestPipelineMatchesSerialEncoder(t *testing.T) {
 	r := rng.New(41)
+	type draw struct {
+		n   int
+		cfg SegmentConfig
+	}
+	var rounds []draw
 	for round := 0; round < 12; round++ {
 		n := 3000 + int(r.Uint32()%4000)
-		cfg := SegmentConfig{
+		rounds = append(rounds, draw{n, SegmentConfig{
 			TelescopeSize:   4096,
 			Origins:         round%2 == 0,
 			BlockBytes:      256 + int(r.Uint32()%(8<<10)),
 			MaxSegmentBytes: int64(2<<10 + r.Uint32()%(18<<10)),
 			MaxSegmentScans: uint64(200 + r.Uint32()%1500),
-		}
-		scans, origins := testScans(n, uint64(100+round))
+		}})
+	}
+	for round, d := range rounds {
+		t.Run(fmt.Sprintf("round %d", round), func(t *testing.T) {
+			t.Parallel()
+			pipelineMatchesSerialEncoder(t, round, d.n, d.cfg)
+		})
+	}
+}
 
-		ref := newSerialStore(cfg)
-		sw := segStore(t, cfg)
-		for i, sc := range scans {
-			var err error
-			if cfg.Origins {
-				ref.add(t, sc, &origins[i])
-				err = sw.AddWithOrigin(sc, origins[i])
-			} else {
-				ref.add(t, sc, nil)
-				err = sw.Add(sc)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref.seal(t)
-		if err := sw.Close(); err != nil {
-			t.Fatal(err)
-		}
+// pipelineMatchesSerialEncoder runs one round: n scans of seed 100+round.
+func pipelineMatchesSerialEncoder(t *testing.T, round, n int, cfg SegmentConfig) {
+	scans, origins := testScans(n, uint64(100+round))
 
-		if len(ref.man.Segments) < 3 {
-			t.Fatalf("round %d (%+v): only %d segments, the bounds did not rotate", round, cfg, len(ref.man.Segments))
+	ref := newSerialStore(cfg)
+	sw := segStore(t, cfg)
+	for i, sc := range scans {
+		var err error
+		if cfg.Origins {
+			ref.add(t, sc, &origins[i])
+			err = sw.AddWithOrigin(sc, origins[i])
+		} else {
+			ref.add(t, sc, nil)
+			err = sw.Add(sc)
 		}
-		entries, err := os.ReadDir(sw.Dir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) != len(ref.files) {
-			t.Fatalf("round %d (%+v): %d files on disk, reference has %d", round, cfg, len(entries), len(ref.files))
+	}
+	ref.seal(t)
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(ref.man.Segments) < 3 {
+		t.Fatalf("round %d (%+v): only %d segments, the bounds did not rotate", round, cfg, len(ref.man.Segments))
+	}
+	entries, err := os.ReadDir(sw.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(ref.files) {
+		t.Fatalf("round %d (%+v): %d files on disk, reference has %d", round, cfg, len(entries), len(ref.files))
+	}
+	for name, want := range ref.files {
+		got, err := os.ReadFile(filepath.Join(sw.Dir(), name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for name, want := range ref.files {
-			got, err := os.ReadFile(filepath.Join(sw.Dir(), name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("round %d (%+v): %s differs from the serial reference (%d vs %d bytes)",
-					round, cfg, name, len(got), len(want))
-			}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d (%+v): %s differs from the serial reference (%d vs %d bytes)",
+				round, cfg, name, len(got), len(want))
 		}
 	}
 }

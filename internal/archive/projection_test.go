@@ -31,7 +31,8 @@ func (s fullSource) Query(ctx context.Context, p archive.Predicate, emit func(*c
 // field outside the predicate's projection holds a sentinel instead of zero.
 // A row whose `reads` misses a strip its accessors touch then answers from
 // the sentinel, and its result differs from the full decode's and from the
-// in-memory source's; all three must agree to the byte.
+// in-memory source's; all three must agree to the byte. The fields run as
+// parallel subtests, in a group that returns before poisoning ends.
 func TestProjectionIsChecked(t *testing.T) {
 	archive.PoisonScratch(true)
 	defer archive.PoisonScratch(false)
@@ -56,7 +57,7 @@ func TestProjectionIsChecked(t *testing.T) {
 	}
 
 	// check runs q three ways and returns how many scans it matched.
-	check := func(role string, q *query.Query) uint64 {
+	check := func(t *testing.T, role string, q *query.Query) uint64 {
 		t.Helper()
 		var first []byte
 		var matched uint64
@@ -92,37 +93,42 @@ func TestProjectionIsChecked(t *testing.T) {
 		`"min":0.5`, `"min":3`, `"min":600`, `"min":20000`,
 	}
 	count := []query.Agg{{Op: query.OpCount}}
-	for _, f := range query.Fields() {
-		leaves := operands
-		for _, name := range f.ValueNames() {
-			leaves = append(leaves[:len(leaves):len(leaves)], fmt.Sprintf(`"in":[%q]`, name))
+	t.Run("fields", func(t *testing.T) {
+		for _, f := range query.Fields() {
+			t.Run(f.String(), func(t *testing.T) {
+				t.Parallel()
+				leaves := operands
+				for _, name := range f.ValueNames() {
+					leaves = append(leaves[:len(leaves):len(leaves)], fmt.Sprintf(`"in":[%q]`, name))
+				}
+				selective := false
+				for _, operand := range leaves {
+					text := fmt.Sprintf(`{"where":{"field":%q,%s},"aggs":[{"op":"count"}]}`, f, operand)
+					q, err := query.Parse([]byte(text))
+					if err != nil {
+						continue // not this field's kind of leaf
+					}
+					if n := check(t, text, q); n > 0 && n < uint64(len(scans)) {
+						selective = true
+					}
+				}
+				if !selective {
+					t.Errorf("%s: no filter leaf over it matched some scans and not all", f)
+				}
+				for _, q := range []*query.Query{
+					{GroupBy: []query.Field{f}, Aggs: count},
+					{Aggs: []query.Agg{{Op: query.OpSum, Field: f}}},
+					{Aggs: []query.Agg{{Op: query.OpQuantile, Field: f, Qs: []float64{0.1, 0.5, 1}}}},
+					{Aggs: []query.Agg{{Op: query.OpCountDistinct, Field: f}}},
+					{Aggs: []query.Agg{{Op: query.OpApproxDistinct, Field: f}}},
+					{Aggs: []query.Agg{{Op: query.OpTopK, Field: f, K: 5}}},
+				} {
+					if q.Validate() != nil {
+						continue // not a role the row accepts
+					}
+					check(t, q.Key(), q)
+				}
+			})
 		}
-		selective := false
-		for _, operand := range leaves {
-			text := fmt.Sprintf(`{"where":{"field":%q,%s},"aggs":[{"op":"count"}]}`, f, operand)
-			q, err := query.Parse([]byte(text))
-			if err != nil {
-				continue // not this field's kind of leaf
-			}
-			if n := check(text, q); n > 0 && n < uint64(len(scans)) {
-				selective = true
-			}
-		}
-		if !selective {
-			t.Errorf("%s: no filter leaf over it matched some scans and not all", f)
-		}
-		for _, q := range []*query.Query{
-			{GroupBy: []query.Field{f}, Aggs: count},
-			{Aggs: []query.Agg{{Op: query.OpSum, Field: f}}},
-			{Aggs: []query.Agg{{Op: query.OpQuantile, Field: f, Qs: []float64{0.1, 0.5, 1}}}},
-			{Aggs: []query.Agg{{Op: query.OpCountDistinct, Field: f}}},
-			{Aggs: []query.Agg{{Op: query.OpApproxDistinct, Field: f}}},
-			{Aggs: []query.Agg{{Op: query.OpTopK, Field: f, K: 5}}},
-		} {
-			if q.Validate() != nil {
-				continue // not a role the row accepts
-			}
-			check(q.Key(), q)
-		}
-	}
+	})
 }

@@ -32,7 +32,7 @@ type Reader struct {
 	skipCorrupt bool
 	index       []ZoneMap
 	total       uint64
-	workers     int
+	workers     int // SetWorkers' bound; 0: GOMAXPROCS as each Query starts
 	closer      io.Closer
 	corrupt     atomic.Uint64
 
@@ -130,7 +130,6 @@ func NewReader(ra io.ReaderAt, size int64, opts ...ReaderOption) (*Reader, error
 		telSize: int(binary.BigEndian.Uint32(hdr[6:10])),
 		origins: hdr[5]&flagOrigins != 0,
 		index:   make([]ZoneMap, n),
-		workers: runtime.GOMAXPROCS(0),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -175,7 +174,8 @@ func (r *Reader) Blocks() []ZoneMap {
 }
 
 // SetWorkers bounds the decode pool for subsequent Query calls (minimum 1;
-// the default is GOMAXPROCS). Not safe concurrently with Query.
+// the default is GOMAXPROCS, read as each Query starts, as rowsFree reads it
+// for its bound). Not safe concurrently with Query.
 func (r *Reader) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -240,7 +240,11 @@ func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan
 		return nil
 	}
 
-	workers := min(r.workers, len(live))
+	workers := r.workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(live))
 
 	// Ordered fan-out under a window: workers decode any block the caller has
 	// admitted, the caller drains results strictly in block order — archived
@@ -416,10 +420,7 @@ func poison(bufs ...[]byte) {
 		return
 	}
 	for _, b := range bufs {
-		b = b[:cap(b)]
-		for i := range b {
-			b[i] = 0xdb
-		}
+		fill(b, 0xdb)
 	}
 }
 

@@ -58,9 +58,12 @@ type phaseRow struct {
 // rowsFree is the free list of idle sets. A query holds at most ahead+1 sets
 // — the blocks admitted to its workers and the one its caller is draining —
 // and ahead is twice the workers, GOMAXPROCS by default: the list keeps one
-// such window, a constant like scratchFree's. Sets beyond it, which
-// concurrent queries or a reader with more workers take, go to the collector
-// when they come back.
+// such window. Both read GOMAXPROCS when they are used, the query as it
+// starts and release as a set comes back, so a GOMAXPROCS lowered since the
+// process started (go test -cpu 1) lowers the two together; the channel's
+// capacity, GOMAXPROCS at start, caps the list. Sets beyond it, which
+// concurrent queries or a reader with more workers take, go to the
+// collector when they come back.
 var rowsFree = make(chan *rows, 2*runtime.GOMAXPROCS(0)+1)
 
 // rowsMade counts the sets ever allocated, for the tests that bound them.
@@ -80,11 +83,14 @@ func getRows(fields Fields) *rows {
 }
 
 // release returns the set to the free list, or to the collector when the
-// list is full. Under poisonScratch every column is scribbled first, to its
-// capacity, so a row kept past emit reads sentinels.
+// list holds a window already. Under poisonScratch every column is scribbled
+// first, to its capacity, so a row kept past emit reads sentinels.
 func (rw *rows) release() {
 	if poisonScratch.Load() {
 		rw.poison()
+	}
+	if len(rowsFree) >= 2*runtime.GOMAXPROCS(0)+1 {
+		return
 	}
 	select {
 	case rowsFree <- rw:
@@ -319,10 +325,18 @@ func (rw *rows) poison() {
 	fill(rw.org, orgEntry{0x5bdb, "\xdb\xdb\xdb"})
 }
 
+// fill sets c to v to its capacity. It doubles a copy of the first element
+// rather than storing element by element, so that the race detector checks a
+// few ranges instead of every store: under -race, poisoning a large buffer a
+// byte at a time was most of what the poisoning tests cost.
 func fill[T any](c []T, v T) {
 	c = c[:cap(c)]
-	for i := range c {
-		c[i] = v
+	if len(c) == 0 {
+		return
+	}
+	c[0] = v
+	for n := 1; n < len(c); n *= 2 {
+		copy(c[n:], c[:n])
 	}
 }
 

@@ -17,8 +17,7 @@ package query
 import (
 	"math"
 	"slices"
-	"sort"
-	"strconv"
+	"unicode/utf8"
 
 	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/core"
@@ -40,17 +39,13 @@ type Expr interface {
 	// the block matches; true only means the block must be decoded.
 	matchBlock(z *archive.ZoneMap) bool
 	// canon returns the normalized form (sorted/deduped lists, flattened
-	// and/or, double negation eliminated).
+	// and/or ordered by wire form, double negation eliminated).
 	canon() Expr
-	// appendKey appends the node's canonical encoding (assumes canon ran).
-	appendKey(b []byte) []byte
 	// validate rejects malformed nodes with a client error.
 	validate() error
 	// reads names the strips match reads.
 	reads() archive.Fields
 }
-
-func exprKey(e Expr) string { return string(e.appendKey(nil)) }
 
 // ---- combinators ----
 
@@ -115,28 +110,33 @@ func (e *notExpr) match(sc *core.Scan, o *enrich.Origin) bool {
 // means "might match"), so its negation cannot prove absence.
 func (e *notExpr) matchBlock(*archive.ZoneMap) bool { return true }
 
-// canonKids canonicalizes, flattens same-typed children, dedupes by key and
-// sorts deterministically.
+// canonKids canonicalizes and flattens same-typed children, dedupes them by
+// wire form and orders them by it. A child that cannot be encoded keys as
+// empty: only an invalid query holds one, and Validate rejects it.
 func canonKids(kids []Expr, flatten func(Expr) []Expr) []Expr {
-	var flat []Expr
+	byWire := map[string]Expr{}
 	for _, k := range kids {
 		c := k.canon()
-		if sub := flatten(c); sub != nil {
-			flat = append(flat, sub...)
-		} else {
-			flat = append(flat, c)
+		flat := flatten(c)
+		if flat == nil {
+			flat = []Expr{c}
+		}
+		for _, f := range flat {
+			wire, _ := marshalExpr(f)
+			if _, dup := byWire[string(wire)]; !dup {
+				byWire[string(wire)] = f
+			}
 		}
 	}
-	seen := map[string]bool{}
-	out := flat[:0]
-	for _, k := range flat {
-		key := exprKey(k)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, k)
-		}
+	wires := make([]string, 0, len(byWire))
+	for w := range byWire {
+		wires = append(wires, w)
 	}
-	sort.Slice(out, func(i, j int) bool { return exprKey(out[i]) < exprKey(out[j]) })
+	slices.Sort(wires)
+	out := make([]Expr, len(wires))
+	for i, w := range wires {
+		out[i] = byWire[w]
+	}
 	return out
 }
 
@@ -174,26 +174,6 @@ func (e *notExpr) canon() Expr {
 	return &notExpr{kid: kid}
 }
 
-func appendKids(b []byte, name string, kids []Expr) []byte {
-	b = append(b, name...)
-	b = append(b, '(')
-	for i, k := range kids {
-		if i > 0 {
-			b = append(b, '|')
-		}
-		b = k.appendKey(b)
-	}
-	return append(b, ')')
-}
-
-func (e *andExpr) appendKey(b []byte) []byte { return appendKids(b, "and", e.kids) }
-func (e *orExpr) appendKey(b []byte) []byte  { return appendKids(b, "or", e.kids) }
-func (e *notExpr) appendKey(b []byte) []byte {
-	b = append(b, "not("...)
-	b = e.kid.appendKey(b)
-	return append(b, ')')
-}
-
 func validateKids(kind string, kids []Expr) error {
 	if len(kids) == 0 {
 		return errf("%s needs at least one operand", kind)
@@ -229,13 +209,6 @@ func (e *notExpr) reads() archive.Fields { return e.kid.reads() }
 type leaf struct{ field Field }
 
 func (l leaf) reads() archive.Fields { return l.field.def().reads }
-
-// openKey starts a leaf's canonical encoding: tag, field name, '('.
-func (l leaf) openKey(b []byte, tag string) []byte {
-	b = append(b, tag...)
-	b = append(b, l.field.String()...)
-	return append(b, '(')
-}
 
 // mayHold asks the row's zone-map test about values in [lo, hi]; a field the
 // zone map says nothing about always has to be decoded.
@@ -361,23 +334,6 @@ func (e *inExpr) canon() Expr {
 	return c
 }
 
-func (e *inExpr) appendKey(b []byte) []byte {
-	b = e.openKey(b, "in:")
-	for i, v := range e.ints {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendUint(b, v, 10)
-	}
-	for i, s := range e.strs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendQuote(b, s)
-	}
-	return append(b, ')')
-}
-
 func (e *inExpr) validate() error {
 	if len(e.ints)+len(e.strs) == 0 {
 		return errf("%s: empty value set", e.field)
@@ -400,6 +356,11 @@ func (e *inExpr) validate() error {
 			}
 		}
 	case kindString:
+		for _, s := range e.strs {
+			if !utf8.ValidString(s) {
+				return errf("%s value %q is not UTF-8", e.field, s)
+			}
+		}
 	default:
 		return errf("field %s does not support set membership", e.field)
 	}
@@ -432,14 +393,6 @@ func (e *boolExpr) matchBlock(z *archive.ZoneMap) bool {
 
 func (e *boolExpr) canon() Expr { return e }
 
-func (e *boolExpr) appendKey(b []byte) []byte {
-	b = append(b, e.field.def().tag...)
-	if e.want {
-		return append(b, "(1)"...)
-	}
-	return append(b, "(0)"...)
-}
-
 func (e *boolExpr) validate() error { return nil }
 
 // prefixExpr matches scans whose address falls inside the prefix.
@@ -461,15 +414,12 @@ func (e *prefixExpr) matchBlock(z *archive.ZoneMap) bool {
 
 func (e *prefixExpr) canon() Expr { return e }
 
-func (e *prefixExpr) appendKey(b []byte) []byte {
-	b = e.openKey(b, "")
-	b = append(b, e.pfx.String()...)
-	return append(b, ')')
-}
-
 func (e *prefixExpr) validate() error {
 	if e.pfx.Bits > 32 {
 		return errf("%s prefix length %d out of range", e.field, e.pfx.Bits)
+	}
+	if !e.pfx.Contains(e.pfx.Base) {
+		return errf("%s prefix %s has host bits set", e.field, e.pfx)
 	}
 	return nil
 }
@@ -509,21 +459,6 @@ func (e *timeExpr) matchBlock(z *archive.ZoneMap) bool {
 }
 
 func (e *timeExpr) canon() Expr { return e }
-
-func (e *timeExpr) appendKey(b []byte) []byte {
-	b = e.openKey(b, "")
-	b = appendOptInt(b, e.min)
-	b = append(b, ';')
-	b = appendOptInt(b, e.max)
-	return append(b, ')')
-}
-
-func appendOptInt(b []byte, v *int64) []byte {
-	if v == nil {
-		return append(b, '*')
-	}
-	return strconv.AppendInt(b, *v, 10)
-}
 
 func (e *timeExpr) validate() error {
 	if e.min == nil && e.max == nil {
@@ -576,27 +511,17 @@ func (e *rangeExpr) matchBlock(*archive.ZoneMap) bool { return true }
 
 func (e *rangeExpr) canon() Expr { return e }
 
-func (e *rangeExpr) appendKey(b []byte) []byte {
-	b = e.openKey(b, "rng:")
-	b = appendOptFloat(b, e.min)
-	b = append(b, ';')
-	b = appendOptFloat(b, e.max)
-	return append(b, ')')
-}
-
-func appendOptFloat(b []byte, v *float64) []byte {
-	if v == nil {
-		return append(b, '*')
-	}
-	return strconv.AppendFloat(b, *v, 'g', -1, 64)
-}
-
 func (e *rangeExpr) validate() error {
 	if !e.field.def().numeric() {
 		return errf("field %s does not support range filtering", e.field)
 	}
 	if e.min == nil && e.max == nil {
 		return errf("%s range needs min or max", e.field)
+	}
+	for _, v := range []*float64{e.min, e.max} {
+		if v != nil && (math.IsNaN(*v) || math.IsInf(*v, 0)) {
+			return errf("%s range bound %v is not finite", e.field, *v)
+		}
 	}
 	if e.min != nil && e.max != nil && *e.min > *e.max {
 		return errf("%s range min > max", e.field)

@@ -116,7 +116,6 @@ type fieldDef struct {
 	caps  caps
 	enum  *enum          // kindEnum: the value list
 	max   uint64         // kindInt: the largest value
-	tag   string         // kindBool: the leaf's name in canonical keys
 	reads archive.Fields // the strips the accessors and the executor read for the field
 
 	// disc is the field's identity value: what set membership compares, the
@@ -169,7 +168,7 @@ var fields = [...]fieldDef{
 		reads:    archive.FieldPorts,
 		zone:     func(z *archive.ZoneMap, v, _ int64) bool { return z.MayContainPort(uint16(v)) },
 		evidence: "port fingerprint"},
-	FieldQualified: {name: "qualified", kind: kindBool, tag: "qual", caps: capGroup,
+	FieldQualified: {name: "qualified", kind: kindBool, caps: capGroup,
 		reads: archive.FieldTool,
 		disc:  qualified, ival: qualified,
 		zone: func(z *archive.ZoneMap, v, _ int64) bool {
@@ -212,7 +211,7 @@ var fields = [...]fieldDef{
 	FieldOrg: {name: "org", kind: kindString, caps: capGroup | capDistinct,
 		reads: archive.FieldOrg,
 		str:   func(o *enrich.Origin) string { return o.OrgName }},
-	FieldTwoPhase: {name: "two_phase", kind: kindBool, tag: "twophase", caps: capGroup,
+	FieldTwoPhase: {name: "two_phase", kind: kindBool, caps: capGroup,
 		reads: archive.FieldPhase,
 		disc:  twoPhase, ival: twoPhase,
 		zone: func(z *archive.ZoneMap, v, _ int64) bool {

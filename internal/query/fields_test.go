@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -118,8 +119,9 @@ func TestFieldTableOperators(t *testing.T) {
 			}
 		}
 
-		// Every operator, as a built query.
-		one := 1.0
+		// Every operator, as a built query. A range bound JSON has no number
+		// for is refused on every field.
+		one, nan, inf, negInf := 1.0, math.NaN(), math.Inf(1), math.Inf(-1)
 		set := d.kind == kindEnum || d.kind == kindInt || d.kind == kindString
 		setLeaf := Expr(&inExpr{leaf: leaf{f}, ints: []uint64{1}})
 		if set {
@@ -133,6 +135,9 @@ func TestFieldTableOperators(t *testing.T) {
 		}{
 			{"in", &Query{Where: setLeaf}, set},
 			{"range", &Query{Where: NumRange(f, &one, nil)}, d.numeric()},
+			{"range NaN", &Query{Where: NumRange(f, &nan, nil)}, false},
+			{"range +Inf", &Query{Where: NumRange(f, nil, &inf)}, false},
+			{"range -Inf", &Query{Where: NumRange(f, &negInf, &one)}, false},
 			{"group_by", &Query{GroupBy: []Field{f}, Aggs: count}, d.caps&capGroup != 0},
 			{"sum", &Query{Aggs: []Agg{{Op: OpSum, Field: f}}}, d.numeric()},
 			{"quantile", &Query{Aggs: []Agg{{Op: OpQuantile, Field: f, Qs: []float64{0.5}}}}, d.numeric()},
@@ -162,7 +167,7 @@ func TestFieldTableOperators(t *testing.T) {
 		if d.caps&(capGroup|capDistinct|capTopK) != 0 && d.disc == nil && d.str == nil && f != FieldPort {
 			t.Errorf("%s is keyed but has no discrete accessor", f)
 		}
-		if (d.kind == kindEnum) != (d.enum != nil) || (d.kind == kindBool) != (d.tag != "") ||
+		if (d.kind == kindEnum) != (d.enum != nil) ||
 			(d.kind == kindNum && !d.numeric()) || (d.zone == nil) != (d.evidence == "") {
 			t.Errorf("%s: row is inconsistent with its kind: %+v", f, d)
 		}
@@ -236,8 +241,9 @@ func TestZoneMapSoundness(t *testing.T) {
 					pruned[f]++
 					for i := b.lo; i < b.hi; i++ {
 						if e.match(ss[i], &orig[i]) {
+							wire, _ := marshalExpr(e)
 							t.Fatalf("%s order: %s rejected a block whose scan %d matches (zone map %+v)",
-								order.name, exprKey(e), i, b.z)
+								order.name, wire, i, b.z)
 						}
 					}
 				}

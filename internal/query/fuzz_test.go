@@ -12,7 +12,8 @@ import (
 // FuzzParse hardens the request parser: arbitrary bytes must either produce a
 // valid query or a ClientError (a 400 to the HTTP layer) — never a panic, a
 // non-client error, or an unbounded allocation. Valid outputs must survive
-// Canonicalize/Key/Validate, the path every served request takes.
+// Canonicalize/Key/Validate, the path every served request takes, and the
+// canonical query's wire form must parse back to its Key.
 func FuzzParse(f *testing.F) {
 	// A fully-featured valid request.
 	f.Add([]byte(`{
@@ -119,6 +120,18 @@ func FuzzParse(f *testing.F) {
 		}
 		if c.Key() == "" {
 			t.Fatal("empty cache key")
+		}
+		// The key is the canonical wire form, which reads back as itself.
+		wire, err := c.MarshalJSON()
+		if err != nil {
+			t.Fatalf("canonical query has no wire form: %v", err)
+		}
+		back, err := Parse(wire)
+		if err != nil {
+			t.Fatalf("wire form %s does not parse: %v", wire, err)
+		}
+		if got := back.Key(); got != c.Key() {
+			t.Fatalf("wire form does not round-trip:\n got %s\nwant %s", got, c.Key())
 		}
 		_ = c.Predicate()
 	})

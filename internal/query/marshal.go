@@ -2,9 +2,45 @@ package query
 
 import (
 	"encoding/json"
+	"strconv"
+	"unicode/utf8"
 
 	"github.com/synscan/synscan/internal/fingerprint"
 	"github.com/synscan/synscan/internal/packet"
+)
+
+// The /v1/query request schema, declared once: Parse decodes it,
+// MarshalJSON encodes it, and a canonical query's encoding is its Key. A
+// filter node's children stay raw JSON: the parser checks depth and size
+// before it decodes them, and canon orders and/or children by those bytes.
+type (
+	wireQuery struct {
+		Where   json.RawMessage `json:"where,omitempty"`
+		GroupBy []string        `json:"group_by,omitempty"`
+		Aggs    []wireAgg       `json:"aggs,omitempty"`
+		OrderBy string          `json:"order_by,omitempty"`
+		Limit   int             `json:"limit,omitempty"`
+	}
+	wireAgg struct {
+		Op    string    `json:"op"`
+		Field string    `json:"field,omitempty"`
+		K     int       `json:"k,omitempty"`
+		Qs    []float64 `json:"qs,omitempty"`
+	}
+	// wireNode is a combinator, or a field with its kind's operator.
+	wireNode struct {
+		And    []json.RawMessage `json:"and,omitempty"`
+		Or     []json.RawMessage `json:"or,omitempty"`
+		Not    json.RawMessage   `json:"not,omitempty"`
+		Field  string            `json:"field,omitempty"`
+		In     []json.RawMessage `json:"in,omitempty"`
+		Eq     json.RawMessage   `json:"eq,omitempty"`
+		Min    *float64          `json:"min,omitempty"`
+		Max    *float64          `json:"max,omitempty"`
+		MinNS  *int64            `json:"min_ns,omitempty"`
+		MaxNS  *int64            `json:"max_ns,omitempty"`
+		Prefix string            `json:"prefix,omitempty"`
+	}
 )
 
 // MarshalJSON renders the query in the compact request form Parse accepts —
@@ -12,13 +48,7 @@ import (
 // be POSTed to a remote synserve (the facade's retrying Client does
 // exactly that) and round-trips: Parse(MarshalJSON(q)) has q's Key.
 func (q *Query) MarshalJSON() ([]byte, error) {
-	var req struct {
-		Where   json.RawMessage `json:"where,omitempty"`
-		GroupBy []string        `json:"group_by,omitempty"`
-		Aggs    []wireAgg       `json:"aggs,omitempty"`
-		OrderBy string          `json:"order_by,omitempty"`
-		Limit   int             `json:"limit,omitempty"`
-	}
+	req := wireQuery{Limit: q.Limit}
 	if q.Where != nil {
 		raw, err := marshalExpr(q.Where)
 		if err != nil {
@@ -39,80 +69,63 @@ func (q *Query) MarshalJSON() ([]byte, error) {
 	if q.Order == OrderKey {
 		req.OrderBy = "key"
 	}
-	req.Limit = q.Limit
 	return json.Marshal(&req)
 }
 
-type wireAgg struct {
-	Op    string    `json:"op"`
-	Field string    `json:"field,omitempty"`
-	K     int       `json:"k,omitempty"`
-	Qs    []float64 `json:"qs,omitempty"`
-}
-
-// marshalExpr renders one filter node in the wire form parseNode accepts.
+// marshalExpr renders one filter node in the wire form parseNode accepts. A
+// node it cannot render exactly — a bound JSON has no number for, a string
+// that is not UTF-8 — is an error, never a lossy encoding.
 func marshalExpr(e Expr) (json.RawMessage, error) {
+	var w wireNode
+	var kids []Expr
+	var wireKids *[]json.RawMessage
 	switch n := e.(type) {
 	case *andExpr:
-		return marshalKids("and", n.kids)
+		kids, wireKids = n.kids, &w.And
 	case *orExpr:
-		return marshalKids("or", n.kids)
+		kids, wireKids = n.kids, &w.Or
 	case *notExpr:
 		kid, err := marshalExpr(n.kid)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(map[string]json.RawMessage{"not": kid})
+		w.Not = kid
 	case *inExpr:
+		w.Field = n.field.String()
 		d := n.field.def()
-		vals := make([]any, 0, len(n.ints)+len(n.strs))
 		for _, v := range n.ints {
+			raw := strconv.AppendUint(nil, v, 10)
 			if d.kind == kindEnum {
-				vals = append(vals, d.enum.name(v)) // the display names the parser accepts
-			} else {
-				vals = append(vals, v)
+				raw, _ = json.Marshal(d.enum.name(v)) // the display names the parser accepts
 			}
+			w.In = append(w.In, raw)
 		}
 		for _, s := range n.strs {
-			vals = append(vals, s)
+			if !utf8.ValidString(s) {
+				return nil, errf("%s value %q is not UTF-8", n.field, s)
+			}
+			raw, _ := json.Marshal(s) // valid UTF-8: JSON carries it exactly
+			w.In = append(w.In, raw)
 		}
-		return json.Marshal(map[string]any{"field": n.field.String(), "in": vals})
 	case *boolExpr:
-		return json.Marshal(map[string]any{"field": n.field.String(), "eq": n.want})
+		w.Field, w.Eq = n.field.String(), strconv.AppendBool(nil, n.want)
 	case *prefixExpr:
-		return json.Marshal(map[string]any{"field": n.field.String(), "prefix": n.pfx.String()})
+		w.Field, w.Prefix = n.field.String(), n.pfx.String()
 	case *timeExpr:
-		m := map[string]any{"field": n.field.String()}
-		if n.min != nil {
-			m["min_ns"] = *n.min
-		}
-		if n.max != nil {
-			m["max_ns"] = *n.max
-		}
-		return json.Marshal(m)
+		w.Field, w.MinNS, w.MaxNS = n.field.String(), n.min, n.max
 	case *rangeExpr:
-		m := map[string]any{"field": n.field.String()}
-		if n.min != nil {
-			m["min"] = *n.min
-		}
-		if n.max != nil {
-			m["max"] = *n.max
-		}
-		return json.Marshal(m)
+		w.Field, w.Min, w.Max = n.field.String(), n.min, n.max
+	default:
+		return nil, errf("filter node %T has no wire form", e)
 	}
-	return nil, errf("filter node %T has no wire form", e)
-}
-
-func marshalKids(op string, kids []Expr) (json.RawMessage, error) {
-	raws := make([]json.RawMessage, 0, len(kids))
 	for _, k := range kids {
 		raw, err := marshalExpr(k)
 		if err != nil {
 			return nil, err
 		}
-		raws = append(raws, raw)
+		*wireKids = append(*wireKids, raw)
 	}
-	return json.Marshal(map[string][]json.RawMessage{op: raws})
+	return json.Marshal(&w)
 }
 
 // WireScan is one select-mode row as POST /v1/query serves it: the one

@@ -92,6 +92,27 @@ func TestMarshalRoundTrip(t *testing.T) {
 				t.Fatalf("round trip changed the query:\nwire %s\n got %s\nwant %s",
 					wire, got, want)
 			}
+			if q.Key() != string(wire) {
+				t.Fatalf("key %s is not the canonical wire form %s", q.Key(), wire)
+			}
 		})
+	}
+}
+
+// TestValidQueriesHaveExactWireForm: a query Validate accepts has one wire
+// form, and Parse reads it back. So a filter the wire cannot carry exactly —
+// a string that is not UTF-8, which JSON would carry as U+FFFD, or a prefix
+// with host bits set, which Parse refuses — fails Build with a client error
+// rather than being served, cached or sent as a different query.
+func TestValidQueriesHaveExactWireForm(t *testing.T) {
+	for name, e := range map[string]Expr{
+		"country not UTF-8": Or(CountryIn("\xff"), CountryIn("\xfe")),
+		"org not UTF-8":     OrgIn("ok", "\xc3"),
+		"prefix host bits":  SrcIn(inetmodel.Prefix{Base: 0x0a000001, Bits: 8}),
+	} {
+		if q, err := NewBuilder().Where(e).Count().Build(); !IsClientError(err) {
+			wire, merr := json.Marshal(q)
+			t.Errorf("%s: Build = %v, want a client error (wire %s, %v)", name, err, wire, merr)
+		}
 	}
 }

@@ -43,18 +43,7 @@ import (
 // lists, nesting or size beyond the package caps — returns a ClientError
 // and never panics; see FuzzParse.
 func Parse(data []byte) (*Query, error) {
-	var req struct {
-		Where   json.RawMessage `json:"where"`
-		GroupBy []string        `json:"group_by"`
-		Aggs    []struct {
-			Op    string    `json:"op"`
-			Field string    `json:"field"`
-			K     int       `json:"k"`
-			Qs    []float64 `json:"qs"`
-		} `json:"aggs"`
-		OrderBy string `json:"order_by"`
-		Limit   *int   `json:"limit"`
-	}
+	var req wireQuery
 	if err := decodeStrict(data, &req); err != nil {
 		return nil, errf("invalid request: %v", err)
 	}
@@ -103,9 +92,7 @@ func Parse(data []byte) (*Query, error) {
 	default:
 		return nil, errf("unknown order_by %q (want \"agg\" or \"key\")", req.OrderBy)
 	}
-	if req.Limit != nil {
-		q.Limit = *req.Limit
-	}
+	q.Limit = req.Limit
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -136,19 +123,7 @@ func parseNode(raw json.RawMessage, depth int, nodes *int) (Expr, error) {
 	if *nodes > maxNodes {
 		return nil, errf("filter exceeds %d nodes", maxNodes)
 	}
-	var n struct {
-		And    []json.RawMessage `json:"and"`
-		Or     []json.RawMessage `json:"or"`
-		Not    json.RawMessage   `json:"not"`
-		Field  string            `json:"field"`
-		In     []json.RawMessage `json:"in"`
-		Eq     json.RawMessage   `json:"eq"`
-		Min    *float64          `json:"min"`
-		Max    *float64          `json:"max"`
-		MinNS  *int64            `json:"min_ns"`
-		MaxNS  *int64            `json:"max_ns"`
-		Prefix string            `json:"prefix"`
-	}
+	var n wireNode
 	if err := decodeStrict(raw, &n); err != nil {
 		return nil, errf("invalid filter node: %v", err)
 	}
@@ -192,7 +167,7 @@ func parseNode(raw json.RawMessage, depth int, nodes *int) (Expr, error) {
 	if !ok {
 		return nil, errf("unknown filter field %q", n.Field)
 	}
-	e, err := parseLeaf(f, n.In, n.Eq, n.Min, n.Max, n.MinNS, n.MaxNS, n.Prefix)
+	e, err := parseLeaf(f, &n)
 	if err != nil {
 		return nil, err
 	}
@@ -222,53 +197,52 @@ func parseKids(raws []json.RawMessage, depth int, nodes *int) ([]Expr, error) {
 
 // parseLeaf builds the leaf predicate for field f from whichever operator
 // keys the node carried.
-func parseLeaf(f Field, in []json.RawMessage, eq json.RawMessage,
-	min, max *float64, minNS, maxNS *int64, prefix string) (Expr, error) {
+func parseLeaf(f Field, n *wireNode) (Expr, error) {
 	// Reject operators that don't belong to the field up front, so a typo'd
 	// request fails loudly instead of silently ignoring a key.
-	hasSet := len(in) > 0 || len(eq) > 0
-	hasRange := min != nil || max != nil
-	hasTime := minNS != nil || maxNS != nil
+	hasSet := len(n.In) > 0 || len(n.Eq) > 0
+	hasRange := n.Min != nil || n.Max != nil
+	hasTime := n.MinNS != nil || n.MaxNS != nil
 	switch f.def().kind {
 	case kindPrefix:
-		if hasSet || hasRange || hasTime || prefix == "" {
+		if hasSet || hasRange || hasTime || n.Prefix == "" {
 			return nil, errf("%s takes exactly a \"prefix\"", f)
 		}
-		pfx, err := inetmodel.ParsePrefix(prefix)
+		pfx, err := inetmodel.ParsePrefix(n.Prefix)
 		if err != nil {
-			return nil, errf("invalid %s prefix %q: %v", f, prefix, err)
+			return nil, errf("invalid %s prefix %q: %v", f, n.Prefix, err)
 		}
 		return &prefixExpr{leaf{f}, pfx}, nil
 	case kindTime:
-		if hasSet || hasRange || prefix != "" || !hasTime {
+		if hasSet || hasRange || n.Prefix != "" || !hasTime {
 			return nil, errf("%s takes \"min_ns\"/\"max_ns\"", f)
 		}
-		return &timeExpr{leaf{f}, minNS, maxNS}, nil
+		return &timeExpr{leaf{f}, n.MinNS, n.MaxNS}, nil
 	case kindBool:
-		if hasRange || hasTime || prefix != "" || len(in) > 0 || len(eq) == 0 {
+		if hasRange || hasTime || n.Prefix != "" || len(n.In) > 0 || len(n.Eq) == 0 {
 			return nil, errf("%s takes exactly an \"eq\" boolean", f)
 		}
 		var want bool
-		if err := json.Unmarshal(eq, &want); err != nil {
+		if err := json.Unmarshal(n.Eq, &want); err != nil {
 			return nil, errf("%s: eq wants a boolean", f)
 		}
 		return &boolExpr{leaf{f}, want}, nil
 	case kindNum:
-		if hasSet || hasTime || prefix != "" || !hasRange {
+		if hasSet || hasTime || n.Prefix != "" || !hasRange {
 			return nil, errf("%s takes \"min\"/\"max\"", f)
 		}
-		return &rangeExpr{leaf{f}, min, max}, nil
+		return &rangeExpr{leaf{f}, n.Min, n.Max}, nil
 	}
 	// Set-membership kinds: enum, integer, string.
-	if hasRange || hasTime || prefix != "" || !hasSet {
+	if hasRange || hasTime || n.Prefix != "" || !hasSet {
 		return nil, errf("%s takes \"in\" or \"eq\"", f)
 	}
-	if len(in) > 0 && len(eq) > 0 {
+	if len(n.In) > 0 && len(n.Eq) > 0 {
 		return nil, errf("%s: give \"in\" or \"eq\", not both", f)
 	}
-	vals := in
-	if len(eq) > 0 {
-		vals = []json.RawMessage{eq}
+	vals := n.In
+	if len(n.Eq) > 0 {
+		vals = []json.RawMessage{n.Eq}
 	}
 	if len(vals) > maxInValues {
 		return nil, errf("%s: value set exceeds %d entries", f, maxInValues)

@@ -265,55 +265,13 @@ func (q *Query) Canonicalize() *Query {
 }
 
 // Key renders a canonicalized query as a deterministic string, suitable as
-// a result-cache key (prefix it with the catalog generation token).
-// Canonicalize first: Key reflects the receiver as-is.
+// a result-cache key (prefix it with the catalog generation token): its
+// /v1/query wire form, which Parse reads back as the same query. A query
+// with no wire form keys as empty; Validate rejects it. Canonicalize first:
+// Key reflects the receiver as-is.
 func (q *Query) Key() string {
-	b := make([]byte, 0, 128)
-	b = append(b, "w="...)
-	if q.Where != nil {
-		b = q.Where.appendKey(b)
-	} else {
-		b = append(b, '*')
-	}
-	b = append(b, ";g="...)
-	for i, f := range q.GroupBy {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, f.String()...)
-	}
-	b = append(b, ";a="...)
-	for i, a := range q.Aggs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, a.Op.String()...)
-		if a.Field != fInvalid {
-			b = append(b, ':')
-			b = append(b, a.Field.String()...)
-		}
-		if a.Op == OpTopK {
-			b = append(b, ':')
-			b = strconv.AppendInt(b, int64(a.K), 10)
-		}
-		for j, v := range a.Qs {
-			if j == 0 {
-				b = append(b, ':')
-			} else {
-				b = append(b, '~')
-			}
-			b = strconv.AppendFloat(b, v, 'g', -1, 64)
-		}
-	}
-	b = append(b, ";o="...)
-	if q.Order == OrderKey {
-		b = append(b, "key"...)
-	} else {
-		b = append(b, "agg"...)
-	}
-	b = append(b, ";l="...)
-	b = strconv.AppendInt(b, int64(q.Limit), 10)
-	return string(b)
+	wire, _ := q.MarshalJSON()
+	return string(wire)
 }
 
 // NeedsOrigin reports whether executing q requires enrichment origins

@@ -267,6 +267,18 @@ func TestCanonicalKey(t *testing.T) {
 		`{"group_by": ["tool"], "aggs": [{"op":"count"}]}`,
 		`{"group_by": ["tool"], "aggs": [{"op":"count"}], "order_by": "key"}`,
 		`{"group_by": ["tool"], "aggs": [{"op":"count"}], "limit": 5}`,
+		`{"group_by": ["tool"], "aggs": [{"op":"count"}], "order_by": "key", "limit": 5}`,
+		`{"where": {"field": "dsts", "min": 2020}}`,
+		`{"where": {"field": "time", "min_ns": 2020}}`,
+		`{"where": {"field": "time", "max_ns": 2020}}`,
+		`{"where": {"field": "src", "prefix": "10.0.0.0/8"}}`,
+		`{"where": {"field": "src", "prefix": "10.0.0.0/16"}}`,
+		`{"where": {"field": "country", "eq": "org-1"}}`,
+		`{"where": {"field": "org", "eq": "org-1"}}`,
+		`{"aggs": [{"op":"top_k","field":"port","k":5}]}`,
+		`{"aggs": [{"op":"top_k","field":"port","k":6}]}`,
+		`{"aggs": [{"op":"quantile","field":"rate_pps","qs":[0.5]}]}`,
+		`{"aggs": [{"op":"quantile","field":"rate_pps","qs":[0.5,0.9]}]}`,
 	}
 	seen := map[string]string{}
 	for _, c := range distinct {
