@@ -8,12 +8,13 @@ import (
 )
 
 // TestFacadeArchiveSkipCorrupt: the degraded-mode surface works end to end
-// through the public wrappers — a corrupted archive fails a default reader
-// but streams its intact blocks under WithSkipCorrupt, counting the damage.
+// through the public wrappers — a store with a corrupted segment fails a
+// default catalog's query but streams its intact blocks under
+// CatalogConfig.SkipCorrupt, counting the damage.
 func TestFacadeArchiveSkipCorrupt(t *testing.T) {
 	yd, _ := facadeData(t)
-	path := filepath.Join(t.TempDir(), "facade.syna")
-	w, err := CreateArchive(path, ArchiveWriterConfig{
+	dir := t.TempDir()
+	w, err := OpenSegmentDir(dir, SegmentConfig{
 		TelescopeSize: 2048, Origins: true, BlockBytes: 4 << 10,
 	})
 	if err != nil {
@@ -25,15 +26,38 @@ func TestFacadeArchiveSkipCorrupt(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	segs := w.SealedSegments()
+	if len(segs) != 1 {
+		t.Fatalf("%d segments, want 1", len(segs))
+	}
+	path := filepath.Join(dir, segs[0].Name)
 
-	probe, err := OpenArchive(path)
+	// readAll opens the store under cfg and runs an all-scans read of its one
+	// segment, returning the scan count, the corrupt-block count and the
+	// segment's scan total.
+	readAll := func(cfg CatalogConfig) (n int, corrupt, total uint64, err error) {
+		cat, err := OpenCatalog(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cat.Close()
+		v := cat.View()
+		defer v.Release()
+		rd := v.Reader(0)
+		err = rd.Query(context.Background(), AllScans, func(*Scan, *Origin) { n++ })
+		return n, rd.CorruptBlocks(), rd.NumScans(), err
+	}
+
+	probe, err := OpenCatalog(dir, CatalogConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zones := probe.Blocks()
+	v := probe.View()
+	zones := v.Reader(0).Blocks()
+	v.Release()
 	probe.Close()
 	if len(zones) < 2 {
-		t.Fatalf("archive has %d blocks; need at least 2 to lose one and keep reading", len(zones))
+		t.Fatalf("segment has %d blocks; need at least 2 to lose one and keep reading", len(zones))
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -46,28 +70,17 @@ func TestFacadeArchiveSkipCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	strict, err := OpenArchive(path)
+	if _, _, _, err := readAll(CatalogConfig{}); err == nil {
+		t.Fatal("default catalog must fail on a corrupt block")
+	}
+	n, corrupt, total, err := readAll(CatalogConfig{SkipCorrupt: true})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("skip-corrupt catalog errored: %v", err)
 	}
-	defer strict.Close()
-	if err := strict.Query(context.Background(), AllScans, func(*Scan, *Origin) {}); err == nil {
-		t.Fatal("default reader must fail on a corrupt block")
+	if corrupt != 1 {
+		t.Fatalf("CorruptBlocks() = %d, want 1", corrupt)
 	}
-
-	rd, err := OpenArchive(path, WithSkipCorrupt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	n := 0
-	if err := rd.Query(context.Background(), AllScans, func(*Scan, *Origin) { n++ }); err != nil {
-		t.Fatalf("skip-corrupt reader errored: %v", err)
-	}
-	if rd.CorruptBlocks() != 1 {
-		t.Fatalf("CorruptBlocks() = %d, want 1", rd.CorruptBlocks())
-	}
-	if n == 0 || uint64(n) >= rd.NumScans() {
-		t.Fatalf("recovered %d of %d scans; want the intact blocks only", n, rd.NumScans())
+	if n == 0 || uint64(n) >= total {
+		t.Fatalf("recovered %d of %d scans; want the intact blocks only", n, total)
 	}
 }

@@ -17,8 +17,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"github.com/synscan/synscan/internal/archive"
 )
 
 func buildTool(t *testing.T, dir, name string) string {
@@ -144,11 +142,27 @@ func TestCLIEndToEnd(t *testing.T) {
 	// experiments that read any year's campaigns run, the ones pinned to other
 	// years are skipped with a line on stderr, and one of those asked for by
 	// name is an error.
-	synaPath := filepath.Join(dir, "capture.syna")
-	if out, err := exec.Command(synalyze, "-telescope", "2048", "-archive", synaPath, pcapPath).CombinedOutput(); err != nil {
+	arcDir := filepath.Join(dir, "capture-store")
+	if out, err := exec.Command(synalyze, "-telescope", "2048", "-archive", arcDir, pcapPath).CombinedOutput(); err != nil {
 		t.Fatalf("synalyze -archive: %v\n%s", err, out)
 	}
-	cmd := exec.Command(syneval, "-archive", synaPath)
+	// A second replay into the same store would count every campaign twice.
+	if out, err := exec.Command(synalyze, "-telescope", "2048", "-archive", arcDir, pcapPath).CombinedOutput(); err == nil || !strings.Contains(string(out), arcDir) {
+		t.Fatalf("synalyze -archive into a non-empty store: err %v, output:\n%s", err, out)
+	}
+	// -archive reads a store directory: a file (a segment, or a .syna from
+	// an older run), a missing path and a store without calibrated years
+	// are errors that name the argument.
+	segs, _ := filepath.Glob(filepath.Join(arcDir, "*.syna"))
+	if len(segs) == 0 {
+		t.Fatal("synalyze -archive sealed no segment")
+	}
+	for _, bad := range append(segs, filepath.Join(dir, "no-such-store"), t.TempDir()) {
+		if out, err := exec.Command(syneval, "-archive", bad).CombinedOutput(); err == nil || !strings.Contains(string(out), bad) {
+			t.Fatalf("syneval -archive %s: err %v, output:\n%s", bad, err, out)
+		}
+	}
+	cmd := exec.Command(syneval, "-archive", arcDir)
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	report, err := cmd.Output()
@@ -163,12 +177,12 @@ func TestCLIEndToEnd(t *testing.T) {
 	if strings.Contains(string(report), "Figure 5") || !strings.Contains(stderr.String(), `skipped: experiment "fig5" needs year 2022`) {
 		t.Fatalf("fig5 (pinned to 2022) not skipped:\nstdout:\n%s\nstderr:\n%s", report, stderr.String())
 	}
-	if out, err := exec.Command(syneval, "-archive", synaPath, "-only", "fig5").CombinedOutput(); err == nil {
+	if out, err := exec.Command(syneval, "-archive", arcDir, "-only", "fig5").CombinedOutput(); err == nil {
 		t.Fatalf("syneval -archive -only fig5 without 2022 succeeded:\n%s", out)
 	}
 	// -only and -archive hold for every output format.
 	archJSON := filepath.Join(dir, "archive.json")
-	if out, err := exec.Command(syneval, "-archive", synaPath, "-only", "sec52", "-json", archJSON).CombinedOutput(); err != nil {
+	if out, err := exec.Command(syneval, "-archive", arcDir, "-only", "sec52", "-json", archJSON).CombinedOutput(); err != nil {
 		t.Fatalf("syneval -archive -only sec52 -json: %v\n%s", err, out)
 	}
 	var archEval map[string]json.RawMessage
@@ -270,8 +284,9 @@ func TestCLIEndToEnd(t *testing.T) {
 
 // TestCLISynalyzeWorkers pins what -workers promises where it is offered:
 // replaying one capture at 1, 2 and 4 detector shards prints byte-identical
-// reports and archives the same campaigns (the archive's order is close order
-// at one shard and (End, Start, Src) above, so the scans are compared sorted).
+// reports and archives the same campaigns (the store's order is close order
+// at one shard and (End, Start, Src) above, so the scans are compared sorted,
+// and the segments written at 2 and 4 shards byte for byte).
 func TestCLISynalyzeWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping CLI build")
@@ -286,31 +301,46 @@ func TestCLISynalyzeWorkers(t *testing.T) {
 		"-telescope", "2048", "-out", pcapPath).CombinedOutput(); err != nil {
 		t.Fatalf("syntelescope: %v\n%s", err, out)
 	}
-	var reports [][]byte
+	var reports, segments [][]byte
 	var scans [][]string
 	for _, w := range []string{"1", "2", "4"} {
-		synaPath := filepath.Join(dir, "workers"+w+".syna")
-		cmd := exec.Command(synalyze, "-telescope", "2048", "-workers", w, "-archive", synaPath, pcapPath)
+		arcDir := filepath.Join(dir, "workers"+w)
+		cmd := exec.Command(synalyze, "-telescope", "2048", "-workers", w, "-archive", arcDir, pcapPath)
 		var stderr strings.Builder
 		cmd.Stderr = &stderr
 		report, err := cmd.Output()
 		if err != nil {
 			t.Fatalf("synalyze -workers %s: %v\n%s", w, err, stderr.String())
 		}
-		rd, err := archive.Open(synaPath)
+		cat, err := OpenCatalog(arcDir, CatalogConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		v := cat.View()
 		var keys []string
-		err = rd.Query(context.Background(), archive.All, func(sc *Scan, _ *Origin) {
+		err = CatalogSource(v).Query(context.Background(), AllScans, func(sc *Scan, _ *Origin) {
 			keys = append(keys, fmt.Sprintf("%+v", *sc))
 		})
-		rd.Close()
+		v.Release()
+		cat.Close()
 		if err != nil {
 			t.Fatalf("-workers %s archive: %v", w, err)
 		}
 		slices.Sort(keys)
 		reports, scans = append(reports, report), append(scans, keys)
+		var seg []byte
+		names, _ := filepath.Glob(filepath.Join(arcDir, "*.syna"))
+		for _, name := range names {
+			b, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg = append(seg, b...)
+		}
+		segments = append(segments, seg)
+	}
+	if len(segments[1]) == 0 || !bytes.Equal(segments[1], segments[2]) {
+		t.Errorf("-workers 2 and 4 wrote different segments (%d and %d bytes)", len(segments[1]), len(segments[2]))
 	}
 	if len(scans[0]) == 0 || !bytes.Contains(reports[0], []byte("qualified campaigns")) {
 		t.Fatalf("-workers 1 archived %d scans; report:\n%s", len(scans[0]), reports[0])

@@ -176,7 +176,7 @@ func errText(b []byte) string {
 type RemoteScan = query.WireScan
 
 // RemoteOrigin is a RemoteScan's enrichment origin, nil on a scan served from
-// an archive that stores none.
+// a store that keeps none.
 type RemoteOrigin = query.WireOrigin
 
 // RemoteResult is a /v1/query response: select mode fills Scans, aggregate
@@ -215,7 +215,7 @@ func (c *Client) RunRemoteQuery(ctx context.Context, q *Query) (*RemoteResult, e
 	return &res, nil
 }
 
-// Stats fetches /v1/stats as raw JSON — archives, stores, cache and
+// Stats fetches /v1/stats as raw JSON — stores, cache and
 // hardening counters.
 func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
 	return c.do(ctx, http.MethodGet, "/v1/stats", nil)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -199,8 +198,8 @@ func TestClientRemoteSelect(t *testing.T) {
 // back from RunRemoteQuery with its two-phase attributes and its origin — the
 // keys a hand-kept copy of the struct had dropped.
 func TestClientRemoteKeepsEveryKey(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "reactive.syna")
-	w, err := CreateArchive(path, ArchiveWriterConfig{TelescopeSize: 2048, Origins: true})
+	dir := t.TempDir()
+	w, err := OpenSegmentDir(dir, SegmentConfig{TelescopeSize: 2048, Origins: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestClientRemoteKeepsEveryKey(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.Open([]string{path}, serve.Config{}, nil)
+	srv, err := serve.Open([]string{dir}, serve.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

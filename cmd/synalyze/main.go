@@ -39,7 +39,7 @@ func main() {
 	topN := flag.Int("top", 10, "ranking depth for the port tables")
 	workers := flag.Int("workers", 1, "campaign-detector shards; >1 runs detection on that many goroutines")
 	reactiveMode := flag.Bool("reactive", false, "admit phase-two TCP segments (handshake ACKs, payload pushes) from a reactive capture instead of dropping all non-SYNs")
-	archiveOut := flag.String("archive", "", "persist every detected campaign to this archive file as it closes (queryable with syneval -archive / synserve)")
+	archiveOut := flag.String("archive", "", "persist every detected campaign to this segment store directory as it closes (queryable with syneval -archive / synserve)")
 	reg, finish, err := obs.ParseFlags(obs.OnRequest)
 	if err != nil {
 		log.Fatal(err)
@@ -50,9 +50,6 @@ func main() {
 	}
 	if flag.NArg() != 1 {
 		log.Fatal("usage: synalyze [flags] capture.{pcap,pcapng,spool}")
-	}
-	if *archiveOut != "" && *archiveOut == flag.Arg(0) {
-		log.Fatalf("-archive %s would overwrite the input capture", *archiveOut)
 	}
 	f, err := os.Open(flag.Arg(0))
 	if err != nil {
@@ -65,17 +62,20 @@ func main() {
 	}
 	telSize := capture.TelescopeSize(rd, flag.CommandLine, "telescope")
 
-	// Write-on-detect: every closed flow is spooled into the archive from
-	// the same goroutine that collects it (sequentially during ingest,
-	// sharded at FlushAll), so no extra synchronization is needed. The
-	// replay path has no enrichment registry, so the archive is origin-less.
-	var aw *archive.Writer
+	// Write-on-detect: every closed flow is spooled into the store from the
+	// same goroutine that collects it (sequentially during ingest, sharded at
+	// FlushAll), so no extra synchronization is needed. The replay path has
+	// no enrichment registry, so the store is origin-less.
+	var aw *archive.SegmentWriter
 	if *archiveOut != "" {
-		aw, err = archive.Create(*archiveOut, archive.WriterConfig{
+		aw, err = archive.OpenSegmentDir(*archiveOut, archive.SegmentConfig{
 			TelescopeSize: telSize, Metrics: reg,
 		})
 		if err != nil {
 			log.Fatal(err)
+		}
+		if n := len(aw.SealedSegments()); n > 0 { // a second replay would count twice
+			log.Fatalf("-archive %s already holds %d segments; name a new directory", *archiveOut, n)
 		}
 	}
 	var scans []*core.Scan

@@ -15,6 +15,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"log"
 	"os"
@@ -33,8 +34,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	scale := flag.Float64("scale", 0.002, "volume scale relative to the paper")
 	telSize := flag.Int("telescope", 4096, "monitored address count")
-	archiveIn := flag.String("archive", "", "read detected campaigns from this archive instead of re-simulating (campaign-level experiments only: "+strings.Join(analysis.Keys(true), ",")+")")
-	archiveOut := flag.String("archive-out", "", "persist the simulated decade's detected campaigns (with origins) to this archive file")
+	archiveIn := flag.String("archive", "", "read detected campaigns from this segment store directory instead of re-simulating (campaign-level experiments only: "+strings.Join(analysis.Keys(true), ",")+")")
+	archiveOut := flag.String("archive-out", "", "persist the simulated decade's detected campaigns (with origins) to this segment store directory")
 	only := flag.String("only", "", "comma-separated experiment list ("+strings.Join(analysis.Keys(false), ",")+"); empty = all the input can serve")
 	jsonOut := flag.String("json", "", "write the evaluation as JSON to this path (instead of the text report)")
 	csvDir := flag.String("csv", "", "write the evaluation's series as CSV files into this directory (instead of the text report)")
@@ -63,29 +64,23 @@ func main() {
 	}
 	switch {
 	case *archiveIn != "":
-		rd, err := archive.Open(*archiveIn)
+		camps, err := loadStore(*archiveIn, reg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer rd.Close()
-		rd.SetMetrics(reg)
-		log.Printf("loading campaigns from %s (%d blocks, %d scans, telescope %d)...",
-			*archiveIn, rd.NumBlocks(), rd.NumScans(), rd.TelescopeSize())
-		camps, err := analysis.CollectArchiveYears(rd)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// No simulation parameter applies to an archive's campaigns.
-		in = analysis.Input{TelescopeSize: rd.TelescopeSize(), Campaigns: camps}
+		// No simulation parameter applies to a store's campaigns.
+		in = analysis.Input{TelescopeSize: camps[0].TelescopeSize, Campaigns: camps}
 	case *archiveOut != "":
-		var err error
-		if in.Years, err = analysis.Decade(*seed, *scale, *telSize, in.Collect); err != nil {
-			log.Fatal(err)
-		}
-		w, err := archive.Create(*archiveOut, archive.WriterConfig{
+		w, err := archive.OpenSegmentDir(*archiveOut, archive.SegmentConfig{
 			TelescopeSize: *telSize, Origins: true, Metrics: reg,
 		})
 		if err != nil {
+			log.Fatal(err)
+		}
+		if n := len(w.SealedSegments()); n > 0 { // a second decade would count twice
+			log.Fatalf("-archive-out %s already holds %d segments; name a new directory", *archiveOut, n)
+		}
+		if in.Years, err = analysis.Decade(*seed, *scale, *telSize, in.Collect); err != nil {
 			log.Fatal(err)
 		}
 		for _, c := range analysis.CampaignsOf(in.Years) {
@@ -141,4 +136,36 @@ func main() {
 	if err := finish(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// loadStore reads every calibrated year's campaigns from the segment store
+// at dir, which must be an existing directory whose segments are all
+// readable and hold at least one calibrated year.
+func loadStore(dir string, reg *obs.Registry) ([]*analysis.Campaigns, error) {
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return nil, err
+	}
+	if !fi.IsDir() {
+		return nil, fmt.Errorf("-archive %s is not a segment store directory", dir)
+	}
+	cat, err := archive.OpenCatalog(dir, archive.CatalogConfig{Metrics: reg})
+	if err != nil {
+		return nil, err
+	}
+	defer cat.Close()
+	if bad := cat.Unreadable(); len(bad) > 0 {
+		return nil, fmt.Errorf("-archive %s: unreadable segments %v", dir, bad)
+	}
+	v := cat.View()
+	defer v.Release()
+	log.Printf("loading campaigns from %s (%d segments, %d scans)...", dir, v.Len(), v.NumScans())
+	camps, err := analysis.CollectArchiveYears(v)
+	if err != nil {
+		return nil, err
+	}
+	if len(camps) == 0 {
+		return nil, fmt.Errorf("-archive %s holds no campaigns of a calibrated year", dir)
+	}
+	return camps, nil
 }

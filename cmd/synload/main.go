@@ -8,7 +8,7 @@
 //
 //   - -addr http://host:port points the fleet at an already-running server.
 //   - Without -addr, synload self-serves: it writes a deterministic fixture
-//     archive (-fixture scans, -seed) to a temp dir, serves it in-process
+//     store (-fixture scans, -seed) into a temp dir, serves it in-process
 //     through internal/serve on a loopback port with synserve's default
 //     settings, runs the fleet against it, and shuts it down. To load a
 //     differently configured server (say -max-inflight 4, to force
@@ -40,7 +40,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -62,8 +61,8 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", "", "target base URL (e.g. http://127.0.0.1:8080); empty = self-serve a fixture")
-	fixture := flag.Int("fixture", 20000, "scans in the self-served fixture archive")
-	store := flag.String("store", "", "self-serve this existing archive/store instead of generating a fixture")
+	fixture := flag.Int("fixture", 20000, "scans in the self-served fixture store")
+	store := flag.String("store", "", "self-serve this existing store directory instead of generating a fixture")
 	clients := flag.Int("clients", 1000, "concurrent clients in the fleet")
 	requests := flag.Uint64("requests", 0, "total request budget (0 = run for -duration)")
 	duration := flag.Duration("duration", 10*time.Second, "wall deadline when -requests is 0")
@@ -161,8 +160,8 @@ func run() error {
 	return nil
 }
 
-// selfServe serves the target store — an existing path or, when target is
-// empty, a fixture archive freshly written to a temp dir — in this process
+// selfServe serves the target store — an existing directory or, when target
+// is empty, a fixture store freshly written into a temp dir — in this process
 // on a loopback port, under synserve's default settings. Canceling ctx
 // drains the server; stop does that too, then waits for Serve, removes the
 // temp dir and reports how Serve ended.
@@ -177,11 +176,11 @@ func selfServe(ctx context.Context, target string, fixture int, seed uint64) (ba
 		if tmp, err = os.MkdirTemp("", "synload"); err != nil {
 			return "", nil, err
 		}
-		target = filepath.Join(tmp, "fixture.syna")
-		if err = loadgen.WriteFixtureArchive(target, fixture, seed); err != nil {
+		target = tmp
+		if err = loadgen.WriteFixtureStore(target, fixture, seed); err != nil {
 			return "", nil, fmt.Errorf("writing fixture: %w", err)
 		}
-		log.Printf("wrote fixture archive: %d scans", fixture)
+		log.Printf("wrote fixture store: %d scans", fixture)
 	}
 	srv, err := serve.Open([]string{target}, serve.Config{
 		Workers:     1,

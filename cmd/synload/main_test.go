@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/synscan/synscan/internal/loadgen"
@@ -52,5 +54,24 @@ func TestSelfServeSmoke(t *testing.T) {
 	}
 	if ents, _ := os.ReadDir(tmpRoot); len(ents) != 0 {
 		t.Fatalf("temp dir survived shutdown: %v", ents)
+	}
+}
+
+// TestSelfServeRefusesNonStore: -store names a store directory, so a file (a
+// .syna from an older run, say) or a missing path fails with an error that
+// names it.
+func TestSelfServeRefusesNonStore(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "decade.syna")
+	if err := os.WriteFile(file, []byte("SYNA"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{file, filepath.Join(dir, "missing")} {
+		if _, stop, err := selfServe(context.Background(), bad, 0, 1); err == nil {
+			stop()
+			t.Fatalf("self-serving %s succeeded", bad)
+		} else if !strings.Contains(err.Error(), bad) {
+			t.Fatalf("self-serving %s: error %q does not name it", bad, err)
+		}
 	}
 }

@@ -1,7 +1,7 @@
-// Command synserve serves campaign archives over HTTP: flag wiring around
-// internal/serve. It loads archive files written by synalyze -archive or
-// syneval -archive-out, and/or live segment store directories written by
-// syningest, and exposes their scans through two routes:
+// Command synserve serves campaign segment stores over HTTP: flag wiring
+// around internal/serve. It loads store directories written by syningest,
+// synalyze -archive or syneval -archive-out, and exposes their scans, in
+// the order the directories are named, through two routes:
 //
 //	POST /v1/query   {"where": ..., "group_by": [...], "aggs": [...]}
 //	GET  /v1/stats
@@ -19,22 +19,21 @@
 // record, never buffered whole. Each behaviour is observable via server.*
 // counters and gauges at /v1/stats; cmd/synload is the matching load harness.
 //
-// Archives are opened skip-corrupt by default (-skip-corrupt=false to fail
+// Segments are opened skip-corrupt by default (-skip-corrupt=false to fail
 // fast instead): checksum-failed blocks are skipped and counted, and every
 // query response carries "degraded": true once any block was lost. -timeout
 // bounds each query; an expired deadline returns 504 with a JSON error body.
 //
-// A directory argument is served as a live segment store: its manifest is
-// re-read every -rescan interval, so segments sealed by a concurrently
-// running syningest (and compactions merging them) become queryable without
-// a restart. Result-cache entries are keyed on the store generation and
-// invalidate when the segment set changes; degraded responses are never
-// cached.
+// Every store is served live: its manifest is re-read every -rescan
+// interval, so segments sealed by a concurrently running syningest (and
+// compactions merging them) become queryable without a restart. Result-cache
+// entries are keyed on the store generation and invalidate when the segment
+// set changes; degraded responses are never cached.
 //
 // Usage:
 //
-//	syneval -archive-out decade.syna
-//	synserve -addr localhost:8080 decade.syna
+//	syneval -archive-out decade/
+//	synserve -addr localhost:8080 decade/
 //
 //	syningest -dir store/ -follow spool.synl &
 //	synserve -addr localhost:8080 -rescan 2s store/
@@ -66,7 +65,7 @@ func main() {
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", 2*runtime.GOMAXPROCS(0), "max concurrently executing archive scans; excess requests get 429 + Retry-After (0 = unbounded)")
 	flag.DurationVar(&cfg.RetryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 responses")
 	flag.DurationVar(&cfg.Timeout, "timeout", 30*time.Second, "per-query deadline; expired queries return 504 (0 = no deadline)")
-	flag.BoolVar(&cfg.SkipCorrupt, "skip-corrupt", true, "skip checksum-failed archive blocks instead of failing the query; responses carry degraded=true")
+	flag.BoolVar(&cfg.SkipCorrupt, "skip-corrupt", true, "skip checksum-failed segment blocks instead of failing the query; responses carry degraded=true")
 	flag.DurationVar(&cfg.Rescan, "rescan", 2*time.Second, "poll interval for discovering newly sealed segments in store directories (0 = only at startup)")
 	// The registry is always live here: /v1/stats exposes it.
 	reg, finish, err := obs.ParseFlags(obs.Served)
@@ -79,7 +78,7 @@ func main() {
 		log.Fatalf("-workers must be at least 1, got %d", cfg.Workers)
 	}
 	if flag.NArg() < 1 {
-		log.Fatal("usage: synserve [flags] archive.syna|storedir [more...]")
+		log.Fatal("usage: synserve [flags] storedir [more...]")
 	}
 	srv, err := serve.Open(flag.Args(), cfg, reg)
 	if err != nil {

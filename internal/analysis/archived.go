@@ -12,10 +12,10 @@ import (
 )
 
 // ArchiveYear appends one year's campaigns, with their enrichment origins, to
-// an archive writer (which must have been created with WriterConfig.Origins).
-// Scans are written in order, so CollectArchive reproduces the Scans slice
-// exactly.
-func ArchiveYear(w *archive.Writer, c *Campaigns) error {
+// a segment store (whose writer must have been opened with
+// SegmentConfig.Origins). Scans are written in order, so CollectArchive
+// reproduces the Scans slice exactly.
+func ArchiveYear(w *archive.SegmentWriter, c *Campaigns) error {
 	for i, sc := range c.Scans {
 		if err := w.AddWithOrigin(sc, c.ScanOrigins[i]); err != nil {
 			return fmt.Errorf("archiving year %d scan %d: %w", c.Year, i, err)
@@ -24,30 +24,33 @@ func ArchiveYear(w *archive.Writer, c *Campaigns) error {
 	return nil
 }
 
-// CollectArchive rebuilds a measurement year's campaigns from an archive
-// instead of re-simulating: campaign detection ran once at archive time, so
-// this is a pure indexed read — zone maps prune the blocks whose year range
-// excludes the request, and only surviving blocks are decompressed.
+// CollectArchive rebuilds a measurement year's campaigns from a segment
+// store's view instead of re-simulating: campaign detection ran once at
+// archive time, so this is a pure indexed read — zone maps prune the blocks
+// whose year range excludes the request, and only surviving blocks are
+// decompressed.
 //
-// Scans, ScanOrigins (when the archive carries origins) and every analysis
+// Scans, ScanOrigins (when the store carries origins) and every analysis
 // that takes a *Campaigns are identical to the in-memory pipeline's on the
 // same workload. The per-probe tallies of a YearData need the raw probe
 // stream: analyses that read them must re-simulate or replay a capture.
-func CollectArchive(rd *archive.Reader, year int) (*Campaigns, error) {
+func CollectArchive(v *archive.CatalogView, year int) (*Campaigns, error) {
 	prof, err := workload.ProfileFor(year)
 	if err != nil {
 		return nil, err
 	}
 	c := &Campaigns{
-		Year:          year,
-		Days:          prof.Days,
-		TelescopeSize: rd.TelescopeSize(),
-		Start:         workload.WindowStart(year),
+		Year:  year,
+		Days:  prof.Days,
+		Start: workload.WindowStart(year),
+	}
+	if v.Len() > 0 {
+		c.TelescopeSize = v.Reader(0).TelescopeSize()
 	}
 	inYear := (&query.Query{Where: query.YearIn(year)}).Predicate()
-	err = rd.Query(context.Background(), inYear, func(sc *core.Scan, o *enrich.Origin) {
+	err = query.ViewSource{V: v}.Query(context.Background(), inYear, func(sc *core.Scan, o *enrich.Origin) {
 		c.Scans = append(c.Scans, sc.Clone()) // sc is only lent until emit returns
-		var origin enrich.Origin              // stays zero for an archive without origins
+		var origin enrich.Origin              // stays zero for a store without origins
 		if o != nil {
 			origin = tableOrigin(*o)
 		}
@@ -59,14 +62,19 @@ func CollectArchive(rd *archive.Reader, year int) (*Campaigns, error) {
 	return c, nil
 }
 
-// CollectArchiveYears loads every year present in the archive's zone maps,
-// ascending. Years outside the workload's 2015–2024 calibration are
-// skipped (the archive may hold replayed real captures from other periods;
-// those are queryable via Reader.Query but have no window profile).
-func CollectArchiveYears(rd *archive.Reader) ([]*Campaigns, error) {
+// CollectArchiveYears loads every year the view's segments span (from their
+// manifest start bounds), ascending. Years outside the workload's 2015–2024
+// calibration are skipped (the store may hold replayed real captures from
+// other periods; those are queryable through the view but have no window
+// profile).
+func CollectArchiveYears(v *archive.CatalogView) ([]*Campaigns, error) {
 	present := map[int]bool{}
-	for _, z := range rd.Blocks() {
-		for y := int(z.MinYear); y <= int(z.MaxYear); y++ {
+	for i := 0; i < v.Len(); i++ {
+		m := v.Meta(i)
+		if m.Scans == 0 {
+			continue
+		}
+		for y := archive.YearOf(m.MinStart); y <= archive.YearOf(m.MaxStart); y++ {
 			present[y] = true
 		}
 	}
@@ -75,7 +83,7 @@ func CollectArchiveYears(rd *archive.Reader) ([]*Campaigns, error) {
 		if !present[y] {
 			continue
 		}
-		c, err := CollectArchive(rd, y)
+		c, err := CollectArchive(v, y)
 		if err != nil {
 			return nil, err
 		}

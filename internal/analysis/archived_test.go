@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -10,7 +9,35 @@ import (
 	"github.com/synscan/synscan/internal/workload"
 )
 
-// TestArchiveEquivalence: the scan-level results computed from an archive
+// storeView writes the campaigns, in order, into a fresh segment store under
+// cfg and returns a view of the whole store; the view and its catalog close
+// at cleanup.
+func storeView(t *testing.T, cfg archive.SegmentConfig, camps ...*Campaigns) *archive.CatalogView {
+	t.Helper()
+	dir := t.TempDir()
+	sw, err := archive.OpenSegmentDir(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range camps {
+		if err := ArchiveYear(sw, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := archive.OpenCatalog(dir, archive.CatalogConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cat.Close() })
+	v := cat.View()
+	t.Cleanup(v.Release)
+	return v
+}
+
+// TestArchiveEquivalence: the scan-level results computed from a store
 // are identical to the in-memory pipeline's on the same seeded workload —
 // same Scans (deep-equal, same order), same origins, and every analysis that
 // takes campaigns gives the same result on the loaded year as on the
@@ -24,26 +51,10 @@ func TestArchiveEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := &Collect(s, CollectConfig{}).Campaigns
-
-	var buf bytes.Buffer
-	w, err := archive.NewWriter(&buf, archive.WriterConfig{
+	v := storeView(t, archive.SegmentConfig{
 		TelescopeSize: 1024, Origins: true, BlockBytes: 16 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ArchiveYear(w, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rd, err := archive.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectArchive(rd, 2020)
+	}, want)
+	got, err := CollectArchive(v, 2020)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +66,7 @@ func TestArchiveEquivalence(t *testing.T) {
 			want.Year, want.Days, want.TelescopeSize, want.Start)
 	}
 	if len(got.Scans) == 0 {
-		t.Fatal("archive produced no scans")
+		t.Fatal("store produced no scans")
 	}
 	if !reflect.DeepEqual(got.Scans, want.Scans) {
 		t.Fatalf("Scans differ: %d vs %d campaigns", len(got.Scans), len(want.Scans))
@@ -89,7 +100,7 @@ func TestArchiveEquivalence(t *testing.T) {
 
 // TestArchiveKeepsMergeOrder: campaigns in the sharded detector's merge
 // order (End, Start, Src), as `synalyze -workers N -archive` writes them,
-// come back from the archive in that order, origins alongside.
+// come back from the store in that order, origins alongside.
 func TestArchiveKeepsMergeOrder(t *testing.T) {
 	t.Parallel()
 	s, err := workload.NewScenario(workload.Config{
@@ -99,47 +110,24 @@ func TestArchiveKeepsMergeOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mergeOrdered(&Collect(s, CollectConfig{}).Campaigns)
-
-	var buf bytes.Buffer
-	w, err := archive.NewWriter(&buf, archive.WriterConfig{
-		TelescopeSize: 1024, Origins: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ArchiveYear(w, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := archive.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectArchive(rd, 2019)
+	v := storeView(t, archive.SegmentConfig{TelescopeSize: 1024, Origins: true}, want)
+	got, err := CollectArchive(v, 2019)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Scans, want.Scans) {
-		t.Fatal("Scans in merge order differ after the archive round trip")
+		t.Fatal("Scans in merge order differ after the store round trip")
 	}
 	if !reflect.DeepEqual(got.ScanOrigins, want.ScanOrigins) {
-		t.Fatal("ScanOrigins in merge order differ after the archive round trip")
+		t.Fatal("ScanOrigins in merge order differ after the store round trip")
 	}
 }
 
-// TestCollectArchiveYears: a two-year archive splits back into its years.
+// TestCollectArchiveYears: a two-year store splits back into its years.
 func TestCollectArchiveYears(t *testing.T) {
 	t.Parallel()
-	var buf bytes.Buffer
-	w, err := archive.NewWriter(&buf, archive.WriterConfig{
-		TelescopeSize: 1024, Origins: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantByYear := map[int]int{}
+	var camps []*Campaigns
 	for _, year := range []int{2016, 2022} {
 		s, err := workload.NewScenario(workload.Config{
 			Year: year, Seed: 3, Scale: 0.0003, TelescopeSize: 1024,
@@ -149,18 +137,10 @@ func TestCollectArchiveYears(t *testing.T) {
 		}
 		c := &Collect(s, CollectConfig{}).Campaigns
 		wantByYear[year] = len(c.Scans)
-		if err := ArchiveYear(w, c); err != nil {
-			t.Fatal(err)
-		}
+		camps = append(camps, c)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := archive.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	years, err := CollectArchiveYears(rd)
+	v := storeView(t, archive.SegmentConfig{TelescopeSize: 1024, Origins: true}, camps...)
+	years, err := CollectArchiveYears(v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ func TestKeptRowsSurviveChurn(t *testing.T) {
 	defer archive.PoisonScratch(false)
 
 	scans, origins := archive.TestScans(3000, 79)
-	var buf bytes.Buffer
-	w, err := archive.NewWriter(&buf, archive.WriterConfig{TelescopeSize: 4096, Origins: true, BlockBytes: 8 << 10})
+	dir := t.TempDir()
+	w, err := archive.OpenSegmentDir(dir, archive.SegmentConfig{TelescopeSize: 4096, Origins: true, BlockBytes: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,17 +36,20 @@ func TestKeptRowsSurviveChurn(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := archive.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	cat, err := archive.OpenCatalog(dir, archive.CatalogConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cat.Close()
+	v := cat.View()
+	defer v.Release()
 	run := func(text string) *query.Result {
 		t.Helper()
 		q, err := query.Parse([]byte(text))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := query.Run(context.Background(), q, query.ReaderSource{R: rd})
+		res, err := query.Run(context.Background(), q, query.ViewSource{V: v})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +65,7 @@ func TestKeptRowsSurviveChurn(t *testing.T) {
 
 	const year = 2019
 	sel := run(`{"limit":100000}`)
-	camp, err := analysis.CollectArchive(rd, year)
+	camp, err := analysis.CollectArchive(v, year)
 	if err != nil {
 		t.Fatal(err)
 	}

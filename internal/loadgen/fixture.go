@@ -12,7 +12,7 @@ import (
 
 // FixtureScans builds n deterministic closed flows spread over the 2015–2024
 // decade with realistic port, tool, and rate diversity, time-sorted so the
-// written archive carries tight per-block year zone maps (the layout a
+// written store carries tight per-block year zone maps (the layout a
 // compacted store produces — StandardMix's pruned queries then actually
 // prune).
 func FixtureScans(n int, seed uint64) []*core.Scan {
@@ -41,11 +41,11 @@ func FixtureScans(n int, seed uint64) []*core.Scan {
 	return out
 }
 
-// WriteFixtureArchive writes n fixture scans as one sealed archive at path,
+// WriteFixtureStore writes n fixture scans into a segment store at dir,
 // ready for synserve to load. It is the store behind cmd/synload's
 // self-serving mode and the CI load-smoke step.
-func WriteFixtureArchive(path string, n int, seed uint64) error {
-	w, err := archive.Create(path, archive.WriterConfig{TelescopeSize: 65536})
+func WriteFixtureStore(dir string, n int, seed uint64) error {
+	w, err := archive.OpenSegmentDir(dir, archive.SegmentConfig{TelescopeSize: 65536})
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -304,9 +305,14 @@ func merge(stats []clientStats, elapsed time.Duration) Result {
 	return res
 }
 
-// quantile reads the exact q-quantile (nearest-rank) from sorted latencies,
+// quantile reads the exact q-quantile (nearest-rank: the smallest latency
+// at least a q share of the sample is at or below) from sorted latencies,
 // in milliseconds.
 func quantile(sorted []time.Duration, q float64) float64 {
-	idx := int(q * float64(len(sorted)-1))
+	// The rank is ceil(q·n); the slack keeps a product that binary floating
+	// point puts just above a whole number (0.9·70 = 63.00000000000001) on
+	// that number.
+	idx := int(math.Ceil(q*float64(len(sorted))-1e-9)) - 1
+	idx = min(max(idx, 0), len(sorted)-1)
 	return float64(sorted[idx]) / 1e6
 }

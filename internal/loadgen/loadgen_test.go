@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/obs"
+	"github.com/synscan/synscan/internal/query"
 )
 
 func TestRunBasics(t *testing.T) {
@@ -185,23 +187,50 @@ func TestSLOCheck(t *testing.T) {
 	}
 }
 
-func TestFixtureArchive(t *testing.T) {
-	path := t.TempDir() + "/fixture.syna"
+// TestQuantileNearestRank: a latency quantile is the nearest-rank one, so
+// the p99 of ten latencies is the largest, not the second largest.
+func TestQuantileNearestRank(t *testing.T) {
+	lat := func(n int) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = time.Duration(i+1) * time.Millisecond
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		n    int
+		q    float64
+		want float64
+	}{
+		{10, 0.99, 10}, {10, 0.50, 5}, {10, 0.90, 9}, {1, 0.50, 1},
+		{70, 0.90, 63}, // 0.9·70 is 63.00000000000001 in floating point
+		{100, 0.99, 99}, {100, 0.50, 50},
+	} {
+		if got := quantile(lat(tc.n), tc.q); got != tc.want {
+			t.Errorf("quantile(1…%d ms, %g) = %g ms, want %g", tc.n, tc.q, got, tc.want)
+		}
+	}
+}
+
+func TestFixtureStore(t *testing.T) {
+	dir := t.TempDir()
 	const n = 500
-	if err := WriteFixtureArchive(path, n, 9); err != nil {
+	if err := WriteFixtureStore(dir, n, 9); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := archive.Open(path)
+	cat, err := archive.OpenCatalog(dir, archive.CatalogConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rd.Close()
-	if rd.NumScans() != n {
-		t.Fatalf("NumScans = %d, want %d", rd.NumScans(), n)
+	defer cat.Close()
+	v := cat.View()
+	defer v.Release()
+	if v.NumScans() != n {
+		t.Fatalf("NumScans = %d, want %d", v.NumScans(), n)
 	}
 	var got uint64
 	years := map[int]bool{}
-	err = rd.Query(context.Background(), archive.All, func(sc *core.Scan, _ *enrich.Origin) {
+	err = query.ViewSource{V: v}.Query(context.Background(), archive.All, func(sc *core.Scan, _ *enrich.Origin) {
 		got++
 		years[time.Unix(0, sc.Start).UTC().Year()] = true
 	})
@@ -214,14 +243,18 @@ func TestFixtureArchive(t *testing.T) {
 	if len(years) < 5 {
 		t.Fatalf("fixture spans %d years, want the decade", len(years))
 	}
-	// Determinism: the same seed writes byte-identical archives.
-	path2 := t.TempDir() + "/fixture2.syna"
-	if err := WriteFixtureArchive(path2, n, 9); err != nil {
+	// Determinism: the same seed writes byte-identical segments.
+	dir2 := t.TempDir()
+	if err := WriteFixtureStore(dir2, n, 9); err != nil {
 		t.Fatal(err)
 	}
-	b1, b2 := mustRead(t, path), mustRead(t, path2)
+	if v.Len() != 1 {
+		t.Fatalf("fixture store has %d segments, want 1", v.Len())
+	}
+	b1 := mustRead(t, filepath.Join(dir, v.Name(0)))
+	b2 := mustRead(t, filepath.Join(dir2, v.Name(0)))
 	if string(b1) != string(b2) {
-		t.Fatal("fixture archives with the same seed differ")
+		t.Fatal("fixture stores with the same seed differ")
 	}
 }
 

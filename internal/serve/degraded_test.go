@@ -16,13 +16,8 @@ import (
 // TestQueryTimeout504: an expired per-query deadline surfaces as 504 with a
 // JSON error body, not a 500 or a half-rendered response.
 func TestQueryTimeout504(t *testing.T) {
-	path, _ := testArchive(t, false)
-	rd, err := archive.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rd.Close() })
-	srv := newServer([]source{&file{path: path, rd: rd}}, Config{Timeout: time.Nanosecond}, obs.NewRegistry())
+	dir, _ := testStore(t, false)
+	srv := openServer(t, Config{Timeout: time.Nanosecond}, obs.NewRegistry(), dir)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -42,12 +37,13 @@ func TestQueryTimeout504(t *testing.T) {
 }
 
 // TestDegradedQuery is the end-to-end degraded-mode check: corrupt over 10%
-// of an archive's blocks with seeded fault injection, open it skip-corrupt
-// as main does, and a select query must still complete — flagged
+// of a store's blocks with seeded fault injection, open it skip-corrupt as
+// main does, and a select query must still complete — flagged
 // degraded:true, with the corrupt-block counter equal to the number of
 // blocks actually damaged.
 func TestDegradedQuery(t *testing.T) {
-	path, n := testArchive(t, false)
+	dir, n := testStore(t, false)
+	path := segmentPath(dir)
 
 	// Locate the blocks via a throwaway reader, then flip bytes inside
 	// every fourth block's compressed payload (the CRC word is the first 4
@@ -59,7 +55,7 @@ func TestDegradedQuery(t *testing.T) {
 	zones := probe.Blocks()
 	probe.Close()
 	if len(zones) < 10 {
-		t.Fatalf("test archive has only %d blocks; too coarse to corrupt 10%%", len(zones))
+		t.Fatalf("test segment has only %d blocks; too coarse to corrupt 10%%", len(zones))
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -82,13 +78,7 @@ func TestDegradedQuery(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	rd, err := archive.Open(path, archive.WithSkipCorrupt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rd.Close() })
-	rd.SetMetrics(reg)
-	srv := newServer([]source{&file{path: path, rd: rd}}, Config{Timeout: 30 * time.Second}, reg)
+	srv := openServer(t, Config{Timeout: 30 * time.Second, SkipCorrupt: true}, reg, dir)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -98,12 +88,14 @@ func TestDegradedQuery(t *testing.T) {
 	}
 	postJSON(t, ts.URL, `{"limit": 10}`, &res)
 	if !res.Degraded {
-		t.Fatal("query over a corrupted archive not flagged degraded")
+		t.Fatal("query over a corrupted store not flagged degraded")
 	}
 	if res.Matched == 0 || res.Matched >= uint64(n) {
 		t.Fatalf("matched %d scans, want some but fewer than the intact %d", res.Matched, n)
 	}
-	if got := rd.CorruptBlocks(); got != uint64(damaged) {
+	v := srv.stores[0].cat.View()
+	defer v.Release()
+	if got := v.Reader(0).CorruptBlocks(); got != uint64(damaged) {
 		t.Fatalf("CorruptBlocks() = %d, want the %d blocks damaged", got, damaged)
 	}
 	if got := reg.Snapshot().Counter("faults.archive.corrupt_blocks"); got != uint64(damaged) {

@@ -20,20 +20,15 @@ import (
 	"github.com/synscan/synscan/internal/query"
 )
 
-// hardenedServer builds a server over the standard test archive with the
+// hardenedServer builds a server over the standard test store with the
 // given config and an installable exec hook, returning the test server and
 // registry. The hook (when used) runs in flight leaders after admission and
 // before the engine walk — the seam every overload test here pivots on.
 func hardenedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *obs.Registry) {
 	t.Helper()
-	path, _ := testArchive(t, false)
-	rd, err := archive.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rd.Close() })
+	dir, _ := testStore(t, false)
 	reg := obs.NewRegistry()
-	srv := newServer([]source{&file{path: path, rd: rd}}, cfg, reg)
+	srv := openServer(t, cfg, reg, dir)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { checkBooks(t, reg) })
 	t.Cleanup(ts.Close)
@@ -223,7 +218,7 @@ func TestAdmissionControl429(t *testing.T) {
 
 // TestStreamedScanList: a select-mode response is written record by record,
 // chunked once it outgrows net/http's buffer, and decodes to exactly the
-// scans query.Run returns over the same archive. The cache tee captured the
+// scans query.Run returns over the same store. The cache tee captured the
 // body, so the repeat is a cache hit, not a second stream.
 func TestStreamedScanList(t *testing.T) {
 	srv, ts, reg := hardenedServer(t, Config{CacheBytes: 64 << 20})
@@ -262,9 +257,9 @@ func TestStreamedScanList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin := srv.srcs[0].pin()
-	defer pin.release()
-	res, err := query.Run(context.Background(), q, pin.querySource())
+	pin := srv.stores[0].pin()
+	defer pin.v.Release()
+	res, err := query.Run(context.Background(), q, query.ViewSource{V: pin.v})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +512,7 @@ func TestConcurrentCacheRescanCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cat.Close()
-	srv := newServer([]source{&store{dir: dir, cat: cat}}, Config{CacheBytes: 64 << 20}, reg)
+	srv := newServer([]*store{{dir: dir, cat: cat}}, Config{CacheBytes: 64 << 20}, reg)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,14 +25,15 @@ func openFDs(t *testing.T) int {
 	return len(ents)
 }
 
-// TestOpenMixedArgs: Open takes files and store directories in any order but
-// always queries files first, so the two spellings of one argument set serve
-// the same bytes; and an argument that cannot be opened fails the whole Open
-// without leaking the ones before it.
-func TestOpenMixedArgs(t *testing.T) {
-	path, n := testArchive(t, false)
-	dir := t.TempDir()
-	sw, err := archive.OpenSegmentDir(dir, archive.SegmentConfig{TelescopeSize: 1024})
+// TestOpenArgs: Open queries its stores in argument order, so the row order
+// of a scan list and the stores array of /v1/stats follow the command line;
+// and an argument that is not a store directory — missing, a file such as a
+// segment, or a store already named — fails the whole Open, naming the
+// argument, without leaking the ones before it.
+func TestOpenArgs(t *testing.T) {
+	dirA, n := testStore(t, false)
+	dirB := t.TempDir()
+	sw, err := archive.OpenSegmentDir(dirB, archive.SegmentConfig{TelescopeSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,13 @@ func TestOpenMixedArgs(t *testing.T) {
 	}
 	sw.Close()
 
-	serveArgs := func(args ...string) (scans, stats []byte) {
+	type scanList struct {
+		Matched uint64 `json:"matched"`
+		Scans   []struct {
+			StartNS int64 `json:"start_ns"`
+		} `json:"scans"`
+	}
+	serveArgs := func(args ...string) (res scanList, stores []storeInfo) {
 		t.Helper()
 		srv, err := Open(args, Config{Workers: 1, SkipCorrupt: true}, obs.NewRegistry())
 		if err != nil {
@@ -54,63 +62,58 @@ func TestOpenMixedArgs(t *testing.T) {
 		defer srv.Close()
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
-		resp, scans := postQuery(t, ts.URL, `{"limit": 1000}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /v1/query: %d: %s", resp.StatusCode, scans)
+		postJSON(t, ts.URL, `{"limit": 1000}`, &res)
+		var st struct {
+			Stores []storeInfo `json:"stores"`
 		}
-		resp, err = http.Get(ts.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		stats, err = io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /v1/stats: %d, %v", resp.StatusCode, err)
-		}
-		return scans, stats
+		getJSON(t, ts.URL+"/v1/stats", &st)
+		return res, st.Stores
 	}
 
-	storeFirst, stats := serveArgs(dir, path)
-	fileFirst, _ := serveArgs(path, dir)
-	if string(storeFirst) != string(fileFirst) {
-		t.Fatal("scan-list bytes depend on the argument order")
-	}
-	var res struct {
-		Matched uint64 `json:"matched"`
-		Scans   []struct {
-			StartNS int64 `json:"start_ns"`
-		} `json:"scans"`
-	}
-	if err := json.Unmarshal(storeFirst, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Matched != uint64(n+40) || len(res.Scans) != n+40 {
-		t.Fatalf("matched %d, returned %d, want %d of both", res.Matched, len(res.Scans), n+40)
-	}
-	// The file's scans start in 2020 and 2023, the store's in 2022: file
-	// first means the first row is the file's first scan.
-	if first := storeScans(0, 1)[0].Start; res.Scans[0].StartNS == first || res.Scans[n].StartNS != first {
-		t.Fatal("store given first was queried first")
-	}
-	var st struct {
-		Archives []struct{ Path string } `json:"archives"`
-		Stores   []struct{ Dir string }  `json:"stores"`
-	}
-	if err := json.Unmarshal(stats, &st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Archives) != 1 || st.Archives[0].Path != path || len(st.Stores) != 1 || st.Stores[0].Dir != dir {
-		t.Fatalf("/v1/stats sources %+v", st)
+	// A's scans start in 2020 and 2023, B's in 2022.
+	first := storeScans(0, 1)[0].Start
+	wantA := storeInfo{Dir: dirA, Segments: 1, Scans: uint64(n), TelescopeSize: 1024, MinYear: 2020, MaxYear: 2023}
+	wantB := storeInfo{Dir: dirB, Segments: 1, Scans: 40, TelescopeSize: 1024, MinYear: 2022, MaxYear: 2022}
+	for _, tc := range []struct {
+		args   []string
+		firstB int // index of B's first scan in the scan list
+		want   []storeInfo
+	}{
+		{[]string{dirA, dirB}, n, []storeInfo{wantA, wantB}},
+		{[]string{dirB, dirA}, 0, []storeInfo{wantB, wantA}},
+	} {
+		res, stores := serveArgs(tc.args...)
+		if res.Matched != uint64(n+40) || len(res.Scans) != n+40 {
+			t.Fatalf("%v: matched %d, returned %d, want %d of both", tc.args, res.Matched, len(res.Scans), n+40)
+		}
+		if res.Scans[tc.firstB].StartNS != first || (tc.firstB == 0) == (res.Scans[n].StartNS == first) {
+			t.Fatalf("%v: stores not queried in argument order", tc.args)
+		}
+		for i := range stores {
+			stores[i].Generation = 0
+		}
+		if !reflect.DeepEqual(stores, tc.want) {
+			t.Fatalf("%v: /v1/stats stores %+v, want %+v", tc.args, stores, tc.want)
+		}
 	}
 
 	before := openFDs(t)
-	srv, err := Open([]string{dir, path, filepath.Join(dir, "no-such.syna")}, Config{Workers: 1}, obs.NewRegistry())
-	if err == nil {
-		srv.Close()
-		t.Fatal("Open with a nonexistent argument succeeded")
-	}
-	if after := openFDs(t); after != before {
-		t.Fatalf("failed Open left %d descriptors open", after-before)
+	for _, bad := range []string{
+		filepath.Join(dirB, "no-such"),
+		segmentPath(dirA),
+		filepath.Join(dirA, "..", filepath.Base(dirA)) + "/",
+	} {
+		srv, err := Open([]string{dirA, dirB, bad}, Config{Workers: 1}, obs.NewRegistry())
+		if err == nil {
+			srv.Close()
+			t.Fatalf("Open with argument %s succeeded", bad)
+		}
+		if !strings.Contains(err.Error(), bad) {
+			t.Errorf("Open error %q does not name the argument %s", err, bad)
+		}
+		if after := openFDs(t); after != before {
+			t.Fatalf("failed Open (%s) left %d descriptors open", bad, after-before)
+		}
 	}
 }
 

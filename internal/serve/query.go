@@ -45,7 +45,7 @@ func parseQuery(r *http.Request, src *sources) (*query.Query, error) {
 		return nil, err
 	}
 	if q.NeedsOrigin() && !src.hasOrigins() {
-		return nil, badRequest("query needs origins, but no loaded archive carries them (write one with syneval -archive-out)")
+		return nil, badRequest("query needs origins, but no store carries them (write one with syneval -archive-out)")
 	}
 	return q.Canonicalize(), nil
 }

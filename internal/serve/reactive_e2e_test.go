@@ -131,9 +131,22 @@ func TestReactiveEndToEnd(t *testing.T) {
 		t.Fatal("rewriting decoded scans changed the archive bytes")
 	}
 
-	// Query surface: the archived campaigns answer a two_phase filter over
+	// Query surface: the stored campaigns answer a two_phase filter over
 	// POST /v1/query with exactly the linked set, reactive attributes intact.
-	srv := newServer([]source{&file{path: "mem", rd: rd}}, Config{CacheBytes: 64 << 20}, nil)
+	dir := t.TempDir()
+	sw, err := archive.OpenSegmentDir(dir, archive.SegmentConfig{TelescopeSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range scans {
+		if err := sw.Add(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := openServer(t, Config{CacheBytes: 64 << 20}, nil, dir)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

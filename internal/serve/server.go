@@ -1,6 +1,5 @@
-// Package serve is the HTTP query service over campaign archives and live
-// segment stores: cmd/synserve wires flags onto it, cmd/synload and tests
-// run it in-process.
+// Package serve is the HTTP query service over campaign segment stores:
+// cmd/synserve wires flags onto it, cmd/synload and tests run it in-process.
 package serve
 
 import (
@@ -10,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -34,7 +34,7 @@ type Config struct {
 	RetryAfter time.Duration
 	// Workers is the number of block-decode workers per query (Open only).
 	Workers int
-	// SkipCorrupt opens archives so that checksum-failed blocks are skipped
+	// SkipCorrupt opens segments so that checksum-failed blocks are skipped
 	// and counted instead of failing the query (Open only).
 	SkipCorrupt bool
 	// Rescan is the poll interval at which Serve re-reads store manifests
@@ -42,8 +42,8 @@ type Config struct {
 	Rescan time.Duration
 }
 
-// Server answers queries over campaign archives: static sealed files and/or
-// live segment stores (directories written by syningest, polled for newly
+// Server answers queries over segment stores (directories written by
+// syningest, synalyze -archive or syneval -archive-out, polled for newly
 // sealed segments). POST /v1/query is the one analytical endpoint: its body
 // parses into an internal/query request that runs through the streaming
 // engine under zone-map pushdown, behind the hardened execution path:
@@ -56,10 +56,9 @@ type Config struct {
 // computed live (it exposes the moving metric counters, including the
 // cache's own hit/miss tallies).
 type Server struct {
-	// srcs lists static files before live stores, whatever order they
-	// were named in: that is the query order, so it fixes select-mode row
-	// order and the archives / stores arrays of /v1/stats.
-	srcs    []source
+	// stores are in the order they were named: that is the query order, so
+	// it fixes select-mode row order and the stores array of /v1/stats.
+	stores  []*store
 	cache   *lruCache
 	reg     *obs.Registry
 	timeout time.Duration
@@ -90,31 +89,40 @@ type Server struct {
 	mQueryExec                        *obs.Histogram
 }
 
-// Open opens every argument — a directory as a live segment store, anything
-// else as a sealed archive file — and returns a server over them. On error
-// nothing stays open.
+// Open opens every argument, each an existing directory, as a segment store
+// and returns a server that queries them in argument order. A directory
+// named twice (the same cleaned absolute path) is refused, since its scans
+// would count twice. On error nothing stays open.
 func Open(args []string, cfg Config, reg *obs.Registry) (*Server, error) {
-	var files, stores []source
-	for _, arg := range args {
-		src, err := openSource(arg, cfg, reg)
-		if err != nil {
-			for _, o := range append(files, stores...) {
-				o.close()
-			}
-			return nil, err
+	var stores []*store
+	fail := func(err error) (*Server, error) {
+		for _, st := range stores {
+			st.close()
 		}
-		if _, ok := src.(*store); ok {
-			stores = append(stores, src)
-		} else {
-			files = append(files, src)
-		}
+		return nil, err
 	}
-	return newServer(append(files, stores...), cfg, reg), nil
+	named := map[string]bool{}
+	for _, arg := range args {
+		abs, err := filepath.Abs(arg)
+		if err != nil {
+			return fail(err)
+		}
+		if named[abs] {
+			return fail(fmt.Errorf("store %s named twice", arg))
+		}
+		named[abs] = true
+		st, err := openStore(arg, cfg, reg)
+		if err != nil {
+			return fail(err)
+		}
+		stores = append(stores, st)
+	}
+	return newServer(stores, cfg, reg), nil
 }
 
-func newServer(srcs []source, cfg Config, reg *obs.Registry) *Server {
+func newServer(stores []*store, cfg Config, reg *obs.Registry) *Server {
 	s := &Server{
-		srcs:    srcs,
+		stores:  stores,
 		cache:   newLRU(cfg.CacheBytes),
 		reg:     reg,
 		timeout: cfg.Timeout,
@@ -146,10 +154,10 @@ func newServer(srcs []source, cfg Config, reg *obs.Registry) *Server {
 	return s
 }
 
-// Close closes every archive and store the server was opened over.
+// Close closes every store the server was opened over.
 func (s *Server) Close() {
-	for _, src := range s.srcs {
-		src.close()
+	for _, st := range s.stores {
+		st.close()
 	}
 }
 
@@ -215,7 +223,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return nil
 }
 
-// rescanLoop refreshes every source each Config.Rescan until ctx is done.
+// rescanLoop refreshes every store each Config.Rescan until ctx is done.
 func (s *Server) rescanLoop(ctx context.Context) {
 	if s.rescan <= 0 {
 		return
@@ -227,8 +235,8 @@ func (s *Server) rescanLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			for _, src := range s.srcs {
-				src.refresh()
+			for _, st := range s.stores {
+				st.refresh()
 			}
 		}
 	}
@@ -522,44 +530,33 @@ func writeJSONError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-type archiveInfo struct {
-	Path          string `json:"path"`
-	Blocks        int    `json:"blocks"`
+// storeInfo describes one segment store in /v1/stats.
+type storeInfo struct {
+	Dir           string `json:"dir"`
+	Generation    uint64 `json:"generation"`
+	Segments      int    `json:"segments"`
 	Scans         uint64 `json:"scans"`
+	Unreadable    int    `json:"unreadable"`
 	TelescopeSize int    `json:"telescope_size"`
 	Origins       bool   `json:"origins"`
-	// MinYear and MaxYear bound the archived scans' start years, from the
-	// zone maps (the exact year set would need a decode).
+	// MinYear and MaxYear bound the scans' start years, from the manifest's
+	// per-segment start bounds (the exact year set would need a decode);
+	// both are 0 for a store without scans.
 	MinYear int `json:"min_year"`
 	MaxYear int `json:"max_year"`
 }
 
-// storeInfo describes one live segment store in /v1/stats.
-type storeInfo struct {
-	Dir        string `json:"dir"`
-	Generation uint64 `json:"generation"`
-	Segments   int    `json:"segments"`
-	Scans      uint64 `json:"scans"`
-	Unreadable int    `json:"unreadable"`
-}
-
-// handleStats reports the loaded archives, the live segment stores, and a
-// metrics snapshot (request/error counts, cache hits/misses, blocks scanned
-// vs pruned, segment discovery/compaction counters, the server.* hardening
-// family). Never cached: the counters move with every request.
+// handleStats reports the segment stores and a metrics snapshot
+// (request/error counts, cache hits/misses, blocks scanned vs pruned, segment
+// discovery/compaction counters, the server.* hardening family). Never
+// cached: the counters move with every request.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, src *sources) error {
-	archives, stores := []archiveInfo{}, []storeInfo{}
-	for _, p := range src.pins {
-		switch info := p.info().(type) {
-		case archiveInfo:
-			archives = append(archives, info)
-		case storeInfo:
-			stores = append(stores, info)
-		}
+	stores := make([]storeInfo, len(src.pins))
+	for i, p := range src.pins {
+		stores[i] = p.info()
 	}
 	snap := s.reg.Snapshot()
 	body, err := marshalBody(map[string]any{
-		"archives":      archives,
 		"stores":        stores,
 		"cache_entries": s.cache.len(),
 		"cache_bytes":   s.cache.bytesUsed(),

@@ -24,12 +24,12 @@ import (
 	"github.com/synscan/synscan/internal/tools"
 )
 
-// testArchive writes a small deterministic archive: scans across 2020 and
-// 2023, three tools, a handful of ports, sources in 10.0.0.0/24.
-func testArchive(t *testing.T, origins bool) (path string, n int) {
+// testStore writes a small deterministic store of one segment: scans across
+// 2020 and 2023, three tools, a handful of ports, sources in 10.0.0.0/24.
+func testStore(t *testing.T, origins bool) (dir string, n int) {
 	t.Helper()
-	path = filepath.Join(t.TempDir(), "test.syna")
-	w, err := archive.Create(path, archive.WriterConfig{
+	dir = t.TempDir()
+	w, err := archive.OpenSegmentDir(dir, archive.SegmentConfig{
 		TelescopeSize: 1024, Origins: origins, BlockBytes: 2 << 10,
 	})
 	if err != nil {
@@ -76,20 +76,29 @@ func testArchive(t *testing.T, origins bool) (path string, n int) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path, n
+	return dir, n
+}
+
+// segmentPath is the file of a store's first sealed segment, the only one
+// testStore writes.
+func segmentPath(dir string) string { return filepath.Join(dir, archive.SegmentName(1)) }
+
+// openServer opens a server over the given stores; it closes at cleanup.
+func openServer(t *testing.T, cfg Config, reg *obs.Registry, dirs ...string) *Server {
+	t.Helper()
+	srv, err := Open(dirs, cfg, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv
 }
 
 func testServer(t *testing.T, origins bool) (*httptest.Server, *obs.Registry, int) {
 	t.Helper()
-	path, n := testArchive(t, origins)
-	rd, err := archive.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rd.Close() })
+	dir, n := testStore(t, origins)
 	reg := obs.NewRegistry()
-	rd.SetMetrics(reg)
-	srv := newServer([]source{&file{path: path, rd: rd}}, Config{CacheBytes: 64 << 20}, reg)
+	srv := openServer(t, Config{CacheBytes: 64 << 20}, reg, dir)
 	ts := httptest.NewServer(srv.Handler())
 	// Cleanups run last-in first-out: the books are read after ts.Close has
 	// waited out every request.
@@ -206,17 +215,17 @@ func TestStatsEndpoint(t *testing.T) {
 	ts, _, n := testServer(t, true)
 
 	var stats struct {
-		Archives     []archiveInfo `json:"archives"`
-		CacheEntries int           `json:"cache_entries"`
-		Metrics      obs.Snapshot  `json:"metrics"`
+		Stores       []storeInfo  `json:"stores"`
+		CacheEntries int          `json:"cache_entries"`
+		Metrics      obs.Snapshot `json:"metrics"`
 	}
 	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if len(stats.Archives) != 1 {
-		t.Fatalf("%d archives", len(stats.Archives))
+	if len(stats.Stores) != 1 {
+		t.Fatalf("%d stores", len(stats.Stores))
 	}
-	a := stats.Archives[0]
-	if a.Scans != uint64(n) || a.TelescopeSize != 1024 || !a.Origins {
-		t.Fatalf("archive info %+v", a)
+	a := stats.Stores[0]
+	if a.Scans != uint64(n) || a.Segments != 1 || a.TelescopeSize != 1024 || !a.Origins {
+		t.Fatalf("store info %+v", a)
 	}
 	if a.MinYear != 2020 || a.MaxYear != 2023 {
 		t.Fatalf("year span %d-%d, want 2020-2023", a.MinYear, a.MaxYear)
@@ -238,7 +247,7 @@ func TestBadRequests(t *testing.T) {
 		`{"where": {"field": "qualified", "eq": "maybe"}}`,
 		`{"limit": -1}`,
 		`{"group_by": ["port"], "aggs": [{"op": "count"}], "limit": -1}`,
-		`{"group_by": ["type"], "aggs": [{"op": "count"}]}`, // origin-less archive
+		`{"group_by": ["type"], "aggs": [{"op": "count"}]}`, // origin-less store
 	} {
 		resp, out := postQuery(t, ts.URL, body)
 		var e struct {
@@ -349,13 +358,8 @@ func TestConcurrentQueries(t *testing.T) {
 // TestGracefulShutdown: SIGTERM (via the same signal.NotifyContext wiring
 // main uses) drains the server and serve returns cleanly.
 func TestGracefulShutdown(t *testing.T) {
-	path, _ := testArchive(t, false)
-	rd, err := archive.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	srv := newServer([]source{&file{path: path, rd: rd}}, Config{CacheBytes: 64 << 20}, obs.NewRegistry())
+	dir, _ := testStore(t, false)
+	srv := openServer(t, Config{CacheBytes: 64 << 20}, obs.NewRegistry(), dir)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -2,117 +2,50 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"log"
 	"os"
 	"strconv"
-	"strings"
 
 	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/query"
 )
 
-// source is one thing the server was opened over: a static archive file or
-// a live segment store.
-type source interface {
-	// pin freezes the source for one request. Cheap: at most a refcount
-	// bump, no I/O.
-	pin() pinned
-	// refresh looks for newly sealed segments; a static file has none.
-	refresh()
-	// close drops the error: everything here is only ever read.
-	close()
-}
-
-// openSource opens arg as a store if it is a directory, else as a file.
-func openSource(arg string, cfg Config, reg *obs.Registry) (source, error) {
-	if fi, err := os.Stat(arg); err == nil && fi.IsDir() {
-		cat, err := archive.OpenCatalog(arg, archive.CatalogConfig{
-			SkipCorrupt: cfg.SkipCorrupt, Workers: cfg.Workers, Metrics: reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		st := &store{dir: arg, cat: cat}
-		st.logState("opened store " + arg + ":")
-		return st, nil
-	}
-	var opts []archive.ReaderOption
-	if cfg.SkipCorrupt {
-		opts = append(opts, archive.WithSkipCorrupt())
-	}
-	rd, err := archive.Open(arg, opts...)
-	if err != nil {
-		return nil, err
-	}
-	rd.SetWorkers(cfg.Workers)
-	rd.SetMetrics(reg)
-	log.Printf("loaded %s: %d blocks, %d scans, telescope %d, origins=%v",
-		arg, rd.NumBlocks(), rd.NumScans(), rd.TelescopeSize(), rd.HasOrigins())
-	return &file{path: arg, rd: rd}, nil
-}
-
-// pinned is a source as one request sees it.
-type pinned interface {
-	querySource() query.Source
-	// generation is the catalog generation of a live store; ok is false for
-	// a static file, whose content is fixed for the process lifetime.
-	generation() (gen uint64, ok bool)
-	// degraded reports whether results may be incomplete: corrupt blocks
-	// were skipped, or a store is missing an unreadable segment.
-	degraded() bool
-	hasOrigins() bool
-	// info describes the source in /v1/stats: an archiveInfo or a storeInfo.
-	info() any
-	release()
-}
-
-// file is a static sealed archive. It never changes, so it is its own pin.
-type file struct {
-	path string
-	rd   *archive.Reader
-}
-
-func (f *file) pin() pinned                { return f }
-func (f *file) close()                     { f.rd.Close() }
-func (f *file) refresh()                   {}
-func (f *file) release()                   {}
-func (f *file) querySource() query.Source  { return query.ReaderSource{R: f.rd} }
-func (f *file) generation() (uint64, bool) { return 0, false }
-func (f *file) degraded() bool             { return f.rd.CorruptBlocks() > 0 }
-func (f *file) hasOrigins() bool           { return f.rd.HasOrigins() }
-
-func (f *file) info() any {
-	// MinYear and MaxYear come from the zone maps (the exact year set would
-	// need a decode).
-	minY, maxY := 0, 0
-	for _, z := range f.rd.Blocks() {
-		if minY == 0 || int(z.MinYear) < minY {
-			minY = int(z.MinYear)
-		}
-		if int(z.MaxYear) > maxY {
-			maxY = int(z.MaxYear)
-		}
-	}
-	return archiveInfo{
-		Path: f.path, Blocks: f.rd.NumBlocks(), Scans: f.rd.NumScans(),
-		TelescopeSize: f.rd.TelescopeSize(), Origins: f.rd.HasOrigins(),
-		MinYear: minY, MaxYear: maxY,
-	}
-}
-
-// store is a live segment store directory.
+// store is one segment store directory the server was opened over.
 type store struct {
 	dir string
 	cat *archive.Catalog
 }
 
+// openStore opens dir, which must be an existing directory, as a segment
+// store.
+func openStore(dir string, cfg Config, reg *obs.Registry) (*store, error) {
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return nil, err
+	}
+	if !fi.IsDir() {
+		return nil, fmt.Errorf("%s is not a segment store directory", dir)
+	}
+	cat, err := archive.OpenCatalog(dir, archive.CatalogConfig{
+		SkipCorrupt: cfg.SkipCorrupt, Workers: cfg.Workers, Metrics: reg,
+	})
+	if err != nil {
+		return nil, err
+	}
+	st := &store{dir: dir, cat: cat}
+	st.logState("opened store " + dir + ":")
+	return st, nil
+}
+
+// close drops the error: everything here is only ever read.
 func (st *store) close() { st.cat.Close() }
 
 // pin snapshots the catalog, so a refresh or compaction mid-request never
 // changes (or closes) what the request is reading; retired segment readers
 // close on their last release.
-func (st *store) pin() pinned { return storeView{dir: st.dir, v: st.cat.View()} }
+func (st *store) pin() storeView { return storeView{dir: st.dir, v: st.cat.View()} }
 
 // logState logs the store's current segment set after the given prefix.
 func (st *store) logState(prefix string) {
@@ -141,10 +74,9 @@ type storeView struct {
 	v   *archive.CatalogView
 }
 
-func (sv storeView) release()                   { sv.v.Release() }
-func (sv storeView) querySource() query.Source  { return query.ViewSource{V: sv.v} }
-func (sv storeView) generation() (uint64, bool) { return sv.v.Generation(), true }
-func (sv storeView) degraded() bool             { return sv.v.Degraded() }
+// degraded reports whether results may be incomplete: corrupt blocks were
+// skipped, or a segment is unreadable.
+func (sv storeView) degraded() bool { return sv.v.Degraded() }
 
 func (sv storeView) hasOrigins() bool {
 	for i := 0; i < sv.v.Len(); i++ {
@@ -155,71 +87,78 @@ func (sv storeView) hasOrigins() bool {
 	return false
 }
 
-func (sv storeView) info() any {
-	return storeInfo{
+func (sv storeView) info() storeInfo {
+	info := storeInfo{
 		Dir:        sv.dir,
 		Generation: sv.v.Generation(),
 		Segments:   sv.v.Len(),
 		Scans:      sv.v.NumScans(),
 		Unreadable: sv.v.Missing(),
+		Origins:    sv.hasOrigins(),
 	}
+	for i := 0; i < sv.v.Len(); i++ {
+		if i == 0 {
+			info.TelescopeSize = sv.v.Reader(i).TelescopeSize()
+		}
+		m := sv.v.Meta(i)
+		if m.Scans == 0 {
+			continue
+		}
+		if lo := archive.YearOf(m.MinStart); info.MinYear == 0 || lo < info.MinYear {
+			info.MinYear = lo
+		}
+		if hi := archive.YearOf(m.MaxStart); hi > info.MaxYear {
+			info.MaxYear = hi
+		}
+	}
+	return info
 }
 
-// sources is one request's frozen view of everything the server can query,
-// in the server's source order. Release returns the pins when the response
+// sources is one request's frozen view of every store the server can query,
+// in the order they were named. Release returns the pins when the response
 // is rendered.
 type sources struct {
 	s    *Server
-	pins []pinned
+	pins []storeView
 }
 
 func (s *Server) acquire() *sources {
-	src := &sources{s: s, pins: make([]pinned, len(s.srcs))}
-	for i, o := range s.srcs {
-		src.pins[i] = o.pin()
+	src := &sources{s: s, pins: make([]storeView, len(s.stores))}
+	for i, st := range s.stores {
+		src.pins[i] = st.pin()
 	}
 	return src
 }
 
 func (src *sources) release() {
 	for _, p := range src.pins {
-		p.release()
+		p.v.Release()
 	}
 }
 
 // genToken renders the stores' catalog generations into a cache-key prefix
 // ("g3.7|"). Any segment-set change — discovery, compaction, an unreadable
 // segment healing — bumps a generation, so bodies cached against the old
-// segment set can never be served for the new one. Static-file-only servers
-// get the empty token: their archive set is fixed for the process lifetime.
+// segment set can never be served for the new one.
 func (src *sources) genToken() string {
-	var b strings.Builder
-	for _, p := range src.pins {
-		gen, ok := p.generation()
-		if !ok {
-			continue
+	b := []byte{'g'}
+	for i, p := range src.pins {
+		if i > 0 {
+			b = append(b, '.')
 		}
-		if b.Len() == 0 {
-			b.WriteByte('g')
-		} else {
-			b.WriteByte('.')
-		}
-		b.WriteString(strconv.FormatUint(gen, 10))
+		b = strconv.AppendUint(b, p.v.Generation(), 10)
 	}
-	if b.Len() > 0 {
-		b.WriteByte('|')
-	}
-	return b.String()
+	return string(append(b, '|'))
 }
 
 // degraded reports whether results served from these sources may be
 // incomplete.
-func (src *sources) degraded() bool { return src.any(pinned.degraded) }
+func (src *sources) degraded() bool { return src.any(storeView.degraded) }
 
-// hasOrigins reports whether any queryable archive carries origins.
-func (src *sources) hasOrigins() bool { return src.any(pinned.hasOrigins) }
+// hasOrigins reports whether any queryable segment carries origins.
+func (src *sources) hasOrigins() bool { return src.any(storeView.hasOrigins) }
 
-func (src *sources) any(is func(pinned) bool) bool {
+func (src *sources) any(is func(storeView) bool) bool {
 	for _, p := range src.pins {
 		if is(p) {
 			return true
@@ -229,7 +168,7 @@ func (src *sources) any(is func(pinned) bool) bool {
 }
 
 // runQuery executes a validated query against the request's sources through
-// the engine: one streaming partial per source under zone-map pushdown,
+// the engine: one streaming partial per store under zone-map pushdown,
 // merged in source order, inside a singleflight leader.
 func (src *sources) runQuery(ctx context.Context, q *query.Query) (*query.Result, error) {
 	s := src.s
@@ -237,7 +176,7 @@ func (src *sources) runQuery(ctx context.Context, q *query.Query) (*query.Result
 	defer sp.End()
 	srcs := make([]query.Source, len(src.pins))
 	for i, p := range src.pins {
-		srcs[i] = p.querySource()
+		srcs[i] = query.ViewSource{V: p.v}
 	}
 	res, err := query.Run(ctx, q, srcs...)
 	if err != nil {

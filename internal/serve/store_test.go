@@ -70,7 +70,7 @@ func TestSegmentStoreServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cat.Close()
-	srv := newServer([]source{&store{dir: dir, cat: cat}}, Config{CacheBytes: 64 << 20}, reg)
+	srv := newServer([]*store{{dir: dir, cat: cat}}, Config{CacheBytes: 64 << 20}, reg)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -129,12 +129,13 @@ func TestSegmentStoreServing(t *testing.T) {
 	}
 }
 
-// TestDegradedResponsesNotCached: a response computed while an archive is
+// TestDegradedResponsesNotCached: a response computed while a store is
 // degraded (corrupt blocks skipped mid-read) must not enter the result cache
-// — repairing the file would otherwise keep serving the incomplete body.
+// — repairing the segment would otherwise keep serving the incomplete body.
 // Regression test for caching degraded:true bodies.
 func TestDegradedResponsesNotCached(t *testing.T) {
-	path, n := testArchive(t, false)
+	dir, n := testStore(t, false)
+	path := segmentPath(dir)
 
 	// Damage one block's payload so the first read discovers the corruption.
 	probe, err := archive.Open(path)
@@ -153,12 +154,7 @@ func TestDegradedResponsesNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rd, err := archive.Open(path, archive.WithSkipCorrupt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rd.Close() })
-	srv := newServer([]source{&file{path: path, rd: rd}}, Config{CacheBytes: 64 << 20}, obs.NewRegistry())
+	srv := openServer(t, Config{CacheBytes: 64 << 20, SkipCorrupt: true}, obs.NewRegistry(), dir)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -185,16 +181,10 @@ func TestDegradedResponsesNotCached(t *testing.T) {
 	}
 }
 
-// TestEmptyStoreServes: a store with no segments yet (syningest not started)
-// serves empty results rather than failing.
+// TestEmptyStoreServes: an empty directory (a store syningest has not
+// started writing) opens and serves empty results rather than failing.
 func TestEmptyStoreServes(t *testing.T) {
-	dir := t.TempDir()
-	cat, err := archive.OpenCatalog(dir, archive.CatalogConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cat.Close()
-	srv := newServer([]source{&store{dir: dir, cat: cat}}, Config{CacheBytes: 64 << 20}, obs.NewRegistry())
+	srv := openServer(t, Config{CacheBytes: 64 << 20}, obs.NewRegistry(), t.TempDir())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -149,7 +149,7 @@ func TestLiveIngestServe(t *testing.T) {
 
 	// Batch reference: one sealed archive from the same spool. The "flows
 	// closed N" line tells us how many scans to expect everywhere else.
-	ref := filepath.Join(dir, "reference.syna")
+	ref := filepath.Join(dir, "reference")
 	out, err = exec.Command(synalyze, "-archive", ref, spool).CombinedOutput()
 	if err != nil {
 		t.Fatalf("synalyze: %v\n%s", err, out)
@@ -271,7 +271,7 @@ func TestLiveIngestReactive(t *testing.T) {
 		"-reactive", "-format", "spool", "-out", spool).CombinedOutput(); err != nil {
 		t.Fatalf("syntelescope -reactive: %v\n%s", err, out)
 	}
-	ref := filepath.Join(dir, "reference.syna")
+	ref := filepath.Join(dir, "reference")
 	if out, err := exec.Command(synalyze, "-reactive", "-archive", ref, spool).CombinedOutput(); err != nil {
 		t.Fatalf("synalyze -reactive: %v\n%s", err, out)
 	}

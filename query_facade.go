@@ -8,10 +8,10 @@ import (
 
 // Query-engine surface, re-exported. A Query is a typed request — filter
 // expression, grouping dimensions, aggregates — that one streaming engine
-// executes everywhere campaigns live: archive files (with zone-map predicate
-// pushdown), live segment stores, and in-memory YearData collections. The
-// same engine backs synserve's POST /v1/query, so a query built here computes
-// exactly what the service serves (see internal/query).
+// executes everywhere campaigns live: segment stores (with zone-map
+// predicate pushdown) and in-memory YearData collections. The same engine
+// backs synserve's POST /v1/query, so a query built here computes exactly
+// what the service serves (see internal/query).
 //
 //	q, err := synscan.NewQuery().
 //	        Years(2020, 2021).
@@ -20,7 +20,7 @@ import (
 //	        Count().
 //	        TopK(synscan.FieldPort, 10).
 //	        Build()
-//	res, err := synscan.RunQuery(ctx, q, synscan.ArchiveSource(rd))
+//	res, err := synscan.RunQuery(ctx, q, synscan.CatalogSource(view))
 type (
 	// Query is a validated, canonicalized query (build with NewQuery or
 	// ParseQuery). Its Key method yields a canonical cache key: two
@@ -89,11 +89,8 @@ func RunQuery(ctx context.Context, q *Query, srcs ...QuerySource) (*QueryResult,
 	return query.Run(ctx, q, srcs...)
 }
 
-// ArchiveSource adapts an open archive reader for RunQuery; the query's
-// filter prunes blocks via zone maps before decompression.
-func ArchiveSource(rd *ArchiveReader) QuerySource { return query.ReaderSource{R: rd} }
-
-// CatalogSource adapts a segment-store view for RunQuery.
+// CatalogSource adapts a segment-store view for RunQuery; the query's filter
+// prunes blocks via zone maps before decompression.
 func CatalogSource(v *CatalogView) QuerySource { return query.ViewSource{V: v} }
 
 // YearSource adapts one simulated year's in-memory campaigns for RunQuery.

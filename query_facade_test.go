@@ -2,7 +2,6 @@ package synscan
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 
 	"github.com/synscan/synscan/internal/query"
@@ -34,8 +33,8 @@ func TestFacadeQueryBuilder(t *testing.T) {
 		t.Fatalf("empty result: matched=%d rows=%d", mem.Matched, len(mem.Rows))
 	}
 
-	path := filepath.Join(t.TempDir(), "facade-query.syna")
-	w, err := CreateArchive(path, ArchiveWriterConfig{
+	dir := t.TempDir()
+	w, err := OpenSegmentDir(dir, SegmentConfig{
 		TelescopeSize: 2048, Origins: true, BlockBytes: 8 << 10,
 	})
 	if err != nil {
@@ -47,13 +46,15 @@ func TestFacadeQueryBuilder(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := OpenArchive(path)
+	cat, err := OpenCatalog(dir, CatalogConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rd.Close()
+	defer cat.Close()
+	v := cat.View()
+	defer v.Release()
 
-	arc, err := RunQuery(context.Background(), q, ArchiveSource(rd))
+	arc, err := RunQuery(context.Background(), q, CatalogSource(v))
 	if err != nil {
 		t.Fatal(err)
 	}

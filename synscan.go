@@ -267,48 +267,13 @@ func (a *Analyzer) Finish() []*Scan {
 // behaviour. Safe to call from any goroutine while Ingest runs.
 func (a *Analyzer) Stats() PipelineSnapshot { return a.met.Snapshot() }
 
-// Campaign-archive surface, re-exported. An archive persists detected
-// campaigns (not raw probes) in a compressed, zone-map-indexed block
-// format, so scan-level analyses re-run as indexed reads instead of
-// re-simulating or re-replaying (see internal/archive).
-type (
-	// ArchiveWriter spools scans into an archive file or stream.
-	ArchiveWriter = archive.Writer
-	// ArchiveWriterConfig parameterizes NewArchiveWriter / CreateArchive.
-	ArchiveWriterConfig = archive.WriterConfig
-	// ArchiveReader queries an archive with zone-map predicate pushdown. Its
-	// Query lends each row to emit: the *Scan (with its Ports and Payload)
-	// and the *Origin are valid until emit returns, and the next row is
-	// loaded into the same memory, so a caller that keeps a row copies it
-	// (Scan.Clone, the Origin by value).
-	ArchiveReader = archive.Reader
-	// ArchiveReaderOption configures OpenArchive (see WithSkipCorrupt).
-	ArchiveReaderOption = archive.ReaderOption
-)
-
-// AllScans is the ArchiveReader.Query predicate that matches every scan; a
-// selective read passes a Query's Predicate() instead.
-var AllScans = archive.All
-
-// WithSkipCorrupt opens an archive in degraded mode: blocks failing their
-// checksum are skipped and counted (ArchiveReader.CorruptBlocks) instead of
-// aborting the query.
-func WithSkipCorrupt() ArchiveReaderOption { return archive.WithSkipCorrupt() }
-
-// CreateArchive creates an archive file for writing.
-func CreateArchive(path string, cfg ArchiveWriterConfig) (*ArchiveWriter, error) {
-	return archive.Create(path, cfg)
-}
-
-// OpenArchive opens an archive file for querying.
-func OpenArchive(path string, opts ...ArchiveReaderOption) (*ArchiveReader, error) {
-	return archive.Open(path, opts...)
-}
-
-// Segment-store surface, re-exported. A segment store is the live variant of
-// the archive: a directory of bounded sealed segments plus an atomically-
-// replaced manifest, grown by a SegmentWriter while Catalogs (and synserve)
-// discover new segments without restarting, and tidied by a Compactor that
+// Segment-store surface, re-exported. A segment store is the campaign
+// archive: a directory of bounded sealed segments plus an atomically-
+// replaced manifest. Each segment persists detected campaigns (not raw
+// probes) in a compressed, zone-map-indexed block format, so scan-level
+// analyses re-run as indexed reads instead of re-simulating or
+// re-replaying. A SegmentWriter grows the store while Catalogs (and
+// synserve) discover new segments without restarting, and a Compactor
 // merges runs of small segments LSM-style (see internal/archive).
 type (
 	// SegmentWriter appends scans to a segment store, sealing bounded
@@ -329,7 +294,17 @@ type (
 	Compactor = archive.Compactor
 	// CompactorConfig parameterizes NewCompactor.
 	CompactorConfig = archive.CompactorConfig
+	// ArchiveReader is one segment's reader (CatalogView.Reader), querying
+	// it with zone-map predicate pushdown. Its Query lends each row to emit:
+	// the *Scan (with its Ports and Payload) and the *Origin are valid until
+	// emit returns, and the next row is loaded into the same memory, so a
+	// caller that keeps a row copies it (Scan.Clone, the Origin by value).
+	ArchiveReader = archive.Reader
 )
+
+// AllScans is the ArchiveReader.Query predicate that matches every scan; a
+// selective read passes a Query's Predicate() instead.
+var AllScans = archive.All
 
 // OpenSegmentDir opens (creating if needed) a segment store for appending,
 // recovering from any crash the previous writer suffered.
@@ -347,22 +322,22 @@ func NewCompactor(sw *SegmentWriter, cfg CompactorConfig) *Compactor {
 	return archive.NewCompactor(sw, cfg)
 }
 
-// ArchiveYear appends one year's campaigns (with origins) to an archive
-// writer created with ArchiveWriterConfig.Origins.
-func ArchiveYear(w *ArchiveWriter, c *Campaigns) error {
+// ArchiveYear appends one year's campaigns (with origins) to a segment store
+// opened with SegmentConfig.Origins.
+func ArchiveYear(w *SegmentWriter, c *Campaigns) error {
 	return analysis.ArchiveYear(w, c)
 }
 
-// CollectArchive rebuilds one year's campaigns from an archive. The per-probe
-// tallies of a YearData need the raw probe stream, so the analyses that read
-// them do not accept the result.
-func CollectArchive(rd *ArchiveReader, year int) (*Campaigns, error) {
-	return analysis.CollectArchive(rd, year)
+// CollectArchive rebuilds one year's campaigns from a segment store's view.
+// The per-probe tallies of a YearData need the raw probe stream, so the
+// analyses that read them do not accept the result.
+func CollectArchive(v *CatalogView, year int) (*Campaigns, error) {
+	return analysis.CollectArchive(v, year)
 }
 
-// CollectArchiveYears loads every calibrated year present in the archive.
-func CollectArchiveYears(rd *ArchiveReader) ([]*Campaigns, error) {
-	return analysis.CollectArchiveYears(rd)
+// CollectArchiveYears loads every calibrated year present in the view.
+func CollectArchiveYears(v *CatalogView) ([]*Campaigns, error) {
+	return analysis.CollectArchiveYears(v)
 }
 
 // PaperTelescopeSize is the monitored-address count of the paper's
