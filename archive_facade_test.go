@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -82,5 +83,62 @@ func TestFacadeArchiveSkipCorrupt(t *testing.T) {
 	}
 	if n == 0 || uint64(n) >= total {
 		t.Fatalf("recovered %d of %d scans; want the intact blocks only", n, total)
+	}
+}
+
+// TestFacadeStrictCatalog: over a store with a truncated segment, RunQuery
+// through a zero CatalogConfig's view fails naming the segment, and through a
+// SkipCorrupt one answers from the intact segment, the view degraded.
+func TestFacadeStrictCatalog(t *testing.T) {
+	yd, _ := facadeData(t)
+	dir := t.TempDir()
+	w, err := OpenSegmentDir(dir, SegmentConfig{
+		TelescopeSize: 2048, Origins: true, MaxSegmentScans: uint64(len(yd.Scans)/2 + 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ArchiveYear(w, &yd.Campaigns); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := w.SealedSegments()
+	if len(segs) != 2 {
+		t.Fatalf("%d segments, want 2", len(segs))
+	}
+	path := filepath.Join(dir, segs[1].Name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQuery().Count().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(cfg CatalogConfig) (*QueryResult, bool, error) {
+		cat, err := OpenCatalog(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cat.Close()
+		v := cat.View()
+		defer v.Release()
+		res, err := RunQuery(context.Background(), q, v)
+		return res, v.Degraded(), err
+	}
+	if _, _, err := run(CatalogConfig{}); err == nil || !strings.Contains(err.Error(), segs[1].Name) {
+		t.Fatalf("strict RunQuery over a truncated segment: %v", err)
+	}
+	res, degraded, err := run(CatalogConfig{SkipCorrupt: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !degraded || res.Matched != segs[0].Scans {
+		t.Fatalf("skip-corrupt RunQuery matched %d (degraded %v), want the intact segment's %d", res.Matched, degraded, segs[0].Scans)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -364,8 +365,13 @@ func benchScans(n, sources int) []*core.Scan {
 func BenchmarkArchiveRawBlock(b *testing.B) {
 	scans := benchScans(50000, 4096)
 	path := b.TempDir() + "/bench.syn"
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
 	reg := obs.NewRegistry()
-	aw, err := archive.Create(path, archive.WriterConfig{TelescopeSize: 65536, Metrics: reg})
+	aw, err := archive.NewWriter(f, archive.WriterConfig{TelescopeSize: 65536, Metrics: reg})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -385,11 +391,14 @@ func BenchmarkArchiveRawBlock(b *testing.B) {
 		b.Fatalf("%d strips stored, %d deflated: want blocks that hold both",
 			snap.Counter("archive.strips.stored"), snap.Counter("archive.strips.deflated"))
 	}
-	r, err := archive.Open(path)
+	st, err := f.Stat()
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer r.Close()
+	r, err := archive.NewReader(f, st.Size())
+	if err != nil {
+		b.Fatal(err)
+	}
 	blocks := r.NumBlocks()
 	var raw int64
 	visit := func(data []byte) error { raw += int64(len(data)); return nil }

@@ -180,6 +180,25 @@ func TestCLIEndToEnd(t *testing.T) {
 	if out, err := exec.Command(syneval, "-archive", arcDir, "-only", "fig5").CombinedOutput(); err == nil {
 		t.Fatalf("syneval -archive -only fig5 without 2022 succeeded:\n%s", out)
 	}
+	// A store whose segment is truncated is refused, naming the segment: the
+	// experiments' counts would otherwise silently miss its campaigns.
+	damaged := t.TempDir()
+	files, _ := filepath.Glob(filepath.Join(arcDir, "*"))
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(f, ".syna") {
+			data = data[:len(data)/2]
+		}
+		if err := os.WriteFile(filepath.Join(damaged, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out, err := exec.Command(syneval, "-archive", damaged).CombinedOutput(); err == nil || !strings.Contains(string(out), filepath.Base(segs[0])) {
+		t.Fatalf("syneval -archive over a truncated segment: err %v, output:\n%s", err, out)
+	}
 	// -only and -archive hold for every output format.
 	archJSON := filepath.Join(dir, "archive.json")
 	if out, err := exec.Command(syneval, "-archive", arcDir, "-only", "sec52", "-json", archJSON).CombinedOutput(); err != nil {
@@ -318,7 +337,7 @@ func TestCLISynalyzeWorkers(t *testing.T) {
 		}
 		v := cat.View()
 		var keys []string
-		err = CatalogSource(v).Query(context.Background(), AllScans, func(sc *Scan, _ *Origin) {
+		err = v.Query(context.Background(), AllScans, func(sc *Scan, _ *Origin) {
 			keys = append(keys, fmt.Sprintf("%+v", *sc))
 		})
 		v.Release()

@@ -140,23 +140,13 @@ func main() {
 
 // loadStore reads every calibrated year's campaigns from the segment store
 // at dir, which must be an existing directory whose segments are all
-// readable and hold at least one calibrated year.
+// readable (the catalog is strict) and hold at least one calibrated year.
 func loadStore(dir string, reg *obs.Registry) ([]*analysis.Campaigns, error) {
-	fi, err := os.Stat(dir)
-	if err != nil {
-		return nil, err
-	}
-	if !fi.IsDir() {
-		return nil, fmt.Errorf("-archive %s is not a segment store directory", dir)
-	}
 	cat, err := archive.OpenCatalog(dir, archive.CatalogConfig{Metrics: reg})
 	if err != nil {
 		return nil, err
 	}
 	defer cat.Close()
-	if bad := cat.Unreadable(); len(bad) > 0 {
-		return nil, fmt.Errorf("-archive %s: unreadable segments %v", dir, bad)
-	}
 	v := cat.View()
 	defer v.Release()
 	log.Printf("loading campaigns from %s (%d segments, %d scans)...", dir, v.Len(), v.NumScans())

@@ -135,7 +135,7 @@ func followModeDrains(t *testing.T, format string) {
 		t.Fatalf("drained store has %d scans, fewer than the %d already sealed pre-drain",
 			v.NumScans(), scans)
 	}
-	if len(cat.Unreadable()) != 0 {
-		t.Fatalf("drained store has unreadable segments: %v", cat.Unreadable())
+	if v.Missing() != 0 {
+		t.Fatalf("drained store has %d unreadable segments", v.Missing())
 	}
 }

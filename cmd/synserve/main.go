@@ -20,8 +20,9 @@
 // counters and gauges at /v1/stats; cmd/synload is the matching load harness.
 //
 // Segments are opened skip-corrupt by default (-skip-corrupt=false to fail
-// fast instead): checksum-failed blocks are skipped and counted, and every
-// query response carries "degraded": true once any block was lost. -timeout
+// fast instead): checksum-failed blocks and unreadable segments are skipped
+// and counted, and every query response carries "degraded": true once any
+// block or segment was lost. -timeout
 // bounds each query; an expired deadline returns 504 with a JSON error body.
 //
 // Every store is served live: its manifest is re-read every -rescan
@@ -65,7 +66,7 @@ func main() {
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", 2*runtime.GOMAXPROCS(0), "max concurrently executing archive scans; excess requests get 429 + Retry-After (0 = unbounded)")
 	flag.DurationVar(&cfg.RetryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 responses")
 	flag.DurationVar(&cfg.Timeout, "timeout", 30*time.Second, "per-query deadline; expired queries return 504 (0 = no deadline)")
-	flag.BoolVar(&cfg.SkipCorrupt, "skip-corrupt", true, "skip checksum-failed segment blocks instead of failing the query; responses carry degraded=true")
+	flag.BoolVar(&cfg.SkipCorrupt, "skip-corrupt", true, "skip checksum-failed segment blocks and unreadable segments instead of failing the query; responses carry degraded=true")
 	flag.DurationVar(&cfg.Rescan, "rescan", 2*time.Second, "poll interval for discovering newly sealed segments in store directories (0 = only at startup)")
 	// The registry is always live here: /v1/stats exposes it.
 	reg, finish, err := obs.ParseFlags(obs.Served)

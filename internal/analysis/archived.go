@@ -35,6 +35,50 @@ func ArchiveYear(w *archive.SegmentWriter, c *Campaigns) error {
 // same workload. The per-probe tallies of a YearData need the raw probe
 // stream: analyses that read them must re-simulate or replay a capture.
 func CollectArchive(v *archive.CatalogView, year int) (*Campaigns, error) {
+	c, err := archivedYear(v, year)
+	if err != nil {
+		return nil, err
+	}
+	inYear := (&query.Query{Where: query.YearIn(year)}).Predicate()
+	if err := v.Query(context.Background(), inYear, c.keep); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// CollectArchiveYears loads every year of the workload's 2015–2024
+// calibration that the view holds, ascending, in one pass over the store.
+// Other years are skipped (the store may hold replayed real captures from
+// other periods; those are queryable through the view but have no window
+// profile).
+func CollectArchiveYears(v *archive.CatalogView) ([]*Campaigns, error) {
+	years := workload.Years()
+	byYear := make(map[int]*Campaigns, len(years))
+	for _, y := range years {
+		c, err := archivedYear(v, y)
+		if err != nil {
+			return nil, err
+		}
+		byYear[y] = c
+	}
+	calibrated := (&query.Query{Where: query.YearIn(years...)}).Predicate()
+	err := v.Query(context.Background(), calibrated, func(sc *core.Scan, o *enrich.Origin) {
+		byYear[archive.YearOf(sc.Start)].keep(sc, o)
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []*Campaigns
+	for _, y := range years {
+		if c := byYear[y]; len(c.Scans) > 0 {
+			out = append(out, c)
+		}
+	}
+	return out, nil
+}
+
+// archivedYear is year's Campaigns before any scan is read from v.
+func archivedYear(v *archive.CatalogView, year int) (*Campaigns, error) {
 	prof, err := workload.ProfileFor(year)
 	if err != nil {
 		return nil, err
@@ -47,49 +91,16 @@ func CollectArchive(v *archive.CatalogView, year int) (*Campaigns, error) {
 	if v.Len() > 0 {
 		c.TelescopeSize = v.Reader(0).TelescopeSize()
 	}
-	inYear := (&query.Query{Where: query.YearIn(year)}).Predicate()
-	err = query.ViewSource{V: v}.Query(context.Background(), inYear, func(sc *core.Scan, o *enrich.Origin) {
-		c.Scans = append(c.Scans, sc.Clone()) // sc is only lent until emit returns
-		var origin enrich.Origin              // stays zero for a store without origins
-		if o != nil {
-			origin = tableOrigin(*o)
-		}
-		c.ScanOrigins = append(c.ScanOrigins, origin)
-	})
-	if err != nil {
-		return nil, err
-	}
 	return c, nil
 }
 
-// CollectArchiveYears loads every year the view's segments span (from their
-// manifest start bounds), ascending. Years outside the workload's 2015–2024
-// calibration are skipped (the store may hold replayed real captures from
-// other periods; those are queryable through the view but have no window
-// profile).
-func CollectArchiveYears(v *archive.CatalogView) ([]*Campaigns, error) {
-	present := map[int]bool{}
-	for i := 0; i < v.Len(); i++ {
-		m := v.Meta(i)
-		if m.Scans == 0 {
-			continue
-		}
-		for y := archive.YearOf(m.MinStart); y <= archive.YearOf(m.MaxStart); y++ {
-			present[y] = true
-		}
+// keep appends a scan lent by a store query, with its origin (zero for a
+// store without origins).
+func (c *Campaigns) keep(sc *core.Scan, o *enrich.Origin) {
+	c.Scans = append(c.Scans, sc.Clone())
+	var origin enrich.Origin
+	if o != nil {
+		origin = tableOrigin(*o)
 	}
-	var out []*Campaigns
-	for _, y := range workload.Years() {
-		if !present[y] {
-			continue
-		}
-		c, err := CollectArchive(v, y)
-		if err != nil {
-			return nil, err
-		}
-		if len(c.Scans) > 0 {
-			out = append(out, c)
-		}
-	}
-	return out, nil
+	c.ScanOrigins = append(c.ScanOrigins, origin)
 }

@@ -80,8 +80,8 @@
 // from seeds, so a file of an earlier version (1–3: row-major blocks) is
 // refused at open with ErrBadVersion and the commands that re-create it. The
 // per-block checksum covers the whole stored payload, directory included, and
-// is what makes degraded-mode reads possible: a reader opened WithSkipCorrupt
-// verifies each block before inflating any of it and skips damaged blocks
+// is what makes degraded-mode reads possible: a skip-corrupt reader (a segment of
+// a store opened with CatalogConfig.SkipCorrupt) verifies each block before inflating any of it and skips damaged blocks
 // (counting them in the faults.archive.corrupt_blocks metric and
 // Reader.CorruptBlocks) instead of failing the whole query, so one flipped
 // bit in a decade-long archive costs one block of results, not the file. It

@@ -103,6 +103,15 @@ func openArchive(t testing.TB, data []byte) *Reader {
 	return r
 }
 
+// openSkipCorrupt opens data as a skip-corrupt reader, the way a catalog
+// with CatalogConfig.SkipCorrupt opens its segments.
+func openSkipCorrupt(t testing.TB, data []byte) *Reader {
+	t.Helper()
+	r := openArchive(t, data)
+	r.skipCorrupt = true
+	return r
+}
+
 // TestRoundTrip: every archived scan (and origin) comes back bit-identical,
 // in archived order, through the worker-pool reader.
 func TestRoundTrip(t *testing.T) {

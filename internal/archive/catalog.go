@@ -1,20 +1,29 @@
 package archive
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"os"
-	"path/filepath"
 	"sync"
 
+	"github.com/synscan/synscan/internal/core"
+	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/obs"
 )
 
 // CatalogConfig parameterizes OpenCatalog.
 type CatalogConfig struct {
-	// SkipCorrupt opens every segment reader in degraded mode (see
-	// WithSkipCorrupt); an unreadable segment (truncated file, bad trailer)
-	// is additionally skipped at the catalog level and counted, so one
-	// damaged segment costs its own scans, never the store.
+	// SkipCorrupt is the catalog's failure policy. Strict (false), a read
+	// of a view fails on the first damaged block, and before it streams
+	// anything if a listed segment is unreadable (truncated file, bad
+	// trailer), naming the segment. Skip-corrupt, a damaged block is skipped
+	// and counted (Reader.CorruptBlocks) and an unreadable segment is left out
+	// of the view and counted (CatalogView.Missing): one damaged segment
+	// costs its own scans, never the store, and the view is Degraded. Either
+	// way a segment that reads again rejoins on the next Refresh.
 	SkipCorrupt bool
 	// Workers bounds each segment reader's block-decode pool (see
 	// Reader.SetWorkers); 0 keeps the reader default.
@@ -40,9 +49,14 @@ type Catalog struct {
 	mu         sync.Mutex
 	gen        uint64 // bumps whenever the visible segment set changes
 	segs       map[string]*catSegment
-	order      []string // visible segments, manifest order
-	unreadable map[string]error
+	order      []string        // visible segments, manifest order
+	unreadable map[string]bool // listed segments that failed to open
+	missing    []error         // their open errors, manifest order
 	closed     bool
+
+	// afterManifestRead, when set, runs between Refresh's manifest read and
+	// its segment opens (tests use it to publish a compaction there).
+	afterManifestRead func()
 
 	mRefreshes  *obs.Counter
 	mUnreadable *obs.Counter
@@ -61,14 +75,15 @@ type catSegment struct {
 }
 
 // OpenCatalog opens a segment store directory for querying and performs the
-// initial Refresh. An empty or not-yet-existing store is valid (it serves
-// zero scans until segments appear).
+// initial Refresh. dir must be an existing directory; one without a manifest
+// is an empty store (it serves zero scans until segments appear). See
+// CatalogConfig.SkipCorrupt for what a view of a damaged store serves.
 func OpenCatalog(dir string, cfg CatalogConfig) (*Catalog, error) {
 	c := &Catalog{
 		dir:        dir,
 		cfg:        cfg,
 		segs:       map[string]*catSegment{},
-		unreadable: map[string]error{},
+		unreadable: map[string]bool{},
 
 		mRefreshes:  cfg.Metrics.Counter("archive.catalog.refreshes"),
 		mUnreadable: cfg.Metrics.Counter("archive.segments.unreadable"),
@@ -116,37 +131,50 @@ func (c *Catalog) Refresh() (changed bool, err error) {
 		return false, fmt.Errorf("archive: Refresh on closed catalog %s", c.dir)
 	}
 
-	want := make(map[string]bool, len(man.Segments))
+	if c.afterManifestRead != nil {
+		c.afterManifestRead()
+	}
 	var order []string
-	for _, meta := range man.Segments {
-		want[meta.Name] = true
-		if seg, ok := c.segs[meta.Name]; ok && !seg.retired {
-			order = append(order, meta.Name)
-			continue
-		}
-		var opts []ReaderOption
-		if c.cfg.SkipCorrupt {
-			opts = append(opts, WithSkipCorrupt())
-		}
-		rd, oerr := Open(filepath.Join(c.dir, meta.Name), opts...)
-		if oerr != nil {
-			if _, known := c.unreadable[meta.Name]; !known {
-				c.mUnreadable.Inc()
-				changed = true
+	var missing []error
+	want, unreadable := map[string]bool{}, map[string]bool{}
+	for {
+		vanished := false
+		order, missing = order[:0], missing[:0]
+		clear(want)
+		clear(unreadable)
+		for _, meta := range man.Segments {
+			want[meta.Name] = true
+			if seg, ok := c.segs[meta.Name]; ok && !seg.retired {
+				order = append(order, meta.Name)
+				continue
 			}
-			c.unreadable[meta.Name] = oerr
-			continue
+			rd, oerr := openSegment(c.dir, meta.Name, c.cfg.SkipCorrupt)
+			if oerr != nil {
+				unreadable[meta.Name] = true
+				missing = append(missing, fmt.Errorf("archive: segment %s of %s is unreadable: %w", meta.Name, c.dir, oerr))
+				vanished = vanished || errors.Is(oerr, fs.ErrNotExist)
+				continue
+			}
+			if c.cfg.Workers > 0 {
+				rd.SetWorkers(c.cfg.Workers)
+			}
+			rd.SetMetrics(c.cfg.Metrics)
+			c.segs[meta.Name] = &catSegment{name: meta.Name, meta: meta, rd: rd}
+			order = append(order, meta.Name)
+			changed = true
 		}
-		if c.cfg.Workers > 0 {
-			rd.SetWorkers(c.cfg.Workers)
+		if !vanished {
+			break
 		}
-		rd.SetMetrics(c.cfg.Metrics)
-		if _, wasBad := c.unreadable[meta.Name]; wasBad {
-			delete(c.unreadable, meta.Name)
+		// A listed segment is gone: a compaction may have published a new
+		// manifest since man was read. The compactor unlinks its inputs only
+		// after publishing, so if the generation moved, reconcile against the
+		// new manifest; the segment is unreadable only if it did not.
+		next, err := readManifest(c.dir)
+		if err != nil || next.Generation == man.Generation {
+			break
 		}
-		c.segs[meta.Name] = &catSegment{name: meta.Name, meta: meta, rd: rd}
-		order = append(order, meta.Name)
-		changed = true
+		man = next
 	}
 
 	// Retire segments the manifest no longer lists (compacted away). Their
@@ -162,13 +190,15 @@ func (c *Catalog) Refresh() (changed bool, err error) {
 			delete(c.segs, name)
 		}
 	}
-	for name := range c.unreadable {
-		if !want[name] {
-			delete(c.unreadable, name)
-			changed = true
+	for name := range unreadable {
+		if !c.unreadable[name] {
+			c.mUnreadable.Inc()
 		}
 	}
-
+	if !maps.Equal(unreadable, c.unreadable) {
+		changed = true
+	}
+	c.unreadable, c.missing = unreadable, missing
 	c.order = order
 	if changed {
 		c.gen++
@@ -185,24 +215,13 @@ func (c *Catalog) Refresh() (changed bool, err error) {
 func (c *Catalog) View() *CatalogView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v := &CatalogView{c: c, gen: c.gen, missing: len(c.unreadable)}
+	v := &CatalogView{c: c, gen: c.gen, missing: c.missing}
 	for _, name := range c.order {
 		seg := c.segs[name]
 		seg.refs++
 		v.segs = append(v.segs, seg)
 	}
 	return v
-}
-
-// Unreadable returns the currently skipped segments and their open errors.
-func (c *Catalog) Unreadable() map[string]error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]error, len(c.unreadable))
-	for k, v := range c.unreadable {
-		out[k] = v
-	}
-	return out
 }
 
 // Close releases every reader. Views already acquired stay valid; their
@@ -227,7 +246,7 @@ type CatalogView struct {
 	c        *Catalog
 	gen      uint64
 	segs     []*catSegment
-	missing  int
+	missing  []error // the unreadable listed segments' open errors
 	released bool
 }
 
@@ -248,12 +267,12 @@ func (v *CatalogView) Meta(i int) SegmentMeta { return v.segs[i].meta }
 
 // Missing returns how many manifest-listed segments were unreadable when the
 // view was taken — served queries are missing their scans (degraded).
-func (v *CatalogView) Missing() int { return v.missing }
+func (v *CatalogView) Missing() int { return len(v.missing) }
 
 // Degraded reports whether results served from this view may be incomplete:
 // a segment was unreadable, or some reader skipped corrupt blocks.
 func (v *CatalogView) Degraded() bool {
-	if v.missing > 0 {
+	if len(v.missing) > 0 {
 		return true
 	}
 	for _, seg := range v.segs {
@@ -262,6 +281,23 @@ func (v *CatalogView) Degraded() bool {
 		}
 	}
 	return false
+}
+
+// Query streams every scan of the view that p matches to emit, segment by
+// segment in manifest order, so the stream is the store's emit order (see
+// Reader.Query for what emit is lent). A strict catalog's view that misses a
+// listed segment fails before streaming anything, with an error naming the
+// segment; a skip-corrupt one serves the segments it holds.
+func (v *CatalogView) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan, o *enrich.Origin)) error {
+	if len(v.missing) > 0 && !v.c.cfg.SkipCorrupt {
+		return v.missing[0]
+	}
+	for _, seg := range v.segs {
+		if err := seg.rd.Query(ctx, p, emit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Release returns the view's references; retired readers close on their
@@ -296,7 +332,9 @@ func (v *CatalogView) NumScans() uint64 {
 // held by views) keep the data readable until released.
 func removeSegmentFiles(dir string, names []string) {
 	for _, name := range names {
-		os.Remove(filepath.Join(dir, name))
+		if path, err := segmentPath(dir, name); err == nil {
+			os.Remove(path)
+		}
 	}
 	syncDir(dir)
 }

@@ -225,7 +225,7 @@ func (sw *SegmentWriter) recoverCompaction() error {
 	if statErr != nil {
 		// Roll back: the merge never produced a complete output. A partial
 		// sealed-named file must not be adopted later.
-		os.Remove(filepath.Join(sw.dir, in.Output.Name))
+		removeSegmentFiles(sw.dir, []string{in.Output.Name})
 		return os.Remove(intentPath)
 	}
 	meta.Compacted = true
@@ -298,58 +298,27 @@ func (c *Compactor) merge(inputs []SegmentMeta, outSeq uint64) (SegmentMeta, err
 	sp := obs.StartSpan(c.mMergeNS)
 	defer sp.End()
 
-	name := SegmentName(outSeq)
-	openPath := filepath.Join(c.sw.dir, name+openSuffix)
-	w, err := Create(openPath, WriterConfig{
-		TelescopeSize: c.sw.cfg.TelescopeSize,
-		Origins:       c.sw.cfg.Origins,
-		BlockBytes:    c.sw.cfg.BlockBytes,
-		Metrics:       c.sw.cfg.Metrics,
-	})
+	out, err := createSegment(c.sw.dir, outSeq, c.sw.cfg)
 	if err != nil {
 		return SegmentMeta{}, err
 	}
-	abort := func(err error) (SegmentMeta, error) {
-		w.Close()
-		os.Remove(openPath)
-		return SegmentMeta{}, err
-	}
-
 	for _, in := range inputs {
-		if err := c.mergeInput(w, in.Name); err != nil {
+		if err := c.mergeInput(out.Writer, in.Name); err != nil {
 			// An unreadable input would make the merge lossy; leave the
 			// store alone and surface the problem instead.
-			return abort(fmt.Errorf("archive: compaction input %s: %w", in.Name, err))
+			out.discard()
+			return SegmentMeta{}, fmt.Errorf("archive: compaction input %s: %w", in.Name, err)
 		}
 	}
-
-	nScans := w.NumScans()
-	minStart, maxStart := w.StartBounds()
-	if err := w.Close(); err != nil {
-		return abort(err)
-	}
-	nBlocks := len(w.index)
-	final := filepath.Join(c.sw.dir, name)
-	fi, err := os.Stat(openPath)
+	meta, err := out.seal()
 	if err != nil {
-		return abort(err)
+		return SegmentMeta{}, err
 	}
-	if err := os.Rename(openPath, final); err != nil {
-		return abort(err)
-	}
-	syncDir(c.sw.dir)
-	c.mMoved.Add(w.moved)
-	c.mMovedBytes.Add(w.movedBytes)
-	c.mRewritten.Add(uint64(nBlocks) - w.moved)
-	return SegmentMeta{
-		Name:      name,
-		Scans:     nScans,
-		Blocks:    nBlocks,
-		Bytes:     fi.Size(),
-		MinStart:  minStart,
-		MaxStart:  maxStart,
-		Compacted: true,
-	}, nil
+	meta.Compacted = true
+	c.mMoved.Add(out.moved)
+	c.mMovedBytes.Add(out.movedBytes)
+	c.mRewritten.Add(uint64(meta.Blocks) - out.moved)
+	return meta, nil
 }
 
 // mergeInput appends one input segment to w, block by block. A block that is
@@ -357,7 +326,7 @@ func (c *Compactor) merge(inputs []SegmentMeta, outSeq uint64) (SegmentMeta, err
 // row is added as it is loaded: the writer encodes a scan on Add and keeps
 // nothing of it.
 func (c *Compactor) mergeInput(w *Writer, name string) error {
-	rd, err := Open(filepath.Join(c.sw.dir, name))
+	rd, err := openSegment(c.sw.dir, name, false)
 	if err != nil {
 		return err
 	}

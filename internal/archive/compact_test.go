@@ -26,7 +26,7 @@ func TestCompactionOriginlessInput(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	bare, err := Create(filepath.Join(sw.Dir(), SegmentName(7)), WriterConfig{TelescopeSize: 4096, BlockBytes: 4 << 10})
+	bare, err := createSegment(sw.Dir(), 7, SegmentConfig{TelescopeSize: 4096, BlockBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestCompactionOriginlessInput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := bare.Close(); err != nil {
+	if _, err := bare.seal(); err != nil {
 		t.Fatal(err)
 	}
 	if len(bare.index) < 4 {
@@ -107,7 +107,7 @@ func TestCompactionCorruptInput(t *testing.T) {
 		before := sw.SealedSegments()
 
 		path := filepath.Join(sw.Dir(), before[c.segment].Name)
-		rd, err := Open(path)
+		rd, err := openSegment(sw.Dir(), before[c.segment].Name, false)
 		if err != nil {
 			t.Fatal(err)
 		}

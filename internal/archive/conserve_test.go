@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -18,7 +17,7 @@ import (
 // scan is r.Query with the reader's books checked afterwards: the archive
 // tests route their queries through it, so the conservation laws below hold
 // after every query they make — full scans, pruned scans, cancelled scans,
-// failed scans and degraded (WithSkipCorrupt) scans alike.
+// failed scans and degraded (skip-corrupt) scans alike.
 //
 //	blocks.scanned + blocks.skipped == NumBlocks   every block is accounted for
 //	scans.decoded >= scans.matched                 nothing matches undecoded
@@ -118,10 +117,7 @@ func TestReaderConservation(t *testing.T) {
 		t.Fatal("strict reader read damaged blocks without error")
 	}
 	for _, workers := range []int{1, 4} {
-		r, err := NewReader(bytes.NewReader(bad), int64(len(bad)), WithSkipCorrupt())
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := openSkipCorrupt(t, bad)
 		r.SetWorkers(workers)
 		for name, p := range preds {
 			if err := scan(t, r, context.Background(), p, noop); err != nil {
@@ -268,7 +264,7 @@ func TestCompactionConservation(t *testing.T) {
 		if moved == 0 || rewritten == 0 {
 			t.Errorf("origins=%v: %d moved, %d rewritten: the input was meant to need both", withOrigins, moved, rewritten)
 		}
-		rd, err := Open(filepath.Join(sw.Dir(), segs[0].Name))
+		rd, err := openSegment(sw.Dir(), segs[0].Name, false)
 		if err != nil {
 			t.Fatal(err)
 		}

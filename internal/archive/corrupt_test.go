@@ -40,7 +40,7 @@ func firstRecord(i int, raw []byte) int {
 // record, as a strip the filter reads, or late, walked over every record for
 // the ones the filter kept, when it kept some and when it kept none. Each
 // block below fails one check in its second block: the default reader
-// returns ErrCorrupt, a WithSkipCorrupt one skips that block whole and
+// returns ErrCorrupt, a skip-corrupt one skips that block whole and
 // streams the others' matches, and the block's row set is left without rows.
 func TestCorruptStripEitherRole(t *testing.T) {
 	scans, origins := testScans(400, 17)
@@ -123,10 +123,7 @@ func TestCorruptStripEitherRole(t *testing.T) {
 				t.Errorf("%s: the default reader returned %v, want ErrCorrupt", name, err)
 			}
 
-			rd, err := NewReader(bytes.NewReader(data), int64(len(data)), WithSkipCorrupt())
-			if err != nil {
-				t.Fatal(err)
-			}
+			rd := openSkipCorrupt(t, data)
 			rd.SetWorkers(1)
 			n := 0
 			if err := scan(t, rd, context.Background(), r.p, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
@@ -146,7 +143,7 @@ func TestCorruptStripEitherRole(t *testing.T) {
 			}
 
 			rw := getRows(AllFields)
-			err = openArchive(t, data).decodeBlock(&blocks[1], r.p, rw)
+			err := openArchive(t, data).decodeBlock(&blocks[1], r.p, rw)
 			if !errors.Is(err, ErrCorrupt) || rw.n != 0 {
 				t.Errorf("%s: decodeBlock returned %v and left %d rows, want ErrCorrupt and none", name, err, rw.n)
 			}

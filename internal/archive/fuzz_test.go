@@ -61,11 +61,12 @@ func FuzzReader(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, opts := range [][]ReaderOption{nil, {WithSkipCorrupt()}} {
-			r, err := NewReader(bytes.NewReader(data), int64(len(data)), opts...)
-			if err != nil {
-				continue
-			}
+		r, err := NewReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			return
+		}
+		for _, skipCorrupt := range []bool{false, true} {
+			r.skipCorrupt = skipCorrupt
 			n := 0
 			_ = r.Query(context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
 				n++

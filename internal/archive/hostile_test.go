@@ -238,7 +238,7 @@ func hostileFiles(tb testing.TB) []hostileFile {
 // TestHostileBlocks: a block that is ill-formed behind a valid checksum — a
 // crafted file, or a writer bug — is ErrCorrupt for the default reader and
 // exactly one counted skip, with every other block streamed, for a
-// WithSkipCorrupt one; and what a reader allocates for it is clamped whatever
+// skip-corrupt one; and what a reader allocates for it is clamped whatever
 // lengths it claims.
 func TestHostileBlocks(t *testing.T) {
 	for _, f := range hostileFiles(t) {
@@ -249,10 +249,7 @@ func TestHostileBlocks(t *testing.T) {
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: the default reader returned %v, want ErrCorrupt", name, err)
 		}
-		r, err := NewReader(bytes.NewReader(data), int64(len(data)), WithSkipCorrupt())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		r := openSkipCorrupt(t, data)
 		r.SetWorkers(1)
 		n := 0
 		if err := scan(t, r, context.Background(), All, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {

@@ -49,7 +49,7 @@ func TestKeptRowsSurviveChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := query.Run(context.Background(), q, query.ViewSource{V: v})
+		res, err := query.Run(context.Background(), q, v)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"reflect"
 	"runtime"
 	"sync"
@@ -29,11 +28,11 @@ type Reader struct {
 	size        int64
 	telSize     int
 	origins     bool
-	skipCorrupt bool
+	skipCorrupt bool // openSegment sets it from CatalogConfig.SkipCorrupt
 	index       []ZoneMap
 	total       uint64
-	workers     int // SetWorkers' bound; 0: GOMAXPROCS as each Query starts
-	closer      io.Closer
+	workers     int       // SetWorkers' bound; 0: GOMAXPROCS as each Query starts
+	closer      io.Closer // the segment file, when openSegment opened it
 	corrupt     atomic.Uint64
 
 	met         *obs.Registry
@@ -46,41 +45,10 @@ type Reader struct {
 	mDecompress *obs.Histogram
 }
 
-// ReaderOption customizes Open and NewReader.
-type ReaderOption func(*Reader)
-
-// WithSkipCorrupt puts the reader in degraded mode: a block that fails its
-// checksum (or any other block-local read/decode check) is skipped instead
-// of failing the whole query. Skipped blocks are counted in CorruptBlocks
-// and the faults.archive.corrupt_blocks metric; every intact block still
-// streams, in order. The default (without this option) is fail-fast: any
-// damaged block aborts Query with an error.
-func WithSkipCorrupt() ReaderOption {
-	return func(r *Reader) { r.skipCorrupt = true }
-}
-
-// Open opens an archive file for querying; Close releases it.
-func Open(path string, opts ...ReaderOption) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r, err := NewReader(f, st.Size(), opts...)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r.closer = f
-	return r, nil
-}
-
-// NewReader opens an archive over any random-access byte source.
-func NewReader(ra io.ReaderAt, size int64, opts ...ReaderOption) (*Reader, error) {
+// NewReader opens an archive over any random-access byte source. The reader
+// is strict: a damaged block fails the query. A store's segments open through
+// its Catalog, whose CatalogConfig.SkipCorrupt makes them skip-corrupt.
+func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if size < headerLen+trailerLen {
 		return nil, fmt.Errorf("%w: file too short (%d bytes)", ErrCorrupt, size)
 	}
@@ -131,9 +99,6 @@ func NewReader(ra io.ReaderAt, size int64, opts ...ReaderOption) (*Reader, error
 		origins: hdr[5]&flagOrigins != 0,
 		index:   make([]ZoneMap, n),
 	}
-	for _, opt := range opts {
-		opt(r)
-	}
 	for i := range r.index {
 		z := unmarshalZoneMap(idx[4+i*zoneMapLen:])
 		if uint64(z.Offset)+blockCRCLen+uint64(z.CompressedLen) > idxOff {
@@ -146,7 +111,7 @@ func NewReader(ra io.ReaderAt, size int64, opts ...ReaderOption) (*Reader, error
 	return r, nil
 }
 
-// Close releases the underlying file when the reader came from Open.
+// Close releases the underlying file when the reader is a store's segment.
 func (r *Reader) Close() error {
 	if r.closer != nil {
 		return r.closer.Close()
@@ -198,7 +163,7 @@ func (r *Reader) SetMetrics(reg *obs.Registry) {
 }
 
 // CorruptBlocks returns the number of damaged blocks skipped so far by a
-// WithSkipCorrupt reader, cumulative across Query calls (a block damaged on
+// skip-corrupt reader, cumulative across Query calls (a block damaged on
 // disk is counted once per query that decodes it).
 func (r *Reader) CorruptBlocks() uint64 { return r.corrupt.Load() }
 
@@ -224,7 +189,7 @@ func (r *Reader) CorruptBlocks() uint64 { return r.corrupt.Load() }
 //
 // The query stops decoding and returns ctx.Err() as soon as the context is
 // done, between blocks. Damaged blocks abort with an error unless the reader
-// was opened WithSkipCorrupt (see CorruptBlocks); either way a block is
+// is skip-corrupt (see CorruptBlocks); either way a block is
 // decoded and checked whole before any of its rows reach emit.
 func (r *Reader) Query(ctx context.Context, p Predicate, emit func(sc *core.Scan, o *enrich.Origin)) error {
 	// Predicate pushdown over the zone maps.
@@ -352,7 +317,7 @@ func (r *Reader) projection(p Predicate) Fields {
 }
 
 // fail converts a block-local failure into either a query-aborting error
-// (the default) or, under WithSkipCorrupt, a counted skip. Either way rw is
+// (the default) or, on a skip-corrupt reader, a counted skip. Either way rw is
 // emptied: nothing of a damaged block is emitted.
 func (r *Reader) fail(err error, rw *rows) error {
 	rw.reset(rw.fields)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -40,7 +41,7 @@ func TestOldVersionsRefused(t *testing.T) {
 }
 
 // TestSkipCorrupt is the degraded-mode contract: with a third of the blocks
-// damaged, a WithSkipCorrupt reader still streams every intact block in
+// damaged, a skip-corrupt reader still streams every intact block in
 // order, counts exactly the damaged blocks, and the default reader still
 // fails fast on the same bytes.
 func TestSkipCorrupt(t *testing.T) {
@@ -67,10 +68,7 @@ func TestSkipCorrupt(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	r, err := NewReader(bytes.NewReader(bad), int64(len(bad)), WithSkipCorrupt())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openSkipCorrupt(t, bad)
 	r.SetMetrics(reg)
 	var got []*core.Scan
 	if err := scan(t, r, context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
@@ -110,8 +108,12 @@ func TestSkipCorruptIndexStillFatal(t *testing.T) {
 	data := writeArchive(t, scans, origins, WriterConfig{BlockBytes: 4 << 10})
 	bad := append([]byte{}, data...)
 	bad[len(bad)-trailerLen-3] ^= 0xff
-	if _, err := NewReader(bytes.NewReader(bad), int64(len(bad)), WithSkipCorrupt()); err == nil {
-		t.Fatal("index damage must fail open even with WithSkipCorrupt")
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, SegmentName(1)), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openSegment(dir, SegmentName(1), true); err == nil {
+		t.Fatal("index damage must fail open even on a skip-corrupt reader")
 	}
 }
 
@@ -214,17 +216,17 @@ func TestQueryWindow(t *testing.T) {
 // Create/Open path — a working reader whose queries emit nothing and
 // return nil, with and without degraded mode.
 func TestEmptyArchiveFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.syna")
-	w, err := Create(path, WriterConfig{TelescopeSize: 64})
+	dir := t.TempDir()
+	w, err := createSegment(dir, 1, SegmentConfig{TelescopeSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if _, err := w.seal(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(path, WithSkipCorrupt())
+	r, err := openSegment(dir, SegmentName(1), true)
 	if err != nil {
-		t.Fatalf("Open on zero-block archive: %v", err)
+		t.Fatalf("opening a zero-block segment: %v", err)
 	}
 	defer r.Close()
 	if r.NumBlocks() != 0 || r.NumScans() != 0 || r.TelescopeSize() != 64 {

@@ -33,9 +33,11 @@ import (
 // The manifest is the single source of truth: a segment exists once (and
 // only once) its entry is in the manifest. Updates write MANIFEST.json.tmp,
 // fsync it, and rename over MANIFEST.json, so a crash leaves either the old
-// or the new catalog, never a torn one. The generation counter increments on
-// every manifest change; pollers (Catalog, synserve's result cache) use it
-// as a cheap "did the segment set move" token.
+// or the new catalog, never a torn one; a segment is fsynced before it is
+// sealed (segmentFile.seal), so neither names bytes that are not on disk.
+// The generation counter increments on every manifest change; pollers
+// (Catalog, synserve's result cache) use it as a cheap "did the segment set
+// move" token.
 //
 // Crash recovery at open: stray *.open files are deleted (their records are
 // re-ingestable from the capture; an unsealed segment has no trailer and is
@@ -113,14 +115,17 @@ type Manifest struct {
 	Segments []SegmentMeta `json:"segments"`
 }
 
-// readManifest loads dir's manifest; a missing file is an empty store.
+// readManifest loads dir's manifest. A directory without one is an empty
+// store; a path that is not a directory is refused.
 func readManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if os.IsNotExist(err) {
-		return &Manifest{NextSeq: 1}, nil
+		if _, err = os.Stat(dir); err == nil {
+			return &Manifest{NextSeq: 1}, nil
+		}
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("archive: segment store %s: %w", dir, err)
 	}
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -220,9 +225,7 @@ type SegmentWriter struct {
 
 	mu       sync.Mutex
 	man      *Manifest
-	cur      *Writer // open segment's writer, nil when none
-	curPath  string  // open segment's .open file path
-	curSeq   uint64
+	cur      *segmentFile // the open segment, nil when none
 	closed   bool
 	closeErr error
 
@@ -329,24 +332,55 @@ func (sw *SegmentWriter) recover() error {
 	return nil
 }
 
+// segmentPath joins a segment's name onto its store directory. The names
+// come from the manifest and the compaction intent, so one that is not a
+// segment name (SegmentName's form) is refused as corrupt: nothing outside
+// the store's own segments is ever opened or removed.
+func segmentPath(dir, name string) (string, error) {
+	if _, ok := segmentSeq(name); !ok {
+		return "", fmt.Errorf("%w: %q is not a segment name", ErrCorrupt, name)
+	}
+	return filepath.Join(dir, name), nil
+}
+
+// openSegment opens the sealed segment name in dir for querying; it is the
+// one way a segment file is opened. A skip-corrupt reader skips and counts
+// a damaged block where a strict one fails the query.
+func openSegment(dir, name string, skipCorrupt bool) (*Reader, error) {
+	path, err := segmentPath(dir, name)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	st, err := f.Stat()
+	var rd *Reader
+	if err == nil {
+		rd, err = NewReader(f, st.Size())
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	rd.skipCorrupt, rd.closer = skipCorrupt, f
+	return rd, nil
+}
+
 // statSegment opens one sealed segment just long enough to build its
 // manifest entry.
 func statSegment(dir, name string) (SegmentMeta, error) {
-	path := filepath.Join(dir, name)
-	rd, err := Open(path)
+	rd, err := openSegment(dir, name, false)
 	if err != nil {
 		return SegmentMeta{}, err
 	}
 	defer rd.Close()
-	fi, err := os.Stat(path)
-	if err != nil {
-		return SegmentMeta{}, err
-	}
 	meta := SegmentMeta{
 		Name:   name,
 		Scans:  rd.NumScans(),
 		Blocks: rd.NumBlocks(),
-		Bytes:  fi.Size(),
+		Bytes:  rd.size,
 	}
 	for i, z := range rd.Blocks() {
 		if i == 0 || z.MinStart < meta.MinStart {
@@ -357,6 +391,74 @@ func statSegment(dir, name string) (SegmentMeta, error) {
 		}
 	}
 	return meta, nil
+}
+
+// segmentFile is a segment being written: a Writer over its .open file.
+type segmentFile struct {
+	*Writer
+	f   *os.File
+	dir string
+	seq uint64
+}
+
+// createSegment starts segment seq of the store dir as its .open file.
+func createSegment(dir string, seq uint64, cfg SegmentConfig) (*segmentFile, error) {
+	f, err := os.Create(filepath.Join(dir, SegmentName(seq)+openSuffix))
+	if err != nil {
+		return nil, err
+	}
+	w, err := NewWriter(f, WriterConfig{
+		TelescopeSize: cfg.TelescopeSize,
+		Origins:       cfg.Origins,
+		BlockBytes:    cfg.BlockBytes,
+		Metrics:       cfg.Metrics,
+	})
+	if err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return nil, err
+	}
+	return &segmentFile{Writer: w, f: f, dir: dir, seq: seq}, nil
+}
+
+// seal makes the segment durable under its sealed name and returns its
+// manifest entry: the writer writes index and trailer, the file is fsynced
+// and closed, renamed from .open to its sealed name, and the directory is
+// fsynced, so no manifest can name a segment whose bytes are not on disk.
+// Every segment, sealed off the detector or merged by the compactor, seals
+// here. On failure the .open file is removed.
+func (s *segmentFile) seal() (SegmentMeta, error) {
+	meta := SegmentMeta{Name: SegmentName(s.seq), Scans: s.NumScans()}
+	meta.MinStart, meta.MaxStart = s.StartBounds()
+	err := s.Close()
+	if err == nil {
+		err = s.f.Sync()
+	}
+	var fi os.FileInfo
+	if err == nil {
+		fi, err = s.f.Stat()
+	}
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(s.f.Name(), filepath.Join(s.dir, meta.Name))
+	}
+	if err != nil {
+		os.Remove(s.f.Name())
+		return SegmentMeta{}, err
+	}
+	syncDir(s.dir)
+	meta.Blocks = len(s.index) // complete: Close flushed the last partial block
+	meta.Bytes = fi.Size()
+	return meta, nil
+}
+
+// discard abandons the segment and removes its .open file.
+func (s *segmentFile) discard() {
+	s.Close()
+	s.f.Close()
+	os.Remove(s.f.Name())
 }
 
 // Dir returns the store directory.
@@ -409,7 +511,7 @@ func (sw *SegmentWriter) add(sc *core.Scan, o *enrich.Origin) error {
 		}
 	}
 	if sw.cur == nil {
-		if err := sw.openSegment(); err != nil {
+		if err := sw.startSegment(); err != nil {
 			return err
 		}
 	}
@@ -446,21 +548,14 @@ func (sw *SegmentWriter) shouldSeal(sc *core.Scan) bool {
 	return false
 }
 
-// openSegment starts a new .open segment file. Lock held.
-func (sw *SegmentWriter) openSegment() error {
-	seq := sw.man.NextSeq
-	path := filepath.Join(sw.dir, SegmentName(seq)+openSuffix)
-	w, err := Create(path, WriterConfig{
-		TelescopeSize: sw.cfg.TelescopeSize,
-		Origins:       sw.cfg.Origins,
-		BlockBytes:    sw.cfg.BlockBytes,
-		Metrics:       sw.cfg.Metrics,
-	})
+// startSegment starts a new .open segment file. Lock held.
+func (sw *SegmentWriter) startSegment() error {
+	seg, err := createSegment(sw.dir, sw.man.NextSeq, sw.cfg)
 	if err != nil {
 		return err
 	}
-	sw.cur, sw.curPath, sw.curSeq = w, path, seq
-	sw.man.NextSeq = seq + 1
+	sw.cur = seg
+	sw.man.NextSeq++
 	sw.gOpen.Set(1)
 	return nil
 }
@@ -481,48 +576,26 @@ func (sw *SegmentWriter) Seal() error {
 	return sw.sealLocked()
 }
 
-// sealLocked finishes the open segment: Writer.Close writes index+trailer,
-// the .open file renames to its sealed name, the directory syncs, and the
-// manifest gains the entry. Lock held; sw.cur non-nil.
+// sealLocked seals the open segment (see segmentFile.seal) and adds its
+// entry to the manifest. Lock held; sw.cur non-nil.
 func (sw *SegmentWriter) sealLocked() error {
-	w, path, seq := sw.cur, sw.curPath, sw.curSeq
-	sw.cur, sw.curPath, sw.curSeq = nil, "", 0
+	seg := sw.cur
+	sw.cur = nil
 	sw.gOpen.Set(0)
-	if w.NumScans() == 0 {
+	if seg.NumScans() == 0 {
 		// Nothing archived: discard the empty file, and recycle the number
 		// if no one (e.g. the compactor) claimed a later one meanwhile.
-		w.Close()
-		os.Remove(path)
-		if sw.man.NextSeq == seq+1 {
-			sw.man.NextSeq = seq
+		seg.discard()
+		if sw.man.NextSeq == seg.seq+1 {
+			sw.man.NextSeq = seg.seq
 		}
 		return nil
 	}
-	nScans := w.NumScans()
-	minStart, maxStart := w.StartBounds()
-	if err := w.Close(); err != nil {
-		os.Remove(path)
-		return err
-	}
-	nBlocks := len(w.index) // complete: Close flushed the last partial block
-	name := SegmentName(seq)
-	final := filepath.Join(sw.dir, name)
-	fi, err := os.Stat(path)
+	meta, err := seg.seal()
 	if err != nil {
 		return err
 	}
-	if err := os.Rename(path, final); err != nil {
-		return err
-	}
-	syncDir(sw.dir)
-	sw.man.Segments = append(sw.man.Segments, SegmentMeta{
-		Name:     name,
-		Scans:    nScans,
-		Blocks:   nBlocks,
-		Bytes:    fi.Size(),
-		MinStart: minStart,
-		MaxStart: maxStart,
-	})
+	sw.man.Segments = append(sw.man.Segments, meta)
 	sw.man.Generation++
 	if err := writeManifest(sw.dir, sw.man); err != nil {
 		return err

@@ -2,10 +2,12 @@ package archive
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -358,7 +360,7 @@ func TestCrashMidSegmentRecovery(t *testing.T) {
 	}
 	strayScans, _ := testScans(40, 29)
 	strayName := SegmentName(manBefore.NextSeq + 1)
-	strayW, err := Create(filepath.Join(dir, strayName), WriterConfig{TelescopeSize: 4096})
+	strayW, err := createSegment(dir, manBefore.NextSeq+1, SegmentConfig{TelescopeSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +369,7 @@ func TestCrashMidSegmentRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := strayW.Close(); err != nil {
+	if _, err := strayW.seal(); err != nil {
 		t.Fatal(err)
 	}
 	// Abandon sw without Close — the crash. (Its buffered scans are lost by
@@ -396,9 +398,10 @@ func TestCrashMidSegmentRecovery(t *testing.T) {
 }
 
 // TestCatalogSkipsUnreadableSegment: a segment truncated below its trailer is
-// unreadable; the catalog skips it, flags the store degraded, serves the
-// intact segments, and heals (with a generation bump) once the file is whole
-// again.
+// unreadable. A skip-corrupt catalog skips it, flags the store degraded,
+// serves the intact segments, and heals (with a generation bump) once the
+// file is whole again; a strict one fails the read, naming the segment, and
+// heals the same way.
 func TestCatalogSkipsUnreadableSegment(t *testing.T) {
 	sw := segStore(t, SegmentConfig{TelescopeSize: 4096, MaxSegmentScans: 100})
 	scans, _ := testScans(300, 31)
@@ -416,8 +419,22 @@ func TestCatalogSkipsUnreadableSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	strict, err := OpenCatalog(sw.Dir(), CatalogConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer strict.Close()
+	sv := strict.View()
+	err = sv.Query(context.Background(), All, func(*core.Scan, *enrich.Origin) {
+		t.Fatal("a strict view missing a segment streamed a scan")
+	})
+	sv.Release()
+	if err == nil || !strings.Contains(err.Error(), segs[1].Name) {
+		t.Fatalf("strict read of a store missing %s: %v", segs[1].Name, err)
+	}
+
 	reg := obs.NewRegistry()
-	cat, err := OpenCatalog(sw.Dir(), CatalogConfig{Metrics: reg})
+	cat, err := OpenCatalog(sw.Dir(), CatalogConfig{SkipCorrupt: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,16 +445,18 @@ func TestCatalogSkipsUnreadableSegment(t *testing.T) {
 			v.Len(), v.Missing(), v.Degraded())
 	}
 	want := append(append([]*core.Scan{}, scans[:100]...), scans[200:]...)
-	got := viewScans(t, v)
+	var got []*core.Scan
+	if err := v.Query(context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
+		got = append(got, sc.Clone())
+	}); err != nil {
+		t.Fatal(err)
+	}
 	v.Release()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("intact segments did not serve around the unreadable one")
 	}
 	if reg.Snapshot().Counters["archive.segments.unreadable"] != 1 {
 		t.Fatal("unreadable segment not counted")
-	}
-	if errs := cat.Unreadable(); len(errs) != 1 || errs[segs[1].Name] == nil {
-		t.Fatalf("Unreadable() = %v", errs)
 	}
 
 	// Heal the file; the next refresh must pick it up and bump the
@@ -452,12 +471,17 @@ func TestCatalogSkipsUnreadableSegment(t *testing.T) {
 	if cat.Generation() == gen {
 		t.Fatal("generation did not advance on heal")
 	}
-	v = cat.View()
-	got = viewScans(t, v)
-	degraded := v.Degraded()
-	v.Release()
-	if degraded || !reflect.DeepEqual(got, scans) {
-		t.Fatal("healed store does not serve the full sequence")
+	if changed, err := strict.Refresh(); err != nil || !changed {
+		t.Fatalf("healing refresh of the strict catalog: changed=%v err=%v", changed, err)
+	}
+	for _, c := range []*Catalog{cat, strict} {
+		v = c.View()
+		got = viewScans(t, v)
+		degraded := v.Degraded()
+		v.Release()
+		if degraded || !reflect.DeepEqual(got, scans) {
+			t.Fatalf("healed store (skip-corrupt %v) does not serve the full sequence", c.cfg.SkipCorrupt)
+		}
 	}
 }
 
@@ -732,6 +756,9 @@ func TestConcurrentDiscoveryDuringQueries(t *testing.T) {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				v := cat.View()
+				if v.Missing() != 0 {
+					t.Errorf("view at generation %d misses %d segments: %v", v.Generation(), v.Missing(), v.missing)
+				}
 				n := 0
 				for i := 0; i < v.Len(); i++ {
 					if err := v.Reader(i).Query(context.Background(), All, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
@@ -759,6 +786,131 @@ func TestConcurrentDiscoveryDuringQueries(t *testing.T) {
 	v.Release()
 	if !reflect.DeepEqual(got, scans) {
 		t.Fatalf("store serves %d scans after concurrent run, want %d", len(got), len(scans))
+	}
+}
+
+// TestRefreshAcrossCompaction: a compaction that publishes and unlinks its
+// inputs between a Refresh's manifest read and its segment opens does not
+// make the inputs count as unreadable: the refresh re-reads the manifest that
+// moved and opens the merged segment instead.
+func TestRefreshAcrossCompaction(t *testing.T) {
+	sw := segStore(t, SegmentConfig{TelescopeSize: 4096, MaxSegmentScans: 50})
+	defer sw.Close()
+	scans, _ := testScans(200, 73)
+	cat, err := OpenCatalog(sw.Dir(), CatalogConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	addAll(t, sw, scans)
+	if err := sw.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	comp := NewCompactor(sw, CompactorConfig{MinRun: 2, MaxInputBytes: 1 << 30})
+	cat.afterManifestRead = func() {
+		cat.afterManifestRead = nil
+		if merged, err := comp.CompactOnce(); err != nil || merged != 4 {
+			t.Fatalf("compaction under the refresh merged %d segments: %v", merged, err)
+		}
+	}
+	if _, err := cat.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	v := cat.View()
+	defer v.Release()
+	if v.Missing() != 0 || v.Len() != 1 || !v.Meta(0).Compacted {
+		t.Fatalf("view after the raced refresh: %d segments, %d missing: %v", v.Len(), v.Missing(), v.missing)
+	}
+	var got []*core.Scan
+	if err := v.Query(context.Background(), All, func(sc *core.Scan, _ *enrich.Origin) {
+		got = append(got, sc.Clone())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, scans) {
+		t.Fatalf("view serves %d scans, want %d", len(got), len(scans))
+	}
+}
+
+// TestStoreNamesAreSegmentNames: a manifest or compaction intent entry that
+// is not a segment name (here a file outside the store) is neither opened nor
+// removed. Each intent is one recovery acts on: an output that does not open
+// is rolled back (removed), and the inputs of a complete output the manifest
+// no longer lists are cleaned up (removed). A manifest entry is a segment
+// that does not open: a strict read fails, naming it.
+func TestStoreNamesAreSegmentNames(t *testing.T) {
+	for _, c := range []struct {
+		file, body string
+	}{
+		{IntentName, `{"output":{"name":"../victim.txt"},"inputs":[]}`},
+		{IntentName, `{"output":{"name":"seg-00000009.syna"},"inputs":["../victim.txt"]}`},
+		{ManifestName, `{"generation":1,"next_seq":2,"segments":[{"name":"../victim.txt"}]}`},
+	} {
+		root := t.TempDir()
+		dir := filepath.Join(root, "store")
+		victim := filepath.Join(root, "victim.txt")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(victim, []byte("not a segment\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := writeArchive(t, nil, nil, WriterConfig{TelescopeSize: 4096})
+		if err := os.WriteFile(filepath.Join(dir, SegmentName(9)), out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, c.file), []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sw, err := OpenSegmentDir(dir, SegmentConfig{TelescopeSize: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cat, err := OpenCatalog(dir, CatalogConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := cat.View()
+		err = v.Query(context.Background(), All, func(*core.Scan, *enrich.Origin) {})
+		if listed := c.file == ManifestName; listed != (err != nil) ||
+			listed && !(errors.Is(err, ErrCorrupt) && strings.Contains(err.Error(), "../victim.txt")) {
+			t.Errorf("%s %s: strict read: %v", c.file, c.body, err)
+		}
+		v.Release()
+		cat.Close()
+		if _, err := os.Stat(victim); err != nil {
+			t.Errorf("%s %s: the file outside the store is gone: %v", c.file, c.body, err)
+		}
+	}
+}
+
+// TestOpenCatalogNeedsDirectory: a missing path and a regular file are not
+// stores, and the error names the path; an existing empty directory is an
+// empty store.
+func TestOpenCatalogNeedsDirectory(t *testing.T) {
+	root := t.TempDir()
+	file := filepath.Join(root, "seg.syna")
+	if err := os.WriteFile(file, writeArchive(t, nil, nil, WriterConfig{TelescopeSize: 4096}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(root, "missing"), file} {
+		if cat, err := OpenCatalog(path, CatalogConfig{}); err == nil {
+			cat.Close()
+			t.Errorf("OpenCatalog(%s) opened", path)
+		} else if !strings.Contains(err.Error(), path) {
+			t.Errorf("OpenCatalog(%s): the error does not name the path: %v", path, err)
+		}
+	}
+	cat, err := OpenCatalog(root, CatalogConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	if v := cat.View(); v.Len() != 0 || v.Missing() != 0 {
+		t.Fatalf("an empty directory opened as %d segments, %d missing", v.Len(), v.Missing())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
@@ -55,7 +54,6 @@ type Writer struct {
 	years    YearCache
 	index    []ZoneMap
 	crc      [blockCRCLen]byte // writeBlock's scratch: a local would escape through Write
-	closer   io.Closer         // set by Create; closed by Close
 	closed   bool
 	closeErr error // Close's result, replayed by every later Close
 	err      error
@@ -215,22 +213,6 @@ func NewWriter(w io.Writer, cfg WriterConfig) (*Writer, error) {
 	}, nil
 }
 
-// Create opens path for writing and returns an archive writer over it.
-// Close closes the file.
-func Create(path string, cfg WriterConfig) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w, err := NewWriter(f, cfg)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	w.closer = f
-	return w, nil
-}
-
 // Add appends one scan. With WriterConfig.Origins the scan's origin must be
 // supplied via AddWithOrigin instead.
 func (w *Writer) Add(sc *core.Scan) error {
@@ -385,8 +367,8 @@ func (w *Writer) StartBounds() (min, max int64) {
 	return w.minStart, w.maxStart
 }
 
-// Close flushes the open block, writes the index and trailer, and closes
-// the underlying file when the writer was opened with Create. Close is
+// Close flushes the open block and writes the index and trailer; the
+// underlying writer stays open (a segment's seal fsyncs its file). Close is
 // idempotent: the first call decides the outcome and every later call
 // returns that same result without touching the stream again (a second
 // trailer on the file would corrupt it for readers).
@@ -399,8 +381,7 @@ func (w *Writer) Close() error {
 	return w.closeErr
 }
 
-// close runs the single real close. Whatever happens, the underlying file
-// (when the writer owns one) is released exactly once, no compressor is left
+// close runs the single real close. Whatever happens, no compressor is left
 // running, and the units' DEFLATE states go back to the free list.
 func (w *Writer) close() error {
 	err := w.finish()
@@ -409,11 +390,6 @@ func (w *Writer) close() error {
 	}
 	for _, b := range [...]*block{w.open, w.inflight, w.spare} {
 		b.release()
-	}
-	if w.closer != nil {
-		if cerr := w.closer.Close(); err == nil {
-			err = cerr
-		}
 	}
 	return err
 }

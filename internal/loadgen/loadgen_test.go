@@ -15,7 +15,6 @@ import (
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/obs"
-	"github.com/synscan/synscan/internal/query"
 )
 
 func TestRunBasics(t *testing.T) {
@@ -230,7 +229,7 @@ func TestFixtureStore(t *testing.T) {
 	}
 	var got uint64
 	years := map[int]bool{}
-	err = query.ViewSource{V: v}.Query(context.Background(), archive.All, func(sc *core.Scan, _ *enrich.Origin) {
+	err = v.Query(context.Background(), archive.All, func(sc *core.Scan, _ *enrich.Origin) {
 		got++
 		years[time.Unix(0, sc.Start).UTC().Year()] = true
 	})

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -128,9 +130,9 @@ func TestPropPushdownEqualsMaterialized(t *testing.T) {
 	}
 }
 
-// TestPropDegradedReads: with a corrupted block and skip-corrupt readers,
-// pushdown and materialized plans still agree — both lose exactly the
-// damaged block's scans.
+// TestPropDegradedReads: with a corrupted block in a one-segment store opened
+// skip-corrupt, pushdown over the view and materialized plans still agree —
+// both lose exactly the damaged block's scans.
 func TestPropDegradedReads(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		trial := trial
@@ -148,10 +150,33 @@ func TestPropDegradedReads(t *testing.T) {
 			off := int(z.Offset) + 4 + int(z.CompressedLen)/2
 			data[off] ^= 0xFF
 
-			rd := openArc(t, data, archive.WithSkipCorrupt())
+			// A sealed segment the manifest does not list is adopted when the
+			// store opens for writing.
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, archive.SegmentName(1)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sw, err := archive.OpenSegmentDir(dir, archive.SegmentConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cat, err := archive.OpenCatalog(dir, archive.CatalogConfig{SkipCorrupt: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cat.Close()
+			view := cat.View()
+			defer view.Release()
+			if view.Len() != 1 {
+				t.Fatalf("the store holds %d segments, want 1", view.Len())
+			}
+			rd := view.Reader(0)
 			for qi := 0; qi < 4; qi++ {
 				q := randQuery(r, scans, origins, withOrigins)
-				got, err := Run(context.Background(), q, ReaderSource{R: rd})
+				got, err := Run(context.Background(), q, view)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,7 +232,7 @@ func TestPropAcrossCompaction(t *testing.T) {
 		}
 		out := make([]*Result, len(queries))
 		for i, q := range queries {
-			res, err := Run(context.Background(), q, ViewSource{V: v})
+			res, err := Run(context.Background(), q, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +315,7 @@ func TestConcurrentQueriesEqualSerial(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
-	sources := []Source{ReaderSource{R: rd}, ViewSource{V: view}}
+	sources := []Source{ReaderSource{R: rd}, view}
 	encode := func(res *Result) string {
 		out, err := json.Marshal(res)
 		if err != nil {

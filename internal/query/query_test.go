@@ -106,9 +106,9 @@ func writeArcBlocks(t testing.TB, scans []*core.Scan, origins []enrich.Origin, w
 	return buf.Bytes()
 }
 
-func openArc(t testing.TB, data []byte, opts ...archive.ReaderOption) *archive.Reader {
+func openArc(t testing.TB, data []byte) *archive.Reader {
 	t.Helper()
-	r, err := archive.NewReader(bytes.NewReader(data), int64(len(data)), opts...)
+	r, err := archive.NewReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,20 +29,6 @@ func (s ReaderSource) Query(ctx context.Context, p archive.Predicate, emit func(
 	return s.R.Query(ctx, p, emit)
 }
 
-// ViewSource adapts a catalog view: each pinned segment streams in manifest
-// order, so the concatenation preserves the store's emit order.
-type ViewSource struct{ V *archive.CatalogView }
-
-// Query implements Source.
-func (s ViewSource) Query(ctx context.Context, p archive.Predicate, emit func(sc *core.Scan, o *enrich.Origin)) error {
-	for i := 0; i < s.V.Len(); i++ {
-		if err := (ReaderSource{R: s.V.Reader(i)}).Query(ctx, p, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SliceSource adapts in-memory scans (the simulator's per-year collections):
 // no blocks to prune, the predicate filters scan by scan. Origins, when
 // present, must parallel Scans. It hands emit the slices' own scans and

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/faultinject"
 	"github.com/synscan/synscan/internal/obs"
 )
@@ -48,18 +47,9 @@ func TestDegradedQuery(t *testing.T) {
 	// Locate the blocks via a throwaway reader, then flip bytes inside
 	// every fourth block's compressed payload (the CRC word is the first 4
 	// bytes at Offset; damage lands past it, inside the DEFLATE stream).
-	probe, err := archive.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zones := probe.Blocks()
-	probe.Close()
+	data, zones := segmentBlocks(t, dir)
 	if len(zones) < 10 {
 		t.Fatalf("test segment has only %d blocks; too coarse to corrupt 10%%", len(zones))
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
 	}
 	damaged := 0
 	for i, z := range zones {

@@ -259,7 +259,7 @@ func TestStreamedScanList(t *testing.T) {
 	}
 	pin := srv.stores[0].pin()
 	defer pin.v.Release()
-	res, err := query.Run(context.Background(), q, query.ViewSource{V: pin.v})
+	res, err := query.Run(context.Background(), q, pin.v)
 	if err != nil {
 		t.Fatal(err)
 	}

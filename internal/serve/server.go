@@ -34,8 +34,9 @@ type Config struct {
 	RetryAfter time.Duration
 	// Workers is the number of block-decode workers per query (Open only).
 	Workers int
-	// SkipCorrupt opens segments so that checksum-failed blocks are skipped
-	// and counted instead of failing the query (Open only).
+	// SkipCorrupt opens stores so that checksum-failed blocks and unreadable
+	// segments are skipped and counted instead of failing the query (Open
+	// only; see archive.CatalogConfig.SkipCorrupt).
 	SkipCorrupt bool
 	// Rescan is the poll interval at which Serve re-reads store manifests
 	// for newly sealed segments; 0 looks only at Open.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"os/signal"
 	"path/filepath"
 	"sync"
@@ -82,6 +84,21 @@ func testStore(t *testing.T, origins bool) (dir string, n int) {
 // segmentPath is the file of a store's first sealed segment, the only one
 // testStore writes.
 func segmentPath(dir string) string { return filepath.Join(dir, archive.SegmentName(1)) }
+
+// segmentBlocks reads the one-segment store's segment file and its blocks'
+// zone maps, so that a test can damage chosen blocks.
+func segmentBlocks(t *testing.T, dir string) ([]byte, []archive.ZoneMap) {
+	t.Helper()
+	data, err := os.ReadFile(segmentPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := archive.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, rd.Blocks()
+}
 
 // openServer opens a server over the given stores; it closes at cleanup.
 func openServer(t *testing.T, cfg Config, reg *obs.Registry, dirs ...string) *Server {

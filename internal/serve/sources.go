@@ -2,9 +2,7 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"log"
-	"os"
 	"strconv"
 
 	"github.com/synscan/synscan/internal/archive"
@@ -21,13 +19,6 @@ type store struct {
 // openStore opens dir, which must be an existing directory, as a segment
 // store.
 func openStore(dir string, cfg Config, reg *obs.Registry) (*store, error) {
-	fi, err := os.Stat(dir)
-	if err != nil {
-		return nil, err
-	}
-	if !fi.IsDir() {
-		return nil, fmt.Errorf("%s is not a segment store directory", dir)
-	}
 	cat, err := archive.OpenCatalog(dir, archive.CatalogConfig{
 		SkipCorrupt: cfg.SkipCorrupt, Workers: cfg.Workers, Metrics: reg,
 	})
@@ -176,7 +167,7 @@ func (src *sources) runQuery(ctx context.Context, q *query.Query) (*query.Result
 	defer sp.End()
 	srcs := make([]query.Source, len(src.pins))
 	for i, p := range src.pins {
-		srcs[i] = query.ViewSource{V: p.v}
+		srcs[i] = p.v
 	}
 	res, err := query.Run(ctx, q, srcs...)
 	if err != nil {

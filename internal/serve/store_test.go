@@ -138,16 +138,7 @@ func TestDegradedResponsesNotCached(t *testing.T) {
 	path := segmentPath(dir)
 
 	// Damage one block's payload so the first read discovers the corruption.
-	probe, err := archive.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zones := probe.Blocks()
-	probe.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, zones := segmentBlocks(t, dir)
 	z := zones[1]
 	faultinject.FlipBytes(data, 5, 3, int(z.Offset)+4, int(z.Offset)+4+int(z.CompressedLen))
 	if err := os.WriteFile(path, data, 0o644); err != nil {

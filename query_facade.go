@@ -20,7 +20,7 @@ import (
 //	        Count().
 //	        TopK(synscan.FieldPort, 10).
 //	        Build()
-//	res, err := synscan.RunQuery(ctx, q, synscan.CatalogSource(view))
+//	res, err := synscan.RunQuery(ctx, q, view) // a *CatalogView is a QuerySource
 type (
 	// Query is a validated, canonicalized query (build with NewQuery or
 	// ParseQuery). Its Key method yields a canonical cache key: two
@@ -39,7 +39,8 @@ type (
 	// QueryField names a queryable campaign attribute.
 	QueryField = query.Field
 	// QuerySource is anything the engine can execute against under
-	// predicate pushdown.
+	// predicate pushdown. A *CatalogView is one: the query's filter prunes
+	// its segments' blocks via zone maps before decompression.
 	QuerySource = query.Source
 )
 
@@ -88,10 +89,6 @@ func IsQueryClientError(err error) bool { return query.IsClientError(err) }
 func RunQuery(ctx context.Context, q *Query, srcs ...QuerySource) (*QueryResult, error) {
 	return query.Run(ctx, q, srcs...)
 }
-
-// CatalogSource adapts a segment-store view for RunQuery; the query's filter
-// prunes blocks via zone maps before decompression.
-func CatalogSource(v *CatalogView) QuerySource { return query.ViewSource{V: v} }
 
 // YearSource adapts one simulated year's in-memory campaigns for RunQuery.
 func YearSource(yd *YearData) QuerySource {

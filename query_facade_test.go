@@ -54,7 +54,7 @@ func TestFacadeQueryBuilder(t *testing.T) {
 	v := cat.View()
 	defer v.Release()
 
-	arc, err := RunQuery(context.Background(), q, CatalogSource(v))
+	arc, err := RunQuery(context.Background(), q, v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,7 +288,7 @@ type (
 	Catalog = archive.Catalog
 	// CatalogConfig parameterizes OpenCatalog.
 	CatalogConfig = archive.CatalogConfig
-	// CatalogView is one query's frozen segment set.
+	// CatalogView is one query's frozen segment set; it is a QuerySource.
 	CatalogView = archive.CatalogView
 	// Compactor merges runs of small sealed segments inside a live store.
 	Compactor = archive.Compactor
@@ -302,8 +302,8 @@ type (
 	ArchiveReader = archive.Reader
 )
 
-// AllScans is the ArchiveReader.Query predicate that matches every scan; a
-// selective read passes a Query's Predicate() instead.
+// AllScans is the Query predicate (CatalogView, ArchiveReader) that matches
+// every scan; a selective read passes a Query's Predicate() instead.
 var AllScans = archive.All
 
 // OpenSegmentDir opens (creating if needed) a segment store for appending,
@@ -312,7 +312,8 @@ func OpenSegmentDir(dir string, cfg SegmentConfig) (*SegmentWriter, error) {
 	return archive.OpenSegmentDir(dir, cfg)
 }
 
-// OpenCatalog opens a segment store for querying.
+// OpenCatalog opens a segment store directory for querying (see
+// CatalogConfig.SkipCorrupt: the zero config fails reads of damaged stores).
 func OpenCatalog(dir string, cfg CatalogConfig) (*Catalog, error) {
 	return archive.OpenCatalog(dir, cfg)
 }
