@@ -291,8 +291,13 @@ func TestCLIEndToEnd(t *testing.T) {
 	if files, _ := os.ReadDir(partCSV); len(files) != 1 || files[0].Name() != "figure8.csv" {
 		t.Fatalf("-only fig8,... -csv wrote %v, want figure8.csv alone", files)
 	}
-	if md, _ := os.ReadFile(partMD); !strings.Contains(string(md), "Figure 8") || strings.Contains(string(md), "Table 1") {
+	if md, _ := os.ReadFile(partMD); !strings.Contains(string(md), "Figure 8") || strings.Contains(string(md), "Table 1") ||
+		!strings.Contains(string(md), "\n## §4.2 — origins normalized") || !strings.Contains(string(md), "\n## §7 — vantage-point comparison") {
 		t.Fatalf("-only fig8,... -markdown:\n%s", md)
+	}
+	if !strings.Contains(string(out), "wrote "+filepath.Join(partCSV, "figure8.csv")) ||
+		!strings.Contains(string(out), "no CSV series for sec42,vantage") {
+		t.Fatalf("-only fig8,... -csv: the log does not name what was written:\n%s", out)
 	}
 	out, err = exec.Command(syneval,
 		"-seed", "4", "-scale", "0.0001", "-telescope", "2048", "-only", "sec42,vantage").CombinedOutput()

@@ -2,15 +2,17 @@
 // evaluation from the calibrated simulation: Table 1 and 2, Figures 1–10,
 // and the §4–§7 scalar findings. It picks the input (simulate, or -archive),
 // evaluates the selected rows of internal/analysis's experiment table, and
-// renders that one Evaluation as the text report recorded in EXPERIMENTS.md
-// or as JSON, CSV or Markdown.
+// renders that one Evaluation as the text report recorded in EXPERIMENTS.md,
+// as the same sections in Markdown, as JSON, or as CSV series (one file per
+// series family; the log names each file and the experiments that have none).
 //
 // Usage:
 //
-//	syneval                       # full evaluation at the default scale
-//	syneval -scale 0.0005         # fast smoke evaluation
-//	syneval -only table1,fig2     # selected experiments
-//	syneval -only fig8 -json f    # the same selection, machine-readable
+//	syneval                         # full evaluation at the default scale
+//	syneval -scale 0.0005           # fast smoke evaluation
+//	syneval -only table1,fig2       # selected experiments
+//	syneval -only fig8 -json f      # the same selection, machine-readable
+//	syneval -only fig8 -markdown f  # the same sections as the text, in Markdown
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"github.com/synscan/synscan/internal/analysis"
@@ -39,7 +42,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment list ("+strings.Join(analysis.Keys(false), ",")+"); empty = all the input can serve")
 	jsonOut := flag.String("json", "", "write the evaluation as JSON to this path (instead of the text report)")
 	csvDir := flag.String("csv", "", "write the evaluation's series as CSV files into this directory (instead of the text report)")
-	mdOut := flag.String("markdown", "", "write the evaluation as a Markdown document to this path (instead of the text report)")
+	mdOut := flag.String("markdown", "", "write the text report's sections as a Markdown document to this path (instead of the text report)")
 	// One registry spans the whole decade: per-year pipelines aggregate into
 	// it (each YearData additionally keeps its own snapshot). Nil when no
 	// metrics sink was requested, which disables all instrumentation.
@@ -124,7 +127,18 @@ func main() {
 		if err := ev.WriteCSVDir(*csvDir); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("wrote CSV series into %s", *csvDir)
+		files := analysis.CSVFiles(ev)
+		var none []string
+		for _, e := range analysis.Experiments {
+			if name, ok := files[e.Key]; ok {
+				log.Printf("wrote %s", filepath.Join(*csvDir, name))
+			} else if e.Evaluated(ev) {
+				none = append(none, e.Key)
+			}
+		}
+		if len(none) > 0 {
+			log.Printf("no CSV series for %s", strings.Join(none, ","))
+		}
 	}
 	if *mdOut != "" {
 		toFile(*mdOut, func(w io.Writer) error { report.Markdown(w, ev); return nil })

@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/core"
@@ -35,15 +36,11 @@ func ArchiveYear(w *archive.SegmentWriter, c *Campaigns) error {
 // same workload. The per-probe tallies of a YearData need the raw probe
 // stream: analyses that read them must re-simulate or replay a capture.
 func CollectArchive(v *archive.CatalogView, year int) (*Campaigns, error) {
-	c, err := archivedYear(v, year)
+	camps, err := collectArchive(v, []int{year})
 	if err != nil {
 		return nil, err
 	}
-	inYear := (&query.Query{Where: query.YearIn(year)}).Predicate()
-	if err := v.Query(context.Background(), inYear, c.keep); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return camps[0], nil
 }
 
 // CollectArchiveYears loads every year of the workload's 2015–2024
@@ -52,46 +49,37 @@ func CollectArchive(v *archive.CatalogView, year int) (*Campaigns, error) {
 // other periods; those are queryable through the view but have no window
 // profile).
 func CollectArchiveYears(v *archive.CatalogView) ([]*Campaigns, error) {
-	years := workload.Years()
+	camps, err := collectArchive(v, workload.Years())
+	if err != nil {
+		return nil, err
+	}
+	return slices.DeleteFunc(camps, func(c *Campaigns) bool { return len(c.Scans) == 0 }), nil
+}
+
+// collectArchive reads the given calibration years' campaigns from v in one
+// pass: one Campaigns per year, in the order given, empty where v holds none.
+func collectArchive(v *archive.CatalogView, years []int) ([]*Campaigns, error) {
+	out := make([]*Campaigns, len(years))
 	byYear := make(map[int]*Campaigns, len(years))
-	for _, y := range years {
-		c, err := archivedYear(v, y)
+	for i, y := range years {
+		prof, err := workload.ProfileFor(y)
 		if err != nil {
 			return nil, err
 		}
-		byYear[y] = c
+		out[i] = &Campaigns{Year: y, Days: prof.Days, Start: workload.WindowStart(y)}
+		if v.Len() > 0 {
+			out[i].TelescopeSize = v.Reader(0).TelescopeSize()
+		}
+		byYear[y] = out[i]
 	}
-	calibrated := (&query.Query{Where: query.YearIn(years...)}).Predicate()
-	err := v.Query(context.Background(), calibrated, func(sc *core.Scan, o *enrich.Origin) {
+	inYears := (&query.Query{Where: query.YearIn(years...)}).Predicate()
+	err := v.Query(context.Background(), inYears, func(sc *core.Scan, o *enrich.Origin) {
 		byYear[archive.YearOf(sc.Start)].keep(sc, o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []*Campaigns
-	for _, y := range years {
-		if c := byYear[y]; len(c.Scans) > 0 {
-			out = append(out, c)
-		}
-	}
 	return out, nil
-}
-
-// archivedYear is year's Campaigns before any scan is read from v.
-func archivedYear(v *archive.CatalogView, year int) (*Campaigns, error) {
-	prof, err := workload.ProfileFor(year)
-	if err != nil {
-		return nil, err
-	}
-	c := &Campaigns{
-		Year:  year,
-		Days:  prof.Days,
-		Start: workload.WindowStart(year),
-	}
-	if v.Len() > 0 {
-		c.TelescopeSize = v.Reader(0).TelescopeSize()
-	}
-	return c, nil
 }
 
 // keep appends a scan lent by a store query, with its origin (zero for a

@@ -68,6 +68,52 @@ func TestGoldenReportText(t *testing.T) {
 	}
 }
 
+// TestMarkdownMatchesText: the Markdown report is the text report's sections
+// in Markdown syntax — one "## " heading per section title the text prints
+// (Figure 4 once per pinned year), a section for every experiment key, and
+// every aligned table's header again as a pipe row.
+func TestMarkdownMatchesText(t *testing.T) {
+	t.Parallel()
+	_, ev := goldenEvaluation(t)
+	var text, md strings.Builder
+	report.Text(&text, ev)
+	report.Markdown(&md, ev)
+	lines := strings.Split(text.String(), "\n")
+	headings := strings.Count(md.String(), "\n## ")
+
+	var titles []string
+	for i := 1; i < len(lines); i++ {
+		prev, line := lines[i-1], lines[i]
+		switch {
+		case line != "" && strings.Trim(line, "=") == "" && len(line) == len(prev):
+			titles = append(titles, prev)
+			if strings.Count(md.String(), "\n## "+prev+"\n") != 1 {
+				t.Errorf("section %q: want one Markdown heading", prev)
+			}
+		case line != "" && strings.Trim(line, "- ") == "":
+			// An aligned table's rule: its dash runs mark the header's columns.
+			var cells []string
+			for start := 0; start < len(line); {
+				end := start + strings.Index(line[start:]+" ", " ")
+				cells = append(cells, strings.TrimSpace(prev[start:min(end, len(prev))]))
+				start = end + 2
+			}
+			if row := "\n| " + strings.Join(cells, " | ") + " |\n"; !strings.Contains(md.String(), row) {
+				t.Errorf("table header %q: no pipe row %q in the Markdown", prev, row)
+			}
+		}
+	}
+	if headings != len(titles) {
+		t.Errorf("Markdown has %d headings, the text %d section titles", headings, len(titles))
+	}
+	for _, e := range analysis.Experiments {
+		title, _, _ := strings.Cut(e.Title, "%d")
+		if !strings.Contains(md.String(), "\n## "+title) {
+			t.Errorf("%s: no Markdown section", e.Key)
+		}
+	}
+}
+
 // TestExperimentTable: selecting one key computes exactly that row — the
 // fields it declares, equal to the full evaluation's, and nothing else — the
 // table's rows between them fill every field of Evaluation, and each row has a

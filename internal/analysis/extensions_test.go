@@ -394,6 +394,17 @@ func TestEvaluationCSVExport(t *testing.T) {
 			t.Fatalf("%s has only %d lines", name, lines)
 		}
 	}
+	// CSVFiles names exactly the files written: the ten series families.
+	entries, _ := os.ReadDir(dir)
+	named := CSVFiles(ev)
+	if len(entries) != len(named) || len(named) != 10 {
+		t.Fatalf("wrote %d files, CSVFiles names %d, want 10", len(entries), len(named))
+	}
+	for _, name := range named {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("CSVFiles names %s: %v", name, err)
+		}
+	}
 	// table1.csv carries the decade: header + 10 rows.
 	b, _ := os.ReadFile(filepath.Join(dir, "table1.csv"))
 	if got := strings.Count(string(b), "\n"); got != 11 {

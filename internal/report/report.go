@@ -1,6 +1,7 @@
 // Package report renders analysis results: the aligned text tables and CDF
-// dumps the commands print, and an Evaluation as the text report (Text) or a
-// Markdown document (Markdown).
+// dumps the commands print, and an Evaluation as the text report (Text) or
+// as the same sections in Markdown syntax (Markdown). One set of section
+// bodies, one per row of analysis.Experiments, serves both.
 package report
 
 import (
@@ -33,51 +34,37 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// WriteTo renders the table.
+// WriteTo renders the table: columns padded to their widest cell, two
+// spaces apart, and a dashed rule under the header.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
+	for _, row := range append([][]string{t.header}, t.rows...) {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
-	var n int64
-	line := func(cells []string) error {
-		var b strings.Builder
+	var b strings.Builder
+	line := func(cells []string) {
+		var l strings.Builder
 		for i, c := range cells {
 			if i > 0 {
-				b.WriteString("  ")
+				l.WriteString("  ")
 			}
-			b.WriteString(c)
-			for p := len(c); p < widths[i]; p++ {
-				b.WriteByte(' ')
-			}
+			l.WriteString(c + strings.Repeat(" ", widths[i]-len(c)))
 		}
-		m, err := fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-		n += int64(m)
-		return err
+		b.WriteString(strings.TrimRight(l.String(), " ") + "\n")
 	}
-	if err := line(t.header); err != nil {
-		return n, err
+	line(t.header)
+	rule := make([]string, len(widths))
+	for i, n := range widths {
+		rule[i] = strings.Repeat("-", n)
 	}
-	sep := make([]string, len(t.header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	if err := line(sep); err != nil {
-		return n, err
-	}
+	line(rule)
 	for _, row := range t.rows {
-		if err := line(row); err != nil {
-			return n, err
-		}
+		line(row)
 	}
-	return n, nil
+	n, err := io.WriteString(w, b.String())
+	return int64(n), err
 }
 
 // String renders the table to a string.
@@ -150,30 +137,20 @@ func PortMap(density []float64) string {
 
 // Histogram renders counts per label, sorted descending.
 func Histogram(w io.Writer, name string, m map[string]uint64) {
-	type kv struct {
-		k string
-		v uint64
-	}
-	var all []kv
-	var max uint64
+	labels := make([]string, 0, len(m))
+	var top uint64
 	for k, v := range m {
-		all = append(all, kv{k, v})
-		if v > max {
-			max = v
-		}
+		labels = append(labels, k)
+		top = max(top, v)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].v != all[j].v {
-			return all[i].v > all[j].v
+	sort.Slice(labels, func(i, j int) bool {
+		if vi, vj := m[labels[i]], m[labels[j]]; vi != vj {
+			return vi > vj
 		}
-		return all[i].k < all[j].k
+		return labels[i] < labels[j]
 	})
 	fmt.Fprintf(w, "%s:\n", name)
-	for _, e := range all {
-		bar := ""
-		if max > 0 {
-			bar = strings.Repeat("#", int(e.v*40/max))
-		}
-		fmt.Fprintf(w, "  %-20s %10d %s\n", e.k, e.v, bar)
+	for _, k := range labels {
+		fmt.Fprintf(w, "  %-20s %10d %s\n", k, m[k], strings.Repeat("#", int(m[k]*40/max(top, 1))))
 	}
 }

@@ -203,3 +203,62 @@ func TestMarkdown(t *testing.T) {
 		}
 	}
 }
+
+// TestSpeedPortsYearOrder: the §6.3 section lists its speed-vs-ports lines in
+// ascending year, the same bytes on every call.
+func TestSpeedPortsYearOrder(t *testing.T) {
+	ev := &analysis.Evaluation{
+		Sec63: []*analysis.Sec63Result{{Year: 2020}},
+		SpeedPorts: map[int]stats.PearsonResult{
+			2022: {R: 0.3}, 2018: {R: 0.1}, 2020: {R: 0.2}, 2024: {R: 0.4},
+		},
+	}
+	var first strings.Builder
+	Text(&first, ev)
+	out := first.String()
+	at := []int{strings.Index(out, "(2018)"), strings.Index(out, "(2020)"),
+		strings.Index(out, "(2022)"), strings.Index(out, "(2024)")}
+	for i := 1; i < len(at); i++ {
+		if at[i-1] < 0 || at[i] < at[i-1] {
+			t.Fatalf("speed vs ports lines not in year order:\n%s", out)
+		}
+	}
+	for range 20 {
+		var again strings.Builder
+		Text(&again, ev)
+		if again.String() != out {
+			t.Fatalf("§6.3 renders differently across calls:\n%s\n---\n%s", out, again.String())
+		}
+	}
+}
+
+// TestMarkdownSections: Markdown renders every evaluated section, free lines
+// in a closed fence and tables as pipe tables.
+func TestMarkdownSections(t *testing.T) {
+	ev := &analysis.Evaluation{
+		Sec42:   []analysis.NormalizedOrigin{{Country: "NL", RawShare: 0.02, AddressShare: 0.025, Intensity: 0.8}},
+		Figure5: []analysis.Figure5Port{{Port: 443, Scans: 10}},
+		Vantage: &analysis.VantageResult{PacketRatio: 0.998},
+		Sec64:   &analysis.Sec64Result{Coverages: []float64{0.004, 0.006, 1}},
+	}
+	var b strings.Builder
+	Markdown(&b, ev)
+	out := b.String()
+	for _, want := range []string{
+		"\n## §4.2 ", "\n## Figure 5 ", "\n## §7 — vantage-point comparison", "\n## §6.4 ",
+		"\n| country | packet share | address share | intensity |\n| --- | --- | --- | --- |\n| NL |",
+		"\n```\npacket ratio 0.998", "zmap coverage (n=3):\n", "p99",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("markdown missing %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "```\n"); n%2 != 0 || !strings.HasSuffix(out, "```\n") {
+		t.Errorf("unbalanced fences (%d):\n%s", n, out)
+	}
+	b.Reset()
+	Markdown(&b, &analysis.Evaluation{Figure8: []analysis.Figure8Row{{Org: "a|b"}}})
+	if !strings.Contains(b.String(), `| a\|b |`) {
+		t.Errorf("a pipe in a cell is not escaped:\n%s", b.String())
+	}
+}
