@@ -138,24 +138,29 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("syneval -only bogus: err %v, output:\n%s", err, out)
 	}
 
-	// synalyze -archive → syneval -archive on this single-year capture: the
+	// syningest → syneval -archive on this single-year capture: the
 	// experiments that read any year's campaigns run, the ones pinned to other
 	// years are skipped with a line on stderr, and one of those asked for by
 	// name is an error.
+	syningest := buildTool(t, dir, "syningest")
 	arcDir := filepath.Join(dir, "capture-store")
-	if out, err := exec.Command(synalyze, "-telescope", "2048", "-archive", arcDir, pcapPath).CombinedOutput(); err != nil {
-		t.Fatalf("synalyze -archive: %v\n%s", err, out)
+	if out, err := exec.Command(syningest, "-dir", arcDir, "-telescope", "2048", "-seal-every", "0", pcapPath).CombinedOutput(); err != nil {
+		t.Fatalf("syningest: %v\n%s", err, out)
 	}
-	// A second replay into the same store would count every campaign twice.
-	if out, err := exec.Command(synalyze, "-telescope", "2048", "-archive", arcDir, pcapPath).CombinedOutput(); err == nil || !strings.Contains(string(out), arcDir) {
-		t.Fatalf("synalyze -archive into a non-empty store: err %v, output:\n%s", err, out)
+	// A second run into the same store would count every campaign twice, so
+	// it is refused, in batch and -follow alike.
+	for _, mode := range [][]string{nil, {"-follow"}} {
+		args := append(append([]string{"-dir", arcDir, "-telescope", "2048"}, mode...), pcapPath)
+		if out, err := exec.Command(syningest, args...).CombinedOutput(); err == nil || !strings.Contains(string(out), arcDir) {
+			t.Fatalf("syningest %v into a non-empty store: err %v, output:\n%s", mode, err, out)
+		}
 	}
 	// -archive reads a store directory: a file (a segment, or a .syna from
 	// an older run), a missing path and a store without calibrated years
 	// are errors that name the argument.
 	segs, _ := filepath.Glob(filepath.Join(arcDir, "*.syna"))
 	if len(segs) == 0 {
-		t.Fatal("synalyze -archive sealed no segment")
+		t.Fatal("syningest sealed no segment")
 	}
 	for _, bad := range append(segs, filepath.Join(dir, "no-such-store"), t.TempDir()) {
 		if out, err := exec.Command(syneval, "-archive", bad).CombinedOutput(); err == nil || !strings.Contains(string(out), bad) {
@@ -215,7 +220,6 @@ func TestCLIEndToEnd(t *testing.T) {
 	// syningest reads what synalyze reads: the pcap and the spool of this one
 	// capture build stores that serve the same scans. (-telescope is given to
 	// both; only the spool could have done without.)
-	syningest := buildTool(t, dir, "syningest")
 	synserve := buildTool(t, dir, "synserve")
 	var bodies [][]byte
 	for _, capture := range []string{pcapPath, spoolPath} {
@@ -306,18 +310,20 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCLISynalyzeWorkers pins what -workers promises where it is offered:
-// replaying one capture at 1, 2 and 4 detector shards prints byte-identical
-// reports and archives the same campaigns (the store's order is close order
-// at one shard and (End, Start, Src) above, so the scans are compared sorted,
-// and the segments written at 2 and 4 shards byte for byte).
-func TestCLISynalyzeWorkers(t *testing.T) {
+// TestCLIWorkers pins what -workers promises on the two commands that offer
+// it: replaying one capture at 1, 2 and 4 detector shards prints
+// byte-identical synalyze reports and builds syningest stores of the same
+// campaigns (a store's order is close order at one shard and (End, Start,
+// Src) above, so the scans are compared sorted, and the segments written at
+// 2 and 4 shards byte for byte).
+func TestCLIWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping CLI build")
 	}
 	dir := t.TempDir()
 	syntelescope := buildTool(t, dir, "syntelescope")
 	synalyze := buildTool(t, dir, "synalyze")
+	syningest := buildTool(t, dir, "syningest")
 
 	pcapPath := filepath.Join(dir, "capture.pcap")
 	if out, err := exec.Command(syntelescope,
@@ -328,15 +334,19 @@ func TestCLISynalyzeWorkers(t *testing.T) {
 	var reports, segments [][]byte
 	var scans [][]string
 	for _, w := range []string{"1", "2", "4"} {
-		arcDir := filepath.Join(dir, "workers"+w)
-		cmd := exec.Command(synalyze, "-telescope", "2048", "-workers", w, "-archive", arcDir, pcapPath)
+		cmd := exec.Command(synalyze, "-telescope", "2048", "-workers", w, pcapPath)
 		var stderr strings.Builder
 		cmd.Stderr = &stderr
 		report, err := cmd.Output()
 		if err != nil {
 			t.Fatalf("synalyze -workers %s: %v\n%s", w, err, stderr.String())
 		}
-		cat, err := OpenCatalog(arcDir, CatalogConfig{})
+		store := filepath.Join(dir, "workers"+w)
+		if out, err := exec.Command(syningest, "-dir", store, "-telescope", "2048",
+			"-workers", w, "-seal-every", "0", pcapPath).CombinedOutput(); err != nil {
+			t.Fatalf("syningest -workers %s: %v\n%s", w, err, out)
+		}
+		cat, err := OpenCatalog(store, CatalogConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,12 +358,12 @@ func TestCLISynalyzeWorkers(t *testing.T) {
 		v.Release()
 		cat.Close()
 		if err != nil {
-			t.Fatalf("-workers %s archive: %v", w, err)
+			t.Fatalf("-workers %s store: %v", w, err)
 		}
 		slices.Sort(keys)
 		reports, scans = append(reports, report), append(scans, keys)
 		var seg []byte
-		names, _ := filepath.Glob(filepath.Join(arcDir, "*.syna"))
+		names, _ := filepath.Glob(filepath.Join(store, "*.syna"))
 		for _, name := range names {
 			b, err := os.ReadFile(name)
 			if err != nil {
@@ -367,14 +377,14 @@ func TestCLISynalyzeWorkers(t *testing.T) {
 		t.Errorf("-workers 2 and 4 wrote different segments (%d and %d bytes)", len(segments[1]), len(segments[2]))
 	}
 	if len(scans[0]) == 0 || !bytes.Contains(reports[0], []byte("qualified campaigns")) {
-		t.Fatalf("-workers 1 archived %d scans; report:\n%s", len(scans[0]), reports[0])
+		t.Fatalf("-workers 1 stored %d scans; report:\n%s", len(scans[0]), reports[0])
 	}
 	for i, w := range []string{"2", "4"} {
 		if !bytes.Equal(reports[i+1], reports[0]) {
 			t.Errorf("-workers %s report differs from -workers 1:\n%s\nvs\n%s", w, reports[i+1], reports[0])
 		}
 		if !slices.Equal(scans[i+1], scans[0]) {
-			t.Errorf("-workers %s archived %d scans, -workers 1 %d, or their values differ",
+			t.Errorf("-workers %s stored %d scans, -workers 1 %d, or their values differ",
 				w, len(scans[i+1]), len(scans[0]))
 		}
 	}

@@ -12,7 +12,9 @@
 //
 // For pcap and pcapng input the -telescope flag must match the capture's
 // monitored-address count: rate and coverage extrapolation depend on it.
-// Spools carry it in their header.
+// Spools carry it in their header. -workers shards detection; the report is
+// the same at every worker count. To keep the campaigns, ingest the capture
+// into a segment store with syningest.
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"log"
 	"os"
 
-	"github.com/synscan/synscan/internal/archive"
 	"github.com/synscan/synscan/internal/capture"
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/obs"
@@ -39,7 +40,6 @@ func main() {
 	topN := flag.Int("top", 10, "ranking depth for the port tables")
 	workers := flag.Int("workers", 1, "campaign-detector shards; >1 runs detection on that many goroutines")
 	reactiveMode := flag.Bool("reactive", false, "admit phase-two TCP segments (handshake ACKs, payload pushes) from a reactive capture instead of dropping all non-SYNs")
-	archiveOut := flag.String("archive", "", "persist every detected campaign to this segment store directory as it closes (queryable with syneval -archive / synserve)")
 	reg, finish, err := obs.ParseFlags(obs.OnRequest)
 	if err != nil {
 		log.Fatal(err)
@@ -62,29 +62,19 @@ func main() {
 	}
 	telSize := capture.TelescopeSize(rd, flag.CommandLine, "telescope")
 
-	// Write-on-detect: every closed flow is spooled into the store from the
-	// same goroutine that collects it (sequentially during ingest, sharded at
-	// FlushAll), so no extra synchronization is needed. The replay path has
-	// no enrichment registry, so the store is origin-less.
-	var aw *archive.SegmentWriter
-	if *archiveOut != "" {
-		aw, err = archive.OpenSegmentDir(*archiveOut, archive.SegmentConfig{
-			TelescopeSize: telSize, Metrics: reg,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if n := len(aw.SealedSegments()); n > 0 { // a second replay would count twice
-			log.Fatalf("-archive %s already holds %d segments; name a new directory", *archiveOut, n)
-		}
-	}
-	var scans []*core.Scan
+	// The report's tallies fold in each flow as it closes; no scan is kept.
+	var flows, qualified, twoPhase int
+	toolHist := map[string]uint64{}
+	var speeds []float64
 	det := capture.NewDetector(telSize, *minDsts, *workers, reg, func(s *core.Scan) {
-		scans = append(scans, s)
-		if aw != nil {
-			if err := aw.Add(s); err != nil {
-				log.Fatal(err)
-			}
+		flows++
+		if s.TwoPhase {
+			twoPhase++
+		}
+		if s.Qualified {
+			qualified++
+			toolHist[s.Tool.String()]++
+			speeds = append(speeds, s.RatePPS)
 		}
 	})
 
@@ -96,38 +86,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// With -workers > 1 scans surface here, at FlushAll.
 	flushSpan := obs.StartSpan(reg.Histogram("replay.flush_ns"))
 	det.FlushAll()
 	flushSpan.End()
-
-	if aw != nil {
-		if err := aw.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("archived %d campaigns to %s", len(scans), *archiveOut)
-	}
-
-	qualified, twoPhase := 0, 0
-	toolHist := map[string]uint64{}
-	var speeds []float64
-	for _, s := range scans {
-		if s.TwoPhase {
-			twoPhase++
-		}
-		if !s.Qualified {
-			continue
-		}
-		qualified++
-		toolHist[s.Tool.String()]++
-		speeds = append(speeds, s.RatePPS)
-	}
 
 	fmt.Printf("records %d, parsed %d, SYN %d\n", st.Records, st.Records-st.Unparsed, st.Accepted-st.Phase2)
 	if *reactiveMode {
 		fmt.Printf("phase-2 segments %d, two-phase campaigns %d\n", st.Phase2, twoPhase)
 	}
-	fmt.Printf("flows closed %d, qualified campaigns %d\n\n", len(scans), qualified)
+	fmt.Printf("flows closed %d, qualified campaigns %d\n\n", flows, qualified)
 
 	report.Histogram(os.Stdout, "campaigns by tool", toolHist)
 	fmt.Println()

@@ -1,30 +1,35 @@
-// Command syningest runs live campaign detection over a telescope capture
-// and appends every closed flow to a segment store — the continuously-growing,
-// directory-backed archive that synserve can query while it is still being
-// written. Flag wiring around internal/capture and archive.SegmentWriter.
+// Command syningest turns a telescope capture into a segment store — the
+// continuously-growing, directory-backed archive that synserve and syneval
+// -archive read — appending every campaign as its flow closes. It is the one
+// path from a capture to a store. Flag wiring around internal/capture and
+// archive.SegmentWriter.
 //
-// Where synalyze is the batch path (replay a finished capture, write one
-// sealed archive, print the report), syningest is the daemon: it tails a
-// capture of any format as the telescope writes it, seals bounded segments as
-// campaigns close, and publishes each through the store manifest so a
-// concurrently running synserve discovers it within one -rescan interval, no
-// restart. An optional background compactor merges runs of small sealed
-// segments into larger ones, LSM-style, preserving the store's emit order
-// byte for byte.
+// Given a finished capture it ingests it and exits; with -follow it is the
+// daemon, tailing a capture of any format as the telescope writes it. Either
+// way it seals bounded segments as campaigns close and publishes each through
+// the store manifest, so a concurrently running synserve discovers it within
+// one -rescan interval, no restart. -workers shards detection: the campaigns
+// are the same at every worker count, in close order at one worker and in
+// (End, Start, Src) order above. An optional background compactor merges
+// runs of small sealed segments into larger ones, LSM-style, preserving the
+// store's emit order byte for byte.
 //
 // Usage:
 //
 //	syntelescope -year 2020 -format spool -out capture.spool
 //	syningest -dir store/ capture.spool                 # batch: ingest and exit
+//	syningest -dir store/ -workers 2 capture.spool      # detection on two goroutines
 //	syningest -dir store/ -follow live.spool            # daemon: tail the capture
 //	syningest -dir store/ -telescope 4096 capture.pcap  # a pcap header has no size
 //	syningest -dir store/ -compact-now                  # one-shot compaction
 //	synserve -addr localhost:8080 store/                # queries follow along
 //
 // The replay loop (-reactive included) and the detector set-up are synalyze's,
-// so the live path and a later batch replay of one capture detect identical
-// campaigns. SIGINT/SIGTERM seals the open segment before exiting; a crash
-// loses only the unsealed segment, whose records re-ingest from the capture.
+// so the store holds the campaigns synalyze reports. A capture run refuses a
+// store that already holds segments, batch or -follow alike: a second run of
+// one capture would count every campaign twice. SIGINT/SIGTERM seals the open
+// segment before exiting; a crash loses only the unsealed segment, whose
+// records re-ingest from the capture into a fresh directory.
 package main
 
 import (
@@ -51,6 +56,7 @@ func main() {
 	dir := flag.String("dir", "", "segment store directory (required; created if missing)")
 	flag.Int("telescope", 4096, "monitored address count (spool header wins unless overridden)")
 	minDsts := flag.Int("min-dsts", 0, "campaign threshold on distinct destinations (0 = paper default scaled)")
+	workers := flag.Int("workers", 1, "campaign-detector shards; >1 runs detection on that many goroutines")
 	reactiveMode := flag.Bool("reactive", false, "admit phase-two TCP segments (handshake ACKs, payload pushes) from a reactive capture instead of dropping all non-SYNs")
 	segBytes := flag.Int64("segment-bytes", 4<<20, "seal the open segment at this on-disk size")
 	segScans := flag.Int64("segment-scans", 0, "seal the open segment at this many campaigns (0 = default)")
@@ -108,6 +114,9 @@ func main() {
 		return
 	}
 
+	if *workers < 1 {
+		log.Fatalf("-workers must be at least 1, got %d", *workers)
+	}
 	if flag.NArg() != 1 {
 		log.Fatal("usage: syningest -dir store [flags] capture.{spool,pcap,pcapng}")
 	}
@@ -140,8 +149,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("store %s: %d segments at open, generation %d",
-		*dir, len(sw.SealedSegments()), sw.Generation())
+	if n := len(sw.SealedSegments()); n > 0 {
+		log.Fatalf("store %s already holds %d segments; name a new directory", *dir, n)
+	}
 
 	var wg sync.WaitGroup
 	if *sealEvery > 0 {
@@ -170,11 +180,8 @@ func main() {
 		}()
 	}
 
-	// Sequential detection: campaigns reach the store as their flows close.
-	// (The sharded detector would hold every one until FlushAll, so neither
-	// -seal-every nor -follow would publish anything before the end.)
 	var nScans uint64
-	det := capture.NewDetector(telSize, *minDsts, 1, reg, func(s *core.Scan) {
+	det := capture.NewDetector(telSize, *minDsts, *workers, reg, func(s *core.Scan) {
 		nScans++
 		if err := sw.Add(s); err != nil {
 			log.Fatal(err)

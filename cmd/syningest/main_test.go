@@ -42,14 +42,22 @@ func repoRoot(t *testing.T) string {
 	return filepath.Dir(filepath.Dir(wd)) // cmd/syningest -> repo root
 }
 
-// Every format tails the same way: there is one reader.
+// Every format tails the same way: there is one reader. Sharded detection
+// publishes as flows close too: -workers 2 must seal campaigns before the
+// SIGTERM, not only at the final flush.
 func TestFollowModeSIGTERMDrains(t *testing.T) {
-	for _, format := range []string{"spool", "pcap"} {
-		t.Run(format, func(t *testing.T) { followModeDrains(t, format) })
+	for _, tc := range []struct{ format, workers string }{
+		{"spool", "1"}, {"pcap", "1"}, {"spool", "2"},
+	} {
+		name := tc.format
+		if tc.workers != "1" {
+			name += "/workers=" + tc.workers
+		}
+		t.Run(name, func(t *testing.T) { followModeDrains(t, tc.format, tc.workers) })
 	}
 }
 
-func followModeDrains(t *testing.T, format string) {
+func followModeDrains(t *testing.T, format, workers string) {
 	if testing.Short() {
 		t.Skip("short mode: skipping CLI build")
 	}
@@ -69,7 +77,7 @@ func followModeDrains(t *testing.T, format string) {
 	}
 
 	store := filepath.Join(dir, "store")
-	cmd := exec.Command(syningest, "-dir", store, "-telescope", "2048",
+	cmd := exec.Command(syningest, "-dir", store, "-telescope", "2048", "-workers", workers,
 		"-follow", "-seal-every", "100ms", "-poll", "20ms", spool)
 	var stderr strings.Builder
 	cmd.Stderr = &stderr

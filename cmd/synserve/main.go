@@ -1,6 +1,6 @@
 // Command synserve serves campaign segment stores over HTTP: flag wiring
-// around internal/serve. It loads store directories written by syningest,
-// synalyze -archive or syneval -archive-out, and exposes their scans, in
+// around internal/serve. It loads store directories written by syningest or
+// syneval -archive-out, and exposes their scans, in
 // the order the directories are named, through two routes:
 //
 //	POST /v1/query   {"where": ..., "group_by": [...], "aggs": [...]}

@@ -9,6 +9,9 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
+
+	"github.com/synscan/synscan/internal/packet"
 )
 
 var (
@@ -66,9 +69,16 @@ func TestFacadeAnalyzerWorkers(t *testing.T) {
 
 // TestFacadeOnScanMatchesFinish: the streaming delivery model must see the
 // identical campaign multiset that the accumulating Finish path returns,
-// both sequentially and sharded.
+// both sequentially and sharded, and it streams: a tail of probes from one
+// more source, one every half hour for six hours, expires the stream's
+// flows, which must reach the callback before Finish.
 func TestFacadeOnScanMatchesFinish(t *testing.T) {
 	stream := makeAblationStream(40000, 2048)
+	last := stream[len(stream)-1].Time
+	for i := 1; i <= 12; i++ {
+		stream = append(stream, Probe{Time: last + int64(i)*int64(30*time.Minute),
+			Src: 1 << 30, Dst: uint32(i), DstPort: 443, Flags: packet.FlagSYN})
+	}
 	keys := func(scans []*Scan) []string {
 		out := make([]string, len(scans))
 		for i, s := range scans {
@@ -92,6 +102,9 @@ func TestFacadeOnScanMatchesFinish(t *testing.T) {
 		}))
 		for i := range stream {
 			a.Ingest(&stream[i])
+		}
+		if len(streamed) == 0 {
+			t.Fatalf("workers=%d: no scan reached WithOnScan before Finish", w)
 		}
 		if got := a.Finish(); got != nil {
 			t.Fatalf("workers=%d: Finish returned %d scans despite WithOnScan", w, len(got))

@@ -38,7 +38,7 @@ func decade(t testing.TB) []*YearData {
 
 // mergeOrdered is c with its campaigns, origins alongside, sorted into the
 // sharded detector's merge order (End, Start, Src): the order an archive
-// written by `synalyze -workers N -archive` holds and `syneval -archive`
+// written by `syningest -workers N` (N > 1) holds and `syneval -archive`
 // reads back, where collection gives close order.
 func mergeOrdered(c *Campaigns) *Campaigns {
 	idx := make([]int, len(c.Scans))

@@ -99,7 +99,7 @@ func TestArchiveEquivalence(t *testing.T) {
 }
 
 // TestArchiveKeepsMergeOrder: campaigns in the sharded detector's merge
-// order (End, Start, Src), as `synalyze -workers N -archive` writes them,
+// order (End, Start, Src), as `syningest -workers N` (N > 1) writes them,
 // come back from the store in that order, origins alongside.
 func TestArchiveKeepsMergeOrder(t *testing.T) {
 	t.Parallel()

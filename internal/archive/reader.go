@@ -60,7 +60,7 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 		return nil, ErrBadMagic
 	}
 	if hdr[4] != version {
-		return nil, fmt.Errorf("%w %d (this build reads version %d only; re-create with syneval -archive-out / synalyze -archive / syningest)",
+		return nil, fmt.Errorf("%w %d (this build reads version %d only; re-create with syneval -archive-out / syningest)",
 			ErrBadVersion, hdr[4], version)
 	}
 

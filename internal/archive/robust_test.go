@@ -32,7 +32,7 @@ func TestOldVersionsRefused(t *testing.T) {
 		if r != nil || !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("version %d: reader %v, err %v; want ErrBadVersion", old, r, err)
 		}
-		for _, want := range []string{fmt.Sprintf("version %d ", old), "re-create with syneval -archive-out / synalyze -archive / syningest"} {
+		for _, want := range []string{fmt.Sprintf("version %d ", old), "re-create with syneval -archive-out / syningest"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("version %d: error %q does not say %q", old, err, want)
 			}

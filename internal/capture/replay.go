@@ -99,13 +99,13 @@ func TelescopeSize(rd *Reader, fs *flag.FlagSet, name string) int {
 	return fs.Lookup(name).Value.(flag.Getter).Get().(int)
 }
 
-// NewDetector builds the campaign detector of a replay, so the batch and the
-// live path detect identical campaigns: thresholds scaled to the telescope
-// size (core.ScaledConfig), minDsts > 0 overriding the distinct-destination
-// threshold, and workers > 1 sharding detection per source address across
-// that many goroutines with results identical to the sequential detector
-// (synalyze -workers; sharded, emit runs only at FlushAll, so the live path
-// passes 1). emit receives every closed flow.
+// NewDetector builds the campaign detector of a replay, so the report
+// (synalyze) and the store (syningest) of one capture hold identical
+// campaigns: thresholds scaled to the telescope size (core.ScaledConfig),
+// minDsts > 0 overriding the distinct-destination threshold, and workers > 1
+// sharding detection per source address across that many goroutines with
+// results identical to the sequential detector. emit receives every closed
+// flow, on the goroutine that calls Ingest or FlushAll.
 func NewDetector(telescopeSize, minDsts, workers int, reg *obs.Registry, emit func(*core.Scan)) core.Ingester {
 	cfg := core.ScaledConfig(telescopeSize)
 	if minDsts > 0 {

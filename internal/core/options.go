@@ -13,8 +13,7 @@ type options struct {
 
 // WithWorkers shards campaign detection across n goroutines (n <= 1 keeps
 // the sequential detector). The detected campaign multiset is identical
-// either way; see ShardedDetector for its emit order and for why closed
-// flows surface only at FlushAll.
+// either way; see ShardedDetector for its emit order.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
@@ -22,7 +21,8 @@ func WithWorkers(n int) Option {
 // WithMetrics attaches an observability registry: the detector reports
 // flow lifecycle counters (detector.flows.*), reorder clamps
 // (detector.end_clamp), spilled port sets (detector.ports.spilled), and —
-// when sharded — queue depths, batch fill, watermark lag and merge duration.
+// when sharded — queue depths, batch fill, watermark lag, release duration
+// and the closed flows held for release.
 // A nil registry disables metrics at a cost of one branch per probe.
 func WithMetrics(reg *obs.Registry) Option {
 	return func(o *options) { o.metrics = reg }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -41,7 +41,8 @@ type shardedConfig struct {
 	// WatermarkInterval is the stream-time interval, in nanoseconds,
 	// between time-watermark broadcasts (default Expiry/4). Watermarks
 	// advance every shard's expiry clock even when the shard's own sources
-	// are idle, bounding how long expired flows stay resident.
+	// are idle, bounding how long expired flows stay resident, and set the
+	// bound before which closed flows are released.
 	WatermarkInterval int64
 	// StallHook, when non-nil, is called by each worker goroutine with its
 	// shard index before it processes a message. It exists so tests can
@@ -52,12 +53,19 @@ type shardedConfig struct {
 }
 
 // shard is one worker: a private sequential Detector fed by a bounded
-// channel of probe batches. Only the worker goroutine touches det and scans;
-// the atomic counters are the cross-goroutine observation window.
+// channel of probe batches. Only the worker goroutine touches det and
+// closing; held and watermark are the hand-off to the router, and the atomic
+// counters the cross-goroutine observation window.
 type shard struct {
-	ch    chan shardMsg
-	det   *Detector
-	scans []*Scan
+	ch      chan shardMsg
+	det     *Detector
+	closing []*Scan // closed during the current message, not yet held
+
+	mu   sync.Mutex
+	held scanHeap // closed flows awaiting release; guarded by mu
+	// watermark is the last watermark this shard has processed, stored
+	// only once every flow that message closed is in held.
+	watermark atomic.Int64
 
 	opened, closed, qualified atomic.Uint64
 	active                    atomic.Int64
@@ -82,19 +90,36 @@ type shardMsg struct {
 // when a shard falls behind, Ingest blocks (backpressure) instead of growing
 // queues without bound. A time watermark derived from the maximum probe time
 // is periodically broadcast to all shards so that idle shards keep expiring
-// flows. Closed flows are buffered per shard and merged into a single
-// deterministic emit stream when FlushAll is called.
+// flows.
+//
+// Closed flows wait in a per-shard heap until no shard can still close one
+// that sorts before them. A shard that has processed watermark W has
+// expired every flow that ended before W − Expiry, and any flow it closes
+// later ends at or after that, so the router releases every held flow that
+// ends before B = (minimum over shards of the last processed watermark) −
+// Expiry, merged across shards, on each watermark broadcast. FlushAll closes
+// the remaining flows into the same heaps and releases them all. emit runs
+// on the goroutine that calls Ingest, IngestBatch or FlushAll, under the
+// router lock, never concurrently with itself; it must not call back into
+// the detector.
 //
 // With Workers=1 the output — Scan values, emit order, and counters — is
-// identical to feeding the sequential Detector directly, because the single
-// shard processes the entire stream in order. With Workers>1 the emitted
-// multiset of Scans is identical for time-ordered streams, and the emit
-// order is canonical: ascending (End, Start, Src).
+// identical to feeding the sequential Detector directly: the single shard
+// processes the entire stream in order and its heap releases in close
+// order. With Workers>1 the emitted multiset is identical for time-ordered
+// streams, and releasing changes when a flow is emitted, never which flows
+// are, whatever the input. Whenever no probe arrives Expiry or more behind
+// the latest probe time, the emitted sequence is the canonical ascending
+// (End, Start, Src) order: each release is that order's next stretch.
 //
-// Closed flows surface only at FlushAll, so memory grows with every flow
-// closed so far, not only the open ones, and a caller that publishes as
-// flows close (a live ingest) sees nothing until the end: sharding is for
-// replaying one finite capture.
+// Held memory follows the stream's rate, not its length. Backpressure keeps a
+// shard at most QueueDepth+1 messages behind the router, so when watermark k
+// has been sent every shard has processed watermark k−QueueDepth−1 (or a
+// later one). The heaps therefore hold, between the releases at broadcasts k
+// and k+1, only flows that end in [W(k−QueueDepth−1), W(k+1)) − Expiry: at
+// most the flows that end within QueueDepth+2 consecutive watermark
+// intervals, until FlushAll closes every open flow at once. The
+// detector.shard.merge_buffered gauge reports the held count.
 //
 // Ingest is safe for concurrent producers (probes of one source must come
 // from one producer for their order to be defined). ActiveFlows and Counts
@@ -109,6 +134,7 @@ type ShardedDetector struct {
 
 	mu            sync.Mutex
 	pending       []*[]packet.Probe // per-shard partial batch (pool-owned)
+	runs          [][]*Scan         // per-shard stretch of the release being merged
 	maxTime       int64
 	lastWatermark int64
 	done          bool
@@ -121,13 +147,14 @@ type shardedMetrics struct {
 	batches      *obs.Counter
 	batchFill    *obs.Histogram // probes per dispatched batch
 	watermarkLag *obs.Histogram // stream-time ns a shard clock trailed a watermark
-	mergeNS      *obs.Histogram // wall time of the FlushAll merge
+	mergeNS      *obs.Histogram // wall time of one release: pop, merge, emit
+	buffered     *obs.Gauge     // closed flows held, not yet released
 }
 
 // newShardedDetector starts cfg.Workers shard goroutines and returns the
-// router. emit is called for every closed flow, from the goroutine that
-// calls FlushAll. Zero batching knobs get defaults; the embedded Config gets
-// Config.withDefaults, before any goroutine starts.
+// router. emit is called for every closed flow (see ShardedDetector for
+// when and on which goroutine). Zero batching knobs get defaults; the
+// embedded Config gets Config.withDefaults, before any goroutine starts.
 func newShardedDetector(cfg shardedConfig, emit func(*Scan), reg *obs.Registry) *ShardedDetector {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = defaultBatchSize
@@ -144,6 +171,7 @@ func newShardedDetector(cfg shardedConfig, emit func(*Scan), reg *obs.Registry) 
 		shards:  make([]*shard, cfg.Workers),
 		emit:    emit,
 		pending: make([]*[]packet.Probe, cfg.Workers),
+		runs:    make([][]*Scan, cfg.Workers),
 	}
 	if reg != nil {
 		sd.met = &shardedMetrics{
@@ -151,6 +179,7 @@ func newShardedDetector(cfg shardedConfig, emit func(*Scan), reg *obs.Registry) 
 			batchFill:    reg.Histogram("detector.shard.batch_fill"),
 			watermarkLag: reg.Histogram("detector.shard.watermark_lag_ns"),
 			mergeNS:      reg.Histogram("detector.shard.merge_ns"),
+			buffered:     reg.Gauge("detector.shard.merge_buffered"),
 		}
 	}
 	// All shards share one detMetrics: the counters are concurrency-safe
@@ -162,8 +191,8 @@ func newShardedDetector(cfg shardedConfig, emit func(*Scan), reg *obs.Registry) 
 		return &b
 	}
 	for i := range sd.shards {
-		sh := &shard{ch: make(chan shardMsg, cfg.QueueDepth)}
-		sh.det = newSequentialDetector(cfg.Config, func(s *Scan) { sh.scans = append(sh.scans, s) }, dm)
+		sh := &shard{ch: make(chan shardMsg, cfg.QueueDepth), held: scanHeap{byClose: cfg.Workers == 1}}
+		sh.det = newSequentialDetector(cfg.Config, func(s *Scan) { sh.closing = append(sh.closing, s) }, dm)
 		sd.shards[i] = sh
 		sd.wg.Add(1)
 		go sd.run(i, sh)
@@ -214,7 +243,29 @@ func (sd *ShardedDetector) run(idx int, sh *shard) {
 			*msg.batch = (*msg.batch)[:0]
 			sd.pool.Put(msg.batch)
 		}
+		sd.hold(sh, msg.watermark)
 		sh.publish()
+	}
+}
+
+// hold moves the flows the shard closed since the last call into its heap
+// and then, if the message carried one, publishes the watermark it has
+// processed: a router that reads the watermark finds those flows held.
+func (sd *ShardedDetector) hold(sh *shard, watermark int64) {
+	if len(sh.closing) > 0 {
+		sh.mu.Lock()
+		for _, s := range sh.closing {
+			sh.held.push(s)
+		}
+		sh.mu.Unlock()
+		if sd.met != nil {
+			sd.met.buffered.Add(int64(len(sh.closing)))
+		}
+		clear(sh.closing)
+		sh.closing = sh.closing[:0]
+	}
+	if watermark > 0 {
+		sh.watermark.Store(watermark)
 	}
 }
 
@@ -274,7 +325,8 @@ func (sd *ShardedDetector) IngestBatch(ps []packet.Probe) {
 }
 
 // ingestLocked appends one probe to its shard's pending batch and dispatches
-// full batches and watermark broadcasts. Caller holds sd.mu.
+// full batches and watermark broadcasts; after a broadcast it releases the
+// held flows that are final. Caller holds sd.mu.
 func (sd *ShardedDetector) ingestLocked(p *packet.Probe) {
 	i := sd.shardOf(p.Src)
 	pb := sd.pending[i]
@@ -312,6 +364,7 @@ func (sd *ShardedDetector) ingestLocked(p *packet.Probe) {
 			sd.observeBatch(batch)
 			sd.shards[j].ch <- shardMsg{batch: batch, watermark: wm}
 		}
+		sd.release(sd.releaseBound())
 		return
 	}
 	if full {
@@ -322,15 +375,70 @@ func (sd *ShardedDetector) ingestLocked(p *packet.Probe) {
 	}
 }
 
-// FlushAll drains the queues, flushes every shard's detector, merges the
-// per-shard results and emits them in deterministic order: the single
-// shard's native close order when Workers=1 (identical to the sequential
-// Detector), ascending (End, Start, Src) otherwise. FlushAll is terminal:
-// the workers exit and further Ingest calls panic.
+// releaseBound is the End before which every flow is final: one shard's
+// close order needs no bound, several shards' release up to B (see
+// ShardedDetector).
+func (sd *ShardedDetector) releaseBound() int64 {
+	if len(sd.shards) == 1 {
+		return math.MaxInt64
+	}
+	wm := int64(math.MaxInt64)
+	for _, sh := range sd.shards {
+		wm = min(wm, sh.watermark.Load())
+	}
+	return wm - sd.cfg.Expiry
+}
+
+// release pops every held flow that ends before bound and emits them in
+// order, merging the shards' stretches. Caller holds sd.mu; the shard locks
+// are not held while emit runs.
+func (sd *ShardedDetector) release(bound int64) {
+	n := 0
+	for i, sh := range sd.shards {
+		run := sd.runs[i][:0]
+		sh.mu.Lock()
+		for sh.held.len() > 0 && sh.held.top().End < bound {
+			run = append(run, sh.held.pop())
+		}
+		sh.mu.Unlock()
+		sd.runs[i] = run
+		n += len(run)
+	}
+	if n == 0 {
+		return
+	}
+	var span obs.Span
+	if sd.met != nil {
+		span = obs.StartSpan(sd.met.mergeNS)
+		sd.met.buffered.Add(-int64(n))
+	}
+	next := make([]int, len(sd.runs))
+	for ; n > 0; n-- {
+		best := -1
+		for i, run := range sd.runs {
+			if next[i] < len(run) && (best < 0 || scanBefore(run[next[i]], sd.runs[best][next[best]])) {
+				best = i
+			}
+		}
+		s := sd.runs[best][next[best]]
+		next[best]++
+		if sd.emit != nil {
+			sd.emit(s)
+		}
+	}
+	for _, run := range sd.runs {
+		clear(run)
+	}
+	span.End()
+}
+
+// FlushAll drains the queues, closes every shard's remaining flows into its
+// heap and releases them all, in the order of every earlier release. FlushAll
+// is terminal: the workers exit and further Ingest calls panic.
 func (sd *ShardedDetector) FlushAll() {
 	sd.mu.Lock()
+	defer sd.mu.Unlock()
 	if sd.done {
-		sd.mu.Unlock()
 		return
 	}
 	sd.done = true
@@ -340,40 +448,15 @@ func (sd *ShardedDetector) FlushAll() {
 			sd.observeBatch(batch)
 			sh.ch <- shardMsg{batch: batch}
 		}
-	}
-	sd.mu.Unlock()
-	for _, sh := range sd.shards {
 		close(sh.ch)
 	}
 	sd.wg.Wait()
-	var mergeSpan obs.Span
-	if sd.met != nil {
-		mergeSpan = obs.StartSpan(sd.met.mergeNS)
-	}
-	var scans []*Scan
 	for _, sh := range sd.shards {
 		sh.det.FlushAll()
+		sd.hold(sh, 0)
 		sh.publish()
-		scans = append(scans, sh.scans...)
 	}
-	if len(sd.shards) > 1 {
-		sort.Slice(scans, func(i, j int) bool {
-			a, b := scans[i], scans[j]
-			if a.End != b.End {
-				return a.End < b.End
-			}
-			if a.Start != b.Start {
-				return a.Start < b.Start
-			}
-			return a.Src < b.Src
-		})
-	}
-	if sd.emit != nil {
-		for _, s := range scans {
-			sd.emit(s)
-		}
-	}
-	mergeSpan.End()
+	sd.release(math.MaxInt64)
 }
 
 // ActiveFlows returns the open-flow count summed over shards. During ingest
@@ -395,4 +478,76 @@ func (sd *ShardedDetector) Counts() (opened, closed, qualified uint64) {
 		qualified += sh.qualified.Load()
 	}
 	return
+}
+
+// scanBefore is the canonical merge order: ascending (End, Start, Src).
+func scanBefore(a, b *Scan) bool {
+	if a.End != b.End {
+		return a.End < b.End
+	}
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	return a.Src < b.Src
+}
+
+// scanHeap is a shard's closed flows awaiting release: a binary min-heap in
+// scanBefore order, or in close order when byClose (one shard, whose native
+// order is the output's).
+type scanHeap struct {
+	items   []heldScan
+	byClose bool
+	seq     uint64
+}
+
+// heldScan is a held flow and its close index within the shard.
+type heldScan struct {
+	s   *Scan
+	seq uint64
+}
+
+func (h *scanHeap) len() int   { return len(h.items) }
+func (h *scanHeap) top() *Scan { return h.items[0].s }
+
+func (h *scanHeap) less(i, j int) bool {
+	if h.byClose {
+		return h.items[i].seq < h.items[j].seq
+	}
+	return scanBefore(h.items[i].s, h.items[j].s)
+}
+
+func (h *scanHeap) push(s *Scan) {
+	h.items = append(h.items, heldScan{s: s, seq: h.seq})
+	h.seq++
+	for i := len(h.items) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h.items[i], h.items[p] = h.items[p], h.items[i]
+		i = p
+	}
+}
+
+func (h *scanHeap) pop() *Scan {
+	n := len(h.items) - 1
+	s := h.items[0].s
+	h.items[0] = h.items[n]
+	h.items[n] = heldScan{}
+	h.items = h.items[:n]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && h.less(l, m) {
+			m = l
+		}
+		if r := 2*i + 2; r < n && h.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h.items[i], h.items[m] = h.items[m], h.items[i]
+		i = m
+	}
+	return s
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/packet"
 	"github.com/synscan/synscan/internal/rng"
 	"github.com/synscan/synscan/internal/tools"
@@ -79,9 +80,23 @@ func runSharded(t *testing.T, cfg shardedConfig, stream []packet.Probe) (*Sharde
 	return sd, scans
 }
 
+// sameScans fails unless got, as emitted, equals want scan for scan.
+func sameScans(t *testing.T, what string, want, got []*Scan) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d scans, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(*want[i], *got[i]) {
+			t.Fatalf("%s: scan %d differs:\n want: %+v\n got:  %+v", what, i, *want[i], *got[i])
+		}
+	}
+}
+
 // TestShardedDifferential: for every worker count the sharded detector must
-// emit the same multiset of Scans — same qualified set, ports, counts — as
-// the sequential detector on an identical stream, and its Counts (the roll-up
+// emit the sequential detector's Scans — same qualified set, ports, counts —
+// in its own order: the sequential close order at one worker, the canonical
+// sort of it above, as emitted and not re-sorted. Its Counts (the roll-up
 // over shards) must equal the sequential detector's.
 func TestShardedDifferential(t *testing.T) {
 	stream := makeMixedStream(20000, 600, 7)
@@ -99,16 +114,11 @@ func TestShardedDifferential(t *testing.T) {
 			WatermarkInterval: int64(10 * time.Minute),
 		}
 		sd, got := runSharded(t, scfg, stream)
-		if len(got) != len(seq) {
-			t.Fatalf("workers=%d: %d scans, sequential %d", workers, len(got), len(seq))
+		want := seqSorted
+		if workers == 1 {
+			want = seq
 		}
-		gotSorted := canonicalScans(got)
-		for i := range seqSorted {
-			if !reflect.DeepEqual(*seqSorted[i], *gotSorted[i]) {
-				t.Fatalf("workers=%d: scan %d differs:\n seq:     %+v\n sharded: %+v",
-					workers, i, *seqSorted[i], *gotSorted[i])
-			}
-		}
+		sameScans(t, fmt.Sprintf("workers=%d", workers), want, got)
 		opened, closed, qualified := sd.Counts()
 		if [3]uint64{opened, closed, qualified} != seqCounts {
 			t.Fatalf("workers=%d: counts (%d,%d,%d), sequential %v",
@@ -274,4 +284,83 @@ func TestShardedDefaults(t *testing.T) {
 		t.Fatalf("WatermarkInterval = %d", sd.cfg.WatermarkInterval)
 	}
 	sd.FlushAll()
+}
+
+// TestShardedReleasesBehindWatermark: over a replay twelve expiry windows
+// long, closed flows reach emit while ingest runs, not at FlushAll, and the
+// merge buffer stays under the bound the ShardedDetector comment states —
+// between the releases at broadcasts k and k+1, only the flows that end in
+// [W(k−QueueDepth−1), W(k+1)) − Expiry, W(k) being the k-th watermark.
+func TestShardedReleasesBehindWatermark(t *testing.T) {
+	const epochs, perEpoch, sources = 24, 2500, 100
+	cfg := Config{TelescopeSize: testTelescopeSize}
+	// A fresh set of sources every half hour of stream time (2500 probes
+	// 720 ms apart), each silent once its half hour ends: flows close all
+	// through the replay.
+	r := rng.New(3)
+	stream := make([]packet.Probe, epochs*perEpoch)
+	for i := range stream {
+		stream[i] = packet.Probe{
+			Time: int64(i+1) * int64(720*time.Millisecond),
+			Src:  uint32(1 + i/perEpoch*sources + r.Intn(sources)),
+			Dst:  r.Uint32(), DstPort: 80, Flags: packet.FlagSYN,
+		}
+	}
+	seq, _ := runSequential(t, cfg, stream)
+
+	reg := obs.NewRegistry()
+	var emitted []*Scan
+	sd := NewDetector(cfg, func(s *Scan) { emitted = append(emitted, s) },
+		WithWorkers(4), WithMetrics(reg)).(*ShardedDetector)
+	held := reg.Gauge("detector.shard.merge_buffered")
+	var peak int64
+	for off := 0; off < len(stream); off += 100 {
+		sd.IngestBatch(stream[off : off+100])
+		peak = max(peak, held.Value())
+	}
+	beforeFlush := len(emitted)
+	sd.FlushAll()
+	sameScans(t, "long replay", canonicalScans(seq), emitted)
+	if beforeFlush < len(seq)/2 {
+		t.Fatalf("%d of %d scans reached emit before FlushAll", beforeFlush, len(seq))
+	}
+
+	// The watermarks the router broadcasts, and the bound they imply.
+	var wms []int64
+	var maxTime, last int64
+	for i := range stream {
+		maxTime = max(maxTime, stream[i].Time)
+		if maxTime-last >= sd.cfg.WatermarkInterval {
+			last = maxTime
+			wms = append(wms, maxTime)
+		}
+	}
+	w := func(k int) int64 {
+		switch {
+		case k < 1:
+			return 0
+		case k > len(wms):
+			return maxTime
+		}
+		return wms[k-1]
+	}
+	bound := 0
+	for k := 0; k <= len(wms); k++ {
+		lo, hi := w(k-sd.cfg.QueueDepth-1)-cfg.Expiry, w(k+1)-cfg.Expiry
+		n := 0
+		for _, s := range seq {
+			if s.End >= lo && s.End < hi {
+				n++
+			}
+		}
+		bound = max(bound, n)
+	}
+	t.Logf("merge buffer peak %d flows, bound %d, %d flows in all, %d emitted before FlushAll",
+		peak, bound, len(seq), beforeFlush)
+	if peak > int64(bound) || bound > len(seq)/4 {
+		t.Fatalf("merge buffer peaked at %d flows; bound %d of %d flows", peak, bound, len(seq))
+	}
+	if got := held.Value(); got != 0 {
+		t.Fatalf("merge_buffered = %d after FlushAll", got)
+	}
 }

@@ -262,3 +262,24 @@ func TestMarkdownSections(t *testing.T) {
 		t.Errorf("a pipe in a cell is not escaped:\n%s", b.String())
 	}
 }
+
+// TestMarkdownPortMapEmptyEnds: a Figure 8 map whose first and last buckets
+// are empty keeps all 64 buckets in place in a Markdown cell, where a
+// renderer would trim blanks, and stays blank-padded in the text report.
+func TestMarkdownPortMapEmptyEnds(t *testing.T) {
+	row := analysis.Figure8Row{Org: "UCSD"}
+	for i := 3; i < len(row.Density)-3; i++ {
+		row.Density[i] = 1
+	}
+	ev := &analysis.Evaluation{Figure8: []analysis.Figure8Row{row}}
+	inner := strings.Repeat("@", len(row.Density)-6)
+	var md, text strings.Builder
+	Markdown(&md, ev)
+	Text(&text, ev)
+	if want := "| ···" + inner + "··· |"; !strings.Contains(md.String(), want) {
+		t.Errorf("markdown port map not padded visibly, want %q:\n%s", want, md.String())
+	}
+	if want := "   " + inner + "\n"; !strings.Contains(text.String(), want) {
+		t.Errorf("text port map changed, want %q:\n%s", want, text.String())
+	}
+}

@@ -228,8 +228,14 @@ var textSections = map[string]func(p *page, ev *analysis.Evaluation){
 			if r.FullRange {
 				full = "yes"
 			}
+			pm := PortMap(r.Density[:])
+			if p.md {
+				// A Markdown renderer trims a cell's surrounding blanks, which
+				// would shift a map whose end buckets are empty.
+				pm = strings.ReplaceAll(pm, " ", "·")
+			}
 			return []string{r.Org, r.Kind.String(), fmt.Sprint(r.PortsCovered), full,
-				Count(float64(r.Packets)), PortMap(r.Density[:])}
+				Count(float64(r.Packets)), pm}
 		}, "organization", "kind", "ports", "full range", "packets", "port map 0..65535")
 	},
 	"fig9": func(p *page, ev *analysis.Evaluation) {

@@ -44,7 +44,7 @@ type Config struct {
 }
 
 // Server answers queries over segment stores (directories written by
-// syningest, synalyze -archive or syneval -archive-out, polled for newly
+// syningest or syneval -archive-out, polled for newly
 // sealed segments). POST /v1/query is the one analytical endpoint: its body
 // parses into an internal/query request that runs through the streaming
 // engine under zone-map pushdown, behind the hardened execution path:

@@ -4,8 +4,8 @@ package synscan
 // segments to a store directory while a running synserve discovers them
 // through manifest rescans — no restart — and a one-shot compaction merges
 // them without changing a byte of any query result. The reference for
-// correctness is the batch path: synalyze over the same spool into one
-// sealed archive must yield a byte-identical scan-list body.
+// correctness is a batch ingest of the same spool into one sealed segment,
+// which must yield a byte-identical scan-list body.
 
 import (
 	"bufio"
@@ -135,7 +135,6 @@ func TestLiveIngestServe(t *testing.T) {
 	}
 	dir := t.TempDir()
 	syntelescope := buildTool(t, dir, "syntelescope")
-	synalyze := buildTool(t, dir, "synalyze")
 	syningest := buildTool(t, dir, "syningest")
 	synserve := buildTool(t, dir, "synserve")
 
@@ -147,16 +146,17 @@ func TestLiveIngestServe(t *testing.T) {
 		t.Fatalf("syntelescope: %v\n%s", err, out)
 	}
 
-	// Batch reference: one sealed archive from the same spool. The "flows
-	// closed N" line tells us how many scans to expect everywhere else.
+	// Batch reference: one sealed segment from the same spool. The "N
+	// campaigns" of the summary line tells us how many scans to expect
+	// everywhere else.
 	ref := filepath.Join(dir, "reference")
-	out, err = exec.Command(synalyze, "-archive", ref, spool).CombinedOutput()
+	out, err = exec.Command(syningest, "-dir", ref, "-seal-every", "0", spool).CombinedOutput()
 	if err != nil {
-		t.Fatalf("synalyze: %v\n%s", err, out)
+		t.Fatalf("syningest reference: %v\n%s", err, out)
 	}
-	m := regexp.MustCompile(`flows closed (\d+)`).FindSubmatch(out)
+	m := regexp.MustCompile(`(\d+) campaigns`).FindSubmatch(out)
 	if m == nil {
-		t.Fatalf("synalyze output missing flow count:\n%s", out)
+		t.Fatalf("syningest output missing campaign count:\n%s", out)
 	}
 	nScans, _ := strconv.Atoi(string(m[1]))
 	if nScans < 8 {
@@ -251,17 +251,16 @@ func TestLiveIngestServe(t *testing.T) {
 }
 
 // TestLiveIngestReactive: live store ≡ sealed archive holds behind a reactive
-// telescope too. syningest -reactive and synalyze -reactive run the same
-// replay loop, so the store and the archive built from one reactive spool
-// serve byte-identical scans and the same — non-zero — number of two-phase
-// campaigns; syningest used to drop every phase-two segment.
+// telescope too: a store rotated every 2000 campaigns and one sealed at the
+// end, both ingested from one reactive spool, serve byte-identical scans and
+// the same — non-zero — number of two-phase campaigns; syningest used to
+// drop every phase-two segment.
 func TestLiveIngestReactive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping CLI build")
 	}
 	dir := t.TempDir()
 	syntelescope := buildTool(t, dir, "syntelescope")
-	synalyze := buildTool(t, dir, "synalyze")
 	syningest := buildTool(t, dir, "syningest")
 	synserve := buildTool(t, dir, "synserve")
 
@@ -272,8 +271,8 @@ func TestLiveIngestReactive(t *testing.T) {
 		t.Fatalf("syntelescope -reactive: %v\n%s", err, out)
 	}
 	ref := filepath.Join(dir, "reference")
-	if out, err := exec.Command(synalyze, "-reactive", "-archive", ref, spool).CombinedOutput(); err != nil {
-		t.Fatalf("synalyze -reactive: %v\n%s", err, out)
+	if out, err := exec.Command(syningest, "-reactive", "-dir", ref, "-seal-every", "0", spool).CombinedOutput(); err != nil {
+		t.Fatalf("syningest -reactive reference: %v\n%s", err, out)
 	}
 	store := filepath.Join(dir, "store")
 	if out, err := exec.Command(syningest, "-reactive", "-dir", store,

@@ -156,13 +156,12 @@ func Table2(years []*YearData) []Table2Row {
 // telescope-style SYN filter and the campaign detector — the programmatic
 // equivalent of feeding a capture file to cmd/synalyze.
 //
-// Two delivery models exist. By default closed flows accumulate internally
-// and Finish returns them all. With the WithOnScan option they are instead
-// delivered to the callback as each flow closes and never retained, so a
-// long replay runs in memory bounded by the open-flow table rather than by
-// the total campaign count — unless WithWorkers(n > 1) shards detection:
-// the shards then hold every closed flow until Finish, so memory grows with
-// the campaign count and the callback sees nothing before Finish.
+// Closed flows are delivered as they close, on the Ingest goroutine, and
+// Finish delivers the rest. By default they accumulate and Finish returns
+// them all; with the WithOnScan option each goes to the callback instead and
+// is never retained, so a long replay runs in memory bounded by the open
+// flows (and, sharded, the closed ones awaiting release) rather than by the
+// total campaign count.
 type Analyzer struct {
 	det    core.Ingester
 	met    *Metrics
@@ -184,11 +183,10 @@ type analyzerOptions struct {
 // WithWorkers shards the analyzer's campaign detection across n goroutines
 // (n <= 1 keeps the sequential detector). Ingest stays single-producer; the
 // detected campaign multiset is identical to the sequential analyzer. With
-// workers > 1 closed flows surface only at Finish (the sharded detector's
-// merging flush), in its canonical (End, Start, Src) order, and are held in
-// memory until then, WithOnScan or not; sequentially they surface as their
-// flows close. It pays for replaying one finite capture, as synalyze
-// -workers does, not for a stream that must publish as it goes.
+// workers > 1 closed flows are delivered in the canonical (End, Start, Src)
+// order, each once no shard can still close one that sorts before it: one
+// expiry window plus the shards' lag behind the stream (at most a window and
+// a half) of stream time after it ends.
 func WithWorkers(n int) AnalyzerOption {
 	return func(o *analyzerOptions) { o.workers = n }
 }
@@ -202,13 +200,9 @@ func WithMetrics(reg *Metrics) AnalyzerOption {
 }
 
 // WithOnScan delivers each closed flow to fn instead of accumulating it for
-// Finish. fn runs on the Ingest goroutine (sequential detection) or on the
-// Finish goroutine (sharded detection); it must not call back into the
-// Analyzer. Finish still flushes and drains through the same callback, and
-// then returns nil. This is the streaming model: nothing is retained after
-// delivery, so with sequential detection memory stays bounded by open flows,
-// not total campaigns. Under WithWorkers(n > 1) that bound does not hold:
-// the shards retain every closed flow until Finish delivers them all.
+// Finish. fn runs on the Ingest goroutine, and at Finish on Finish's; it
+// must not call back into the Analyzer. Finish still flushes and drains
+// through the same callback, and then returns nil.
 func WithOnScan(fn func(*Scan)) AnalyzerOption {
 	return func(o *analyzerOptions) { o.onScan = fn }
 }
