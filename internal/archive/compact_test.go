@@ -135,7 +135,7 @@ func TestCompactionCorruptInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) != len(before)+1 { // the inputs and the manifest
+		if len(entries) != len(before)+2 { // the inputs, the manifest and the lock
 			var names []string
 			for _, e := range entries {
 				names = append(names, e.Name())

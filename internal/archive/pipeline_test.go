@@ -57,7 +57,8 @@ func newSerialStore(cfg SegmentConfig) *serialStore {
 	if cfg.MaxSegmentScans == 0 {
 		cfg.MaxSegmentScans = DefaultMaxSegmentScans
 	}
-	return &serialStore{cfg: cfg, files: map[string][]byte{}, man: Manifest{NextSeq: 1}}
+	// The writer lock's file is in the directory from the open on, empty.
+	return &serialStore{cfg: cfg, files: map[string][]byte{LockName: nil}, man: Manifest{NextSeq: 1}}
 }
 
 func (s *serialStore) add(t testing.TB, sc *core.Scan, o *enrich.Origin) {

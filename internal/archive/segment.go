@@ -2,6 +2,7 @@ package archive
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,6 +26,7 @@ import (
 // On-disk layout of a store directory:
 //
 //	MANIFEST.json        the catalog of sealed segments, replaced atomically
+//	LOCK                 empty; a live writer holds an flock on it
 //	seg-00000001.syna    sealed segment (ordinary SYNA file)
 //	seg-00000002.syna
 //	seg-00000003.syna.open   the writer's in-progress segment (not yet
@@ -39,13 +41,27 @@ import (
 // (Catalog, synserve's result cache) use it as a cheap "did the segment set
 // move" token.
 //
+// One writer at a time: OpenSegmentDir takes an exclusive lock on LOCK in the
+// directory before it reads the manifest, and Close releases it. A second
+// writer fails with ErrStoreLocked and touches nothing; readers take no lock.
+//
 // Crash recovery at open: stray *.open files are deleted (their records are
 // re-ingestable from the capture; an unsealed segment has no trailer and is
 // unreadable anyway), and sealed seg-*.syna files missing from the manifest
 // (a crash between rename and manifest write) are validated and adopted.
+// The lock is what makes a stray *.open a crashed writer's: a live one holds
+// the lock, and the lock dies with its process.
 
 // ManifestName is the catalog file inside a segment store directory.
 const ManifestName = "MANIFEST.json"
+
+// LockName is the writer-lock file inside a segment store directory.
+const LockName = "LOCK"
+
+// ErrStoreLocked is OpenSegmentDir's error when another SegmentWriter, in
+// this process or another, holds the store; the error wraps it with the
+// directory's name.
+var ErrStoreLocked = errors.New("archive: store is held by another writer")
 
 // segPrefix/segSuffix/openSuffix shape segment file names: seg-%08d.syna,
 // with .open appended while the segment is still being written.
@@ -223,6 +239,8 @@ type SegmentWriter struct {
 	dir string
 	cfg SegmentConfig
 
+	lock *os.File // the writer lock on LockName, held until Close
+
 	mu       sync.Mutex
 	man      *Manifest
 	cur      *segmentFile // the open segment, nil when none
@@ -234,9 +252,11 @@ type SegmentWriter struct {
 }
 
 // OpenSegmentDir opens (creating if needed) a segment store directory for
-// appending. Recovery runs first: leftover *.open files from a crashed
-// writer are removed, and sealed segments missing from the manifest (a crash
-// between seal-rename and manifest write) are validated and adopted.
+// appending. It first takes the store's writer lock, failing with
+// ErrStoreLocked while another writer holds it. Recovery runs next: leftover
+// *.open files from a crashed writer are removed, and sealed segments
+// missing from the manifest (a crash between seal-rename and manifest write)
+// are validated and adopted.
 func OpenSegmentDir(dir string, cfg SegmentConfig) (*SegmentWriter, error) {
 	if cfg.MaxSegmentBytes <= 0 {
 		cfg.MaxSegmentBytes = DefaultMaxSegmentBytes
@@ -247,18 +267,25 @@ func OpenSegmentDir(dir string, cfg SegmentConfig) (*SegmentWriter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	lock, err := lockStore(dir)
+	if err != nil {
+		return nil, err
+	}
 	man, err := readManifest(dir)
 	if err != nil {
+		lock.Close()
 		return nil, err
 	}
 	sw := &SegmentWriter{
 		dir:     dir,
 		cfg:     cfg,
+		lock:    lock,
 		man:     man,
 		gOpen:   cfg.Metrics.Gauge("archive.segments.open"),
 		mSealed: cfg.Metrics.Counter("archive.segments.sealed"),
 	}
 	if err := sw.recover(); err != nil {
+		lock.Close()
 		return nil, err
 	}
 	return sw, nil
@@ -604,8 +631,8 @@ func (sw *SegmentWriter) sealLocked() error {
 	return nil
 }
 
-// Close seals any open segment and shuts the writer down. Idempotent: later
-// calls return the first call's result.
+// Close seals any open segment, releases the writer lock and shuts the
+// writer down. Idempotent: later calls return the first call's result.
 func (sw *SegmentWriter) Close() error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -616,6 +643,7 @@ func (sw *SegmentWriter) Close() error {
 	if sw.cur != nil {
 		sw.closeErr = sw.sealLocked()
 	}
+	sw.lock.Close()
 	return sw.closeErr
 }
 

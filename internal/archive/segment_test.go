@@ -29,6 +29,11 @@ func segStore(t testing.TB, cfg SegmentConfig) *SegmentWriter {
 	return sw
 }
 
+// crash abandons sw the way a dying process does: nothing is sealed or
+// flushed, and the store's writer lock goes, as the kernel drops it with the
+// process.
+func crash(sw *SegmentWriter) { sw.lock.Close() }
+
 // addAll appends scans to the store, failing the test on any error.
 func addAll(t testing.TB, sw *SegmentWriter, scans []*core.Scan) {
 	t.Helper()
@@ -374,6 +379,7 @@ func TestCrashMidSegmentRecovery(t *testing.T) {
 	}
 	// Abandon sw without Close — the crash. (Its buffered scans are lost by
 	// design; they re-ingest from the capture.)
+	crash(sw)
 
 	sw2, err := OpenSegmentDir(dir, SegmentConfig{TelescopeSize: 4096, MaxSegmentScans: 100})
 	if err != nil {
@@ -560,6 +566,7 @@ func TestCompactionRecoveryRollForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash here: no replaceRun, manifest still lists the four inputs.
+	crash(sw)
 
 	sw2, err := OpenSegmentDir(sw.Dir(), SegmentConfig{TelescopeSize: 4096})
 	if err != nil {
@@ -602,6 +609,7 @@ func TestCompactionRecoveryRollBack(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(sw.Dir(), outName), []byte("SYNApartial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	crash(sw)
 
 	sw2, err := OpenSegmentDir(sw.Dir(), SegmentConfig{TelescopeSize: 4096})
 	if err != nil {
@@ -656,6 +664,7 @@ func TestCompactionRecoveryAlreadyLanded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash here: swap landed, inputs still on disk, intent still present.
+	crash(sw)
 
 	sw2, err := OpenSegmentDir(sw.Dir(), SegmentConfig{TelescopeSize: 4096})
 	if err != nil {
@@ -982,4 +991,46 @@ func BenchmarkYearLookup(b *testing.B) {
 		}
 		_ = sink
 	})
+}
+
+// TestSecondWriterRefused: while one writer holds a store, a second
+// OpenSegmentDir fails with ErrStoreLocked naming the directory and runs no
+// recovery — the first writer's unsealed segment survives and seals — and
+// readers open the store meanwhile. Close releases the lock.
+func TestSecondWriterRefused(t *testing.T) {
+	sw := segStore(t, SegmentConfig{TelescopeSize: 4096})
+	dir := sw.Dir()
+	scans, _ := testScans(50, 59)
+	addAll(t, sw, scans) // all buffered in seg 1, still open
+	open := filepath.Join(dir, SegmentName(1)+openSuffix)
+	if _, err := os.Stat(open); err != nil {
+		t.Fatalf("no open segment to protect: %v", err)
+	}
+
+	sw2, err := OpenSegmentDir(dir, SegmentConfig{TelescopeSize: 4096})
+	if !errors.Is(err, ErrStoreLocked) || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("second writer: %v, %v; want ErrStoreLocked naming %s", sw2, err, dir)
+	}
+	if _, err := os.Stat(open); err != nil {
+		t.Fatalf("the refused writer touched the open segment: %v", err)
+	}
+	cat, err := OpenCatalog(dir, CatalogConfig{})
+	if err != nil {
+		t.Fatalf("a reader beside the writer: %v", err)
+	}
+	cat.Close()
+
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := catalogScans(t, dir, CatalogConfig{}); !reflect.DeepEqual(got, scans) {
+		t.Fatalf("store serves %d scans after the refused open, want the %d written", len(got), len(scans))
+	}
+	sw3, err := OpenSegmentDir(dir, SegmentConfig{TelescopeSize: 4096})
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	if err := sw3.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"container/heap"
 	"math"
 	"time"
 
@@ -54,11 +53,12 @@ type spec struct {
 
 	// reactive-run state (see reactive.go): two-phase designation, the
 	// simulated kernel stack, the follow-up timing stream, and — for
-	// kindFollowup specs — the prebuilt packets to emit.
+	// kindFollowup specs — the prebuilt packets to emit (count of them:
+	// a handshake SYN, or an ACK and a payload push).
 	twoPhase bool
 	tp       *tools.TwoPhase
 	fr       *rng.Rand
-	pending  []packet.Probe
+	pending  [2]packet.Probe
 
 	// iteration state
 	idx int
@@ -92,37 +92,39 @@ func (sp *spec) timeAt(i int) int64 {
 	return t
 }
 
-// probeAt materializes the spec's i-th probe. It must be called exactly once
-// per index, in order: the payload fields consume per-spec generator state.
-func (sp *spec) probeAt(tel telescopeIndex, i int) packet.Probe {
-	var p packet.Probe
+// load materializes the spec's i-th probe into p, overwriting every field;
+// t is timeAt(i), which the merge heap already holds. It must be called
+// exactly once per index, in order: the payload fields consume per-spec
+// generator state.
+func (sp *spec) load(p *packet.Probe, tel telescopeIndex, i int, t int64) {
 	switch sp.kind {
 	case kindFollowup:
-		return sp.pending[i]
+		*p = sp.pending[i]
+		return
 	case kindICMPSweep:
 		// Ping sweep: echo requests across the monitored space.
-		p = packet.Probe{
+		*p = packet.Probe{
 			Src: sp.victim, Dst: tel.At(int(sp.perm.Apply(uint64(i) % sp.perm.Len()))),
 			SrcPort: uint16(sp.jit.Uint32()), Seq: uint32(i),
 			TTL: 60, Flags: packet.ICMPEchoRequest, Proto: packet.ProtoICMP,
 		}
-		p.Time = sp.timeAt(i)
-		return p
+		p.Time = t
+		return
 	case kindUDPProbe:
 		// UDP service probes (SSDP/DNS/NTP-style sweeps).
-		p = packet.Probe{
+		*p = packet.Probe{
 			Src: sp.victim, Dst: tel.At(int(sp.perm.Apply(uint64(i) % sp.perm.Len()))),
 			SrcPort: uint16(1024 + sp.jit.Intn(64512)), DstPort: sp.ports[i%len(sp.ports)],
 			TTL: 55, Proto: packet.ProtoUDP,
 		}
-		p.Time = sp.timeAt(i)
-		return p
+		p.Time = t
+		return
 	}
 	if sp.kind == kindBackscatter {
 		// SYN/ACK from a DDoS victim whose address was spoofed: arrives at
 		// random monitored addresses and must be filtered by the telescope.
 		dst := tel.At(int(sp.jit.Uint32()) % tel.Size())
-		p = packet.Probe{
+		*p = packet.Probe{
 			Src: sp.victim, Dst: dst,
 			SrcPort: 80, DstPort: uint16(1024 + sp.jit.Intn(64512)),
 			Seq: sp.jit.Uint32(), Ack: sp.jit.Uint32(),
@@ -142,10 +144,9 @@ func (sp *spec) probeAt(tel telescopeIndex, i int) packet.Probe {
 		} else {
 			port = sp.ports[(sp.portOff+i-len(sp.priority))%len(sp.ports)]
 		}
-		p = sp.prober.Probe(dst, port)
+		*p = sp.prober.Probe(dst, port)
 	}
-	p.Time = sp.timeAt(i)
-	return p
+	p.Time = t
 }
 
 // telescopeIndex is the minimal telescope interface the generator needs.
@@ -154,19 +155,78 @@ type telescopeIndex interface {
 	Size() int
 }
 
-// specHeap orders specs by next emission time.
-type specHeap []*spec
+// heapEntry is one spec in the merge heap, keyed inline by the time of its
+// next probe: a comparison is one integer compare, and timeAt (a hash and a
+// division) runs once per emitted probe, not twice per comparison.
+type heapEntry struct {
+	next int64 // sp.timeAt(sp.idx)
+	sp   *spec
+}
 
-func (h specHeap) Len() int            { return len(h) }
-func (h specHeap) Less(i, j int) bool  { return h[i].timeAt(h[i].idx) < h[j].timeAt(h[j].idx) }
-func (h specHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *specHeap) Push(x interface{}) { *h = append(*h, x.(*spec)) }
-func (h *specHeap) Pop() interface{} {
+// specHeap is a binary min-heap of specs ordered by next emission time. Its
+// sifts are container/heap's, comparison for comparison, with the same strict
+// <, so specs whose next probes share a time come out in the order
+// container/heap gives them: the tie order is part of the stream, and
+// TestRunOrderMatchesHeapReference pins it against a container/heap
+// reference.
+type specHeap []heapEntry
+
+// init is container/heap's Init.
+func (h specHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h specHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].next < h[i].next) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h specHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].next < h[j1].next {
+			j = j2 // right child
+		}
+		if !(h[j].next < h[i].next) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return i > i0
+}
+
+// fixTop restores the order after the root's key grew: container/heap's
+// Fix(h, 0), whose up from the root is a no-op.
+func (h specHeap) fixTop() { h.down(0, len(h)) }
+
+// pop removes the root (container/heap's Pop).
+func (h *specHeap) pop() {
 	old := *h
-	n := len(old)
-	sp := old[n-1]
-	*h = old[:n-1]
-	return sp
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+}
+
+// push adds sp, keyed by its next probe's time (container/heap's Push).
+func (h *specHeap) push(sp *spec) {
+	*h = append(*h, heapEntry{sp.timeAt(sp.idx), sp})
+	h.up(len(*h) - 1)
 }
 
 // toolSpeed holds the per-tool Internet-wide rate distribution (log-normal,
@@ -977,6 +1037,12 @@ func (s *Scenario) buildBackscatter(r *rng.Rand, totalBudget float64) {
 // Run emits every probe of the scenario in non-decreasing time order.
 // The emitted probes are the traffic *arriving* at the telescope; callers
 // pass them through Telescope.Observe to apply the capture policy.
+//
+// emit is lent one *packet.Probe, reloaded for every probe: it is valid until
+// emit returns, and a caller that keeps a probe copies it (*p). Probes with
+// equal times from different specs come out in a fixed order — the order
+// container/heap's sifts give over the specs' next-probe times — so two runs
+// of one configuration emit the same stream byte for byte.
 func (s *Scenario) Run(emit func(*packet.Probe)) Summary {
 	var sum Summary
 	h := make(specHeap, 0, len(s.specs))
@@ -985,7 +1051,7 @@ func (s *Scenario) Run(emit func(*packet.Probe)) Summary {
 			continue
 		}
 		sp.idx = 0
-		h = append(h, sp)
+		h = append(h, heapEntry{sp.timeAt(0), sp})
 		switch sp.kind {
 		case kindScan:
 			sum.Campaigns++
@@ -993,22 +1059,25 @@ func (s *Scenario) Run(emit func(*packet.Probe)) Summary {
 			sum.BackgroundSources++
 		}
 	}
-	heap.Init(&h)
+	h.init()
 
-	for h.Len() > 0 {
-		sp := h[0]
-		p := sp.probeAt(s.Telescope, sp.idx)
-		emit(&p)
+	p := new(packet.Probe)
+	for len(h) > 0 {
+		top := &h[0]
+		sp := top.sp
+		sp.load(p, s.Telescope, sp.idx, top.next)
+		emit(p)
 		sum.Probes++
 		if sp.inst {
 			sum.InstitutionalProbes++
 		}
 		sp.idx++
 		if sp.idx >= sp.count {
-			heap.Pop(&h)
+			h.pop()
 			continue
 		}
-		heap.Fix(&h, 0)
+		top.next = sp.timeAt(sp.idx)
+		h.fixTop()
 	}
 	return sum
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"container/heap"
-
 	"github.com/synscan/synscan/internal/packet"
 	"github.com/synscan/synscan/internal/reactive"
 	"github.com/synscan/synscan/internal/rng"
@@ -36,11 +34,15 @@ func (s *Scenario) isTwoPhase(sp *spec) bool {
 // emit is called once per arriving packet with the responder's disposition
 // (emit sees drops too, so callers can keep full pcap traces; gate ingest on
 // d.Reason == telescope.Accepted). Synthesized SYN-ACKs are delivered inside
-// the Disposition; they leave the telescope rather than arrive at it.
+// the Disposition; they leave the telescope rather than arrive at it. As in
+// Run, emit is lent one *packet.Probe that is valid until it returns (a
+// phase-two push's Payload is the caller's to keep), and equal-time packets
+// come out in container/heap's order over the specs' next-packet times.
 //
 // The run is deterministic: follow-up timing and handshake state derive from
 // per-spec seeds, and the single-threaded heap loop orders packets by
-// virtual time.
+// virtual time. Follow-up specs are recycled through a free list once their
+// packets are out, so an answered SYN allocates nothing once it is warm.
 func (s *Scenario) RunReactive(rt *reactive.Telescope, emit func(*packet.Probe, reactive.Disposition)) Summary {
 	var sum Summary
 	h := make(specHeap, 0, len(s.specs))
@@ -50,8 +52,8 @@ func (s *Scenario) RunReactive(rt *reactive.Telescope, emit func(*packet.Probe, 
 		}
 		sp.idx = 0
 		sp.twoPhase = s.isTwoPhase(sp)
-		sp.tp, sp.fr, sp.pending = nil, nil, nil
-		h = append(h, sp)
+		sp.tp, sp.fr = nil, nil
+		h = append(h, heapEntry{sp.timeAt(0), sp})
 		switch sp.kind {
 		case kindScan:
 			sum.Campaigns++
@@ -62,13 +64,16 @@ func (s *Scenario) RunReactive(rt *reactive.Telescope, emit func(*packet.Probe, 
 			sum.BackgroundSources++
 		}
 	}
-	heap.Init(&h)
+	h.init()
 
-	for h.Len() > 0 {
-		sp := h[0]
-		p := sp.probeAt(s.Telescope, sp.idx)
-		d := rt.Observe(&p)
-		emit(&p, d)
+	p := new(packet.Probe)
+	var free []*spec // follow-up specs whose packets are all out
+	for len(h) > 0 {
+		top := &h[0]
+		sp := top.sp
+		sp.load(p, s.Telescope, sp.idx, top.next)
+		d := rt.Observe(p)
+		emit(p, d)
 		sum.Probes++
 		if sp.inst {
 			sum.InstitutionalProbes++
@@ -89,33 +94,52 @@ func (s *Scenario) RunReactive(rt *reactive.Telescope, emit func(*packet.Probe, 
 					sp.tp = tools.NewTwoPhase(sp.prober, p.Src, fseed.Derive("stack"))
 					sp.fr = fseed.Derive("timing")
 				}
-				hs := sp.tp.HandshakeSYN(p.Dst, p.DstPort)
+				follow = followup(&free, sp, 1)
+				hs := &follow.pending[0]
+				*hs = sp.tp.HandshakeSYN(p.Dst, p.DstPort)
 				// Spoki: the second phase arrives seconds after the scout.
 				hs.Time = p.Time + int64(1e9) + sp.fr.Int63n(2e9)
-				follow = &spec{kind: kindFollowup, count: 1, tp: sp.tp,
-					fr: sp.fr, pending: []packet.Probe{hs}}
 			case sp.kind == kindFollowup:
 				// Our handshake SYN was answered: complete the handshake and
 				// push the application payload one round trip later.
 				rtt := int64(30e6) + sp.fr.Int63n(int64(170e6))
-				ack := sp.tp.HandshakeACK(&p, d.Resp.Seq)
+				follow = followup(&free, sp, 2)
+				ack, push := &follow.pending[0], &follow.pending[1]
+				*ack = sp.tp.HandshakeACK(p, d.Resp.Seq)
 				ack.Time = p.Time + rtt
-				push := sp.tp.PayloadPush(&p, d.Resp.Seq)
+				*push = sp.tp.PayloadPush(p, d.Resp.Seq)
 				push.Time = p.Time + 2*rtt
-				follow = &spec{kind: kindFollowup, count: 2, tp: sp.tp,
-					fr: sp.fr, pending: []packet.Probe{ack, push}}
 			}
 		}
 
 		sp.idx++
 		if sp.idx >= sp.count {
-			heap.Pop(&h)
+			h.pop()
+			if sp.kind == kindFollowup {
+				free = append(free, sp)
+			}
 		} else {
-			heap.Fix(&h, 0)
+			top.next = sp.timeAt(sp.idx)
+			h.fixTop()
 		}
 		if follow != nil {
-			heap.Push(&h, follow)
+			h.push(follow)
 		}
 	}
 	return sum
+}
+
+// followup returns a follow-up spec for count prebuilt packets on sp's
+// connection, taking an exhausted one from free when there is one. The
+// caller fills pending[:count].
+func followup(free *[]*spec, sp *spec, count int) *spec {
+	var f *spec
+	if n := len(*free); n > 0 {
+		f = (*free)[n-1]
+		*free = (*free)[:n-1]
+	} else {
+		f = new(spec)
+	}
+	*f = spec{kind: kindFollowup, count: count, tp: sp.tp, fr: sp.fr}
+	return f
 }
