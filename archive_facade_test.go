@@ -13,7 +13,7 @@ import (
 // default catalog's query but streams its intact blocks under
 // CatalogConfig.SkipCorrupt, counting the damage.
 func TestFacadeArchiveSkipCorrupt(t *testing.T) {
-	yd, _ := facadeData(t)
+	yd := facadeData(t)
 	dir := t.TempDir()
 	w, err := OpenSegmentDir(dir, SegmentConfig{
 		TelescopeSize: 2048, Origins: true, BlockBytes: 4 << 10,
@@ -90,7 +90,7 @@ func TestFacadeArchiveSkipCorrupt(t *testing.T) {
 // through a zero CatalogConfig's view fails naming the segment, and through a
 // SkipCorrupt one answers from the intact segment, the view degraded.
 func TestFacadeStrictCatalog(t *testing.T) {
-	yd, _ := facadeData(t)
+	yd := facadeData(t)
 	dir := t.TempDir()
 	w, err := OpenSegmentDir(dir, SegmentConfig{
 		TelescopeSize: 2048, Origins: true, MaxSegmentScans: uint64(len(yd.Scans)/2 + 1),

@@ -21,14 +21,21 @@ import (
 
 func buildTool(t *testing.T, dir, name string) string {
 	t.Helper()
-	bin := filepath.Join(dir, name)
+	return buildMain(t, dir, "./cmd/"+name)
+}
+
+// buildMain builds the main package at pkg into dir, named after its
+// directory.
+func buildMain(t *testing.T, dir, pkg string) string {
+	t.Helper()
+	bin := filepath.Join(dir, filepath.Base(pkg))
 	if runtime.GOOS == "windows" {
 		bin += ".exe"
 	}
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	cmd := exec.Command("go", "build", "-o", bin, pkg)
 	cmd.Env = os.Environ()
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building %s: %v\n%s", name, err, out)
+		t.Fatalf("building %s: %v\n%s", pkg, err, out)
 	}
 	return bin
 }

@@ -55,10 +55,8 @@ func main() {
 		log.Fatal("-archive (read) and -archive-out (write) are mutually exclusive")
 	}
 	keys := strings.FieldsFunc(strings.ToLower(*only), func(r rune) bool { return r == ',' || r == ' ' })
-	for _, k := range keys {
-		if analysis.Lookup(k) == nil { // before any simulation is spent on a typo
-			log.Fatalf("-only: unknown experiment %q; valid keys: %s", k, strings.Join(analysis.Keys(false), ","))
-		}
+	if err := analysis.CheckKeys(keys, *archiveIn != ""); err != nil { // before any simulation is spent on a typo
+		log.Fatalf("-only: %v", err)
 	}
 
 	in := analysis.Input{

@@ -16,12 +16,12 @@ import (
 )
 
 func main() {
-	res, err := synscan.BlocklistDecay(synscan.Config{
-		Year: 2022, Seed: 5, Scale: 0.001, TelescopeSize: 4096,
-	})
+	// The blocklist experiment simulates its own year, 2022.
+	ev, err := synscan.Evaluate(synscan.Input{Seed: 5, Scale: 0.001, TelescopeSize: 4096}, "blocklist")
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := ev.Blocklist
 
 	fmt.Printf("blocklist coverage of later traffic, %d (%d capture weeks)\n\n", res.Year, res.Weeks)
 	fmt.Printf("%-18s %-12s %-12s\n", "list age", "all traffic", "institutional")

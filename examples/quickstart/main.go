@@ -53,7 +53,11 @@ func main() {
 
 	// And the headline finding: a handful of institutional scanners send
 	// an outsized share of all probes (Table 2).
-	for _, row := range synscan.Table2([]*synscan.YearData{yd}) {
+	ev, err := synscan.Evaluate(synscan.Input{Years: []*synscan.YearData{yd}}, "table2")
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, row := range ev.Table2 {
 		if row.Type == synscan.TypeInstitutional {
 			fmt.Printf("\ninstitutional scanners: %.2f%% of sources, %.1f%% of packets\n",
 				row.Sources*100, row.Packets*100)

@@ -20,7 +20,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res := synscan.Volatility(yd)
+	ev, err := synscan.Evaluate(synscan.Input{Years: []*synscan.YearData{yd}}, "fig2")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := ev.Figure2
 
 	fmt.Printf("weekly change factors across source /16 netblocks, %d\n\n", yd.Year)
 	fmt.Printf("%-28s %10s %10s %10s\n", "", "sources", "scans", "packets")

@@ -14,24 +14,18 @@ import (
 )
 
 func main() {
-	// A synthetic disclosure on day 12 of the 2019 window: an exploitable
-	// service on port 9898, with adversaries ramping up immediately and
-	// interest decaying with a 4-day half-life-ish e-folding time.
-	event := synscan.Disclosure{
-		Day:        12,
-		Port:       9898,
-		PeakPerDay: 60000, // paper-scale extra campaigns/day at the peak
-		DecayDays:  4,
-	}
-
-	res, err := synscan.DisclosureResponse(synscan.Config{
-		Year: 2019, Seed: 7, Scale: 0.001, TelescopeSize: 4096,
-	}, event)
+	// The fig1 experiment injects a synthetic disclosure on day 12 of the
+	// 2019 window: an exploitable service on port 9898, with adversaries
+	// ramping up immediately (60,000 paper-scale extra campaigns/day at the
+	// peak) and interest decaying with a 4-day e-folding time.
+	ev, err := synscan.Evaluate(synscan.Input{Seed: 7, Scale: 0.001, TelescopeSize: 4096}, "fig1")
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := ev.Figure1
+	const disclosureDay = 12 // the fig1 row's event day
 
-	fmt.Printf("disclosure on day %d, port %d\n\n", event.Day, event.Port)
+	fmt.Printf("disclosure on day %d, port %d\n\n", disclosureDay, res.Port)
 	fmt.Println("daily activity relative to the pre-disclosure baseline:")
 	for day, rel := range res.RelativeActivity {
 		bar := strings.Repeat("#", int(rel))
@@ -42,7 +36,7 @@ func main() {
 	}
 
 	fmt.Printf("\npeak: %.1fx baseline on day %d (%d days after disclosure)\n",
-		res.PeakFactor, res.PeakDay, res.PeakDay-event.Day)
+		res.PeakFactor, res.PeakDay, res.PeakDay-disclosureDay)
 	fmt.Printf("KS test, pre-disclosure vs final two weeks: D=%.3f p=%.3f\n",
 		res.KS.D, res.KS.P)
 	if res.KS.SameDistribution(0.05) {

@@ -1,26 +1,30 @@
 package synscan
 
-// facade_test drives every public wrapper end to end on one small simulated
-// year, so the whole API surface is exercised from outside the internal
-// packages.
+// facade_test drives the public Analyzer, the metrics wiring and the
+// evaluation door end to end, so the API surface is exercised from outside
+// the internal packages.
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/synscan/synscan/internal/analysis"
 	"github.com/synscan/synscan/internal/packet"
 )
 
 var (
 	facadeOnce sync.Once
 	facade2022 *YearData
-	facade2015 *YearData
 )
 
-func facadeData(t testing.TB) (*YearData, *YearData) {
+// facadeData is one small simulated year, shared by the archive and query
+// facade tests.
+func facadeData(t testing.TB) *YearData {
 	t.Helper()
 	facadeOnce.Do(func() {
 		var err error
@@ -28,12 +32,8 @@ func facadeData(t testing.TB) (*YearData, *YearData) {
 		if err != nil {
 			panic(err)
 		}
-		facade2015, err = Simulate(Config{Year: 2015, Seed: 2, Scale: 0.0005, TelescopeSize: 2048})
-		if err != nil {
-			panic(err)
-		}
 	})
-	return facade2022, facade2015
+	return facade2022
 }
 
 // TestFacadeAnalyzerWorkers: the sharded analyzer must detect the exact same
@@ -187,133 +187,73 @@ func TestFacadeConfigMetrics(t *testing.T) {
 	}
 }
 
-func TestFacadeVolatility(t *testing.T) {
-	yd, _ := facadeData(t)
-	res := Volatility(yd)
-	if len(res.PacketRatios) == 0 || res.PacketsTwofold <= 0 {
-		t.Fatalf("volatility: %+v", res)
+// TestFacadeNamesEveryEvaluationType walks the Evaluation's fields down to
+// their named element types and fails when one has no alias here: a result a
+// library user reads from Evaluate but cannot name cannot be declared or
+// passed on without reaching into internal packages.
+func TestFacadeNamesEveryEvaluationType(t *testing.T) {
+	named := map[reflect.Type]bool{}
+	for _, v := range []any{
+		Table1Row{}, Table2Row{}, DisclosureResult{}, VolatilityResult{},
+		PortsPerSourceResult{}, PortToolMix{}, PortTypeMix{}, RecurrenceResult{},
+		SpeedCoverageRow{}, OrgCoverageRow{}, OrgCoverageDelta{},
+		ZMapDailyResult{}, NormalizedOrigin{}, PortCoverageResult{},
+		VerticalScanResult{}, OriginResult{}, ToolSpeedResult{},
+		CoverageModesResult{}, BlocklistResult{}, CollabStats{}, BiasResult{},
+		BlockableResult{}, VantageResult{}, PearsonResult{},
+	} {
+		named[reflect.TypeOf(v)] = true
+	}
+	held := map[reflect.Type]bool{}
+	ev := reflect.TypeOf(Evaluation{})
+	for i := 0; i < ev.NumField(); i++ {
+		typ := ev.Field(i).Type
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice || typ.Kind() == reflect.Map {
+			typ = typ.Elem()
+		}
+		if typ.PkgPath() == "" { // predeclared: the header's numbers, Skipped's strings
+			continue
+		}
+		held[typ] = true
+		if !named[typ] {
+			t.Errorf("Evaluation.%s holds %v, which the facade does not name (alias it in synscan.go and add it to this list)",
+				ev.Field(i).Name, typ)
+		}
+	}
+	for typ := range named {
+		if !held[typ] {
+			t.Errorf("this list names %v, which no Evaluation field holds", typ)
+		}
 	}
 }
 
-func TestFacadePortsPerSource(t *testing.T) {
-	yd, y15 := facadeData(t)
-	f22, f15 := PortsPerSource(yd), PortsPerSource(y15)
-	if f22.SinglePortShare >= f15.SinglePortShare {
-		t.Fatalf("single-port share must decline: %v -> %v",
-			f15.SinglePortShare, f22.SinglePortShare)
-	}
-}
-
-func TestFacadeToolAndTypeMix(t *testing.T) {
-	yd, _ := facadeData(t)
-	if rows := ToolMixByPort(yd, 10); len(rows) != 10 {
-		t.Fatalf("ToolMixByPort: %d rows", len(rows))
-	}
-	if rows := TypeMixByPort(&yd.Campaigns, 15); len(rows) == 0 {
-		t.Fatal("TypeMixByPort empty")
-	}
-}
-
-func TestFacadeRecurrenceAndSpeed(t *testing.T) {
-	yd, _ := facadeData(t)
-	rec := Recurrence([]*Campaigns{&yd.Campaigns})
-	if len(rec.ScansPerSource[TypeInstitutional]) == 0 {
-		t.Fatal("no institutional recurrence")
-	}
-	rows := SpeedAndCoverage(&yd.Campaigns)
-	if len(rows) == 0 {
-		t.Fatal("no speed rows")
-	}
-}
-
-func TestFacadeSectionAnalyses(t *testing.T) {
-	yd, _ := facadeData(t)
-	if r := PortCoverage(yd, 2); r.PrivilegedCoverage <= 0 {
-		t.Fatalf("PortCoverage: %+v", r)
-	}
-	if r := VerticalScans(&yd.Campaigns); r.LargestPortCount <= 0 {
-		t.Fatalf("VerticalScans: %+v", r)
-	}
-	if r := ToolSpeeds(&yd.Campaigns); len(r.MedianPPS) == 0 {
-		t.Fatalf("ToolSpeeds: %+v", r)
-	}
-	if r := CoverageModes(&yd.Campaigns, ToolMasscan); r.Tool != ToolMasscan {
-		t.Fatalf("CoverageModes: %+v", r)
-	}
-	if pr, err := SpeedPortsCorrelation(&yd.Campaigns); err != nil || pr.N == 0 {
-		t.Fatalf("SpeedPortsCorrelation: %+v %v", pr, err)
-	}
-	if r := OriginStructure(yd); len(r.TopCountries) == 0 {
-		t.Fatalf("OriginStructure: %+v", r)
-	}
-	if r := InstitutionalBias(yd, 5); r.InstPacketShare <= 0 {
-		t.Fatalf("InstitutionalBias: %+v", r)
-	}
-	if r := BlockableShare(yd); r.Share <= 0 || r.Share > 1 {
-		t.Fatalf("BlockableShare: %+v", r)
-	}
-}
-
-func TestFacadeCollaboration(t *testing.T) {
-	yd, _ := facadeData(t)
-	groups := DetectCollaboration(yd.QualifiedScans(), CollabConfig{})
-	st := SummarizeCollaboration(groups)
-	if st.LogicalScans == 0 || st.RawScans < st.LogicalScans {
-		t.Fatalf("collab stats: %+v", st)
-	}
-}
-
-func TestFacadeBlocklistDecay(t *testing.T) {
-	res, err := BlocklistDecay(Config{Year: 2022, Seed: 2, Scale: 0.0003, TelescopeSize: 2048})
+// TestFacadeEvaluate: the facade's door to an experiment runs the named rows
+// on the years it is given, fills exactly their fields with what the
+// analyses compute, and refuses a key no row answers to.
+func TestFacadeEvaluate(t *testing.T) {
+	yd, err := Simulate(Config{Year: 2020, Seed: 2, Scale: 0.0005, TelescopeSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.HitRate[0] != 1 || res.HitRate[1] >= 1 {
-		t.Fatalf("hit rates: %v", res.HitRate)
-	}
-}
-
-func TestFacadeInstitutionalCoverage(t *testing.T) {
-	rows, err := InstitutionalCoverage(Config{Year: 2024, Seed: 2, Scale: 0.001, TelescopeSize: 2048})
+	in := Input{Years: []*YearData{yd}}
+	ev, err := Evaluate(in, "fig2", "table2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) < 10 {
-		t.Fatalf("only %d orgs", len(rows))
+	if !reflect.DeepEqual(ev.Figure2, analysis.Figure2(yd)) {
+		t.Error("Figure2 differs from analysis.Figure2 of the same year")
 	}
-	if rows[0].PortsCovered < rows[len(rows)-1].PortsCovered {
-		t.Fatal("rows must be sorted by coverage")
+	if !reflect.DeepEqual(ev.Table2, analysis.Table2([]*YearData{yd})) {
+		t.Error("Table2 differs from analysis.Table2 of the same year")
 	}
-}
-
-func TestFacadeCoverageDelta(t *testing.T) {
-	rows, err := InstitutionalCoverageDelta(2, 0.001, 2048)
-	if err != nil {
-		t.Fatal(err)
+	v := reflect.ValueOf(ev).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if filled := !v.Field(i).IsZero(); filled != (name == "Figure2" || name == "Table2") {
+			t.Errorf("Evaluation.%s filled = %v, want only Figure2 and Table2", name, filled)
+		}
 	}
-	if len(rows) < 10 {
-		t.Fatalf("only %d orgs", len(rows))
-	}
-}
-
-func TestFacadeVantage(t *testing.T) {
-	res, err := CompareVantagePoints(2020, 2, 0.0003, 2048, 11, 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PacketRatio <= 0 || res.TopPortOverlap < 0 {
-		t.Fatalf("vantage: %+v", res)
-	}
-}
-
-func TestFacadeDisclosure(t *testing.T) {
-	res, err := DisclosureResponse(
-		Config{Year: 2019, Seed: 2, Scale: 0.0005, TelescopeSize: 2048},
-		Disclosure{Day: 10, Port: 7777, PeakPerDay: 50000, DecayDays: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PeakFactor < 2 {
-		t.Fatalf("no surge: %+v", res.PeakFactor)
+	if _, err := Evaluate(in, "fig2", "bogus"); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Errorf("unknown key: err = %v, want one naming the key", err)
 	}
 }

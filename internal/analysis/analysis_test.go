@@ -449,6 +449,11 @@ func TestFigure8InstitutionalCoverage(t *testing.T) {
 	if len(rows) < 15 {
 		t.Fatalf("only %d orgs observed", len(rows))
 	}
+	for i := 1; i < len(rows); i++ {
+		if a, b := rows[i-1], rows[i]; a.PortsCovered < b.PortsCovered || a.PortsCovered == b.PortsCovered && a.Org >= b.Org {
+			t.Fatalf("rows %d, %d out of order: %s %d, %s %d", i-1, i, a.Org, a.PortsCovered, b.Org, b.PortsCovered)
+		}
+	}
 	cov := map[string]Figure8Row{}
 	for _, r := range rows {
 		cov[r.Org] = r
@@ -476,6 +481,9 @@ func TestFigure8InstitutionalCoverage(t *testing.T) {
 func TestFigure910OnypheGrowth(t *testing.T) {
 	t.Parallel()
 	rows := Figure910(orgCoverage(t, 2023), orgCoverage(t, 2024))
+	if len(rows) < 10 {
+		t.Fatalf("only %d orgs compared", len(rows))
+	}
 	for i := 1; i < len(rows); i++ {
 		a, b := rows[i-1], rows[i]
 		if a.Ports2024 < b.Ports2024 || a.Ports2024 == b.Ports2024 && a.Org >= b.Org {
@@ -590,13 +598,20 @@ func TestSpeedPortsCorrelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.R <= 0 {
-		t.Fatalf("speed/ports correlation = %v, want positive (§5.3)", res.R)
+	if res.N == 0 || res.R <= 0 {
+		t.Fatalf("speed/ports correlation = %v over %d campaigns, want positive (§5.3)", res.R, res.N)
 	}
 }
 
 func TestSec64CoverageModes(t *testing.T) {
 	res := Sec64(campaigns(t, 2024), tools.ToolZMap)
+	if res.Tool != tools.ToolZMap {
+		t.Fatalf("result names tool %v, want ZMap", res.Tool)
+	}
+	// Any tool can be asked for; the result names the one it was.
+	if m := Sec64(campaigns(t, 2022), tools.ToolMasscan); m.Tool != tools.ToolMasscan {
+		t.Fatalf("Masscan result names tool %v", m.Tool)
+	}
 	if len(res.Coverages) == 0 {
 		t.Fatal("no ZMap campaigns in 2024")
 	}

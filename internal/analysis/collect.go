@@ -105,7 +105,7 @@ type PortCountry struct {
 // Registry returns the synthetic Internet behind the year.
 func (y *YearData) Registry() *inetmodel.Registry { return y.reg }
 
-// CollectConfig parameterizes Collect, Decade and FullEvaluation. The zero
+// CollectConfig parameterizes Collect, Decade and Evaluate. The zero
 // value is the default collection: no metrics. Detection is always the
 // sequential detector (Decade already runs the years concurrently, so
 // sharding each year buys nothing; see DESIGN "Sharded detection pipeline").

@@ -81,17 +81,17 @@ type Input struct {
 // input lacks is skipped and named in Evaluation.Skipped.
 func Evaluate(in Input, keys []string) (*Evaluation, error) {
 	archived := in.Years == nil && in.Campaigns != nil
+	if err := CheckKeys(keys, archived); err != nil {
+		return nil, err
+	}
 	servable := func(e *Experiment) bool { return !archived || e.Needs == NeedCampaigns }
 	selected := map[*Experiment]bool{}
 	for _, k := range keys {
-		switch e := Lookup(k); {
-		case e == nil:
-			return nil, fmt.Errorf("unknown experiment %q", k)
-		case !servable(e):
+		e := Lookup(k)
+		if !servable(e) {
 			return nil, fmt.Errorf("experiment %q needs the raw probe stream, which an archive does not hold", k)
-		default:
-			selected[e] = true
 		}
+		selected[e] = true
 	}
 
 	r := &evalRun{in: in, years: in.Years, camps: in.Campaigns, cover: map[int][]Figure8Row{}}
@@ -124,12 +124,6 @@ func Evaluate(in Input, keys []string) (*Evaluation, error) {
 		}
 	}
 	return ev, nil
-}
-
-// FullEvaluation simulates the decade, collected under cc (pipeline
-// metrics), and computes every experiment.
-func FullEvaluation(seed uint64, scale float64, telescopeSize int, cc CollectConfig) (*Evaluation, error) {
-	return Evaluate(Input{Seed: seed, Scale: scale, TelescopeSize: telescopeSize, Collect: cc}, nil)
 }
 
 // evalRun is what the rows of one Evaluate call share.

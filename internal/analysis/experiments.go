@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 
 	"github.com/synscan/synscan/internal/collab"
 	"github.com/synscan/synscan/internal/inetmodel"
@@ -66,6 +68,18 @@ func Keys(archived bool) []string {
 		}
 	}
 	return out
+}
+
+// CheckKeys is Evaluate's check that every key names a row: the error for
+// the first one that does not names the keys an input, archived or not,
+// accepts.
+func CheckKeys(keys []string, archived bool) error {
+	for _, k := range keys {
+		if Lookup(k) == nil {
+			return fmt.Errorf("unknown experiment %q; valid keys: %s", k, strings.Join(Keys(archived), ","))
+		}
+	}
+	return nil
 }
 
 // each applies one year's analysis to every year the input holds.

@@ -199,8 +199,17 @@ func TestEvaluateSelection(t *testing.T) {
 
 	_, err := analysis.Evaluate(analysis.Input{Seed: goldenSeed, Scale: goldenScale, TelescopeSize: goldenTel},
 		[]string{"fig8", "bogus"})
-	if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
-		t.Errorf("unknown key: err = %v, want one naming the key", err)
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), strings.Join(analysis.Keys(false), ",")) {
+		t.Errorf("unknown key: err = %v, want one naming the key and every accepted key", err)
+	}
+	// An archive's campaigns accept the campaign-level keys, and the error
+	// names those.
+	_, err = analysis.Evaluate(analysis.Input{Campaigns: []*analysis.Campaigns{}}, []string{"bogus"})
+	if want := "valid keys: " + strings.Join(analysis.Keys(true), ",") + "\n"; err == nil || !strings.Contains(err.Error()+"\n", want) {
+		t.Errorf("unknown key on campaigns: err = %v, want one ending %q", err, want)
+	}
+	if e := analysis.CheckKeys([]string{"fig10", "sec64"}, true); e != nil {
+		t.Errorf("known keys rejected: %v", e)
 	}
 }
 

@@ -87,6 +87,11 @@ func TestBlockableShareTrajectory(t *testing.T) {
 	b17 := Blockable(yearData(t, 2017))
 	b20 := Blockable(yearData(t, 2020))
 	b24 := Blockable(yearData(t, 2024))
+	for _, b := range []*BlockableResult{b17, b20, b24} {
+		if b.Share <= 0 || b.Share > 1 {
+			t.Fatalf("blockable share %v outside (0, 1]", b.Share)
+		}
+	}
 	// §7: 92.1% of 2020 traffic from 4 known tools; by 2024 under 40%.
 	if b20.Share < 0.55 {
 		t.Fatalf("2020 blockable share = %v, want high", b20.Share)
@@ -259,7 +264,7 @@ func encodeEvaluation(t *testing.T, ev *Evaluation) []byte {
 
 func TestFullEvaluationJSON(t *testing.T) {
 	t.Parallel()
-	ev, err := FullEvaluation(testSeed, 0.0002, testTelSize, CollectConfig{})
+	ev, err := Evaluate(Input{Seed: testSeed, Scale: 0.0002, TelescopeSize: testTelSize}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +379,7 @@ func TestSec42Normalized(t *testing.T) {
 
 func TestEvaluationCSVExport(t *testing.T) {
 	t.Parallel()
-	ev, err := FullEvaluation(testSeed, 0.0002, testTelSize, CollectConfig{})
+	ev, err := Evaluate(Input{Seed: testSeed, Scale: 0.0002, TelescopeSize: testTelSize}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

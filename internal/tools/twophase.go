@@ -1,7 +1,7 @@
 package tools
 
 import (
-	"fmt"
+	"strconv"
 
 	"github.com/synscan/synscan/internal/packet"
 	"github.com/synscan/synscan/internal/rng"
@@ -15,18 +15,18 @@ import (
 func PayloadFor(port uint16, seed uint32) []byte {
 	switch port {
 	case 80, 8080, 81, 8000, 8888:
-		return []byte(fmt.Sprintf("GET / HTTP/1.1\r\nHost: %d.probe\r\n\r\n", seed&0xffff))
+		return textPayload("GET / HTTP/1.1\r\nHost: ", seed&0xffff, ".probe\r\n\r\n")
 	case 443, 8443:
 		// TLS record header + handshake type: enough for prefix matching.
 		return []byte{0x16, 0x03, 0x01, 0x02, 0x00, 0x01, 0x00, 0x01,
 			0xfc, 0x03, 0x03, byte(seed >> 24), byte(seed >> 16), byte(seed >> 8), byte(seed)}
 	case 22:
-		return []byte(fmt.Sprintf("SSH-2.0-probe_%d\r\n", seed&0xffff))
+		return textPayload("SSH-2.0-probe_", seed&0xffff, "\r\n")
 	case 23:
 		// Telnet IAC negotiation: WILL/DO option bytes.
 		return []byte{0xff, 0xfb, 0x1f, 0xff, 0xfb, 0x20, 0xff, 0xfd, 0x01, 0xff, 0xfd, 0x03}
 	case 25, 587:
-		return []byte(fmt.Sprintf("EHLO host%d\r\n", seed&0xffff))
+		return textPayload("EHLO host", seed&0xffff, "\r\n")
 	case 6379:
 		return []byte("*1\r\n$4\r\nPING\r\n")
 	default:
@@ -40,6 +40,19 @@ func PayloadFor(port uint16, seed uint32) []byte {
 		}
 		return b
 	}
+}
+
+// textPayload is prefix, n in decimal and suffix, built in one slice of
+// exactly their length.
+func textPayload(prefix string, n uint32, suffix string) []byte {
+	size := len(prefix) + 1 + len(suffix)
+	for v := n; v >= 10; v /= 10 {
+		size++
+	}
+	b := make([]byte, 0, size)
+	b = append(b, prefix...)
+	b = strconv.AppendUint(b, uint64(n), 10)
+	return append(b, suffix...)
 }
 
 // TwoPhase couples a stateless scout with the kernel TCP stack it falls back

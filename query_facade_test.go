@@ -12,7 +12,7 @@ import (
 // and both paths agree — the in-memory source and the zone-map-pushdown
 // reader compute identical exact aggregates.
 func TestFacadeQueryBuilder(t *testing.T) {
-	yd, _ := facadeData(t)
+	yd := facadeData(t)
 
 	q, err := NewQuery().
 		Qualified(true).

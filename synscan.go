@@ -5,14 +5,15 @@
 // regenerates every table and figure of the paper's evaluation on top of a
 // calibrated synthetic workload (2015–2024).
 //
-// Three entry points cover most uses:
+// Four entry points cover most uses:
 //
 //   - Simulate runs one measurement year end to end and returns the
-//     collected YearData, from which Table1, Table2, Figure2..Figure4 and the
-//     per-probe section analyses derive their results; the analyses that read
-//     only detected campaigns (Figure5..Figure7, §5.2, §6.3, §6.4) take its
-//     Campaigns, which an archive can rebuild without re-simulating.
+//     collected YearData.
 //   - SimulateDecade runs all ten years with a shared synthetic Internet.
+//   - Evaluate computes the paper's tables and figures, named by the keys
+//     `syneval -only` takes, from simulated years (Input.Years), from an
+//     archive's campaigns (Input.Campaigns) or from the simulation
+//     parameters alone. It is the one way to an experiment's result.
 //   - NewAnalyzer ingests an arbitrary probe stream (e.g. parsed from a
 //     pcap file via the Probe codec) through the campaign detector.
 //
@@ -24,6 +25,7 @@ package synscan
 import (
 	"github.com/synscan/synscan/internal/analysis"
 	"github.com/synscan/synscan/internal/archive"
+	"github.com/synscan/synscan/internal/collab"
 	"github.com/synscan/synscan/internal/core"
 	"github.com/synscan/synscan/internal/enrich"
 	"github.com/synscan/synscan/internal/inetmodel"
@@ -57,9 +59,6 @@ type (
 	// origins and the capture window — embedded in YearData and returned by
 	// CollectArchive. Pass &yd.Campaigns to the analyses that take it.
 	Campaigns = analysis.Campaigns
-	// Table1Row / Table2Row are the paper's table rows.
-	Table1Row = analysis.Table1Row
-	Table2Row = analysis.Table2Row
 	// KSResult and PearsonResult carry statistical test outcomes.
 	KSResult      = stats.KSResult
 	PearsonResult = stats.PearsonResult
@@ -141,15 +140,54 @@ func SimulateDecade(seed uint64, scale float64, telescopeSize int) ([]*YearData,
 	return analysis.Decade(seed, scale, telescopeSize, analysis.CollectConfig{})
 }
 
-// Table1 computes the headline table (volume, top ports, tools) from
-// collected years; topN controls the ranking depth (the paper uses 5).
-func Table1(years []*YearData, topN int) []Table1Row {
-	return analysis.Table1(years, topN)
-}
+// Evaluation types, re-exported: the result set and the type of every
+// table, figure and section scalar it holds.
+type (
+	// Input is what Evaluate runs on: the simulation parameters and,
+	// optionally, years already simulated from them or an archive's
+	// campaigns.
+	Input = analysis.Input
+	// Evaluation is the machine-readable result set, with JSON and CSV
+	// export methods. Evaluate fills the fields of the experiments it ran.
+	Evaluation = analysis.Evaluation
 
-// Table2 computes the scanner-type breakdown.
-func Table2(years []*YearData) []Table2Row {
-	return analysis.Table2(years)
+	Table1Row            = analysis.Table1Row        // Table 1
+	Table2Row            = analysis.Table2Row        // Table 2
+	DisclosureResult     = analysis.Figure1Result    // Fig. 1
+	VolatilityResult     = analysis.Figure2Result    // Fig. 2
+	PortsPerSourceResult = analysis.Figure3Result    // Fig. 3
+	PortToolMix          = analysis.Figure4Port      // Fig. 4
+	PortTypeMix          = analysis.Figure5Port      // Fig. 5
+	RecurrenceResult     = analysis.Figure6Result    // Fig. 6
+	SpeedCoverageRow     = analysis.Figure7Row       // Fig. 7
+	OrgCoverageRow       = analysis.Figure8Row       // Fig. 8
+	OrgCoverageDelta     = analysis.Figure910Row     // Figs. 9/10
+	ZMapDailyResult      = analysis.ZMapDailyResult  // §4.1
+	NormalizedOrigin     = analysis.NormalizedOrigin // §4.2
+	PortCoverageResult   = analysis.Sec51Result      // §5.1
+	VerticalScanResult   = analysis.Sec52Result      // §5.2
+	OriginResult         = analysis.Sec54Result      // §5.4
+	ToolSpeedResult      = analysis.Sec63Result      // §6.3
+	CoverageModesResult  = analysis.Sec64Result      // §6.4
+	BlocklistResult      = analysis.BlocklistResult  // §4.4/§6.6
+	CollabStats          = collab.Stats              // §4.1/§6.4
+	BiasResult           = analysis.BiasResult       // §7
+	BlockableResult      = analysis.BlockableResult  // §7
+	VantageResult        = analysis.VantageResult    // §7
+)
+
+// Evaluate runs the experiments the keys name (`syneval -only`'s: "table2",
+// "fig2", ...), or every one the input can serve when there are none, and
+// returns their results. Each experiment's years and ranking depth are fixed
+// by its row of the experiment table (DESIGN.md's experiment index). Pass
+// the years Simulate or SimulateDecade returned as Input.Years, with the
+// parameters they were simulated at, or CollectArchiveYears' campaigns as
+// Input.Campaigns, and nothing is simulated again; an experiment that needs
+// its own scenario (fig1, fig8, fig9, blocklist, vantage) simulates it from
+// Input's parameters. An unknown key, or one the input cannot serve, is an
+// error.
+func Evaluate(in Input, keys ...string) (*Evaluation, error) {
+	return analysis.Evaluate(in, keys)
 }
 
 // Analyzer ingests an arbitrary time-ordered probe stream through the

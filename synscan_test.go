@@ -34,14 +34,18 @@ func TestSimulateDecadeAndTables(t *testing.T) {
 	if len(years) != len(Years()) {
 		t.Fatalf("%d years", len(years))
 	}
-	t1 := Table1(years, 5)
+	ev, err := Evaluate(Input{Seed: 3, Scale: 0.0003, TelescopeSize: 2048, Years: years}, "table1", "table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1 := ev.Table1
 	if len(t1) != 10 || t1[0].Year != 2015 || t1[9].Year != 2024 {
 		t.Fatalf("Table1 rows wrong: %d", len(t1))
 	}
 	if t1[9].PacketsPerDay <= t1[0].PacketsPerDay {
 		t.Fatal("traffic must grow across the decade")
 	}
-	t2 := Table2(years)
+	t2 := ev.Table2
 	if len(t2) != 5 {
 		t.Fatalf("Table2 rows: %d", len(t2))
 	}
