@@ -229,7 +229,8 @@ func TestFacadeNamesEveryEvaluationType(t *testing.T) {
 
 // TestFacadeEvaluate: the facade's door to an experiment runs the named rows
 // on the years it is given, fills exactly their fields with what the
-// analyses compute, and refuses a key no row answers to.
+// analyses compute, reports the parameters the years were simulated at, and
+// refuses a key no row answers to.
 func TestFacadeEvaluate(t *testing.T) {
 	yd, err := Simulate(Config{Year: 2020, Seed: 2, Scale: 0.0005, TelescopeSize: 2048})
 	if err != nil {
@@ -246,11 +247,16 @@ func TestFacadeEvaluate(t *testing.T) {
 	if !reflect.DeepEqual(ev.Table2, analysis.Table2([]*YearData{yd})) {
 		t.Error("Table2 differs from analysis.Table2 of the same year")
 	}
+	if ev.Seed != 2 || ev.Scale != 0.0005 || ev.TelescopeSize != 2048 {
+		t.Errorf("the evaluation reports seed %d, scale %v, telescope %d; the year was simulated at 2, 0.0005, 2048",
+			ev.Seed, ev.Scale, ev.TelescopeSize)
+	}
 	v := reflect.ValueOf(ev).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
-		if filled := !v.Field(i).IsZero(); filled != (name == "Figure2" || name == "Table2") {
-			t.Errorf("Evaluation.%s filled = %v, want only Figure2 and Table2", name, filled)
+		want := name == "Figure2" || name == "Table2" || name == "Seed" || name == "Scale" || name == "TelescopeSize"
+		if filled := !v.Field(i).IsZero(); filled != want {
+			t.Errorf("Evaluation.%s filled = %v, want only Figure2, Table2 and the parameters", name, filled)
 		}
 	}
 	if _, err := Evaluate(in, "fig2", "bogus"); err == nil || !strings.Contains(err.Error(), `"bogus"`) {

@@ -45,6 +45,12 @@ type Campaigns struct {
 type YearData struct {
 	Campaigns
 
+	// Seed and Scale are what the year was simulated at, beside
+	// Campaigns.TelescopeSize; Scale is zero in a YearData built by hand,
+	// which records neither.
+	Seed  uint64
+	Scale float64
+
 	// AcceptedPackets counts probes that entered the dataset.
 	AcceptedPackets uint64
 	// TelescopeStats are the capture drop counters.
@@ -139,6 +145,8 @@ func collect(s *workload.Scenario, cc CollectConfig, run func(accept func(*packe
 			TelescopeSize: s.Telescope.Size(),
 			Start:         s.Start,
 		},
+		Seed:               s.Config().Seed,
+		Scale:              s.Config().Scale,
 		PacketsPerDay:      make([]uint64, s.Profile.Days+1),
 		PacketsPerPort:     stats.NewCounter[uint16](),
 		SourcesPerPort:     stats.NewCounter[uint16](),

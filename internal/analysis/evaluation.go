@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -67,7 +68,9 @@ type Input struct {
 	// Collect is how the decade is collected when a selected experiment needs
 	// one that is not given.
 	Collect CollectConfig
-	// Years is a decade already simulated from the parameters above.
+	// Years is a decade already simulated from the parameters above. A zero
+	// parameter is taken from the years, and one they were not simulated at
+	// is an error.
 	Years []*YearData
 	// Campaigns, without Years, are an archive's: nothing is simulated and
 	// only the campaign-level experiments (Keys(true)) can run.
@@ -80,6 +83,18 @@ type Input struct {
 // cannot serve, is an error; a default-set experiment pinned to a year the
 // input lacks is skipped and named in Evaluation.Skipped.
 func Evaluate(in Input, keys []string) (*Evaluation, error) {
+	for _, yd := range in.Years {
+		if yd.Scale == 0 {
+			continue // built by hand: nothing recorded to check
+		}
+		err := errors.Join(
+			simulatedAt("seed", &in.Seed, yd.Seed, yd.Year),
+			simulatedAt("scale", &in.Scale, yd.Scale, yd.Year),
+			simulatedAt("telescope size", &in.TelescopeSize, yd.TelescopeSize, yd.Year))
+		if err != nil {
+			return nil, err
+		}
+	}
 	archived := in.Years == nil && in.Campaigns != nil
 	if err := CheckKeys(keys, archived); err != nil {
 		return nil, err
@@ -124,6 +139,19 @@ func Evaluate(in Input, keys []string) (*Evaluation, error) {
 		}
 	}
 	return ev, nil
+}
+
+// simulatedAt fills the zero input parameter *p with the value the year was
+// simulated at, and refuses a nonzero one that differs from it.
+func simulatedAt[T comparable](name string, p *T, at T, year int) error {
+	var zero T
+	switch {
+	case *p == zero:
+		*p = at
+	case *p != at:
+		return fmt.Errorf("input %s is %v, but year %d was simulated at %s %v", name, *p, year, name, at)
+	}
+	return nil
 }
 
 // evalRun is what the rows of one Evaluate call share.

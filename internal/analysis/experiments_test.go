@@ -11,8 +11,10 @@ import (
 	"testing"
 
 	"github.com/synscan/synscan/internal/analysis"
+	"github.com/synscan/synscan/internal/inetmodel"
 	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/report"
+	"github.com/synscan/synscan/internal/workload"
 )
 
 // The configuration the reproducibility checks run at: `syneval -seed 1
@@ -249,8 +251,8 @@ func TestEvaluateArchivedCampaigns(t *testing.T) {
 	}
 
 	// The whole decade's campaigns serve every campaign-level row, equal to
-	// the simulated decade's.
-	in.Campaigns = camps
+	// the simulated decade's, whose seed and scale the evaluation reports.
+	in.Seed, in.Scale, in.Campaigns = goldenSeed, goldenScale, camps
 	got, err := analysis.Evaluate(in, nil)
 	if err != nil || len(got.Skipped) > 0 {
 		t.Fatalf("decade of campaigns: err %v, skipped %v", err, got.Skipped)
@@ -261,5 +263,58 @@ func TestEvaluateArchivedCampaigns(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("campaign-level rows differ between campaigns alone and the simulated decade")
+	}
+}
+
+// TestEvaluateReadsTheYearsParameters: a year records the seed, scale and
+// telescope size it was simulated at, and Evaluate takes the parameters an
+// Input leaves zero from it — sec51 over a year simulated at seed 2 is the
+// Seed: 2 evaluation of the same year and Sec51 called with seed 2 — and
+// refuses an Input that names other ones, naming both.
+func TestEvaluateReadsTheYearsParameters(t *testing.T) {
+	const seed, scale, tel = 2, goldenScale, goldenTel
+	s, err := workload.NewScenario(workload.Config{Year: 2022, Seed: seed, Scale: scale, TelescopeSize: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	yd := analysis.Collect(s, analysis.CollectConfig{})
+	if yd.Seed != seed || yd.Scale != scale || yd.TelescopeSize != tel {
+		t.Fatalf("the year records seed %d, scale %v, telescope %d", yd.Seed, yd.Scale, yd.TelescopeSize)
+	}
+	years := []*analysis.YearData{yd}
+	got, err := analysis.Evaluate(analysis.Input{Years: years}, []string{"sec51"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seed != seed || got.Scale != scale || got.TelescopeSize != tel {
+		t.Errorf("the evaluation reports seed %d, scale %v, telescope %d", got.Seed, got.Scale, got.TelescopeSize)
+	}
+	want, err := analysis.Evaluate(analysis.Input{Seed: seed, Scale: scale, TelescopeSize: tel, Years: years}, []string{"sec51"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := analysis.Sec51(yd, inetmodel.NewServiceModel(seed), seed)
+	if !reflect.DeepEqual(got.Sec51, want.Sec51) || !reflect.DeepEqual(got.Sec51, []*analysis.Sec51Result{direct}) {
+		t.Errorf("sec51 from the year's own parameters: %+v; with Seed: %d: %+v; Sec51: %+v", got.Sec51[0], seed, want.Sec51[0], direct)
+	}
+	for _, c := range []struct {
+		in   analysis.Input
+		want []string
+	}{
+		{analysis.Input{Seed: 3}, []string{"seed is 3", "seed 2"}},
+		{analysis.Input{Seed: seed, Scale: 0.001}, []string{"scale is 0.001", "scale 0.0003"}},
+		{analysis.Input{TelescopeSize: 4096}, []string{"telescope size is 4096", "telescope size 2048"}},
+	} {
+		c.in.Years = years
+		_, err := analysis.Evaluate(c.in, []string{"sec51"})
+		if err == nil {
+			t.Errorf("%+v over a year simulated at seed %d, scale %v, telescope %d: no error", c.in, seed, scale, tel)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("error %q does not name %q", err, w)
+			}
+		}
 	}
 }

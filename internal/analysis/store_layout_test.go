@@ -88,7 +88,10 @@ func TestStoreLayoutsEquivalent(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("campaigns differ from the simulated decade's (%d years vs %d)", len(got), len(want))
 			}
-			ev, err := analysis.Evaluate(analysis.Input{TelescopeSize: got[0].TelescopeSize, Campaigns: got}, analysis.Keys(true))
+			// Campaigns do not record the seed and scale the decade was
+			// simulated at, which its evaluation reports.
+			in := analysis.Input{Seed: goldenSeed, Scale: goldenScale, TelescopeSize: got[0].TelescopeSize, Campaigns: got}
+			ev, err := analysis.Evaluate(in, analysis.Keys(true))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -99,37 +99,78 @@ func (rw *rows) release() {
 }
 
 // reset empties the set for a block decoded with fields. A projected column
-// keeps its memory; every other one is dropped, so an idle set holds what the
-// last query it served reads and no more.
+// keeps its memory; every other one is dropped to the spares of its type, so
+// an idle set holds what the last query it served reads and no more, and a
+// column a query projects again comes back from the spares instead of being
+// regrown from nothing.
 func (rw *rows) reset(fields Fields) {
 	rw.fields, rw.n, rw.err = fields, 0, nil
-	rw.start = column(rw.start, fields&FieldStart)
-	rw.dur = column(rw.dur, fields&FieldDuration)
-	rw.src = column(rw.src, fields&FieldSrc)
-	rw.packets = column(rw.packets, fields&FieldPackets)
-	rw.dsts = column(rw.dsts, fields&FieldDsts)
-	rw.portEnd = column(rw.portEnd, fields&FieldPorts)
-	rw.ports = column(rw.ports, fields&FieldPorts)
+	rw.start = column(rw.start, fields&FieldStart, spares.int64s)
+	rw.dur = column(rw.dur, fields&FieldDuration, spares.int64s)
+	rw.src = column(rw.src, fields&FieldSrc, spares.uint32s)
+	rw.packets = column(rw.packets, fields&FieldPackets, spares.uint64s)
+	rw.dsts = column(rw.dsts, fields&FieldDsts, spares.int32s)
+	rw.portEnd = column(rw.portEnd, fields&FieldPorts, spares.uint32s)
+	rw.ports = column(rw.ports, fields&FieldPorts, spares.uint16s)
 	if fields&FieldPorts != 0 && rw.ports == nil {
 		// A record with no ports decodes to an empty list, not to "not
 		// projected": the column is never nil while projected.
 		rw.ports = make([]uint16, 0, 256)
 	}
-	rw.tool = column(rw.tool, fields&FieldTool)
-	rw.rate = column(rw.rate, fields&FieldRate)
-	rw.coverage = column(rw.coverage, fields&FieldCoverage)
-	rw.phase = column(rw.phase, fields&FieldPhase)
-	rw.payloadEnd = column(rw.payloadEnd, fields&FieldPayload)
-	rw.payload = column(rw.payload, fields&FieldPayload)
-	rw.country = column(rw.country, fields&FieldCountry)
-	rw.asn = column(rw.asn, fields&FieldASN)
-	rw.org = column(rw.org, fields&FieldOrg)
+	rw.tool = column(rw.tool, fields&FieldTool, spares.bytes)
+	rw.rate = column(rw.rate, fields&FieldRate, spares.float64s)
+	rw.coverage = column(rw.coverage, fields&FieldCoverage, spares.float64s)
+	rw.phase = column(rw.phase, fields&FieldPhase, spares.phases)
+	rw.payloadEnd = column(rw.payloadEnd, fields&FieldPayload, spares.uint32s)
+	rw.payload = column(rw.payload, fields&FieldPayload, spares.bytes)
+	rw.country = column(rw.country, fields&FieldCountry, spares.strings)
+	rw.asn = column(rw.asn, fields&FieldASN, spares.uint64s)
+	rw.org = column(rw.org, fields&FieldOrg, spares.orgs)
 }
 
-// column empties c when its strip is projected and drops it otherwise.
-func column[T any](c []T, projected Fields) []T {
+// spares holds the columns reset dropped, by element type, for the next set
+// whose query projects a column of that type: a query that projects other
+// strips than the one before it takes its columns back instead of regrowing
+// them a doubling at a time in every set. Each type keeps as many as
+// rowsFree keeps sets, so the spares hold at most what a window of sets
+// projecting every strip would, and a column beyond that goes to the
+// collector.
+var spares = struct {
+	int64s   chan []int64
+	int32s   chan []int32
+	uint16s  chan []uint16
+	uint32s  chan []uint32
+	uint64s  chan []uint64
+	float64s chan []float64
+	bytes    chan []byte
+	strings  chan []string
+	phases   chan []phaseRow
+	orgs     chan []orgEntry
+}{
+	make(chan []int64, cap(rowsFree)), make(chan []int32, cap(rowsFree)),
+	make(chan []uint16, cap(rowsFree)), make(chan []uint32, cap(rowsFree)),
+	make(chan []uint64, cap(rowsFree)), make(chan []float64, cap(rowsFree)),
+	make(chan []byte, cap(rowsFree)), make(chan []string, cap(rowsFree)),
+	make(chan []phaseRow, cap(rowsFree)), make(chan []orgEntry, cap(rowsFree)),
+}
+
+// column empties c when its strip is projected, taking a spare if c has no
+// memory, and drops c to the spares otherwise.
+func column[T any](c []T, projected Fields, spare chan []T) []T {
 	if projected == 0 {
+		if cap(c) > 0 {
+			select {
+			case spare <- c[:0]:
+			default:
+			}
+		}
 		return nil
+	}
+	if cap(c) == 0 {
+		select {
+		case c = <-spare:
+		default:
+		}
 	}
 	return c[:0]
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"cmp"
+	"errors"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -51,6 +52,10 @@ func topKCapacity(k int) int {
 // (spillSlots), so a decade's sweeps over sorted ports walk their states in
 // order instead of probing at random.
 //
+// Its buffers come from the package's free lists (free.go) and go back to
+// them when Finish has rendered the result or Merge has consumed the partial;
+// the executor is then spent.
+//
 // Not safe for concurrent use; run one Executor per goroutine and Merge.
 type Executor struct {
 	q   *Query
@@ -66,6 +71,7 @@ type Executor struct {
 	ops         []operand // q.Aggs' fields, resolved
 	portAt      int       // index of FieldPort in q.GroupBy, or -1
 	originGroup bool      // a q.GroupBy field needs the origin
+	extended    bool      // a q.Aggs operator keeps an aggExt: the states hold pointers
 	groups      int       // groups open, in either layout
 	// Hashed layout.
 	slots      []int32    // group number + 1 by key hash, 0 = empty; nil once direct
@@ -151,7 +157,10 @@ func NewExecutor(q *Query) *Executor {
 		}
 		return e
 	}
-	e.slots = make([]int32, minGroupSlots)
+	e.slots = int32s.take(minGroupSlots)
+	clear(e.slots)
+	e.keys = keys.take(minGroupSlots / 2)[:0]
+	e.aggs = states.take(minGroupSlots / 2 * len(q.Aggs))[:0]
 	for i, f := range q.GroupBy {
 		if f == FieldPort {
 			e.portAt = i
@@ -161,6 +170,7 @@ func NewExecutor(q *Query) *Executor {
 	}
 	for _, a := range q.Aggs {
 		e.ops = append(e.ops, e.resolve(a.Field, false))
+		e.extended = e.extended || a.Op != OpCount && a.Op != OpSum
 		if a.Op == OpCountDistinct && e.setMult == 0 {
 			e.setMult = setMultiplier(rand.Uint64)
 		}
@@ -348,14 +358,20 @@ func (e *Executor) groupOf(key *groupKey) (int, bool) {
 		// Keys and states grow in step with the table, to exactly the groups
 		// it can hold, so a growing executor copies each of them once per
 		// doubling and never between.
-		e.slots = make([]int32, 2*len(e.slots))
+		old := e.slots
+		e.slots = int32s.take(2 * len(old))
+		clear(e.slots)
+		int32s.give(old)
 		for g, k := range e.keys {
 			e.slots[e.slotOf(&k)] = int32(g + 1)
 		}
 		slot = e.slotOf(key)
 		room := len(e.slots)/2 - g
-		e.keys = slices.Grow(e.keys, room)
-		e.aggs = slices.Grow(e.aggs, room*n)
+		e.keys = keys.grow(e.keys, room)
+		aggs := states.take(len(e.slots) / 2 * n)[:len(e.aggs)]
+		copy(aggs, e.aggs)
+		e.giveStates(e.aggs)
+		e.aggs = aggs
 	}
 	e.slots[slot] = int32(g + 1)
 	e.keys = append(e.keys, *key)
@@ -380,13 +396,18 @@ func (e *Executor) capped() bool {
 // move to its coordinate's place, and the slots and keys go.
 func (e *Executor) spill() {
 	n := len(e.q.Aggs)
-	aggs := make([]aggState, directGroups*n)
-	e.present = make([]uint64, directGroups/64)
+	aggs := states.take(directGroups * n)
+	clear(aggs)
+	e.present = uint64s.take(directGroups / 64)
+	clear(e.present)
 	for g := range e.keys {
 		c := int(e.keys[g].get(0))
 		copy(aggs[c*n:c*n+n], e.aggs[g*n:g*n+n])
 		e.present[c>>6] |= 1 << (c & 63)
 	}
+	e.giveStates(e.aggs)
+	int32s.give(e.slots)
+	keys.give(e.keys)
 	e.aggs, e.slots, e.keys = aggs, nil, nil
 }
 
@@ -423,12 +444,13 @@ func (e *Executor) keyOf(g int32) groupKey {
 
 // ranks returns a function numbering the groups 0, 1, … in eachGroup's order:
 // a hashed group's rank is its number, a direct group's the count of groups
-// present below its coordinate (from a 4 KB prefix count per bitmap word).
-func (e *Executor) ranks() func(g int32) int32 {
+// present below its coordinate (from a 4 KB prefix count per bitmap word,
+// which it also returns for the caller to give back).
+func (e *Executor) ranks() (func(g int32) int32, []int32) {
 	if e.present == nil {
-		return func(g int32) int32 { return g }
+		return func(g int32) int32 { return g }, nil
 	}
-	below := make([]int32, len(e.present))
+	below := int32s.take(len(e.present))
 	var r int32
 	for w, word := range e.present {
 		below[w] = r
@@ -436,7 +458,7 @@ func (e *Executor) ranks() func(g int32) int32 {
 	}
 	return func(g int32) int32 {
 		return below[g>>6] + int32(bits.OnesCount64(e.present[g>>6]&(1<<(g&63)-1)))
-	}
+	}, below
 }
 
 // observeRow folds one scan row into key's group.
@@ -518,7 +540,7 @@ func (e *Executor) observeAgg(a *Agg, f *operand, st *aggState, sc *core.Scan, o
 			// Double. append grows a large slice by a quarter at a time,
 			// which for a decade-sized group allocates five times its
 			// final size in all; doubling allocates twice.
-			samples = slices.Grow(samples, max(len(samples), 16))
+			samples = float64s.grow(samples, max(len(samples), 16))
 		}
 		st.ext.samples = append(samples, f.numValue(sc, o, portSplit))
 	default: // keyed: count_distinct, approx_distinct, top_k
@@ -557,8 +579,10 @@ func (x *aggExt) addKey(op AggOp, k uint64) {
 // Merge folds another partial (built from the same Query) into e, in stream
 // order: counts and sums add, distinct sets union, HLL registers max, top-k
 // trackers merge under the Space-Saving bound, quantile samples concatenate.
-// The other executor must not be used afterwards.
+// It gives o's buffers back and leaves o spent, whether or not e took
+// anything from it.
 func (e *Executor) Merge(o *Executor) {
+	defer o.release()
 	if e.err != nil {
 		return
 	}
@@ -602,6 +626,8 @@ func (e *Executor) Merge(o *Executor) {
 }
 
 // mergeAgg folds src into dst, which may be a group's just-opened zero state.
+// An extension dst adopts leaves src, so that src's release gives back only
+// what dst did not take.
 func mergeAgg(dst, src *aggState) {
 	dst.n += src.n
 	dst.f += src.f
@@ -609,7 +635,7 @@ func mergeAgg(dst, src *aggState) {
 		return
 	}
 	if dst.ext == nil {
-		dst.ext = src.ext
+		dst.ext, src.ext = src.ext, nil
 		return
 	}
 	d, s := dst.ext, src.ext
@@ -620,7 +646,45 @@ func mergeAgg(dst, src *aggState) {
 	if s.topk != nil {
 		d.topk.Merge(s.topk)
 	}
-	d.samples = append(d.samples, s.samples...)
+	d.samples = append(float64s.grow(d.samples, len(s.samples)), s.samples...)
+}
+
+// giveStates gives back a states buffer the executor has moved out of: the
+// extension pointers copied out of it are cleared first, when there can be
+// any, so that the free list keeps none alive.
+func (e *Executor) giveStates(b []aggState) {
+	if e.extended {
+		clear(b[:cap(b)])
+	}
+	states.give(b)
+}
+
+// errSpent is a spent executor's error: Finish or Merge gave its buffers
+// back, and another query may own them now.
+var errSpent = errors.New("query: executor used after Finish or Merge")
+
+// release gives the executor's buffers back to the free lists — every
+// distinct set's slots and quantile sample array, then the table — and
+// leaves it spent: Observe does nothing, Merge takes nothing from it and
+// Finish fails. A second release finds nothing to give. A select-mode
+// executor's rows belong to its result and stay.
+func (e *Executor) release() {
+	e.err = errSpent
+	if e.extended {
+		for i := range e.aggs {
+			if x := e.aggs[i].ext; x != nil {
+				uint64s.give(x.set.slots)
+				float64s.give(x.samples)
+				x.set.slots, x.samples = nil, nil
+				e.aggs[i].ext = nil
+			}
+		}
+	}
+	int32s.give(e.slots)
+	keys.give(e.keys)
+	states.give(e.aggs)
+	uint64s.give(e.present)
+	e.slots, e.keys, e.aggs, e.present = nil, nil, nil, nil
 }
 
 // KeyVal is one rendered group-key coordinate.
@@ -686,14 +750,16 @@ type Result struct {
 	TotalRows int
 }
 
-// Finish renders the accumulated state. The executor must not be used
-// afterwards.
+// Finish renders the accumulated state into memory of the result's own,
+// gives the executor's buffers back and leaves it spent: a second Finish
+// fails.
 //
 // Rows are ordered before they exist: group numbers are sorted by (first
 // aggregate's scalar descending, coordinates ascending) or by coordinates
 // alone — a total order either way, distinct groups having distinct
 // coordinates — and only the rows that survive the limit are rendered.
 func (e *Executor) Finish() (*Result, error) {
+	defer e.release()
 	if e.err != nil {
 		return nil, e.err
 	}
@@ -704,7 +770,8 @@ func (e *Executor) Finish() (*Result, error) {
 		return res, nil
 	}
 	n := len(e.q.Aggs)
-	order := make([]int32, 0, e.groups)
+	order := int32s.take(e.groups)[:0]
+	defer func() { int32s.give(order) }()
 	e.eachGroup(func(g int, _ groupKey) bool {
 		order = append(order, int32(g))
 		return true
@@ -713,11 +780,13 @@ func (e *Executor) Finish() (*Result, error) {
 	if e.q.Order != OrderKey && n > 0 {
 		// Scalars by rank, sized by the groups present: a direct table's
 		// group numbers run to 65 535 however few of them exist.
-		scalars := make([]float64, len(order))
+		scalars := float64s.take(len(order))
+		defer float64s.give(scalars)
 		for r, g := range order {
 			scalars[r] = scalar(&e.q.Aggs[0], &e.aggs[int(g)*n])
 		}
-		rank := e.ranks()
+		rank, below := e.ranks()
+		defer int32s.give(below)
 		before = func(a, b int32) int {
 			if c := cmp.Compare(scalars[rank(b)], scalars[rank(a)]); c != 0 {
 				return c
@@ -991,7 +1060,8 @@ func (s *distinctSet) resize(size int) {
 		s.mult = fibonacci
 	}
 	old := s.slots
-	s.slots = make([]uint64, size)
+	s.slots = uint64s.take(size)
+	clear(s.slots)
 	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	mask := size - 1
 	for _, k := range old {
@@ -1004,6 +1074,7 @@ func (s *distinctSet) resize(size int) {
 		}
 		s.slots[i] = k
 	}
+	uint64s.give(old)
 }
 
 // union adds every key of o to s.

@@ -548,8 +548,11 @@ func sweepStream(seed uint64) (scans []*core.Scan, origins []enrich.Origin, unit
 // taking in the total of everything after it) — so that Merge meets hashed
 // into direct (the receiver spilling mid-merge), direct into hashed and
 // direct into direct, each with the direct side first in the stream and
-// second. At most two executors are live at a time.
+// second. At most two executors are live at a time, and under poisonFree
+// every buffer a merge or a finish gives back is scribbled.
 func TestSpillMatchesNaive(t *testing.T) {
+	poisonFree.Store(true)
+	defer poisonFree.Store(false)
 	scans, origins, units := sweepStream(71)
 	aggSets := []func(b *Builder){
 		func(b *Builder) { b.Count() },

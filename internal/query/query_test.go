@@ -405,8 +405,12 @@ func TestAggregatesAgainstHandRolled(t *testing.T) {
 }
 
 // TestMergeEqualsSequential: splitting a stream into partials and merging
-// yields the same result as one sequential executor, for every aggregate.
+// yields the same result as one sequential executor, for every aggregate —
+// under poisonFree, which scribbles every buffer a merge or a finish gives
+// back.
 func TestMergeEqualsSequential(t *testing.T) {
+	poisonFree.Store(true)
+	defer poisonFree.Store(false)
 	scans, origins := genScans(900, 13)
 	q, err := NewBuilder().
 		GroupBy(FieldTool).

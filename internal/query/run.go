@@ -62,7 +62,8 @@ func (s SliceSource) Query(ctx context.Context, p archive.Predicate, emit func(s
 // Run executes q against the sources in order: one partial Executor per
 // source, folded left-to-right, so results are deterministic in source and
 // stream order. The query is validated first; aggregation streams — no
-// matching-scan list is materialized.
+// matching-scan list is materialized. A failed source gives back what the
+// executors hold, as Finish does.
 func Run(ctx context.Context, q *Query, srcs ...Source) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -72,6 +73,10 @@ func Run(ctx context.Context, q *Query, srcs ...Source) (*Result, error) {
 	for _, src := range srcs {
 		part := NewExecutor(q)
 		if err := src.Query(ctx, p, part.Observe); err != nil {
+			part.release()
+			if total != nil {
+				total.release()
+			}
 			return nil, err
 		}
 		if total == nil {

@@ -78,6 +78,10 @@ type Scenario struct {
 	specs []*spec
 }
 
+// Config returns the configuration the scenario was built from, with the
+// defaults NewScenario filled in.
+func (s *Scenario) Config() Config { return s.cfg }
+
 // WindowStart pins each year's capture window to February 1, matching the
 // paper's "first half of the year" collection without any wall-clock use.
 // Exported so archive-backed analyses can reconstruct a year's window
