@@ -502,12 +502,14 @@ func BenchmarkSegmentStoreQuery(b *testing.B) {
 // reactive.observe_ns_per_pkt: the reactive telescope's ingress — membership,
 // rate limit, invitation table — under SYNs with a handshake ACK behind every
 // fourth, in the two states the table can be in. "fill" keeps fewer tuples
-// in play than the table holds, so after the first round a SYN re-invites in
-// place and nothing is evicted; "churn" plays sixteen tables' worth, so the
-// table runs full and every SYN evicts the oldest invitation — where a busy
-// telescope spends the whole capture, and what ingest_reactive times. The
-// table is small enough to stay in cache; the ledger's figure includes the
-// misses of the full-size one.
+// in play than a 4096-slot table holds, so after the first round a SYN
+// re-invites in place and nothing is evicted; "churn" plays sixteen such
+// tables' worth, so the table runs full and every SYN evicts the oldest
+// invitation, in a table small enough to stay in cache. "churn-default" is
+// the table ingest_reactive churns: the default 65 536 slots, twice that
+// many tuples, one SYN a millisecond at the default 1000/s, so every SYN
+// evicts an invitation that outlived its 30 s — the state a busy telescope
+// spends the whole capture in, with the cache misses of a table that size.
 func BenchmarkReactiveObserve(b *testing.B) {
 	tel, err := telescope.New(telescope.Config{
 		Blocks: []telescope.PartialBlock{
@@ -518,14 +520,13 @@ func BenchmarkReactiveObserve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const maxState = 4096
 	for _, bc := range []struct {
-		name   string
-		tuples int
-	}{{"fill", maxState / 2}, {"churn", maxState * 16}} {
+		name             string
+		maxState, tuples int
+	}{{"fill", 4096, 2048}, {"churn", 4096, 4096 * 16}, {"churn-default", 0, 2 << 16}} {
 		b.Run(bc.name, func(b *testing.B) {
 			pol := reactive.DefaultPolicy(7)
-			pol.MaxState = maxState
+			pol.MaxState = bc.maxState
 			rt := reactive.New(tel, pol)
 			probes := make([]packet.Probe, 0, bc.tuples*5/4)
 			for i := 0; i < bc.tuples; i++ {
@@ -554,7 +555,11 @@ func BenchmarkReactiveObserve(b *testing.B) {
 			b.StopTimer()
 			// After a whole pass the table is in the state the name says.
 			st := rt.Stats()
-			if b.N > len(probes) && ((bc.tuples > maxState) != (st.Evicted+st.Expired > 0) || st.RateLimited > 0) {
+			slots := bc.maxState
+			if slots == 0 {
+				slots = 1 << 16
+			}
+			if b.N > len(probes) && ((bc.tuples > slots) != (st.Evicted+st.Expired > 0) || st.RateLimited > 0) {
 				b.Fatalf("%s did not measure the state it names: %+v", bc.name, st)
 			}
 		})

@@ -33,7 +33,11 @@ import (
 //     in one list is under 2 · maxKeptBytes; maxIdleBytes keeps two such
 //     chains, the total's and a partial's, of the largest buffers.
 //
-// A buffer given back past any of the three goes to the collector.
+// A buffer given back past either of the first two goes to the collector.
+// One that would take the lists past maxIdleBytes evicts idle buffers,
+// the largest of all the lists first, until it fits: a shape the lists have
+// not seen is served from them once it is warm, and what stale shapes left
+// idle goes to the collector instead.
 const (
 	maxKeptBytes = 4 << 20
 	classWindow  = 32
@@ -49,6 +53,11 @@ var (
 	uint64s  = newFreeList[uint64](nil)   // the direct bitmap, distinct-set slots
 	float64s = newFreeList[float64](nil)  // quantile samples, Finish's scalars
 	idle     atomic.Int64                 // bytes the lists hold, all of them
+
+	lists = [...]interface {
+		largestIdle() int
+		dropLargest() bool
+	}{int32s, keys, states, uint64s, float64s}
 )
 
 // poisonFree, when set (by tests only), scribbles every buffer as it goes
@@ -115,15 +124,60 @@ func (l *freeList[T]) give(b []T) {
 		return
 	}
 	size := int64(classBytes[T](c))
-	if idle.Add(size) > maxIdleBytes {
-		idle.Add(-size)
+	if len(l.class[c]) == classWindow {
 		return
+	}
+	for idle.Add(size) > maxIdleBytes {
+		idle.Add(-size)
+		if !evictLargest() {
+			return
+		}
 	}
 	select {
 	case l.class[c] <- b:
 	default:
 		idle.Add(-size)
 	}
+}
+
+// largestIdle returns the size in bytes of l's largest idle buffer, 0 when
+// l holds none.
+func (l *freeList[T]) largestIdle() int {
+	for c := maxClass; c >= minClass; c-- {
+		if ch := l.class[c]; ch != nil && len(ch) > 0 {
+			return classBytes[T](c)
+		}
+	}
+	return 0
+}
+
+// dropLargest drops l's largest idle buffer to the collector. It reports
+// false when l holds none.
+func (l *freeList[T]) dropLargest() bool {
+	for c := maxClass; c >= minClass; c-- {
+		if ch := l.class[c]; ch != nil && len(ch) > 0 {
+			select {
+			case <-ch:
+				idle.Add(-int64(classBytes[T](c)))
+				return true
+			default:
+			}
+		}
+	}
+	return false
+}
+
+// evictLargest drops the largest idle buffer of all the lists to the
+// collector. It reports false when the lists hold nothing.
+func evictLargest() bool {
+	var from interface{ dropLargest() bool }
+	size := 0
+	for _, l := range lists {
+		if n := l.largestIdle(); n > size {
+			from, size = l, n
+		}
+	}
+	return from != nil && from.dropLargest()
 }
 
 // grow returns s with room for n more elements: s itself when it has it,

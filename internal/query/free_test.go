@@ -122,7 +122,8 @@ func TestAllocBudgetQueryWarm(t *testing.T) {
 // a mix of shapes — every table layout, sets and samples, merged partials,
 // a quantile over more samples than a kept buffer holds — the lists hold at
 // most maxIdleBytes, what their counter says, in buffers of at most
-// maxKeptBytes each.
+// maxKeptBytes each; and a shape the mix did not run is served from them
+// once it is warm, although the mix left them near their cap.
 func TestFreeIdleBound(t *testing.T) {
 	drainFree()
 	scans, origins := genScans(3000, 89)
@@ -143,11 +144,41 @@ func TestFreeIdleBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// 2^20 samples, 8 MiB: more than a kept buffer.
+	t.Logf("%d bytes idle after the mix", idle.Load())
 	big := make([]*core.Scan, 1<<20)
 	for i := range big {
 		big[i] = scans[i%len(scans)]
 	}
+	// A shape whose state is larger than anything the mix left idle — a
+	// quantile whose samples double up to 2 MiB or 4 MiB buffers — is
+	// served from the lists by its third run: what it gives back displaces
+	// the mix's idle buffers, largest first, rather than going to the
+	// collector. Measured as query-warm measures a quantile, per record of
+	// 300 000 over 150 000.
+	shape, err := NewBuilder().Quantiles(FieldRate, 0.5, 0.9).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fewRecords, manyRecords = 150_000, 300_000
+	run := func(n int) func() {
+		return func() {
+			if _, err := Run(context.Background(), shape, SliceSource{Scans: big[:n]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(fewRecords)()
+	run(manyRecords)()
+	fewAllocs, fewBytes := alloctest.Measure(1, run(fewRecords))
+	manyAllocs, manyBytes := alloctest.Measure(1, run(manyRecords))
+	t.Logf("third runs: %d records %.0f allocs, %.0f B; %d records %.0f allocs, %.0f B",
+		fewRecords, fewAllocs, fewBytes, manyRecords, manyAllocs, manyBytes)
+	if per := (manyBytes - fewBytes) / (manyRecords - fewRecords); manyAllocs > fewAllocs || per > 1 {
+		t.Errorf("a new shape's third run allocates %.0f times and %.1f B a record more at %d records: want it served from the lists",
+			manyAllocs-fewAllocs, per, manyRecords)
+	}
+
+	// 2^20 samples, 8 MiB: more than a kept buffer.
 	q, err := NewBuilder().Quantiles(FieldRate, 0.5).Build()
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +186,7 @@ func TestFreeIdleBound(t *testing.T) {
 	if _, err := Run(context.Background(), q, SliceSource{Scans: big}); err != nil {
 		t.Fatal(err)
 	}
+
 	counted := idle.Load()
 	held, largest := drainFree()
 	t.Logf("%d bytes idle, the largest buffer %d", held, largest)

@@ -15,8 +15,12 @@
 //
 // Everything is deterministic: responder ISNs are keyed off the policy seed
 // and the connection 4-tuple, the rate limiter runs on the virtual packet
-// clock, and state eviction is strictly FIFO. The type is safe for
-// concurrent use so sharded ingest paths can share one responder.
+// clock, and state eviction is strictly FIFO. A Telescope has one owner, as
+// the passive telescope and the detector do: it takes no lock, and its
+// caller serializes Observe, Stats and SetMetrics. Every reactive path —
+// workload.Scenario.RunReactive, analysis.CollectReactive, syntelescope —
+// drives its responder from one goroutine; a sharded ingest path gives each
+// shard a responder of its own.
 //
 // The invitation state is one fixed table (table.go) allocated by New:
 // Observe allocates nothing, however long the capture and however the
@@ -24,8 +28,6 @@
 package reactive
 
 import (
-	"sync"
-
 	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/packet"
 	"github.com/synscan/synscan/internal/telescope"
@@ -70,9 +72,27 @@ type Disposition struct {
 	Phase int
 	// Responded reports that a SYN-ACK was synthesized for this packet.
 	Responded bool
-	// Resp is the synthesized SYN-ACK when Responded is set. Its Time
-	// equals the probe's arrival time; callers model the return path delay.
-	Resp packet.Probe
+	// ISN is the synthesized SYN-ACK's sequence number when Responded is
+	// set; SynAck renders the whole segment.
+	ISN uint32
+}
+
+// SynAck renders the SYN-ACK the responder synthesized for p, the probe d
+// was returned for; d.Responded must be set. Its Time equals the probe's
+// arrival time: callers model the return path delay.
+func (d Disposition) SynAck(p *packet.Probe) packet.Probe {
+	return packet.Probe{
+		Time:    p.Time,
+		Src:     p.Dst,
+		Dst:     p.Src,
+		SrcPort: p.DstPort,
+		DstPort: p.SrcPort,
+		Seq:     d.ISN,
+		Ack:     p.Seq + 1,
+		TTL:     64,
+		Flags:   packet.FlagSYN | packet.FlagACK,
+		Window:  65535,
+	}
 }
 
 // Stats counts the responder's activity.
@@ -93,13 +113,12 @@ type Stats struct {
 	Expired uint64
 }
 
-// Telescope is a reactive wrapper around a passive telescope. Concurrent
-// Observe calls are serialized internally.
+// Telescope is a reactive wrapper around a passive telescope. It has one
+// owner: calls to it must not overlap.
 type Telescope struct {
 	base *telescope.Telescope
 	pol  Policy
 
-	mu       sync.Mutex
 	allow    [1024]uint64 // port allowlist bitmap; allowAll short-circuits
 	allowAll bool
 	inv      *table // outstanding invitations, FIFO
@@ -151,8 +170,6 @@ func New(base *telescope.Telescope, pol Policy) *Telescope {
 // reactive.* alongside the wrapped telescope's counters. A nil registry
 // detaches.
 func (t *Telescope) SetMetrics(reg *obs.Registry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if reg == nil {
 		t.met = nil
 		return
@@ -174,8 +191,6 @@ func (t *Telescope) Base() *telescope.Telescope { return t.base }
 
 // Stats returns a copy of the responder counters.
 func (t *Telescope) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.stats
 }
 
@@ -202,8 +217,6 @@ func mix64(x uint64) uint64 {
 // and keeps both the responder's and the wrapped telescope's accounting.
 func (t *Telescope) Observe(p *packet.Probe) Disposition {
 	r := t.base.Check(p)
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	switch r {
 	case telescope.Accepted:
 		// Phase one: a SYN the passive telescope would record anyway.
@@ -218,7 +231,7 @@ func (t *Telescope) Observe(p *packet.Probe) Disposition {
 			break
 		}
 		k := tuple{p.Src, p.Dst, p.SrcPort, p.DstPort}
-		pos := t.inv.find(k, t.inv.hash(k))
+		pos, at := t.inv.find(k, t.inv.hash(k))
 		if pos < 0 {
 			break
 		}
@@ -236,7 +249,7 @@ func (t *Telescope) Observe(p *packet.Probe) Disposition {
 			t.base.Record(telescope.Accepted)
 			return Disposition{Reason: telescope.Accepted, Phase: 2}
 		}
-		t.inv.lapse(pos)
+		t.inv.lapse(pos, at)
 		t.stats.Expired++
 		if t.met != nil {
 			t.met.expired.Inc()
@@ -248,7 +261,7 @@ func (t *Telescope) Observe(p *packet.Probe) Disposition {
 }
 
 // respond decides whether to answer an accepted SYN and, if so, synthesizes
-// the SYN-ACK and registers the invitation. Caller holds t.mu.
+// the SYN-ACK and registers the invitation.
 func (t *Telescope) respond(p *packet.Probe, d *Disposition) {
 	if !t.portAllowed(p.DstPort) {
 		t.stats.PolicyDenied++
@@ -276,11 +289,7 @@ func (t *Telescope) respond(p *packet.Probe, d *Disposition) {
 	}
 	k := tuple{p.Src, p.Dst, p.SrcPort, p.DstPort}
 	expiry := p.Time + t.pol.StateTTL
-	tag := t.inv.hash(k)
-	if pos := t.inv.find(k, tag); pos >= 0 {
-		// Re-invited while live: a later deadline, the same turn in the ring.
-		t.inv.slots[pos].expiry = expiry
-	} else if evicted, was := t.inv.insert(k, tag, expiry); evicted {
+	if evicted, was := t.inv.invite(k, expiry); evicted {
 		// The table was full and its oldest invitation made room; one that
 		// had lapsed unclaimed by then counts as expired, not evicted.
 		if was < p.Time {
@@ -295,23 +304,11 @@ func (t *Telescope) respond(p *packet.Probe, d *Disposition) {
 			}
 		}
 	}
-	isn := respISN(t.pol.Seed, k)
 	t.stats.Responded++
 	if t.met != nil {
 		t.met.responded.Inc()
 		t.met.stateSize.Set(int64(t.inv.live))
 	}
 	d.Responded = true
-	d.Resp = packet.Probe{
-		Time:    p.Time,
-		Src:     p.Dst,
-		Dst:     p.Src,
-		SrcPort: p.DstPort,
-		DstPort: p.SrcPort,
-		Seq:     isn,
-		Ack:     p.Seq + 1,
-		TTL:     64,
-		Flags:   packet.FlagSYN | packet.FlagACK,
-		Window:  65535,
-	}
+	d.ISN = respISN(t.pol.Seed, k)
 }

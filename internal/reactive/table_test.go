@@ -105,16 +105,14 @@ func (t *mapResponder) respond(p *packet.Probe, d *Disposition) {
 	t.state[k] = p.Time + t.pol.StateTTL
 	t.stats.Responded++
 	d.Responded = true
-	d.Resp = packet.Probe{
-		Time: p.Time, Src: p.Dst, Dst: p.Src, SrcPort: p.DstPort, DstPort: p.SrcPort,
-		Seq: respISN(t.pol.Seed, k), Ack: p.Seq + 1, TTL: 64,
-		Flags: packet.FlagSYN | packet.FlagACK, Window: 65535,
-	}
+	d.ISN = respISN(t.pol.Seed, k)
 }
 
-// check verifies the table's structure: the index holds exactly the live
-// slots of the ring's used window, each under its own hash and reachable
-// from its home without crossing an empty entry.
+// check verifies the table's structure: the index holds exactly one entry
+// for each live slot of the ring's used window, under its tuple's hash, and
+// besides those only stale entries — numbers that have left the window —
+// as many as the table counts, fewer than purgeEvery. Every entry, stale ones
+// included, is reachable from its home without crossing an empty entry.
 func (tb *table) check() error {
 	if tb.used > len(tb.slots) || tb.head >= len(tb.slots) {
 		return fmt.Errorf("ring head %d used %d of %d slots", tb.head, tb.used, len(tb.slots))
@@ -127,32 +125,41 @@ func (tb *table) check() error {
 			continue
 		}
 		live++
-		if got := tb.find(s.k, tb.hash(s.k)); got != pos {
+		if got, _ := tb.find(s.k, tb.hash(s.k)); got != pos {
 			return fmt.Errorf("live slot %d (%+v) found at %d", pos, s.k, got)
 		}
 	}
 	if live != tb.live {
 		return fmt.Errorf("%d live slots in the ring, live = %d", live, tb.live)
 	}
-	entries := 0
+	named, stale := make(map[int]bool), 0
 	for i, e := range tb.index {
 		if e == 0 {
 			continue
 		}
-		entries++
-		pos := int(uint32(e)) - 1
-		if pos < 0 || pos >= len(tb.slots) || !tb.slots[pos].live {
-			return fmt.Errorf("index[%d] points at slot %d, not a live one", i, pos)
+		for j := uint32(e>>32) >> tb.shift; j != uint32(i); j = (j + 1) & tb.mask {
+			if tb.index[j] == 0 {
+				return fmt.Errorf("index[%d] is cut off from its home by an empty entry at %d", i, j)
+			}
 		}
-		if (pos-tb.head+len(tb.slots))%len(tb.slots) >= tb.used {
-			return fmt.Errorf("index[%d] points at slot %d outside the used window", i, pos)
+		pos, ok := tb.slot(uint32(e))
+		if !ok {
+			stale++
+			continue
 		}
-		if tag := tb.hash(tb.slots[pos].k); uint32(e>>32) != tag {
+		if !tb.slots[pos].live || named[pos] {
+			return fmt.Errorf("index[%d] names slot %d, not a live one or named twice", i, pos)
+		}
+		named[pos] = true
+		if tag := tb.hash(tb.slots[pos].k) | 1; uint32(e>>32) != tag {
 			return fmt.Errorf("index[%d] tag %#x, slot %d hashes to %#x", i, uint32(e>>32), pos, tag)
 		}
 	}
-	if entries != live {
-		return fmt.Errorf("%d index entries for %d live slots", entries, live)
+	if len(named) != live {
+		return fmt.Errorf("%d index entries for %d live slots", len(named), live)
+	}
+	if stale != tb.stale || stale >= tb.purgeEvery {
+		return fmt.Errorf("%d stale entries, counted %d, a purge at %d", stale, tb.stale, tb.purgeEvery)
 	}
 	return nil
 }
@@ -165,19 +172,13 @@ func (tb *table) bytes() uintptr {
 // probes returns how many index entries find reads to reach k.
 func (tb *table) probes(k tuple) int {
 	tag := tb.hash(k)
-	n := 1
-	for i := tag >> tb.shift; tb.index[i] != 0; i = (i + 1) & tb.mask {
-		if pos := int(uint32(tb.index[i])) - 1; uint32(tb.index[i]>>32) == tag && tb.slots[pos].k == k {
-			break
-		}
-		n++
-	}
-	return n
+	_, at := tb.find(k, tag)
+	return int((at-tag>>tb.shift)&tb.mask) + 1
 }
 
 // differ runs one stream through the table-backed responder and the oracle
 // and fails on any difference the repaired defects do not account for. Until
-// the oracle deletes an invitation by expiry every Disposition, Resp
+// the oracle deletes an invitation by expiry every Disposition, ISN
 // included, must be identical; from the packet after that deletion on, the
 // two may disagree only on whether a non-SYN segment still belongs to a live
 // invitation — what is answered, with what, and every drop decided by the
@@ -449,7 +450,7 @@ func TestSeededHashBoundsCraftedRuns(t *testing.T) {
 	longest := func(seed uint64) int {
 		tb := newTable(capacity, seed)
 		for _, k := range tuples {
-			tb.insert(k, tb.hash(k), 0)
+			tb.invite(k, 0)
 		}
 		if err := tb.check(); err != nil {
 			t.Fatal(err)

@@ -93,9 +93,9 @@ func refRun(s *Scenario, rt *reactive.Telescope, emit func(refEmit)) Summary {
 				follow.pending[0] = hs
 			case sp.kind == kindFollowup:
 				rtt := int64(30e6) + sp.fr.Int63n(int64(170e6))
-				ack := sp.tp.HandshakeACK(&p, d.Resp.Seq)
+				ack := sp.tp.HandshakeACK(&p, d.ISN)
 				ack.Time = p.Time + rtt
-				push := sp.tp.PayloadPush(&p, d.Resp.Seq)
+				push := sp.tp.PayloadPush(&p, d.ISN)
 				push.Time = p.Time + 2*rtt
 				follow = &spec{kind: kindFollowup, count: 2, tp: sp.tp, fr: sp.fr}
 				follow.pending = [2]packet.Probe{ack, push}

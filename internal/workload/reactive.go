@@ -105,9 +105,9 @@ func (s *Scenario) RunReactive(rt *reactive.Telescope, emit func(*packet.Probe, 
 				rtt := int64(30e6) + sp.fr.Int63n(int64(170e6))
 				follow = followup(&free, sp, 2)
 				ack, push := &follow.pending[0], &follow.pending[1]
-				*ack = sp.tp.HandshakeACK(p, d.Resp.Seq)
+				*ack = sp.tp.HandshakeACK(p, d.ISN)
 				ack.Time = p.Time + rtt
-				*push = sp.tp.PayloadPush(p, d.Resp.Seq)
+				*push = sp.tp.PayloadPush(p, d.ISN)
 				push.Time = p.Time + 2*rtt
 			}
 		}
