@@ -39,7 +39,7 @@ func facadeData(t testing.TB) *YearData {
 // TestFacadeAnalyzerWorkers: the sharded analyzer must detect the exact same
 // campaign multiset as the sequential one, through the public facade.
 func TestFacadeAnalyzerWorkers(t *testing.T) {
-	stream := makeAblationStream(40000, 2048)
+	stream := makeProbeStream(40000, 2048)
 	run := func(opts ...AnalyzerOption) []string {
 		a := NewAnalyzer(65536, opts...)
 		for i := range stream {
@@ -73,7 +73,7 @@ func TestFacadeAnalyzerWorkers(t *testing.T) {
 // more source, one every half hour for six hours, expires the stream's
 // flows, which must reach the callback before Finish.
 func TestFacadeOnScanMatchesFinish(t *testing.T) {
-	stream := makeAblationStream(40000, 2048)
+	stream := makeProbeStream(40000, 2048)
 	last := stream[len(stream)-1].Time
 	for i := 1; i <= 12; i++ {
 		stream = append(stream, Probe{Time: last + int64(i)*int64(30*time.Minute),
@@ -124,7 +124,7 @@ func TestFacadeOnScanMatchesFinish(t *testing.T) {
 // TestFacadeAnalyzerStats: Stats must reflect the ingress filter and the
 // detector lifecycle without any explicit metrics wiring.
 func TestFacadeAnalyzerStats(t *testing.T) {
-	stream := makeAblationStream(20000, 2048)
+	stream := makeProbeStream(20000, 2048)
 	a := NewAnalyzer(65536, WithWorkers(2))
 	var notSYN uint64
 	for i := range stream {

@@ -6,7 +6,29 @@ import (
 	"testing"
 
 	"github.com/synscan/synscan/internal/alloctest"
+	"github.com/synscan/synscan/internal/obs"
 )
+
+// blockReadStore writes the store TestAllocBudgetBlockRead and
+// BenchmarkArchiveRawBlock read: 4 000 scans in 16 KiB blocks whose strips
+// are of both kinds a block can hold — random sources are stored, the rest
+// deflated — so that the budget covers both streams.
+func blockReadStore(tb testing.TB) (*Reader, []byte) {
+	tb.Helper()
+	reg := obs.NewRegistry()
+	scans, origins := testScans(4000, 23)
+	data := writeArchive(tb, scans, origins, WriterConfig{TelescopeSize: 4096, BlockBytes: 16 << 10, Metrics: reg})
+	snap := reg.Snapshot()
+	if snap.Counter("archive.strips.stored") == 0 || snap.Counter("archive.strips.deflated") == 0 {
+		tb.Fatalf("%d strips stored, %d deflated: want blocks that hold both",
+			snap.Counter("archive.strips.stored"), snap.Counter("archive.strips.deflated"))
+	}
+	r := openArchive(tb, data)
+	if r.NumBlocks() < 2 {
+		tb.Fatalf("want multiple blocks, got %d", r.NumBlocks())
+	}
+	return r, data
+}
 
 // TestAllocBudgetBlockRead is the enforced budget for the pooled archive
 // read path: reading, checksumming and decompressing one block through the
@@ -17,19 +39,12 @@ import (
 // reason the archive carries its own inflater). Reported under
 // "archive-block-read".
 func TestAllocBudgetBlockRead(t *testing.T) {
-	scans, origins := testScans(4000, 23)
-	data := writeArchive(t, scans, origins, WriterConfig{TelescopeSize: 4096, BlockBytes: 16 << 10})
-	r := openArchive(t, data)
-	blocks := r.NumBlocks()
-	if blocks < 2 {
-		t.Fatalf("want multiple blocks, got %d", blocks)
-	}
-	// The budget covers both kinds of stream: random sources are stored.
+	r, data := blockReadStore(t)
 	if src := blockApart(t, data, 0).dir[stripSrc]; src[0] != storedLen(src[1]) {
 		t.Fatalf("src strip: %d stored for %d raw bytes, want stored blocks", src[0], src[1])
 	}
 	visit := func([]byte) error { return nil }
-	i := 0
+	blocks, i := r.NumBlocks(), 0
 	alloctest.Check(t, "archive-block-read", 2, func() {
 		if err := r.RawBlock(i%blocks, visit); err != nil {
 			t.Fatal(err)

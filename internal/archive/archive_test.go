@@ -354,32 +354,3 @@ func TestWriterMetrics(t *testing.T) {
 		t.Fatal("compression made the blocks bigger on redundant input")
 	}
 }
-
-// BenchmarkArchiveQuery measures a pruned single-year single-tool query
-// against a full scan of the same archive.
-func BenchmarkArchiveQuery(b *testing.B) {
-	scans, origins := testScans(20000, 6)
-	sortScansByStart(scans)
-	data := writeArchive(b, scans, origins, WriterConfig{BlockBytes: 32 << 10})
-	r := openArchive(b, data)
-
-	b.Run("full", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			n := 0
-			if err := r.Query(context.Background(), All, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("year-tool", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		f := Filter{Years: []int{2020}, Tools: []tools.Tool{tools.ToolZMap}}
-		for i := 0; i < b.N; i++ {
-			n := 0
-			if err := r.Query(context.Background(), &f, func(*core.Scan, *enrich.Origin) { n++ }); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -5,23 +5,28 @@ import (
 	"time"
 
 	"github.com/synscan/synscan/internal/alloctest"
+	"github.com/synscan/synscan/internal/obs"
 	"github.com/synscan/synscan/internal/packet"
 	"github.com/synscan/synscan/internal/rng"
 )
 
-// TestAllocBudgetAbsorb is the enforced budget for the detector's
-// steady-state absorb: once flows, destination sets and port sets exist,
-// IngestBatch over a warm stream — same sources, resident keys, clock inside
-// the expiry window — must not allocate at all. This is the regime a
-// long-running telescope spends almost all its time in; the budget is
-// reported under "detector-absorb".
-func TestAllocBudgetAbsorb(t *testing.T) {
-	d := NewDetector(Config{TelescopeSize: testTelescopeSize}, nil)
+// warm drives a detector over the same 32 sources × 64 probes again and
+// again: warm flows, resident destination and port sets, one Ingest per
+// probe. Every pass moves the stream's clock on by its span, so the stream
+// stays in order: replayed with the timestamps it had, every probe from the
+// second pass on would be late and a pass would time the clamp for reordered
+// input. A pass spans two seconds and expiry is an hour, so no flow closes.
+type warm struct {
+	d      Ingester
+	stream []packet.Probe
+}
+
+func newWarm(d Ingester) *warm {
 	const sources, perSource = 32, 64
-	stream := make([]packet.Probe, 0, sources*perSource)
+	w := &warm{d: d, stream: make([]packet.Probe, 0, sources*perSource)}
 	for s := 0; s < sources; s++ {
 		for i := 0; i < perSource; i++ {
-			stream = append(stream, packet.Probe{
+			w.stream = append(w.stream, packet.Probe{
 				Time:    int64(s*perSource+i) * int64(time.Millisecond),
 				Src:     uint32(s + 1),
 				Dst:     uint32(0x0a000000 + i%48),
@@ -31,9 +36,31 @@ func TestAllocBudgetAbsorb(t *testing.T) {
 			})
 		}
 	}
-	alloctest.Check(t, "detector-absorb", 0, func() {
-		d.IngestBatch(stream)
-	})
+	return w
+}
+
+// pass feeds the whole stream once. BenchmarkDetectorIngest times it.
+func (w *warm) pass() {
+	span := int64(len(w.stream)) * int64(time.Millisecond)
+	for j := range w.stream {
+		w.d.Ingest(&w.stream[j])
+		w.stream[j].Time += span
+	}
+}
+
+// TestAllocBudgetAbsorb is the enforced budget for the detector's
+// steady-state absorb: once flows, destination sets and port sets exist, a
+// pass over a warm, in-order stream must not allocate at all. This is the
+// regime a long-running telescope spends almost all its time in; the budget
+// is reported under "detector-absorb". No probe of the measured passes may
+// take the clamp for late probes, or the budget would time another branch.
+func TestAllocBudgetAbsorb(t *testing.T) {
+	reg := obs.NewRegistry()
+	w := newWarm(NewDetector(Config{TelescopeSize: testTelescopeSize}, nil, WithMetrics(reg)))
+	alloctest.Check(t, "detector-absorb", 0, w.pass)
+	if n := reg.Snapshot().Counter("detector.end_clamp"); n != 0 {
+		t.Fatalf("detector.end_clamp = %d: the measured passes were not in order", n)
+	}
 }
 
 // churn drives a detector through whole flow lifecycles.
@@ -48,7 +75,7 @@ type churn struct {
 // probes over a handful of destinations and three ports — every 64th flow is
 // a sweep of fifty ports instead. The clock then jumps past the expiry
 // window, so the next flow's first probe closes this one.
-// BenchmarkDetectorChurn in the root package drives the same lifecycle.
+// BenchmarkDetectorChurn times it.
 func (c *churn) flow() {
 	c.src++
 	sweep := c.src%64 == 0

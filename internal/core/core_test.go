@@ -363,20 +363,3 @@ func TestNewDetectorPanics(t *testing.T) {
 	}()
 	NewDetector(Config{}, nil)
 }
-
-func BenchmarkIngest(b *testing.B) {
-	d := NewDetector(Config{TelescopeSize: testTelescopeSize}, func(*Scan) {})
-	r := rng.New(1)
-	const sources = 4096
-	probers := make([]tools.Prober, sources)
-	for i := range probers {
-		probers[i] = tools.NewMasscan(uint32(i+1), r.DeriveN("src", uint64(i)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr := probers[i%sources]
-		p := pr.Probe(uint32(i), 80)
-		p.Time = int64(i) * 1e6
-		d.Ingest(&p)
-	}
-}
